@@ -7,10 +7,20 @@ walks that order reversed and visits each node exactly once. Gradients
 accumulate by summation, and leaves that never participate in a loss keep
 a zero gradient rather than a missing one.
 
+Most ops are elementwise or shape primitives. Three are fused, one tape
+node each with an analytic backward, because the transformer runs them
+many times per step: :func:`affine` (matrix product plus bias),
+:func:`layer_norm` and :func:`causal_attention` (multi-head causal
+self-attention). Each fused op's forward arithmetic is also exposed as a
+numpy kernel (``affine_np``, ``layer_norm_np``, ``causal_attention_np``)
+for gradient-free forwards, so both paths produce the same bits.
+
 Default element type is float32; wrap code in ``precision("float64")`` for
 the high-accuracy mode used by finite-difference tests. Every op checks
 its output for non-finite values and raises :class:`AutodiffError` naming
-the op, so a NaN is caught where it is produced, not steps later.
+the op, so a NaN is caught where it is produced, not steps later. A fused
+op also checks the intermediates that its output could hide, such as a
+variance that overflows inside ``layer_norm``.
 """
 
 from __future__ import annotations
@@ -36,6 +46,8 @@ __all__ = [
     "scale",
     "shift",
     "matmul",
+    "affine",
+    "affine_np",
     "transpose_last2",
     "reshape",
     "concat",
@@ -51,6 +63,8 @@ __all__ = [
     "clip",
     "minimum",
     "causal_softmax_last",
+    "causal_attention",
+    "causal_attention_np",
     "dropout",
     "sum_all",
     "mean_all",
@@ -59,6 +73,7 @@ __all__ = [
     "mse",
     "bce_with_logits",
     "layer_norm",
+    "layer_norm_np",
 ]
 
 
@@ -128,9 +143,14 @@ class Tensor:
         """A constant view of this node's values, severed from the tape."""
         return Tensor(self.data, requires_grad=False)
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        # owned: g is a fresh array no one else holds, so it may become
+        # the gradient buffer without a copy.
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+            if owned and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -251,6 +271,35 @@ def matmul(a, b):
     return _node("matmul", data, (a, b), vjp)
 
 
+def affine_np(x, w, b):
+    """Gradient-free :func:`affine` on arrays."""
+    flat = x.reshape(-1, x.shape[-1]) @ w + b
+    return flat.reshape(x.shape[:-1] + (w.shape[-1],))
+
+
+def affine(x, w, b):
+    """x @ w + b for x of shape (N, in) or (B, T, in) and w of (in, out).
+
+    One tape node. A rank-3 x is evaluated as one flattened 2D product, so
+    each row's result never depends on how many positions the batch holds,
+    which the exact-prefix property of the transformer relies on.
+    """
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2:
+        raise AutodiffError("affine expects a rank-2 or rank-3 input and a rank-2 weight")
+    out = affine_np(x.data, w.data, b.data)
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), owned=True)
+        if w.requires_grad:
+            w._accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g2, owned=True)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return _node("affine", out, (x, w, b), vjp)
+
+
 def transpose_last2(a):
     def vjp(g):
         a._accumulate(np.swapaxes(g, -1, -2))
@@ -303,7 +352,7 @@ def _unary(op_name, a, fwd, dfdx_from_out):
     data = fwd(a.data)
 
     def vjp(g):
-        a._accumulate(g * dfdx_from_out(data, a.data))
+        a._accumulate(g * dfdx_from_out(data, a.data), owned=True)
 
     return _node(op_name, data, (a,), vjp)
 
@@ -386,6 +435,26 @@ def minimum(a, b):
     return _node("minimum", np.minimum(a.data, b.data), (a, b), vjp)
 
 
+def _causal_softmax(x):
+    # An additive -inf mask gives future columns exp(-inf) = 0 exactly.
+    # Row totals are summed column by column: appending masked (zero)
+    # columns must not change earlier rows' normalization bits, which a
+    # pairwise sum would.
+    t = x.shape[-1]
+    w = x + np.triu(np.full((t, t), -np.inf, dtype=x.dtype), 1)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    totals = w[..., :1].copy()
+    for j in range(1, t):
+        totals += w[..., j : j + 1]
+    w /= totals
+    return w
+
+
+def _softmax_vjp(out, g):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def causal_softmax_last(a):
     """Row softmax over the last axis with a strict causal mask.
 
@@ -395,24 +464,94 @@ def causal_softmax_last(a):
     and gradients are exactly zero, making prefix outputs bit-identical
     regardless of appended future rows.
     """
-    x = a.data
-    t = x.shape[-1]
-    if x.shape[-2] != t:
+    if a.data.shape[-2] != a.data.shape[-1]:
         raise AutodiffError("causal_softmax_last expects square trailing axes")
-    allowed = np.tril(np.ones((t, t), dtype=bool))
-    masked = np.where(allowed, x, -np.inf)
-    shifted = masked - masked.max(axis=-1, keepdims=True)
-    weights = np.where(allowed, np.exp(np.where(allowed, shifted, 0.0)), 0.0)
-    # Sequential row totals: appending masked (zero) columns must not
-    # change earlier rows' normalization bits, so avoid pairwise sum.
-    totals = np.cumsum(weights, axis=-1)[..., -1:]
-    out = weights / totals
+    out = _causal_softmax(a.data)
 
     def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        a._accumulate(out * (g - inner))
+        a._accumulate(_softmax_vjp(out, g))
 
     return _node("causal_softmax_last", out, (a,), vjp)
+
+
+def _dropout_keep(shape, p, rng, dtype):
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def _split_heads(x, n_heads):
+    # (B, T, H*d) -> (H*B, T, d), head-major.
+    b, t, width = x.shape
+    d = width // n_heads
+    return x.reshape(b, t, n_heads, d).transpose(2, 0, 1, 3).reshape(n_heads * b, t, d)
+
+
+def _merge_heads(x, n_heads):
+    # (H*B, T, d) -> (B, T, H*d): heads side by side in head order.
+    hb, t, d = x.shape
+    b = hb // n_heads
+    return x.reshape(n_heads, b, t, d).transpose(1, 2, 0, 3).reshape(b, t, n_heads * d)
+
+
+def _inv_sqrt(d):
+    return float(1.0 / np.sqrt(d))
+
+
+def _attention(q, k, v, n_heads, keep, op_name=None):
+    qh, kh, vh = (_split_heads(x, n_heads) for x in (q, k, v))
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= _inv_sqrt(qh.shape[-1])
+    if op_name is not None:
+        _checked(scores, op_name)
+    w = _causal_softmax(scores)
+    wd = w if keep is None else w * keep
+    return _merge_heads(wd @ vh, n_heads), (qh, kh, vh, w, wd)
+
+
+def causal_attention_np(q, k, v, n_heads):
+    """Gradient-free :func:`causal_attention` on arrays, without dropout."""
+    return _attention(q, k, v, n_heads, None)[0]
+
+
+def causal_attention(q, k, v, n_heads, p, rng, train):
+    """Multi-head causal self-attention over (B, T, H*d) projections.
+
+    Heads are laid out head-major, (H*B, T, d), so the whole layer is a
+    few batched rank-3 matmuls: scaled scores, the causal softmax of
+    :func:`causal_softmax_last`, inverted dropout on the weights and the
+    value product. Row h*B + b is head h of window b, which makes one
+    dropout draw of shape (H*B, T, T) equal, value for value, to H
+    successive per-head draws of shape (B, T, T). Returns the heads side
+    by side, (B, T, H*d).
+    """
+    if q.data.ndim != 3 or not (q.data.shape == k.data.shape == v.data.shape):
+        raise AutodiffError("causal_attention expects equal (B, T, width) operands")
+    if q.data.shape[-1] % n_heads:
+        raise AutodiffError("causal_attention width must divide evenly into heads")
+    p = float(p)
+    keep = None
+    if train and p != 0.0:
+        b, t, _ = q.data.shape
+        keep = _dropout_keep((n_heads * b, t, t), p, rng, q.data.dtype)
+    out, (qh, kh, vh, w, wd) = _attention(q.data, k.data, v.data, n_heads, keep, "causal_attention")
+
+    def vjp(g):
+        gh = _split_heads(g, n_heads)
+        if v.requires_grad:
+            v._accumulate(_merge_heads(np.swapaxes(wd, -1, -2) @ gh, n_heads), owned=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gw = gh @ np.swapaxes(vh, -1, -2)
+        if keep is not None:
+            gw *= keep
+        gs = _softmax_vjp(w, gw)
+        gs *= _inv_sqrt(qh.shape[-1])
+        if q.requires_grad:
+            q._accumulate(_merge_heads(gs @ kh, n_heads), owned=True)
+        if k.requires_grad:
+            gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+            k._accumulate(_merge_heads(gk, n_heads), owned=True)
+
+    return _node("causal_attention", out, (q, k, v), vjp)
 
 
 def dropout(a, p, rng, train):
@@ -423,10 +562,10 @@ def dropout(a, p, rng, train):
             a._accumulate(g)
 
         return _node("dropout", a.data.copy(), (a,), vjp_id)
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    keep = _dropout_keep(a.data.shape, p, rng, a.data.dtype)
 
     def vjp(g):
-        a._accumulate(g * keep)
+        a._accumulate(g * keep, owned=True)
 
     return _node("dropout", a.data * keep, (a,), vjp)
 
@@ -501,16 +640,45 @@ def bce_with_logits(logits, targets):
     return _node("bce_with_logits", np.asarray(np.mean(sp - x * y), dtype=x.dtype), (logits, targets), vjp)
 
 
+def _layer_norm(x, gain, bias, eps):
+    c = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.square(c).mean(axis=-1, keepdims=True) + eps)
+    c /= std
+    return c * gain + bias, c, std
+
+
+def layer_norm_np(x, gain, bias, eps=1e-5):
+    """Gradient-free :func:`layer_norm` on arrays."""
+    return _layer_norm(x, gain, bias, eps)[0]
+
+
 def layer_norm(a, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Built from primitive ops so its adjoint needs no bespoke derivation.
+    One tape node (LayerNorm, arXiv 1607.06450). With xhat = (x - mean) / std
+    and gx = g * gain, the backward is
+    dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / std over the last axis.
+    A standard deviation that overflows raises here, although the
+    normalized output would still be finite.
     """
-    m = mean_last(a, keepdims=True)
-    centered = sub(a, m)
-    var = mean_last(square(centered), keepdims=True)
-    inv = div(centered, sqrt(shift(var, eps)))
-    return add(mul(inv, gain), bias)
+    out, xhat, std = _layer_norm(a.data, gain.data, bias.data, eps)
+    _checked(std, "layer_norm")
+
+    def vjp(g):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if a.requires_grad:
+            gx = g * gain.data
+            centre = gx.mean(axis=-1, keepdims=True)
+            slope = (gx * xhat).mean(axis=-1, keepdims=True)
+            gx -= centre
+            gx -= xhat * slope
+            gx /= std
+            a._accumulate(gx, owned=True)
+
+    return _node("layer_norm", out, (a, gain, bias), vjp)
 
 
 def backward(root, retain=False):

@@ -9,6 +9,13 @@ observations are appended to the window. Training uses long windows;
 control uses a short sliding window that grows from length 1 after a
 reset.
 
+Each block runs its heads together. The (B, T, H*d) query, key and value
+projections are laid out head-major as (H*B, T, d), row h*B + b holding
+head h of window b, so attention is a few batched rank-3 products
+(``autodiff.causal_attention``) rather than a loop over heads. In that
+order one dropout draw over all heads' weights takes the same random
+numbers, in the same places, as a draw per head in head order.
+
 The model is trained once and then frozen: downstream trainers hold it
 without any optimizer, and a parameter checksum guards against drift.
 """
@@ -79,24 +86,6 @@ class BeTConfig:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-
-def _softmax_causal_np(scores):
-    """Numpy twin of the causal softmax op; identical arithmetic."""
-    t = scores.shape[-1]
-    allowed = np.tril(np.ones((t, t), dtype=bool))
-    masked = np.where(allowed, scores, -np.inf)
-    shifted = masked - masked.max(axis=-1, keepdims=True)
-    weights = np.where(allowed, np.exp(np.where(allowed, shifted, 0.0)), 0.0)
-    totals = np.cumsum(weights, axis=-1)[..., -1:]
-    return weights / totals
-
-
-def _layer_norm_np(x, gain, bias, eps=1e-5):
-    m = x.mean(axis=-1, keepdims=True)
-    c = x - m
-    var = (c * c).mean(axis=-1, keepdims=True)
-    return (c / np.sqrt(var + eps)) * gain + bias
 
 
 class _Block:
@@ -174,36 +163,23 @@ class BeT:
         x = ad.clip(x, -OBS_CLIP, OBS_CLIP)
         h = ad.add(self.in_proj(x), ad.narrow(self.pos_emb, 0, t, axis=0))
         h = ad.dropout(h, cfg.dropout, rng, train)
-        hd = cfg.embed_dim // cfg.n_heads
-        inv = 1.0 / np.sqrt(hd)
         for blk in self.blocks:
             a = ad.layer_norm(h, blk.ln1_gain, blk.ln1_bias)
-            q = blk.wq(a)
-            k = blk.wk(a)
-            v = blk.wv(a)
-            heads = []
-            for i in range(cfg.n_heads):
-                qh = ad.narrow(q, i * hd, hd, axis=-1)
-                kh = ad.narrow(k, i * hd, hd, axis=-1)
-                vh = ad.narrow(v, i * hd, hd, axis=-1)
-                scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), inv)
-                w = ad.causal_softmax_last(scores)
-                w = ad.dropout(w, cfg.dropout, rng, train)
-                heads.append(ad.matmul(w, vh))
-            att = ad.dropout(blk.wo(ad.concat(heads, axis=-1)), cfg.dropout, rng, train)
-            h = ad.add(h, att)
+            att = ad.causal_attention(blk.wq(a), blk.wk(a), blk.wv(a), cfg.n_heads,
+                                      cfg.dropout, rng, train)
+            h = ad.add(h, ad.dropout(blk.wo(att), cfg.dropout, rng, train))
             m = ad.layer_norm(h, blk.ln2_gain, blk.ln2_bias)
             m = blk.w2(ad.relu(blk.w1(m)))
-            m = ad.dropout(m, cfg.dropout, rng, train)
-            h = ad.add(h, m)
+            h = ad.add(h, ad.dropout(m, cfg.dropout, rng, train))
         h = ad.layer_norm(h, self.lnf_gain, self.lnf_bias)
         return ad.tanh(self.head(h))
 
     def predict(self, windows):
-        """Gradient-free numpy twin of forward(train=False).
+        """Gradient-free forward(train=False) on arrays.
 
         windows is (B, T, obs) float32 normalized observations; returns
-        (B, T, act) float32. Bit-identical to the taped path.
+        (B, T, act) float32. Runs the fused ops' numpy kernels, so it is
+        bit-identical to the taped path.
         """
         cfg = self.cfg
         x = np.asarray(windows, dtype=np.float32)
@@ -212,26 +188,14 @@ class BeT:
             raise ValueError(f"window length {t} exceeds context {cfg.context}")
         x = np.clip(x, -OBS_CLIP, OBS_CLIP)
         h = self.in_proj.predict(x) + self.pos_emb.data[:t]
-        hd = cfg.embed_dim // cfg.n_heads
-        inv = np.float32(1.0 / np.sqrt(hd))
         for blk in self.blocks:
-            a = _layer_norm_np(h, blk.ln1_gain.data, blk.ln1_bias.data)
-            q = blk.wq.predict(a)
-            k = blk.wk.predict(a)
-            v = blk.wv.predict(a)
-            heads = []
-            for i in range(cfg.n_heads):
-                qh = q[..., i * hd : (i + 1) * hd]
-                kh = k[..., i * hd : (i + 1) * hd]
-                vh = v[..., i * hd : (i + 1) * hd]
-                scores = (qh @ np.swapaxes(kh, -1, -2)) * inv
-                w = _softmax_causal_np(scores)
-                heads.append(w @ vh)
-            h = h + blk.wo.predict(np.concatenate(heads, axis=-1))
-            m = _layer_norm_np(h, blk.ln2_gain.data, blk.ln2_bias.data)
-            m = blk.w2.predict(np.maximum(blk.w1.predict(m), 0.0))
-            h = h + m
-        h = _layer_norm_np(h, self.lnf_gain.data, self.lnf_bias.data)
+            a = ad.layer_norm_np(h, blk.ln1_gain.data, blk.ln1_bias.data)
+            att = ad.causal_attention_np(blk.wq.predict(a), blk.wk.predict(a), blk.wv.predict(a),
+                                         cfg.n_heads)
+            h = h + blk.wo.predict(att)
+            m = ad.layer_norm_np(h, blk.ln2_gain.data, blk.ln2_bias.data)
+            h = h + blk.w2.predict(np.maximum(blk.w1.predict(m), 0.0))
+        h = ad.layer_norm_np(h, self.lnf_gain.data, self.lnf_bias.data)
         return np.tanh(self.head.predict(h))
 
     def predict_last(self, windows):

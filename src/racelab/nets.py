@@ -59,15 +59,10 @@ class Affine:
         self.b = ad.Tensor(np.zeros(fan_out, dtype=ad.default_dtype()), requires_grad=True)
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.W), self.b)
+        return ad.affine(x, self.W, self.b)
 
     def predict(self, x):
-        x = np.asarray(x)
-        if x.ndim == 3:
-            lead = x.shape[:2]
-            flat = x.reshape(-1, x.shape[-1]) @ self.W.data + self.b.data
-            return flat.reshape(lead + (self.W.data.shape[-1],))
-        return x @ self.W.data + self.b.data
+        return ad.affine_np(np.asarray(x), self.W.data, self.b.data)
 
 
 _ACT_TAPED = {

@@ -187,6 +187,72 @@ class TestReductionsAndLosses:
         assert np.allclose(out.std(axis=-1), 1.0, atol=1e-3)
 
 
+class TestFusedOps:
+    def test_affine_matches_finite_differences_at_rank_2_and_3(self):
+        rng = np.random.default_rng(30)
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        for shape in ((5, 4), (2, 3, 4)):
+            x = rng.standard_normal(shape)
+            probe = rng.standard_normal(shape[:-1] + (3,))
+            check_grads(lambda a, W, c: probe_loss(ad.affine(a, W, c), probe), [x, w, b], rng)
+
+    def test_affine_equals_matmul_plus_bias_bitwise(self):
+        rng = np.random.default_rng(31)
+        w = ad.Tensor(rng.standard_normal((16, 8)).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(8).astype(np.float32))
+        for shape in ((7, 16), (3, 5, 16)):
+            x = ad.Tensor(rng.standard_normal(shape).astype(np.float32))
+            fused = ad.affine(x, w, b).data
+            assert np.array_equal(fused, ad.add(ad.matmul(x, w), b).data)
+            assert np.array_equal(fused, ad.affine_np(x.data, w.data, b.data))
+
+    def test_attention_with_dropout_matches_finite_differences(self):
+        rng = np.random.default_rng(32)
+        q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
+        probe = rng.standard_normal((2, 5, 6))
+
+        def build(a, b, c):
+            # A fresh generator per evaluation: every call drops the same weights.
+            out = ad.causal_attention(a, b, c, 3, 0.3, np.random.default_rng(7), train=True)
+            return probe_loss(out, probe)
+
+        check_grads(build, [q, k, v], rng)
+
+    def test_attention_equals_per_head_primitive_ops_bitwise(self):
+        """One head-major dropout draw equals per-head draws in head order."""
+        rng = np.random.default_rng(33)
+        n_heads, d = 4, 8
+        q, k, v = (ad.Tensor(rng.standard_normal((3, 6, n_heads * d)).astype(np.float32))
+                   for _ in range(3))
+        fused = ad.causal_attention(q, k, v, n_heads, 0.1, np.random.default_rng(8), train=True)
+        draws = np.random.default_rng(8)
+        heads = []
+        for i in range(n_heads):
+            qh, kh, vh = (ad.narrow(x, i * d, d) for x in (q, k, v))
+            scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(d))
+            w = ad.dropout(ad.causal_softmax_last(scores), 0.1, draws, train=True)
+            heads.append(ad.matmul(w, vh))
+        assert np.array_equal(fused.data, ad.concat(heads).data)
+        no_drop = ad.causal_attention(q, k, v, n_heads, 0.1, None, train=False)
+        assert np.array_equal(no_drop.data, ad.causal_attention_np(q.data, k.data, v.data, n_heads))
+
+    def test_overflowing_variance_names_layer_norm(self):
+        # The normalized output of this row is finite; its variance is not.
+        x = ad.tensor(np.array([[1e20, -1e20, 0.0, 0.0]]))
+        g, b = ad.tensor(np.ones(4)), ad.tensor(np.zeros(4))
+        with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="layer_norm"):
+            ad.layer_norm(x, g, b)
+
+    def test_overflowing_scores_name_causal_attention(self):
+        q = ad.tensor(np.full((1, 3, 4), 1e20))
+        k = ad.tensor(np.full((1, 3, 4), -1e20))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ad.AutodiffError, match="causal_attention"
+        ):
+            ad.causal_attention(q, k, q, 2, 0.0, None, train=False)
+
+
 class TestCausalSoftmax:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)

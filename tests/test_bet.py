@@ -7,14 +7,13 @@ from racelab import autodiff as ad
 from racelab.bet import (
     BeT,
     BeTConfig,
-    _softmax_causal_np,
     load_bet,
     param_checksum,
     pretrain,
     save_bet,
     train_step,
 )
-from racelab.env import EpisodeConfig, Normalizer
+from racelab.env import OBS_CLIP, EpisodeConfig, Normalizer
 from racelab.expert import ExpertParams, generate_demos
 from racelab.optim import Lamb, LambConfig
 from racelab.track import gen_track
@@ -55,7 +54,7 @@ def test_config_rejects_inconsistent_shapes():
 
 def test_causal_softmax_rows_are_distributions():
     scores = RNG(0).standard_normal((2, 5, 5)).astype(np.float32)
-    w = _softmax_causal_np(scores)
+    w = ad.causal_softmax_last(ad.Tensor(scores)).data
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
     for i in range(5):
         assert np.all(w[:, i, i + 1 :] == 0.0)  # no attention to the future
@@ -90,6 +89,68 @@ def test_taped_forward_matches_numpy_twin_bitwise():
     x = RNG(3).standard_normal((4, 7, 6)).astype(np.float32)
     taped = model.forward(ad.Tensor(x), train=False)
     np.testing.assert_array_equal(taped.data, model.predict(x))
+
+
+def _per_head_predict(model, x):
+    """The BeT forward as it was written before attention ran heads together:
+    a loop over heads, with the softmax and layer norm spelled out. Fusion
+    changed no arithmetic of the forward, so predict must match it bitwise."""
+
+    def softmax_causal(scores):
+        t = scores.shape[-1]
+        allowed = np.tril(np.ones((t, t), dtype=bool))
+        masked = np.where(allowed, scores, -np.inf)
+        shifted = masked - masked.max(axis=-1, keepdims=True)
+        weights = np.where(allowed, np.exp(np.where(allowed, shifted, 0.0)), 0.0)
+        return weights / np.cumsum(weights, axis=-1)[..., -1:]
+
+    def layer_norm(h, gain, bias):
+        c = h - h.mean(axis=-1, keepdims=True)
+        return (c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5)) * gain.data + bias.data
+
+    def affine(h, layer):
+        flat = h.reshape(-1, h.shape[-1]) @ layer.W.data + layer.b.data
+        return flat.reshape(h.shape[:-1] + (layer.W.data.shape[-1],))
+
+    cfg = model.cfg
+    t = x.shape[1]
+    h = affine(np.clip(x, -OBS_CLIP, OBS_CLIP), model.in_proj) + model.pos_emb.data[:t]
+    hd = cfg.embed_dim // cfg.n_heads
+    inv = np.float32(1.0 / np.sqrt(hd))
+    for blk in model.blocks:
+        a = layer_norm(h, blk.ln1_gain, blk.ln1_bias)
+        q, k, v = affine(a, blk.wq), affine(a, blk.wk), affine(a, blk.wv)
+        heads = []
+        for i in range(cfg.n_heads):
+            cols = slice(i * hd, (i + 1) * hd)
+            w = softmax_causal((q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)) * inv)
+            heads.append(w @ v[..., cols])
+        h = h + affine(np.concatenate(heads, axis=-1), blk.wo)
+        m = layer_norm(h, blk.ln2_gain, blk.ln2_bias)
+        h = h + affine(np.maximum(affine(m, blk.w1), 0.0), blk.w2)
+    h = layer_norm(h, model.lnf_gain, model.lnf_bias)
+    return np.tanh(affine(h, model.head))
+
+
+@pytest.mark.parametrize("batch,t", [(64, 20), (256, 5), (1, 1)])
+def test_desk_forward_paths_agree_bitwise(batch, t):
+    """Taped forward, predict and the per-head loop at desk shapes (H = 4)."""
+    cfg = BeTConfig()
+    model = BeT(cfg, RNG(40))
+    x = 3.0 * RNG(batch * 100 + t).standard_normal((batch, t, cfg.obs_dim)).astype(np.float32)
+    out = model.predict(x)
+    np.testing.assert_array_equal(model.forward(ad.Tensor(x), train=False).data, out)
+    np.testing.assert_array_equal(_per_head_predict(model, x), out)
+
+
+def test_taped_prefixes_are_bit_identical_at_full_context():
+    cfg = BeTConfig()
+    model = BeT(cfg, RNG(41))
+    x = RNG(42).standard_normal((8, cfg.context, cfg.obs_dim)).astype(np.float32)
+    full = model.forward(ad.Tensor(x), train=False).data
+    for t in (1, 2, 7, 19):
+        prefix = model.forward(ad.Tensor(x[:, :t]), train=False).data
+        np.testing.assert_array_equal(prefix, full[:, :t])
 
 
 def test_window_longer_than_context_rejected():
@@ -162,6 +223,22 @@ def test_train_step_gradient_matches_finite_difference():
             assert got == pytest.approx(fd, rel=0.08, abs=3e-4), name
             checked += 1
     assert checked == 10
+
+
+def test_train_step_tape_size():
+    """Tensors built by one update: input and target, then per forward 5 for
+    the embedding, 14 per block (layer norms, attention and affines are one
+    node each) and 3 for the head, plus the loss. A per-head loop or a layer
+    norm built from primitive ops would add dozens."""
+    cfg = _tiny_cfg(n_layers=3, n_heads=4)
+    model = BeT(cfg, RNG(43))
+    obs = RNG(44).standard_normal((2, 8, 6)).astype(np.float32)
+    act = np.zeros((2, 8, 2), dtype=np.float32)
+    opt = Lamb(model.params(), LambConfig())
+    before = ad.Tensor(0.0)._serial
+    train_step(model, obs, act, opt, RNG(45))
+    built = ad.Tensor(0.0)._serial - before - 1
+    assert built == 2 + 5 + 14 * cfg.n_layers + 3 + 1
 
 
 def test_training_fits_a_tiny_mapping():
