@@ -8,9 +8,9 @@ from racelab import cli
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
-    "summary.json": "6e8781717caa7257e7d28276937acd9d456bc9f0c4c6c62f8104519955655aed",
-    "bet.ckpt": "06158ab3cc663c693efcac354ab6128284836dfb819b8c50b5a9d17573c7e1b3",
-    "bundle/residual.ckpt": "f575668b85655666a4086f7d2f882a32df51a241714ce52def1924a6d6e14488",
+    "summary.json": "1ce3d699fd0cf522210d5d4f2d0096d3b8653fb6d60ed331b3e5a5f5a430fdeb",
+    "bet.ckpt": "cbd3e467e1b3e86499a86aabe08bdc4d81d564aa5d8597cc8109aac6baf3a4c0",
+    "bundle/residual.ckpt": "8b94b6f1b1bdc483ffd2ca29cddfaae00fc2d83fa5a3d3e729aa98c5f6d64c98",
 }
 
 
