@@ -143,19 +143,58 @@ def _out_dir(cfg):
     return os.path.join(root, f"{cfg.mode}-s{cfg.seed}-{cfg.hash[:8]}")
 
 
-@contextlib.contextmanager
-def _locked(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    lock = os.path.join(out_dir, ".lock")
+def _claim(lock):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock} if that run is gone)"
-        )
+        return False
     with os.fdopen(fd, "w") as fh:
         fh.write(f"{os.getpid()}\n")
+    return True
+
+
+def _lock_pid(lock):
+    """The pid a lock file records, or None when it records none."""
+    try:
+        with open(lock, "r", encoding="utf-8") as fh:
+            pid = int(fh.read().strip())
+    except (OSError, ValueError):
+        return None
+    return pid if pid > 0 else None
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
+@contextlib.contextmanager
+def _locked(out_dir):
+    """Hold ``out_dir/.lock``, which records this process's pid.
+
+    A lock whose pid is no longer alive was left by a run that was killed;
+    it is reclaimed. A lock held by a live process, or one whose pid cannot
+    be read (its owner may not have written it yet), refuses the run.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    lock = os.path.join(out_dir, ".lock")
+    if not _claim(lock):
+        holder = _lock_pid(lock)
+        if holder is None or _pid_alive(holder):
+            owner = "another run" if holder is None else f"the run with pid {holder}"
+            raise RuntimeError(
+                f"output directory {out_dir} is locked by {owner} "
+                f"(remove {lock} if that run is gone)"
+            )
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(lock)
+        if not _claim(lock):
+            raise RuntimeError(f"output directory {out_dir} was claimed by another run")
     try:
         yield
     finally:

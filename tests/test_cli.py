@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 from racelab import cli
 
@@ -22,3 +25,28 @@ def test_smoke_run_matches_golden_fingerprint(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     got = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in GOLDEN}
     assert got == GOLDEN
+
+
+def _gen_track(out):
+    return cli.main(["gen-track", "--preset", "circle", "--out", str(out)])
+
+
+def test_lock_of_a_dead_process_is_reclaimed(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid is no longer alive
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text(f"{child.pid}\n")
+    assert _gen_track(out) == cli.EXIT_OK
+    assert (out / "track.json").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_lock_of_a_live_process_refuses_the_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text(f"{os.getpid()}\n")
+    assert _gen_track(out) == cli.EXIT_RUNTIME
+    assert f"pid {os.getpid()}" in capsys.readouterr().err
+    assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+    assert not (out / "track.json").exists()
