@@ -237,27 +237,13 @@ def shift(a, c):
 
 
 def matmul(a, b):
-    """Matrix product, 2D x 2D, 3D x 2D, or batched 3D x 3D.
+    """Matrix product, 2D x 2D or batched 3D; a 2D operand broadcasts.
 
-    The 3D x 2D case (a per-position projection) is evaluated by
-    flattening the leading axes to a single 2D product: the row-wise
-    result then never depends on how many positions the batch holds,
-    which the exact-prefix property of the transformer relies on.
+    Per-position projections of a (B, T, in) batch use :func:`affine`,
+    whose flattened product keeps rows independent of the batch size.
     """
     if a.data.ndim not in (2, 3) or b.data.ndim not in (2, 3):
         raise AutodiffError("matmul expects rank-2 or rank-3 operands")
-    if a.data.ndim == 3 and b.data.ndim == 2:
-        lead = a.data.shape[:2]
-        data = (a.data.reshape(-1, a.data.shape[-1]) @ b.data).reshape(lead + (b.data.shape[-1],))
-
-        def vjp_proj(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, a.data.shape[-1]).T @ g2)
-
-        return _node("matmul", data, (a, b), vjp_proj)
     data = a.data @ b.data
 
     def vjp(g):
