@@ -11,16 +11,22 @@ Most ops are elementwise or shape primitives. Three are fused, one tape
 node each with an analytic backward, because the transformer runs them
 many times per step: :func:`affine` (matrix product plus bias),
 :func:`layer_norm` and :func:`causal_attention` (multi-head causal
-self-attention). Each fused op's forward arithmetic is also exposed as a
-numpy kernel (``affine_np``, ``layer_norm_np``, ``causal_attention_np``)
-for gradient-free forwards, so both paths produce the same bits.
+self-attention).
+
+Inside :func:`no_grad` the same ops serve gradient-free forwards
+(rollouts, bootstrap targets, rewards, evaluation): outputs are constants
+with no parents and no backward closure, so nothing is retained between
+ops, and every network has one forward whose bits do not depend on
+whether it is taped.
 
 Default element type is float32; wrap code in ``precision("float64")`` for
-the high-accuracy mode used by finite-difference tests. Every op checks
-its output for non-finite values and raises :class:`AutodiffError` naming
-the op, so a NaN is caught where it is produced, not steps later. A fused
-op also checks the intermediates that its output could hide, such as a
-variance that overflows inside ``layer_norm``.
+the high-accuracy mode used by finite-difference tests. Every taped op
+checks its output for non-finite values and raises :class:`AutodiffError`
+naming the op, so a NaN is caught where it is produced, not steps later. A
+fused op also checks the intermediates that its output could hide, such as
+a variance that overflows inside ``layer_norm``. Under ``no_grad`` the
+scan is skipped: those forwards feed no gradient, and the scan costs a
+tenth of a transformer's inference time.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "Tensor",
     "tensor",
     "precision",
+    "no_grad",
     "default_dtype",
     "backward",
     "zero_grads",
@@ -47,7 +54,6 @@ __all__ = [
     "shift",
     "matmul",
     "affine",
-    "affine_np",
     "transpose_last2",
     "reshape",
     "concat",
@@ -64,7 +70,6 @@ __all__ = [
     "minimum",
     "causal_softmax_last",
     "causal_attention",
-    "causal_attention_np",
     "dropout",
     "sum_all",
     "mean_all",
@@ -73,7 +78,6 @@ __all__ = [
     "mse",
     "bce_with_logits",
     "layer_norm",
-    "layer_norm_np",
 ]
 
 
@@ -82,6 +86,7 @@ class AutodiffError(RuntimeError):
 
 
 _DTYPE = np.float32
+_TAPE = True
 _SERIAL = itertools.count()
 _MAX_RANK = 3
 
@@ -104,8 +109,20 @@ def precision(name):
         _DTYPE = prior
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Temporarily build no tape: op outputs are constants without parents."""
+    global _TAPE
+    prior = _TAPE
+    _TAPE = False
+    try:
+        yield
+    finally:
+        _TAPE = prior
+
+
 def _checked(out, op_name):
-    if not np.all(np.isfinite(out)):
+    if _TAPE and not np.all(np.isfinite(out)):
         raise AutodiffError(f"op '{op_name}' produced non-finite values")
     return out
 
@@ -164,6 +181,8 @@ def tensor(data, requires_grad=False):
 
 
 def _node(op_name, data, parents, vjp):
+    if not _TAPE:
+        return Tensor(data)
     needs = any(p.requires_grad for p in parents)
     out = Tensor(_checked(data, op_name), requires_grad=needs, _parents=parents if needs else (), _vjp=vjp if needs else None)
     return out
@@ -257,12 +276,6 @@ def matmul(a, b):
     return _node("matmul", data, (a, b), vjp)
 
 
-def affine_np(x, w, b):
-    """Gradient-free :func:`affine` on arrays."""
-    flat = x.reshape(-1, x.shape[-1]) @ w + b
-    return flat.reshape(x.shape[:-1] + (w.shape[-1],))
-
-
 def affine(x, w, b):
     """x @ w + b for x of shape (N, in) or (B, T, in) and w of (in, out).
 
@@ -272,7 +285,8 @@ def affine(x, w, b):
     """
     if x.data.ndim not in (2, 3) or w.data.ndim != 2:
         raise AutodiffError("affine expects a rank-2 or rank-3 input and a rank-2 weight")
-    out = affine_np(x.data, w.data, b.data)
+    flat = x.data.reshape(-1, x.data.shape[-1]) @ w.data + b.data
+    out = flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -482,20 +496,14 @@ def _inv_sqrt(d):
     return float(1.0 / np.sqrt(d))
 
 
-def _attention(q, k, v, n_heads, keep, op_name=None):
+def _attention(q, k, v, n_heads, keep):
     qh, kh, vh = (_split_heads(x, n_heads) for x in (q, k, v))
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= _inv_sqrt(qh.shape[-1])
-    if op_name is not None:
-        _checked(scores, op_name)
+    _checked(scores, "causal_attention")
     w = _causal_softmax(scores)
     wd = w if keep is None else w * keep
     return _merge_heads(wd @ vh, n_heads), (qh, kh, vh, w, wd)
-
-
-def causal_attention_np(q, k, v, n_heads):
-    """Gradient-free :func:`causal_attention` on arrays, without dropout."""
-    return _attention(q, k, v, n_heads, None)[0]
 
 
 def causal_attention(q, k, v, n_heads, p, rng, train):
@@ -518,7 +526,7 @@ def causal_attention(q, k, v, n_heads, p, rng, train):
     if train and p != 0.0:
         b, t, _ = q.data.shape
         keep = _dropout_keep((n_heads * b, t, t), p, rng, q.data.dtype)
-    out, (qh, kh, vh, w, wd) = _attention(q.data, k.data, v.data, n_heads, keep, "causal_attention")
+    out, (qh, kh, vh, w, wd) = _attention(q.data, k.data, v.data, n_heads, keep)
 
     def vjp(g):
         gh = _split_heads(g, n_heads)
@@ -541,13 +549,14 @@ def causal_attention(q, k, v, n_heads, p, rng, train):
 
 
 def dropout(a, p, rng, train):
-    """Inverted dropout: zero with probability p and rescale by 1/(1-p)."""
+    """Inverted dropout: zero with probability p and rescale by 1/(1-p).
+
+    Outside training (or at p = 0) it is the identity and returns ``a``
+    itself, adding nothing to the tape.
+    """
     p = float(p)
     if not train or p == 0.0:
-        def vjp_id(g):
-            a._accumulate(g)
-
-        return _node("dropout", a.data.copy(), (a,), vjp_id)
+        return a
     keep = _dropout_keep(a.data.shape, p, rng, a.data.dtype)
 
     def vjp(g):
@@ -631,11 +640,6 @@ def _layer_norm(x, gain, bias, eps):
     std = np.sqrt(np.square(c).mean(axis=-1, keepdims=True) + eps)
     c /= std
     return c * gain + bias, c, std
-
-
-def layer_norm_np(x, gain, bias, eps=1e-5):
-    """Gradient-free :func:`layer_norm` on arrays."""
-    return _layer_norm(x, gain, bias, eps)[0]
 
 
 def layer_norm(a, gain, bias, eps=1e-5):

@@ -17,13 +17,13 @@ order one dropout draw over all heads' weights takes the same random
 numbers, in the same places, as a draw per head in head order.
 
 The model is trained once and then frozen: downstream trainers hold it
-without any optimizer, and a parameter checksum guards against drift.
+without any optimizer, and evaluation checksums its parameters
+(``nets.params_checksum``) to guard against drift.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "pretrain",
     "save_bet",
     "load_bet",
-    "param_checksum",
 ]
 
 
@@ -175,28 +174,13 @@ class BeT:
         return ad.tanh(self.head(h))
 
     def predict(self, windows):
-        """Gradient-free forward(train=False) on arrays.
+        """forward(train=False) without a tape, on arrays.
 
-        windows is (B, T, obs) float32 normalized observations; returns
-        (B, T, act) float32. Runs the fused ops' numpy kernels, so it is
-        bit-identical to the taped path.
+        windows is (B, T, obs) normalized observations, cast to float32;
+        returns (B, T, act) float32.
         """
-        cfg = self.cfg
-        x = np.asarray(windows, dtype=np.float32)
-        t = x.shape[1]
-        if t > cfg.context:
-            raise ValueError(f"window length {t} exceeds context {cfg.context}")
-        x = np.clip(x, -OBS_CLIP, OBS_CLIP)
-        h = self.in_proj.predict(x) + self.pos_emb.data[:t]
-        for blk in self.blocks:
-            a = ad.layer_norm_np(h, blk.ln1_gain.data, blk.ln1_bias.data)
-            att = ad.causal_attention_np(blk.wq.predict(a), blk.wk.predict(a), blk.wv.predict(a),
-                                         cfg.n_heads)
-            h = h + blk.wo.predict(att)
-            m = ad.layer_norm_np(h, blk.ln2_gain.data, blk.ln2_bias.data)
-            h = h + blk.w2.predict(np.maximum(blk.w1.predict(m), 0.0))
-        h = ad.layer_norm_np(h, self.lnf_gain.data, self.lnf_bias.data)
-        return np.tanh(self.head.predict(h))
+        with ad.no_grad():
+            return self.forward(ad.Tensor(np.asarray(windows, dtype=np.float32))).data
 
     def predict_last(self, windows):
         """Action at the latest position only: (B, T, obs) -> (B, act)."""
@@ -240,14 +224,6 @@ def pretrain(model, demoset, seed, progress=None):
         if cfg.stop_loss and ema is not None and ema <= cfg.stop_loss:
             break
     return history
-
-
-def param_checksum(model):
-    """SHA-256 over all parameter bytes in name order."""
-    digest = hashlib.sha256()
-    for name in sorted(model.params()):
-        digest.update(model.params()[name].data.tobytes())
-    return digest.hexdigest()
 
 
 def save_bet(path, model, normalizer, extra=None):

@@ -32,7 +32,7 @@ from .config import CONTENT_VERSION, ConfigError, build_config
 from .env import EpisodeConfig
 from .evaluate import EvalReport, emit_report
 from .vehicle import VehicleParams
-from .expert import DemoSet, ExpertAdapter, generate_demos
+from .expert import DemoSet, generate_demos
 from .policies import MODE_SPECS, TRAIN_MODES, PolicyStack, build_policy_stack, train_bc
 from .seeding import stream
 from .track import gen_track, load_track, save_track
@@ -492,7 +492,7 @@ def cmd_bet_info(args):
     info = {
         "config": model.cfg.to_dict(),
         "n_params": n_params,
-        "checksum": bet_mod.param_checksum(model),
+        "checksum": nets.params_checksum(model.params()),
         "normalizer_dim": len(normalizer.mean),
         "meta": {k: v for k, v in meta.items() if k not in ("config", "normalizer")},
     }

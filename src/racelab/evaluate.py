@@ -24,6 +24,7 @@ import os
 import numpy as np
 
 from .env import RaceEnv
+from .nets import params_checksum
 from .seeding import stream
 
 BUDGET_STEPS = 5000
@@ -70,14 +71,6 @@ def steering_change(deltas):
         changes.append(np.abs(np.diff(seq.astype(np.float64))))
     pooled = np.concatenate(changes)
     return float(pooled.mean()), float(pooled.std())
-
-
-def params_checksum(named):
-    digest = hashlib.sha256()
-    for name in sorted(named):
-        digest.update(name.encode("utf-8"))
-        digest.update(named[name].data.tobytes())
-    return digest.hexdigest()
 
 
 def _stack_checksum(stack):

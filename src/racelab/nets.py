@@ -1,10 +1,10 @@
 """Network building blocks on top of the autodiff core.
 
-Every net exposes two forward paths: ``__call__`` takes tape tensors and
-participates in backward(), while ``predict`` runs the same arithmetic on
-raw numpy arrays for gradient-free uses (rollouts, bootstrap targets,
-reward computation). The two paths share the same parameter buffers, so a
-value computed on either path is bit-identical for the same input dtype.
+Every net has one forward, ``__call__``, on tape tensors. ``predict``
+runs that same forward under ``autodiff.no_grad()`` on a numpy array and
+returns an array, for gradient-free uses (rollouts, bootstrap targets,
+reward computation); it builds no tape and leaves parameter gradients
+untouched.
 
 Also here: the taped input-gradient construction used by the gradient
 penalty. It writes the backward pass of a small MLP as ordinary tape ops,
@@ -15,6 +15,7 @@ engine.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import OrderedDict
 
@@ -30,6 +31,7 @@ __all__ = [
     "gradient_penalty",
     "save_params",
     "load_params",
+    "params_checksum",
 ]
 
 CHECKPOINT_FORMAT = "racelab-tensors-v1"
@@ -61,22 +63,12 @@ class Affine:
     def __call__(self, x):
         return ad.affine(x, self.W, self.b)
 
-    def predict(self, x):
-        return ad.affine_np(np.asarray(x), self.W.data, self.b.data)
-
 
 _ACT_TAPED = {
     "tanh": ad.tanh,
     "relu": ad.relu,
     "sigmoid": ad.sigmoid,
     "identity": lambda t: t,
-}
-
-_ACT_NP = {
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0))),
-    "identity": lambda x: x,
 }
 
 
@@ -108,10 +100,9 @@ class MLP:
         return h
 
     def predict(self, x):
-        h = np.asarray(x)
-        for layer, act in zip(self.layers, self.acts):
-            h = _ACT_NP[act](layer.predict(h))
-        return h
+        """Gradient-free forward of an array; keeps the array's dtype."""
+        with ad.no_grad():
+            return self(ad.Tensor(np.asarray(x))).data
 
 
 def mlp_input_gradient(mlp, x):
@@ -215,3 +206,12 @@ def assign_params(params, arrays):
             raise ValueError(f"shape mismatch for {name}: {src.shape} vs {tensor.data.shape}")
         tensor.data[...] = src.astype(tensor.data.dtype)
     return params
+
+
+def params_checksum(named):
+    """SHA-256 over parameter names and bytes, in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(named):
+        digest.update(name.encode("utf-8"))
+        digest.update(named[name].data.tobytes())
+    return digest.hexdigest()

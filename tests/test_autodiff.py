@@ -204,7 +204,7 @@ class TestFusedOps:
         x = ad.Tensor(rng.standard_normal((15, 16)).astype(np.float32))
         fused = ad.affine(x, w, b).data
         assert np.array_equal(fused, ad.add(ad.matmul(x, w), b).data)
-        assert np.array_equal(fused, ad.affine_np(x.data, w.data, b.data))
+        assert np.array_equal(fused, x.data @ w.data + b.data)
         # Rank 3 is the flattened product, row for row.
         x3 = ad.Tensor(x.data.reshape(3, 5, 16))
         assert np.array_equal(ad.affine(x3, w, b).data, fused.reshape(3, 5, 8))
@@ -236,8 +236,17 @@ class TestFusedOps:
             w = ad.dropout(ad.causal_softmax_last(scores), 0.1, draws, train=True)
             heads.append(ad.matmul(w, vh))
         assert np.array_equal(fused.data, ad.concat(heads).data)
+        # Without dropout, against the same arithmetic in plain numpy.
         no_drop = ad.causal_attention(q, k, v, n_heads, 0.1, None, train=False)
-        assert np.array_equal(no_drop.data, ad.causal_attention_np(q.data, k.data, v.data, n_heads))
+        allowed = np.tril(np.ones((6, 6), dtype=bool))
+        ref = []
+        for i in range(n_heads):
+            cols = slice(i * d, (i + 1) * d)
+            scores = q.data[..., cols] @ np.swapaxes(k.data[..., cols], -1, -2)
+            scores = np.where(allowed, scores * np.float32(1.0 / np.sqrt(d)), -np.inf)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            ref.append((e / np.cumsum(e, axis=-1)[..., -1:]) @ v.data[..., cols])
+        assert np.array_equal(no_drop.data, np.concatenate(ref, axis=-1))
 
     def test_overflowing_variance_names_layer_norm(self):
         # The normalized output of this row is finite; its variance is not.
@@ -289,7 +298,7 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         x = ad.tensor(np.random.default_rng(16).standard_normal((3, 4)))
         out = ad.dropout(x, 0.5, None, train=False)
-        assert np.array_equal(out.data, x.data)
+        assert out is x  # no copy and no tape node
 
     def test_train_mode_scales_survivors(self):
         rng_data = np.random.default_rng(17)
@@ -347,6 +356,54 @@ class TestTapeSemantics:
         x = ad.tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ad.AutodiffError):
             ad.backward(ad.square(x))
+
+
+class TestNoGrad:
+    def test_outputs_are_constants_without_parents(self):
+        w = ad.tensor([[1.0, -2.0]], requires_grad=True)
+        with ad.no_grad():
+            out = ad.tanh(ad.affine(ad.tensor([[0.5], [2.0]]), w, ad.tensor([0.0, 1.0])))
+        assert out.is_leaf and not out.requires_grad and out._vjp is None
+        taped = ad.tanh(ad.affine(ad.tensor([[0.5], [2.0]]), w, ad.tensor([0.0, 1.0])))
+        assert np.array_equal(out.data, taped.data) and taped.requires_grad
+
+    def test_skips_the_nonfinite_scan(self):
+        with ad.no_grad(), np.errstate(invalid="ignore"):
+            out = ad.log(ad.tensor([-1.0], requires_grad=True))
+        assert np.isnan(out.data).all()
+
+    def test_tape_is_restored_when_nested_and_after_an_exception(self):
+        x = ad.tensor([1.0], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.square(x).requires_grad
+        assert ad.square(x).requires_grad
+        with pytest.raises(ZeroDivisionError), ad.no_grad():
+            1 / 0
+        assert ad.square(x).requires_grad
+        with np.errstate(invalid="ignore"), pytest.raises(ad.AutodiffError, match="log"):
+            ad.log(ad.tensor([-1.0]))
+
+    def test_predict_between_forward_and_backward_leaves_gradients_alone(self):
+        from racelab import nets
+
+        rng = np.random.default_rng(20)
+        mlp = nets.MLP([3, 8, 1], ["tanh", "identity"], rng)
+        x = ad.tensor(rng.standard_normal((4, 3)))
+        params = mlp.params().values()
+
+        def grads(between):
+            ad.zero_grads(params)
+            loss = ad.mean_all(ad.square(mlp(x)))
+            between()
+            assert all(p.grad is None for p in params)
+            ad.backward(loss)
+            return [p.grad.copy() for p in params]
+
+        plain = grads(lambda: None)
+        interleaved = grads(lambda: mlp.predict(rng.standard_normal((5, 3)).astype(np.float32)))
+        assert all(np.array_equal(a, b) for a, b in zip(plain, interleaved))
 
 
 class TestErrorBehavior:

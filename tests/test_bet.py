@@ -8,13 +8,13 @@ from racelab.bet import (
     BeT,
     BeTConfig,
     load_bet,
-    param_checksum,
     pretrain,
     save_bet,
     train_step,
 )
 from racelab.env import OBS_CLIP, EpisodeConfig, Normalizer
 from racelab.expert import ExpertParams, generate_demos
+from racelab.nets import params_checksum
 from racelab.optim import Lamb, LambConfig
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
@@ -88,7 +88,7 @@ def test_taped_forward_matches_numpy_twin_bitwise():
     model = _perturbed_model(cfg)
     x = RNG(3).standard_normal((4, 7, 6)).astype(np.float32)
     taped = model.forward(ad.Tensor(x), train=False)
-    np.testing.assert_array_equal(taped.data, model.predict(x))
+    np.testing.assert_array_equal(taped.data, _per_head_predict(model, x))
 
 
 def _per_head_predict(model, x):
@@ -295,7 +295,7 @@ def test_checkpoint_roundtrip_preserves_params_and_normalizer(tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_bet(path, model, norm, extra={"note": "tiny"})
     back, norm2, meta = load_bet(path)
-    assert param_checksum(back) == param_checksum(model)
+    assert params_checksum(back.params()) == params_checksum(model.params())
     np.testing.assert_array_equal(norm2.mean, norm.mean)
     assert meta["note"] == "tiny"
     assert meta["config"]["embed_dim"] == 16
@@ -314,6 +314,6 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 
 def test_param_checksum_changes_with_any_weight():
     model = _perturbed_model(_tiny_cfg(), seed=22)
-    before = param_checksum(model)
+    before = params_checksum(model.params())
     list(model.params().values())[5].data.reshape(-1)[0] += 1e-3
-    assert param_checksum(model) != before
+    assert params_checksum(model.params()) != before
