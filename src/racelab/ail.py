@@ -536,11 +536,6 @@ class Trainer:
         }
 
 
-def betail_train_iteration(trainer, it=None):
-    """One alternation of collection, classifier, and actor-critic blocks."""
-    return trainer.iteration(trainer.iteration_count if it is None else it)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint bundles
 

@@ -260,14 +260,3 @@ def build_config(user):
         bc=copy.deepcopy(resolved["bc"]),
         train=_typed(TrainConfig, train_d, "train"),
     )
-
-
-def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return build_config(doc)

@@ -92,10 +92,6 @@ class GaussianPolicy:
         log_std = np.clip(out[..., self.act_dim :], LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std
 
-    def mean_np(self, x):
-        """Deterministic squashed mean action in [-alpha, alpha]."""
-        return scale_residual(self.mean_raw_np(x), self.alpha)
-
     def mean_raw_np(self, x):
         """Deterministic squashed mean before alpha scaling."""
         mean, _ = self._split_np(x)
@@ -121,17 +117,14 @@ class GaussianPolicy:
             - np.log(self.alpha)
         )
 
-    def entropy_proxy_np(self, x):
-        """Mean pre-squash differential entropy (spread diagnostic)."""
-        _, log_std = self._split_np(x)
-        return float(np.mean(np.sum(log_std + _HALF_LOG_2PI + 0.5, axis=-1)))
-
     def sample_taped(self, x, eps):
         """Reparameterized taped sample: (scaled action, logp) tensors.
 
         x is a Tensor (B, in_dim); eps a fixed float32 array (B, act_dim).
-        The returned action is alpha * tanh(z), shape (B, act_dim); logp
-        has shape (B, 1) and matches sample_np's density convention.
+        The returned action is alpha * tanh(z) with z = mean + std * eps,
+        shape (B, act_dim); logp, shape (B, 1), is its log-density:
+        log N(z) - log|d(alpha tanh z)/dz| summed over the action, with
+        log(1 - tanh(z)^2) = 2 (log 2 - z - softplus(-2z)).
         """
         out = self.net(x)
         mean = ad.narrow(out, 0, self.act_dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "spawn_many"]
+__all__ = ["stream"]
 
 # Stable phase ids; append only, never renumber.
 _PHASES = {
@@ -33,8 +33,3 @@ def stream(seed, phase, *counters):
     """Generator for (seed, phase, counters); same args, same sequence."""
     key = (_PHASES[phase],) + tuple(int(c) for c in counters)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
-
-
-def spawn_many(seed, phase, count, *counters):
-    """List of per-index generators sharing a phase and counter prefix."""
-    return [stream(seed, phase, *counters, i) for i in range(count)]

@@ -17,7 +17,6 @@ from .seeding import stream
 
 __all__ = [
     "Track",
-    "TrackFrame",
     "gen_track",
     "save_track",
     "load_track",
@@ -29,28 +28,6 @@ MIN_POINTS = 64
 MIN_SPACING = 0.5
 MAX_SPACING = 10.0
 MIN_HALF_WIDTH = 3.0
-
-
-@dataclasses.dataclass(frozen=True)
-class TrackFrame:
-    """Centerline sample at a given arclength.
-
-    Attributes
-    ----------
-    s : float
-        Arclength of the sample, wrapped into [0, length).
-    position : ndarray, shape (2,)
-        World coordinates of the centerline point.
-    heading : float
-        Tangent direction in radians, in (-pi, pi].
-    curvature : float
-        Signed curvature; positive bends left.
-    """
-
-    s: float
-    position: np.ndarray
-    heading: float
-    curvature: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,11 +92,6 @@ class Track:
         """Wrap arclength(s) into [0, length)."""
         return np.mod(s, self.length)
 
-    def frame(self, s):
-        """TrackFrame at a single arclength (scalar convenience)."""
-        pos, heading, curv = self.frames(np.asarray([s], dtype=np.float64))
-        return TrackFrame(float(self.wrap(s)), pos[0], float(heading[0]), float(curv[0]))
-
     def frames(self, s):
         """Vectorized centerline samples.
 
@@ -145,11 +117,6 @@ class Track:
         h = _slerp_angle(self.headings[idx], self.headings[nxt], u)
         c = self.curvatures[idx] + u * (self.curvatures[nxt] - self.curvatures[idx])
         return p, h, c
-
-    def curvature_at(self, s):
-        """Signed curvature, linearly interpolated between vertices."""
-        _, _, c = self.frames(np.atleast_1d(s))
-        return c if np.ndim(s) else float(c[0])
 
     # -- projection ----------------------------------------------------
 

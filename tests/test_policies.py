@@ -64,7 +64,7 @@ def test_zero_init_mean_passthrough():
     """A fresh head proposes exactly zero correction everywhere."""
     pol = GaussianPolicy(6, 2, (16, 16), 0.3, RNG(0))
     x = RNG(1).standard_normal((9, 6)).astype(np.float32)
-    np.testing.assert_array_equal(pol.mean_np(x), np.zeros((9, 2), np.float32))
+    np.testing.assert_array_equal(pol.mean_raw_np(x), np.zeros((9, 2), np.float32))
 
 
 def test_alpha_bounds_rejected():
