@@ -26,7 +26,7 @@ from . import bet as bet_mod
 from . import nets
 from .env import RaceEnv, clip_obs, rl_reward, rollout
 from .optim import Adam, AdamConfig
-from .policies import GaussianPolicy, scale_residual
+from .policies import GaussianPolicy
 from .seeding import stream
 
 log = logging.getLogger("racelab.train")
@@ -279,8 +279,7 @@ class SACTrainer:
         s, a, s2 = batch["aug"], batch["res"], batch["aug_next"]
         r, done = batch["reward"], batch["done"]
 
-        raw2, _, logp2 = self.policy.sample_np(s2, rng)
-        a2 = scale_residual(raw2, self.policy.alpha)
+        a2, logp2 = self.policy.sample_np(s2, rng)
         x2 = np.concatenate([s2, a2], axis=1)
         q_next = np.minimum(self.q1_t.predict(x2)[:, 0], self.q2_t.predict(x2)[:, 0])
         y = (r + cfg.gamma * (1.0 - done) * (q_next - temp * logp2)).astype(np.float32)[:, None]

@@ -13,6 +13,9 @@ Conventions
   base action] when a base is present, else the normalized obs.
 * Sampled log-densities include both the tanh change of variables and
   the alpha scaling, so they are densities of the emitted action.
+* The sampler and its density are written once, on the tape
+  (``sample_taped``); rollouts and bootstrap targets run it under
+  ``autodiff.no_grad()`` (``sample_np``).
 * All boundary values (actions, observations, log-probs) are float32.
 """
 
@@ -60,10 +63,6 @@ def compose_action(base, residual_raw, alpha):
     return np.clip(_f32(base) + scale_residual(residual_raw, alpha), -1.0, 1.0)
 
 
-def _softplus_np(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 class GaussianPolicy:
     """Tanh-squashed diagonal Gaussian head with output scale alpha.
 
@@ -86,36 +85,22 @@ class GaussianPolicy:
     def params(self):
         return self.net.params()
 
-    def _split_np(self, x):
-        out = self.net.predict(_f32(x))
-        mean = out[..., : self.act_dim]
-        log_std = np.clip(out[..., self.act_dim :], LOG_STD_MIN, LOG_STD_MAX)
-        return mean, log_std
-
     def mean_raw_np(self, x):
         """Deterministic squashed mean before alpha scaling."""
-        mean, _ = self._split_np(x)
-        return np.tanh(mean).astype(np.float32)
+        return np.tanh(self.net.predict(_f32(x))[:, : self.act_dim])
 
     def sample_np(self, x, rng):
-        """Draw (raw, z, logp): raw = tanh(z) in (-1,1), logp of alpha*raw."""
-        mean, log_std = self._split_np(x)
-        eps = rng.standard_normal(mean.shape, dtype=np.float32)
-        z = mean + np.exp(log_std) * eps
-        raw = np.tanh(z)
-        logp = self._logp_terms(eps, log_std, z).sum(axis=-1)
-        return raw.astype(np.float32), z.astype(np.float32), logp.astype(np.float32)
+        """Draw (action, logp) arrays without a tape.
 
-    def _logp_terms(self, eps, log_std, z):
-        # log N(z) - log|d(alpha tanh z)/dz|, elementwise:
-        #   -eps^2/2 - log_std - log(2 pi)/2 - 2(log 2 - z - softplus(-2z)) - log alpha
-        return (
-            -0.5 * eps**2
-            - log_std
-            - _HALF_LOG_2PI
-            - 2.0 * (np.log(2.0) - z - _softplus_np(-2.0 * z))
-            - np.log(self.alpha)
-        )
+        Draws eps of shape (B, act_dim) from rng, then runs
+        :meth:`sample_taped` under ``no_grad``: action is the scaled
+        correction alpha * tanh(z), (B, act_dim); logp is (B,).
+        """
+        x = _f32(x)
+        eps = rng.standard_normal((len(x), self.act_dim), dtype=np.float32)
+        with ad.no_grad():
+            action, logp = self.sample_taped(ad.Tensor(x), eps)
+        return action.data, logp.data[:, 0]
 
     def sample_taped(self, x, eps):
         """Reparameterized taped sample: (scaled action, logp) tensors.
@@ -261,9 +246,8 @@ class PolicyStack:
             if self.residual is None:
                 return base.copy(), {"base": base}
             aug = self.augment(self.normalizer.transform(obs), base)
-            raw, _, logp = self.residual.sample_np(aug, rng)
-            act = compose_action(base, raw, self.residual.alpha)
-            res = scale_residual(raw, self.residual.alpha)
+            res, logp = self.residual.sample_np(aug, rng)
+            act = np.clip(base + res, -1.0, 1.0)
             return act, {"base": base, "res": res, "logp": logp, "aug": aug}
 
         return policy

@@ -80,22 +80,20 @@ def _perturb(pol, scale=0.5, seed=3):
         p.data += scale * rng.standard_normal(p.data.shape).astype(np.float32)
 
 
-def test_sample_matches_taped_twin():
-    """numpy sampling and the taped reparameterized path agree exactly."""
+def test_sample_matches_numpy_reference():
+    """sample_np draws eps from rng and emits alpha * tanh(mean + std * eps),
+    bit for bit the same float32 arithmetic written in plain numpy."""
     pol = GaussianPolicy(5, 2, (16,), 0.4, RNG(0))
     _perturb(pol)
     x = RNG(4).standard_normal((7, 5)).astype(np.float32)
-    eps_rng = RNG(5)
-    eps = eps_rng.standard_normal((7, 2), dtype=np.float32)
-
-    class FixedEps:
-        def standard_normal(self, shape, dtype=np.float32):
-            return eps
-
-    raw_np, _, logp_np = pol.sample_np(x, FixedEps())
-    act_t, logp_t = pol.sample_taped(ad.tensor(x), eps)
-    np.testing.assert_allclose(act_t.data, pol.alpha * raw_np, rtol=1e-5, atol=1e-6)
-    np.testing.assert_allclose(logp_t.data[:, 0], logp_np, rtol=1e-4, atol=1e-4)
+    act, logp = pol.sample_np(x, RNG(5))
+    eps = RNG(5).standard_normal((7, 2), dtype=np.float32)
+    (w0, b0), (w1, b1) = ((layer.W.data, layer.b.data) for layer in pol.net.layers)
+    out = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
+    z = out[:, :2] + np.exp(np.clip(out[:, 2:], -20.0, 2.0)) * eps
+    np.testing.assert_array_equal(act, np.float32(0.4) * np.tanh(z))
+    assert act.dtype == logp.dtype == np.float32
+    assert logp.shape == (7,)
 
 
 def test_logp_matches_change_of_variables_oracle():
@@ -114,7 +112,7 @@ def test_logp_matches_change_of_variables_oracle():
         def standard_normal(self, shape, dtype=np.float32):
             return eps
 
-    _, z, logp = pol.sample_np(x, FixedEps())
+    act, logp = pol.sample_np(x, FixedEps())
     out = pol.net.predict(x).astype(np.float64)
     mean, log_std = out[:, :2], np.clip(out[:, 2:], -5.0, 2.0)
     z64 = mean + np.exp(log_std) * eps.astype(np.float64)
@@ -122,7 +120,7 @@ def test_logp_matches_change_of_variables_oracle():
     jac = np.log(alpha) + np.log1p(-np.tanh(z64) ** 2 + 1e-300)
     oracle = (base - jac).sum(axis=1)
     np.testing.assert_allclose(logp, oracle, rtol=1e-3, atol=1e-3)
-    np.testing.assert_allclose(z, z64, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(act, alpha * np.tanh(z64), rtol=1e-4, atol=1e-4)
 
 
 def test_actor_gradient_matches_finite_difference():
