@@ -11,9 +11,9 @@ from racelab import cli
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
-    "summary.json": "1ce3d699fd0cf522210d5d4f2d0096d3b8653fb6d60ed331b3e5a5f5a430fdeb",
+    "summary.json": "55d895d1b1e0ae3845fd6fb59b1b89e956a0245631b18b55af54e722d6f9844e",
     "bet.ckpt": "cbd3e467e1b3e86499a86aabe08bdc4d81d564aa5d8597cc8109aac6baf3a4c0",
-    "bundle/residual.ckpt": "8b94b6f1b1bdc483ffd2ca29cddfaae00fc2d83fa5a3d3e729aa98c5f6d64c98",
+    "bundle/residual.ckpt": "964298cf3624977ef784b45ba9010b30a9bbeaef5c81212649eeb9aad52e80ef",
 }
 
 
