@@ -25,8 +25,9 @@ checks its output for non-finite values and raises :class:`AutodiffError`
 naming the op, so a NaN is caught where it is produced, not steps later. A
 fused op also checks the intermediates that its output could hide, such as
 a variance that overflows inside ``layer_norm``. Under ``no_grad`` the
-scan is skipped: those forwards feed no gradient, and the scan costs a
-tenth of a transformer's inference time.
+scan is skipped: those forwards feed no gradient, and scanning would add
+about 5 % to the desk transformer's inference at batch 256 and about 30 %
+at batch 20.
 """
 
 from __future__ import annotations

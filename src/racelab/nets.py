@@ -100,7 +100,7 @@ class MLP:
         return h
 
     def predict(self, x):
-        """Gradient-free forward of an array; keeps the array's dtype."""
+        """Gradient-free forward of an array, which is not cast."""
         with ad.no_grad():
             return self(ad.Tensor(np.asarray(x))).data
 
