@@ -6,7 +6,10 @@ import os
 import subprocess
 import sys
 
-from racelab import cli
+import numpy as np
+
+from racelab import bet, cli, nets
+from racelab.env import Normalizer
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
@@ -50,3 +53,14 @@ def test_lock_of_a_live_process_refuses_the_run(tmp_path, capsys):
     assert f"pid {os.getpid()}" in capsys.readouterr().err
     assert (out / ".lock").read_text() == f"{os.getpid()}\n"
     assert not (out / "track.json").exists()
+
+
+def test_bet_info_prints_the_parameter_checksum(tmp_path, capsys):
+    model = bet.BeT(bet.BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4,
+                                  eval_context=2), np.random.default_rng(3))
+    path = tmp_path / "bet.ckpt"
+    bet.save_bet(str(path), model, Normalizer.identity(6))
+    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_OK
+    info = json.loads(capsys.readouterr().out)
+    assert info["checksum"] == nets.params_checksum(model.params())
+    assert info["n_params"] == sum(p.data.size for p in model.params().values())
