@@ -31,7 +31,7 @@ from .seeding import stream
 
 log = logging.getLogger("racelab.train")
 
-BUNDLE_FORMAT = "racelab-bundle-v1"
+BUNDLE_FORMAT = "racelab-bundle-v2"
 REWARD_EPS = 1e-6
 DISC_HIDDEN = (32, 32)
 
@@ -247,8 +247,9 @@ class SACTrainer:
     """Twin-critic soft actor-critic over the correction head.
 
     Targets are computed without the tape; critic and actor updates run
-    on it. The entropy temperature is fixed by default, with optional
-    gradient tuning toward a target entropy of minus the action size.
+    on it. The entropy temperature is fixed by default. With auto_entropy
+    its logarithm, a one-element float64 parameter, is tuned by Adam
+    toward a target entropy of minus the action size.
     """
 
     def __init__(self, policy: GaussianPolicy, aug_dim, cfg: SACConfig, rng):
@@ -262,15 +263,13 @@ class SACTrainer:
         self.opt_q1 = Adam(self.q1.params(), AdamConfig(lr=cfg.lr))
         self.opt_q2 = Adam(self.q2.params(), AdamConfig(lr=cfg.lr))
         self.opt_pi = Adam(policy.params(), AdamConfig(lr=cfg.lr))
-        self.log_temp = float(np.log(cfg.entropy_temp))
+        self.log_temp = ad.Tensor(np.array([np.log(cfg.entropy_temp)]), requires_grad=True)
+        self.opt_temp = Adam({"log_temp": self.log_temp}, AdamConfig(lr=cfg.entropy_lr))
         self.target_entropy = -float(policy.act_dim)
-        self._temp_m = 0.0
-        self._temp_v = 0.0
-        self._temp_t = 0
 
     @property
     def temperature(self):
-        return float(np.exp(self.log_temp))
+        return float(np.exp(self.log_temp.data[0]))
 
     def update(self, batch, rng):
         """One gradient step on critics, actor, and (optionally) temperature."""
@@ -305,7 +304,8 @@ class SACTrainer:
 
         mean_logp = float(np.mean(logp_t.data))
         if cfg.auto_entropy:
-            self._temp_step(-(mean_logp + self.target_entropy))
+            self.log_temp.grad = np.array([-(mean_logp + self.target_entropy)])
+            self.opt_temp.step()
 
         polyak_update(self.q1_t.params(), self.q1.params(), cfg.tau)
         polyak_update(self.q2_t.params(), self.q2.params(), cfg.tau)
@@ -318,39 +318,17 @@ class SACTrainer:
             "temperature": self.temperature,
         }
 
-    def _temp_step(self, grad):
-        c = self.cfg
-        self._temp_t += 1
-        self._temp_m = 0.9 * self._temp_m + 0.1 * grad
-        self._temp_v = 0.999 * self._temp_v + 0.001 * grad * grad
-        m_hat = self._temp_m / (1.0 - 0.9**self._temp_t)
-        v_hat = self._temp_v / (1.0 - 0.999**self._temp_t)
-        self.log_temp -= c.entropy_lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-    def temp_state(self):
-        return {
-            "log_temp": self.log_temp,
-            "m": self._temp_m,
-            "v": self._temp_v,
-            "t": self._temp_t,
-        }
-
-    def load_temp_state(self, state):
-        self.log_temp = float(state["log_temp"])
-        self._temp_m = float(state["m"])
-        self._temp_v = float(state["v"])
-        self._temp_t = int(state["t"])
-
 
 # ---------------------------------------------------------------------------
 # Training loop
 
 @dataclasses.dataclass
 class TrainConfig:
-    """Knobs for one fine-tuning run (mode, budgets, regularizer scales)."""
+    """Knobs for one fine-tuning run (budgets, regularizer scales).
 
-    mode: str = "betail"
-    alpha: float = None
+    The mode and alpha are not here: the policy stack carries both.
+    """
+
     n_cars: int = 20
     rollout_steps: int = 500
     iterations: int = 20
@@ -374,8 +352,6 @@ class TrainConfig:
         d["sac"] = SACConfig.from_dict(d.get("sac", {}))
         if "policy_hidden" in d:
             d["policy_hidden"] = tuple(d["policy_hidden"])
-        if d.get("alpha") is not None:
-            d["alpha"] = float(d["alpha"])
         return TrainConfig(**d)
 
     def to_dict(self):
@@ -538,33 +514,32 @@ class Trainer:
 # ---------------------------------------------------------------------------
 # Checkpoint bundles
 
-def _optim_arrays(trainer):
-    out = {}
-    groups = {"pi": trainer.sac.opt_pi, "q1": trainer.sac.opt_q1, "q2": trainer.sac.opt_q2}
-    if trainer.opt_disc is not None:
-        groups["disc"] = trainer.opt_disc
-    steps = {}
-    for gname, opt in groups.items():
-        state = opt.state_dict()
-        steps[gname] = state["step_count"]
-        for pname, arr in state["m"].items():
-            out[f"{gname}.m.{pname}"] = arr
-        for pname, arr in state["v"].items():
-            out[f"{gname}.v.{pname}"] = arr
-    return out, steps
+def _bundle_nets(trainer):
+    """Bundle file -> (kind, net) for the critics and the classifier."""
+    sac = trainer.sac
+    files = {"q1.ckpt": ("critic", sac.q1), "q2.ckpt": ("critic", sac.q2),
+             "q1_target.ckpt": ("critic", sac.q1_t), "q2_target.ckpt": ("critic", sac.q2_t)}
+    if trainer.disc is not None:
+        files["disc.ckpt"] = ("disc", trainer.disc)
+    return files
 
 
-def _load_optim(trainer, arrays, steps):
-    groups = {"pi": trainer.sac.opt_pi, "q1": trainer.sac.opt_q1, "q2": trainer.sac.opt_q2}
+def _optimizers(trainer):
+    """Group name in optim.ckpt -> optimizer."""
+    sac = trainer.sac
+    groups = {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "temp": sac.opt_temp}
     if trainer.opt_disc is not None:
         groups["disc"] = trainer.opt_disc
-    for gname, opt in groups.items():
-        state = {
-            "step_count": steps[gname],
-            "m": {p: arrays[f"{gname}.m.{p}"] for p in opt.m},
-            "v": {p: arrays[f"{gname}.v.{p}"] for p in opt.v},
-        }
-        opt.load_state_dict(state)
+    return groups
+
+
+def read_manifest(path):
+    """The manifest of the bundle directory at path; other formats are refused."""
+    with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if manifest.get("format") != BUNDLE_FORMAT:
+        raise ValueError(f"not a {BUNDLE_FORMAT} checkpoint bundle: {path}")
+    return manifest
 
 
 def save_bundle(path, trainer, extra_manifest=None):
@@ -579,19 +554,20 @@ def save_bundle(path, trainer, extra_manifest=None):
     stack = trainer.stack
     nets.save_params(os.path.join(path, "residual.ckpt"), stack.residual.params(),
                      {"kind": "residual", "alpha": stack.residual.alpha})
-    for fname, net in (("q1.ckpt", trainer.sac.q1), ("q2.ckpt", trainer.sac.q2),
-                       ("q1_target.ckpt", trainer.sac.q1_t),
-                       ("q2_target.ckpt", trainer.sac.q2_t)):
-        nets.save_params(os.path.join(path, fname), net.params(), {"kind": "critic"})
-    if trainer.disc is not None:
-        nets.save_params(os.path.join(path, "disc.ckpt"), trainer.disc.params(),
-                         {"kind": "disc"})
+    for fname, (kind, net) in _bundle_nets(trainer).items():
+        nets.save_params(os.path.join(path, fname), net.params(), {"kind": kind})
     if stack.bet is not None:
         bet_mod.save_bet(os.path.join(path, "bet.ckpt"), stack.bet, stack.bet_normalizer)
     if stack.bc is not None:
         nets.save_params(os.path.join(path, "bc.ckpt"), stack.bc.params(),
                          {"kind": "bc", "dims": stack.bc.dims})
-    optim_arrays, optim_steps = _optim_arrays(trainer)
+    optim_arrays, optim_steps = {}, {}
+    for group, opt in _optimizers(trainer).items():
+        state = opt.state_dict()
+        optim_steps[group] = state["step_count"]
+        for moment in ("m", "v"):
+            optim_arrays.update({f"{group}.{moment}.{name}": arr
+                                 for name, arr in state[moment].items()})
     nets.save_params(os.path.join(path, "optim.ckpt"), optim_arrays,
                      {"kind": "optim", "steps": optim_steps})
     nets.save_params(os.path.join(path, "replay.ckpt"), trainer.replay.state_arrays(),
@@ -609,7 +585,7 @@ def save_bundle(path, trainer, extra_manifest=None):
         "normalizer": stack.normalizer.to_dict(),
         "curve": trainer.curve,
         "last_eval": trainer.last_eval,
-        "temp_state": trainer.sac.temp_state(),
+        "log_temp": float(trainer.sac.log_temp.data[0]),
         **(extra_manifest or {}),
     }
     tmp = os.path.join(path, "manifest.json.tmp")
@@ -629,10 +605,7 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
     from .env import Normalizer
     from .policies import GaussianPolicy, PolicyStack, make_bc_net
 
-    with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != BUNDLE_FORMAT:
-        raise ValueError(f"not a checkpoint bundle: {path}")
+    manifest = read_manifest(path)
     if cfg is None:
         cfg = TrainConfig.from_dict(manifest["config"])
     normalizer = Normalizer.from_dict(manifest["normalizer"])
@@ -658,19 +631,19 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
     stack = PolicyStack(mode, normalizer, bet=bet, bc=bc, residual=residual,
                         bet_normalizer=bet_normalizer)
     trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, manifest["seed"])
-    for fname, net in (("q1.ckpt", trainer.sac.q1), ("q2.ckpt", trainer.sac.q2),
-                       ("q1_target.ckpt", trainer.sac.q1_t),
-                       ("q2_target.ckpt", trainer.sac.q2_t)):
+    for fname, (_, net) in _bundle_nets(trainer).items():
         _, arrays = nets.load_params(os.path.join(path, fname))
         nets.assign_params(net.params(), arrays)
-    if trainer.disc is not None:
-        _, arrays = nets.load_params(os.path.join(path, "disc.ckpt"))
-        nets.assign_params(trainer.disc.params(), arrays)
     optim_meta, optim_arrays = nets.load_params(os.path.join(path, "optim.ckpt"))
-    _load_optim(trainer, optim_arrays, optim_meta["steps"])
+    for group, opt in _optimizers(trainer).items():
+        opt.load_state_dict({
+            "step_count": optim_meta["steps"][group],
+            "m": {name: optim_arrays[f"{group}.m.{name}"] for name in opt.m},
+            "v": {name: optim_arrays[f"{group}.v.{name}"] for name in opt.v},
+        })
     replay_meta, replay_arrays = nets.load_params(os.path.join(path, "replay.ckpt"))
     trainer.replay.load_state(replay_arrays, replay_meta)
-    trainer.sac.load_temp_state(manifest["temp_state"])
+    trainer.sac.log_temp.data[0] = manifest["log_temp"]
     trainer.env_steps = int(manifest["env_steps"])
     trainer.iteration_count = int(manifest["iteration"])
     trainer.curve = list(manifest["curve"])

@@ -157,10 +157,6 @@ class Tensor:
     def is_leaf(self):
         return not self._parents
 
-    def detach(self):
-        """A constant view of this node's values, severed from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def _accumulate(self, g, owned=False):
         # owned: g is a fresh array no one else holds, so it may become
         # the gradient buffer without a copy.
@@ -672,7 +668,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _node("layer_norm", out, (a, gain, bias), vjp)
 
 
-def backward(root, retain=False):
+def backward(root):
     """Accumulate gradients of a scalar root into every reachable leaf.
 
     Nodes are visited exactly once, in reverse tape append order. Calling
@@ -695,7 +691,7 @@ def backward(root, retain=False):
     for node in reversed(nodes):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
-        if not retain and not node.is_leaf:
+        if not node.is_leaf:
             node.grad = None
 
 

@@ -46,9 +46,13 @@ __all__ = [
 class BeTConfig:
     """Architecture and pretraining settings.
 
-    context is the training window length; eval_context the sliding
-    window used for control. loss_positions records that the regression
-    covers every causal position (not only the last).
+    obs_dim and act_dim are the input and output widths. They are not
+    user settings: the run config derives them from the episode
+    (``env.obs_dim``) and the two controls, and a checkpoint stores them
+    so that the model can be rebuilt. context is the training window
+    length; eval_context the sliding window used for control. The blocks
+    use relu, and the regression loss covers every causal position, not
+    only the last.
     """
 
     obs_dim: int = 50
@@ -61,23 +65,17 @@ class BeTConfig:
     dropout: float = 0.1
     mlp_ratio: int = 4
     w_std: float = 0.02
-    nonlinearity: str = "relu"
     batch_size: int = 64
     updates: int = 4000
     stop_loss: float = 1e-3
     lr: float = 1e-4
     weight_decay: float = 5e-4
-    loss_positions: str = "all"
 
     def __post_init__(self):
         if self.embed_dim % self.n_heads:
             raise ValueError("embed_dim must divide evenly into heads")
         if self.eval_context > self.context:
             raise ValueError("eval_context cannot exceed the training context")
-        if self.nonlinearity != "relu":
-            raise ValueError("only relu blocks are supported")
-        if self.loss_positions != "all":
-            raise ValueError("loss is defined over all causal positions")
 
     @staticmethod
     def from_dict(d):

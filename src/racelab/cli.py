@@ -423,13 +423,10 @@ def cmd_eval(args):
         _require(demos_path, "demonstration file", "pass --demos")
         track = load_track(track_path)
         demos = DemoSet.load(demos_path)
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
         # The bundle records the physics it was trained under; use those.
-        vparams = (VehicleParams(**stored["vehicle"]) if "vehicle" in stored
-                   else cfg.vehicle)
-        ecfg = (EpisodeConfig(**stored["episode"]) if "episode" in stored
-                else cfg.episode)
+        stored = ail.read_manifest(args.bundle)
+        vparams = VehicleParams(**stored["vehicle"])
+        ecfg = EpisodeConfig(**stored["episode"])
         trainer, manifest = ail.load_bundle(args.bundle, track, vparams, ecfg, demos)
         if args.cars is not None:
             trainer.cfg.eval_cars = args.cars
@@ -465,10 +462,9 @@ def cmd_eval(args):
 def cmd_report(args):
     if args.bundle is None:
         raise ConfigError("report needs --bundle")
-    manifest_path = os.path.join(args.bundle, "manifest.json")
-    _require(manifest_path, "bundle manifest", "point --bundle at a bundle directory")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    _require(os.path.join(args.bundle, "manifest.json"), "bundle manifest",
+             "point --bundle at a bundle directory")
+    manifest = ail.read_manifest(args.bundle)
     if manifest.get("last_eval") is None:
         raise RuntimeError(f"bundle {args.bundle} holds no evaluation yet; run eval")
     report = EvalReport.from_dict(manifest["last_eval"])

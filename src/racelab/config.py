@@ -3,8 +3,10 @@
 A run is fully determined by one JSON document. Loading resolves it in
 three layers — profile defaults, then an optional challenge preset, then
 the user's overrides — and rejects any key the schema does not know,
-naming the offending path. The resolved document is canonicalized and
-hashed so every output artifact can be traced to its exact inputs.
+naming the offending path. Each value has one owner: the BeT's input
+and output widths follow from the episode's feature counts and are
+derived, not set. The resolved document is canonicalized and hashed so
+every output artifact can be traced to its exact inputs.
 
 Profiles: ``desk`` (default; minutes-scale budgets), ``paper`` (the
 full-scale hyperparameters), ``smoke`` (seconds-scale end-to-end check).
@@ -23,7 +25,7 @@ import json
 
 from .ail import TrainConfig
 from .bet import BeTConfig
-from .env import EpisodeConfig
+from .env import EpisodeConfig, obs_dim
 from .expert import ExpertParams
 from .policies import MODE_SPECS, TRAIN_MODES
 from .vehicle import VehicleParams
@@ -36,12 +38,8 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 1."""
 
 
-def _train_defaults():
-    d = TrainConfig().to_dict()
-    # mode and alpha live at the config root, not under train.
-    d.pop("mode")
-    d.pop("alpha")
-    return d
+# BeT widths the episode fixes; build_config fills them in.
+_DERIVED_BET = ("obs_dim", "act_dim")
 
 
 def _base_defaults():
@@ -58,9 +56,9 @@ def _base_defaults():
         "vehicle": VehicleParams().to_dict(),
         "episode": EpisodeConfig().to_dict(),
         "expert": ExpertParams().to_dict(),
-        "bet": BeTConfig().to_dict(),
+        "bet": {k: v for k, v in BeTConfig().to_dict().items() if k not in _DERIVED_BET},
         "bc": {"hidden": [256, 256], "updates": 2000, "batch": 256, "lr": 1e-3},
-        "train": _train_defaults(),
+        "train": TrainConfig().to_dict(),
     }
 
 
@@ -237,9 +235,8 @@ def build_config(user):
     if demos["laps_pretrain"] is None:
         demos["laps_pretrain"] = demos["laps"]
 
-    train_d = copy.deepcopy(resolved["train"])
-    train_d["mode"] = mode
-    train_d["alpha"] = alpha
+    episode = _typed(EpisodeConfig, resolved["episode"], "episode")
+    bet_d = {**resolved["bet"], "obs_dim": obs_dim(episode), "act_dim": 2}
     return ExperimentConfig(
         resolved=resolved,
         mode=mode,
@@ -254,9 +251,9 @@ def build_config(user):
         demo_laps_pretrain=int(demos["laps_pretrain"]),
         demo_seed=int(demos["seed"]),
         vehicle=_typed(VehicleParams, resolved["vehicle"], "vehicle"),
-        episode=_typed(EpisodeConfig, resolved["episode"], "episode"),
+        episode=episode,
         expert=_typed(ExpertParams, resolved["expert"], "expert"),
-        bet=_typed(BeTConfig, resolved["bet"], "bet"),
+        bet=_typed(BeTConfig, bet_d, "bet"),
         bc=copy.deepcopy(resolved["bc"]),
-        train=_typed(TrainConfig, train_d, "train"),
+        train=_typed(TrainConfig, resolved["train"], "train"),
     )

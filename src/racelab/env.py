@@ -1,7 +1,9 @@
 """Batched racing environment: dynamics, observations, rewards, logging.
 
 Observation layout, with N curvature samples and n lookahead points
-(defaults N=10, n=5 give dimension 50):
+(defaults N=10, n=5 give dimension 50). ``obs_dim`` computes the width
+from the episode; every network that reads observations, the BeT
+included, takes its input width from it, so the counts are set only here:
 
     [0:3)      body velocity (v_x, v_y, 0)
     [3:6)      body acceleration, backward difference over dt (third 0)
@@ -54,19 +56,17 @@ class RolloutError(RuntimeError):
 class EpisodeConfig:
     """Stepping and feature extraction settings.
 
-    dt is the control period; train_steps and eval_steps are episode
-    lengths in steps; progress_weight is the off-course speed penalty
-    coefficient in the environment reward.
+    dt is the control period in seconds. curvature_count and
+    lookahead_count are N and n of the observation layout;
+    preview_horizon is the preview span in seconds of travel at the
+    current speed. Episode lengths, car counts and reward weights belong
+    to the training config.
     """
 
     dt: float = 0.1
-    train_steps: int = 500
-    eval_steps: int = 5000
-    n_cars: int = 20
     curvature_count: int = 10
     lookahead_count: int = 5
     preview_horizon: float = 5.0
-    progress_weight: float = 0.01
 
     @staticmethod
     def from_dict(d):

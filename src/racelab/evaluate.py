@@ -2,7 +2,7 @@
 
 A fixed batch of cars is placed evenly around the lap at a seeded
 offset, seeded with the demonstrators' local speeds, and driven by the
-deterministic policy for a step budget. A car crosses when its
+deterministic policy for a step budget; the caller sets both sizes. A car crosses when its
 accumulated progress first reaches the lap length; its lap time is that
 step count times the control period. A lap only counts as a success
 when the car never touched a wall before crossing — contact invalidates
@@ -26,8 +26,6 @@ import numpy as np
 from .env import RaceEnv
 from .nets import params_checksum
 from .seeding import stream
-
-BUDGET_STEPS = 5000
 
 
 @dataclasses.dataclass
@@ -90,14 +88,15 @@ def track_id(track):
     return f"{preset}-{digest}"
 
 
-def evaluate(stack, track, vparams, ecfg, demos, n_cars=20, max_steps=BUDGET_STEPS,
-             seed=0, tag=0):
-    """Run the lap protocol; returns an EvalReport.
+def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=0):
+    """Run the lap protocol for n_cars cars and at most max_steps steps.
 
-    demos supplies the placement speeds (a demo set or a ready speed
-    lookup). Placement uses the (seed, tag) evaluation stream, so a
-    given checkpoint re-evaluates identically. Policy parameters are
-    checksummed before and after; evaluation must not change them.
+    Returns an EvalReport. The training config owns both sizes
+    (``eval_cars``, ``eval_max_steps``). demos supplies the placement
+    speeds (a demo set or a ready speed lookup). Placement uses the
+    (seed, tag) evaluation stream, so a given checkpoint re-evaluates
+    identically. Policy parameters are checksummed before and after;
+    evaluation must not change them.
     """
     lookup = demos.speed_lookup(track.length) if hasattr(demos, "speed_lookup") else demos
     env = RaceEnv(track, vparams, ecfg)

@@ -13,7 +13,6 @@ evaluation, so their logs replay bit-exactly through the simulator.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -189,7 +188,7 @@ class DemoSet:
         meta = {"merged": [ds.meta for ds in demosets]}
         return DemoSet(laps, normalizer, meta)
 
-    def save(self, path, manifest_path=None):
+    def save(self, path):
         arrays = {}
         for i, lap in enumerate(self.laps):
             for key, val in lap.items():
@@ -201,17 +200,6 @@ class DemoSet:
             **self.meta,
         }
         save_params(path, arrays, meta)
-        if manifest_path is not None:
-            manifest = {
-                "format": DEMO_FORMAT,
-                "n_laps": len(self.laps),
-                "lap_steps": [int(lap["actions"].shape[0]) for lap in self.laps],
-                "mean_speed": float(np.mean([lap["v_x"].mean() for lap in self.laps])),
-                **{k: v for k, v in self.meta.items() if k != "normalizer"},
-            }
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, sort_keys=True, indent=2)
-                fh.write("\n")
 
     @staticmethod
     def load(path):

@@ -19,7 +19,7 @@ Conventions
 * All boundary values (actions, observations, log-probs) are float32.
 """
 
-from collections import OrderedDict, deque
+from collections import deque
 
 import numpy as np
 
@@ -185,6 +185,11 @@ class PolicyStack:
             raise ValueError(f"mode '{mode}' takes no correction head")
         if spec["base"] is None and residual is not None and residual.alpha != 1.0:
             raise ValueError(f"mode '{mode}' requires alpha = 1")
+        if spec["base"] == "bet" and bet.cfg.obs_dim != len(normalizer.mean):
+            raise ValueError(
+                f"the sequence base reads {bet.cfg.obs_dim} observation features, "
+                f"but the episode emits {len(normalizer.mean)}"
+            )
         self.mode = mode
         self.spec = spec
         self.normalizer = normalizer
@@ -236,19 +241,18 @@ class PolicyStack:
     def train_policy(self, rng):
         """Sampling policy callable for rollout collection.
 
-        Extras per step: base (B,2), res (B,2) scaled correction, logp
-        (B,), aug (B, aug_dim). The emitted action is the exact
+        Needs a correction head. Extras per step: res (B,2) scaled
+        correction and aug (B, aug_dim), whose last two columns hold the
+        base action when there is a base. The emitted action is the exact
         composition clip(base + res, -1, 1).
         """
 
         def policy(obs):
             base = self.base_action(obs)
-            if self.residual is None:
-                return base.copy(), {"base": base}
             aug = self.augment(self.normalizer.transform(obs), base)
-            res, logp = self.residual.sample_np(aug, rng)
+            res, _ = self.residual.sample_np(aug, rng)
             act = np.clip(base + res, -1.0, 1.0)
-            return act, {"base": base, "res": res, "logp": logp, "aug": aug}
+            return act, {"res": res, "aug": aug}
 
         return policy
 
@@ -273,9 +277,6 @@ class PolicyStack:
         """
         base = self.base_action(obs)
         return self.augment(self.normalizer.transform(obs), base)
-
-    def trainable_params(self):
-        return self.residual.params() if self.residual is not None else OrderedDict()
 
 
 def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,

@@ -182,42 +182,6 @@ class Track:
         e = tangent[:, 0] * d[:, 1] - tangent[:, 1] * d[:, 0]
         return s, e, h
 
-    # -- features ------------------------------------------------------
-
-    def curvature_samples(self, s, v, horizon, count):
-        """Curvature preview ahead of s over a speed-scaled window.
-
-        Samples at arclengths ``s + i * (v * horizon) / count`` for
-        i = 1..count. At v = 0 every sample sits at s itself.
-        """
-        offs = (np.arange(1, count + 1) / count) * max(float(v), 0.0) * horizon
-        _, _, c = self.frames(s + offs)
-        return c
-
-    def lookahead_points(self, s, position, heading, v, horizon, count):
-        """Body-frame preview of left wall, right wall, and centerline.
-
-        Points sit at arclengths ``s + i * (v * horizon) / count`` for
-        i = 1..count, offset laterally by +/- half_width for the walls,
-        then rotated into the frame of (position, heading).
-
-        Returns
-        -------
-        ndarray, shape (3, count, 2)
-            Rows are left wall, right wall, centerline.
-        """
-        offs = (np.arange(1, count + 1) / count) * max(float(v), 0.0) * horizon
-        centers, hs, _ = self.frames(s + offs)
-        normal = np.stack([-np.sin(hs), np.cos(hs)], axis=1)
-        left = centers + self.half_width * normal
-        right = centers - self.half_width * normal
-        world = np.stack([left, right, centers])
-        rel = world - np.asarray(position, dtype=np.float64)
-        cos_h, sin_h = np.cos(heading), np.sin(heading)
-        body_x = rel[..., 0] * cos_h + rel[..., 1] * sin_h
-        body_y = -rel[..., 0] * sin_h + rel[..., 1] * cos_h
-        return np.stack([body_x, body_y], axis=-1)
-
     def progress_delta(self, s_now, s_prev):
         """Wrapped arclength advance from s_prev to s_now in [-L/2, L/2)."""
         d = np.mod(np.asarray(s_now) - np.asarray(s_prev) + 0.5 * self.length, self.length) - 0.5 * self.length

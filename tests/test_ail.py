@@ -220,7 +220,7 @@ def _sac(aug_dim=4, temp=0.0, gamma=0.5, tau=0.002):
                     tau=tau, gamma=gamma, entropy_temp=max(temp, 1e-12))
     sac = SACTrainer(pol, aug_dim, cfg, RNG(20))
     if temp == 0.0:
-        sac.log_temp = -np.inf  # exactly zero temperature
+        sac.log_temp.data[0] = -np.inf  # exactly zero temperature
     return sac
 
 
@@ -308,15 +308,26 @@ def test_temperature_tuning_moves_toward_target_entropy():
     cfg = SACConfig(hidden=(8,), auto_entropy=True, entropy_temp=0.1,
                     entropy_lr=5e-2, gradient_steps=1, batch=8)
     sac = SACTrainer(pol, 2, cfg, RNG(29))
-    temps = [sac.temperature]
-    for i in range(20):
+    log_temp0 = sac.log_temp.data[0]
+    stats = sac.update(_batch(aug_dim=2, n=8, done=1.0, seed=30), RNG(31))
+    # Adam's first step moves by the learning rate, raising the temperature
+    # when the entropy -logp is below its target and lowering it otherwise.
+    step = sac.log_temp.data[0] - log_temp0
+    direction = np.sign(stats["mean_logp"] + sac.target_entropy)
+    assert step == pytest.approx(direction * cfg.entropy_lr, rel=1e-6)
+    for i in range(1, 20):
         sac.update(_batch(aug_dim=2, n=8, done=1.0, seed=30 + i), RNG(31 + i))
-        temps.append(sac.temperature)
-    assert temps[-1] != temps[0]
-    state = sac.temp_state()
-    clone = SACTrainer(pol, 2, cfg, RNG(32))
-    clone.load_temp_state(state)
-    assert clone.temperature == sac.temperature
+    state = sac.opt_temp.state_dict()
+    assert state["step_count"] == 20
+    assert state["m"]["log_temp"].dtype == np.float64
+    assert sac.log_temp.data.shape == (1,)
+
+
+def test_fixed_temperature_takes_no_optimizer_step():
+    sac = _sac(temp=0.1)
+    sac.update(_batch(done=1.0), RNG(33))
+    assert sac.opt_temp.step_count == 0
+    assert sac.temperature == pytest.approx(0.1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +342,9 @@ def tiny_world():
     return track, vparams, ecfg, demos
 
 
-def _tiny_cfg(mode="ail", alpha=None):
+def _tiny_cfg():
     return TrainConfig(
-        mode=mode, alpha=alpha, n_cars=3, rollout_steps=40, iterations=2,
+        n_cars=3, rollout_steps=40, iterations=2,
         replay_capacity=2000, disc_updates=3, demo_batch=64,
         policy_hidden=(32, 32),
         sac=SACConfig(hidden=(32, 32), batch=64, gradient_steps=5),
@@ -345,7 +356,7 @@ def _tiny_trainer(tiny_world, mode="ail", alpha=None, seed=0):
     track, vparams, ecfg, demos = tiny_world
     stack = build_policy_stack(mode, demos.normalizer, demos.obs_dim,
                                RNG(40), alpha=alpha, hidden=(32, 32))
-    return Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg(mode, alpha), seed)
+    return Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg(), seed)
 
 
 def test_iteration_fills_replay_and_reports_metrics(tiny_world):
@@ -362,7 +373,7 @@ def test_offline_mode_rejected_by_trainer(tiny_world):
     stack = build_policy_stack("bc", demos.normalizer, demos.obs_dim, RNG(41),
                                bc=ail.make_discriminator(demos.obs_dim, 1, RNG(0)))
     with pytest.raises(ValueError):
-        Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg("bc"), 0)
+        Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg(), 0)
 
 
 def test_bundle_roundtrip_bit_exact(tiny_world, tmp_path):
@@ -413,6 +424,32 @@ def test_resumed_training_is_bit_identical(tiny_world, tmp_path):
     assert m_straight["sac"] == m_resumed["sac"]
     for k, p in straight.stack.residual.params().items():
         np.testing.assert_array_equal(p.data, resumed.stack.residual.params()[k].data)
+
+
+def test_tuned_temperature_resumes_bit_identically(tiny_world, tmp_path):
+    """The temperature's Adam moments and step count travel in optim.ckpt."""
+    track, vparams, ecfg, demos = tiny_world
+    base = _tiny_cfg()
+    cfg = dataclasses.replace(base, sac=dataclasses.replace(base.sac, auto_entropy=True))
+
+    def trainer():
+        stack = build_policy_stack("ail", demos.normalizer, demos.obs_dim, RNG(40),
+                                   hidden=(32, 32))
+        return Trainer(stack, track, vparams, ecfg, demos, cfg, 7)
+
+    straight = trainer()
+    straight.iteration(0)
+    straight.iteration(1)
+    frag = trainer()
+    frag.iteration(0)
+    path = str(tmp_path / "bundle")
+    save_bundle(path, frag)
+    resumed, _ = load_bundle(path, track, vparams, ecfg, demos)
+    assert resumed.sac.opt_temp.step_count == 5
+    resumed.iteration(1)
+    assert straight.sac.opt_temp.step_count == resumed.sac.opt_temp.step_count == 10
+    assert straight.sac.log_temp.data[0] == resumed.sac.log_temp.data[0]
+    assert straight.sac.log_temp.data[0] != np.log(cfg.sac.entropy_temp)
 
 
 def test_load_bundle_rejects_foreign_directory(tiny_world, tmp_path):

@@ -43,10 +43,6 @@ def test_config_rejects_inconsistent_shapes():
         _tiny_cfg(embed_dim=15)  # not divisible by heads
     with pytest.raises(ValueError):
         _tiny_cfg(eval_context=9)  # larger than the training context
-    with pytest.raises(ValueError):
-        _tiny_cfg(nonlinearity="gelu")
-    with pytest.raises(ValueError):
-        _tiny_cfg(loss_positions="last")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,20 @@ def test_smoke_run_matches_golden_fingerprint(tmp_path):
     assert got == GOLDEN
 
 
+def test_run_with_other_feature_counts_sizes_the_base_from_the_episode(tmp_path):
+    # 8 curvature samples give 48 observation features, not the default 50.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "profile": "smoke", "challenge": "maggiore-like", "mode": "betail", "seed": 0,
+        "episode": {"curvature_count": 8}, "demos": {"laps": 1}, "bet": {"updates": 3},
+        "train": {"iterations": 1, "rollout_steps": 30, "eval_max_steps": 30,
+                  "disc_updates": 2, "sac": {"batch": 64, "gradient_steps": 2}}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    model, normalizer, _ = bet.load_bet(str(out / "bet.ckpt"))
+    assert model.cfg.obs_dim == len(normalizer.mean) == 48
+
+
 def _gen_track(out):
     return cli.main(["gen-track", "--preset", "circle", "--out", str(out)])
 

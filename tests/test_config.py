@@ -1,7 +1,10 @@
 """Configuration resolution: schema strictness, layering, and hashing."""
 
+import json
+
 import pytest
 
+from racelab import cli
 from racelab.config import (
     CHALLENGES,
     PROFILES,
@@ -9,6 +12,7 @@ from racelab.config import (
     build_config,
     config_hash,
 )
+from racelab.env import obs_dim
 
 
 def minimal(**extra):
@@ -56,6 +60,35 @@ def test_unknown_key_is_named_by_path():
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match="unknown config key 'learning_rate'"):
         build_config(minimal(learning_rate=1e-3))
+
+
+# Keys that no code read, that took one value only, or that repeated what
+# the episode fixes; each with the value it used to default to.
+REMOVED_KEYS = {
+    "episode.train_steps": 500,
+    "episode.eval_steps": 5000,
+    "episode.n_cars": 20,
+    "episode.progress_weight": 0.01,
+    "bet.nonlinearity": "relu",
+    "bet.loss_positions": "all",
+    "bet.obs_dim": 50,
+    "bet.act_dim": 2,
+}
+
+
+@pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
+def test_removed_key_is_rejected_by_path(path, tmp_path, capsys):
+    table, key = path.split(".")
+    doc = {table: {key: REMOVED_KEYS[path]}}
+    with pytest.raises(ConfigError, match=f"unknown config key '{path}'"):
+        build_config(minimal(**doc))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    argv = ["gen-track", "--config", str(cfg), "--preset", "circle", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"unknown config key '{path}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scalar_cannot_replace_table():
@@ -191,10 +224,20 @@ def test_pretrain_demo_laps_default_to_demo_laps():
     assert cfg.demo_laps_pretrain == 3
 
 
-def test_mode_and_alpha_reach_train_config():
+def test_mode_and_alpha_are_set_at_the_root_only():
     cfg = build_config(minimal(mode="betail", alpha=0.2))
-    assert cfg.train.mode == "betail"
-    assert cfg.train.alpha == 0.2
+    assert (cfg.mode, cfg.alpha) == ("betail", 0.2)
+    assert not hasattr(cfg.train, "mode") and not hasattr(cfg.train, "alpha")
+    for key in ("mode", "alpha"):
+        with pytest.raises(ConfigError, match=f"unknown config key 'train.{key}'"):
+            build_config(minimal(mode="betail", alpha=0.2, train={key: "betail"}))
+
+
+def test_bet_widths_follow_the_episode():
+    cfg = build_config(minimal(episode={"curvature_count": 8}))
+    assert cfg.bet.obs_dim == obs_dim(cfg.episode) == 48
+    assert cfg.bet.act_dim == 2
+    assert "obs_dim" not in cfg.resolved["bet"]
 
 
 # ------------------------------------------------------------------- hashing

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racelab import autodiff as ad
+from racelab.bet import BeT, BeTConfig
 from racelab.env import Normalizer
 from racelab.policies import (
     GaussianPolicy,
@@ -177,6 +178,15 @@ def test_stack_mode_validation():
         PolicyStack("ail", norm, residual=GaussianPolicy(4, 2, (8,), 0.5, RNG(0)))
 
 
+def test_stack_rejects_a_base_of_another_observation_width():
+    # A base pretrained on episodes with other feature counts.
+    bet = BeT(BeTConfig(obs_dim=48, embed_dim=8, n_layers=1, n_heads=2, context=4,
+                        eval_context=2), RNG(0))
+    res = GaussianPolicy(52, 2, (8,), 0.1, RNG(0))
+    with pytest.raises(ValueError, match="reads 48 observation features.*emits 50"):
+        PolicyStack("betail", _normalizer(50), bet=bet, residual=res)
+
+
 def test_stack_without_base_acts_pure_residual():
     norm = _normalizer(4)
     res = GaussianPolicy(4, 2, (8,), 1.0, RNG(0))
@@ -212,10 +222,11 @@ def test_stack_train_policy_extras_consistent():
     stack = PolicyStack("bcail", norm, bc=bc, residual=res)
     obs = RNG(15).standard_normal((6, 4)).astype(np.float32)
     act, extras = stack.train_policy(RNG(16))(obs)
-    np.testing.assert_array_equal(
-        act, np.clip(extras["base"] + extras["res"], -1.0, 1.0))
+    base = extras["aug"][:, -2:]
+    np.testing.assert_array_equal(base, stack.base_action(obs))
+    np.testing.assert_array_equal(act, np.clip(base + extras["res"], -1.0, 1.0))
     assert extras["aug"].shape == (6, 6)
-    assert extras["logp"].shape == (6,)
+    assert set(extras) == {"res", "aug"}
 
 
 def test_build_policy_stack_requires_alpha_for_based_modes():

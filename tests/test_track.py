@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racelab.env import EpisodeConfig, RaceEnv
 from racelab.track import Track, gen_track, load_track, save_track
+from racelab.vehicle import VehicleParams
 
 
 def dense_centerline(track, spacing=0.02):
@@ -102,38 +104,61 @@ class TestProjection:
             assert s == s_b[i] and e == e_b[i] and h == h_b[i]
 
 
+def _observe_one(track, s0, speed):
+    """Place one car on the centerline at s0, along the track, and return
+    its first observation (the env's batched features) and the episode."""
+    ecfg = EpisodeConfig()
+    env = RaceEnv(track, VehicleParams(), ecfg)
+    pos, heading, _ = track.frames(np.asarray([s0]))
+    obs = env.reset(pos, heading, np.asarray([speed]))
+    return obs[0], env, ecfg
+
+
+def _preview(obs, ecfg):
+    """Curvature samples (N,) and lookahead points (3, n, 2) from one
+    observation: left wall, right wall, centerline, in the body frame."""
+    n_curv, n_look = ecfg.curvature_count, ecfg.lookahead_count
+    look = obs[10 + n_curv : 10 + n_curv + 6 * n_look].reshape(3, n_look, 2)
+    return obs[8 : 8 + n_curv], look
+
+
 class TestFeatureSamples:
+    """The preview features that RaceEnv computes for every car at once."""
+
     def test_curvature_preview_collapses_at_zero_speed(self):
         track = gen_track("random", seed=5)
-        c = track.curvature_samples(123.4, 0.0, horizon=5.0, count=10)
-        assert c.shape == (10,)
-        assert np.allclose(c, c[0])
+        obs, env, ecfg = _observe_one(track, 123.4, 0.0)
+        curv, _ = _preview(obs, ecfg)
+        _, _, c_here = track.frames(env.s)
+        assert curv.shape == (10,)
+        np.testing.assert_array_equal(curv, np.float32(c_here[0]))
 
     def test_curvature_preview_spacing(self):
         track = gen_track("circle", radius=120.0)
-        c = track.curvature_samples(0.0, 30.0, horizon=5.0, count=10)
-        assert np.allclose(c, 1.0 / 120.0, rtol=1e-6)
+        obs, _, ecfg = _observe_one(track, 0.0, 30.0)
+        curv, _ = _preview(obs, ecfg)
+        assert np.allclose(curv, 1.0 / 120.0, rtol=1e-6)
 
     def test_lookahead_identity_frame(self):
         track = gen_track("circle", radius=100.0)
-        s0 = 0.0
-        pos, h, _ = track.frames(np.asarray([s0]))
-        pts = track.lookahead_points(s0, pos[0], float(h[0]), 20.0, 5.0, 5)
+        obs, _, ecfg = _observe_one(track, 0.0, 20.0)
+        _, pts = _preview(obs, ecfg)
         assert pts.shape == (3, 5, 2)
         # Walls sit half_width left/right of center in the body frame.
-        left, right, center = pts
+        left, right, center = pts.astype(np.float64)
         gaps_l = np.linalg.norm(left - center, axis=1)
         gaps_r = np.linalg.norm(right - center, axis=1)
-        assert np.allclose(gaps_l, track.half_width, atol=1e-9)
-        assert np.allclose(gaps_r, track.half_width, atol=1e-9)
+        assert np.allclose(gaps_l, track.half_width, atol=1e-4)
+        assert np.allclose(gaps_r, track.half_width, atol=1e-4)
         # All preview points are ahead of the car.
         assert (center[:, 0] > 0).all()
 
     def test_lookahead_at_zero_speed_stays_at_s(self):
         track = gen_track("random", seed=9)
-        pos, h, _ = track.frames(np.asarray([50.0]))
-        pts = track.lookahead_points(50.0, pos[0], float(h[0]), 0.0, 5.0, 5)
-        assert np.allclose(pts[2], 0.0, atol=1e-9)
+        obs, _, ecfg = _observe_one(track, 50.0, 0.0)
+        _, pts = _preview(obs, ecfg)
+        # The car sits on the centerline; float32 placement leaves ~1e-5 m.
+        assert np.allclose(pts[2], 0.0, atol=1e-4)
 
 
 class TestProgressDelta:
