@@ -14,8 +14,8 @@ from racelab.env import Normalizer
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
-    "summary.json": "55d895d1b1e0ae3845fd6fb59b1b89e956a0245631b18b55af54e722d6f9844e",
-    "bet.ckpt": "cbd3e467e1b3e86499a86aabe08bdc4d81d564aa5d8597cc8109aac6baf3a4c0",
+    "summary.json": "23dc634ad2a820e67b35036637e51736c9dedac5190cd1d46503bcc0008d755b",
+    "bet.ckpt": "0d6d1547eea8b146d3a6799390aa8c5f9ab9b045d32ef001e3627d11b64e2b57",
     "bundle/residual.ckpt": "964298cf3624977ef784b45ba9010b30a9bbeaef5c81212649eeb9aad52e80ef",
 }
 
