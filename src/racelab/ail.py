@@ -324,10 +324,7 @@ class SACTrainer:
 
 @dataclasses.dataclass
 class TrainConfig:
-    """Knobs for one fine-tuning run (budgets, regularizer scales).
-
-    The mode and alpha are not here: the policy stack carries both.
-    """
+    """Knobs for one fine-tuning run (budgets, regularizer scales)."""
 
     n_cars: int = 20
     rollout_steps: int = 500

@@ -38,10 +38,6 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 1."""
 
 
-# BeT widths the episode fixes; build_config fills them in.
-_DERIVED_BET = ("obs_dim", "act_dim")
-
-
 def _base_defaults():
     return {
         "mode": None,
@@ -56,7 +52,9 @@ def _base_defaults():
         "vehicle": VehicleParams().to_dict(),
         "episode": EpisodeConfig().to_dict(),
         "expert": ExpertParams().to_dict(),
-        "bet": {k: v for k, v in BeTConfig().to_dict().items() if k not in _DERIVED_BET},
+        # The episode fixes the BeT's widths; build_config fills them in.
+        "bet": {k: v for k, v in BeTConfig().to_dict().items()
+                if k not in ("obs_dim", "act_dim")},
         "bc": {"hidden": [256, 256], "updates": 2000, "batch": 256, "lr": 1e-3},
         "train": TrainConfig().to_dict(),
     }
