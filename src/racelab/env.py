@@ -149,6 +149,7 @@ class RaceEnv:
         self.cfg = cfg
         self.state = None
         self.s = None
+        self.track_heading = None
         self.prev_vel = None
         self.prev_yaw = None
         self.cum_progress = None
@@ -169,9 +170,10 @@ class RaceEnv:
         state = veh.initial_state(_quant(positions), _quant(yaws), _quant(speeds))
         if v_y is not None:
             state.v_y = _quant(np.asarray(v_y, dtype=np.float64))
-        s, e, _ = self.track.project_many(state.position)
+        s, _, h = self.track.project_many(state.position)
         self.state = state
         self.s = s
+        self.track_heading = h
         self.prev_vel = np.stack([state.v_x, state.v_y], axis=1)
         self.prev_yaw = state.yaw.copy()
         if yaw_rate is not None:
@@ -215,7 +217,8 @@ class RaceEnv:
         state.yaw = _quant(state.yaw)
         state.v_x = _quant(state.v_x)
         state.v_y = _quant(state.v_y)
-        s, e, h = self.track.project_many(state.position)
+        # Last step's arclength narrows the nearest-vertex search.
+        s, e, h = self.track.project_many(state.position, s_hint=self.s)
         state = veh.enforce_track_limits(state, self.track, self.params, s, e, h)
         clamped = state.wall_contact > 0
         if clamped.any():
@@ -228,6 +231,7 @@ class RaceEnv:
         self.prev_yaw = prev_yaw
         self.state = state
         self.s = s
+        self.track_heading = h
         self.cum_progress += progress
         self.step_idx += 1
         obs = self._observe()
@@ -246,19 +250,18 @@ class RaceEnv:
         out[:, 6] = state.yaw
         dyaw = np.mod(state.yaw - self.prev_yaw + np.pi, 2 * np.pi) - np.pi
         out[:, 7] = dyaw / cfg.dt
-        # Speed-scaled preview arclengths, one row per car.
+        # Speed-scaled preview arclengths, one row per car: the curvature
+        # samples, then the lookahead points, in one frames pass.
         span = np.maximum(state.v_x, 0.0) * cfg.preview_horizon
-        s_curv = self.s[:, None] + (np.arange(1, n_curv + 1) / n_curv)[None, :] * span[:, None]
-        _, _, curv = self.track.frames(s_curv.reshape(-1))
-        out[:, 8 : 8 + n_curv] = curv.reshape(b, n_curv)
-        _, h_here, _ = self.track.frames(self.s)
-        psi = np.mod(state.yaw - h_here + np.pi, 2 * np.pi) - np.pi
+        frac = np.concatenate((np.arange(1, n_curv + 1) / n_curv, np.arange(1, n_look + 1) / n_look))
+        s_ahead = self.s[:, None] + frac[None, :] * span[:, None]
+        centers, hs, curv = self.track.frames(s_ahead.reshape(-1))
+        out[:, 8 : 8 + n_curv] = curv.reshape(b, len(frac))[:, :n_curv]
+        psi = np.mod(state.yaw - self.track_heading + np.pi, 2 * np.pi) - np.pi
         out[:, 8 + n_curv] = np.cos(psi)
         out[:, 9 + n_curv] = np.sin(psi)
-        s_look = self.s[:, None] + (np.arange(1, n_look + 1) / n_look)[None, :] * span[:, None]
-        centers, hs, _ = self.track.frames(s_look.reshape(-1))
-        centers = centers.reshape(b, n_look, 2)
-        hs = hs.reshape(b, n_look)
+        centers = centers.reshape(b, len(frac), 2)[:, n_curv:]
+        hs = hs.reshape(b, len(frac))[:, n_curv:]
         normal = np.stack([-np.sin(hs), np.cos(hs)], axis=2)
         hw = self.track.half_width
         base = 10 + n_curv

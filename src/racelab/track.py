@@ -29,6 +29,17 @@ MIN_SPACING = 0.5
 MAX_SPACING = 10.0
 MIN_HALF_WIDTH = 3.0
 
+# Windowed projection (``Track.project_many`` with a hint). A car moves at
+# most v_cap * dt = 4.5 m per control step, under two vertices at the
+# default 2.5 m spacing. CLEAR_SKIP is K: vertices more than K indices
+# away lie at least 7 * 2.5 = 17.5 m of arc off, more than the
+# 2 * sqrt(6^2 + 1.25^2) = 12.3 m the exactness check needs for a car
+# inside a 6 m half width. WINDOW is W: the window holds the hint's
+# segment and W vertices to either side, so the nearest vertex may move
+# W - K = 4 vertices past the hint's segment before the check gives up.
+CLEAR_SKIP = 6
+WINDOW = 10
+
 
 @dataclasses.dataclass(frozen=True)
 class Track:
@@ -44,10 +55,14 @@ class Track:
     meta : dict
         Generation record (preset name, parameters, seed).
 
-    Derived arrays (vertex arclengths, headings, curvatures) are computed
-    once at construction. Construction validates vertex count, spacing,
-    half width, and that ``|curvature| * half_width < 1`` everywhere so
-    wall offsets never self-intersect.
+    Derived arrays (vertex arclengths, headings, curvatures, clearances)
+    are computed once at construction. ``clearance_sq[k]`` is the squared
+    distance from vertex k to the nearest vertex more than CLEAR_SKIP
+    indices away around the loop; it lets ``project_many`` prove that a
+    windowed nearest-vertex search found the global answer. Construction
+    validates vertex count, spacing, half width, and that
+    ``|curvature| * half_width < 1`` everywhere so wall offsets never
+    self-intersect.
     """
 
     points: np.ndarray
@@ -56,6 +71,7 @@ class Track:
     s_points: np.ndarray = dataclasses.field(init=False, repr=False)
     headings: np.ndarray = dataclasses.field(init=False, repr=False)
     curvatures: np.ndarray = dataclasses.field(init=False, repr=False)
+    clearance_sq: np.ndarray = dataclasses.field(init=False, repr=False)
     length: float = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -84,6 +100,7 @@ class Track:
         object.__setattr__(self, "s_points", s)
         object.__setattr__(self, "headings", headings)
         object.__setattr__(self, "curvatures", curv)
+        object.__setattr__(self, "clearance_sq", _clearance_sq(pts))
         object.__setattr__(self, "length", float(s[-1]))
 
     # -- arclength parameterization ------------------------------------
@@ -106,17 +123,26 @@ class Track:
         headings : ndarray, shape (B,)
         curvatures : ndarray, shape (B,)
         """
-        s = self.wrap(np.asarray(s, dtype=np.float64))
-        idx = np.searchsorted(self.s_points, s, side="right") - 1
-        idx = np.clip(idx, 0, len(self.points) - 1)
-        nxt = (idx + 1) % len(self.points)
-        s0 = self.s_points[idx]
-        seg = self.s_points[idx + 1] - s0
-        u = (s - s0) / seg
+        idx, nxt, u = self._locate(s)
         p = self.points[idx] + u[:, None] * (self.points[nxt] - self.points[idx])
         h = _slerp_angle(self.headings[idx], self.headings[nxt], u)
         c = self.curvatures[idx] + u * (self.curvatures[nxt] - self.curvatures[idx])
         return p, h, c
+
+    def centerline(self, s):
+        """Centerline positions (B, 2) at arclengths s, equal to the
+        positions ``frames`` returns, without headings or curvatures."""
+        idx, nxt, u = self._locate(s)
+        return self.points[idx] + u[:, None] * (self.points[nxt] - self.points[idx])
+
+    def _locate(self, s):
+        """Segment start and end vertex and fraction along it, per arclength."""
+        s = self.wrap(np.asarray(s, dtype=np.float64))
+        idx = np.searchsorted(self.s_points, s, side="right") - 1
+        idx = np.clip(idx, 0, len(self.points) - 1)
+        s0 = self.s_points[idx]
+        u = (s - s0) / (self.s_points[idx + 1] - s0)
+        return idx, (idx + 1) % len(self.points), u
 
     # -- projection ----------------------------------------------------
 
@@ -141,18 +167,33 @@ class Track:
         s, e, h = self.project_many(np.asarray(point, dtype=np.float64)[None, :])
         return float(s[0]), float(e[0]), float(h[0])
 
-    def project_many(self, pts):
+    def project_many(self, pts, s_hint=None):
         """Vectorized exact projection of (B, 2) points.
 
         Finds the nearest vertex per point, then solves the exact
         point-to-segment projection on the segments adjacent to it.
+
+        s_hint, an arclength per point near its answer (a car's arclength
+        one step earlier), narrows the nearest-vertex search to a window:
+        the hint's segment and WINDOW vertices to either side. A row keeps
+        the window's nearest vertex k, at distance d, only when k has at
+        least CLEAR_SKIP window vertices on either side and
+        ``4 d^2 < clearance_sq[k]``, with a 1e-9 relative margin for
+        rounding. Every vertex outside the window is then more than
+        CLEAR_SKIP indices from k, so at least ``sqrt(clearance_sq[k]) - d
+        > d`` from the point: strictly farther than k. Ties inside the
+        window go to the lowest vertex index, as in the dense search.
+        Rows that fail the check get the dense search. The results are
+        bitwise those of the dense search, with or without a hint.
         """
         pts = np.asarray(pts, dtype=np.float64)
         n = len(self.points)
-        d2 = ((pts[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-        nearest = d2.argmin(axis=1)
-        if np.sqrt(d2[np.arange(len(pts)), nearest]).max() > 10.0 * self.half_width:
-            worst = int(np.argmax(d2[np.arange(len(pts)), nearest]))
+        if s_hint is None:
+            nearest, near_d2 = self._nearest_dense(pts)
+        else:
+            nearest, near_d2 = self._nearest_windowed(pts, s_hint)
+        if np.sqrt(near_d2).max() > 10.0 * self.half_width:
+            worst = int(np.argmax(near_d2))
             raise ValueError(
                 f"point {pts[worst]} is farther than 10 * half_width from the track"
             )
@@ -182,10 +223,61 @@ class Track:
         e = tangent[:, 0] * d[:, 1] - tangent[:, 1] * d[:, 0]
         return s, e, h
 
+    def _nearest_dense(self, pts):
+        """Nearest vertex and its squared distance, over every vertex."""
+        d2 = _dist_sq(pts, self.points)
+        nearest = d2.argmin(axis=1)
+        return nearest, d2[np.arange(len(pts)), nearest]
+
+    def _nearest_windowed(self, pts, s_hint):
+        """``_nearest_dense`` searching the hint's window where that is exact."""
+        n = len(self.points)
+        # The hint's segment index, as in frames; taken mod n below.
+        first = np.searchsorted(self.s_points, self.wrap(s_hint), side="right") - (1 + WINDOW)
+        # Sorted, so that argmin breaks ties on the lowest vertex index
+        # also in windows that wrap past vertex 0.
+        win = np.sort((first[:, None] + np.arange(2 * WINDOW + 2)) % n, axis=1)
+        d2 = _dist_sq(pts, self.points[win])
+        col = d2.argmin(axis=1)
+        rows = np.arange(len(pts))
+        nearest, near_d2 = win[rows, col], d2[rows, col]
+        inside = (nearest - first) % n
+        exact = ((inside >= CLEAR_SKIP) & (inside <= 2 * WINDOW + 1 - CLEAR_SKIP)
+                 & (4.0 * near_d2 < self.clearance_sq[nearest] * (1.0 - 1e-9)))
+        if not exact.all():
+            miss = ~exact
+            nearest[miss], near_d2[miss] = self._nearest_dense(pts[miss])
+        return nearest, near_d2
+
     def progress_delta(self, s_now, s_prev):
         """Wrapped arclength advance from s_prev to s_now in [-L/2, L/2)."""
         d = np.mod(np.asarray(s_now) - np.asarray(s_prev) + 0.5 * self.length, self.length) - 0.5 * self.length
         return d if np.ndim(s_now) else float(d)
+
+
+def _dist_sq(pts, verts):
+    """Squared distances from points (B, 2) to vertices (P, 2) or (B, P, 2),
+    shape (B, P), summed x term first as ``((pts - verts) ** 2).sum(-1)``
+    would, without its (B, P, 2) temporary."""
+    return (pts[:, None, 0] - verts[..., 0]) ** 2 + (pts[:, None, 1] - verts[..., 1]) ** 2
+
+
+def _clearance_sq(pts):
+    """Squared distance from each vertex of a closed polyline to the
+    nearest vertex more than CLEAR_SKIP indices away around the loop.
+
+    Works through 256 vertices at a time, so its temporaries are no
+    larger than those of a dense projection of 256 cars.
+    """
+    n = len(pts)
+    out = np.empty(n)
+    for lo in range(0, n, 256):
+        rows = np.arange(lo, min(lo + 256, n))
+        d2 = _dist_sq(pts[rows], pts)
+        near = (rows[:, None] + np.arange(-CLEAR_SKIP, CLEAR_SKIP + 1)) % n
+        d2[np.arange(len(rows))[:, None], near] = np.inf
+        out[rows] = d2.min(axis=1)
+    return out
 
 
 def _menger_curvature(pts):

@@ -117,17 +117,18 @@ def step(state, actions, params, dt):
 def enforce_track_limits(state, track, params, s=None, e=None, heading=None):
     """Clamp off-track cars to the boundary and slow them down.
 
-    Projection results may be passed in to avoid recomputing them; when
-    omitted they are computed here. Returns the corrected state (the
-    input is modified in place) with wall_contact set for clamped cars.
+    Projection results (``track.project_many`` of the positions) may be
+    passed in to avoid recomputing them; when omitted they are computed
+    here. Returns the corrected state (the input is modified in place)
+    with wall_contact set for clamped cars.
     """
     if s is None:
         s, e, heading = track.project_many(state.position)
     outside = np.abs(e) > track.half_width
     if outside.any():
-        centers, hs, _ = track.frames(s)
-        normal = np.stack([-np.sin(hs), np.cos(hs)], axis=1)
-        clamped = centers + np.sign(e)[:, None] * track.half_width * normal
+        # The projection's heading is the centerline heading at s.
+        normal = np.stack([-np.sin(heading), np.cos(heading)], axis=1)
+        clamped = track.centerline(s) + np.sign(e)[:, None] * track.half_width * normal
         state.position = np.where(outside[:, None], clamped, state.position)
         state.v_x = np.where(outside, state.v_x * params.wall_speed_loss, state.v_x)
         state.v_y = np.where(outside, 0.0, state.v_y)

@@ -16,7 +16,7 @@ from racelab.env import (
     rollout,
     save_trajectory_log,
 )
-from racelab.track import gen_track
+from racelab.track import Track, gen_track
 from racelab.vehicle import VehicleParams
 
 RNG = np.random.default_rng
@@ -149,6 +149,44 @@ def test_wall_contact_flags_and_penalty(circle_env):
     # clamped cars sit exactly at the boundary
     _, e, _ = circle_env.track.project_many(circle_env.state.position)
     assert np.all(np.abs(e[wall > 0]) <= circle_env.track.half_width + 1e-6)
+
+
+def _steer_rollout(track, steps=80):
+    """64 cars from an evenly spaced flying start: every fourth holds full
+    lock into a wall, the rest steer towards the first centerline
+    lookahead point."""
+    cfg = EpisodeConfig()
+    env = RaceEnv(track, VehicleParams(), cfg)
+    env.reset_eval(64, RNG(5), lambda s: np.full(len(np.atleast_1d(s)), 20.0))
+    lock = np.where(np.arange(64) % 8 == 0, 1.0, -1.0)
+    into_wall = np.arange(64) % 4 == 0
+    y_ahead = 11 + cfg.curvature_count + 4 * cfg.lookahead_count
+
+    def policy(obs):
+        steer = np.where(into_wall, lock, np.clip(0.3 * obs[:, y_ahead], -1.0, 1.0))
+        return np.stack([steer, np.zeros(64)], axis=1).astype(np.float32), {}
+
+    return rollout(env, policy, steps)
+
+
+def test_projection_hint_leaves_the_rollout_bitwise_unchanged(monkeypatch):
+    track = gen_track("random", seed=21)
+    project_many = Track.project_many
+    hints = []
+
+    def spy(self, pts, s_hint=None):
+        hints.append(s_hint is not None)
+        return project_many(self, pts, s_hint)
+
+    monkeypatch.setattr(Track, "project_many", spy)
+    hinted = _steer_rollout(track)
+    assert hints == [False] + [True] * 80  # reset, then every step
+    monkeypatch.setattr(Track, "project_many", lambda self, pts, s_hint=None: project_many(self, pts))
+    dense = _steer_rollout(track)
+    walls = hinted["wall"].sum(axis=1)
+    assert (walls > 0).sum() >= 16 and (walls == 0).sum() >= 16
+    for key in ("obs", "progress", "pen", "wall"):
+        assert hinted[key].tobytes() == dense[key].tobytes(), key
 
 
 def test_step_requires_reset(circle_env):

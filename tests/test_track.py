@@ -1,8 +1,9 @@
 """Geometry oracles for the track module.
 
 Projection is checked against brute-force dense sampling of the
-centerline; circle tracks give closed-form length and curvature; wrapped
-arclength arithmetic is property-tested.
+centerline, and the windowed projection against the dense search over
+every vertex; circle tracks give closed-form length and curvature;
+wrapped arclength arithmetic is property-tested.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racelab.env import EpisodeConfig, RaceEnv
+from racelab import track as track_mod
 from racelab.track import Track, gen_track, load_track, save_track
 from racelab.vehicle import VehicleParams
 
@@ -102,6 +104,130 @@ class TestProjection:
         for i, p in enumerate(pts):
             s, e, h = track.project(p)
             assert s == s_b[i] and e == e_b[i] and h == h_b[i]
+
+
+@st.composite
+def _courses(draw):
+    """Random-preset courses over seed, roughness and radius, and circles
+    and ovals; small circles put every vertex within 10 * half_width of
+    the center, where all vertices tie."""
+    preset = draw(st.sampled_from(["random", "circle", "oval"]))
+    if preset == "random":
+        return gen_track("random", seed=draw(st.integers(0, 10_000)),
+                         roughness=draw(st.floats(0.0, 0.45)), radius=draw(st.floats(60.0, 260.0)))
+    if preset == "circle":
+        return gen_track("circle", radius=draw(st.floats(15.0, 200.0)))
+    return gen_track("oval", radius=draw(st.floats(20.0, 120.0)), straight=draw(st.floats(0.0, 300.0)))
+
+
+# One car: arclength as a fraction of the lap (some just either side of
+# the start line, so windows wrap past vertex 0), lateral offset in half
+# widths (on the track, at a wall, or off it beyond 10 half widths), and
+# how far behind the car its hint lies in meters: up to one control step
+# of v_cap * dt = 4.5 m, either way across the window's edges (about 25 m
+# at 2.5 m spacing), or far enough to force the dense search.
+_CARS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(-0.01, 0.01)),
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 12.0)),
+        st.one_of(st.floats(0.0, 4.5), st.floats(-40.0, 40.0), st.floats(50.0, 2000.0)),
+    ),
+    min_size=1, max_size=24,
+)
+
+
+def _place(track, cars):
+    """World points and hints for (lap fraction, offset, hint lag) cars."""
+    frac, offset, lag = np.asarray(cars, dtype=np.float64).T
+    s0 = track.wrap(frac * track.length)
+    pos, h, _ = track.frames(s0)
+    normal = np.stack([-np.sin(h), np.cos(h)], axis=1)
+    return pos + (offset * track.half_width)[:, None] * normal, track.wrap(s0 - lag)
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestWindowedProjection:
+    """project_many with a hint against the dense search, its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_courses(), _CARS)
+    def test_hint_gives_the_dense_answer_bitwise(self, track, cars):
+        pts, hint = _place(track, cars)
+        try:
+            want = track.project_many(pts)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                track.project_many(pts, s_hint=hint)
+            assert str(got.value) == str(exc)
+            return
+        _assert_bitwise(track.project_many(pts, s_hint=hint), want)
+        _assert_bitwise(track._nearest_windowed(pts, hint), track._nearest_dense(pts))
+
+    def test_far_point_raises_the_same_error_with_a_hint(self):
+        track = gen_track("random", seed=4)
+        pts, hint = _place(track, [(0.3, 0.0, 1.0), (0.6, 10.5, 1.0), (0.9, 0.5, 1.0)])
+        with pytest.raises(ValueError, match="farther") as dense:
+            track.project_many(pts)
+        with pytest.raises(ValueError, match="farther") as hinted:
+            track.project_many(pts, s_hint=hint)
+        assert str(hinted.value) == str(dense.value)
+
+    def test_only_rows_that_fail_the_check_get_the_dense_search(self, monkeypatch):
+        track = gen_track("random", seed=8)
+        cars = [(0.1, 0.2, 1.0), (0.4, -0.9, 400.0), (0.7, 1.0, 4.5), (0.95, 0.0, 900.0)]
+        pts, hint = _place(track, cars)
+        want = track.project_many(pts)
+        seen = []
+        dense = Track._nearest_dense
+
+        def spy(self, rows):
+            seen.append(rows.copy())
+            return dense(self, rows)
+
+        monkeypatch.setattr(Track, "_nearest_dense", spy)
+        _assert_bitwise(track.project_many(pts, s_hint=hint), want)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], pts[[1, 3]])
+
+    def test_hint_across_the_infield_gets_the_dense_answer(self):
+        # Straights at y = -20 and y = +20. The points sit 18 m above the
+        # lower one; each hint is on the upper one, whose nearest window
+        # vertex is then 22 m away and mid-window, so only the clearance
+        # check can reject it.
+        track = gen_track("oval", radius=20.0, straight=200.0)
+        x = np.linspace(-50.0, 50.0, 11)
+        pts = np.stack([x, np.full(11, -2.0)], axis=1)
+        hint, _, _ = track.project_many(np.stack([x, np.full(11, 20.0)], axis=1))
+        want = track.project_many(pts)
+        assert (track.points[track._nearest_dense(pts)[0], 1] < 0).all()
+        _assert_bitwise(track.project_many(pts, s_hint=hint), want)
+
+    def test_ties_across_vertex_zero_go_to_the_lowest_index(self):
+        # Vertex k mirrors vertex P-1-k across the x axis, so points on the
+        # positive x axis are exactly as far from vertex 0 as from vertex
+        # P-1, and every window around them wraps past vertex 0.
+        half = 126
+        ang = 2.0 * np.pi * (np.arange(half) + 0.5) / (2 * half)
+        upper = 100.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        track = Track(np.concatenate([upper, upper[::-1] * [1.0, -1.0]]), 6.0)
+        pts = np.stack([np.linspace(95.0, 105.0, 9), np.zeros(9)], axis=1)
+        for hint in (0.0, 2.0, track.length - 2.0):
+            nearest, _ = track._nearest_windowed(pts, np.full(9, hint))
+            np.testing.assert_array_equal(nearest, 0)
+            np.testing.assert_array_equal(nearest, track._nearest_dense(pts)[0])
+
+    @pytest.mark.parametrize("preset", ["circle", "oval", "random"])
+    def test_clearance_is_the_nearest_vertex_beyond_the_skip(self, preset):
+        track = gen_track(preset, radius=30.0)
+        n = len(track.points)
+        gap = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        far = np.minimum(gap, n - gap) > track_mod.CLEAR_SKIP
+        d2 = ((track.points[:, None, :] - track.points[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(track.clearance_sq, np.where(far, d2, np.inf).min(axis=1))
 
 
 def _observe_one(track, s0, speed):
