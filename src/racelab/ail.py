@@ -533,9 +533,12 @@ def _optimizers(trainer):
 def read_manifest(path):
     """The manifest of the bundle directory at path; other formats are refused."""
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != BUNDLE_FORMAT:
-        raise ValueError(f"not a {BUNDLE_FORMAT} checkpoint bundle: {path}")
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise nets.CheckpointError(f"unreadable bundle manifest in {path}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
+        raise nets.CheckpointError(f"not a {BUNDLE_FORMAT} checkpoint bundle: {path}")
     return manifest
 
 

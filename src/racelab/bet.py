@@ -238,7 +238,13 @@ def load_bet(path):
     """Returns (model, normalizer, meta) from a checkpoint."""
     meta, arrays = nets.load_params(path)
     if meta.get("kind") != "bet":
-        raise ValueError(f"not a base-policy checkpoint: {path}")
+        raise nets.CheckpointError(f"not a base-policy checkpoint: {path}")
+    stored = set(meta.get("config", {}))
+    fields = {f.name for f in dataclasses.fields(BeTConfig)}
+    if stored != fields:
+        raise nets.CheckpointError(
+            f"base-policy checkpoint {path} does not match this version's BeTConfig: "
+            f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
     cfg = BeTConfig.from_dict(meta["config"])
     model = BeT(cfg, np.random.default_rng(0))
     nets.assign_params(model.params(), arrays)

@@ -419,12 +419,12 @@ def cmd_eval(args):
         manifest_path = os.path.join(args.bundle, "manifest.json")
         _require(manifest_path, "bundle manifest",
                  "point --bundle at a checkpoint bundle directory")
+        stored = ail.read_manifest(args.bundle)
         _require(track_path, "course file", "pass --track")
         _require(demos_path, "demonstration file", "pass --demos")
         track = load_track(track_path)
         demos = DemoSet.load(demos_path)
         # The bundle records the physics it was trained under; use those.
-        stored = ail.read_manifest(args.bundle)
         vparams = VehicleParams(**stored["vehicle"])
         ecfg = EpisodeConfig(**stored["episode"])
         trainer, manifest = ail.load_bundle(args.bundle, track, vparams, ecfg, demos)
@@ -534,7 +534,7 @@ def main(argv=None):
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_RUNTIME
-    except (FileNotFoundError, RuntimeError) as exc:
+    except (FileNotFoundError, RuntimeError, nets.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # unexpected failures keep their traceback

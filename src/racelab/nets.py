@@ -29,12 +29,18 @@ __all__ = [
     "MLP",
     "mlp_input_gradient",
     "gradient_penalty",
+    "CheckpointError",
     "save_params",
     "load_params",
     "params_checksum",
 ]
 
 CHECKPOINT_FORMAT = "racelab-tensors-v1"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file or bundle that this version cannot read: another
+    format, truncated or padded bytes, or contents that do not match."""
 
 
 def trunc_normal(shape, std, rng):
@@ -177,10 +183,12 @@ def save_params(path, named_arrays, meta):
 def load_params(path):
     """Read a checkpoint written by save_params; returns (meta, arrays)."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unrecognized checkpoint format in {path}")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"unrecognized checkpoint format in {path}")
         arrays = OrderedDict()
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
@@ -188,11 +196,11 @@ def load_params(path):
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * dt.itemsize)
             if len(buf) != count * dt.itemsize:
-                raise ValueError(f"truncated checkpoint {path} at tensor {entry['name']}")
+                raise CheckpointError(f"truncated checkpoint {path} at tensor {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
         trailing = fh.read(1)
         if trailing:
-            raise ValueError(f"trailing bytes in checkpoint {path}")
+            raise CheckpointError(f"trailing bytes in checkpoint {path}")
     return header["meta"], arrays
 
 
@@ -200,10 +208,10 @@ def assign_params(params, arrays):
     """Copy loaded arrays into live parameter tensors, checking shapes."""
     for name, tensor in params.items():
         if name not in arrays:
-            raise ValueError(f"checkpoint missing parameter {name}")
+            raise CheckpointError(f"checkpoint missing parameter {name}")
         src = arrays[name]
         if tuple(src.shape) != tuple(tensor.data.shape):
-            raise ValueError(f"shape mismatch for {name}: {src.shape} vs {tensor.data.shape}")
+            raise CheckpointError(f"shape mismatch for {name}: {src.shape} vs {tensor.data.shape}")
         tensor.data[...] = src.astype(tensor.data.dtype)
     return params
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from racelab import bet, cli, nets
 from racelab.env import Normalizer
@@ -69,12 +70,39 @@ def test_lock_of_a_live_process_refuses_the_run(tmp_path, capsys):
     assert not (out / "track.json").exists()
 
 
+def _small_bet():
+    return bet.BeT(bet.BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4,
+                                 eval_context=2), np.random.default_rng(3))
+
+
 def test_bet_info_prints_the_parameter_checksum(tmp_path, capsys):
-    model = bet.BeT(bet.BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4,
-                                  eval_context=2), np.random.default_rng(3))
+    model = _small_bet()
     path = tmp_path / "bet.ckpt"
     bet.save_bet(str(path), model, Normalizer.identity(6))
     assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_OK
     info = json.loads(capsys.readouterr().out)
     assert info["checksum"] == nets.params_checksum(model.params())
     assert info["n_params"] == sum(p.data.size for p in model.params().values())
+
+
+def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
+    # A base written before the BeTConfig trim carries two keys it lost.
+    model = _small_bet()
+    stale = {**model.cfg.to_dict(), "nonlinearity": "relu", "loss_positions": "all"}
+    del stale["w_std"]
+    path = tmp_path / "bet.ckpt"
+    nets.save_params(str(path), model.params(), {
+        "kind": "bet", "config": stale, "normalizer": Normalizer.identity(6).to_dict()})
+    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "stale keys ['loss_positions', 'nonlinearity'], missing keys ['w_std']" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "manifest.json").write_text(json.dumps({"format": "racelab-bundle-v1"}))
+    assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: not a racelab-bundle-v2 checkpoint bundle: {bundle}\n"

@@ -210,7 +210,18 @@ class TestCheckpointFormat:
         nets.save_params(path, arrays, {})
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(nets.CheckpointError, match="truncated"):
+            nets.load_params(path)
+
+    @pytest.mark.parametrize("head, match", [
+        (b"\x89PNG\r\n", "unreadable checkpoint header"),
+        (b"[1, 2]\n", "unrecognized checkpoint format"),
+        (b'{"format": "racelab-tensors-v0"}\n', "unrecognized checkpoint format"),
+    ])
+    def test_foreign_file_rejected(self, tmp_path, head, match):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(head)
+        with pytest.raises(nets.CheckpointError, match=match):
             nets.load_params(path)
 
     def test_shape_mismatch_on_assign_rejected(self, tmp_path):
@@ -220,5 +231,5 @@ class TestCheckpointFormat:
         wrong = {name: np.zeros((2, 2), dtype=np.float32) for name in mlp.params()}
         nets.save_params(path, wrong, {})
         _, loaded = nets.load_params(path)
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(nets.CheckpointError, match="shape mismatch"):
             nets.assign_params(mlp.params(), loaded)
