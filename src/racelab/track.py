@@ -266,13 +266,13 @@ def _clearance_sq(pts):
     """Squared distance from each vertex of a closed polyline to the
     nearest vertex more than CLEAR_SKIP indices away around the loop.
 
-    Works through 64 vertices at a time, which keeps its temporaries
-    under a quarter of those of a dense projection of 256 cars.
+    Works through 16 vertices at a time, so its temporaries, a few
+    (16, P) arrays, leave the peak memory of building a course as it was.
     """
     n = len(pts)
     out = np.empty(n)
-    for lo in range(0, n, 64):
-        rows = np.arange(lo, min(lo + 64, n))
+    for lo in range(0, n, 16):
+        rows = np.arange(lo, min(lo + 16, n))
         d2 = _dist_sq(pts[rows], pts)
         near = (rows[:, None] + np.arange(-CLEAR_SKIP, CLEAR_SKIP + 1)) % n
         d2[np.arange(len(rows))[:, None], near] = np.inf
