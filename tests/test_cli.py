@@ -86,7 +86,8 @@ def test_bet_info_prints_the_parameter_checksum(tmp_path, capsys):
 
 
 def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
-    # A base written before the BeTConfig trim carries two keys it lost.
+    # A base written before the BeTConfig trim carries two keys it lost;
+    # dropping w_std shows a missing key as well.
     model = _small_bet()
     stale = {**model.cfg.to_dict(), "nonlinearity": "relu", "loss_positions": "all"}
     del stale["w_std"]
