@@ -23,10 +23,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bet as bet_mod
+from . import evaluate as eval_mod
 from . import nets
-from .env import RaceEnv, clip_obs, rl_reward, rollout
+from .env import Normalizer, RaceEnv, clip_obs, rl_reward, rollout
 from .optim import Adam, AdamConfig
-from .policies import GaussianPolicy
+from .policies import MODE_SPECS, GaussianPolicy, PolicyStack, make_bc_net
 from .seeding import stream
 
 log = logging.getLogger("racelab.train")
@@ -167,7 +168,8 @@ class ReplayBuffer:
         return out
 
     def state_arrays(self):
-        return {"data": self._data[: self._n].copy()}
+        """The filled rows, as a view of the ring (not a copy)."""
+        return {"data": self._data[: self._n]}
 
     def state_meta(self):
         return {"head": self._head, "n": self._n, "capacity": self.capacity}
@@ -368,8 +370,6 @@ class Trainer:
     """
 
     def __init__(self, stack, track, vparams, ecfg, demos, cfg: TrainConfig, seed):
-        from .policies import MODE_SPECS
-
         spec = MODE_SPECS[stack.mode]
         if not spec["online"]:
             raise ValueError(f"mode '{stack.mode}' has no online training loop")
@@ -459,8 +459,6 @@ class Trainer:
         return metrics
 
     def evaluate_now(self):
-        from . import evaluate as eval_mod
-
         return eval_mod.evaluate(
             self.stack, self.track, self.env.params, self.env.cfg, self.speed_lookup,
             n_cars=self.cfg.eval_cars, max_steps=self.cfg.eval_max_steps,
@@ -595,22 +593,15 @@ def save_bundle(path, trainer, extra_manifest=None):
     os.replace(tmp, os.path.join(path, "manifest.json"))
 
 
-def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
-    """Rebuild a Trainer exactly as save_bundle left it.
+def load_stack(path, manifest, hidden=None):
+    """The policy stack a bundle stores: its base, correction head and whitener.
 
-    cfg, when given, replaces the stored training config — the sizes must
-    match, but stopping-rule knobs (iteration budget, evaluation cadence)
-    may differ, which is how a finished run is extended.
+    manifest is the bundle's, from read_manifest; hidden, when given,
+    replaces the stored correction-head widths, which must match. Nothing
+    else is read, so evaluating a bundle needs no critics, optimizer
+    moments or replay.
     """
-    from .env import Normalizer
-    from .policies import GaussianPolicy, PolicyStack, make_bc_net
-
-    manifest = read_manifest(path)
-    if cfg is None:
-        cfg = TrainConfig.from_dict(manifest["config"])
     normalizer = Normalizer.from_dict(manifest["normalizer"])
-    mode = manifest["mode"]
-
     bet = bc = None
     bet_normalizer = None
     if os.path.exists(os.path.join(path, "bet.ckpt")):
@@ -624,13 +615,26 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
     res_meta, res_arrays = nets.load_params(os.path.join(path, "residual.ckpt"))
     obs_dim = len(normalizer.mean)
     in_dim = obs_dim + (2 if (bet is not None or bc is not None) else 0)
-    residual = GaussianPolicy(in_dim, 2, cfg.policy_hidden, res_meta["alpha"],
-                              np.random.default_rng(0))
+    if hidden is None:
+        hidden = manifest["config"]["policy_hidden"]
+    residual = GaussianPolicy(in_dim, 2, hidden, res_meta["alpha"], np.random.default_rng(0))
     nets.assign_params(residual.params(), res_arrays)
+    return PolicyStack(manifest["mode"], normalizer, bet=bet, bc=bc, residual=residual,
+                       bet_normalizer=bet_normalizer)
 
-    stack = PolicyStack(mode, normalizer, bet=bet, bc=bc, residual=residual,
-                        bet_normalizer=bet_normalizer)
-    trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, manifest["seed"])
+
+def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
+    """Rebuild a Trainer exactly as save_bundle left it.
+
+    cfg, when given, replaces the stored training config — the sizes must
+    match, but stopping-rule knobs (iteration budget, evaluation cadence)
+    may differ, which is how a finished run is extended.
+    """
+    manifest = read_manifest(path)
+    if cfg is None:
+        cfg = TrainConfig.from_dict(manifest["config"])
+    trainer = Trainer(load_stack(path, manifest, cfg.policy_hidden), track, vparams, ecfg, demos, cfg,
+                      manifest["seed"])
     for fname, (_, net) in _bundle_nets(trainer).items():
         _, arrays = nets.load_params(os.path.join(path, fname))
         nets.assign_params(net.params(), arrays)

@@ -31,6 +31,7 @@ __all__ = [
     "gradient_penalty",
     "CheckpointError",
     "save_params",
+    "load_meta",
     "load_params",
     "params_checksum",
 ]
@@ -161,34 +162,46 @@ def save_params(path, named_arrays, meta):
 
     Buffers follow in sorted name order, little-endian, dtype per entry
     recorded in the header. The byte stream is a pure function of the
-    inputs, so identical params produce identical files.
+    inputs, so identical params produce identical files. Each buffer is
+    written as it stands when it is already contiguous and little-endian,
+    so a save holds no copy of it.
     """
-    names = sorted(named_arrays)
     entries = []
-    blobs = []
-    for name in names:
+    buffers = []
+    for name in sorted(named_arrays):
         arr = named_arrays[name]
         arr = arr.data if hasattr(arr, "data") and isinstance(getattr(arr, "data"), np.ndarray) else np.asarray(arr)
         code = {"float32": "<f4", "float64": "<f8"}[str(arr.dtype)]
         entries.append({"name": name, "shape": list(arr.shape), "dtype": code})
-        blobs.append(np.ascontiguousarray(arr, dtype=code).tobytes())
+        buffers.append(np.ascontiguousarray(arr, dtype=code))
     header = {"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for buf in buffers:
+            fh.write(memoryview(buf))
+
+
+def _read_header(fh, path):
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"unrecognized checkpoint format in {path}")
+    return header
+
+
+def load_meta(path):
+    """The meta dict of a checkpoint, read from its header alone."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)["meta"]
 
 
 def load_params(path):
     """Read a checkpoint written by save_params; returns (meta, arrays)."""
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"unrecognized checkpoint format in {path}")
+        header = _read_header(fh, path)
         arrays = OrderedDict()
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

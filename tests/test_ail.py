@@ -184,6 +184,13 @@ def test_replay_state_roundtrip_bit_exact():
         ReplayBuffer(9, aug_dim=3, obs_dim=2).load_state(buf.state_arrays(), buf.state_meta())
 
 
+def test_replay_state_is_a_view_of_the_filled_rows():
+    buf = ReplayBuffer(8, aug_dim=3, obs_dim=2)
+    buf.push(_row_batch([0, 1, 2]))
+    data = buf.state_arrays()["data"]
+    assert data.shape[0] == 3 and np.shares_memory(data, buf._data)
+
+
 def test_replay_rejects_empty_sample():
     with pytest.raises(ValueError):
         ReplayBuffer(4, aug_dim=3, obs_dim=2).sample(2, RNG(0))

@@ -2,6 +2,8 @@
 gradient penalty's second-order gradients, and the checkpoint format."""
 
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,3 +235,43 @@ class TestCheckpointFormat:
         _, loaded = nets.load_params(path)
         with pytest.raises(nets.CheckpointError, match="shape mismatch"):
             nets.assign_params(mlp.params(), loaded)
+
+    def test_streamed_buffers_equal_the_copying_writer(self, tmp_path):
+        # The writer before buffers were streamed: a tobytes() copy of every
+        # tensor first, then one write each.
+        def copying_save(path, named, meta):
+            entries, blobs = [], []
+            for name in sorted(named):
+                arr = np.asarray(named[name])
+                code = {"float32": "<f4", "float64": "<f8"}[str(arr.dtype)]
+                entries.append({"name": name, "shape": list(arr.shape), "dtype": code})
+                blobs.append(np.ascontiguousarray(arr, dtype=code).tobytes())
+            header = {"format": nets.CHECKPOINT_FORMAT, "meta": meta, "tensors": entries}
+            path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+                             + b"".join(blobs))
+
+        rng = np.random.default_rng(14)
+        arrays = {
+            "f4": rng.standard_normal((3, 4)).astype(np.float32),
+            "f8": rng.standard_normal(5),
+            "f4.scalar": np.array(1.5, dtype=np.float32),
+            "f8.scalar": np.array(-2.25),
+            "f4.empty": np.zeros((0, 3), dtype=np.float32),
+            "f8.empty": np.zeros(0),
+            "f4.transposed": rng.standard_normal((4, 3)).astype(np.float32).T,
+            "f8.rows": rng.standard_normal((6, 2))[1:4],
+        }
+        nets.save_params(tmp_path / "new.bin", arrays, {"kind": "test"})
+        copying_save(tmp_path / "old.bin", arrays, {"kind": "test"})
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+        assert nets.load_meta(tmp_path / "new.bin") == {"kind": "test"}
+
+    def test_save_holds_no_copy_of_a_contiguous_buffer(self, tmp_path):
+        ring = np.zeros((1 << 20,), dtype=np.float32)  # 4 MiB
+        tracemalloc.start()
+        try:
+            nets.save_params(tmp_path / "ck.bin", {"ring": ring[: 3 << 18]}, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ring.nbytes // 8
