@@ -1,22 +1,58 @@
 """Command-line orchestration of the racing imitation pipeline.
 
-Subcommands wrap the module operations: ``gen-track`` and ``gen-demos``
-produce the course and demonstration files, ``pretrain-bet`` fits the
-frozen sequence base, ``train`` runs one fine-tuning mode, ``eval`` and
-``report`` regenerate evaluation artifacts from checkpoints, ``bet-info``
-inspects a base checkpoint, and ``run`` executes a whole layout end to
-end (and resumes from the latest bundle when interrupted).
+A run is a chain of stages: the target course (``gen-track``), its
+demonstration laps (``gen-demos``), the sequence base fitted on the
+pretraining courses (``pretrain-bet``), and one fine-tuning mode
+(``train``). Each of these commands runs the chain up to its own stage and
+builds a product only when it is missing. ``run`` is ``train`` with the
+mode taken from the config. ``eval`` and ``report`` regenerate evaluation
+artifacts from a checkpoint bundle, and ``bet-info`` prints a base
+checkpoint's metadata.
 
-Every subcommand accepts ``--config`` (a JSON document; the single
-source of truth for a run), ``--seed``, and ``--out``. The default
-output root comes from the RACELAB_OUT environment variable (fallback
-``./runs``). One run owns an output directory at a time, enforced by a
-``.lock`` file. Exit codes: 0 success, 1 configuration error, 2 runtime
-failure.
+Every subcommand accepts ``--config`` (a JSON document; the single source
+of truth for a run), ``--seed`` and ``--out``. Exit codes: 0 success, 1
+configuration error, 2 runtime failure.
+
+Layouts. By default, outputs go under the RACELAB_OUT root (``./runs``
+when unset), in an experiment directory and one run directory per mode:
+
+  <root>/s<seed>-<stage8>/                 track.json, demos.ckpt, pretrain/,
+                                           bet.ckpt, bet_pretrain.json
+  <root>/s<seed>-<stage8>/<mode>-<hash8>/  config.json, bundle/, summary.json,
+                                           eval_cars.csv, training_curve.csv
+
+<hash8> starts the config hash; <stage8> starts the stage key, the hash of
+the config without mode, alpha, train and bc, which no stage product
+reads. So every mode trained on one course shares its demonstrations and
+its sequence base. ``--out DIR`` writes all of it flat into DIR instead.
+
+Reuse and resume. Each stage product records the stage key it was built
+under, and is reused only while every product in the experiment directory
+records the current one. A run directory's bundle is resumed only when
+its mode, alpha, seed and stage key match; a longer iteration budget still
+resumes (under ``--out``, where the directory does not name the config
+hash). Any mismatch exits 2 before anything is written, naming the file
+and both values. The experiment directory's ``.lock`` is held while
+stages are built, and the run directory's while training.
+
+Stage by stage, with smoke.json holding
+``{"profile": "smoke", "challenge": "maggiore-like"}``:
+
+  racelab gen-track    --config smoke.json
+  racelab gen-demos    --config smoke.json
+  racelab pretrain-bet --config smoke.json
+  racelab train        --config smoke.json --mode betail
+  racelab train        --config smoke.json --mode betsac
+
+The betail run's summary.json, bet.ckpt and bundle/residual.ckpt equal
+those of one ``run`` of the config with ``"mode": "betail"``, and the
+betsac run reuses the same bet.ckpt. gen-track's course flags override
+the config's course, so they change the stage key as well.
 """
 
 import argparse
 import contextlib
+import glob
 import json
 import os
 import sys
@@ -50,7 +86,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(prog="racelab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="racelab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
@@ -71,7 +108,7 @@ def _build_parser():
 
     add("pretrain-bet", "fit the sequence base on the pretraining course demos")
 
-    sp = add("train", "fine-tune a policy stack on the target course")
+    sp = add("train", "fine-tune a policy stack, building any missing stage first (resumable)")
     sp.add_argument("--mode", choices=list(TRAIN_MODES), default=None)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--bet", default=None, help="sequence-base checkpoint path")
@@ -91,7 +128,7 @@ def _build_parser():
     sp = add("bet-info", "print a sequence-base checkpoint's metadata")
     sp.add_argument("--bet", default=None, help="checkpoint path", required=False)
 
-    add("run", "execute the configured layout end to end (resumable)")
+    add("run", "train the config's mode, building any missing stage first (resumable)")
     return parser
 
 
@@ -110,14 +147,9 @@ def _load_cfg(args, need_mode, need_track=True):
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out"] = args.out
-    if getattr(args, "mode", None):
-        doc["mode"] = args.mode
-    if getattr(args, "alpha", None) is not None:
-        doc["alpha"] = args.alpha
+    for key in ("seed", "out", "mode", "alpha"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
     if getattr(args, "preset", None):
         doc["track"] = {"preset": args.preset}
     if getattr(args, "track_seed", None) is not None:
@@ -136,11 +168,13 @@ def _load_cfg(args, need_mode, need_track=True):
     return build_config(doc)
 
 
-def _out_dir(cfg):
+def _dirs(cfg):
+    """(experiment directory, run directory); --out makes them one."""
     if cfg.out:
-        return cfg.out
-    root = os.environ.get("RACELAB_OUT", "runs")
-    return os.path.join(root, f"{cfg.mode}-s{cfg.seed}-{cfg.hash[:8]}")
+        return cfg.out, cfg.out
+    exp_dir = os.path.join(os.environ.get("RACELAB_OUT", "runs"),
+                           f"s{cfg.seed}-{cfg.stage_hash[:8]}")
+    return exp_dir, os.path.join(exp_dir, f"{cfg.mode}-{cfg.hash[:8]}")
 
 
 def _claim(lock):
@@ -198,14 +232,14 @@ def _locked(out_dir):
     try:
         yield
     finally:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(lock)
-        except FileNotFoundError:
-            pass
 
 
-def _trace(cfg):
-    return {"config_hash": cfg.hash, "content_version": CONTENT_VERSION, "seed": cfg.seed}
+def _trace(cfg, stage=False):
+    """Provenance of an output: stage products record the stage key."""
+    return {"config_hash": cfg.stage_hash if stage else cfg.hash,
+            "content_version": CONTENT_VERSION, "seed": cfg.seed}
 
 
 def _track_from_spec(spec, default_seed=0):
@@ -220,31 +254,86 @@ def _track_from_spec(spec, default_seed=0):
     return gen_track(preset, seed=seed, half_width=half_width, **spec)
 
 
-def _ensure_track(cfg, out_dir, spec, rel_path):
-    path = os.path.join(out_dir, rel_path)
-    if os.path.exists(path):
-        return load_track(path), path
-    track = _track_from_spec(spec)
-    track.meta.update(_trace(cfg))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    save_track(track, path)
-    return track, path
-
-
-def _ensure_demos(cfg, out_dir, track, rel_path, laps):
-    path = os.path.join(out_dir, rel_path)
-    if os.path.exists(path):
-        return DemoSet.load(path), path
-    demos = generate_demos(track, cfg.vehicle, cfg.episode, cfg.expert, laps, cfg.demo_seed)
-    demos.meta.update(_trace(cfg))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    demos.save(path)
-    return demos, path
-
-
 def _require(path, what, hint):
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing {what}: {path} ({hint})")
+
+
+def _check_stage_keys(cfg, exp_dir):
+    """Refuse an experiment directory holding a stage product of another stage key."""
+    names = ["track.json", "demos.ckpt", "bet.ckpt"]
+    for path in ([os.path.join(exp_dir, name) for name in names]
+                 + sorted(glob.glob(os.path.join(exp_dir, "pretrain", "*")))):
+        if os.path.exists(path):
+            meta = load_track(path).meta if path.endswith(".json") else nets.load_meta(path)
+            if meta.get("config_hash") != cfg.stage_hash:
+                raise RuntimeError(f"{path} was built under stage key {meta.get('config_hash')}, "
+                                   f"not {cfg.stage_hash} (use another --out, or remove it)")
+
+
+def _check_bundle(cfg, run_dir):
+    """Refuse to resume a bundle that another run wrote."""
+    bundle = os.path.join(run_dir, "bundle")
+    if not os.path.exists(os.path.join(bundle, "manifest.json")):
+        return
+    manifest = ail.read_manifest(bundle)
+    spec = MODE_SPECS[cfg.mode]
+    alpha = None if not spec["residual"] else 1.0 if spec["base"] is None else cfg.alpha
+    want = {"mode": cfg.mode, "alpha": alpha, "seed": cfg.seed, "stage_hash": cfg.stage_hash}
+    for key, value in want.items():
+        if manifest.get(key) != value:
+            raise RuntimeError(f"{bundle}/manifest.json records {key} {manifest.get(key)!r}, "
+                               f"not {value!r} (use another --out, or remove the bundle)")
+
+
+def _ensure(cfg, path, load, save, build):
+    """The stage product at path: loaded when present, else built and saved."""
+    if os.path.exists(path):
+        print(f"reusing {path}")
+        return load(path)
+    product = build()
+    product.meta.update(_trace(cfg, stage=True))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    save(product, path)
+    return product
+
+
+def _ensure_course(cfg, exp_dir, track_file, demos_file, spec, laps):
+    """A course and, unless demos_file is None, its demonstrations."""
+    track = _ensure(cfg, os.path.join(exp_dir, track_file), load_track, save_track,
+                    lambda: _track_from_spec(spec))
+    if demos_file is None:
+        return track, None
+    return track, _ensure(
+        cfg, os.path.join(exp_dir, demos_file), DemoSet.load, DemoSet.save,
+        lambda: generate_demos(track, cfg.vehicle, cfg.episode, cfg.expert, laps, cfg.demo_seed))
+
+
+def _ensure_base(cfg, exp_dir):
+    """Fit the sequence base on the pretraining course(s) unless it exists; returns its path."""
+    bet_path = os.path.join(exp_dir, "bet.ckpt")
+    if os.path.exists(bet_path):
+        print(f"reusing {bet_path}")
+        return bet_path
+    demosets = [_ensure_course(cfg, exp_dir, os.path.join("pretrain", f"track_{i}.json"),
+                               os.path.join("pretrain", f"demos_{i}.ckpt"), spec,
+                               cfg.demo_laps_pretrain)[1]
+                for i, spec in enumerate(cfg.pretrain_track_specs)]
+    merged = demosets[0] if len(demosets) == 1 else DemoSet.merge(demosets)
+    model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
+
+    def progress(update, loss, ema):
+        print(f"  base pretrain update {update}: loss {loss:.5f} (ema {ema:.5f})", flush=True)
+
+    history = bet_mod.pretrain(model, merged, cfg.seed, progress=progress)
+    trace = _trace(cfg, stage=True)
+    bet_mod.save_bet(bet_path, model, merged.normalizer,
+                     extra={**trace, "updates_run": len(history), "final_loss": history[-1]})
+    with open(os.path.join(exp_dir, "bet_pretrain.json"), "w", encoding="utf-8") as fh:
+        json.dump({"loss_history": history, **trace}, fh, sort_keys=True)
+        fh.write("\n")
+    print(f"sequence base: {len(history)} updates, final loss {history[-1]:.5f} -> {bet_path}")
+    return bet_path
 
 
 def _write_config_snapshot(cfg, out_dir):
@@ -253,32 +342,6 @@ def _write_config_snapshot(cfg, out_dir):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _pretrain_bet(cfg, out_dir):
-    """Fit the sequence base on the pretraining course(s); returns its path."""
-    demosets = []
-    for i, spec in enumerate(cfg.pretrain_track_specs):
-        track, _ = _ensure_track(cfg, out_dir, spec, os.path.join("pretrain", f"track_{i}.json"))
-        demos, _ = _ensure_demos(cfg, out_dir, track, os.path.join("pretrain", f"demos_{i}.ckpt"),
-                                 cfg.demo_laps_pretrain)
-        demosets.append(demos)
-    merged = demosets[0] if len(demosets) == 1 else DemoSet.merge(demosets)
-    model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
-
-    def progress(update, loss, ema):
-        print(f"  base pretrain update {update}: loss {loss:.5f} (ema {ema:.5f})", flush=True)
-
-    history = bet_mod.pretrain(model, merged, cfg.seed, progress=progress)
-    bet_path = os.path.join(out_dir, "bet.ckpt")
-    bet_mod.save_bet(bet_path, model, merged.normalizer,
-                     extra={**_trace(cfg), "updates_run": len(history),
-                            "final_loss": history[-1]})
-    with open(os.path.join(out_dir, "bet_pretrain.json"), "w", encoding="utf-8") as fh:
-        json.dump({"loss_history": history, **_trace(cfg)}, fh, sort_keys=True)
-        fh.write("\n")
-    print(f"sequence base: {len(history)} updates, final loss {history[-1]:.5f} -> {bet_path}")
-    return bet_path
 
 
 def _train_bc_base(cfg, demos, out_dir):
@@ -292,53 +355,40 @@ def _train_bc_base(cfg, demos, out_dir):
     return net
 
 
-def _build_trainer(cfg, out_dir, track, demos, bet_path=None):
-    """Construct (or resume) the Trainer for an online mode."""
-    bundle_dir = os.path.join(out_dir, "bundle")
-    if os.path.exists(os.path.join(bundle_dir, "manifest.json")):
-        trainer, manifest = ail.load_bundle(bundle_dir, track, cfg.vehicle, cfg.episode,
-                                            demos, cfg.train)
-        print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
-        return trainer
-    spec = MODE_SPECS[cfg.mode]
-    bet = bet_normalizer = bc = None
-    if spec["base"] == "bet":
-        path = bet_path or os.path.join(out_dir, "bet.ckpt")
-        _require(path, "sequence-base checkpoint bet.ckpt", "run pretrain-bet first")
-        bet, bet_normalizer, _ = bet_mod.load_bet(path)
-    elif spec["base"] == "bc":
-        bc = _train_bc_base(cfg, demos, out_dir)
-    stack = build_policy_stack(cfg.mode, demos.normalizer, demos.obs_dim,
-                               stream(cfg.seed, "init", 0), alpha=cfg.alpha, bet=bet,
-                               bc=bc, hidden=cfg.train.policy_hidden,
-                               bet_normalizer=bet_normalizer)
-    return ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
-
-
 def _emit(cfg, out_dir, report, curve, extra_meta=None):
     meta = {**_trace(cfg), **(extra_meta or {})}
     paths = emit_report(report, curve, out_dir, meta=meta)
     print(f"report: success {report.success_rate:.2f}, "
           f"lap {report.lap_time_mean if report.lap_time_mean is not None else 'unfinished'}, "
           f"steering change {report.steering_change_mean:.4f} rad -> {paths[2]}")
-    return paths
 
 
-def _run_training(cfg, out_dir, track, demos, bet_path=None):
-    if not MODE_SPECS[cfg.mode]["online"]:
-        # Supervised-only mode: fit, evaluate once, report.
-        bc = _train_bc_base(cfg, demos, out_dir)
-        stack = PolicyStack("bc", demos.normalizer, bc=bc)
-        report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
-                                   n_cars=cfg.train.eval_cars,
-                                   max_steps=cfg.train.eval_max_steps,
-                                   seed=cfg.seed, tag=0)
-        curve = [{"iteration": 0, "env_steps": 0, "success_rate": report.success_rate,
-                  "lap_time_mean": report.lap_time_mean,
-                  "steering_change_mean": report.steering_change_mean}]
-        _emit(cfg, out_dir, report, curve, {"mode": cfg.mode})
-        return EXIT_OK
-    trainer = _build_trainer(cfg, out_dir, track, demos, bet_path)
+def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
+    """Train the configured mode in run_dir, resuming its bundle, and report."""
+    bundle_dir = os.path.join(run_dir, "bundle")
+    if os.path.exists(os.path.join(bundle_dir, "manifest.json")):
+        trainer, _ = ail.load_bundle(bundle_dir, track, cfg.vehicle, cfg.episode, demos, cfg.train)
+        print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
+    else:
+        spec = MODE_SPECS[cfg.mode]
+        bet, bet_normalizer, _ = bet_mod.load_bet(bet_path) if spec["base"] == "bet" else [None] * 3
+        bc = _train_bc_base(cfg, demos, run_dir) if spec["base"] == "bc" else None
+        stack = build_policy_stack(cfg.mode, demos.normalizer, demos.obs_dim,
+                                   stream(cfg.seed, "init", 0), alpha=cfg.alpha, bet=bet,
+                                   bc=bc, hidden=cfg.train.policy_hidden,
+                                   bet_normalizer=bet_normalizer)
+        if not spec["online"]:
+            # Supervised-only mode: evaluate once, report.
+            report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
+                                       n_cars=cfg.train.eval_cars,
+                                       max_steps=cfg.train.eval_max_steps,
+                                       seed=cfg.seed, tag=0)
+            curve = [{"iteration": 0, "env_steps": 0, "success_rate": report.success_rate,
+                      "lap_time_mean": report.lap_time_mean,
+                      "steering_change_mean": report.steering_change_mean}]
+            _emit(cfg, run_dir, report, curve, {"mode": cfg.mode})
+            return
+        trainer = ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
 
     def on_metrics(m):
         line = (f"  iter {m['iteration'] + 1}/{cfg.train.iterations}"
@@ -352,110 +402,101 @@ def _run_training(cfg, out_dir, track, demos, bet_path=None):
             line += f" | eval success {m['eval_success_rate']:.2f}"
         print(line, flush=True)
 
-    summary = trainer.run(out_dir=out_dir, on_metrics=on_metrics,
-                          extra_manifest=_trace(cfg))
+    # The course and demo files, relative to the bundle, for `eval --bundle`.
+    files = {key: os.path.relpath(os.path.join(exp_dir, name), bundle_dir)
+             for key, name in (("track", "track.json"), ("demos", "demos.ckpt"))}
+    summary = trainer.run(out_dir=run_dir, on_metrics=on_metrics,
+                          extra_manifest={**_trace(cfg), "stage_hash": cfg.stage_hash, **files})
     report = EvalReport.from_dict(summary["final_eval"])
-    _emit(cfg, out_dir, report, summary["curve"],
+    _emit(cfg, run_dir, report, summary["curve"],
           {"mode": cfg.mode, "alpha": summary["alpha"], "env_steps": summary["env_steps"],
            "iterations": summary["iterations"]})
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_gen_track(args):
-    cfg = _load_cfg(args, need_mode=False)
-    out_dir = _out_dir(cfg)
-    with _locked(out_dir):
-        track, path = _ensure_track(cfg, out_dir, cfg.track_spec, "track.json")
-    print(f"track {eval_mod.track_id(track)}: length {track.length:.1f} m, "
-          f"half width {track.half_width:.1f} m -> {path}")
+# The last stage each pipeline command builds.
+_STAGE = {"gen-track": "track", "gen-demos": "demos", "pretrain-bet": "bet",
+          "train": "train", "run": "train"}
+
+
+def cmd_pipeline(args):
+    """Build the stages up to the command's own, each only when it is missing.
+
+    Every stage product in the experiment directory, and the run's bundle,
+    is checked before anything is written.
+    """
+    stage = _STAGE[args.command]
+    cfg = _load_cfg(args, need_mode=stage == "train")
+    exp_dir, run_dir = _dirs(cfg)
+    bet_path = getattr(args, "bet", None)
+    if bet_path is not None:
+        _require(bet_path, "sequence-base checkpoint", "check --bet")
+    with _locked(exp_dir):
+        _check_stage_keys(cfg, exp_dir)
+        if stage == "train":
+            _check_bundle(cfg, run_dir)
+        track, demos = _ensure_course(cfg, exp_dir, "track.json",
+                                      None if stage == "track" else "demos.ckpt",
+                                      cfg.track_spec, cfg.demo_laps)
+        if stage == "bet" or (stage == "train" and cfg.needs_bet() and bet_path is None):
+            bet_path = _ensure_base(cfg, exp_dir)
+    if stage == "track":
+        print(f"track {eval_mod.track_id(track)}: length {track.length:.1f} m, "
+              f"half width {track.half_width:.1f} m -> {os.path.join(exp_dir, 'track.json')}")
+    elif stage == "demos":
+        times = demos.lap_times(cfg.episode.dt)
+        print(f"{len(times)} demonstration laps, {np.mean(times):.1f} s mean lap -> "
+              f"{os.path.join(exp_dir, 'demos.ckpt')}")
+    elif stage == "train":
+        with _locked(run_dir):
+            _write_config_snapshot(cfg, run_dir)
+            _run_training(cfg, exp_dir, run_dir, track, demos, bet_path)
     return EXIT_OK
-
-
-def cmd_gen_demos(args):
-    cfg = _load_cfg(args, need_mode=False)
-    out_dir = _out_dir(cfg)
-    with _locked(out_dir):
-        track, _ = _ensure_track(cfg, out_dir, cfg.track_spec, "track.json")
-        demos, path = _ensure_demos(cfg, out_dir, track, "demos.ckpt", cfg.demo_laps)
-    times = demos.lap_times(cfg.episode.dt)
-    print(f"{len(times)} demonstration laps, {np.mean(times):.1f} s mean lap -> {path}")
-    return EXIT_OK
-
-
-def cmd_pretrain_bet(args):
-    cfg = _load_cfg(args, need_mode=False)
-    out_dir = _out_dir(cfg)
-    with _locked(out_dir):
-        _write_config_snapshot(cfg, out_dir)
-        _pretrain_bet(cfg, out_dir)
-    return EXIT_OK
-
-
-def cmd_train(args):
-    cfg = _load_cfg(args, need_mode=True)
-    out_dir = _out_dir(cfg)
-    with _locked(out_dir):
-        _write_config_snapshot(cfg, out_dir)
-        track_path = os.path.join(out_dir, "track.json")
-        demos_path = os.path.join(out_dir, "demos.ckpt")
-        _require(track_path, "course file track.json", "run gen-track first")
-        _require(demos_path, "demonstration file demos.ckpt", "run gen-demos first")
-        track = load_track(track_path)
-        demos = DemoSet.load(demos_path)
-        return _run_training(cfg, out_dir, track, demos, bet_path=args.bet)
 
 
 def cmd_eval(args):
     if args.bundle is None and args.bet is None:
         raise ConfigError("eval needs --bundle or --bet")
     cfg = _load_cfg(args, need_mode=False, need_track=False)
+    track_path, demos_path = args.track, args.demos
     if args.bundle is not None:
-        base_dir = os.path.dirname(os.path.abspath(args.bundle))
-        track_path = args.track or os.path.join(base_dir, "track.json")
-        demos_path = args.demos or os.path.join(base_dir, "demos.ckpt")
-        manifest_path = os.path.join(args.bundle, "manifest.json")
-        _require(manifest_path, "bundle manifest",
+        _require(os.path.join(args.bundle, "manifest.json"), "bundle manifest",
                  "point --bundle at a checkpoint bundle directory")
-        stored = ail.read_manifest(args.bundle)
-        _require(track_path, "course file", "pass --track")
-        _require(demos_path, "demonstration file", "pass --demos")
-        track = load_track(track_path)
-        demos = DemoSet.load(demos_path)
-        # The bundle records the physics it was trained under; use those.
-        vparams = VehicleParams(**stored["vehicle"])
-        ecfg = EpisodeConfig(**stored["episode"])
-        trainer, manifest = ail.load_bundle(args.bundle, track, vparams, ecfg, demos)
-        if args.cars is not None:
-            trainer.cfg.eval_cars = args.cars
-        if args.max_steps is not None:
-            trainer.cfg.eval_max_steps = args.max_steps
-        if args.tag is not None:
-            trainer.iteration_count = args.tag
-        report = trainer.evaluate_now()
-        out_dir = args.out or os.path.join(base_dir, "eval")
+        manifest = ail.read_manifest(args.bundle)
+        # A bundle records its course and demo files relative to itself.
+        track_path = track_path or os.path.join(args.bundle, manifest.get("track", "../track.json"))
+        demos_path = demos_path or os.path.join(args.bundle, manifest.get("demos", "../demos.ckpt"))
+    else:
+        _require(args.bet, "sequence-base checkpoint", "pass --bet")
+        if track_path is None or demos_path is None:
+            raise ConfigError("eval --bet needs --track and --demos")
+    _require(track_path, "course file", "pass --track")
+    _require(demos_path, "demonstration file", "pass --demos")
+    track, demos = load_track(track_path), DemoSet.load(demos_path)
+    if args.bundle is not None:
+        # Only the policy stack is loaded. The physics and the protocol
+        # are the ones the bundle was trained under.
+        stack = ail.load_stack(args.bundle, manifest)
+        vparams, ecfg = VehicleParams(**manifest["vehicle"]), EpisodeConfig(**manifest["episode"])
+        n_cars, max_steps = manifest["config"]["eval_cars"], manifest["config"]["eval_max_steps"]
+        seed, tag = manifest["seed"], manifest["iteration"]
+        out_dir = os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "eval")
         meta = {"mode": manifest["mode"], "alpha": manifest["alpha"],
                 "env_steps": manifest["env_steps"]}
         curve = manifest.get("curve", [])
     else:
-        _require(args.bet, "sequence-base checkpoint", "pass --bet")
-        if args.track is None or args.demos is None:
-            raise ConfigError("eval --bet needs --track and --demos")
-        track = load_track(args.track)
-        demos = DemoSet.load(args.demos)
         model, bet_norm, _ = bet_mod.load_bet(args.bet)
         stack = PolicyStack("bet", demos.normalizer, bet=model, bet_normalizer=bet_norm)
-        report = eval_mod.evaluate(
-            stack, track, cfg.vehicle, cfg.episode, demos,
-            n_cars=args.cars or cfg.train.eval_cars,
-            max_steps=args.max_steps or cfg.train.eval_max_steps,
-            seed=cfg.seed, tag=args.tag or 0)
-        out_dir = args.out or "eval"
-        meta = {"mode": "bet", "alpha": None}
-        curve = []
-    _emit(cfg, out_dir, report, curve, meta)
+        vparams, ecfg, seed, tag = cfg.vehicle, cfg.episode, cfg.seed, 0
+        n_cars, max_steps = cfg.train.eval_cars, cfg.train.eval_max_steps
+        out_dir, meta, curve = "eval", {"mode": "bet", "alpha": None}, []
+    report = eval_mod.evaluate(stack, track, vparams, ecfg, demos,
+                               n_cars=n_cars if args.cars is None else args.cars,
+                               max_steps=max_steps if args.max_steps is None else args.max_steps,
+                               seed=seed, tag=tag if args.tag is None else args.tag)
+    _emit(cfg, args.out or out_dir, report, curve, meta)
     return EXIT_OK
 
 
@@ -496,30 +537,11 @@ def cmd_bet_info(args):
     return EXIT_OK
 
 
-def cmd_run(args):
-    cfg = _load_cfg(args, need_mode=True)
-    out_dir = _out_dir(cfg)
-    with _locked(out_dir):
-        _write_config_snapshot(cfg, out_dir)
-        track, _ = _ensure_track(cfg, out_dir, cfg.track_spec, "track.json")
-        demos, _ = _ensure_demos(cfg, out_dir, track, "demos.ckpt", cfg.demo_laps)
-        bet_path = None
-        if cfg.needs_bet():
-            bet_path = os.path.join(out_dir, "bet.ckpt")
-            if not os.path.exists(bet_path):
-                bet_path = _pretrain_bet(cfg, out_dir)
-        return _run_training(cfg, out_dir, track, demos, bet_path=bet_path)
-
-
 _COMMANDS = {
-    "gen-track": cmd_gen_track,
-    "gen-demos": cmd_gen_demos,
-    "pretrain-bet": cmd_pretrain_bet,
-    "train": cmd_train,
+    **{name: cmd_pipeline for name in _STAGE},
     "eval": cmd_eval,
     "report": cmd_report,
     "bet-info": cmd_bet_info,
-    "run": cmd_run,
 }
 
 

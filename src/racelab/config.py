@@ -150,6 +150,11 @@ def config_hash(resolved):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+# Fields no stage product reads, so runs that differ only in them share
+# one course, one demonstration set and one sequence base.
+_TRAINING_ONLY = ("mode", "alpha", "train", "bc")
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """Fully resolved, typed view of one run's configuration."""
@@ -176,6 +181,12 @@ class ExperimentConfig:
     @property
     def hash(self):
         return config_hash(self.resolved)
+
+    @property
+    def stage_hash(self):
+        """Hash of what the course, demonstrations and sequence base depend
+        on: the config without the fields that only training reads."""
+        return config_hash({k: v for k, v in self.resolved.items() if k not in _TRAINING_ONLY})
 
     def needs_bet(self):
         return MODE_SPECS[self.mode]["base"] == "bet"

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from racelab import bet, cli, nets
+from racelab import ail, bet, cli, nets
 from racelab.env import Normalizer
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
@@ -107,3 +108,169 @@ def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
     (bundle / "manifest.json").write_text(json.dumps({"format": "racelab-bundle-v1"}))
     assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: not a racelab-bundle-v2 checkpoint bundle: {bundle}\n"
+
+
+# ---------------------------------------------------------------------------
+# The stage pipeline, at a tiny smoke config
+
+TINY = {"profile": "smoke", "challenge": "maggiore-like", "seed": 0,
+        "demos": {"laps": 1}, "bet": {"updates": 3},
+        "train": {"iterations": 2, "eval_every": 1, "rollout_steps": 30, "eval_max_steps": 30,
+                  "disc_updates": 2, "sac": {"batch": 64, "gradient_steps": 2}}}
+COMPARED = ("summary.json", "bet.ckpt", os.path.join("bundle", "residual.ckpt"))
+
+
+@pytest.fixture(autouse=True)
+def _outputs_in_tmp(tmp_path, monkeypatch):
+    """Default output directories land in the test's own directory."""
+    monkeypatch.setenv("RACELAB_OUT", str(tmp_path / "runs"))
+    monkeypatch.chdir(tmp_path)
+
+
+def _write(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _tree(root):
+    """Relative path -> sha256 of every file under root."""
+    return {os.path.relpath(os.path.join(d, f), root):
+            hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+            for d, _, files in os.walk(root) for f in files}
+
+
+@pytest.fixture(scope="module")
+def betail_run(tmp_path_factory):
+    """One uninterrupted `run` of the tiny config in mode betail, with --out."""
+    root = tmp_path_factory.mktemp("betail")
+    cfg = _write(root / "config.json", {**TINY, "mode": "betail"})
+    assert cli.main(["run", "--config", cfg, "--out", str(root / "run")]) == cli.EXIT_OK
+    return root / "run"
+
+
+@pytest.fixture
+def run_copy(betail_run, tmp_path):
+    return shutil.copytree(betail_run, tmp_path / "X")
+
+
+def test_stages_one_by_one_equal_one_run_and_share_the_base(betail_run, tmp_path,
+                                                            monkeypatch, capsys):
+    cfg = _write(tmp_path / "stages.json", TINY)  # names no mode
+    for command in (["gen-track"], ["gen-demos"], ["pretrain-bet"],
+                    ["train", "--mode", "betail"]):
+        assert cli.main(command + ["--config", cfg]) == cli.EXIT_OK
+    (exp,) = (tmp_path / "runs").iterdir()
+    (run,) = exp.glob("betail-*")
+    assert exp.name.startswith("s0-")
+    for rel in COMPARED:
+        base_dir = exp if rel == "bet.ckpt" else run
+        assert (base_dir / rel).read_bytes() == (betail_run / rel).read_bytes(), rel
+
+    # The bundle names its course and demo files, so eval finds them here.
+    assert cli.main(["eval", "--bundle", str(run / "bundle"), "--out", "e"]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "e" / "summary.json").read_text())["report"] == \
+        json.loads((run / "summary.json").read_text())["report"]
+
+    # A second mode in the same experiment reuses the base.
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("the base was pretrained again")
+
+    monkeypatch.setattr(bet, "pretrain", no_pretrain)
+    stages = _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]}
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--mode", "betsac"]) == cli.EXIT_OK
+    assert f"reusing {exp / 'bet.ckpt'}" in capsys.readouterr().out
+    assert _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]} == stages
+    (betsac,) = exp.glob("betsac-*")
+    assert json.loads((betsac / "summary.json").read_text())["mode"] == "betsac"
+
+
+def test_interrupted_run_resumes_bit_identically(betail_run, tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path / "config.json", {**TINY, "mode": "betail"})
+    out = tmp_path / "run"
+    iteration = ail.Trainer.iteration
+
+    def interrupt_second(trainer, it):
+        if it == 1:
+            raise KeyboardInterrupt
+        return iteration(trainer, it)
+
+    monkeypatch.setattr(ail.Trainer, "iteration", interrupt_second)
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "interrupted\n"
+    assert json.loads((out / "bundle" / "manifest.json").read_text())["iteration"] == 1
+    assert not (out / "summary.json").exists() and not (out / ".lock").exists()
+
+    monkeypatch.setattr(ail.Trainer, "iteration", iteration)
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert "resuming from" in capsys.readouterr().out
+    for rel in ("summary.json", os.path.join("bundle", "residual.ckpt"),
+                os.path.join("bundle", "replay.ckpt")):
+        assert (out / rel).read_bytes() == (betail_run / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--mode", "ail"], ["manifest.json", "mode 'betail', not 'ail'"]),
+    (["train", "--alpha", "0.1"], ["manifest.json", "alpha 0.05, not 0.1"]),
+    (["run", "--seed", "5"], ["track.json", "stage key"]),
+])
+def test_a_run_of_another_config_leaves_the_directory_unchanged(run_copy, tmp_path, capsys,
+                                                                argv, named):
+    cfg = _write(tmp_path / "config.json", {**TINY, "mode": "betail"})
+    before = _tree(run_copy)
+    assert cli.main(argv + ["--config", cfg, "--out", str(run_copy)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(part in err for part in named)
+    if argv[0] == "run":  # both stage keys
+        track_key = json.loads((run_copy / "track.json").read_text())["meta"]["config_hash"]
+        assert track_key in err and err.count("stage key") == 1
+    assert _tree(run_copy) == before
+
+
+def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_path):
+    for name in ("replay.ckpt", "optim.ckpt", "q1.ckpt", "q2.ckpt", "disc.ckpt"):
+        (run_copy / "bundle" / name).unlink()
+    bundle = str(run_copy / "bundle")
+    assert cli.main(["eval", "--bundle", bundle, "--out", "e"]) == cli.EXIT_OK
+    assert cli.main(["report", "--bundle", bundle, "--out", "r"]) == cli.EXIT_OK
+    reports = [json.loads((d / "summary.json").read_text())["report"]
+               for d in (run_copy, tmp_path / "e", tmp_path / "r")]
+    assert reports[0] == reports[1] == reports[2]
+    assert (tmp_path / "e" / "eval_cars.csv").read_bytes() == \
+        (run_copy / "eval_cars.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["gen-track", "--config", "bad.json"], 1, "is not valid JSON"),
+    (["gen-track", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
+    (["gen-demos", "--config", "unknown.json"], 1, "unknown config key 'trian'"),
+    (["gen-demos", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
+    (["pretrain-bet", "--config", "bad.json"], 1, "is not valid JSON"),
+    (["pretrain-bet", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
+    (["train", "--config", "tiny.json"], 1, "config field 'mode' is required"),
+    (["train", "--mode", "betail", "--bet", "nope.ckpt", "--config", "tiny.json"], 2,
+     "missing sequence-base checkpoint: nope.ckpt (check --bet)"),
+    (["run", "--config", "unknown.json"], 1, "unknown config key 'trian'"),
+    (["run", "--seed", "5", "--config", "betail.json", "--out", "X"], 2, "stage key"),
+    (["eval"], 1, "eval needs --bundle or --bet"),
+    (["eval", "--bundle", "nope"], 2, "missing bundle manifest: nope/manifest.json"),
+    (["eval", "--bet", "X/bet.ckpt", "--track", "nope.json", "--demos", "X/demos.ckpt"], 2,
+     "missing course file: nope.json (pass --track)"),
+    (["eval", "--bet", "X/bet.ckpt", "--track", "X/track.json", "--demos", "nope.ckpt"], 2,
+     "missing demonstration file: nope.ckpt (pass --demos)"),
+    (["report"], 1, "report needs --bundle"),
+    (["report", "--bundle", "nope"], 2, "missing bundle manifest: nope/manifest.json"),
+    (["bet-info"], 1, "bet-info needs --bet"),
+    (["bet-info", "--bet", "nope.ckpt"], 2, "missing sequence-base checkpoint: nope.ckpt"),
+])
+def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, message):
+    _write(tmp_path / "bad.json", "{not json")
+    _write(tmp_path / "unknown.json", {**TINY, "trian": {}})
+    _write(tmp_path / "tiny.json", TINY)
+    _write(tmp_path / "betail.json", {**TINY, "mode": "betail"})
+    before = _tree(tmp_path)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 1 else "error: ")
+    assert message in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
