@@ -17,7 +17,7 @@ from racelab.env import Normalizer
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
     "summary.json": "23dc634ad2a820e67b35036637e51736c9dedac5190cd1d46503bcc0008d755b",
-    "bet.ckpt": "0d6d1547eea8b146d3a6799390aa8c5f9ab9b045d32ef001e3627d11b64e2b57",
+    "bet.ckpt": "98160e768bdd87c601a4405159fe6bf29a5f5b72f83dc36af856c91d627f699b",
     "bundle/residual.ckpt": "964298cf3624977ef784b45ba9010b30a9bbeaef5c81212649eeb9aad52e80ef",
 }
 
