@@ -633,8 +633,8 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
     manifest = read_manifest(path)
     if cfg is None:
         cfg = TrainConfig.from_dict(manifest["config"])
-    trainer = Trainer(load_stack(path, manifest, cfg.policy_hidden), track, vparams, ecfg, demos, cfg,
-                      manifest["seed"])
+    stack = load_stack(path, manifest, cfg.policy_hidden)
+    trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, manifest["seed"])
     for fname, (_, net) in _bundle_nets(trainer).items():
         _, arrays = nets.load_params(os.path.join(path, fname))
         nets.assign_params(net.params(), arrays)

@@ -259,6 +259,14 @@ def _require(path, what, hint):
         raise FileNotFoundError(f"missing {what}: {path} ({hint})")
 
 
+def _write_config_snapshot(cfg, out_dir):
+    path = os.path.join(out_dir, "config.json")
+    snapshot = {"resolved": cfg.resolved, **_trace(cfg)}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(snapshot, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def _check_stage_keys(cfg, exp_dir):
     """Refuse an experiment directory holding a stage product of another stage key."""
     names = ["track.json", "demos.ckpt", "bet.ckpt"]
@@ -334,14 +342,6 @@ def _ensure_base(cfg, exp_dir):
         fh.write("\n")
     print(f"sequence base: {len(history)} updates, final loss {history[-1]:.5f} -> {bet_path}")
     return bet_path
-
-
-def _write_config_snapshot(cfg, out_dir):
-    path = os.path.join(out_dir, "config.json")
-    snapshot = {"resolved": cfg.resolved, **_trace(cfg)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _train_bc_base(cfg, demos, out_dir):

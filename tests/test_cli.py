@@ -227,6 +227,14 @@ def test_a_run_of_another_config_leaves_the_directory_unchanged(run_copy, tmp_pa
     assert _tree(run_copy) == before
 
 
+def test_a_longer_iteration_budget_resumes_the_bundle(run_copy, tmp_path, capsys):
+    longer = {**TINY, "mode": "betail", "train": {**TINY["train"], "iterations": 3}}
+    cfg = _write(tmp_path / "config.json", longer)
+    assert cli.main(["run", "--config", cfg, "--out", str(run_copy)]) == cli.EXIT_OK
+    assert f"resuming from {run_copy / 'bundle'} at iteration 2" in capsys.readouterr().out
+    assert json.loads((run_copy / "summary.json").read_text())["iterations"] == 3
+
+
 def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_path):
     for name in ("replay.ckpt", "optim.ckpt", "q1.ckpt", "q2.ckpt", "disc.ckpt"):
         (run_copy / "bundle" / name).unlink()
