@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -135,7 +136,7 @@ def _write(path, doc):
 def _tree(root):
     """Relative path -> sha256 of every file under root."""
     return {os.path.relpath(os.path.join(d, f), root):
-            hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+            hashlib.sha256(pathlib.Path(d, f).read_bytes()).hexdigest()
             for d, _, files in os.walk(root) for f in files}
 
 
