@@ -18,6 +18,7 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 
 import numpy as np
 
@@ -528,8 +529,22 @@ def _optimizers(trainer):
     return groups
 
 
+def _recover(path):
+    """Put back the bundle a save moved aside, when the save stopped before
+    its new bundle took the old one's place."""
+    if not os.path.exists(path) and os.path.isdir(path + ".old"):
+        os.replace(path + ".old", path)
+
+
+def has_bundle(path):
+    """Whether a bundle directory with a manifest is at path."""
+    _recover(path)
+    return os.path.exists(os.path.join(path, "manifest.json"))
+
+
 def read_manifest(path):
     """The manifest of the bundle directory at path; other formats are refused."""
+    _recover(path)
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -545,19 +560,27 @@ def save_bundle(path, trainer, extra_manifest=None):
 
     Contains every parameter set (frozen base included, so the policy is
     reconstructible from the bundle alone), optimizer moments, the
-    replay ring, counters, and the training curve. The manifest is
-    written last so a complete manifest implies a complete bundle.
+    replay ring, counters, and the training curve. The files go to a
+    fresh ``path.tmp`` directory; the old bundle then moves to
+    ``path.old``, the new one to path, and ``path.old`` is removed. A save
+    that stops at any point leaves the old bundle or the new one at path,
+    or, between the two moves, the old one at ``path.old``, which every
+    reader puts back.
     """
-    os.makedirs(path, exist_ok=True)
+    tmp, old = path + ".tmp", path + ".old"
+    _recover(path)
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    os.makedirs(tmp)
     stack = trainer.stack
-    nets.save_params(os.path.join(path, "residual.ckpt"), stack.residual.params(),
+    nets.save_params(os.path.join(tmp, "residual.ckpt"), stack.residual.params(),
                      {"kind": "residual", "alpha": stack.residual.alpha})
     for fname, (kind, net) in _bundle_nets(trainer).items():
-        nets.save_params(os.path.join(path, fname), net.params(), {"kind": kind})
+        nets.save_params(os.path.join(tmp, fname), net.params(), {"kind": kind})
     if stack.bet is not None:
-        bet_mod.save_bet(os.path.join(path, "bet.ckpt"), stack.bet, stack.bet_normalizer)
+        bet_mod.save_bet(os.path.join(tmp, "bet.ckpt"), stack.bet, stack.bet_normalizer)
     if stack.bc is not None:
-        nets.save_params(os.path.join(path, "bc.ckpt"), stack.bc.params(),
+        nets.save_params(os.path.join(tmp, "bc.ckpt"), stack.bc.params(),
                          {"kind": "bc", "dims": stack.bc.dims})
     optim_arrays, optim_steps = {}, {}
     for group, opt in _optimizers(trainer).items():
@@ -566,9 +589,9 @@ def save_bundle(path, trainer, extra_manifest=None):
         for moment in ("m", "v"):
             optim_arrays.update({f"{group}.{moment}.{name}": arr
                                  for name, arr in state[moment].items()})
-    nets.save_params(os.path.join(path, "optim.ckpt"), optim_arrays,
+    nets.save_params(os.path.join(tmp, "optim.ckpt"), optim_arrays,
                      {"kind": "optim", "steps": optim_steps})
-    nets.save_params(os.path.join(path, "replay.ckpt"), trainer.replay.state_arrays(),
+    nets.save_params(os.path.join(tmp, "replay.ckpt"), trainer.replay.state_arrays(),
                      {"kind": "replay", **trainer.replay.state_meta()})
     manifest = {
         "format": BUNDLE_FORMAT,
@@ -586,11 +609,13 @@ def save_bundle(path, trainer, extra_manifest=None):
         "log_temp": float(trainer.sac.log_temp.data[0]),
         **(extra_manifest or {}),
     }
-    tmp = os.path.join(path, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(os.path.join(tmp, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    os.replace(tmp, os.path.join(path, "manifest.json"))
+    if os.path.exists(path):
+        os.replace(path, old)
+    os.replace(tmp, path)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_stack(path, manifest, hidden=None):

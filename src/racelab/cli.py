@@ -282,7 +282,7 @@ def _check_stage_keys(cfg, exp_dir):
 def _check_bundle(cfg, run_dir):
     """Refuse to resume a bundle that another run wrote."""
     bundle = os.path.join(run_dir, "bundle")
-    if not os.path.exists(os.path.join(bundle, "manifest.json")):
+    if not ail.has_bundle(bundle):
         return
     manifest = ail.read_manifest(bundle)
     spec = MODE_SPECS[cfg.mode]
@@ -366,7 +366,7 @@ def _emit(cfg, out_dir, report, curve, extra_meta=None):
 def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
     """Train the configured mode in run_dir, resuming its bundle, and report."""
     bundle_dir = os.path.join(run_dir, "bundle")
-    if os.path.exists(os.path.join(bundle_dir, "manifest.json")):
+    if ail.has_bundle(bundle_dir):
         trainer, _ = ail.load_bundle(bundle_dir, track, cfg.vehicle, cfg.episode, demos, cfg.train)
         print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
     else:
@@ -462,8 +462,9 @@ def cmd_eval(args):
     cfg = _load_cfg(args, need_mode=False, need_track=False)
     track_path, demos_path = args.track, args.demos
     if args.bundle is not None:
-        _require(os.path.join(args.bundle, "manifest.json"), "bundle manifest",
-                 "point --bundle at a checkpoint bundle directory")
+        if not ail.has_bundle(args.bundle):
+            raise FileNotFoundError(f"missing bundle manifest: {args.bundle}/manifest.json "
+                                    "(point --bundle at a checkpoint bundle directory)")
         manifest = ail.read_manifest(args.bundle)
         # A bundle records its course and demo files relative to itself.
         track_path = track_path or os.path.join(args.bundle, manifest.get("track", "../track.json"))
@@ -503,8 +504,9 @@ def cmd_eval(args):
 def cmd_report(args):
     if args.bundle is None:
         raise ConfigError("report needs --bundle")
-    _require(os.path.join(args.bundle, "manifest.json"), "bundle manifest",
-             "point --bundle at a bundle directory")
+    if not ail.has_bundle(args.bundle):
+        raise FileNotFoundError(f"missing bundle manifest: {args.bundle}/manifest.json "
+                                "(point --bundle at a bundle directory)")
     manifest = ail.read_manifest(args.bundle)
     if manifest.get("last_eval") is None:
         raise RuntimeError(f"bundle {args.bundle} holds no evaluation yet; run eval")

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -457,6 +458,73 @@ def test_tuned_temperature_resumes_bit_identically(tiny_world, tmp_path):
     assert straight.sac.opt_temp.step_count == resumed.sac.opt_temp.step_count == 10
     assert straight.sac.log_temp.data[0] == resumed.sac.log_temp.data[0]
     assert straight.sac.log_temp.data[0] != np.log(cfg.sac.entropy_temp)
+
+
+def _trainer_state(trainer):
+    """Everything a bundle stores of a trainer, as comparable values."""
+    sac = trainer.sac
+    nets_ = {"res": trainer.stack.residual, "q1": sac.q1, "q2": sac.q2, "q1t": sac.q1_t,
+             "q2t": sac.q2_t, "disc": trainer.disc}
+    state = {f"{net}.{name}": p.data.tobytes() for net, n in nets_.items()
+             for name, p in n.params().items()}
+    for group, opt in {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2,
+                       "temp": sac.opt_temp, "disc": trainer.opt_disc}.items():
+        opt_state = opt.state_dict()
+        state[f"{group}.steps"] = opt_state["step_count"]
+        for moment in ("m", "v"):
+            state.update({f"{group}.{moment}.{k}": a.tobytes()
+                          for k, a in opt_state[moment].items()})
+    state.update({f"replay.{k}": a.tobytes() for k, a in trainer.replay.state_arrays().items()})
+    state.update(replay_meta=trainer.replay.state_meta(), env_steps=trainer.env_steps,
+                 iteration=trainer.iteration_count, curve=trainer.curve,
+                 last_eval=trainer.last_eval, log_temp=float(sac.log_temp.data[0]))
+    return state
+
+
+class _StopAfter:
+    """A function that raises OSError once it has run count times."""
+
+    def __init__(self, real, count=None):
+        self.real, self.count, self.calls = real, count, 0
+
+    def __call__(self, *args, **kwargs):
+        if self.calls == self.count:
+            raise OSError(f"injected failure after {self.calls} calls")
+        self.calls += 1
+        return self.real(*args, **kwargs)
+
+
+def test_a_save_stopped_at_any_step_leaves_the_previous_bundle(tiny_world, tmp_path,
+                                                               monkeypatch):
+    track, vparams, ecfg, demos = tiny_world
+    old, new = _tiny_trainer(tiny_world, seed=3), _tiny_trainer(tiny_world, seed=3)
+    old.iteration(0)
+    new.iteration(0)
+    new.iteration(1)
+    path = str(tmp_path / "bundle")
+    files = _StopAfter(nets.save_params)
+    monkeypatch.setattr(nets, "save_params", files)
+    save_bundle(path, old)
+    monkeypatch.undo()
+    assert files.calls == 8  # residual, four critics, disc, optim, replay
+    previous = _trainer_state(old)
+
+    def loaded():
+        return _trainer_state(load_bundle(path, track, vparams, ecfg, demos)[0])
+
+    # Stop after each file, and at each of the two moves into place.
+    stops = [(nets, "save_params", k) for k in range(files.calls)]
+    stops += [(os, "replace", k) for k in range(2)]
+    for module, name, k in stops:
+        save_bundle(path, old)
+        monkeypatch.setattr(module, name, _StopAfter(getattr(module, name), k))
+        with pytest.raises(OSError, match="injected"):
+            save_bundle(path, new)
+        monkeypatch.undo()
+        assert loaded() == previous, (name, k)
+        save_bundle(path, new)
+        assert loaded() == _trainer_state(new), (name, k)
+        assert os.listdir(tmp_path) == ["bundle"]
 
 
 def test_load_bundle_rejects_foreign_directory(tiny_world, tmp_path):

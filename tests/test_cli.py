@@ -249,6 +249,13 @@ def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_pa
         (run_copy / "eval_cars.csv").read_bytes()
 
 
+def test_a_bundle_that_a_stopped_save_moved_aside_is_put_back(run_copy):
+    (run_copy / "bundle").rename(run_copy / "bundle.old")
+    assert cli.main(["report", "--bundle", str(run_copy / "bundle"),
+                     "--out", str(run_copy / "r")]) == cli.EXIT_OK
+    assert sorted(p.name for p in run_copy.glob("bundle*")) == ["bundle"]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["gen-track", "--config", "bad.json"], 1, "is not valid JSON"),
     (["gen-track", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
