@@ -601,8 +601,6 @@ def save_bundle(path, trainer, extra_manifest=None):
         "iteration": trainer.iteration_count,
         "env_steps": trainer.env_steps,
         "config": trainer.cfg.to_dict(),
-        "vehicle": dataclasses.asdict(trainer.env.params),
-        "episode": dataclasses.asdict(trainer.env.cfg),
         "normalizer": stack.normalizer.to_dict(),
         "curve": trainer.curve,
         "last_eval": trainer.last_eval,

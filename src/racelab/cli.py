@@ -18,22 +18,31 @@ when unset), in an experiment directory and one run directory per mode:
 
   <root>/s<seed>-<stage8>/                 track.json, demos.ckpt, pretrain/,
                                            bet.ckpt, bet_pretrain.json
-  <root>/s<seed>-<stage8>/<mode>-<hash8>/  config.json, bundle/, summary.json,
+  <root>/s<seed>-<stage8>/<mode>-<run8>/   config.json, bundle/, summary.json,
                                            eval_cars.csv, training_curve.csv
 
-<hash8> starts the config hash; <stage8> starts the stage key, the hash of
-the config without mode, alpha, train and bc, which no stage product
-reads. So every mode trained on one course shares its demonstrations and
-its sequence base. ``--out DIR`` writes all of it flat into DIR instead.
+<stage8> starts the stage key, the hash of the config without mode,
+alpha, train and bc, which no stage product reads. So every mode trained
+on one course shares its demonstrations and its sequence base. <run8>
+starts the run key, the hash of the config without its stopping rules
+(train.iterations and train.eval_every). ``--out DIR`` writes all of it
+flat into DIR instead.
 
 Reuse and resume. Each stage product records the stage key it was built
 under, and is reused only while every product in the experiment directory
-records the current one. A run directory's bundle is resumed only when
-its mode, alpha, seed and stage key match; a longer iteration budget still
-resumes (under ``--out``, where the directory does not name the config
-hash). Any mismatch exits 2 before anything is written, naming the file
-and both values. The experiment directory's ``.lock`` is held while
-stages are built, and the run directory's while training.
+records the current one. A run's bundle records the whole config the run
+was trained under, and is resumed only by a config that differs from it
+at most in the stopping rules and ``--out``: a longer iteration budget
+resumes the same run directory in either layout. Any mismatch exits 2
+before anything is written, naming the file, the first differing key and
+both values. The experiment directory's ``.lock`` is held while stages
+are built, and the run directory's while training.
+
+``eval --bundle`` and ``report`` take the run's config from its bundle,
+not from ``--config`` or ``--seed``, and stamp summary.json as the run's
+own: report's equals it byte for byte, and so does eval's at the default
+cars, steps and tag. Without ``--out`` they write eval/ and
+report/ beside the bundle.
 
 Stage by stage, with smoke.json holding
 ``{"profile": "smoke", "challenge": "maggiore-like"}``:
@@ -65,9 +74,7 @@ from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
 from .config import CONTENT_VERSION, ConfigError, build_config
-from .env import EpisodeConfig
 from .evaluate import EvalReport, emit_report
-from .vehicle import VehicleParams
 from .expert import DemoSet, generate_demos
 from .policies import MODE_SPECS, TRAIN_MODES, PolicyStack, build_policy_stack, train_bc
 from .seeding import stream
@@ -135,7 +142,7 @@ def _build_parser():
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _load_cfg(args, need_mode, need_track=True):
+def _load_cfg(args, need_mode):
     doc = {}
     if args.config:
         try:
@@ -158,13 +165,12 @@ def _load_cfg(args, need_mode, need_track=True):
         doc.setdefault("track", {})["half_width"] = args.half_width
     if getattr(args, "laps", None) is not None:
         doc.setdefault("demos", {})["laps"] = args.laps
+    if getattr(args, "track", None) is not None:  # eval --bet's course file
+        doc["track"] = {"path": args.track}
     if not need_mode and "mode" not in doc:
         # Course and demo generation do not depend on the mode; any
         # non-residual placeholder keeps the schema satisfied.
         doc["mode"] = "ail"
-    if not need_track and "track" not in doc and "challenge" not in doc:
-        # Checkpoint-driven commands carry their own course context.
-        doc["track"] = {"preset": "circle"}
     return build_config(doc)
 
 
@@ -174,7 +180,7 @@ def _dirs(cfg):
         return cfg.out, cfg.out
     exp_dir = os.path.join(os.environ.get("RACELAB_OUT", "runs"),
                            f"s{cfg.seed}-{cfg.stage_hash[:8]}")
-    return exp_dir, os.path.join(exp_dir, f"{cfg.mode}-{cfg.hash[:8]}")
+    return exp_dir, os.path.join(exp_dir, f"{cfg.mode}-{cfg.run_hash[:8]}")
 
 
 def _claim(lock):
@@ -279,19 +285,32 @@ def _check_stage_keys(cfg, exp_dir):
                                    f"not {cfg.stage_hash} (use another --out, or remove it)")
 
 
-def _check_bundle(cfg, run_dir):
-    """Refuse to resume a bundle that another run wrote."""
-    bundle = os.path.join(run_dir, "bundle")
+def _run_record(bundle):
+    """The manifest of a bundle and the config its run was trained under."""
     if not ail.has_bundle(bundle):
-        return
+        raise FileNotFoundError(f"missing bundle manifest: {bundle}/manifest.json "
+                                "(point --bundle at a checkpoint bundle directory)")
     manifest = ail.read_manifest(bundle)
-    spec = MODE_SPECS[cfg.mode]
-    alpha = None if not spec["residual"] else 1.0 if spec["base"] is None else cfg.alpha
-    want = {"mode": cfg.mode, "alpha": alpha, "seed": cfg.seed, "stage_hash": cfg.stage_hash}
-    for key, value in want.items():
-        if manifest.get(key) != value:
-            raise RuntimeError(f"{bundle}/manifest.json records {key} {manifest.get(key)!r}, "
-                               f"not {value!r} (use another --out, or remove the bundle)")
+    if "resolved" not in manifest:
+        raise nets.CheckpointError(f"{bundle}/manifest.json records no config "
+                                   "(an older bundle; train the run again)")
+    return manifest, build_config(manifest["resolved"])
+
+
+def _check_bundle(cfg, run_dir):
+    """Refuse to resume a bundle that a run of another config wrote."""
+    bundle = os.path.join(run_dir, "bundle")
+    mismatch = ail.has_bundle(bundle) and cfg.run_difference(_run_record(bundle)[0]["resolved"])
+    if mismatch:
+        key, recorded, value = mismatch
+        raise RuntimeError(f"{bundle}/manifest.json records {key} {recorded!r}, "
+                           f"not {value!r} (use another --out, or remove the bundle)")
+
+
+def _bundle_meta(manifest):
+    """The summary fields that a bundle's counters fix, as training stamps them."""
+    return {"mode": manifest["mode"], "alpha": manifest["alpha"],
+            "env_steps": manifest["env_steps"], "iterations": manifest["iteration"]}
 
 
 def _ensure(cfg, path, load, save, build):
@@ -406,11 +425,10 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
     files = {key: os.path.relpath(os.path.join(exp_dir, name), bundle_dir)
              for key, name in (("track", "track.json"), ("demos", "demos.ckpt"))}
     summary = trainer.run(out_dir=run_dir, on_metrics=on_metrics,
-                          extra_manifest={**_trace(cfg), "stage_hash": cfg.stage_hash, **files})
+                          extra_manifest={"resolved": cfg.resolved, **files})
     report = EvalReport.from_dict(summary["final_eval"])
     _emit(cfg, run_dir, report, summary["curve"],
-          {"mode": cfg.mode, "alpha": summary["alpha"], "env_steps": summary["env_steps"],
-           "iterations": summary["iterations"]})
+          {key: summary[key] for key in ("mode", "alpha", "env_steps", "iterations")})
 
 
 # ---------------------------------------------------------------------------
@@ -457,46 +475,35 @@ def cmd_pipeline(args):
 
 
 def cmd_eval(args):
-    if args.bundle is None and args.bet is None:
-        raise ConfigError("eval needs --bundle or --bet")
-    cfg = _load_cfg(args, need_mode=False, need_track=False)
-    track_path, demos_path = args.track, args.demos
     if args.bundle is not None:
-        if not ail.has_bundle(args.bundle):
-            raise FileNotFoundError(f"missing bundle manifest: {args.bundle}/manifest.json "
-                                    "(point --bundle at a checkpoint bundle directory)")
-        manifest = ail.read_manifest(args.bundle)
+        manifest, cfg = _run_record(args.bundle)
+        stack = ail.load_stack(args.bundle, manifest)
         # A bundle records its course and demo files relative to itself.
-        track_path = track_path or os.path.join(args.bundle, manifest.get("track", "../track.json"))
-        demos_path = demos_path or os.path.join(args.bundle, manifest.get("demos", "../demos.ckpt"))
-    else:
-        _require(args.bet, "sequence-base checkpoint", "pass --bet")
-        if track_path is None or demos_path is None:
+        track_path = args.track or os.path.join(args.bundle, manifest["track"])
+        demos_path = args.demos or os.path.join(args.bundle, manifest["demos"])
+        tag, curve, meta = manifest["iteration"], manifest["curve"], _bundle_meta(manifest)
+        out_dir = os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "eval")
+    elif args.bet is not None:
+        if args.track is None or args.demos is None:
             raise ConfigError("eval --bet needs --track and --demos")
+        cfg = _load_cfg(args, need_mode=False)
+        _require(args.bet, "sequence-base checkpoint", "pass --bet")
+        track_path, demos_path = args.track, args.demos
+        tag, curve, meta = 0, [], {"mode": "bet", "alpha": None}
+        out_dir = "eval"
+    else:
+        raise ConfigError("eval needs --bundle or --bet")
     _require(track_path, "course file", "pass --track")
     _require(demos_path, "demonstration file", "pass --demos")
     track, demos = load_track(track_path), DemoSet.load(demos_path)
-    if args.bundle is not None:
-        # Only the policy stack is loaded. The physics and the protocol
-        # are the ones the bundle was trained under.
-        stack = ail.load_stack(args.bundle, manifest)
-        vparams, ecfg = VehicleParams(**manifest["vehicle"]), EpisodeConfig(**manifest["episode"])
-        n_cars, max_steps = manifest["config"]["eval_cars"], manifest["config"]["eval_max_steps"]
-        seed, tag = manifest["seed"], manifest["iteration"]
-        out_dir = os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "eval")
-        meta = {"mode": manifest["mode"], "alpha": manifest["alpha"],
-                "env_steps": manifest["env_steps"]}
-        curve = manifest.get("curve", [])
-    else:
+    if args.bundle is None:
         model, bet_norm, _ = bet_mod.load_bet(args.bet)
         stack = PolicyStack("bet", demos.normalizer, bet=model, bet_normalizer=bet_norm)
-        vparams, ecfg, seed, tag = cfg.vehicle, cfg.episode, cfg.seed, 0
-        n_cars, max_steps = cfg.train.eval_cars, cfg.train.eval_max_steps
-        out_dir, meta, curve = "eval", {"mode": "bet", "alpha": None}, []
-    report = eval_mod.evaluate(stack, track, vparams, ecfg, demos,
-                               n_cars=n_cars if args.cars is None else args.cars,
-                               max_steps=max_steps if args.max_steps is None else args.max_steps,
-                               seed=seed, tag=tag if args.tag is None else args.tag)
+    report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
+                               n_cars=cfg.train.eval_cars if args.cars is None else args.cars,
+                               max_steps=(cfg.train.eval_max_steps if args.max_steps is None
+                                          else args.max_steps),
+                               seed=cfg.seed, tag=tag if args.tag is None else args.tag)
     _emit(cfg, args.out or out_dir, report, curve, meta)
     return EXIT_OK
 
@@ -504,21 +511,10 @@ def cmd_eval(args):
 def cmd_report(args):
     if args.bundle is None:
         raise ConfigError("report needs --bundle")
-    if not ail.has_bundle(args.bundle):
-        raise FileNotFoundError(f"missing bundle manifest: {args.bundle}/manifest.json "
-                                "(point --bundle at a bundle directory)")
-    manifest = ail.read_manifest(args.bundle)
-    if manifest.get("last_eval") is None:
-        raise RuntimeError(f"bundle {args.bundle} holds no evaluation yet; run eval")
-    report = EvalReport.from_dict(manifest["last_eval"])
+    manifest, cfg = _run_record(args.bundle)
     out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "report")
-    meta = {"mode": manifest["mode"], "alpha": manifest["alpha"],
-            "env_steps": manifest["env_steps"],
-            "config_hash": manifest.get("config_hash"),
-            "content_version": manifest.get("content_version", CONTENT_VERSION),
-            "seed": manifest["seed"]}
-    paths = emit_report(report, manifest.get("curve", []), out_dir, meta=meta)
-    print(f"report files -> {', '.join(paths)}")
+    _emit(cfg, out_dir, EvalReport.from_dict(manifest["last_eval"]), manifest["curve"],
+          _bundle_meta(manifest))
     return EXIT_OK
 
 

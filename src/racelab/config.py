@@ -154,6 +154,21 @@ def config_hash(resolved):
 # one course, one demonstration set and one sequence base.
 _TRAINING_ONLY = ("mode", "alpha", "train", "bc")
 
+# What a resumed run may change: its output location, and the training
+# fields that decide only when it stops, not what any iteration computes.
+_RESUMABLE = ("out", "train.iterations", "train.eval_every")
+
+
+def _run_fields(tree, prefix=""):
+    """Dotted key -> value of every config leaf that a resumed run keeps."""
+    fields = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            fields.update(_run_fields(value, f"{prefix}{key}."))
+        elif prefix + key not in _RESUMABLE:
+            fields[prefix + key] = value
+    return fields
+
 
 @dataclasses.dataclass
 class ExperimentConfig:
@@ -187,6 +202,20 @@ class ExperimentConfig:
         """Hash of what the course, demonstrations and sequence base depend
         on: the config without the fields that only training reads."""
         return config_hash({k: v for k, v in self.resolved.items() if k not in _TRAINING_ONLY})
+
+    @property
+    def run_hash(self):
+        """Hash of what a run's bundle depends on: the config without its
+        output location and stopping rules, so a longer budget keeps it."""
+        return config_hash(_run_fields(self.resolved))
+
+    def run_difference(self, recorded):
+        """(dotted key, recorded value, own value) at the first key, in
+        sorted order, where a recorded resolved config differs from this
+        one outside what a resume may change; None when it may resume."""
+        own, was = _run_fields(self.resolved), _run_fields(recorded)
+        return next(((key, was.get(key), own.get(key)) for key in sorted(own.keys() | was.keys())
+                     if own.get(key) != was.get(key)), None)
 
     def needs_bet(self):
         return MODE_SPECS[self.mode]["base"] == "bet"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from racelab import ail, bet, cli, nets
+from racelab.config import build_config
 from racelab.env import Normalizer
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
@@ -234,6 +235,66 @@ def test_a_longer_iteration_budget_resumes_the_bundle(run_copy, tmp_path, capsys
     assert cli.main(["run", "--config", cfg, "--out", str(run_copy)]) == cli.EXIT_OK
     assert f"resuming from {run_copy / 'bundle'} at iteration 2" in capsys.readouterr().out
     assert json.loads((run_copy / "summary.json").read_text())["iterations"] == 3
+
+
+def test_another_learning_rate_names_the_key_and_both_values(run_copy, tmp_path, capsys):
+    doc = {**TINY, "mode": "betail"}
+    lr = build_config(doc).train.sac.lr
+    doc["train"] = {**TINY["train"], "sac": {**TINY["train"]["sac"], "lr": 2 * lr}}
+    before = _tree(run_copy)
+    assert cli.main(["run", "--config", _write(tmp_path / "lr.json", doc),
+                     "--out", str(run_copy)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: {run_copy / 'bundle'}/manifest.json records train.sac.lr {lr!r}, "
+        f"not {2 * lr!r} (use another --out, or remove the bundle)\n")
+    assert _tree(run_copy) == before
+
+
+def test_a_longer_budget_resumes_the_default_run_directory(tmp_path, capsys):
+    short = {**TINY, "mode": "ail", "train": {**TINY["train"], "iterations": 1}}
+    longer = {**short, "train": {**short["train"], "iterations": 2}}
+    for doc in (short, longer):
+        assert cli.main(["run", "--config", _write(tmp_path / "c.json", doc)]) == cli.EXIT_OK
+    (exp,) = (tmp_path / "runs").iterdir()
+    (run,) = exp.glob("ail-*")
+    assert run.name == f"ail-{build_config(short).run_hash[:8]}"
+    assert build_config(short).run_hash == build_config(longer).run_hash
+    assert f"resuming from {run / 'bundle'} at iteration 1" in capsys.readouterr().out
+    assert json.loads((run / "summary.json").read_text())["iterations"] == 2
+
+
+@pytest.fixture(scope="module")
+def seed5_run(tmp_path_factory):
+    """A finished betail run of the tiny config at seed 5, with --out."""
+    root = tmp_path_factory.mktemp("seed5")
+    cfg = _write(root / "config.json", {**TINY, "mode": "betail", "seed": 5})
+    assert cli.main(["run", "--config", cfg, "--out", str(root / "run")]) == cli.EXIT_OK
+    return root / "run"
+
+
+def test_eval_and_report_of_a_bundle_rewrite_the_runs_summary(seed5_run, tmp_path):
+    run = shutil.copytree(seed5_run, tmp_path / "X")
+    want = (run / "summary.json").read_bytes()
+    assert json.loads(want)["seed"] == 5
+    for command in ("eval", "report"):
+        assert cli.main([command, "--bundle", str(run / "bundle")]) == cli.EXIT_OK
+        assert (run / command / "summary.json").read_bytes() == want, command
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "betail.json", "--out", "X"],
+                                  ["eval", "--bundle", "X/bundle"],
+                                  ["report", "--bundle", "X/bundle"]])
+def test_a_bundle_without_a_recorded_config_is_refused(run_copy, tmp_path, capsys, argv):
+    _write(tmp_path / "betail.json", {**TINY, "mode": "betail"})
+    manifest = run_copy / "bundle" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["resolved"]
+    manifest.write_text(json.dumps(doc))
+    before = _tree(tmp_path)
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == ("error: X/bundle/manifest.json records no config "
+                                       "(an older bundle; train the run again)\n")
+    assert _tree(tmp_path) == before
 
 
 def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_path):

@@ -13,6 +13,7 @@ from racelab.config import (
     config_hash,
 )
 from racelab.env import obs_dim
+from racelab.policies import TRAIN_MODES
 
 
 def minimal(**extra):
@@ -276,3 +277,36 @@ def test_build_does_not_mutate_user_dict():
     build_config(user)
     assert user["mode"] == snapshot["mode"]
     assert user["train"] == snapshot["train"]
+
+
+def _every_config():
+    """Every profile x challenge (or a plain course) x train mode, with and without out."""
+    for profile in PROFILES:
+        for challenge in [*sorted(CHALLENGES), None]:
+            course = {"challenge": challenge} if challenge else {
+                "track": {"preset": "oval"}, "alpha": 0.3}
+            for mode in TRAIN_MODES:
+                for out in (None, "somewhere"):
+                    yield {"profile": profile, "mode": mode, "out": out, **course}
+
+
+def test_a_recorded_config_rebuilds_the_same_run():
+    # A bundle records cfg.resolved as JSON; eval and report rebuild from it.
+    for doc in _every_config():
+        cfg = build_config(doc)
+        again = build_config(json.loads(json.dumps(cfg.resolved)))
+        assert again.resolved == cfg.resolved, doc
+        assert (again.hash, again.stage_hash, again.run_hash) == \
+            (cfg.hash, cfg.stage_hash, cfg.run_hash), doc
+
+
+def test_run_key_ignores_only_the_stopping_rules():
+    base = build_config(minimal())
+    stopped = build_config(minimal(out="elsewhere", train={"iterations": 7, "eval_every": 3}))
+    assert stopped.run_hash == base.run_hash and stopped.hash != base.hash
+    assert base.run_difference(stopped.resolved) is None
+    lr = build_config(minimal(train={"sac": {"lr": 0.5}}))
+    assert lr.run_hash != base.run_hash
+    assert base.run_difference(lr.resolved) == ("train.sac.lr", 0.5, base.train.sac.lr)
+    assert base.run_difference(build_config(minimal(seed=4, mode="sac")).resolved) == \
+        ("mode", "sac", "ail")
