@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from .env import Normalizer, RaceEnv, obs_dim
-from .nets import load_params, save_params
+from .nets import CheckpointError, load_params, save_params
 from .seeding import stream
 
 __all__ = [
@@ -205,7 +205,7 @@ class DemoSet:
     def load(path):
         meta, arrays = load_params(path)
         if meta.get("format") != DEMO_FORMAT:
-            raise ValueError(f"not a demonstration file: {path}")
+            raise CheckpointError(f"not a demonstration file: {path}")
         laps = []
         for i in range(meta["n_laps"]):
             prefix = f"lap{i:03d}."

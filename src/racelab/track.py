@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .nets import CheckpointError
 from .seeding import stream
 
 __all__ = [
@@ -459,9 +460,12 @@ def save_track(track, path):
 
 
 def load_track(path):
-    """Read a track written by save_track."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != TRACK_FORMAT:
-        raise ValueError(f"unrecognized track format in {path}")
+    """Read a track written by save_track; other files raise CheckpointError."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.loads(fh.read().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unreadable track file {path}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != TRACK_FORMAT:
+        raise CheckpointError(f"unrecognized track format in {path}")
     return Track(np.asarray(doc["points"], dtype=np.float64), float(doc["half_width"]), doc.get("meta", {}))

@@ -339,6 +339,12 @@ def test_a_bundle_that_a_stopped_save_moved_aside_is_put_back(run_copy):
     (["report", "--bundle", "nope"], 2, "missing bundle manifest: nope/manifest.json"),
     (["bet-info"], 1, "bet-info needs --bet"),
     (["bet-info", "--bet", "nope.ckpt"], 2, "missing sequence-base checkpoint: nope.ckpt"),
+    (["eval", "--bet", "X/bet.ckpt", "--track", "X/track.json", "--demos", "X/bet.ckpt"], 2,
+     "not a demonstration file: X/bet.ckpt"),
+    (["eval", "--bet", "X/bet.ckpt", "--track", "X/config.json", "--demos", "X/demos.ckpt"], 2,
+     "unrecognized track format in X/config.json"),
+    (["eval", "--bet", "X/bet.ckpt", "--track", "X/demos.ckpt", "--demos", "X/demos.ckpt"], 2,
+     "unreadable track file X/demos.ckpt"),
 ])
 def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, message):
     _write(tmp_path / "bad.json", "{not json")
