@@ -42,7 +42,8 @@ are built, and the run directory's while training.
 not from ``--config`` or ``--seed``, and stamp summary.json as the run's
 own: report's equals it byte for byte, and so does eval's at the default
 cars, steps and tag. Without ``--out`` they write eval/ and
-report/ beside the bundle.
+report/ beside the bundle; ``eval --bet`` writes eval-bet/ beside its
+checkpoint.
 
 Stage by stage, with smoke.json holding
 ``{"profile": "smoke", "challenge": "maggiore-like"}``:
@@ -490,7 +491,7 @@ def cmd_eval(args):
         _require(args.bet, "sequence-base checkpoint", "pass --bet")
         track_path, demos_path = args.track, args.demos
         tag, curve, meta = 0, [], {"mode": "bet", "alpha": None}
-        out_dir = "eval"
+        out_dir = os.path.join(os.path.dirname(os.path.abspath(args.bet)), "eval-bet")
     else:
         raise ConfigError("eval needs --bundle or --bet")
     _require(track_path, "course file", "pass --track")

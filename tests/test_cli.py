@@ -297,6 +297,18 @@ def test_a_bundle_without_a_recorded_config_is_refused(run_copy, tmp_path, capsy
     assert _tree(tmp_path) == before
 
 
+def test_eval_of_a_bare_base_writes_beside_it(run_copy, tmp_path, monkeypatch):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    assert cli.main(["eval", "--bet", str(run_copy / "bet.ckpt"),
+                     "--track", str(run_copy / "track.json"),
+                     "--demos", str(run_copy / "demos.ckpt"),
+                     "--cars", "2", "--max-steps", "20"]) == cli.EXIT_OK
+    assert list(empty.iterdir()) == []
+    assert json.loads((run_copy / "eval-bet" / "summary.json").read_text())["mode"] == "bet"
+
+
 def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_path):
     for name in ("replay.ckpt", "optim.ckpt", "q1.ckpt", "q2.ckpt", "disc.ckpt"):
         (run_copy / "bundle" / name).unlink()
