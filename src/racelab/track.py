@@ -29,6 +29,8 @@ MIN_POINTS = 64
 MIN_SPACING = 0.5
 MAX_SPACING = 10.0
 MIN_HALF_WIDTH = 3.0
+# Segment offsets, from the nearest vertex, that project_many refines over.
+_CANDIDATES = np.arange(-2, 2)
 
 # Windowed projection (``Track.project_many`` with a hint). A car moves at
 # most v_cap * dt = 4.5 m per control step, under two vertices at the
@@ -198,26 +200,19 @@ class Track:
             raise ValueError(
                 f"point {pts[worst]} is farther than 10 * half_width from the track"
             )
-        best_s = np.zeros(len(pts))
-        best_d2 = np.full(len(pts), np.inf)
-        best_q = np.zeros_like(pts)
         # Check the two segments touching the nearest vertex, plus one
-        # more on each side to be safe near short segments.
-        for off in (-2, -1, 0, 1):
-            i = (nearest + off) % n
-            a = self.points[i]
-            b = self.points[(i + 1) % n]
-            ab = b - a
-            denom = (ab * ab).sum(axis=1)
-            t = np.clip(((pts - a) * ab).sum(axis=1) / denom, 0.0, 1.0)
-            q = a + t[:, None] * ab
-            dd = ((pts - q) ** 2).sum(axis=1)
-            better = dd < best_d2
-            best_d2 = np.where(better, dd, best_d2)
-            seg_s = self.s_points[i] + t * np.sqrt(denom)
-            best_s = np.where(better, seg_s, best_s)
-            best_q = np.where(better[:, None], q, best_q)
-        s = self.wrap(best_s)
+        # more on each side to be safe near short segments, as one (B, 4)
+        # batch. argmin keeps the first of equal distances.
+        i = (nearest[:, None] + _CANDIDATES) % n
+        a = self.points[i]
+        ab = self.points[(i + 1) % n] - a
+        denom = (ab * ab).sum(axis=2)
+        t = np.clip(((pts[:, None] - a) * ab).sum(axis=2) / denom, 0.0, 1.0)
+        q = a + t[..., None] * ab
+        rows = np.arange(len(pts))
+        best = ((pts[:, None] - q) ** 2).sum(axis=2).argmin(axis=1)
+        s = self.wrap(self.s_points[i[rows, best]] + t[rows, best] * np.sqrt(denom[rows, best]))
+        best_q = q[rows, best]
         _, h, _ = self.frames(s)
         tangent = np.stack([np.cos(h), np.sin(h)], axis=1)
         d = pts - best_q

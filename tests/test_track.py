@@ -106,6 +106,59 @@ class TestProjection:
             assert s == s_b[i] and e == e_b[i] and h == h_b[i]
 
 
+def _project_with_the_loop(track, pts):
+    """project_many's dense search with its former refinement: one loop
+    pass per candidate segment, keeping strictly shorter distances."""
+    n = len(track.points)
+    nearest, _ = track._nearest_dense(pts)
+    best_s = np.zeros(len(pts))
+    best_d2 = np.full(len(pts), np.inf)
+    best_q = np.zeros_like(pts)
+    for off in (-2, -1, 0, 1):
+        i = (nearest + off) % n
+        a = track.points[i]
+        ab = track.points[(i + 1) % n] - a
+        denom = (ab * ab).sum(axis=1)
+        t = np.clip(((pts - a) * ab).sum(axis=1) / denom, 0.0, 1.0)
+        q = a + t[:, None] * ab
+        dd = ((pts - q) ** 2).sum(axis=1)
+        better = dd < best_d2
+        best_d2 = np.where(better, dd, best_d2)
+        best_s = np.where(better, track.s_points[i] + t * np.sqrt(denom), best_s)
+        best_q = np.where(better[:, None], q, best_q)
+    s = track.wrap(best_s)
+    _, h, _ = track.frames(s)
+    d = pts - best_q
+    return s, np.cos(h) * d[:, 1] - np.sin(h) * d[:, 0], h
+
+
+class TestBatchedRefinement:
+    """project_many against the per-segment loop it replaced."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 20, 256, 5000])
+    def test_equals_the_loop_bitwise(self, batch):
+        track = gen_track("random", seed=7)
+        rng = np.random.default_rng(batch)
+        pts, _ = _place(track, np.stack([rng.uniform(0.0, 1.0, batch),
+                                         rng.uniform(-1.2, 1.2, batch),
+                                         np.zeros(batch)], axis=1))
+        _assert_bitwise(track.project_many(pts), _project_with_the_loop(track, pts))
+
+    def test_an_exact_tie_goes_to_the_earlier_segment(self):
+        # A 128 m square of 8 m segments: every coordinate, projection and
+        # distance below is exact. (126, 2) lies 2 m from the bottom side
+        # and 2 m from the right side, which meet at vertex 16 (128, 0).
+        side = np.arange(0.0, 128.0, 8.0)
+        zero, top = np.zeros(16), np.full(16, 128.0)
+        pts = np.concatenate([np.stack([side, zero], 1), np.stack([top, side], 1),
+                              np.stack([128.0 - side, top], 1), np.stack([zero, 128.0 - side], 1)])
+        track = Track(pts, 3.0)
+        point = np.array([[126.0, 2.0]])
+        got = track.project_many(point)
+        _assert_bitwise(got, _project_with_the_loop(track, point))
+        assert got[0][0] == 126.0  # the bottom side; the right side gives 130
+
+
 @st.composite
 def _courses(draw):
     """Random-preset courses over seed, roughness and radius, and circles
