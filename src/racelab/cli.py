@@ -41,9 +41,8 @@ are built, and the run directory's while training.
 ``eval --bundle`` and ``report`` take the run's config from its bundle,
 not from ``--config`` or ``--seed``, and stamp summary.json as the run's
 own: report's equals it byte for byte, and so does eval's at the default
-cars, steps and tag. Without ``--out`` they write eval/ and
-report/ beside the bundle; ``eval --bet`` writes eval-bet/ beside its
-checkpoint.
+cars, steps and tag. Without ``--out`` they write eval/ and report/
+beside the bundle; ``eval --bet`` writes eval-bet/ beside its checkpoint.
 
 Stage by stage, with smoke.json holding
 ``{"profile": "smoke", "challenge": "maggiore-like"}``:

@@ -456,9 +456,9 @@ def save_track(track, path):
 
 def load_track(path):
     """Read a track written by save_track; other files raise CheckpointError."""
-    with open(path, "rb") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.loads(fh.read().decode("utf-8"))
+            doc = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable track file {path}") from exc
     if not isinstance(doc, dict) or doc.get("format") != TRACK_FORMAT:
