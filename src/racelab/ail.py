@@ -26,9 +26,9 @@ from . import autodiff as ad
 from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
-from .env import Normalizer, RaceEnv, clip_obs, rl_reward, rollout
+from .env import Normalizer, RaceEnv, rl_reward, rollout
 from .optim import Adam, AdamConfig
-from .policies import MODE_SPECS, GaussianPolicy, PolicyStack, make_bc_net
+from .policies import GaussianPolicy, build_policy_stack, make_bc_net
 from .seeding import stream
 
 log = logging.getLogger("racelab.train")
@@ -371,8 +371,7 @@ class Trainer:
     """
 
     def __init__(self, stack, track, vparams, ecfg, demos, cfg: TrainConfig, seed):
-        spec = MODE_SPECS[stack.mode]
-        if not spec["online"]:
+        if stack.residual is None:
             raise ValueError(f"mode '{stack.mode}' has no online training loop")
         self.stack = stack
         self.track = track
@@ -383,10 +382,10 @@ class Trainer:
         self.speed_lookup = demos.speed_lookup(track.length)
         obs_dim = demos.obs_dim
         self.replay = ReplayBuffer(cfg.replay_capacity, stack.aug_dim, obs_dim)
-        self.reward_kind = spec["reward"]
+        self.reward_kind = stack.spec["reward"]
         if self.reward_kind == "disc":
             obs, act = demos.transitions()
-            self._demo_x = disc_input(clip_obs(demos.normalizer.transform(obs)), act)
+            self._demo_x = disc_input(demos.normalizer.transform(obs), act)
             self.disc = make_discriminator(obs_dim, 2, stream(self.seed, "init", 2))
             self.opt_disc = Adam(self.disc.params(), AdamConfig(lr=cfg.disc_lr))
         else:
@@ -498,7 +497,7 @@ class Trainer:
             report = self.evaluate_now()
         return {
             "mode": self.stack.mode,
-            "alpha": self.stack.alpha if self.stack.residual is not None else None,
+            "alpha": self.stack.residual.alpha,
             "seed": self.seed,
             "iterations": self.iteration_count,
             "env_steps": self.env_steps,
@@ -625,8 +624,7 @@ def load_stack(path, manifest, hidden=None):
     moments or replay.
     """
     normalizer = Normalizer.from_dict(manifest["normalizer"])
-    bet = bc = None
-    bet_normalizer = None
+    bet = bc = bet_normalizer = None
     if os.path.exists(os.path.join(path, "bet.ckpt")):
         bet, bet_normalizer, _ = bet_mod.load_bet(os.path.join(path, "bet.ckpt"))
     if os.path.exists(os.path.join(path, "bc.ckpt")):
@@ -636,14 +634,13 @@ def load_stack(path, manifest, hidden=None):
         nets.assign_params(bc.params(), arrays)
 
     res_meta, res_arrays = nets.load_params(os.path.join(path, "residual.ckpt"))
-    obs_dim = len(normalizer.mean)
-    in_dim = obs_dim + (2 if (bet is not None or bc is not None) else 0)
     if hidden is None:
         hidden = manifest["config"]["policy_hidden"]
-    residual = GaussianPolicy(in_dim, 2, hidden, res_meta["alpha"], np.random.default_rng(0))
-    nets.assign_params(residual.params(), res_arrays)
-    return PolicyStack(manifest["mode"], normalizer, bet=bet, bc=bc, residual=residual,
-                       bet_normalizer=bet_normalizer)
+    stack = build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
+                               np.random.default_rng(0), alpha=res_meta["alpha"], bet=bet,
+                               bc=bc, hidden=hidden, bet_normalizer=bet_normalizer)
+    nets.assign_params(stack.residual.params(), res_arrays)
+    return stack
 
 
 def load_bundle(path, track, vparams, ecfg, demos, cfg=None):

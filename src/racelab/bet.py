@@ -1,13 +1,14 @@
 """Causal-transformer base policy trained by behavior cloning.
 
-A pre-norm transformer over windows of normalized observations predicts
+A pre-norm transformer over windows of whitened observations predicts
 the demonstrator's action at every causal position; training minimizes
-the mean squared error over all positions of each window. The attention
-mask is exact (future columns carry probability exactly zero), so the
-prediction at position t is bit-identical whether or not later
-observations are appended to the window. Training uses long windows;
-control uses a short sliding window that grows from length 1 after a
-reset.
+the mean squared error over all positions of each window. Its inputs come
+from ``Normalizer.transform``, which already saturates outliers, so the
+model does not clip them again. The attention mask is exact (future
+columns carry probability exactly zero), so the prediction at position t
+is bit-identical whether or not later observations are appended to the
+window. Training uses long windows; control uses a short sliding window
+that grows from length 1 after a reset.
 
 Each block runs its heads together. The (B, T, H*d) query, key and value
 projections are laid out head-major as (H*B, T, d), row h*B + b holding
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
-from .env import OBS_CLIP, Normalizer
+from .env import Normalizer
 from .optim import Lamb, LambConfig
 from .seeding import stream
 
@@ -157,7 +158,6 @@ class BeT:
         t = x.shape[1]
         if t > cfg.context:
             raise ValueError(f"window length {t} exceeds context {cfg.context}")
-        x = ad.clip(x, -OBS_CLIP, OBS_CLIP)
         h = ad.add(self.in_proj(x), ad.narrow(self.pos_emb, 0, t, axis=0))
         h = ad.dropout(h, cfg.dropout, rng, train)
         for blk in self.blocks:

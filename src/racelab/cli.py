@@ -76,7 +76,7 @@ from . import nets
 from .config import CONTENT_VERSION, ConfigError, build_config
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
-from .policies import MODE_SPECS, TRAIN_MODES, PolicyStack, build_policy_stack, train_bc
+from .policies import MODE_SPECS, TRAIN_MODES, build_policy_stack, train_bc
 from .seeding import stream
 from .track import gen_track, load_track, save_track
 
@@ -396,7 +396,7 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
                                    stream(cfg.seed, "init", 0), alpha=cfg.alpha, bet=bet,
                                    bc=bc, hidden=cfg.train.policy_hidden,
                                    bet_normalizer=bet_normalizer)
-        if not spec["online"]:
+        if stack.residual is None:
             # Supervised-only mode: evaluate once, report.
             report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
                                        n_cars=cfg.train.eval_cars,
@@ -498,7 +498,8 @@ def cmd_eval(args):
     track, demos = load_track(track_path), DemoSet.load(demos_path)
     if args.bundle is None:
         model, bet_norm, _ = bet_mod.load_bet(args.bet)
-        stack = PolicyStack("bet", demos.normalizer, bet=model, bet_normalizer=bet_norm)
+        stack = build_policy_stack("bet", demos.normalizer, demos.obs_dim, None, bet=model,
+                                   bet_normalizer=bet_norm)
     report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
                                n_cars=cfg.train.eval_cars if args.cars is None else args.cars,
                                max_steps=(cfg.train.eval_max_steps if args.max_steps is None

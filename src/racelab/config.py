@@ -220,9 +220,6 @@ class ExperimentConfig:
     def needs_bet(self):
         return MODE_SPECS[self.mode]["base"] == "bet"
 
-    def needs_bc(self):
-        return MODE_SPECS[self.mode]["base"] == "bc"
-
 
 def _typed(cls, d, where):
     try:

@@ -86,9 +86,19 @@ def _quant(x):
     return np.asarray(x, dtype=np.float64).astype(np.float32).astype(np.float64)
 
 
+OBS_CLIP = 10.0
+
+
 @dataclasses.dataclass
 class Normalizer:
-    """Per-dimension affine whitening fitted on demonstration data."""
+    """Per-dimension affine whitening fitted on demonstration data.
+
+    ``transform`` is the only whitening step: every network that reads
+    observations reads its output, which saturates at +/- OBS_CLIP.
+    Off-distribution states (stalls, wall scrapes) can push single
+    features hundreds of standard deviations out; bounded inputs keep
+    every network in a sane regime there.
+    """
 
     mean: np.ndarray
     std: np.ndarray
@@ -105,7 +115,9 @@ class Normalizer:
         return Normalizer(np.zeros(dim, dtype=np.float32), np.ones(dim, dtype=np.float32))
 
     def transform(self, x):
-        return ((np.asarray(x, dtype=np.float32) - self.mean) / self.std).astype(np.float32)
+        """Whitened x as float32, saturated at +/- OBS_CLIP."""
+        z = ((np.asarray(x, dtype=np.float32) - self.mean) / self.std).astype(np.float32)
+        return np.clip(z, -OBS_CLIP, OBS_CLIP)
 
     def to_dict(self):
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -115,19 +127,6 @@ class Normalizer:
         return Normalizer(
             np.asarray(d["mean"], dtype=np.float32), np.asarray(d["std"], dtype=np.float32)
         )
-
-
-OBS_CLIP = 10.0
-
-
-def clip_obs(z):
-    """Saturate whitened observations before any network consumes them.
-
-    Off-distribution states (stalls, wall scrapes) can push individual
-    features hundreds of standard deviations out; bounded inputs keep
-    every network in a sane regime there.
-    """
-    return np.clip(z, -OBS_CLIP, OBS_CLIP)
 
 
 def rl_reward(progress, offcourse_speed_sq, progress_weight):

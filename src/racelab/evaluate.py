@@ -71,17 +71,6 @@ def steering_change(deltas):
     return float(pooled.mean()), float(pooled.std())
 
 
-def _stack_checksum(stack):
-    named = {}
-    if stack.bet is not None:
-        named.update({f"bet.{k}": v for k, v in stack.bet.params().items()})
-    if stack.bc is not None:
-        named.update({f"bc.{k}": v for k, v in stack.bc.params().items()})
-    if stack.residual is not None:
-        named.update({f"res.{k}": v for k, v in stack.residual.params().items()})
-    return params_checksum(named) if named else "none"
-
-
 def track_id(track):
     digest = hashlib.sha256(np.ascontiguousarray(track.points).tobytes()).hexdigest()[:12]
     preset = track.meta.get("preset", "track")
@@ -91,7 +80,9 @@ def track_id(track):
 def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=0):
     """Run the lap protocol for n_cars cars and at most max_steps steps.
 
-    Returns an EvalReport. The training config owns both sizes
+    Returns an EvalReport. stack is anything with ``reset()``,
+    ``eval_policy(env)`` and ``params()``: a policy stack, or a scripted
+    controller with no parameters. The training config owns both sizes
     (``eval_cars``, ``eval_max_steps``). demos supplies the placement
     speeds (a demo set or a ready speed lookup). Placement uses the
     (seed, tag) evaluation stream, so a given checkpoint re-evaluates
@@ -101,10 +92,10 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
     lookup = demos.speed_lookup(track.length) if hasattr(demos, "speed_lookup") else demos
     env = RaceEnv(track, vparams, ecfg)
     obs = env.reset_eval(n_cars, stream(seed, "eval", tag), lookup)
-    if hasattr(stack, "reset"):
-        stack.reset()
+    stack.reset()
     policy = stack.eval_policy(env)
-    before = _stack_checksum(stack) if hasattr(stack, "bet") else None
+    named = stack.params()
+    before = params_checksum(named) if named else "scripted"
 
     lap_steps = np.zeros(n_cars, dtype=np.int64)
     finished = np.zeros(n_cars, dtype=bool)
@@ -122,10 +113,8 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
         t_used = t
         if finished.all():
             break
-    if before is not None:
-        after = _stack_checksum(stack)
-        if after != before:
-            raise AssertionError("evaluation mutated policy parameters")
+    if named and params_checksum(stack.params()) != before:
+        raise AssertionError("evaluation mutated policy parameters")
 
     clean = finished & ~touched
     lap_times = [round(int(k) * ecfg.dt, 10) if f else None
@@ -145,7 +134,7 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
         n_cars=n_cars,
         seed=int(seed),
         tag=int(tag),
-        policy_id=(before if before is not None else "scripted")[:16],
+        policy_id=before[:16],
         track_id=track_id(track),
     )
 

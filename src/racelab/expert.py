@@ -322,7 +322,8 @@ def replay_lap(demoset, lap_idx, track, vparams, ecfg):
 class ExpertAdapter:
     """Evaluation-protocol wrapper around the scripted controller.
 
-    Exposes the reset()/eval_policy(env) surface the evaluator drives.
+    Exposes the reset()/eval_policy(env)/params() surface the evaluator
+    drives.
     The controller is privileged: it reads the true vehicle state from
     the environment and ignores the observation vector.
     """
@@ -333,6 +334,10 @@ class ExpertAdapter:
 
     def reset(self):
         self.controller.reset()
+
+    def params(self):
+        """The scripted controller has no parameters."""
+        return {}
 
     def eval_policy(self, env):
         def policy(obs):

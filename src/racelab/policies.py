@@ -7,10 +7,19 @@ to [-alpha, alpha] and added to the base action; the environment sees
 the clipped sum. Stacks without a base treat the correction head as the
 whole policy (alpha = 1) and feed it the observation alone.
 
+This module owns every rule of the stack; the trainer, the evaluator and
+the command line only call it.
+
 Conventions
 -----------
-* The correction head consumes the augmented input [normalized obs,
-  base action] when a base is present, else the normalized obs.
+* ``build_policy_stack`` is the one constructor. It checks the mode, the
+  base it needs and the base's input width, and sizes the correction head.
+* The correction head consumes the augmented input [whitened obs, base
+  action] when a base is present, else the whitened obs. Whitening is
+  ``Normalizer.transform``, which also saturates outliers.
+* Both heads' outputs are scaled corrections: ``sample_np`` draws
+  alpha * tanh(z), ``mean_np`` returns alpha * tanh(mean). Training and
+  evaluation emit the same composition, clip(base + correction, -1, 1).
 * Sampled log-densities include both the tanh change of variables and
   the alpha scaling, so they are densities of the emitted action.
 * The sampler and its density are written once, on the tape
@@ -25,25 +34,25 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
-from .env import clip_obs
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
 # What each stack mode is made of and which reward trains it.
-#   base: "bet" | "bc" | None; residual: correction head present;
-#   reward: "disc" (adversarial proxy) | "env" (progress-penalty) | None;
-#   online: trained by the rollout/update loop (False = supervised only).
+#   base: "bet" | "bc" | None;
+#   residual: correction head present, trained by the rollout/update loop
+#     (a mode without one is supervised only);
+#   reward: "disc" (adversarial proxy) | "env" (progress-penalty) | None.
 MODE_SPECS = {
-    "betail": {"base": "bet", "residual": True, "reward": "disc", "online": True},
-    "ail": {"base": None, "residual": True, "reward": "disc", "online": True},
-    "bc": {"base": "bc", "residual": False, "reward": None, "online": False},
-    "bcail": {"base": "bc", "residual": True, "reward": "disc", "online": True},
-    "sac": {"base": None, "residual": True, "reward": "env", "online": True},
-    "betsac": {"base": "bet", "residual": True, "reward": "env", "online": True},
+    "betail": {"base": "bet", "residual": True, "reward": "disc"},
+    "ail": {"base": None, "residual": True, "reward": "disc"},
+    "bc": {"base": "bc", "residual": False, "reward": None},
+    "bcail": {"base": "bc", "residual": True, "reward": "disc"},
+    "sac": {"base": None, "residual": True, "reward": "env"},
+    "betsac": {"base": "bet", "residual": True, "reward": "env"},
     # Frozen sequence-model base acting alone; evaluation only.
-    "bet": {"base": "bet", "residual": False, "reward": None, "online": False},
+    "bet": {"base": "bet", "residual": False, "reward": None},
 }
 
 TRAIN_MODES = ("betail", "ail", "bc", "bcail", "sac", "betsac")
@@ -51,16 +60,6 @@ TRAIN_MODES = ("betail", "ail", "bc", "bcail", "sac", "betsac")
 
 def _f32(x):
     return np.asarray(x, dtype=np.float32)
-
-
-def scale_residual(residual_raw, alpha):
-    """Map a squashed correction in (-1,1) to its [-alpha, alpha] range."""
-    return np.float32(alpha) * _f32(residual_raw)
-
-
-def compose_action(base, residual_raw, alpha):
-    """Environment action: clip(base + alpha * residual_raw, -1, 1)."""
-    return np.clip(_f32(base) + scale_residual(residual_raw, alpha), -1.0, 1.0)
 
 
 class GaussianPolicy:
@@ -85,9 +84,9 @@ class GaussianPolicy:
     def params(self):
         return self.net.params()
 
-    def mean_raw_np(self, x):
-        """Deterministic squashed mean before alpha scaling."""
-        return np.tanh(self.net.predict(_f32(x))[:, : self.act_dim])
+    def mean_np(self, x):
+        """Deterministic scaled correction alpha * tanh(mean), (B, act_dim)."""
+        return np.float32(self.alpha) * np.tanh(self.net.predict(_f32(x))[:, : self.act_dim])
 
     def sample_np(self, x, rng):
         """Draw (action, logp) arrays without a tape.
@@ -140,7 +139,7 @@ def train_bc(demoset, hidden, updates, batch, lr, seed, stream_fn, progress=None
     from .optim import Adam, AdamConfig
 
     obs, act = demoset.transitions()
-    obs_n = clip_obs(demoset.normalizer.transform(obs))
+    obs_n = demoset.normalizer.transform(obs)
     net = make_bc_net(obs_n.shape[1], act.shape[1], hidden, stream_fn(seed, "bc", 0))
     opt = Adam(net.params(), AdamConfig(lr=lr))
     history = []
@@ -165,39 +164,21 @@ def train_bc(demoset, hidden, updates, batch, lr, seed, stream_fn, progress=None
 class PolicyStack:
     """Runtime composition of an optional frozen base with a correction head.
 
-    The stack owns the observation whitener and, for sequence-model
-    bases, the short context ring of recent normalized observations.
-    reset() must be called whenever the environment batch resets.
+    Built by :func:`build_policy_stack`. The stack owns the observation
+    whitener and, for sequence-model bases, the short context ring of
+    recent whitened observations. reset() must be called whenever the
+    environment batch resets.
     """
 
-    def __init__(self, mode, normalizer, bet=None, bc=None, residual=None,
-                 bet_normalizer=None):
-        if mode not in MODE_SPECS:
-            raise ValueError(f"unknown mode '{mode}'")
-        spec = MODE_SPECS[mode]
-        if spec["base"] == "bet" and bet is None:
-            raise ValueError(f"mode '{mode}' needs a sequence-model base")
-        if spec["base"] == "bc" and bc is None:
-            raise ValueError(f"mode '{mode}' needs a behavior-cloned base")
-        if spec["residual"] and residual is None:
-            raise ValueError(f"mode '{mode}' needs a correction head")
-        if not spec["residual"] and residual is not None:
-            raise ValueError(f"mode '{mode}' takes no correction head")
-        if spec["base"] is None and residual is not None and residual.alpha != 1.0:
-            raise ValueError(f"mode '{mode}' requires alpha = 1")
-        if spec["base"] == "bet" and bet.cfg.obs_dim != len(normalizer.mean):
-            raise ValueError(
-                f"the sequence base reads {bet.cfg.obs_dim} observation features, "
-                f"but the episode emits {len(normalizer.mean)}"
-            )
+    def __init__(self, mode, normalizer, bet, bc, residual, bet_normalizer):
         self.mode = mode
-        self.spec = spec
+        self.spec = MODE_SPECS[mode]
         self.normalizer = normalizer
         # The sequence base keeps the whitening it was trained with; on a
         # new course that differs from the fine-tuning whitening.
         self.bet_normalizer = bet_normalizer if bet_normalizer is not None else normalizer
-        self.bet = bet if spec["base"] == "bet" else None
-        self.bc = bc if spec["base"] == "bc" else None
+        self.bet = bet
+        self.bc = bc
         self.residual = residual
         self._history = None
 
@@ -206,14 +187,15 @@ class PolicyStack:
         return self.spec["base"] is not None
 
     @property
-    def alpha(self):
-        return self.residual.alpha if self.residual is not None else 0.0
-
-    @property
     def aug_dim(self):
         """Width of the correction head's input."""
-        dim = len(self.normalizer.mean)
-        return dim + (2 if self.has_base else 0)
+        return self.residual.in_dim
+
+    def params(self):
+        """Every parameter the stack acts with, named by net: bet., bc., res."""
+        held = {"bet": self.bet, "bc": self.bc, "res": self.residual}
+        return {f"{prefix}.{name}": p for prefix, net in held.items() if net is not None
+                for name, p in net.params().items()}
 
     def reset(self):
         if self.bet is not None:
@@ -228,76 +210,73 @@ class PolicyStack:
             window = np.stack(list(self._history), axis=1)
             return self.bet.predict_last(window).astype(np.float32)
         if self.bc is not None:
-            return self.bc.predict(clip_obs(self.normalizer.transform(obs))).astype(np.float32)
+            return self.bc.predict(self.normalizer.transform(obs)).astype(np.float32)
         return np.zeros((len(obs), 2), dtype=np.float32)
 
-    def augment(self, obs_n, base):
-        """Correction-head input; the base channel exists only with a base."""
-        obs_n = clip_obs(obs_n)
-        if self.has_base:
-            return np.concatenate([obs_n, base], axis=1)
-        return obs_n
+    def _inputs(self, obs):
+        """(base action, correction-head input) for raw obs; advances the
+        context ring exactly as acting does."""
+        base = self.base_action(obs)
+        obs_n = self.normalizer.transform(obs)
+        return base, np.concatenate([obs_n, base], axis=1) if self.has_base else obs_n
 
     def train_policy(self, rng):
         """Sampling policy callable for rollout collection.
 
         Needs a correction head. Extras per step: res (B,2) scaled
         correction and aug (B, aug_dim), whose last two columns hold the
-        base action when there is a base. The emitted action is the exact
-        composition clip(base + res, -1, 1).
+        base action when there is a base.
         """
 
         def policy(obs):
-            base = self.base_action(obs)
-            aug = self.augment(self.normalizer.transform(obs), base)
+            base, aug = self._inputs(obs)
             res, _ = self.residual.sample_np(aug, rng)
-            act = np.clip(base + res, -1.0, 1.0)
-            return act, {"res": res, "aug": aug}
+            return np.clip(base + res, -1.0, 1.0), {"res": res, "aug": aug}
 
         return policy
 
     def eval_policy(self, env=None):
-        """Deterministic policy callable (squashed-mean correction)."""
+        """Deterministic policy callable: the base plus the mean correction."""
 
         def policy(obs):
-            base = self.base_action(obs)
             if self.residual is None:
-                return base.copy(), {}
-            aug = self.augment(self.normalizer.transform(obs), base)
-            raw = self.residual.mean_raw_np(aug)
-            return compose_action(base, raw, self.residual.alpha), {}
+                return self.base_action(obs), {}
+            base, aug = self._inputs(obs)
+            return np.clip(base + self.residual.mean_np(aug), -1.0, 1.0), {}
 
         return policy
 
     def final_augmented(self, obs):
-        """Augmented input for a rollout's closing observation.
-
-        Advances the context ring exactly as acting would, so the result
-        is the successor input a stored transition bootstraps from.
-        """
-        base = self.base_action(obs)
-        return self.augment(self.normalizer.transform(obs), base)
+        """Correction-head input for a rollout's closing observation: the
+        successor input a stored transition bootstraps from."""
+        return self._inputs(obs)[1]
 
 
 def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,
                        bc=None, hidden=(256, 256), bet_normalizer=None):
     """Construct the stack for a mode, creating the correction head.
 
-    alpha is required for modes with a base and a correction head; modes
-    whose correction head is the whole policy ignore it (forced to 1).
+    The mode's base (bet or bc) must be given; a base for another mode is
+    not used. alpha is required for modes with a base and a correction
+    head; modes whose correction head is the whole policy ignore it
+    (forced to 1).
     """
     if mode not in MODE_SPECS:
         raise ValueError(f"unknown mode '{mode}'")
     spec = MODE_SPECS[mode]
+    if spec["base"] == "bet" and bet is None:
+        raise ValueError(f"mode '{mode}' needs a sequence-model base")
+    if spec["base"] == "bc" and bc is None:
+        raise ValueError(f"mode '{mode}' needs a behavior-cloned base")
+    if spec["base"] == "bet" and bet.cfg.obs_dim != obs_dim:
+        raise ValueError(f"the sequence base reads {bet.cfg.obs_dim} observation features, "
+                         f"but the episode emits {obs_dim}")
     residual = None
     if spec["residual"]:
-        if spec["base"] is None:
-            eff_alpha = 1.0
-        else:
-            if alpha is None:
-                raise ValueError(f"mode '{mode}' requires alpha")
-            eff_alpha = float(alpha)
+        if spec["base"] is not None and alpha is None:
+            raise ValueError(f"mode '{mode}' requires alpha")
+        eff_alpha = 1.0 if spec["base"] is None else float(alpha)
         in_dim = obs_dim + (2 if spec["base"] is not None else 0)
         residual = GaussianPolicy(in_dim, 2, hidden, eff_alpha, rng)
-    return PolicyStack(mode, normalizer, bet=bet, bc=bc, residual=residual,
-                       bet_normalizer=bet_normalizer)
+    return PolicyStack(mode, normalizer, bet if spec["base"] == "bet" else None,
+                       bc if spec["base"] == "bc" else None, residual, bet_normalizer)

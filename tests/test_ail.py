@@ -23,10 +23,12 @@ from racelab.ail import (
     replay_sample_recompute,
     save_bundle,
 )
+from racelab.bet import BeT, BeTConfig
 from racelab.env import EpisodeConfig
+from racelab.evaluate import evaluate
 from racelab.expert import ExpertParams, generate_demos
 from racelab.optim import Adam, AdamConfig
-from racelab.policies import GaussianPolicy, build_policy_stack
+from racelab.policies import GaussianPolicy, build_policy_stack, make_bc_net
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
 
@@ -382,6 +384,40 @@ def test_offline_mode_rejected_by_trainer(tiny_world):
                                bc=ail.make_discriminator(demos.obs_dim, 1, RNG(0)))
     with pytest.raises(ValueError):
         Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg(), 0)
+
+
+@pytest.mark.parametrize("mode", ["betail", "bcail", "ail"])
+def test_load_stack_acts_bitwise_like_the_live_stack(tiny_world, tmp_path, mode):
+    """A bundle's stack, rebuilt through build_policy_stack, takes the live
+    stack's eval and train actions bit for bit and keeps its policy_id."""
+    track, vparams, ecfg, demos = tiny_world
+    bet = BeT(BeTConfig(obs_dim=demos.obs_dim, embed_dim=8, n_layers=1, n_heads=2,
+                        context=4, eval_context=2), RNG(42))
+    bc = make_bc_net(demos.obs_dim, 2, (8,), RNG(43))
+    live = build_policy_stack(mode, demos.normalizer, demos.obs_dim, RNG(40), alpha=0.1,
+                              bet=bet, bc=bc, hidden=(32, 32))
+    for p in live.residual.params().values():
+        p.data += 0.1 * RNG(44).standard_normal(p.data.shape).astype(np.float32)
+    path = str(tmp_path / "bundle")
+    save_bundle(path, Trainer(live, track, vparams, ecfg, demos, _tiny_cfg(), 0))
+    loaded = ail.load_stack(path, ail.read_manifest(path))
+    assert loaded.params().keys() == live.params().keys()
+
+    obs = demos.transitions()[0]
+    for stack in (live, loaded):
+        stack.reset()
+    for t in range(3):
+        rows = obs[5 * t: 5 * t + 5]
+        (a_live, _), (a_loaded, _) = (s.eval_policy()(rows) for s in (live, loaded))
+        np.testing.assert_array_equal(a_live, a_loaded)
+        (a_live, x_live), (a_loaded, x_loaded) = (s.train_policy(RNG(t))(rows)
+                                                  for s in (live, loaded))
+        np.testing.assert_array_equal(a_live, a_loaded)
+        for key in ("res", "aug"):
+            np.testing.assert_array_equal(x_live[key], x_loaded[key])
+    reports = [evaluate(s, track, vparams, ecfg, demos, n_cars=2, max_steps=5).to_dict()
+               for s in (live, loaded)]
+    assert reports[0] == reports[1]
 
 
 def test_bundle_roundtrip_bit_exact(tiny_world, tmp_path):

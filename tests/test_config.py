@@ -199,13 +199,11 @@ def test_eval_only_base_mode_is_not_trainable():
         build_config(minimal(mode="bet"))
 
 
-def test_needs_bet_and_needs_bc():
+def test_needs_bet():
     assert build_config(minimal(mode="betail", alpha=0.1)).needs_bet()
     assert build_config(minimal(mode="betsac", alpha=0.1)).needs_bet()
     assert not build_config(minimal(mode="ail")).needs_bet()
-    assert build_config(minimal(mode="bcail", alpha=0.1)).needs_bc()
-    assert build_config(minimal(mode="bc")).needs_bc()
-    assert not build_config(minimal(mode="sac")).needs_bc()
+    assert not build_config(minimal(mode="bcail", alpha=0.1)).needs_bet()
 
 
 # ------------------------------------------------------------------ defaults

@@ -16,7 +16,7 @@ from racelab.evaluate import (
     track_id,
 )
 from racelab.expert import ExpertAdapter, ExpertParams, generate_demos
-from racelab.policies import GaussianPolicy, PolicyStack
+from racelab.policies import build_policy_stack
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
 
@@ -94,6 +94,9 @@ def test_wall_contact_invalidates_the_lap(world):
         def reset(self):
             pass
 
+        def params(self):
+            return {}
+
         def eval_policy(self, env):
             def policy(obs):
                 n = len(obs)
@@ -114,18 +117,18 @@ def test_wall_contact_invalidates_the_lap(world):
 
 def test_policy_parameters_must_not_change_during_eval(world):
     track, vp, ec, demos = world
-    res = GaussianPolicy(50, 2, (16,), 1.0, RNG(0))
-    stack = PolicyStack("ail", demos.normalizer, residual=res)
+    stack = build_policy_stack("ail", demos.normalizer, 50, RNG(0), hidden=(16,))
 
     class Mutator:
         def __init__(self, stack):
-            self.bet = None
-            self.bc = None
             self.residual = stack.residual
             self._stack = stack
 
         def reset(self):
             pass
+
+        def params(self):
+            return self._stack.params()
 
         def eval_policy(self, env):
             inner = self._stack.eval_policy(env)

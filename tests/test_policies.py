@@ -8,54 +8,72 @@ from hypothesis import strategies as st
 from racelab import autodiff as ad
 from racelab.bet import BeT, BeTConfig
 from racelab.env import Normalizer
-from racelab.policies import (
-    GaussianPolicy,
-    PolicyStack,
-    build_policy_stack,
-    compose_action,
-    make_bc_net,
-    scale_residual,
-)
+from racelab.policies import GaussianPolicy, build_policy_stack, make_bc_net
 
 RNG = np.random.default_rng
+
+
+def _normalizer(dim):
+    norm = Normalizer.fit(RNG(11).standard_normal((64, dim)).astype(np.float32))
+    return norm
 
 
 # ---------------------------------------------------------------------------
 # Composition law
 
+def _fixed_stack(base, z, alpha):
+    """A bcail stack whose base proposes `base` and whose correction head's
+    pre-squash mean is `z`, whatever the observation."""
+    bc = make_bc_net(4, 2, (8,), RNG(1))
+    bc.layers[-1].W.data[...] = 0.0
+    bc.layers[-1].b.data[...] = np.arctanh(np.asarray(base, dtype=np.float64))
+    stack = build_policy_stack("bcail", _normalizer(4), 4, RNG(2), alpha=alpha, bc=bc,
+                               hidden=(8,))
+    stack.residual.net.layers[-1].b.data[:2] = z
+    return stack
+
+
+def _eval_action(stack, seed=12):
+    return stack.eval_policy()(RNG(seed).standard_normal((1, 4)).astype(np.float32))[0]
+
+
 def test_compose_action_known_values():
-    base = np.array([[0.5, -0.2]], dtype=np.float32)
-    raw = np.array([[1.0, -1.0]], dtype=np.float32)
-    out = compose_action(base, raw, 0.1)
-    np.testing.assert_allclose(out, [[0.6, -0.3]], rtol=1e-6)
+    act = _eval_action(_fixed_stack([0.5, -0.2], [20.0, -20.0], 0.1))  # tanh(20) == 1
+    np.testing.assert_allclose(act, [[0.6, -0.3]], rtol=1e-6)
 
 
 def test_compose_action_clips_to_env_range():
-    base = np.array([[0.95, -0.95]], dtype=np.float32)
-    raw = np.array([[1.0, -1.0]], dtype=np.float32)
-    out = compose_action(base, raw, 0.2)
-    np.testing.assert_allclose(out, [[1.0, -1.0]], rtol=1e-6)
+    act = _eval_action(_fixed_stack([0.95, -0.95], [20.0, -20.0], 0.2))
+    np.testing.assert_array_equal(act, [[1.0, -1.0]])
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    base=st.lists(st.floats(-1.0, 1.0, width=32), min_size=2, max_size=2),
-    raw=st.lists(st.floats(-1.0, 1.0, width=32), min_size=2, max_size=2),
+    base=st.lists(st.floats(-0.9921875, 0.9921875, width=32), min_size=2, max_size=2),
+    z=st.lists(st.floats(-20.0, 20.0, width=32), min_size=2, max_size=2),
     alpha=st.floats(0.015625, 1.0, width=32),
 )
-def test_composition_bound_property(base, raw, alpha):
+def test_composition_bound_property(base, z, alpha):
     """|action - base| <= alpha and action stays in [-1, 1]."""
-    b = np.asarray([base], dtype=np.float32)
-    r = np.asarray([raw], dtype=np.float32)
-    act = compose_action(b, r, alpha)
+    stack = _fixed_stack(base, z, alpha)
+    obs = RNG(12).standard_normal((1, 4)).astype(np.float32)
+    act = stack.eval_policy()(obs)[0]
     assert np.all(act >= -1.0) and np.all(act <= 1.0)
     # clipping can only shrink the step away from the base proposal
-    assert np.all(np.abs(act - np.clip(b, -1, 1)) <= alpha + 1e-6)
+    assert np.all(np.abs(act - stack.base_action(obs)) <= alpha + 1e-6)
 
 
 def test_scale_residual_is_linear():
-    raw = np.array([[0.25, -0.75]], dtype=np.float32)
-    np.testing.assert_allclose(scale_residual(raw, 0.2), 0.2 * raw, rtol=1e-6)
+    """mean_np is the scaled correction alpha * tanh(mean), linear in alpha."""
+    heads = [GaussianPolicy(5, 2, (16,), alpha, RNG(0)) for alpha in (0.2, 0.4)]
+    for head in heads:
+        _perturb(head)
+    x = RNG(4).standard_normal((7, 5)).astype(np.float32)
+    small, large = (head.mean_np(x) for head in heads)
+    (w0, b0), (w1, b1) = ((layer.W.data, layer.b.data) for layer in heads[0].net.layers)
+    mean = (np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)[:, :2]
+    np.testing.assert_array_equal(small, np.float32(0.2) * np.tanh(mean))
+    np.testing.assert_array_equal(large, 2 * small)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +83,7 @@ def test_zero_init_mean_passthrough():
     """A fresh head proposes exactly zero correction everywhere."""
     pol = GaussianPolicy(6, 2, (16, 16), 0.3, RNG(0))
     x = RNG(1).standard_normal((9, 6)).astype(np.float32)
-    np.testing.assert_array_equal(pol.mean_raw_np(x), np.zeros((9, 2), np.float32))
+    np.testing.assert_array_equal(pol.mean_np(x), np.zeros((9, 2), np.float32))
 
 
 def test_alpha_bounds_rejected():
@@ -159,38 +177,42 @@ def test_actor_gradient_matches_finite_difference():
 # ---------------------------------------------------------------------------
 # Policy stack wiring
 
-def _normalizer(dim):
-    norm = Normalizer.fit(RNG(11).standard_normal((64, dim)).astype(np.float32))
-    return norm
-
-
 def test_stack_mode_validation():
     norm = _normalizer(4)
-    res = GaussianPolicy(6, 2, (8,), 0.1, RNG(0))
-    with pytest.raises(ValueError):
-        PolicyStack("nosuch", norm)
-    with pytest.raises(ValueError):
-        PolicyStack("betail", norm, residual=res)  # needs the sequence base
-    with pytest.raises(ValueError):
-        PolicyStack("bet", norm, bet=None)
-    with pytest.raises(ValueError):
-        # correction-only modes must keep full authority
-        PolicyStack("ail", norm, residual=GaussianPolicy(4, 2, (8,), 0.5, RNG(0)))
+    with pytest.raises(ValueError, match="unknown mode 'nosuch'"):
+        build_policy_stack("nosuch", norm, 4, RNG(0))
+    with pytest.raises(ValueError, match="needs a sequence-model base"):
+        build_policy_stack("betail", norm, 4, RNG(0), alpha=0.1)
+    with pytest.raises(ValueError, match="needs a sequence-model base"):
+        build_policy_stack("bet", norm, 4, RNG(0))
+    with pytest.raises(ValueError, match="needs a behavior-cloned base"):
+        build_policy_stack("bcail", norm, 4, RNG(0), alpha=0.1)
 
 
 def test_stack_rejects_a_base_of_another_observation_width():
     # A base pretrained on episodes with other feature counts.
     bet = BeT(BeTConfig(obs_dim=48, embed_dim=8, n_layers=1, n_heads=2, context=4,
                         eval_context=2), RNG(0))
-    res = GaussianPolicy(52, 2, (8,), 0.1, RNG(0))
     with pytest.raises(ValueError, match="reads 48 observation features.*emits 50"):
-        PolicyStack("betail", _normalizer(50), bet=bet, residual=res)
+        build_policy_stack("betail", _normalizer(50), 50, RNG(0), alpha=0.1, bet=bet)
+
+
+def test_stack_params_name_every_net_it_acts_with():
+    bet = BeT(BeTConfig(obs_dim=4, embed_dim=8, n_layers=1, n_heads=2, context=4,
+                        eval_context=2), RNG(0))
+    stack = build_policy_stack("betail", _normalizer(4), 4, RNG(1), alpha=0.1, bet=bet,
+                               hidden=(8,))
+    assert stack.params() == {**{f"bet.{k}": p for k, p in bet.params().items()},
+                              **{f"res.{k}": p for k, p in stack.residual.params().items()}}
+    bc = make_bc_net(4, 2, (8,), RNG(1))
+    assert stack.aug_dim == stack.residual.in_dim == 6
+    assert build_policy_stack("bc", _normalizer(4), 4, RNG(1), bc=bc).params() == {
+        f"bc.{k}": p for k, p in bc.params().items()}
 
 
 def test_stack_without_base_acts_pure_residual():
     norm = _normalizer(4)
-    res = GaussianPolicy(4, 2, (8,), 1.0, RNG(0))
-    stack = PolicyStack("ail", norm, residual=res)
+    stack = build_policy_stack("ail", norm, 4, RNG(0), hidden=(8,))
     assert not stack.has_base
     assert stack.aug_dim == 4
     obs = RNG(12).standard_normal((3, 4)).astype(np.float32)
@@ -200,26 +222,27 @@ def test_stack_without_base_acts_pure_residual():
 
 
 def test_stack_bc_base_composition_is_exact():
-    """betail-over-bc emits clip(base + alpha*raw) with the same base."""
+    """bcail emits clip(base + float32(alpha) * tanh(mean)), written inline in
+    numpy, where the head reads [whitened obs, base]."""
     norm = _normalizer(4)
     bc = make_bc_net(4, 2, (8,), RNG(1))
-    res = GaussianPolicy(6, 2, (8,), 0.2, RNG(2))
-    _perturb(res, scale=0.4, seed=13)
-    stack = PolicyStack("bcail", norm, bc=bc, residual=res)
+    stack = build_policy_stack("bcail", norm, 4, RNG(2), alpha=0.2, bc=bc, hidden=(8,))
+    _perturb(stack.residual, scale=0.4, seed=13)
     obs = RNG(14).standard_normal((5, 4)).astype(np.float32)
     base = stack.base_action(obs)
-    aug = stack.augment(norm.transform(obs), base)
-    raw = res.mean_raw_np(aug)
-    expected = compose_action(base, raw, 0.2)
+    x = np.concatenate([norm.transform(obs), base], axis=1)
+    (w0, b0), (w1, b1) = ((layer.W.data, layer.b.data) for layer in stack.residual.net.layers)
+    mean = (np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)[:, :2]
+    expected = np.clip(base + np.float32(0.2) * np.tanh(mean), -1.0, 1.0)
     act, _ = stack.eval_policy()(obs)
+    assert not np.array_equal(act, base)
     np.testing.assert_array_equal(act, expected)
 
 
 def test_stack_train_policy_extras_consistent():
     norm = _normalizer(4)
     bc = make_bc_net(4, 2, (8,), RNG(1))
-    res = GaussianPolicy(6, 2, (8,), 0.2, RNG(2))
-    stack = PolicyStack("bcail", norm, bc=bc, residual=res)
+    stack = build_policy_stack("bcail", norm, 4, RNG(2), alpha=0.2, bc=bc, hidden=(8,))
     obs = RNG(15).standard_normal((6, 4)).astype(np.float32)
     act, extras = stack.train_policy(RNG(16))(obs)
     base = extras["aug"][:, -2:]
@@ -239,12 +262,3 @@ def test_build_policy_stack_requires_alpha_for_based_modes():
     # pure correction modes force full authority regardless of alpha
     stack = build_policy_stack("ail", norm, 4, RNG(0))
     assert stack.residual.alpha == 1.0
-
-
-def test_augment_saturates_whitened_features():
-    norm = Normalizer(mean=np.zeros(3, np.float32), std=np.full(3, 1e-4, np.float32))
-    res = GaussianPolicy(3, 2, (8,), 1.0, RNG(0))
-    stack = PolicyStack("ail", norm, residual=res)
-    wild = np.full((2, 3), 1e6, dtype=np.float32)
-    aug = stack.augment(norm.transform(wild), None)
-    assert np.all(np.abs(aug) <= 10.0)
