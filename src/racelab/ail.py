@@ -213,18 +213,6 @@ class SACConfig:
     auto_entropy: bool = False
     entropy_lr: float = 3e-4
 
-    @staticmethod
-    def from_dict(d):
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
-        return SACConfig(**d)
-
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
-
 
 def _make_q(in_dim, hidden, rng, name):
     dims = [in_dim] + list(hidden) + [1]
@@ -346,19 +334,9 @@ class TrainConfig:
     eval_cars: int = 20
     eval_max_steps: int = 5000
 
-    @staticmethod
-    def from_dict(d):
-        d = dict(d)
-        d["sac"] = SACConfig.from_dict(d.get("sac", {}))
-        if "policy_hidden" in d:
-            d["policy_hidden"] = tuple(d["policy_hidden"])
-        return TrainConfig(**d)
-
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["sac"] = self.sac.to_dict()
-        d["policy_hidden"] = list(self.policy_hidden)
-        return d
+    def __post_init__(self):
+        if isinstance(self.sac, dict):  # as a config document or a manifest holds it
+            self.sac = SACConfig(**self.sac)
 
 
 class Trainer:
@@ -599,7 +577,7 @@ def save_bundle(path, trainer, extra_manifest=None):
         "seed": trainer.seed,
         "iteration": trainer.iteration_count,
         "env_steps": trainer.env_steps,
-        "config": trainer.cfg.to_dict(),
+        "config": dataclasses.asdict(trainer.cfg),
         "normalizer": stack.normalizer.to_dict(),
         "curve": trainer.curve,
         "last_eval": trainer.last_eval,
@@ -652,7 +630,7 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
     """
     manifest = read_manifest(path)
     if cfg is None:
-        cfg = TrainConfig.from_dict(manifest["config"])
+        cfg = TrainConfig(**manifest["config"])
     stack = load_stack(path, manifest, cfg.policy_hidden)
     trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, manifest["seed"])
     for fname, (_, net) in _bundle_nets(trainer).items():

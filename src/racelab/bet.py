@@ -78,13 +78,6 @@ class BeTConfig:
         if self.eval_context > self.context:
             raise ValueError("eval_context cannot exceed the training context")
 
-    @staticmethod
-    def from_dict(d):
-        return BeTConfig(**d)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 class _Block:
     def __init__(self, cfg, rng):
@@ -227,7 +220,7 @@ def pretrain(model, demoset, seed, progress=None):
 def save_bet(path, model, normalizer, extra=None):
     meta = {
         "kind": "bet",
-        "config": model.cfg.to_dict(),
+        "config": dataclasses.asdict(model.cfg),
         "normalizer": normalizer.to_dict(),
         **(extra or {}),
     }
@@ -245,7 +238,7 @@ def load_bet(path):
         raise nets.CheckpointError(
             f"base-policy checkpoint {path} does not match this version's BeTConfig: "
             f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
-    cfg = BeTConfig.from_dict(meta["config"])
+    cfg = BeTConfig(**meta["config"])
     model = BeT(cfg, np.random.default_rng(0))
     nets.assign_params(model.params(), arrays)
     return model, Normalizer.from_dict(meta["normalizer"]), meta

@@ -61,6 +61,7 @@ the config's course, so they change the stage key as well.
 
 import argparse
 import contextlib
+import dataclasses
 import glob
 import json
 import os
@@ -526,7 +527,7 @@ def cmd_bet_info(args):
     model, normalizer, meta = bet_mod.load_bet(args.bet)
     n_params = int(sum(p.data.size for p in model.params().values()))
     info = {
-        "config": model.cfg.to_dict(),
+        "config": dataclasses.asdict(model.cfg),
         "n_params": n_params,
         "checksum": nets.params_checksum(model.params()),
         "normalizer_dim": len(normalizer.mean),

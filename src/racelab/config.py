@@ -39,7 +39,9 @@ class ConfigError(ValueError):
 
 
 def _base_defaults():
-    return {
+    # One JSON round trip turns tuple defaults into the lists that a
+    # recorded config holds, so the two compare equal.
+    return json.loads(json.dumps({
         "mode": None,
         "profile": "desk",
         "seed": 0,
@@ -49,15 +51,15 @@ def _base_defaults():
         "track": None,
         "pretrain_tracks": None,
         "demos": {"laps": 8, "laps_pretrain": None, "seed": 0},
-        "vehicle": VehicleParams().to_dict(),
-        "episode": EpisodeConfig().to_dict(),
-        "expert": ExpertParams().to_dict(),
+        "vehicle": dataclasses.asdict(VehicleParams()),
+        "episode": dataclasses.asdict(EpisodeConfig()),
+        "expert": dataclasses.asdict(ExpertParams()),
         # The episode fixes the BeT's widths; build_config fills them in.
-        "bet": {k: v for k, v in BeTConfig().to_dict().items()
+        "bet": {k: v for k, v in dataclasses.asdict(BeTConfig()).items()
                 if k not in ("obs_dim", "act_dim")},
         "bc": {"hidden": [256, 256], "updates": 2000, "batch": 256, "lr": 1e-3},
-        "train": TrainConfig().to_dict(),
-    }
+        "train": dataclasses.asdict(TrainConfig()),
+    }))
 
 
 _PROFILE_OVERRIDES = {
@@ -223,7 +225,7 @@ class ExperimentConfig:
 
 def _typed(cls, d, where):
     try:
-        return cls.from_dict(d)
+        return cls(**d)
     except TypeError as exc:
         raise ConfigError(f"invalid '{where}' config: {exc}") from None
     except ValueError as exc:

@@ -68,13 +68,6 @@ class EpisodeConfig:
     lookahead_count: int = 5
     preview_horizon: float = 5.0
 
-    @staticmethod
-    def from_dict(d):
-        return EpisodeConfig(**d)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 def obs_dim(cfg):
     """Observation dimensionality implied by the feature counts."""

@@ -49,13 +49,6 @@ class ExpertParams:
     preview_points: int = 24
     preview_horizon: float = 6.0
 
-    @staticmethod
-    def from_dict(d):
-        return ExpertParams(**d)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 class ExpertController:
     """Stateful batched controller (keeps the low-passed steering)."""
@@ -291,9 +284,9 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     meta = {
         "seed": int(seed),
         "track": track.meta,
-        "expert": xparams.to_dict(),
-        "vehicle": vparams.to_dict(),
-        "episode": ecfg.to_dict(),
+        "expert": dataclasses.asdict(xparams),
+        "vehicle": dataclasses.asdict(vparams),
+        "episode": dataclasses.asdict(ecfg),
         "obs_dim": int(obs_dim(ecfg)),
     }
     return DemoSet(laps, normalizer, meta)

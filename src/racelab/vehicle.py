@@ -37,13 +37,6 @@ class VehicleParams:
     grip_limit: float = 12.0
     wall_speed_loss: float = 0.9
 
-    @staticmethod
-    def from_dict(d):
-        return VehicleParams(**d)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass
 class VehicleState:

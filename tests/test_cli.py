@@ -1,5 +1,6 @@
 """End-to-end tests of the command line."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -92,7 +93,7 @@ def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
     # A base written before the BeTConfig trim carries two keys it lost;
     # dropping w_std shows a missing key as well.
     model = _small_bet()
-    stale = {**model.cfg.to_dict(), "nonlinearity": "relu", "loss_positions": "all"}
+    stale = {**dataclasses.asdict(model.cfg), "nonlinearity": "relu", "loss_positions": "all"}
     del stale["w_std"]
     path = tmp_path / "bet.ckpt"
     nets.save_params(str(path), model.params(), {
