@@ -33,7 +33,7 @@ from .seeding import stream
 
 log = logging.getLogger("racelab.train")
 
-BUNDLE_FORMAT = "racelab-bundle-v2"
+BUNDLE_FORMAT = "racelab-bundle-v3"
 REWARD_EPS = 1e-6
 DISC_HIDDEN = (32, 32)
 
@@ -125,8 +125,11 @@ class ReplayBuffer:
     """FIFO transition ring holding reward ingredients, never rewards.
 
     Columns per row: augmented input, scaled correction, successor
-    augmented input, bootstrap mask, normalized obs, env action, progress
-    gain, off-course speed-squared penalty.
+    augmented input, env action, progress gain, off-course speed-squared
+    penalty. The augmented input starts with the whitened observation
+    (its first obs_dim columns), which the classifier reads from there.
+    Rollouts never end an episode, so every transition bootstraps and no
+    mask is stored.
     """
 
     def __init__(self, capacity, aug_dim, obs_dim, act_dim=2):
@@ -134,8 +137,8 @@ class ReplayBuffer:
         self.aug_dim = int(aug_dim)
         self.obs_dim = int(obs_dim)
         self.act_dim = int(act_dim)
-        edges = np.cumsum([0, aug_dim, act_dim, aug_dim, 1, obs_dim, act_dim, 1, 1])
-        names = ["aug", "res", "aug_next", "done", "obs_n", "a_env", "progress", "pen"]
+        edges = np.cumsum([0, aug_dim, act_dim, aug_dim, act_dim, 1, 1])
+        names = ["aug", "res", "aug_next", "a_env", "progress", "pen"]
         self._cols = {n: slice(int(a), int(b)) for n, a, b in zip(names, edges[:-1], edges[1:])}
         self._data = np.zeros((self.capacity, int(edges[-1])), dtype=np.float32)
         self._n = 0
@@ -187,7 +190,7 @@ class ReplayBuffer:
 def replay_sample_recompute(replay, disc, batch, rng):
     """Sample uniformly and attach freshly recomputed proxy rewards."""
     rows = replay.sample(batch, rng)
-    rows["reward"] = ail_reward(disc, rows["obs_n"], rows["a_env"])
+    rows["reward"] = ail_reward(disc, rows["aug"][:, : replay.obs_dim], rows["a_env"])
     return rows
 
 
@@ -267,12 +270,12 @@ class SACTrainer:
         cfg = self.cfg
         temp = self.temperature
         s, a, s2 = batch["aug"], batch["res"], batch["aug_next"]
-        r, done = batch["reward"], batch["done"]
+        r = batch["reward"]
 
         a2, logp2 = self.policy.sample_np(s2, rng)
         x2 = np.concatenate([s2, a2], axis=1)
         q_next = np.minimum(self.q1_t.predict(x2)[:, 0], self.q2_t.predict(x2)[:, 0])
-        y = (r + cfg.gamma * (1.0 - done) * (q_next - temp * logp2)).astype(np.float32)[:, None]
+        y = (r + cfg.gamma * (q_next - temp * logp2)).astype(np.float32)[:, None]
 
         x = np.concatenate([s, a], axis=1)
         q_losses = []
@@ -378,15 +381,12 @@ class Trainer:
 
     def _transitions(self, roll):
         b, t = roll["actions"].shape[:2]
-        obs_dim = self.demos.obs_dim
         aug_last = self.stack.final_augmented(roll["obs"][:, -1])
         aug_full = np.concatenate([roll["aug"], aug_last[:, None]], axis=1)
         return {
             "aug": aug_full[:, :-1].reshape(b * t, -1),
             "res": roll["res"].reshape(b * t, -1),
             "aug_next": aug_full[:, 1:].reshape(b * t, -1),
-            "done": np.zeros(b * t, dtype=np.float32),
-            "obs_n": aug_full[:, :-1, :obs_dim].reshape(b * t, -1),
             "a_env": roll["actions"].reshape(b * t, -1),
             "progress": roll["progress"].reshape(b * t),
             "pen": roll["pen"].reshape(b * t),
@@ -418,7 +418,7 @@ class Trainer:
                 rng_d = stream(self.seed, "disc", it, j)
                 e_idx = rng_d.integers(0, len(self._demo_x), size=cfg.demo_batch)
                 agent = self.replay.sample(cfg.demo_batch, rng_d)
-                agent_x = disc_input(agent["obs_n"], agent["a_env"])
+                agent_x = disc_input(agent["aug"][:, : self.replay.obs_dim], agent["a_env"])
                 dstats.append(disc_update(self.disc, self.opt_disc, self._demo_x[e_idx],
                                           agent_x, rng_d, cfg.gp_scale, cfg.gp_target,
                                           cfg.entropy_scale))

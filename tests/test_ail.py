@@ -135,15 +135,13 @@ def test_entropy_bonus_value_at_half():
 # ---------------------------------------------------------------------------
 # Replay ring
 
-def _row_batch(values, aug_dim=3, obs_dim=2):
+def _row_batch(values, aug_dim=3):
     n = len(values)
     v = np.asarray(values, dtype=np.float32)
     return {
         "aug": np.tile(v[:, None], (1, aug_dim)),
         "res": np.tile(v[:, None], (1, 2)),
         "aug_next": np.tile(v[:, None], (1, aug_dim)),
-        "done": np.zeros(n, np.float32),
-        "obs_n": np.tile(v[:, None], (1, obs_dim)),
         "a_env": np.tile(v[:, None], (1, 2)),
         "progress": v,
         "pen": np.zeros(n, np.float32),
@@ -167,9 +165,10 @@ def test_replay_sample_shapes_and_column_consistency():
     buf = ReplayBuffer(10, aug_dim=3, obs_dim=2)
     buf.push(_row_batch([5, 6, 7]))
     rows = buf.sample(8, RNG(14))
+    assert set(rows) == {"aug", "res", "aug_next", "a_env", "progress", "pen"}
     assert rows["aug"].shape == (8, 3)
-    assert rows["obs_n"].shape == (8, 2)
     assert rows["progress"].shape == (8,)
+    assert buf.state_arrays()["data"].shape == (3, 3 + 2 + 3 + 2 + 1 + 1)
     # every column of one row carries the same tag value by construction
     np.testing.assert_array_equal(rows["aug"][:, 0], rows["a_env"][:, 0])
 
@@ -206,14 +205,14 @@ def test_recomputed_rewards_track_current_classifier():
     disc = make_discriminator(2, 2, RNG(16))
     rows1 = replay_sample_recompute(buf, disc, 12, RNG(17))
     np.testing.assert_array_equal(
-        rows1["reward"], ail_reward(disc, rows1["obs_n"], rows1["a_env"]))
+        rows1["reward"], ail_reward(disc, rows1["aug"][:, :2], rows1["a_env"]))
     for p in disc.params().values():
         p.data += 0.3 * RNG(18).standard_normal(p.data.shape).astype(np.float32)
     rows2 = replay_sample_recompute(buf, disc, 12, RNG(17))
-    np.testing.assert_array_equal(rows1["obs_n"], rows2["obs_n"])
+    np.testing.assert_array_equal(rows1["aug"], rows2["aug"])
     assert not np.array_equal(rows1["reward"], rows2["reward"])
     np.testing.assert_array_equal(
-        rows2["reward"], ail_reward(disc, rows2["obs_n"], rows2["a_env"]))
+        rows2["reward"], ail_reward(disc, rows2["aug"][:, :2], rows2["a_env"]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +233,26 @@ def _sac(aug_dim=4, temp=0.0, gamma=0.5, tau=0.002):
     return sac
 
 
-def _batch(aug_dim=4, n=16, done=1.0, r=None, seed=21):
+def _batch(aug_dim=4, n=16, r=None, seed=21):
     rng = RNG(seed)
     r = rng.standard_normal(n).astype(np.float32) if r is None else r
     return {
         "aug": rng.standard_normal((n, aug_dim)).astype(np.float32),
         "res": rng.standard_normal((n, 2)).astype(np.float32),
         "aug_next": rng.standard_normal((n, aug_dim)).astype(np.float32),
-        "done": np.full(n, done, dtype=np.float32),
         "reward": r,
     }
 
 
 def test_terminal_target_equals_reward():
-    """With done = 1 the bootstrap vanishes: a zeroed critic's first loss
-    is exactly mean(reward^2)."""
-    sac = _sac()
-    for net in (sac.q1, sac.q2, sac.q1_t, sac.q2_t):
+    """With gamma = 0 the bootstrap vanishes: a zeroed critic's first loss
+    is exactly mean(reward^2), whatever the target critics read."""
+    sac = _sac(gamma=0.0)
+    for net in (sac.q1, sac.q2):
         _zero_params(net)
-    batch = _batch(done=1.0)
+    for net in (sac.q1_t, sac.q2_t):
+        _const_net(net, 2.5)
+    batch = _batch()
     stats = sac.update(batch, RNG(22))
     want = float(np.mean(batch["reward"].astype(np.float64) ** 2))
     assert stats["q1_loss"] == pytest.approx(want, rel=1e-5)
@@ -260,15 +260,15 @@ def test_terminal_target_equals_reward():
 
 
 def test_bootstrap_target_adds_discounted_successor_value():
-    """With done = 0, zero temperature, and constant-c target critics the
-    regression target is reward + gamma * c."""
+    """With zero temperature and constant-c target critics the regression
+    target is reward + gamma * c: every transition bootstraps."""
     c = 2.5
     sac = _sac(temp=0.0, gamma=0.5)
     for net in (sac.q1, sac.q2):
         _zero_params(net)
     for net in (sac.q1_t, sac.q2_t):
         _const_net(net, c)
-    batch = _batch(done=0.0)
+    batch = _batch()
     stats = sac.update(batch, RNG(23))
     y = batch["reward"].astype(np.float64) + 0.5 * c
     want = float(np.mean(y**2))
@@ -278,7 +278,7 @@ def test_bootstrap_target_adds_discounted_successor_value():
 def test_polyak_update_is_exact_convex_blend():
     sac = _sac(tau=0.25)
     before = [p.data.copy() for p in sac.q1_t.params().values()]
-    batch = _batch(done=1.0)
+    batch = _batch()
     sac.update(batch, RNG(24))
     online = list(sac.q1.params().values())
     targets = list(sac.q1_t.params().values())
@@ -308,7 +308,7 @@ def test_target_nets_start_as_copies():
 def test_actor_step_reduces_actor_loss_on_fixed_batch():
     """Repeating updates on one batch drives the actor objective down."""
     sac = _sac(temp=0.01, gamma=0.0)
-    batch = _batch(done=1.0)
+    batch = _batch()
     losses = [sac.update(batch, RNG(27))["actor_loss"] for _ in range(60)]
     assert losses[-1] < losses[0]
 
@@ -319,14 +319,14 @@ def test_temperature_tuning_moves_toward_target_entropy():
                     entropy_lr=5e-2, gradient_steps=1, batch=8)
     sac = SACTrainer(pol, 2, cfg, RNG(29))
     log_temp0 = sac.log_temp.data[0]
-    stats = sac.update(_batch(aug_dim=2, n=8, done=1.0, seed=30), RNG(31))
+    stats = sac.update(_batch(aug_dim=2, n=8, seed=30), RNG(31))
     # Adam's first step moves by the learning rate, raising the temperature
     # when the entropy -logp is below its target and lowering it otherwise.
     step = sac.log_temp.data[0] - log_temp0
     direction = np.sign(stats["mean_logp"] + sac.target_entropy)
     assert step == pytest.approx(direction * cfg.entropy_lr, rel=1e-6)
     for i in range(1, 20):
-        sac.update(_batch(aug_dim=2, n=8, done=1.0, seed=30 + i), RNG(31 + i))
+        sac.update(_batch(aug_dim=2, n=8, seed=30 + i), RNG(31 + i))
     state = sac.opt_temp.state_dict()
     assert state["step_count"] == 20
     assert state["m"]["log_temp"].dtype == np.float64
@@ -335,7 +335,7 @@ def test_temperature_tuning_moves_toward_target_entropy():
 
 def test_fixed_temperature_takes_no_optimizer_step():
     sac = _sac(temp=0.1)
-    sac.update(_batch(done=1.0), RNG(33))
+    sac.update(_batch(), RNG(33))
     assert sac.opt_temp.step_count == 0
     assert sac.temperature == pytest.approx(0.1, rel=1e-12)
 

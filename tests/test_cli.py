@@ -108,9 +108,11 @@ def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
 def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
-    (bundle / "manifest.json").write_text(json.dumps({"format": "racelab-bundle-v1"}))
-    assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
-    assert capsys.readouterr().err == f"error: not a racelab-bundle-v2 checkpoint bundle: {bundle}\n"
+    for old in ("racelab-bundle-v1", "racelab-bundle-v2"):
+        (bundle / "manifest.json").write_text(json.dumps({"format": old}))
+        assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            f"error: not a racelab-bundle-v3 checkpoint bundle: {bundle}\n"
 
 
 # ---------------------------------------------------------------------------
