@@ -33,7 +33,8 @@ under, and is reused only while every product in the experiment directory
 records the current one. A run's bundle records the whole config the run
 was trained under, and is resumed only by a config that differs from it
 at most in the stopping rules and ``--out``: a longer iteration budget
-resumes the same run directory in either layout. Any mismatch exits 2
+resumes the same run directory in either layout, and a budget below the
+bundle's iteration is refused. Any mismatch exits 2
 before anything is written, naming the file, the first differing key and
 both values. The experiment directory's ``.lock`` is held while stages
 are built, and the run directory's while training.
@@ -299,13 +300,21 @@ def _run_record(bundle):
 
 
 def _check_bundle(cfg, run_dir):
-    """Refuse to resume a bundle that a run of another config wrote."""
+    """Refuse to resume a bundle that a run of another config wrote, or one
+    that has trained past the config's iteration budget."""
     bundle = os.path.join(run_dir, "bundle")
-    mismatch = ail.has_bundle(bundle) and cfg.run_difference(_run_record(bundle)[0]["resolved"])
+    if not ail.has_bundle(bundle):
+        return
+    manifest = _run_record(bundle)[0]
+    mismatch = cfg.run_difference(manifest["resolved"])
     if mismatch:
         key, recorded, value = mismatch
         raise RuntimeError(f"{bundle}/manifest.json records {key} {recorded!r}, "
                            f"not {value!r} (use another --out, or remove the bundle)")
+    if manifest["iteration"] > cfg.train.iterations:
+        raise RuntimeError(f"{bundle}/manifest.json records iteration {manifest['iteration']}, "
+                           f"beyond train.iterations {cfg.train.iterations} "
+                           "(a shorter budget cannot resume it; use another --out)")
 
 
 def _bundle_meta(manifest):

@@ -266,6 +266,22 @@ def test_a_longer_budget_resumes_the_default_run_directory(tmp_path, capsys):
     assert json.loads((run / "summary.json").read_text())["iterations"] == 2
 
 
+def test_a_shorter_budget_is_refused_and_leaves_the_run_unchanged(tmp_path, capsys):
+    doc = {**TINY, "mode": "ail"}
+    out = tmp_path / "X"
+    assert cli.main(["run", "--config", _write(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    before = _tree(out)
+    shorter = {**doc, "train": {**doc["train"], "iterations": 1}}
+    assert cli.main(["run", "--config", _write(tmp_path / "c.json", shorter),
+                     "--out", str(out)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: {out / 'bundle'}/manifest.json records iteration 2, beyond train.iterations 1 "
+        "(a shorter budget cannot resume it; use another --out)\n")
+    assert _tree(out) == before
+
+
 @pytest.fixture(scope="module")
 def seed5_run(tmp_path_factory):
     """A finished betail run of the tiny config at seed 5, with --out."""
