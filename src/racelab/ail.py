@@ -126,10 +126,9 @@ class ReplayBuffer:
 
     Columns per row: augmented input, scaled correction, successor
     augmented input, env action, progress gain, off-course speed-squared
-    penalty. The augmented input starts with the whitened observation
-    (its first obs_dim columns), which the classifier reads from there.
-    Rollouts never end an episode, so every transition bootstraps and no
-    mask is stored.
+    penalty. The augmented input starts with the whitened observation,
+    which ``obs_of`` reads from there. Rollouts never end an episode, so
+    every transition bootstraps and no mask is stored.
     """
 
     def __init__(self, capacity, aug_dim, obs_dim, act_dim=2):
@@ -171,6 +170,11 @@ class ReplayBuffer:
             out[name] = col[:, 0] if col.shape[1] == 1 else col
         return out
 
+    def obs_of(self, rows):
+        """Whitened observations of sampled rows: the first obs_dim columns
+        of their augmented input."""
+        return rows["aug"][:, : self.obs_dim]
+
     def state_arrays(self):
         """The filled rows, as a view of the ring (not a copy)."""
         return {"data": self._data[: self._n]}
@@ -190,7 +194,7 @@ class ReplayBuffer:
 def replay_sample_recompute(replay, disc, batch, rng):
     """Sample uniformly and attach freshly recomputed proxy rewards."""
     rows = replay.sample(batch, rng)
-    rows["reward"] = ail_reward(disc, rows["aug"][:, : replay.obs_dim], rows["a_env"])
+    rows["reward"] = ail_reward(disc, replay.obs_of(rows), rows["a_env"])
     return rows
 
 
@@ -418,7 +422,7 @@ class Trainer:
                 rng_d = stream(self.seed, "disc", it, j)
                 e_idx = rng_d.integers(0, len(self._demo_x), size=cfg.demo_batch)
                 agent = self.replay.sample(cfg.demo_batch, rng_d)
-                agent_x = disc_input(agent["aug"][:, : self.replay.obs_dim], agent["a_env"])
+                agent_x = disc_input(self.replay.obs_of(agent), agent["a_env"])
                 dstats.append(disc_update(self.disc, self.opt_disc, self._demo_x[e_idx],
                                           agent_x, rng_d, cfg.gp_scale, cfg.gp_target,
                                           cfg.entropy_scale))

@@ -139,7 +139,9 @@ def _row_batch(values, aug_dim=3):
     n = len(values)
     v = np.asarray(values, dtype=np.float32)
     return {
-        "aug": np.tile(v[:, None], (1, aug_dim)),
+        # Distinct columns, so that reading the whitened obs from the wrong
+        # columns of aug shows; column 0 carries the row's tag value.
+        "aug": v[:, None] * np.arange(1, aug_dim + 1, dtype=np.float32),
         "res": np.tile(v[:, None], (1, 2)),
         "aug_next": np.tile(v[:, None], (1, aug_dim)),
         "a_env": np.tile(v[:, None], (1, 2)),
@@ -206,6 +208,7 @@ def test_recomputed_rewards_track_current_classifier():
     rows1 = replay_sample_recompute(buf, disc, 12, RNG(17))
     np.testing.assert_array_equal(
         rows1["reward"], ail_reward(disc, rows1["aug"][:, :2], rows1["a_env"]))
+    np.testing.assert_array_equal(buf.obs_of(rows1), rows1["aug"][:, :2])
     for p in disc.params().values():
         p.data += 0.3 * RNG(18).standard_normal(p.data.shape).astype(np.float32)
     rows2 = replay_sample_recompute(buf, disc, 12, RNG(17))
