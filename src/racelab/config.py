@@ -224,8 +224,10 @@ class ExperimentConfig:
 
 
 def _typed(cls, d, where):
+    """cls built from a resolved subtree; a copy, so the record shares no
+    list with the resolved config it is hashed from."""
     try:
-        return cls(**d)
+        return cls(**copy.deepcopy(d))
     except TypeError as exc:
         raise ConfigError(f"invalid '{where}' config: {exc}") from None
     except ValueError as exc:

@@ -199,6 +199,14 @@ def test_eval_only_base_mode_is_not_trainable():
         build_config(minimal(mode="bet"))
 
 
+def test_typed_records_share_no_list_with_the_resolved_config():
+    cfg = build_config(minimal(mode="ail"))
+    before = cfg.hash
+    cfg.train.policy_hidden.append(8)
+    cfg.train.sac.hidden.append(8)
+    assert cfg.hash == before
+
+
 def test_needs_bet():
     assert build_config(minimal(mode="betail", alpha=0.1)).needs_bet()
     assert build_config(minimal(mode="betsac", alpha=0.1)).needs_bet()
