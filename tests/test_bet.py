@@ -16,6 +16,7 @@ from racelab.env import EpisodeConfig, Normalizer
 from racelab.expert import ExpertParams, generate_demos
 from racelab.nets import params_checksum
 from racelab.optim import Lamb, LambConfig
+from racelab.policies import build_policy_stack
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
 
@@ -157,6 +158,19 @@ def test_window_longer_than_context_rejected():
         model.predict(x)
     with pytest.raises(ValueError):
         model.forward(ad.Tensor(x))
+
+
+def test_inputs_are_saturated_before_projection():
+    """Wildly out-of-range features reach the sequence base saturated by
+    ``Normalizer.transform``, so it acts on them as at the clip bound."""
+    norm = Normalizer(mean=np.zeros(6, np.float32), std=np.full(6, 0.5, np.float32))
+    sign = np.array([[1.0], [-1.0]], dtype=np.float32)
+    wild, at_bound = 1e8 * sign * np.ones(6, np.float32), 5.0 * sign * np.ones(6, np.float32)
+    cfg = BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4, eval_context=2)
+    stacks = [build_policy_stack("bet", norm, 6, None, bet=BeT(cfg, RNG(0))) for _ in range(2)]
+    for stack in stacks:
+        stack.reset()
+    np.testing.assert_array_equal(stacks[0].base_action(wild), stacks[1].base_action(at_bound))
 
 
 def test_actions_are_bounded_by_tanh_head():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from racelab import autodiff as ad
 from racelab.bet import BeT, BeTConfig
-from racelab.env import Normalizer
+from racelab.env import OBS_CLIP, Normalizer
 from racelab.policies import GaussianPolicy, build_policy_stack, make_bc_net
 
 RNG = np.random.default_rng
@@ -250,6 +250,15 @@ def test_stack_train_policy_extras_consistent():
     np.testing.assert_array_equal(act, np.clip(base + extras["res"], -1.0, 1.0))
     assert extras["aug"].shape == (6, 6)
     assert set(extras) == {"res", "aug"}
+
+
+def test_augment_saturates_whitened_features():
+    """The correction head's augmented input stays within the clip bound
+    however far the raw features lie outside the demonstrations."""
+    norm = Normalizer(mean=np.zeros(3, np.float32), std=np.full(3, 1e-4, np.float32))
+    stack = build_policy_stack("ail", norm, 3, RNG(0), hidden=(8,))
+    wild = np.full((2, 3), 1e6, dtype=np.float32)
+    assert np.all(np.abs(stack.final_augmented(wild)) <= OBS_CLIP)
 
 
 def test_build_policy_stack_requires_alpha_for_based_modes():
