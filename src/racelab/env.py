@@ -7,7 +7,7 @@ included, takes its input width from it, so the counts are set only here:
 
     [0:3)      body velocity (v_x, v_y, 0)
     [3:6)      body acceleration, backward difference over dt (third 0)
-    [6]        world yaw, wrapped to (-pi, pi]
+    [6]        world yaw, wrapped to [-pi, pi]
     [7]        yaw rate, backward difference over dt
     [8:8+N)    signed curvature preview over a speed-scaled horizon
     [8+N:10+N) cos and sin of heading error against the local track
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import vehicle as veh
 from .nets import load_params, save_params
+from .track import left_normal, wrap_angle
 
 __all__ = [
     "EpisodeConfig",
@@ -49,7 +50,8 @@ TRAJ_FORMAT = "racelab-traj-v1"
 
 
 class RolloutError(RuntimeError):
-    """Raised when a policy emits unusable actions during a rollout."""
+    """Raised when a policy emits unusable actions: ``RaceEnv.step`` names
+    the step and the car."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,21 +188,26 @@ class RaceEnv:
         s0 = np.mod(offset + np.arange(n_cars) * self.track.length / n_cars, self.track.length)
         pos, heading, curv = self.track.frames(s0)
         speeds = speed_lookup(s0)
-        p = self.params
-        delta = np.arctan(p.wheelbase * curv)
-        beta = np.arctan(p.lr_ratio * np.tan(delta))
-        yaw_rate = speeds / p.wheelbase * np.tan(delta) * np.cos(beta)
+        delta = np.arctan(self.params.wheelbase * curv)
+        beta, yaw_rate = veh.slip_and_yaw_rate(delta, speeds, self.params)
         return self.reset(pos, heading - beta, speeds,
                           v_y=speeds * np.tan(beta), yaw_rate=yaw_rate)
 
     def step(self, actions):
         """Advance one control period.
 
-        Returns (obs, progress, offcourse_speed_sq, wall_flags), each a
-        float32-exact array over cars. progress is the wrapped arclength
-        advance in meters; offcourse_speed_sq is squared speed for cars
-        in wall contact, 0 otherwise.
+        actions (B, 2) are taken as float32. Returns (obs, progress,
+        offcourse_speed_sq, wall_flags), each a float32-exact array over
+        cars. progress is the wrapped arclength advance in meters;
+        offcourse_speed_sq is squared speed for cars in wall contact, 0
+        otherwise. Raises RolloutError naming the step (counted from the
+        last reset) and the first car if an action is not finite.
         """
+        actions = np.asarray(actions, dtype=np.float32)
+        finite = np.isfinite(actions).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise RolloutError(f"non-finite action from policy at step {self.step_idx} for car {bad}")
         act = _quant(np.clip(actions, -1.0, 1.0))
         prev_vel = np.stack([self.state.v_x, self.state.v_y], axis=1)
         prev_yaw = self.state.yaw.copy()
@@ -240,8 +247,7 @@ class RaceEnv:
         out[:, 0:2] = vel
         out[:, 3:5] = (vel - self.prev_vel) / cfg.dt
         out[:, 6] = state.yaw
-        dyaw = np.mod(state.yaw - self.prev_yaw + np.pi, 2 * np.pi) - np.pi
-        out[:, 7] = dyaw / cfg.dt
+        out[:, 7] = wrap_angle(state.yaw - self.prev_yaw) / cfg.dt
         # Speed-scaled preview arclengths, one row per car: the curvature
         # samples, then the lookahead points, in one frames pass.
         span = np.maximum(state.v_x, 0.0) * cfg.preview_horizon
@@ -249,51 +255,38 @@ class RaceEnv:
         s_ahead = self.s[:, None] + frac[None, :] * span[:, None]
         centers, hs, curv = self.track.frames(s_ahead.reshape(-1))
         out[:, 8 : 8 + n_curv] = curv.reshape(b, len(frac))[:, :n_curv]
-        psi = np.mod(state.yaw - self.track_heading + np.pi, 2 * np.pi) - np.pi
+        psi = wrap_angle(state.yaw - self.track_heading)
         out[:, 8 + n_curv] = np.cos(psi)
         out[:, 9 + n_curv] = np.sin(psi)
         centers = centers.reshape(b, len(frac), 2)[:, n_curv:]
-        hs = hs.reshape(b, len(frac))[:, n_curv:]
-        normal = np.stack([-np.sin(hs), np.cos(hs)], axis=2)
-        hw = self.track.half_width
-        base = 10 + n_curv
-        cos_y = np.cos(state.yaw)[:, None]
-        sin_y = np.sin(state.yaw)[:, None]
-        for block, world in enumerate((centers + hw * normal, centers - hw * normal, centers)):
-            rel = world - state.position[:, None, :]
-            bx = rel[..., 0] * cos_y + rel[..., 1] * sin_y
-            by = -rel[..., 0] * sin_y + rel[..., 1] * cos_y
-            cols = base + block * 2 * n_look
-            out[:, cols : cols + 2 * n_look : 2] = bx
-            out[:, cols + 1 : cols + 2 * n_look : 2] = by
+        wall = self.track.half_width * left_normal(hs.reshape(b, len(frac))[:, n_curv:])
+        # Left-wall, right-wall and centerline points as one (B, 3n, 2)
+        # block, whose body-frame (x, y) pairs fill the columns in order.
+        world = np.concatenate((centers + wall, centers - wall, centers), axis=1)
+        out[:, 10 + n_curv :] = veh.to_body(world - state.position[:, None, :],
+                                            state.yaw[:, None]).reshape(b, -1)
         return out.astype(np.float32)
 
 
-def rollout(env, policy, steps, log_states=False):
+def rollout(env, policy, steps):
     """Drive the batch for a fixed number of steps.
 
     policy(obs) maps the latest float32 observations (B, D) to
     (actions (B, 2) float32, extras dict of per-car arrays); extras are
-    stacked over time in the returned log. Raises RolloutError naming the
-    car and step if the policy emits non-finite actions.
+    stacked over time in the returned log. ``RaceEnv.step`` raises
+    RolloutError if the policy emits non-finite actions.
 
     The returned dict holds obs (B, T+1, D), actions (B, T, 2), progress,
-    pen, wall (each (B, T)), stacked extras, and optionally the state
-    trail for replay checks.
+    pen, wall (each (B, T)) and the stacked extras.
     """
     obs = env._observe()
     b = len(obs)
     obs_seq = [obs]
     act_seq, prog_seq, pen_seq, wall_seq = [], [], [], []
     extras_seq = {}
-    states = {"position": [env.state.position.copy()], "yaw": [env.state.yaw.copy()],
-              "v_x": [env.state.v_x.copy()], "v_y": [env.state.v_y.copy()]} if log_states else None
-    for t in range(steps):
+    for _ in range(steps):
         actions, extras = policy(obs)
         actions = np.asarray(actions, dtype=np.float32)
-        if not np.all(np.isfinite(actions)):
-            bad = int(np.argwhere(~np.isfinite(actions).all(axis=1))[0][0])
-            raise RolloutError(f"non-finite action from policy at step {t} for car {bad}")
         obs, progress, pen, wall = env.step(actions)
         obs_seq.append(obs)
         act_seq.append(actions)
@@ -302,11 +295,6 @@ def rollout(env, policy, steps, log_states=False):
         wall_seq.append(wall)
         for key, val in extras.items():
             extras_seq.setdefault(key, []).append(np.asarray(val))
-        if log_states:
-            states["position"].append(env.state.position.copy())
-            states["yaw"].append(env.state.yaw.copy())
-            states["v_x"].append(env.state.v_x.copy())
-            states["v_y"].append(env.state.v_y.copy())
     out = {
         "obs": np.stack(obs_seq, axis=1),
         "actions": np.stack(act_seq, axis=1) if act_seq else np.zeros((b, 0, 2), np.float32),
@@ -316,10 +304,6 @@ def rollout(env, policy, steps, log_states=False):
     }
     for key, vals in extras_seq.items():
         out[key] = np.stack(vals, axis=1)
-    if log_states:
-        for key, vals in states.items():
-            arr = np.stack(vals, axis=1)
-            out[f"state_{key}"] = arr.astype(np.float32)
     return out
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .env import Normalizer, RaceEnv, obs_dim
 from .nets import CheckpointError, load_params, save_params
 from .seeding import stream
+from .vehicle import to_body
 
 __all__ = [
     "ExpertParams",
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 DEMO_FORMAT = "racelab-demos-v1"
+
+# The state a demonstration lap records at each of its T+1 steps.
+LAP_STATE = ("position", "yaw", "v_x", "v_y", "s")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,10 +90,7 @@ class ExpertController:
         v = state.v_x
         look = np.maximum(xp.min_lookahead, v * xp.pursuit_time * self.pursuit_mult)
         goal, _, _ = self.track.frames(np.asarray(s) + look)
-        rel = goal - state.position
-        cos_y, sin_y = np.cos(state.yaw), np.sin(state.yaw)
-        gx = rel[:, 0] * cos_y + rel[:, 1] * sin_y
-        gy = -rel[:, 0] * sin_y + rel[:, 1] * cos_y
+        gx, gy = to_body(goal - state.position, state.yaw).T
         d_sq = np.maximum(gx * gx + gy * gy, 1e-6)
         kappa = 2.0 * gy / d_sq
         steer_cmd = np.arctan(self.vparams.wheelbase * kappa) / self.vparams.max_steer
@@ -125,7 +126,8 @@ class DemoSet:
     """Recorded demonstration laps plus the fitted observation whitener.
 
     laps is a list of dicts with float32 arrays: obs (T+1, D),
-    actions (T, 2), position (T+1, 2), yaw, v_x, v_y (T+1,), s (T+1,).
+    actions (T, 2), and the LAP_STATE fields position (T+1, 2) and yaw,
+    v_x, v_y, s (T+1,).
     """
 
     def __init__(self, laps, normalizer, meta):
@@ -228,18 +230,10 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     pos, heading, _ = track.frames(s0)
     v_start = controller.target_speed(s0, np.full(n_laps, 10.0))
     # Start well below cruise so every lap records an acceleration
-    # segment; clones then know how to recover from low speed.
-    env.reset(pos, heading, np.minimum(v_start, xparams.v_max * 0.5))
-    obs = env._observe()
-    logs = {
-        "obs": [obs],
-        "actions": [],
-        "position": [env.state.position.copy()],
-        "yaw": [env.state.yaw.copy()],
-        "v_x": [env.state.v_x.copy()],
-        "v_y": [env.state.v_y.copy()],
-        "s": [env.s.copy()],
-    }
+    # segment; clones then know how to recover from low speed. One row
+    # per recorded step: the observation, then the LAP_STATE fields.
+    rows = [(env.reset(pos, heading, np.minimum(v_start, xparams.v_max * 0.5)), *_lap_state(env))]
+    actions = []
     done_at = np.full(n_laps, -1, dtype=np.int64)
     # Small command noise makes the recordings cover a tube around the
     # racing line together with the controller's corrective responses.
@@ -248,15 +242,8 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
         act = controller.act(env.state, env.s)
         if xparams.action_noise > 0.0:
             act = act + xparams.action_noise * noise_rng.standard_normal(act.shape)
-        act32 = np.clip(act, -1.0, 1.0).astype(np.float32)
-        obs, _, _, _ = env.step(act32)
-        logs["obs"].append(obs)
-        logs["actions"].append(act32)
-        logs["position"].append(env.state.position.copy())
-        logs["yaw"].append(env.state.yaw.copy())
-        logs["v_x"].append(env.state.v_x.copy())
-        logs["v_y"].append(env.state.v_y.copy())
-        logs["s"].append(env.s.copy())
+        actions.append(np.clip(act, -1.0, 1.0).astype(np.float32))
+        rows.append((env.step(actions[-1])[0], *_lap_state(env)))
         newly = (done_at < 0) & (env.cum_progress >= track.length)
         done_at[newly] = t + 1
         if (done_at > 0).all():
@@ -264,21 +251,11 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     if (done_at < 0).any():
         bad = int(np.argwhere(done_at < 0)[0][0])
         raise RuntimeError(f"demonstration lap {bad} did not finish within {max_steps} steps")
-    stacked = {key: np.stack(vals, axis=1) for key, vals in logs.items()}
-    laps = []
-    for i in range(n_laps):
-        end = int(done_at[i])
-        laps.append(
-            {
-                "obs": stacked["obs"][i, : end + 1].astype(np.float32),
-                "actions": stacked["actions"][i, :end].astype(np.float32),
-                "position": stacked["position"][i, : end + 1].astype(np.float32),
-                "yaw": stacked["yaw"][i, : end + 1].astype(np.float32),
-                "v_x": stacked["v_x"][i, : end + 1].astype(np.float32),
-                "v_y": stacked["v_y"][i, : end + 1].astype(np.float32),
-                "s": stacked["s"][i, : end + 1].astype(np.float32),
-            }
-        )
+    stacked = {key: np.stack(col, axis=1) for key, col in zip(("obs", *LAP_STATE), zip(*rows))}
+    stacked["actions"] = np.stack(actions, axis=1)
+    # A lap of T actions keeps T+1 rows of everything else.
+    laps = [{key: val[i, : end + (key != "actions")] for key, val in stacked.items()}
+            for i, end in enumerate(done_at.tolist())]
     all_obs = np.concatenate([lap["obs"] for lap in laps], axis=0)
     normalizer = Normalizer.fit(all_obs)
     meta = {
@@ -305,11 +282,15 @@ def replay_lap(demoset, lap_idx, track, vparams, ecfg):
     worst = 0.0
     for t in range(lap["actions"].shape[0]):
         env.step(lap["actions"][t][None, :])
-        for key, field in (("position", env.state.position), ("yaw", env.state.yaw),
-                           ("v_x", env.state.v_x), ("v_y", env.state.v_y)):
-            dev = float(np.max(np.abs(field.astype(np.float32) - lap[key][t + 1])))
-            worst = max(worst, dev)
+        for key, field in zip(LAP_STATE, _lap_state(env)):
+            worst = max(worst, float(np.max(np.abs(field - lap[key][t + 1]))))
     return worst
+
+
+def _lap_state(env):
+    """The env's LAP_STATE fields as float32 copies, one row per car."""
+    st = env.state
+    return [np.array(x, dtype=np.float32) for x in (st.position, st.yaw, st.v_x, st.v_y, env.s)]
 
 
 class ExpertAdapter:

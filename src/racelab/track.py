@@ -21,6 +21,8 @@ __all__ = [
     "gen_track",
     "save_track",
     "load_track",
+    "wrap_angle",
+    "left_normal",
 ]
 
 TRACK_FORMAT = "racelab-track-v1"
@@ -149,32 +151,16 @@ class Track:
 
     # -- projection ----------------------------------------------------
 
-    def project(self, point):
-        """Project one world point onto the centerline.
-
-        Returns
-        -------
-        s : float
-            Arclength of the closest centerline point.
-        e : float
-            Signed lateral offset, positive to the left of travel.
-        heading : float
-            Interpolated centerline heading at s.
-
-        Raises
-        ------
-        ValueError
-            If the point is farther than 10 * half_width from every
-            vertex (projection would be meaningless).
-        """
-        s, e, h = self.project_many(np.asarray(point, dtype=np.float64)[None, :])
-        return float(s[0]), float(e[0]), float(h[0])
-
     def project_many(self, pts, s_hint=None):
         """Vectorized exact projection of (B, 2) points.
 
         Finds the nearest vertex per point, then solves the exact
         point-to-segment projection on the segments adjacent to it.
+        Returns, per point, the arclength s of the closest centerline
+        point, the signed lateral offset e (positive to the left of
+        travel) and the interpolated centerline heading at s. Raises
+        ValueError if a point is farther than 10 * half_width from every
+        vertex, where a projection would be meaningless.
 
         s_hint, an arclength per point near its answer (a car's arclength
         one step earlier), narrows the nearest-vertex search to a window:
@@ -214,9 +200,9 @@ class Track:
         s = self.wrap(self.s_points[i[rows, best]] + t[rows, best] * np.sqrt(denom[rows, best]))
         best_q = q[rows, best]
         _, h, _ = self.frames(s)
-        tangent = np.stack([np.cos(h), np.sin(h)], axis=1)
+        normal = left_normal(h)
         d = pts - best_q
-        e = tangent[:, 0] * d[:, 1] - tangent[:, 1] * d[:, 0]
+        e = normal[:, 0] * d[:, 0] + normal[:, 1] * d[:, 1]
         return s, e, h
 
     def _nearest_dense(self, pts):
@@ -288,11 +274,23 @@ def _menger_curvature(pts):
     return np.where(denom > 0, 2.0 * cross / np.maximum(denom, 1e-12), 0.0)
 
 
+def wrap_angle(a):
+    """Angle(s) a wrapped to [-pi, pi].
+
+    pi itself maps to -pi, but rounding can land an input just below an
+    odd multiple of pi on +pi, so both ends of the range occur.
+    """
+    return np.mod(a + np.pi, 2.0 * np.pi) - np.pi
+
+
+def left_normal(h):
+    """Unit normal(s) pointing left of heading(s) h, shape h.shape + (2,)."""
+    return np.stack([-np.sin(h), np.cos(h)], axis=-1)
+
+
 def _slerp_angle(a, b, u):
-    """Shortest-path interpolation between angles, wrapped to (-pi, pi]."""
-    diff = np.mod(b - a + np.pi, 2.0 * np.pi) - np.pi
-    out = a + u * diff
-    return np.mod(out + np.pi, 2.0 * np.pi) - np.pi
+    """Shortest-path interpolation between angles, wrapped to [-pi, pi]."""
+    return wrap_angle(a + u * wrap_angle(b - a))
 
 
 # -- generation --------------------------------------------------------

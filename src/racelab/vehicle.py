@@ -15,7 +15,10 @@ import dataclasses
 
 import numpy as np
 
-__all__ = ["VehicleParams", "VehicleState", "initial_state", "step", "enforce_track_limits"]
+from .track import left_normal, wrap_angle
+
+__all__ = ["VehicleParams", "VehicleState", "initial_state", "slip_and_yaw_rate", "step",
+           "enforce_track_limits", "to_body"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,8 +78,20 @@ def initial_state(positions, yaws, speeds):
     )
 
 
-def _wrap_angle(a):
-    return np.mod(a + np.pi, 2.0 * np.pi) - np.pi
+def slip_and_yaw_rate(delta, v_x, params):
+    """Kinematic-bicycle slip angle and yaw rate at road-wheel angle delta
+    and longitudinal speed v_x, with the center of mass lr_ratio of the
+    wheelbase ahead of the rear axle."""
+    beta = np.arctan(params.lr_ratio * np.tan(delta))
+    return beta, (v_x / params.wheelbase) * np.tan(delta) * np.cos(beta)
+
+
+def to_body(rel, yaw):
+    """World-frame offsets rel (..., 2) in the frame of a car heading yaw:
+    x forward, y to the left. yaw broadcasts against rel[..., 0]."""
+    cos_y, sin_y = np.cos(yaw), np.sin(yaw)
+    return np.stack([rel[..., 0] * cos_y + rel[..., 1] * sin_y,
+                     -rel[..., 0] * sin_y + rel[..., 1] * cos_y], axis=-1)
 
 
 def step(state, actions, params, dt):
@@ -86,12 +101,8 @@ def step(state, actions, params, dt):
     in [-1, 1] (clipped here as a final guard).
     """
     act = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
-    steer_cmd = act[:, 0]
     accel_cmd = act[:, 1]
-    delta = steer_cmd * params.max_steer
-    l_r = params.wheelbase * params.lr_ratio
-    beta = np.arctan((l_r / params.wheelbase) * np.tan(delta))
-    yaw_rate = (state.v_x / params.wheelbase) * np.tan(delta) * np.cos(beta)
+    beta, yaw_rate = slip_and_yaw_rate(act[:, 0] * params.max_steer, state.v_x, params)
     # Grip: cap lateral acceleration |v_x * yaw_rate| by rescaling.
     lat = np.abs(state.v_x * yaw_rate)
     over = lat > params.grip_limit
@@ -99,7 +110,7 @@ def step(state, actions, params, dt):
     accel = np.where(accel_cmd >= 0.0, accel_cmd * params.a_max, accel_cmd * params.b_max)
     accel = accel - params.c_drag * state.v_x * state.v_x
     v_x = np.clip(state.v_x + accel * dt, 0.0, params.v_cap)
-    yaw = _wrap_angle(state.yaw + yaw_rate * dt)
+    yaw = wrap_angle(state.yaw + yaw_rate * dt)
     v_y = v_x * np.tan(beta)
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
     vel_world = np.stack([v_x * cos_y - v_y * sin_y, v_x * sin_y + v_y * cos_y], axis=1)
@@ -107,21 +118,17 @@ def step(state, actions, params, dt):
     return VehicleState(position, yaw, v_x, v_y, np.zeros_like(v_x))
 
 
-def enforce_track_limits(state, track, params, s=None, e=None, heading=None):
+def enforce_track_limits(state, track, params, s, e, heading):
     """Clamp off-track cars to the boundary and slow them down.
 
-    Projection results (``track.project_many`` of the positions) may be
-    passed in to avoid recomputing them; when omitted they are computed
-    here. Returns the corrected state (the input is modified in place)
-    with wall_contact set for clamped cars.
+    s, e and heading are ``track.project_many`` of the positions. Returns
+    the corrected state (the input is modified in place) with
+    wall_contact set for clamped cars.
     """
-    if s is None:
-        s, e, heading = track.project_many(state.position)
     outside = np.abs(e) > track.half_width
     if outside.any():
         # The projection's heading is the centerline heading at s.
-        normal = np.stack([-np.sin(heading), np.cos(heading)], axis=1)
-        clamped = track.centerline(s) + np.sign(e)[:, None] * track.half_width * normal
+        clamped = track.centerline(s) + np.sign(e)[:, None] * track.half_width * left_normal(heading)
         state.position = np.where(outside[:, None], clamped, state.position)
         state.v_x = np.where(outside, state.v_x * params.wall_speed_loss, state.v_x)
         state.v_y = np.where(outside, 0.0, state.v_y)

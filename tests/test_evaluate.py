@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from racelab.env import EpisodeConfig
+from racelab.env import EpisodeConfig, RolloutError
 from racelab.evaluate import (
     EvalReport,
     emit_report,
@@ -142,6 +142,31 @@ def test_policy_parameters_must_not_change_during_eval(world):
     with pytest.raises(AssertionError, match="mutated"):
         evaluate(Mutator(stack), track, vp, ec, demos, n_cars=2, max_steps=5,
                  seed=0, tag=0)
+
+
+def test_a_non_finite_action_stops_evaluation_naming_step_and_car(world):
+    track, vp, ec, demos = world
+
+    class NanAtStep4:
+        def reset(self):
+            self.calls = 0
+
+        def params(self):
+            return {}
+
+        def eval_policy(self, env):
+            def policy(obs):
+                act = np.zeros((len(obs), 2), np.float32)
+                if self.calls == 4:
+                    act[1, 0] = np.nan
+                self.calls += 1
+                return act, {}
+
+            return policy
+
+    with pytest.raises(RolloutError) as err:
+        evaluate(NanAtStep4(), track, vp, ec, demos, n_cars=3, max_steps=10, seed=0, tag=0)
+    assert str(err.value) == "non-finite action from policy at step 4 for car 1"
 
 
 def test_track_id_is_content_addressed(world):

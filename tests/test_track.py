@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from racelab.env import EpisodeConfig, RaceEnv
 from racelab import track as track_mod
-from racelab.track import Track, gen_track, load_track, save_track
-from racelab.vehicle import VehicleParams
+from racelab.track import Track, gen_track, load_track, save_track, wrap_angle
+from racelab.vehicle import VehicleParams, enforce_track_limits, initial_state
 
 
 def dense_centerline(track, spacing=0.02):
@@ -57,7 +57,7 @@ class TestProjection:
             frame_pos, h, _ = track.frames(np.asarray([s0]))
             normal = np.asarray([-np.sin(h[0]), np.cos(h[0])])
             point = frame_pos[0] + e0 * normal
-            s, e, _ = track.project(point)
+            (s,), (e,), _ = track.project_many(point[None])
             d_impl = np.linalg.norm(point - track.frames(np.asarray([s]))[0][0])
             brute = np.linalg.norm(pos_dense - point, axis=1)
             # Exact segment projection can only beat the sampled oracle.
@@ -75,7 +75,7 @@ class TestProjection:
             e0 = rng.uniform(-track.half_width * 0.9, track.half_width * 0.9)
             pos, h, _ = track.frames(np.asarray([s0]))
             normal = np.asarray([-np.sin(h[0]), np.cos(h[0])])
-            s, e, _ = track.project(pos[0] + e0 * normal)
+            (s,), (e,), _ = track.project_many((pos[0] + e0 * normal)[None])
             # Frames interpolate vertex headings, so the offset point is
             # not exactly along a polyline normal; allow a small shift.
             assert abs(track.progress_delta(s, s0)) < 0.25
@@ -86,15 +86,15 @@ class TestProjection:
         # Counterclockwise circle: the center is to the left of travel.
         inner = np.asarray([97.0, 0.0])
         outer = np.asarray([103.0, 0.0])
-        _, e_inner, _ = track.project(inner)
-        _, e_outer, _ = track.project(outer)
+        _, (e_inner,), _ = track.project_many(inner[None])
+        _, (e_outer,), _ = track.project_many(outer[None])
         assert e_inner > 0
         assert e_outer < 0
 
     def test_far_point_rejected(self):
         track = gen_track("circle", radius=100.0)
         with pytest.raises(ValueError, match="farther"):
-            track.project(np.asarray([500.0, 500.0]))
+            track.project_many(np.asarray([[500.0, 500.0]]))
 
     def test_batch_matches_scalar(self):
         track = gen_track("random", seed=11)
@@ -102,7 +102,7 @@ class TestProjection:
         pts = track.points[rng.choice(len(track.points), 10)] + rng.normal(0, 2.0, (10, 2))
         s_b, e_b, h_b = track.project_many(pts)
         for i, p in enumerate(pts):
-            s, e, h = track.project(p)
+            (s,), (e,), (h,) = track.project_many(p[None])
             assert s == s_b[i] and e == e_b[i] and h == h_b[i]
 
 
@@ -143,6 +143,24 @@ class TestBatchedRefinement:
                                          rng.uniform(-1.2, 1.2, batch),
                                          np.zeros(batch)], axis=1))
         _assert_bitwise(track.project_many(pts), _project_with_the_loop(track, pts))
+
+    @pytest.mark.parametrize("batch", [1, 4, 20, 256])
+    def test_clamped_cars_and_headings_near_pi_equal_the_loop_bitwise(self, batch):
+        # Cars off the track on either side, clamped to the wall as
+        # RaceEnv.step clamps them, on stretches where the centerline
+        # heading is within 0.2 rad of +pi or -pi.
+        track = gen_track("random", seed=7)
+        rng = np.random.default_rng(batch)
+        near_pi = track.s_points[:-1][np.abs(track.headings) > np.pi - 0.2]
+        s0 = rng.choice(near_pi, batch) + rng.uniform(0.0, 2.0, batch)
+        side = rng.choice([-1.0, 1.0], batch) * rng.uniform(1.05, 1.5, batch)
+        pts, _ = _place(track, np.stack([s0 / track.length, side, np.zeros(batch)], axis=1))
+        car = initial_state(pts, np.zeros(batch), np.full(batch, 20.0))
+        car = enforce_track_limits(car, track, VehicleParams(), *track.project_many(pts))
+        assert car.wall_contact.all()
+        got = track.project_many(car.position)
+        assert np.abs(np.abs(got[2]) - np.pi).max() < 0.25
+        _assert_bitwise(got, _project_with_the_loop(track, car.position))
 
     def test_an_exact_tie_goes_to_the_earlier_segment(self):
         # A 128 m square of 8 m segments: every coordinate, projection and
@@ -338,6 +356,29 @@ class TestFeatureSamples:
         _, pts = _preview(obs, ecfg)
         # The car sits on the centerline; float32 placement leaves ~1e-5 m.
         assert np.allclose(pts[2], 0.0, atol=1e-4)
+
+
+class TestWrapAngle:
+    def test_pi_maps_to_minus_pi(self):
+        assert wrap_angle(np.pi) == -np.pi
+        assert wrap_angle(-np.pi) == -np.pi
+
+    def test_outputs_stay_in_the_closed_range(self):
+        # Odd multiples of pi, and the floats either side of them, up to
+        # 1e3 rad either way, where rounding can reach either end.
+        odd = np.pi * np.arange(-319, 320, 2)
+        a = np.concatenate([np.linspace(-1e3, 1e3, 200_001), odd,
+                            np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)])
+        out = wrap_angle(a)
+        # Both ends occur: the float just below -pi lands on +pi.
+        assert out.min() == -np.pi and out.max() == np.pi
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e3, 1e3, allow_nan=False))
+    def test_wraps_to_an_equal_angle_in_range(self, a):
+        out = wrap_angle(a)
+        assert -np.pi <= out <= np.pi
+        assert abs(np.sin(out) - np.sin(a)) < 1e-9 and abs(np.cos(out) - np.cos(a)) < 1e-9
 
 
 class TestProgressDelta:
