@@ -250,16 +250,16 @@ def _trace(cfg, stage=False):
             "content_version": CONTENT_VERSION, "seed": cfg.seed}
 
 
-def _track_from_spec(spec, default_seed=0):
+def _track_from_spec(spec):
+    """The course a track spec names: a file, or a preset whose other keys
+    go to gen_track, which owns their defaults."""
     spec = dict(spec)
     if "path" in spec:
         return load_track(spec["path"])
     preset = spec.pop("preset", None)
     if preset is None:
         raise ConfigError("track spec needs a 'preset' (circle/oval/random) or a 'path'")
-    seed = spec.pop("seed", default_seed)
-    half_width = spec.pop("half_width", 6.0)
-    return gen_track(preset, seed=seed, half_width=half_width, **spec)
+    return gen_track(preset, **spec)
 
 
 def _require(path, what, hint):

@@ -333,6 +333,15 @@ def _catmull_rom_closed(control, samples_per_seg):
     return np.concatenate(out, axis=0)
 
 
+# Each preset's parameters and their defaults, in the order the track
+# meta records them.
+_PRESETS = {
+    "circle": {"radius": 180.0},
+    "oval": {"radius": 90.0, "straight": 250.0},
+    "random": {"n_control": 12, "roughness": 0.25, "radius": 180.0},
+}
+
+
 def gen_track(preset, seed=0, half_width=6.0, **params):
     """Generate a track from a named preset.
 
@@ -351,57 +360,37 @@ def gen_track(preset, seed=0, half_width=6.0, **params):
     Track
     """
     spacing = float(params.pop("spacing", 2.5))
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown track preset '{preset}'")
+    # Each value takes its default's type: n_control is an int.
+    p = {key: type(default)(params.pop(key, default)) for key, default in _PRESETS[preset].items()}
+    if params:
+        raise ValueError(f"unknown track parameters: {sorted(params)}")
+    meta = {"preset": preset, **p, "seed": int(seed), "spacing": spacing}
     if preset == "circle":
-        radius = float(params.pop("radius", 180.0))
-        _reject_unknown(params)
-        count = max(MIN_POINTS, int(round(2.0 * np.pi * radius / spacing)))
+        count = max(MIN_POINTS, int(round(2.0 * np.pi * p["radius"] / spacing)))
         ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        meta = {"preset": "circle", "radius": radius, "seed": int(seed), "spacing": spacing}
+        pts = p["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return Track(pts, half_width, meta)
     if preset == "oval":
-        radius = float(params.pop("radius", 90.0))
-        straight = float(params.pop("straight", 250.0))
-        _reject_unknown(params)
-        dense = _oval_dense(radius, straight)
+        return Track(_resample_closed(_oval_dense(p["radius"], p["straight"]), spacing),
+                     half_width, meta)
+    n_control = p["n_control"]
+    rng = stream(seed, "track")
+    # Damp the perturbation until the curvature bound is satisfied.
+    for attempt in range(20):
+        damp = 0.85**attempt
+        rr = p["radius"] * (1.0 + p["roughness"] * damp * rng.uniform(-1.0, 1.0, n_control))
+        ang = np.linspace(0.0, 2.0 * np.pi, n_control, endpoint=False)
+        ang = ang + rng.uniform(-0.25, 0.25, n_control) * (2.0 * np.pi / n_control) * damp
+        control = rr[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        dense = _catmull_rom_closed(control, 512)
         pts = _resample_closed(dense, spacing)
-        meta = {
-            "preset": "oval",
-            "radius": radius,
-            "straight": straight,
-            "seed": int(seed),
-            "spacing": spacing,
-        }
-        return Track(pts, half_width, meta)
-    if preset == "random":
-        n_control = int(params.pop("n_control", 12))
-        roughness = float(params.pop("roughness", 0.25))
-        radius = float(params.pop("radius", 180.0))
-        _reject_unknown(params)
-        rng = stream(seed, "track")
-        # Damp the perturbation until the curvature bound is satisfied.
-        for attempt in range(20):
-            damp = 0.85**attempt
-            rr = radius * (1.0 + roughness * damp * rng.uniform(-1.0, 1.0, n_control))
-            ang = np.linspace(0.0, 2.0 * np.pi, n_control, endpoint=False)
-            ang = ang + rng.uniform(-0.25, 0.25, n_control) * (2.0 * np.pi / n_control) * damp
-            control = rr[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            dense = _catmull_rom_closed(control, 512)
-            pts = _resample_closed(dense, spacing)
-            try:
-                meta = {
-                    "preset": "random",
-                    "n_control": n_control,
-                    "roughness": roughness,
-                    "radius": radius,
-                    "seed": int(seed),
-                    "spacing": spacing,
-                }
-                return Track(pts, half_width, meta)
-            except ValueError:
-                continue
-        raise ValueError("could not generate a valid random track; lower roughness")
-    raise ValueError(f"unknown track preset '{preset}'")
+        try:
+            return Track(pts, half_width, meta)
+        except ValueError:
+            continue
+    raise ValueError("could not generate a valid random track; lower roughness")
 
 
 def _oval_dense(radius, straight):
@@ -429,11 +418,6 @@ def _oval_dense(radius, straight):
         [np.linspace(-half, half, n_str, endpoint=False), np.full(n_str, -radius)], axis=1
     )
     return np.concatenate([right_arc, top, left_arc, bottom], axis=0)
-
-
-def _reject_unknown(params):
-    if params:
-        raise ValueError(f"unknown track parameters: {sorted(params)}")
 
 
 # -- persistence -------------------------------------------------------

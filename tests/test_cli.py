@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from racelab import ail, bet, cli, nets
-from racelab.config import build_config
+from racelab.config import CHALLENGES, build_config
 from racelab.env import Normalizer
+from racelab.track import save_track
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
@@ -47,6 +48,26 @@ def test_run_with_other_feature_counts_sizes_the_base_from_the_episode(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     model, normalizer, _ = bet.load_bet(str(out / "bet.ckpt"))
     assert model.cfg.obs_dim == len(normalizer.mean) == 48
+
+
+# sha256 of track.json for each preset at its defaults and each challenge
+# course, as cli._track_from_spec builds them.
+COURSE_FILES = {
+    "circle": "fd83bc5cfa6d8f958b5c82bca32a3e29e3e7723938b2a2a13fd3d1530db39c08",
+    "oval": "dcb3aaf6e2cf9b5d85071e0d965c1821c87747d25d852c0b62a0a430e6f4876f",
+    "random": "4c14d7ceb5253c762a59608e4e3ad096f5ca66234e01af1162943045bb3911b8",
+    "maggiore-like": "c035a35e8a6e01e6d7db0913f17cc5a72636f7f93616f170088bc518f909e65c",
+    "dragontail-like": "d062570baaf0a4dd4a075ea577d1ce03fc3cd86556eefbfbfbe0e270a51b6e97",
+    "panorama-like": "e38f8ffdf8558758caaca9968f06fde50d421432384462e7a5d9c40bef6c273b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COURSE_FILES))
+def test_course_files_keep_their_bytes(name, tmp_path):
+    spec = CHALLENGES[name]["track"] if name in CHALLENGES else {"preset": name}
+    path = tmp_path / "track.json"
+    save_track(cli._track_from_spec(spec), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COURSE_FILES[name]
 
 
 def _gen_track(out):
