@@ -442,7 +442,7 @@ class Trainer:
 
     def evaluate_now(self):
         return eval_mod.evaluate(
-            self.stack, self.track, self.env.params, self.env.cfg, self.speed_lookup,
+            self.stack, self.track, self.env.params, self.env.cfg, self.demos,
             n_cars=self.cfg.eval_cars, max_steps=self.cfg.eval_max_steps,
             seed=self.seed, tag=self.iteration_count,
         )

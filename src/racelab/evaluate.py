@@ -83,15 +83,14 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
     Returns an EvalReport. stack is anything with ``reset()``,
     ``eval_policy(env)`` and ``params()``: a policy stack, or a scripted
     controller with no parameters. The training config owns both sizes
-    (``eval_cars``, ``eval_max_steps``). demos supplies the placement
-    speeds (a demo set or a ready speed lookup). Placement uses the
-    (seed, tag) evaluation stream, so a given checkpoint re-evaluates
-    identically. Policy parameters are checksummed before and after;
-    evaluation must not change them.
+    (``eval_cars``, ``eval_max_steps``). The demo set demos supplies
+    the placement speeds. Placement uses the (seed, tag) evaluation
+    stream, so a given checkpoint re-evaluates identically. Policy
+    parameters are checksummed before and after; evaluation must not
+    change them.
     """
-    lookup = demos.speed_lookup(track.length) if hasattr(demos, "speed_lookup") else demos
     env = RaceEnv(track, vparams, ecfg)
-    obs = env.reset_eval(n_cars, stream(seed, "eval", tag), lookup)
+    obs = env.reset_eval(n_cars, stream(seed, "eval", tag), demos.speed_lookup(track.length))
     stack.reset()
     policy = stack.eval_policy(env)
     named = stack.params()
