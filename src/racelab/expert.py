@@ -253,8 +253,9 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
         raise RuntimeError(f"demonstration lap {bad} did not finish within {max_steps} steps")
     stacked = {key: np.stack(col, axis=1) for key, col in zip(("obs", *LAP_STATE), zip(*rows))}
     stacked["actions"] = np.stack(actions, axis=1)
-    # A lap of T actions keeps T+1 rows of everything else.
-    laps = [{key: val[i, : end + (key != "actions")] for key, val in stacked.items()}
+    # A lap of T actions keeps T+1 rows of everything else. Copies, so the
+    # laps do not hold the whole batch alive.
+    laps = [{key: val[i, : end + (key != "actions")].copy() for key, val in stacked.items()}
             for i, end in enumerate(done_at.tolist())]
     all_obs = np.concatenate([lap["obs"] for lap in laps], axis=0)
     normalizer = Normalizer.fit(all_obs)
