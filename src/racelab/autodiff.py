@@ -276,14 +276,26 @@ def matmul(a, b):
 def affine(x, w, b):
     """x @ w + b for x of shape (N, in) or (B, T, in) and w of (in, out).
 
-    One tape node. A rank-3 x is evaluated as one flattened 2D product, so
-    each row's result never depends on how many positions the batch holds,
-    which the exact-prefix property of the transformer relies on.
+    One tape node. A rank-3 x is evaluated as one flattened 2D product.
+    The flattened rows are zero-padded to a multiple of 4 and the result
+    is sliced back: OpenBLAS picks its kernel by row count (one row goes
+    through gemv), and some kernels change a row's bits at counts that are
+    not a multiple of 4. Padded, each row's result is the same at every
+    row count, which the exact-prefix property of the transformer and its
+    last-position inference rely on. Row counts that are already a
+    multiple of 4 take no copy.
     """
     if x.data.ndim not in (2, 3) or w.data.ndim != 2:
         raise AutodiffError("affine expects a rank-2 or rank-3 input and a rank-2 weight")
-    flat = x.data.reshape(-1, x.data.shape[-1]) @ w.data + b.data
-    out = flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
+    flat = x.data.reshape(-1, x.data.shape[-1])
+    rows = flat.shape[0]
+    if rows % 4:
+        padded = np.zeros((rows + -rows % 4, flat.shape[1]), dtype=flat.dtype)
+        padded[:rows] = flat
+        flat = padded
+    flat = flat @ w.data
+    flat += b.data
+    out = flat[:rows].reshape(x.data.shape[:-1] + (w.data.shape[-1],))
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])

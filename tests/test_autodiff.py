@@ -209,6 +209,18 @@ class TestFusedOps:
         x3 = ad.Tensor(x.data.reshape(3, 5, 16))
         assert np.array_equal(ad.affine(x3, w, b).data, fused.reshape(3, 5, 8))
 
+    @pytest.mark.parametrize("fan_in,fan_out", [(50, 64), (64, 64), (64, 256), (256, 64), (64, 2)])
+    def test_affine_rows_do_not_depend_on_the_row_count(self, fan_in, fan_out):
+        """Each row equals the same row of a 1280-row product, at row counts
+        that are and are not multiples of 4 (the BeT's layer shapes)."""
+        rng = np.random.default_rng(fan_in * 1000 + fan_out)
+        w = ad.Tensor((0.1 * rng.standard_normal((fan_in, fan_out))).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(fan_out).astype(np.float32))
+        x = rng.standard_normal((1280, fan_in)).astype(np.float32)
+        full = ad.affine(ad.Tensor(x), w, b).data
+        for rows in (*range(1, 10), 255, 256, 257, 1279):
+            assert np.array_equal(ad.affine(ad.Tensor(x[:rows]), w, b).data, full[:rows]), rows
+
     def test_attention_with_dropout_matches_finite_differences(self):
         rng = np.random.default_rng(32)
         q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))

@@ -32,7 +32,12 @@ def _tiny_cfg(**over):
 
 
 def _perturbed_model(cfg, seed=0):
+    """Every parameter moved off its initial value, so that layer-norm
+    gains, biases and the head all shape the output."""
     model = BeT(cfg, RNG(seed))
+    rng = RNG(seed + 1000)
+    for p in model.params().values():
+        p.data += (0.05 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
     return model
 
 
@@ -106,7 +111,11 @@ def _per_head_predict(model, x):
         return (c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5)) * gain.data + bias.data
 
     def affine(h, layer):
-        flat = h.reshape(-1, h.shape[-1]) @ layer.W.data + layer.b.data
+        # Rows zero-padded to a multiple of 4, as autodiff.affine pads them.
+        flat = h.reshape(-1, h.shape[-1])
+        rows = len(flat)
+        flat = np.concatenate([flat, np.zeros((-rows % 4, flat.shape[1]), flat.dtype)])
+        flat = (flat @ layer.W.data + layer.b.data)[:rows]
         return flat.reshape(h.shape[:-1] + (layer.W.data.shape[-1],))
 
     cfg = model.cfg
@@ -148,6 +157,18 @@ def test_taped_prefixes_are_bit_identical_at_full_context():
     for t in (1, 2, 7, 19):
         prefix = model.forward(ad.Tensor(x[:, :t]), train=False).data
         np.testing.assert_array_equal(prefix, full[:, :t])
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
+    """Below 4 rows a product would change its kernel with the row count;
+    affine's padding keeps every prefix exact at any batch size."""
+    cfg = BeTConfig()
+    model = _perturbed_model(cfg, seed=46)
+    x = RNG(47).standard_normal((batch, cfg.context, cfg.obs_dim)).astype(np.float32)
+    full = model.predict(x)
+    for t in range(1, cfg.context):
+        np.testing.assert_array_equal(model.predict(x[:, :t]), full[:, :t])
 
 
 def test_window_longer_than_context_rejected():
