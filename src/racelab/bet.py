@@ -5,10 +5,14 @@ the demonstrator's action at every causal position; training minimizes
 the mean squared error over all positions of each window. Its inputs come
 from ``Normalizer.transform``, which already saturates outliers, so the
 model does not clip them again. The attention mask is exact (future
-columns carry probability exactly zero), so the prediction at position t
-is bit-identical whether or not later observations are appended to the
-window. Training uses long windows; control uses a short sliding window
-that grows from length 1 after a reset.
+columns carry probability exactly zero), and ``autodiff.affine`` gives
+each row the same bits at every row count, so the prediction at position
+t is bit-identical whether or not later observations are appended to the
+window, at every batch size. Training uses long windows; control uses a
+short sliding window that grows from length 1 after a reset, and reads
+only its newest position: ``predict_last`` runs the final block's output
+projection, MLP, the final layer norm and the head on that position
+alone, with bitwise the result of the full forward.
 
 Each block runs its heads together. The (B, T, H*d) query, key and value
 projections are laid out head-major as (H*B, T, d), row h*B + b holding
@@ -145,18 +149,28 @@ class BeT:
         )
         return out
 
-    def forward(self, x, train=False, rng=None):
-        """Taped forward over a window batch: (B, T, obs) -> (B, T, act)."""
+    def forward(self, x, train=False, rng=None, last=False):
+        """Taped forward over a window batch: (B, T, obs) -> (B, T, act).
+
+        With last=True only the newest position is read out, (B, 1, act):
+        the final block attends over every position, whose keys and values
+        it needs, then narrows to the last one before its output
+        projection, and the rest of the network runs on that position
+        only. Outside training its bits equal the last position of the
+        full forward.
+        """
         cfg = self.cfg
         t = x.shape[1]
         if t > cfg.context:
             raise ValueError(f"window length {t} exceeds context {cfg.context}")
         h = ad.add(self.in_proj(x), ad.narrow(self.pos_emb, 0, t, axis=0))
         h = ad.dropout(h, cfg.dropout, rng, train)
-        for blk in self.blocks:
+        for i, blk in enumerate(self.blocks):
             a = ad.layer_norm(h, blk.ln1_gain, blk.ln1_bias)
             att = ad.causal_attention(blk.wq(a), blk.wk(a), blk.wv(a), cfg.n_heads,
                                       cfg.dropout, rng, train)
+            if last and i == len(self.blocks) - 1:
+                h, att = ad.narrow(h, t - 1, 1, axis=1), ad.narrow(att, t - 1, 1, axis=1)
             h = ad.add(h, ad.dropout(blk.wo(att), cfg.dropout, rng, train))
             m = ad.layer_norm(h, blk.ln2_gain, blk.ln2_bias)
             m = blk.w2(ad.relu(blk.w1(m)))
@@ -174,8 +188,15 @@ class BeT:
             return self.forward(ad.Tensor(np.asarray(windows, dtype=np.float32))).data
 
     def predict_last(self, windows):
-        """Action at the latest position only: (B, T, obs) -> (B, act)."""
-        return self.predict(windows)[:, -1, :]
+        """Action at the latest position only: (B, T, obs) -> (B, act).
+
+        forward(last=True) without a tape: the final block's per-position
+        work runs at the newest position only. Bitwise equal to
+        ``predict(windows)[:, -1]`` at every batch size.
+        """
+        with ad.no_grad():
+            x = ad.Tensor(np.asarray(windows, dtype=np.float32))
+            return self.forward(x, last=True).data[:, 0, :]
 
 
 def train_step(model, obs_windows, act_windows, opt, rng):

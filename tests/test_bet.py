@@ -171,6 +171,21 @@ def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
         np.testing.assert_array_equal(model.predict(x[:, :t]), full[:, :t])
 
 
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 20, 256])
+def test_desk_predict_last_is_the_last_position_bitwise(batch):
+    """The last-position forward, taped or not, equals the last position of
+    the full forward, and a window's action does not depend on the batch."""
+    cfg = BeTConfig()
+    model = _perturbed_model(cfg, seed=48)
+    x = 3.0 * RNG(49).standard_normal((256, cfg.eval_context, cfg.obs_dim)).astype(np.float32)
+    for t in range(1, cfg.eval_context + 1):
+        window = x[:batch, :t]
+        last = model.predict_last(window)
+        np.testing.assert_array_equal(last, model.predict(window)[:, -1])
+        np.testing.assert_array_equal(last, model.forward(ad.Tensor(window), last=True).data[:, 0])
+        np.testing.assert_array_equal(last, model.predict_last(x[:, :t])[:batch])
+
+
 def test_window_longer_than_context_rejected():
     cfg = _tiny_cfg()
     model = BeT(cfg, RNG(0))
