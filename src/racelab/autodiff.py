@@ -448,10 +448,15 @@ def _causal_softmax(x):
     # An additive -inf mask gives future columns exp(-inf) = 0 exactly.
     # Row totals are summed column by column: appending masked (zero)
     # columns must not change earlier rows' normalization bits, which a
-    # pairwise sum would.
+    # pairwise sum would. The row max is taken column by column too, which
+    # at these short rows is cheaper than a reduction and, max being
+    # exact, gives the same bits.
     t = x.shape[-1]
     w = x + np.triu(np.full((t, t), -np.inf, dtype=x.dtype), 1)
-    w -= w.max(axis=-1, keepdims=True)
+    top = w[..., :1].copy()
+    for j in range(1, t):
+        np.maximum(top, w[..., j : j + 1], out=top)
+    w -= top
     np.exp(w, out=w)
     totals = w[..., :1].copy()
     for j in range(1, t):
@@ -501,18 +506,26 @@ def _merge_heads(x, n_heads):
     return x.reshape(n_heads, b, t, d).transpose(1, 2, 0, 3).reshape(b, t, n_heads * d)
 
 
+def _split_heads_transposed(x, n_heads):
+    # (B, T, H*d) -> (H*B, d, T): the keys of _split_heads, laid out
+    # contiguously for the score product.
+    b, t, width = x.shape
+    d = width // n_heads
+    return x.reshape(b, t, n_heads, d).transpose(2, 0, 3, 1).reshape(n_heads * b, d, t)
+
+
 def _inv_sqrt(d):
     return float(1.0 / np.sqrt(d))
 
 
 def _attention(q, k, v, n_heads, keep):
-    qh, kh, vh = (_split_heads(x, n_heads) for x in (q, k, v))
-    scores = qh @ np.swapaxes(kh, -1, -2)
+    qh, vh = _split_heads(q, n_heads), _split_heads(v, n_heads)
+    scores = qh @ _split_heads_transposed(k, n_heads)
     scores *= _inv_sqrt(qh.shape[-1])
     _checked(scores, "causal_attention")
     w = _causal_softmax(scores)
     wd = w if keep is None else w * keep
-    return _merge_heads(wd @ vh, n_heads), (qh, kh, vh, w, wd)
+    return _merge_heads(wd @ vh, n_heads), (qh, vh, w, wd)
 
 
 def causal_attention(q, k, v, n_heads, p, rng, train):
@@ -535,7 +548,7 @@ def causal_attention(q, k, v, n_heads, p, rng, train):
     if train and p != 0.0:
         b, t, _ = q.data.shape
         keep = _dropout_keep((n_heads * b, t, t), p, rng, q.data.dtype)
-    out, (qh, kh, vh, w, wd) = _attention(q.data, k.data, v.data, n_heads, keep)
+    out, (qh, vh, w, wd) = _attention(q.data, k.data, v.data, n_heads, keep)
 
     def vjp(g):
         gh = _split_heads(g, n_heads)
@@ -549,7 +562,7 @@ def causal_attention(q, k, v, n_heads, p, rng, train):
         gs = _softmax_vjp(w, gw)
         gs *= _inv_sqrt(qh.shape[-1])
         if q.requires_grad:
-            q._accumulate(_merge_heads(gs @ kh, n_heads), owned=True)
+            q._accumulate(_merge_heads(gs @ _split_heads(k.data, n_heads), n_heads), owned=True)
         if k.requires_grad:
             gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
             k._accumulate(_merge_heads(gk, n_heads), owned=True)
@@ -648,7 +661,9 @@ def _layer_norm(x, gain, bias, eps):
     c = x - x.mean(axis=-1, keepdims=True)
     std = np.sqrt(np.square(c).mean(axis=-1, keepdims=True) + eps)
     c /= std
-    return c * gain + bias, c, std
+    out = c * gain
+    out += bias
+    return out, c, std
 
 
 def layer_norm(a, gain, bias, eps=1e-5):

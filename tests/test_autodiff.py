@@ -42,6 +42,39 @@ def check_grads(build, inputs, rng, h=1e-6, tol=1e-6):
             )
 
 
+def _row_max_causal_softmax(x):
+    """The causal softmax as it took its row max, with one reduction over
+    the last axis; the reference for the column-by-column max."""
+    t = x.shape[-1]
+    w = x + np.triu(np.full((t, t), -np.inf, dtype=x.dtype), 1)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    totals = w[..., :1].copy()
+    for j in range(1, t):
+        totals += w[..., j : j + 1]
+    w /= totals
+    return w
+
+
+def _strided_key_attention(q, k, v, n_heads, keep):
+    """ad._attention as it was before the contiguous key layout: scores
+    against a transposed view of the head-split keys, softmax by row max."""
+    qh, kh, vh = (ad._split_heads(x, n_heads) for x in (q, k, v))
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= ad._inv_sqrt(qh.shape[-1])
+    w = _row_max_causal_softmax(scores)
+    wd = w if keep is None else w * keep
+    return ad._merge_heads(wd @ vh, n_heads), (qh, vh, w, wd)
+
+
+def _two_temporary_layer_norm(x, gain, bias, eps):
+    """ad._layer_norm as it built its output in one expression."""
+    c = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.square(c).mean(axis=-1, keepdims=True) + eps)
+    c /= std
+    return c * gain + bias, c, std
+
+
 class TestElementwiseOps:
     def test_binary_ops_match_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -221,6 +254,44 @@ class TestFusedOps:
         for rows in (*range(1, 10), 255, 256, 257, 1279):
             assert np.array_equal(ad.affine(ad.Tensor(x[:rows]), w, b).data, full[:rows]), rows
 
+    @pytest.mark.parametrize("batch,t", [(1, 1), (3, 5), (20, 5), (64, 20), (256, 5)])
+    def test_contiguous_keys_give_the_strided_score_product_bitwise(self, batch, t):
+        rng = np.random.default_rng(batch * 100 + t)
+        q, k = (rng.standard_normal((batch, t, 64)).astype(np.float32) for _ in range(2))
+        qh, kh = ad._split_heads(q, 4), ad._split_heads(k, 4)
+        kt = ad._split_heads_transposed(k, 4)
+        assert kt.flags.c_contiguous
+        assert np.array_equal(kt, np.swapaxes(kh, -1, -2))
+        assert np.array_equal(qh @ kt, qh @ np.swapaxes(kh, -1, -2))
+
+    def test_bet_gradients_equal_those_of_the_former_kernels(self, monkeypatch):
+        """A taped training forward and backward of the desk BeT at (64, 20),
+        with dropout, gives bitwise the parameter gradients of the strided-key
+        attention, the row-max softmax and the one-expression layer norm."""
+        from racelab.bet import BeT, BeTConfig
+
+        cfg = BeTConfig()
+        model = BeT(cfg, np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        for p in model.params().values():
+            p.data += (0.05 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        x = rng.standard_normal((64, cfg.context, cfg.obs_dim)).astype(np.float32)
+        y = np.clip(rng.standard_normal((64, cfg.context, cfg.act_dim)), -0.9, 0.9).astype(np.float32)
+
+        def gradients():
+            ad.zero_grads(model.params().values())
+            pred = model.forward(ad.Tensor(x), train=True, rng=np.random.default_rng(52))
+            ad.backward(ad.mse(pred, ad.Tensor(y)))
+            return {name: p.grad.copy() for name, p in model.params().items()}
+
+        now = gradients()
+        monkeypatch.setattr(ad, "_attention", _strided_key_attention)
+        monkeypatch.setattr(ad, "_layer_norm", _two_temporary_layer_norm)
+        former = gradients()
+        assert now.keys() == former.keys()
+        for name in now:
+            assert np.array_equal(now[name], former[name]), name
+
     def test_attention_with_dropout_matches_finite_differences(self):
         rng = np.random.default_rng(32)
         q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
@@ -298,6 +369,15 @@ class TestCausalSoftmax:
         for t in (1, 3, 5):
             out_prefix = ad.causal_softmax_last(ad.Tensor(full[:, :t, :t].copy())).data
             assert np.array_equal(out_prefix, out_full[:, :t, :t])
+
+    @pytest.mark.parametrize("t", [1, 5, 20])
+    def test_column_max_equals_the_row_reduction_bitwise(self, t):
+        """Max is exact, so taking it column by column changes no bit, also
+        where a row's largest scores tie."""
+        rng = np.random.default_rng(17 + t)
+        scores = rng.standard_normal((256, t, t)).astype(np.float32)
+        for x in (scores, np.round(scores), np.zeros_like(scores)):
+            assert np.array_equal(ad._causal_softmax(x), _row_max_causal_softmax(x))
 
     def test_masked_inputs_get_zero_gradient(self):
         x = ad.tensor(np.random.default_rng(15).standard_normal((1, 4, 4)), requires_grad=True)
