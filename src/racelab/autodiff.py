@@ -292,10 +292,11 @@ def affine(x, w, b):
     if rows % 4:
         padded = np.zeros((rows + -rows % 4, flat.shape[1]), dtype=flat.dtype)
         padded[:rows] = flat
-        flat = padded
-    flat = flat @ w.data
+        flat = (padded @ w.data)[:rows]
+    else:
+        flat = flat @ w.data
     flat += b.data
-    out = flat[:rows].reshape(x.data.shape[:-1] + (w.data.shape[-1],))
+    out = flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
