@@ -161,8 +161,8 @@ def test_taped_prefixes_are_bit_identical_at_full_context():
 
 @pytest.mark.parametrize("batch", [1, 2, 3])
 def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
-    """Below 4 rows a product would change its kernel with the row count;
-    affine's padding keeps every prefix exact at any batch size."""
+    """At row counts that are not a multiple of 4 a product can change its
+    kernel with the count; affine's padding keeps every prefix exact."""
     cfg = BeTConfig()
     model = _perturbed_model(cfg, seed=46)
     x = RNG(47).standard_normal((batch, cfg.context, cfg.obs_dim)).astype(np.float32)
