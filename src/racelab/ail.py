@@ -4,10 +4,8 @@ The training loop alternates strictly: collect one fixed-length
 multi-car rollout with the sampling stack, append it to the replay ring,
 take a block of discriminator steps (expert pairs vs replayed agent
 pairs), then a block of actor-critic steps. Replayed transitions carry
-reward *ingredients* only — the discriminator inputs and the progress /
-off-course terms — and every sampled batch recomputes its rewards from
-the current discriminator (or the progress formula), so no stale reward
-is ever trusted.
+no reward: every sampled batch recomputes its rewards from the current
+discriminator, so no stale reward is ever trusted.
 
 Checkpoint bundles are directories of tensor checkpoints plus a JSON
 manifest; together with the pure per-iteration seed streams they make a
@@ -26,14 +24,14 @@ from . import autodiff as ad
 from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
-from .env import Normalizer, RaceEnv, rl_reward, rollout
+from .env import Normalizer, RaceEnv, rollout
 from .optim import Adam, AdamConfig
 from .policies import GaussianPolicy, build_policy_stack, make_bc_net
 from .seeding import stream
 
 log = logging.getLogger("racelab.train")
 
-BUNDLE_FORMAT = "racelab-bundle-v3"
+BUNDLE_FORMAT = "racelab-bundle-v4"
 REWARD_EPS = 1e-6
 DISC_HIDDEN = (32, 32)
 
@@ -122,13 +120,13 @@ def disc_update(disc, opt, expert_x, agent_x, rng, gp_scale=10.0, gp_target=1.0,
 # Replay
 
 class ReplayBuffer:
-    """FIFO transition ring holding reward ingredients, never rewards.
+    """FIFO transition ring; it never stores rewards.
 
     Columns per row: augmented input, scaled correction, successor
-    augmented input, env action, progress gain, off-course speed-squared
-    penalty. The augmented input starts with the whitened observation,
-    which ``obs_of`` reads from there. Rollouts never end an episode, so
-    every transition bootstraps and no mask is stored.
+    augmented input, env action. The augmented input starts with the
+    whitened observation, which ``obs_of`` reads from there. Rollouts
+    never end an episode, so every transition bootstraps and no mask is
+    stored.
     """
 
     def __init__(self, capacity, aug_dim, obs_dim, act_dim=2):
@@ -136,8 +134,8 @@ class ReplayBuffer:
         self.aug_dim = int(aug_dim)
         self.obs_dim = int(obs_dim)
         self.act_dim = int(act_dim)
-        edges = np.cumsum([0, aug_dim, act_dim, aug_dim, act_dim, 1, 1])
-        names = ["aug", "res", "aug_next", "a_env", "progress", "pen"]
+        edges = np.cumsum([0, aug_dim, act_dim, aug_dim, act_dim])
+        names = ["aug", "res", "aug_next", "a_env"]
         self._cols = {n: slice(int(a), int(b)) for n, a, b in zip(names, edges[:-1], edges[1:])}
         self._data = np.zeros((self.capacity, int(edges[-1])), dtype=np.float32)
         self._n = 0
@@ -151,8 +149,7 @@ class ReplayBuffer:
         n = len(trans["aug"])
         rows = np.empty((n, self._data.shape[1]), dtype=np.float32)
         for name, sl in self._cols.items():
-            col = _f32(trans[name])
-            rows[:, sl] = col if col.ndim == 2 else col[:, None]
+            rows[:, sl] = trans[name]
         idx = (self._head + np.arange(n)) % self.capacity
         self._data[idx] = rows
         self._head = int((self._head + n) % self.capacity)
@@ -164,11 +161,7 @@ class ReplayBuffer:
             raise ValueError("empty replay buffer")
         idx = rng.integers(0, self._n, size=batch)
         rows = self._data[idx]
-        out = {}
-        for name, sl in self._cols.items():
-            col = rows[:, sl]
-            out[name] = col[:, 0] if col.shape[1] == 1 else col
-        return out
+        return {name: rows[:, sl] for name, sl in self._cols.items()}
 
     def obs_of(self, rows):
         """Whitened observations of sampled rows: the first obs_dim columns
@@ -198,13 +191,6 @@ def replay_sample_recompute(replay, disc, batch, rng):
     return rows
 
 
-def replay_sample_env_reward(replay, batch, rng, progress_weight):
-    """Sample uniformly and attach progress-penalty rewards."""
-    rows = replay.sample(batch, rng)
-    rows["reward"] = rl_reward(rows["progress"], rows["pen"], progress_weight).astype(np.float32)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Actor-critic
 
@@ -219,6 +205,10 @@ class SACConfig:
     entropy_temp: float = 0.01
     auto_entropy: bool = False
     entropy_lr: float = 3e-4
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 def _make_q(in_dim, hidden, rng, name):
@@ -334,7 +324,6 @@ class TrainConfig:
     gp_scale: float = 10.0
     gp_target: float = 1.0
     entropy_scale: float = 0.001
-    progress_weight: float = 0.01
     policy_hidden: tuple = (256, 256)
     sac: SACConfig = dataclasses.field(default_factory=SACConfig)
     eval_every: int = 5
@@ -343,7 +332,16 @@ class TrainConfig:
 
     def __post_init__(self):
         if isinstance(self.sac, dict):  # as a config document or a manifest holds it
-            self.sac = SACConfig(**self.sac)
+            try:
+                self.sac = SACConfig(**self.sac)
+            except ValueError as exc:
+                raise ValueError(f"sac.{exc}") from None
+        for name in ("n_cars", "rollout_steps", "disc_updates", "demo_batch", "eval_cars"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.replay_capacity < self.sac.batch:
+            raise ValueError(f"replay_capacity must be >= sac.batch ({self.sac.batch}), "
+                             f"got {self.replay_capacity}")
 
 
 class Trainer:
@@ -367,16 +365,10 @@ class Trainer:
         self.speed_lookup = demos.speed_lookup(track.length)
         obs_dim = demos.obs_dim
         self.replay = ReplayBuffer(cfg.replay_capacity, stack.aug_dim, obs_dim)
-        self.reward_kind = stack.spec["reward"]
-        if self.reward_kind == "disc":
-            obs, act = demos.transitions()
-            self._demo_x = disc_input(demos.normalizer.transform(obs), act)
-            self.disc = make_discriminator(obs_dim, 2, stream(self.seed, "init", 2))
-            self.opt_disc = Adam(self.disc.params(), AdamConfig(lr=cfg.disc_lr))
-        else:
-            self._demo_x = None
-            self.disc = None
-            self.opt_disc = None
+        obs, act = demos.transitions()
+        self._demo_x = disc_input(demos.normalizer.transform(obs), act)
+        self.disc = make_discriminator(obs_dim, 2, stream(self.seed, "init", 2))
+        self.opt_disc = Adam(self.disc.params(), AdamConfig(lr=cfg.disc_lr))
         self.sac = SACTrainer(stack.residual, stack.aug_dim, cfg.sac, stream(self.seed, "init", 1))
         self.env_steps = 0
         self.iteration_count = 0
@@ -392,14 +384,7 @@ class Trainer:
             "res": roll["res"].reshape(b * t, -1),
             "aug_next": aug_full[:, 1:].reshape(b * t, -1),
             "a_env": roll["actions"].reshape(b * t, -1),
-            "progress": roll["progress"].reshape(b * t),
-            "pen": roll["pen"].reshape(b * t),
         }
-
-    def sample_batch(self, batch, rng):
-        if self.reward_kind == "disc":
-            return replay_sample_recompute(self.replay, self.disc, batch, rng)
-        return replay_sample_env_reward(self.replay, batch, rng, self.cfg.progress_weight)
 
     def iteration(self, it):
         """Collect -> classifier block -> actor-critic block; returns metrics."""
@@ -416,17 +401,16 @@ class Trainer:
             "rollout_progress": float(roll["progress"].sum(axis=1).mean()),
             "wall_fraction": float((roll["wall"] > 0).mean()),
         }
-        if self.disc is not None:
-            dstats = []
-            for j in range(cfg.disc_updates):
-                rng_d = stream(self.seed, "disc", it, j)
-                e_idx = rng_d.integers(0, len(self._demo_x), size=cfg.demo_batch)
-                agent = self.replay.sample(cfg.demo_batch, rng_d)
-                agent_x = disc_input(self.replay.obs_of(agent), agent["a_env"])
-                dstats.append(disc_update(self.disc, self.opt_disc, self._demo_x[e_idx],
-                                          agent_x, rng_d, cfg.gp_scale, cfg.gp_target,
-                                          cfg.entropy_scale))
-            metrics["disc"] = {k: float(np.mean([s[k] for s in dstats])) for k in dstats[0]}
+        dstats = []
+        for j in range(cfg.disc_updates):
+            rng_d = stream(self.seed, "disc", it, j)
+            e_idx = rng_d.integers(0, len(self._demo_x), size=cfg.demo_batch)
+            agent = self.replay.sample(cfg.demo_batch, rng_d)
+            agent_x = disc_input(self.replay.obs_of(agent), agent["a_env"])
+            dstats.append(disc_update(self.disc, self.opt_disc, self._demo_x[e_idx],
+                                      agent_x, rng_d, cfg.gp_scale, cfg.gp_target,
+                                      cfg.entropy_scale))
+        metrics["disc"] = {k: float(np.mean([s[k] for s in dstats])) for k in dstats[0]}
         sstats = []
         for g in range(cfg.sac.gradient_steps):
             if len(self.replay) < cfg.sac.batch:
@@ -434,7 +418,8 @@ class Trainer:
                          len(self.replay), cfg.sac.batch)
                 break
             rng_s = stream(self.seed, "sac", it, g)
-            sstats.append(self.sac.update(self.sample_batch(cfg.sac.batch, rng_s), rng_s))
+            batch = replay_sample_recompute(self.replay, self.disc, cfg.sac.batch, rng_s)
+            sstats.append(self.sac.update(batch, rng_s))
         if sstats:
             metrics["sac"] = {k: float(np.mean([s[k] for s in sstats])) for k in sstats[0]}
         self.iteration_count = it + 1
@@ -494,20 +479,16 @@ class Trainer:
 def _bundle_nets(trainer):
     """Bundle file -> (kind, net) for the critics and the classifier."""
     sac = trainer.sac
-    files = {"q1.ckpt": ("critic", sac.q1), "q2.ckpt": ("critic", sac.q2),
-             "q1_target.ckpt": ("critic", sac.q1_t), "q2_target.ckpt": ("critic", sac.q2_t)}
-    if trainer.disc is not None:
-        files["disc.ckpt"] = ("disc", trainer.disc)
-    return files
+    return {"q1.ckpt": ("critic", sac.q1), "q2.ckpt": ("critic", sac.q2),
+            "q1_target.ckpt": ("critic", sac.q1_t), "q2_target.ckpt": ("critic", sac.q2_t),
+            "disc.ckpt": ("disc", trainer.disc)}
 
 
 def _optimizers(trainer):
     """Group name in optim.ckpt -> optimizer."""
     sac = trainer.sac
-    groups = {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "temp": sac.opt_temp}
-    if trainer.opt_disc is not None:
-        groups["disc"] = trainer.opt_disc
-    return groups
+    return {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "temp": sac.opt_temp,
+            "disc": trainer.opt_disc}
 
 
 def _recover(path):

@@ -52,12 +52,12 @@ Stage by stage, with smoke.json holding
   racelab gen-demos    --config smoke.json
   racelab pretrain-bet --config smoke.json
   racelab train        --config smoke.json --mode betail
-  racelab train        --config smoke.json --mode betsac
+  racelab train        --config smoke.json --mode betail --alpha 0.1
 
-The betail run's summary.json, bet.ckpt and bundle/residual.ckpt equal
-those of one ``run`` of the config with ``"mode": "betail"``, and the
-betsac run reuses the same bet.ckpt. gen-track's course flags override
-the config's course, so they change the stage key as well.
+The first betail run's summary.json, bet.ckpt and bundle/residual.ckpt
+equal those of one ``run`` of the config with ``"mode": "betail"``, and
+the run at alpha 0.1 reuses the same bet.ckpt. gen-track's course flags
+override the config's course, so they change the stage key as well.
 """
 
 import argparse
@@ -422,9 +422,8 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
     def on_metrics(m):
         line = (f"  iter {m['iteration'] + 1}/{cfg.train.iterations}"
                 f" env_steps {m['env_steps']}"
-                f" progress/car {m['rollout_progress']:.1f} m")
-        if "disc" in m:
-            line += f" D(expert) {m['disc']['d_expert']:.3f} D(agent) {m['disc']['d_agent']:.3f}"
+                f" progress/car {m['rollout_progress']:.1f} m"
+                f" D(expert) {m['disc']['d_expert']:.3f} D(agent) {m['disc']['d_agent']:.3f}")
         if "sac" in m:
             line += f" reward {m['sac']['mean_reward']:.3f}"
         if "eval_success_rate" in m:

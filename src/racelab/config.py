@@ -238,7 +238,8 @@ def build_config(user):
     """Resolve a raw config dict into an ExperimentConfig.
 
     Raises ConfigError on unknown keys, bad profile or challenge names,
-    missing mode/track, or a residual mode without alpha.
+    missing mode/track, a residual mode without alpha, an alpha outside
+    (0, 1], or a training size the trainer cannot run.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -268,6 +269,9 @@ def build_config(user):
     alpha = resolved["alpha"]
     if spec["residual"] and spec["base"] is not None and alpha is None:
         raise ConfigError(f"mode '{mode}' requires 'alpha'")
+    if alpha is not None and (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                              or not 0.0 < alpha <= 1.0):
+        raise ConfigError(f"config field 'alpha' must be a number in (0, 1], got {alpha!r}")
     if resolved["pretrain_tracks"] is None:
         resolved["pretrain_tracks"] = [copy.deepcopy(resolved["track"])]
     demos = resolved["demos"]

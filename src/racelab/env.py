@@ -1,4 +1,4 @@
-"""Batched racing environment: dynamics, observations, rewards, logging.
+"""Batched racing environment: dynamics, observations, logging.
 
 Observation layout, with N curvature samples and n lookahead points
 (defaults N=10, n=5 give dimension 50). ``obs_dim`` computes the width
@@ -40,7 +40,6 @@ __all__ = [
     "RaceEnv",
     "RolloutError",
     "obs_dim",
-    "rl_reward",
     "rollout",
     "save_trajectory_log",
     "load_trajectory_log",
@@ -61,8 +60,8 @@ class EpisodeConfig:
     dt is the control period in seconds. curvature_count and
     lookahead_count are N and n of the observation layout;
     preview_horizon is the preview span in seconds of travel at the
-    current speed. Episode lengths, car counts and reward weights belong
-    to the training config.
+    current speed. Episode lengths and car counts belong to the training
+    config.
     """
 
     dt: float = 0.1
@@ -124,16 +123,11 @@ class Normalizer:
         )
 
 
-def rl_reward(progress, offcourse_speed_sq, progress_weight):
-    """Course progress minus the weighted off-course speed penalty."""
-    return progress - progress_weight * offcourse_speed_sq
-
-
 class RaceEnv:
     """Synchronous batch of cars on one track.
 
     reset() or reset_eval() must be called before step(). All public
-    outputs (observations, progress, penalties) are float32-exact; the
+    outputs (observations, progress, wall flags) are float32-exact; the
     held state is float32-quantized after every transition.
     """
 
@@ -197,11 +191,11 @@ class RaceEnv:
         """Advance one control period.
 
         actions (B, 2) are taken as float32. Returns (obs, progress,
-        offcourse_speed_sq, wall_flags), each a float32-exact array over
-        cars. progress is the wrapped arclength advance in meters;
-        offcourse_speed_sq is squared speed for cars in wall contact, 0
-        otherwise. Raises RolloutError naming the step (counted from the
-        last reset) and the first car if an action is not finite.
+        wall_flags), each a float32-exact array over cars. progress is the
+        wrapped arclength advance in meters; wall_flags is 1 for cars in
+        wall contact, 0 otherwise. Raises RolloutError naming the step
+        (counted from the last reset) and the first car if an action is
+        not finite.
         """
         actions = np.asarray(actions, dtype=np.float32)
         finite = np.isfinite(actions).all(axis=1)
@@ -219,13 +213,10 @@ class RaceEnv:
         # Last step's arclength narrows the nearest-vertex search.
         s, e, h = self.track.project_many(state.position, s_hint=self.s)
         state = veh.enforce_track_limits(state, self.track, self.params, s, e, h)
-        clamped = state.wall_contact > 0
-        if clamped.any():
+        if state.wall_contact.any():
             state.position = _quant(state.position)
             state.v_x = _quant(state.v_x)
         progress = self.track.progress_delta(s, self.s)
-        speed_sq = state.v_x**2 + state.v_y**2
-        pen = np.where(clamped, speed_sq, 0.0)
         self.prev_vel = prev_vel
         self.prev_yaw = prev_yaw
         self.state = state
@@ -234,7 +225,7 @@ class RaceEnv:
         self.cum_progress += progress
         self.step_idx += 1
         obs = self._observe()
-        return obs, progress.astype(np.float32), pen.astype(np.float32), state.wall_contact.astype(np.float32)
+        return obs, progress.astype(np.float32), state.wall_contact.astype(np.float32)
 
     def _observe(self):
         cfg = self.cfg
@@ -276,22 +267,21 @@ def rollout(env, policy, steps):
     stacked over time in the returned log. ``RaceEnv.step`` raises
     RolloutError if the policy emits non-finite actions.
 
-    The returned dict holds obs (B, T+1, D), actions (B, T, 2), progress,
-    pen, wall (each (B, T)) and the stacked extras.
+    The returned dict holds obs (B, T+1, D), actions (B, T, 2), progress
+    and wall (each (B, T)) and the stacked extras.
     """
     obs = env._observe()
     b = len(obs)
     obs_seq = [obs]
-    act_seq, prog_seq, pen_seq, wall_seq = [], [], [], []
+    act_seq, prog_seq, wall_seq = [], [], []
     extras_seq = {}
     for _ in range(steps):
         actions, extras = policy(obs)
         actions = np.asarray(actions, dtype=np.float32)
-        obs, progress, pen, wall = env.step(actions)
+        obs, progress, wall = env.step(actions)
         obs_seq.append(obs)
         act_seq.append(actions)
         prog_seq.append(progress)
-        pen_seq.append(pen)
         wall_seq.append(wall)
         for key, val in extras.items():
             extras_seq.setdefault(key, []).append(np.asarray(val))
@@ -299,7 +289,6 @@ def rollout(env, policy, steps):
         "obs": np.stack(obs_seq, axis=1),
         "actions": np.stack(act_seq, axis=1) if act_seq else np.zeros((b, 0, 2), np.float32),
         "progress": np.stack(prog_seq, axis=1) if prog_seq else np.zeros((b, 0), np.float32),
-        "pen": np.stack(pen_seq, axis=1) if pen_seq else np.zeros((b, 0), np.float32),
         "wall": np.stack(wall_seq, axis=1) if wall_seq else np.zeros((b, 0), np.float32),
     }
     for key, vals in extras_seq.items():

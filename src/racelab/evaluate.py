@@ -103,7 +103,7 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
     t_used = 0
     for t in range(1, max_steps + 1):
         actions, _ = policy(obs)
-        obs, _, _, wall = env.step(actions)
+        obs, _, wall = env.step(actions)
         steer[:, t - 1] = np.clip(np.asarray(actions, dtype=np.float64)[:, 0], -1.0, 1.0) * vparams.max_steer
         touched |= (~finished) & (wall > 0)
         newly = (~finished) & (env.cum_progress >= track.length)

@@ -39,23 +39,20 @@ LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
-# What each stack mode is made of and which reward trains it.
+# What each stack mode is made of.
 #   base: "bet" | "bc" | None;
-#   residual: correction head present, trained by the rollout/update loop
-#     (a mode without one is supervised only);
-#   reward: "disc" (adversarial proxy) | "env" (progress-penalty) | None.
+#   residual: correction head present, trained adversarially by the
+#     rollout/update loop (a mode without one is supervised only).
 MODE_SPECS = {
-    "betail": {"base": "bet", "residual": True, "reward": "disc"},
-    "ail": {"base": None, "residual": True, "reward": "disc"},
-    "bc": {"base": "bc", "residual": False, "reward": None},
-    "bcail": {"base": "bc", "residual": True, "reward": "disc"},
-    "sac": {"base": None, "residual": True, "reward": "env"},
-    "betsac": {"base": "bet", "residual": True, "reward": "env"},
+    "betail": {"base": "bet", "residual": True},
+    "ail": {"base": None, "residual": True},
+    "bc": {"base": "bc", "residual": False},
+    "bcail": {"base": "bc", "residual": True},
     # Frozen sequence-model base acting alone; evaluation only.
-    "bet": {"base": "bet", "residual": False, "reward": None},
+    "bet": {"base": "bet", "residual": False},
 }
 
-TRAIN_MODES = ("betail", "ail", "bc", "bcail", "sac", "betsac")
+TRAIN_MODES = ("betail", "ail", "bc", "bcail")
 
 
 def _f32(x):

@@ -24,7 +24,6 @@ _PHASES = {
     "sac": 6,
     "eval": 7,
     "policy": 8,
-    "buffer": 9,
     "bc": 10,
 }
 

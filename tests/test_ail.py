@@ -136,7 +136,6 @@ def test_entropy_bonus_value_at_half():
 # Replay ring
 
 def _row_batch(values, aug_dim=3):
-    n = len(values)
     v = np.asarray(values, dtype=np.float32)
     return {
         # Distinct columns, so that reading the whitened obs from the wrong
@@ -145,8 +144,6 @@ def _row_batch(values, aug_dim=3):
         "res": np.tile(v[:, None], (1, 2)),
         "aug_next": np.tile(v[:, None], (1, aug_dim)),
         "a_env": np.tile(v[:, None], (1, 2)),
-        "progress": v,
-        "pen": np.zeros(n, np.float32),
     }
 
 
@@ -159,7 +156,7 @@ def test_replay_fifo_eviction_order():
     held = set()
     rng = RNG(13)
     for _ in range(50):
-        held.update(buf.sample(6, rng)["progress"].tolist())
+        held.update(buf.sample(6, rng)["res"][:, 0].tolist())
     assert held == {2.0, 3.0, 4.0, 5.0, 6.0, 7.0}
 
 
@@ -167,10 +164,10 @@ def test_replay_sample_shapes_and_column_consistency():
     buf = ReplayBuffer(10, aug_dim=3, obs_dim=2)
     buf.push(_row_batch([5, 6, 7]))
     rows = buf.sample(8, RNG(14))
-    assert set(rows) == {"aug", "res", "aug_next", "a_env", "progress", "pen"}
+    assert set(rows) == {"aug", "res", "aug_next", "a_env"}
     assert rows["aug"].shape == (8, 3)
-    assert rows["progress"].shape == (8,)
-    assert buf.state_arrays()["data"].shape == (3, 3 + 2 + 3 + 2 + 1 + 1)
+    assert rows["a_env"].shape == (8, 2)
+    assert buf.state_arrays()["data"].shape == (3, 3 + 2 + 3 + 2)
     # every column of one row carries the same tag value by construction
     np.testing.assert_array_equal(rows["aug"][:, 0], rows["a_env"][:, 0])
 
@@ -573,11 +570,3 @@ def test_load_bundle_rejects_foreign_directory(tiny_world, tmp_path):
     (bogus / "manifest.json").write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_bundle(str(bogus), track, vparams, ecfg, demos)
-
-
-def test_env_reward_mode_skips_classifier(tiny_world):
-    tr = _tiny_trainer(tiny_world, mode="sac")
-    assert tr.disc is None
-    m = tr.iteration(0)
-    assert "disc" not in m
-    assert "sac" in m

@@ -129,11 +129,11 @@ def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
 def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
-    for old in ("racelab-bundle-v1", "racelab-bundle-v2"):
+    for old in ("racelab-bundle-v1", "racelab-bundle-v2", "racelab-bundle-v3"):
         (bundle / "manifest.json").write_text(json.dumps({"format": old}))
         assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == \
-            f"error: not a racelab-bundle-v3 checkpoint bundle: {bundle}\n"
+            f"error: not a racelab-bundle-v4 checkpoint bundle: {bundle}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +197,20 @@ def test_stages_one_by_one_equal_one_run_and_share_the_base(betail_run, tmp_path
     assert json.loads((tmp_path / "e" / "summary.json").read_text())["report"] == \
         json.loads((run / "summary.json").read_text())["report"]
 
-    # A second mode in the same experiment reuses the base.
+    # A second run in the same experiment reuses the base: alpha is not part
+    # of the stage key.
     def no_pretrain(*args, **kwargs):
         raise AssertionError("the base was pretrained again")
 
     monkeypatch.setattr(bet, "pretrain", no_pretrain)
     stages = _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]}
     capsys.readouterr()
-    assert cli.main(["train", "--config", cfg, "--mode", "betsac"]) == cli.EXIT_OK
+    assert cli.main(["train", "--config", cfg, "--mode", "betail", "--alpha", "0.1"]) == \
+        cli.EXIT_OK
     assert f"reusing {exp / 'bet.ckpt'}" in capsys.readouterr().out
     assert _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]} == stages
-    (betsac,) = exp.glob("betsac-*")
-    assert json.loads((betsac / "summary.json").read_text())["mode"] == "betsac"
+    (other,) = set(exp.glob("betail-*")) - {run}
+    assert json.loads((other / "summary.json").read_text())["alpha"] == 0.1
 
 
 def test_interrupted_run_resumes_bit_identically(betail_run, tmp_path, monkeypatch, capsys):

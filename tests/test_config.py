@@ -9,6 +9,7 @@ from racelab.config import (
     CHALLENGES,
     PROFILES,
     ConfigError,
+    _base_defaults,
     build_config,
     config_hash,
 )
@@ -70,6 +71,7 @@ REMOVED_KEYS = {
     "episode.eval_steps": 5000,
     "episode.n_cars": 20,
     "episode.progress_weight": 0.01,
+    "train.progress_weight": 0.01,
     "bet.nonlinearity": "relu",
     "bet.loss_positions": "all",
     "bet.obs_dim": 50,
@@ -89,6 +91,41 @@ def test_removed_key_is_rejected_by_path(path, tmp_path, capsys):
     argv = ["gen-track", "--config", str(cfg), "--preset", "circle", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert f"unknown config key '{path}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Values the trainer cannot run with, each named by the error: as
+# (dotted path, value, the start of what the error says about it).
+BAD_VALUES = [
+    ("train.n_cars", 0, "invalid 'train' config: n_cars must be >= 1"),
+    ("train.rollout_steps", 0, "invalid 'train' config: rollout_steps must be >= 1"),
+    ("train.disc_updates", 0, "invalid 'train' config: disc_updates must be >= 1"),
+    ("train.demo_batch", 0, "invalid 'train' config: demo_batch must be >= 1"),
+    ("train.eval_cars", 0, "invalid 'train' config: eval_cars must be >= 1"),
+    ("train.sac.batch", 0, "invalid 'train' config: sac.batch must be >= 1"),
+    ("train.replay_capacity", 10, "invalid 'train' config: replay_capacity must be >= sac.batch"),
+    ("alpha", 2.0, "config field 'alpha' must be a number in (0, 1]"),
+    ("alpha", 0.0, "config field 'alpha' must be a number in (0, 1]"),
+    ("alpha", "0.1", "config field 'alpha' must be a number in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", BAD_VALUES)
+def test_bad_value_is_rejected_by_path(path, value, message, tmp_path, capsys):
+    doc = {"mode": "betail", "alpha": 0.1}
+    *tables, key = path.split(".")
+    table = doc
+    for name in tables:
+        table = table.setdefault(name, {})
+    table[key] = value
+    with pytest.raises(ConfigError) as info:
+        build_config(minimal(**doc))
+    assert str(info.value).startswith(message)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(minimal(**doc)))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()
 
 
@@ -183,20 +220,29 @@ def test_user_override_beats_challenge():
 
 
 def test_residual_on_base_requires_alpha():
-    for mode in ("betail", "bcail", "betsac"):
+    for mode in ("betail", "bcail"):
         with pytest.raises(ConfigError, match=f"mode '{mode}' requires 'alpha'"):
             build_config(minimal(mode=mode))
 
 
 def test_baseless_modes_need_no_alpha():
-    for mode in ("ail", "sac", "bc"):
+    for mode in ("ail", "bc"):
         cfg = build_config(minimal(mode=mode))
         assert cfg.alpha is None
 
 
-def test_eval_only_base_mode_is_not_trainable():
-    with pytest.raises(ConfigError, match="unknown mode 'bet'"):
-        build_config(minimal(mode="bet"))
+@pytest.mark.parametrize("mode", ["bet", "sac", "betsac"])
+def test_eval_only_base_mode_is_not_trainable(mode, tmp_path, capsys):
+    # bet is an evaluation-only stack; sac and betsac were environment-reward
+    # modes, which the imitation setting has no use for.
+    with pytest.raises(ConfigError, match=f"unknown mode '{mode}'"):
+        build_config(minimal(mode=mode))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(minimal(mode=mode, alpha=0.1)))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"unknown mode '{mode}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_typed_records_share_no_list_with_the_resolved_config():
@@ -209,12 +255,20 @@ def test_typed_records_share_no_list_with_the_resolved_config():
 
 def test_needs_bet():
     assert build_config(minimal(mode="betail", alpha=0.1)).needs_bet()
-    assert build_config(minimal(mode="betsac", alpha=0.1)).needs_bet()
     assert not build_config(minimal(mode="ail")).needs_bet()
     assert not build_config(minimal(mode="bcail", alpha=0.1)).needs_bet()
 
 
 # ------------------------------------------------------------------ defaults
+
+
+def test_settable_value_count_is_pinned():
+    # A new knob must show up here, and so in the change log; the course
+    # subtrees count one each.
+    def leaves(tree):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in tree.values())
+
+    assert leaves(_base_defaults()) == 76
 
 
 def test_pretrain_tracks_default_to_finetune_track():
@@ -269,7 +323,7 @@ def test_hash_ignores_output_location():
 def test_hash_sensitive_to_seed_and_mode():
     base = build_config(minimal()).hash
     assert build_config(minimal(seed=1)).hash != base
-    assert build_config(minimal(mode="sac")).hash != base
+    assert build_config(minimal(mode="bc")).hash != base
 
 
 def test_hash_property_matches_function():
@@ -314,5 +368,5 @@ def test_run_key_ignores_only_the_stopping_rules():
     lr = build_config(minimal(train={"sac": {"lr": 0.5}}))
     assert lr.run_hash != base.run_hash
     assert base.run_difference(lr.resolved) == ("train.sac.lr", 0.5, base.train.sac.lr)
-    assert base.run_difference(build_config(minimal(seed=4, mode="sac")).resolved) == \
-        ("mode", "sac", "ail")
+    assert base.run_difference(build_config(minimal(seed=4, mode="bc")).resolved) == \
+        ("mode", "bc", "ail")

@@ -11,7 +11,6 @@ from racelab.env import (
     RolloutError,
     load_trajectory_log,
     obs_dim,
-    rl_reward,
     rollout,
     save_trajectory_log,
 )
@@ -80,7 +79,7 @@ def test_lookahead_points_are_ahead_and_bounded(circle_env):
 
 def test_acceleration_feature_tracks_velocity_change(circle_env):
     _reset_line(circle_env, speed=20.0)
-    obs, _, _, _ = circle_env.step(np.tile(np.array([[0.0, 1.0]], np.float32), (3, 1)))
+    obs, _, _ = circle_env.step(np.tile(np.array([[0.0, 1.0]], np.float32), (3, 1)))
     # forward acceleration reported equals (v - v_prev) / dt within f32 noise
     v_now = obs[:, 0]
     accel = obs[:, 3]
@@ -99,7 +98,7 @@ def test_eval_reset_places_steady_cornering_state(circle_env):
     cmd = np.arctan(vp.wheelbase / 100.0) / vp.max_steer
     act = np.tile(np.array([[cmd, 0.0]], np.float32), (4, 1))
     for _ in range(5):
-        obs, _, _, _ = circle_env.step(act)
+        obs, _, _ = circle_env.step(act)
     cfg = circle_env.cfg
     sin_psi = obs[:, 9 + cfg.curvature_count]
     assert np.all(np.abs(sin_psi) < 0.05)
@@ -118,31 +117,24 @@ def test_progress_accumulates_forward_motion(circle_env):
     _reset_line(circle_env, speed=20.0)
     total = np.zeros(3)
     for _ in range(10):
-        _, progress, pen, wall = circle_env.step(np.zeros((3, 2), np.float32))
+        _, progress, wall = circle_env.step(np.zeros((3, 2), np.float32))
         total += progress
-        assert np.all(pen == 0.0)
         assert np.all(wall == 0.0)
     # ~2 m/step at 20 m/s with drag; quantization keeps it close
     assert np.all(total > 15.0) and np.all(total < 21.0)
     np.testing.assert_allclose(circle_env.cum_progress, total, atol=1e-6)
 
 
-def test_wall_contact_flags_and_penalty(circle_env):
-    """Steering hard into the barrier flags contact and charges the
-    squared-speed penalty while the car is clamped to the edge."""
+def test_wall_contact_flags_and_clamps_the_car(circle_env):
+    """Steering hard into the barrier flags contact and clamps the car to
+    the edge."""
     _reset_line(circle_env, speed=20.0)
     hit = False
     for _ in range(40):
-        _, _, pen, wall = circle_env.step(
+        _, _, wall = circle_env.step(
             np.tile(np.array([[-1.0, 0.2]], np.float32), (3, 1)))
         if np.any(wall > 0):
             hit = True
-            touched = wall > 0
-            assert np.all(pen[touched] > 0.0)
-            np.testing.assert_allclose(
-                pen[touched],
-                (circle_env.state.v_x[touched]**2 + circle_env.state.v_y[touched]**2),
-                rtol=1e-5)
             break
     assert hit, "full lock into the wall never made contact"
     # clamped cars sit exactly at the boundary
@@ -184,7 +176,7 @@ def test_projection_hint_leaves_the_rollout_bitwise_unchanged(monkeypatch):
     dense = _steer_rollout(track)
     walls = hinted["wall"].sum(axis=1)
     assert (walls > 0).sum() >= 16 and (walls == 0).sum() >= 16
-    for key in ("obs", "progress", "pen", "wall"):
+    for key in ("obs", "progress", "wall"):
         assert hinted[key].tobytes() == dense[key].tobytes(), key
 
 
@@ -249,7 +241,7 @@ def test_observation_equals_the_per_block_loop_bitwise(batch):
     walls = near = 0
     for _ in range(6):
         act = np.stack([rng.choice([-1.0, 1.0], batch), rng.uniform(-1.0, 1.0, batch)], axis=1)
-        obs, _, _, wall = env.step(act.astype(np.float32))
+        obs, _, wall = env.step(act.astype(np.float32))
         assert obs.tobytes() == _observe_with_the_loop(env).tobytes()
         walls += int(wall.sum())
         near += int((np.abs(env.state.yaw) > np.pi - 0.1).sum())
@@ -265,8 +257,8 @@ def test_step_requires_reset(circle_env):
 def test_observations_are_float32_exact(circle_env):
     obs = _reset_line(circle_env)
     assert obs.dtype == np.float32
-    obs2, prog, pen, wall = circle_env.step(np.zeros((3, 2), np.float32))
-    for arr in (obs2, prog, pen, wall):
+    obs2, prog, wall = circle_env.step(np.zeros((3, 2), np.float32))
+    for arr in (obs2, prog, wall):
         assert arr.dtype == np.float32
 
 
@@ -303,11 +295,6 @@ def test_normalizer_saturates_wild_features():
     sign = np.array([[1.0], [-1.0]], dtype=np.float32)
     wild = 1e8 * sign * np.ones(6, np.float32)
     np.testing.assert_array_equal(norm.transform(wild), OBS_CLIP * sign * np.ones(6))
-
-
-def test_rl_reward_formula():
-    r = rl_reward(np.array([2.0, 1.0]), np.array([0.0, 400.0]), 0.01)
-    np.testing.assert_allclose(r, [2.0, -3.0])
 
 
 # ---------------------------------------------------------------------------
