@@ -20,7 +20,7 @@ from racelab.track import save_track
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
-    "summary.json": "23dc634ad2a820e67b35036637e51736c9dedac5190cd1d46503bcc0008d755b",
+    "summary.json": "3fbf03c6b7f6c0cc9ffdf05757e61f961dc2ba15b45248470537b7851252f7ed",
     "bet.ckpt": "98160e768bdd87c601a4405159fe6bf29a5f5b72f83dc36af856c91d627f699b",
     "bundle/residual.ckpt": "964298cf3624977ef784b45ba9010b30a9bbeaef5c81212649eeb9aad52e80ef",
 }
