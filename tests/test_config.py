@@ -110,19 +110,20 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("path, value, message", BAD_VALUES)
+@pytest.mark.parametrize("path, value, message", BAD_VALUES,
+                         ids=[f"{path}={value!r}" for path, value, _ in BAD_VALUES])
 def test_bad_value_is_rejected_by_path(path, value, message, tmp_path, capsys):
-    doc = {"mode": "betail", "alpha": 0.1}
+    doc = minimal(mode="betail", alpha=0.1)
     *tables, key = path.split(".")
     table = doc
     for name in tables:
         table = table.setdefault(name, {})
     table[key] = value
     with pytest.raises(ConfigError) as info:
-        build_config(minimal(**doc))
+        build_config(doc)
     assert str(info.value).startswith(message)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(minimal(**doc)))
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {message}")
@@ -233,8 +234,8 @@ def test_baseless_modes_need_no_alpha():
 
 @pytest.mark.parametrize("mode", ["bet", "sac", "betsac"])
 def test_eval_only_base_mode_is_not_trainable(mode, tmp_path, capsys):
-    # bet is an evaluation-only stack; sac and betsac were environment-reward
-    # modes, which the imitation setting has no use for.
+    # bet only evaluates a frozen base; sac and betsac would train on an
+    # environment reward, which imitation does not have.
     with pytest.raises(ConfigError, match=f"unknown mode '{mode}'"):
         build_config(minimal(mode=mode))
     cfg = tmp_path / "config.json"
