@@ -31,7 +31,7 @@ from .seeding import stream
 
 log = logging.getLogger("racelab.train")
 
-BUNDLE_FORMAT = "racelab-bundle-v4"
+BUNDLE_FORMAT = "racelab-bundle-v5"
 REWARD_EPS = 1e-6
 DISC_HIDDEN = (32, 32)
 
@@ -203,8 +203,6 @@ class SACConfig:
     tau: float = 0.002
     gamma: float = 0.99
     entropy_temp: float = 0.01
-    auto_entropy: bool = False
-    entropy_lr: float = 3e-4
 
     def __post_init__(self):
         if self.batch < 1:
@@ -235,9 +233,7 @@ class SACTrainer:
     """Twin-critic soft actor-critic over the correction head.
 
     Targets are computed without the tape; critic and actor updates run
-    on it. The entropy temperature is fixed by default. With auto_entropy
-    its logarithm, a one-element float64 parameter, is tuned by Adam
-    toward a target entropy of minus the action size.
+    on it. The entropy temperature is the fixed ``entropy_temp``.
     """
 
     def __init__(self, policy: GaussianPolicy, aug_dim, cfg: SACConfig, rng):
@@ -251,18 +247,11 @@ class SACTrainer:
         self.opt_q1 = Adam(self.q1.params(), AdamConfig(lr=cfg.lr))
         self.opt_q2 = Adam(self.q2.params(), AdamConfig(lr=cfg.lr))
         self.opt_pi = Adam(policy.params(), AdamConfig(lr=cfg.lr))
-        self.log_temp = ad.Tensor(np.array([np.log(cfg.entropy_temp)]), requires_grad=True)
-        self.opt_temp = Adam({"log_temp": self.log_temp}, AdamConfig(lr=cfg.entropy_lr))
-        self.target_entropy = -float(policy.act_dim)
-
-    @property
-    def temperature(self):
-        return float(np.exp(self.log_temp.data[0]))
 
     def update(self, batch, rng):
-        """One gradient step on critics, actor, and (optionally) temperature."""
+        """One gradient step on both critics and the actor."""
         cfg = self.cfg
-        temp = self.temperature
+        temp = cfg.entropy_temp
         s, a, s2 = batch["aug"], batch["res"], batch["aug_next"]
         r = batch["reward"]
 
@@ -290,20 +279,14 @@ class SACTrainer:
         ad.backward(actor_loss)
         self.opt_pi.step()
 
-        mean_logp = float(np.mean(logp_t.data))
-        if cfg.auto_entropy:
-            self.log_temp.grad = np.array([-(mean_logp + self.target_entropy)])
-            self.opt_temp.step()
-
         polyak_update(self.q1_t.params(), self.q1.params(), cfg.tau)
         polyak_update(self.q2_t.params(), self.q2.params(), cfg.tau)
         return {
             "q1_loss": q_losses[0],
             "q2_loss": q_losses[1],
             "actor_loss": float(actor_loss.data),
-            "mean_logp": mean_logp,
+            "mean_logp": float(np.mean(logp_t.data)),
             "mean_reward": float(np.mean(r)),
-            "temperature": self.temperature,
         }
 
 
@@ -487,8 +470,7 @@ def _bundle_nets(trainer):
 def _optimizers(trainer):
     """Group name in optim.ckpt -> optimizer."""
     sac = trainer.sac
-    return {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "temp": sac.opt_temp,
-            "disc": trainer.opt_disc}
+    return {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "disc": trainer.opt_disc}
 
 
 def _recover(path):
@@ -566,7 +548,6 @@ def save_bundle(path, trainer, extra_manifest=None):
         "normalizer": stack.normalizer.to_dict(),
         "curve": trainer.curve,
         "last_eval": trainer.last_eval,
-        "log_temp": float(trainer.sac.log_temp.data[0]),
         **(extra_manifest or {}),
     }
     with open(os.path.join(tmp, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -630,7 +611,6 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
         })
     replay_meta, replay_arrays = nets.load_params(os.path.join(path, "replay.ckpt"))
     trainer.replay.load_state(replay_arrays, replay_meta)
-    trainer.sac.log_temp.data[0] = manifest["log_temp"]
     trainer.env_steps = int(manifest["env_steps"])
     trainer.iteration_count = int(manifest["iteration"])
     trainer.curve = list(manifest["curve"])

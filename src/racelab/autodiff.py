@@ -7,11 +7,12 @@ walks that order reversed and visits each node exactly once. Gradients
 accumulate by summation, and leaves that never participate in a loss keep
 a zero gradient rather than a missing one.
 
-Most ops are elementwise or shape primitives. Three are fused, one tape
-node each with an analytic backward, because the transformer runs them
-many times per step: :func:`affine` (matrix product plus bias),
-:func:`layer_norm` and :func:`causal_attention` (multi-head causal
-self-attention).
+The ops are the ones the package's networks and losses call, and no
+more; a test checks that each public name has a caller. Most are
+elementwise or shape primitives. Three are fused, one tape node each
+with an analytic backward, because the transformer runs them many times
+per step: :func:`affine` (matrix product plus bias), :func:`layer_norm`
+and :func:`causal_attention` (multi-head causal self-attention).
 
 Inside :func:`no_grad` the same ops serve gradient-free forwards
 (rollouts, bootstrap targets, rewards, evaluation): outputs are constants
@@ -49,33 +50,27 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "scale",
     "shift",
     "matmul",
     "affine",
     "transpose_last2",
-    "reshape",
     "concat",
     "narrow",
     "tanh",
     "relu",
     "sigmoid",
     "exp",
-    "log",
     "sqrt",
     "square",
     "softplus",
     "clip",
     "minimum",
-    "causal_softmax_last",
     "causal_attention",
     "dropout",
-    "sum_all",
     "mean_all",
     "sum_last",
-    "mean_last",
     "mse",
     "bce_with_logits",
     "layer_norm",
@@ -221,10 +216,6 @@ def mul(a, b):
     return _binary("mul", a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def div(a, b):
-    return _binary("div", a, b, np.divide, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
-
-
 def neg(a):
     def vjp(g):
         a._accumulate(-g)
@@ -317,15 +308,6 @@ def transpose_last2(a):
     return _node("transpose_last2", np.swapaxes(a.data, -1, -2), (a,), vjp)
 
 
-def reshape(a, shape):
-    shape = tuple(shape)
-
-    def vjp(g):
-        a._accumulate(g.reshape(a.data.shape))
-
-    return _node("reshape", a.data.reshape(shape), (a,), vjp)
-
-
 def concat(parts, axis=-1):
     parts = tuple(parts)
     sizes = [p.data.shape[axis] for p in parts]
@@ -392,10 +374,6 @@ def exp(a):
     return _unary("exp", a, np.exp, lambda out, _x: out)
 
 
-def log(a):
-    return _unary("log", a, np.log, lambda _out, x: 1.0 / x)
-
-
 def sqrt(a):
     return _unary("sqrt", a, np.sqrt, lambda out, _x: 0.5 / out)
 
@@ -446,7 +424,10 @@ def minimum(a, b):
 
 
 def _causal_softmax(x):
-    # An additive -inf mask gives future columns exp(-inf) = 0 exactly.
+    # Row softmax of (..., T, T) scores under a strict causal mask. An
+    # additive -inf mask gives future columns exp(-inf) = 0 exactly, and
+    # their gradients in _softmax_vjp are exactly zero too, so position t
+    # depends only on columns <= t.
     # Row totals are summed column by column: appending masked (zero)
     # columns must not change earlier rows' normalization bits, which a
     # pairwise sum would. The row max is taken column by column too: over
@@ -469,25 +450,6 @@ def _causal_softmax(x):
 
 def _softmax_vjp(out, g):
     return out * (g - (g * out).sum(axis=-1, keepdims=True))
-
-
-def causal_softmax_last(a):
-    """Row softmax over the last axis with a strict causal mask.
-
-    Input is (..., T, T) attention scores. Entries above the diagonal are
-    excluded from the normalization entirely (not merely down-weighted), so
-    position t's output depends only on columns <= t; their probabilities
-    and gradients are exactly zero, making prefix outputs bit-identical
-    regardless of appended future rows.
-    """
-    if a.data.shape[-2] != a.data.shape[-1]:
-        raise AutodiffError("causal_softmax_last expects square trailing axes")
-    out = _causal_softmax(a.data)
-
-    def vjp(g):
-        a._accumulate(_softmax_vjp(out, g))
-
-    return _node("causal_softmax_last", out, (a,), vjp)
 
 
 def _dropout_keep(shape, p, rng, dtype):
@@ -534,9 +496,9 @@ def causal_attention(q, k, v, n_heads, p, rng, train):
     """Multi-head causal self-attention over (B, T, H*d) projections.
 
     Heads are laid out head-major, (H*B, T, d), so the whole layer is a
-    few batched rank-3 matmuls: scaled scores, the causal softmax of
-    :func:`causal_softmax_last`, inverted dropout on the weights and the
-    value product. Row h*B + b is head h of window b, which makes one
+    few batched rank-3 matmuls: scaled scores, a row softmax that gives
+    every future position exactly zero weight, inverted dropout on the
+    weights and the value product. Row h*B + b is head h of window b, which makes one
     dropout draw of shape (H*B, T, T) equal, value for value, to H
     successive per-head draws of shape (B, T, T). Returns the heads side
     by side, (B, T, H*d).
@@ -589,13 +551,6 @@ def dropout(a, p, rng, train):
     return _node("dropout", a.data * keep, (a,), vjp)
 
 
-def sum_all(a):
-    def vjp(g):
-        a._accumulate(np.full_like(a.data, float(g)))
-
-    return _node("sum_all", np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), vjp)
-
-
 def mean_all(a):
     n = a.data.size
 
@@ -605,22 +560,13 @@ def mean_all(a):
     return _node("mean_all", np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), vjp)
 
 
-def sum_last(a, keepdims=True):
-    def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, -1)
-        a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-
-    return _node("sum_last", a.data.sum(axis=-1, keepdims=keepdims), (a,), vjp)
-
-
-def mean_last(a, keepdims=True):
-    n = a.data.shape[-1]
+def sum_last(a):
+    """Sum over the last axis, which is kept with size 1."""
 
     def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, -1)
-        a._accumulate(np.broadcast_to(gg, a.data.shape).copy() / n)
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    return _node("mean_last", a.data.mean(axis=-1, keepdims=keepdims), (a,), vjp)
+    return _node("sum_last", a.data.sum(axis=-1, keepdims=True), (a,), vjp)
 
 
 def mse(pred, target):

@@ -143,10 +143,6 @@ class RaceEnv:
         self.cum_progress = None
         self.step_idx = 0
 
-    @property
-    def n_cars(self):
-        return 0 if self.state is None else len(self.state.yaw)
-
     def reset(self, positions, yaws, speeds, v_y=None, yaw_rate=None):
         """Place cars explicitly, in steady motion.
 

@@ -54,19 +54,17 @@ class EvalReport:
         return EvalReport(**d)
 
 
-def steering_change(deltas):
+def steering_change(seqs):
     """Pooled (mean, std) of |delta_t - delta_{t-1}| in radians.
 
-    deltas is one angle sequence or a list of per-car sequences; each
-    needs at least two entries. Population statistics over the pooled
-    per-step changes.
+    seqs is a list of per-car angle sequences; each needs at least two
+    entries. Population statistics over the pooled per-step changes.
     """
-    seqs = [np.asarray(deltas)] if np.asarray(deltas[0]).ndim == 0 else [np.asarray(d) for d in deltas]
     changes = []
     for seq in seqs:
         if len(seq) < 2:
             raise ValueError("steering sequence needs at least 2 steps")
-        changes.append(np.abs(np.diff(seq.astype(np.float64))))
+        changes.append(np.abs(np.diff(np.asarray(seq, dtype=np.float64))))
     pooled = np.concatenate(changes)
     return float(pooled.mean()), float(pooled.std())
 
@@ -179,8 +177,3 @@ def emit_report(report, training_curve, out_dir, meta=None):
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return cars_path, curve_path, summary_path
-
-
-def load_summary(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -74,7 +74,6 @@ class Affine:
 _ACT_TAPED = {
     "tanh": ad.tanh,
     "relu": ad.relu,
-    "sigmoid": ad.sigmoid,
     "identity": lambda t: t,
 }
 
@@ -118,13 +117,13 @@ def mlp_input_gradient(mlp, x):
     Returns (output, input_grad) as tensors of shapes (B, 1) and (B, in).
     The backward pass is spelled out with primitive ops, so backward()
     through input_grad produces exact second-order parameter gradients.
-    Supported activations: tanh, sigmoid, identity; anything else (relu
-    has no usable second derivative) raises naming the op.
+    Supported activations: tanh and identity; anything else (relu has no
+    usable second derivative) raises naming the op.
     """
     if mlp.dims[-1] != 1:
         raise ad.AutodiffError("input gradient requires a scalar-output net")
     for act in mlp.acts:
-        if act not in ("tanh", "sigmoid", "identity"):
+        if act not in ("tanh", "identity"):
             raise ad.AutodiffError(f"input gradient does not support op '{act}'")
     h = x
     post = []
@@ -139,8 +138,6 @@ def mlp_input_gradient(mlp, x):
         hi = post[i]
         if act == "tanh":
             g = ad.mul(g, ad.shift(ad.neg(ad.square(hi)), 1.0))
-        elif act == "sigmoid":
-            g = ad.mul(g, ad.mul(hi, ad.shift(ad.neg(hi), 1.0)))
         g = ad.matmul(g, ad.transpose_last2(mlp.layers[i].W))
     return out, g
 

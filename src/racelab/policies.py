@@ -116,7 +116,7 @@ class GaussianPolicy:
         terms = ad.add(ad.neg(log_std), ad.scale(z, 2.0))
         terms = ad.add(terms, ad.scale(ad.softplus(ad.scale(z, -2.0)), 2.0))
         terms = ad.add(terms, ad.tensor(const))
-        return action, ad.sum_last(terms, keepdims=True)
+        return action, ad.sum_last(terms)
 
 
 def make_bc_net(obs_dim, act_dim, hidden, rng, name="bc"):

@@ -56,15 +56,6 @@ class VehicleState:
     v_y: np.ndarray
     wall_contact: np.ndarray
 
-    def copy(self):
-        return VehicleState(
-            self.position.copy(),
-            self.yaw.copy(),
-            self.v_x.copy(),
-            self.v_y.copy(),
-            self.wall_contact.copy(),
-        )
-
 
 def initial_state(positions, yaws, speeds):
     """Cars at rest laterally, moving forward at the given speeds."""

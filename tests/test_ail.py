@@ -1,13 +1,11 @@
 """Tests for the adversarial fine-tuning stack: classifier, replay, critics."""
 
-import copy
-import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from racelab import ail, autodiff as ad, nets
+from racelab import ail, nets
 from racelab.ail import (
     ReplayBuffer,
     SACConfig,
@@ -15,7 +13,6 @@ from racelab.ail import (
     TrainConfig,
     Trainer,
     ail_reward,
-    disc_input,
     disc_update,
     load_bundle,
     make_discriminator,
@@ -226,11 +223,8 @@ def _const_net(net, value):
 def _sac(aug_dim=4, temp=0.0, gamma=0.5, tau=0.002):
     pol = GaussianPolicy(aug_dim, 2, (8,), 1.0, RNG(19))
     cfg = SACConfig(hidden=(8,), lr=1e-3, batch=16, gradient_steps=1,
-                    tau=tau, gamma=gamma, entropy_temp=max(temp, 1e-12))
-    sac = SACTrainer(pol, aug_dim, cfg, RNG(20))
-    if temp == 0.0:
-        sac.log_temp.data[0] = -np.inf  # exactly zero temperature
-    return sac
+                    tau=tau, gamma=gamma, entropy_temp=temp)
+    return SACTrainer(pol, aug_dim, cfg, RNG(20))
 
 
 def _batch(aug_dim=4, n=16, r=None, seed=21):
@@ -311,33 +305,6 @@ def test_actor_step_reduces_actor_loss_on_fixed_batch():
     batch = _batch()
     losses = [sac.update(batch, RNG(27))["actor_loss"] for _ in range(60)]
     assert losses[-1] < losses[0]
-
-
-def test_temperature_tuning_moves_toward_target_entropy():
-    pol = GaussianPolicy(2, 2, (8,), 1.0, RNG(28))
-    cfg = SACConfig(hidden=(8,), auto_entropy=True, entropy_temp=0.1,
-                    entropy_lr=5e-2, gradient_steps=1, batch=8)
-    sac = SACTrainer(pol, 2, cfg, RNG(29))
-    log_temp0 = sac.log_temp.data[0]
-    stats = sac.update(_batch(aug_dim=2, n=8, seed=30), RNG(31))
-    # Adam's first step moves by the learning rate, raising the temperature
-    # when the entropy -logp is below its target and lowering it otherwise.
-    step = sac.log_temp.data[0] - log_temp0
-    direction = np.sign(stats["mean_logp"] + sac.target_entropy)
-    assert step == pytest.approx(direction * cfg.entropy_lr, rel=1e-6)
-    for i in range(1, 20):
-        sac.update(_batch(aug_dim=2, n=8, seed=30 + i), RNG(31 + i))
-    state = sac.opt_temp.state_dict()
-    assert state["step_count"] == 20
-    assert state["m"]["log_temp"].dtype == np.float64
-    assert sac.log_temp.data.shape == (1,)
-
-
-def test_fixed_temperature_takes_no_optimizer_step():
-    sac = _sac(temp=0.1)
-    sac.update(_batch(), RNG(33))
-    assert sac.opt_temp.step_count == 0
-    assert sac.temperature == pytest.approx(0.1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +413,6 @@ def test_bundle_roundtrip_bit_exact(tiny_world, tmp_path):
     np.testing.assert_array_equal(tr.replay._data[: len(tr.replay)],
                                   tr2.replay._data[: len(tr2.replay)])
     assert tr2.env_steps == tr.env_steps
-    assert tr2.sac.temperature == tr.sac.temperature
 
 
 def test_resumed_training_is_bit_identical(tiny_world, tmp_path):
@@ -470,32 +436,6 @@ def test_resumed_training_is_bit_identical(tiny_world, tmp_path):
         np.testing.assert_array_equal(p.data, resumed.stack.residual.params()[k].data)
 
 
-def test_tuned_temperature_resumes_bit_identically(tiny_world, tmp_path):
-    """The temperature's Adam moments and step count travel in optim.ckpt."""
-    track, vparams, ecfg, demos = tiny_world
-    base = _tiny_cfg()
-    cfg = dataclasses.replace(base, sac=dataclasses.replace(base.sac, auto_entropy=True))
-
-    def trainer():
-        stack = build_policy_stack("ail", demos.normalizer, demos.obs_dim, RNG(40),
-                                   hidden=(32, 32))
-        return Trainer(stack, track, vparams, ecfg, demos, cfg, 7)
-
-    straight = trainer()
-    straight.iteration(0)
-    straight.iteration(1)
-    frag = trainer()
-    frag.iteration(0)
-    path = str(tmp_path / "bundle")
-    save_bundle(path, frag)
-    resumed, _ = load_bundle(path, track, vparams, ecfg, demos)
-    assert resumed.sac.opt_temp.step_count == 5
-    resumed.iteration(1)
-    assert straight.sac.opt_temp.step_count == resumed.sac.opt_temp.step_count == 10
-    assert straight.sac.log_temp.data[0] == resumed.sac.log_temp.data[0]
-    assert straight.sac.log_temp.data[0] != np.log(cfg.sac.entropy_temp)
-
-
 def _trainer_state(trainer):
     """Everything a bundle stores of a trainer, as comparable values."""
     sac = trainer.sac
@@ -504,7 +444,7 @@ def _trainer_state(trainer):
     state = {f"{net}.{name}": p.data.tobytes() for net, n in nets_.items()
              for name, p in n.params().items()}
     for group, opt in {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2,
-                       "temp": sac.opt_temp, "disc": trainer.opt_disc}.items():
+                       "disc": trainer.opt_disc}.items():
         opt_state = opt.state_dict()
         state[f"{group}.steps"] = opt_state["step_count"]
         for moment in ("m", "v"):
@@ -513,7 +453,7 @@ def _trainer_state(trainer):
     state.update({f"replay.{k}": a.tobytes() for k, a in trainer.replay.state_arrays().items()})
     state.update(replay_meta=trainer.replay.state_meta(), env_steps=trainer.env_steps,
                  iteration=trainer.iteration_count, curve=trainer.curve,
-                 last_eval=trainer.last_eval, log_temp=float(sac.log_temp.data[0]))
+                 last_eval=trainer.last_eval)
     return state
 
 

@@ -6,6 +6,9 @@ the tape gradient to 1e-6 relative error. Subgradient conventions at
 kinks, the exact causal mask, and error behavior are pinned separately.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ import racelab.autodiff as ad
 
 def probe_loss(out, w):
     """Reduce an op output to a scalar with fixed probe weights."""
-    return ad.sum_all(ad.mul(out, ad.tensor(w)))
+    return ad.mean_all(ad.mul(out, ad.tensor(w)))
 
 
 def check_grads(build, inputs, rng, h=1e-6, tol=1e-6):
@@ -83,7 +86,6 @@ class TestElementwiseOps:
         w = rng.standard_normal((3, 4))
         for op in (ad.add, ad.sub, ad.mul):
             check_grads(lambda x, y, op=op: probe_loss(op(x, y), w), [a, b], rng)
-        check_grads(lambda x, y: probe_loss(ad.div(x, y), w), [a, b + 3.0], rng)
 
     def test_broadcast_binary_ops(self):
         rng = np.random.default_rng(1)
@@ -103,7 +105,6 @@ class TestElementwiseOps:
             (ad.tanh, x),
             (ad.sigmoid, x),
             (ad.exp, x),
-            (ad.log, np.abs(x) + 0.5),
             (ad.sqrt, np.abs(x) + 0.5),
             (ad.square, x),
             (ad.softplus, 3.0 * x),
@@ -132,13 +133,13 @@ class TestElementwiseOps:
 class TestSubgradientConventions:
     def test_relu_gradient_is_zero_at_zero(self):
         x = ad.tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        ad.backward(ad.sum_all(ad.relu(x)))
-        assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        ad.backward(ad.mean_all(ad.relu(x)))
+        assert np.array_equal(x.grad, np.float32([[0.0, 0.0, 1.0 / 3.0]]))
 
     def test_clip_gradient_is_zero_at_boundary(self):
         x = ad.tensor([[-1.5, -1.0, 0.0, 1.0, 1.5]], requires_grad=True)
-        ad.backward(ad.sum_all(ad.clip(x, -1.0, 1.0)))
-        assert np.array_equal(x.grad, [[0.0, 0.0, 1.0, 0.0, 0.0]])
+        ad.backward(ad.mean_all(ad.clip(x, -1.0, 1.0)))
+        assert np.array_equal(x.grad, np.float32([[0.0, 0.0, 0.2, 0.0, 0.0]]))
 
 
 class TestShapeOps:
@@ -166,8 +167,6 @@ class TestShapeOps:
         y = rng.standard_normal((2, 3, 2))
         wt = rng.standard_normal((2, 4, 3))
         check_grads(lambda a: probe_loss(ad.transpose_last2(a), wt), [x], rng)
-        wr = rng.standard_normal((6, 4))
-        check_grads(lambda a: probe_loss(ad.reshape(a, (6, 4)), wr), [x], rng)
         wc = rng.standard_normal((2, 3, 6))
         check_grads(lambda a, b: probe_loss(ad.concat([a, b], axis=-1), wc), [x, y], rng)
         wn = rng.standard_normal((2, 3, 2))
@@ -178,11 +177,9 @@ class TestReductionsAndLosses:
     def test_reductions(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 4))
-        check_grads(lambda a: ad.sum_all(a), [x], rng)
         check_grads(lambda a: ad.mean_all(a), [x], rng)
         w = rng.standard_normal((3, 1))
         check_grads(lambda a: probe_loss(ad.sum_last(a), w), [x], rng)
-        check_grads(lambda a: probe_loss(ad.mean_last(a), w), [x], rng)
 
     def test_losses(self):
         rng = np.random.default_rng(9)
@@ -316,7 +313,7 @@ class TestFusedOps:
         for i in range(n_heads):
             qh, kh, vh = (ad.narrow(x, i * d, d) for x in (q, k, v))
             scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(d))
-            w = ad.dropout(ad.causal_softmax_last(scores), 0.1, draws, train=True)
+            w = ad.dropout(ad.Tensor(ad._causal_softmax(scores.data)), 0.1, draws, train=True)
             heads.append(ad.matmul(w, vh))
         assert np.array_equal(fused.data, ad.concat(heads).data)
         # Without dropout, against the same arithmetic in plain numpy.
@@ -348,15 +345,19 @@ class TestFusedOps:
 
 
 class TestCausalSoftmax:
+    """The softmax and its backward inside causal_attention."""
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 5, 5))
-        w = rng.standard_normal((2, 5, 5))
-        check_grads(lambda a: probe_loss(ad.causal_softmax_last(a), w), [x], rng)
+        x, w, d = (rng.standard_normal((2, 5, 5)) for _ in range(3))
+        h = 1e-6
+        analytic = float(np.sum(ad._softmax_vjp(ad._causal_softmax(x), w) * d))
+        fd = float(np.sum((ad._causal_softmax(x + h * d) - ad._causal_softmax(x - h * d)) * w)) / (2 * h)
+        assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic), abs(fd))
 
     def test_future_weights_are_exactly_zero(self):
         rng = np.random.default_rng(13)
-        out = ad.causal_softmax_last(ad.tensor(rng.standard_normal((3, 6, 6)))).data
+        out = ad._causal_softmax(rng.standard_normal((3, 6, 6)).astype(np.float32))
         for t in range(6):
             assert np.all(out[:, t, t + 1 :] == 0.0)
             assert np.allclose(out[:, t, : t + 1].sum(axis=-1), 1.0, atol=1e-6)
@@ -365,9 +366,9 @@ class TestCausalSoftmax:
         """Appending future rows must not change earlier rows at all."""
         rng = np.random.default_rng(14)
         full = rng.standard_normal((2, 8, 8)).astype(np.float32)
-        out_full = ad.causal_softmax_last(ad.Tensor(full)).data
+        out_full = ad._causal_softmax(full)
         for t in (1, 3, 5):
-            out_prefix = ad.causal_softmax_last(ad.Tensor(full[:, :t, :t].copy())).data
+            out_prefix = ad._causal_softmax(full[:, :t, :t].copy())
             assert np.array_equal(out_prefix, out_full[:, :t, :t])
 
     @pytest.mark.parametrize("t", [1, 5, 20])
@@ -380,10 +381,10 @@ class TestCausalSoftmax:
             assert np.array_equal(ad._causal_softmax(x), _row_max_causal_softmax(x))
 
     def test_masked_inputs_get_zero_gradient(self):
-        x = ad.tensor(np.random.default_rng(15).standard_normal((1, 4, 4)), requires_grad=True)
-        ad.backward(ad.sum_all(ad.causal_softmax_last(x)))
+        x, g = np.random.default_rng(15).standard_normal((2, 1, 4, 4)).astype(np.float32)
+        grad = ad._softmax_vjp(ad._causal_softmax(x), g)
         for t in range(4):
-            assert np.all(x.grad[0, t, t + 1 :] == 0.0)
+            assert np.all(grad[0, t, t + 1 :] == 0.0)
 
 
 class TestDropout:
@@ -404,7 +405,7 @@ class TestDropout:
     def test_gradient_uses_same_mask(self):
         x = ad.tensor(np.ones((50, 50)), requires_grad=True)
         out = ad.dropout(x, 0.5, np.random.default_rng(6), train=True)
-        ad.backward(ad.sum_all(out))
+        ad.backward(ad.mean_all(out))
         assert np.array_equal(x.grad != 0.0, out.data != 0.0)
 
 
@@ -412,27 +413,27 @@ class TestTapeSemantics:
     def test_shared_subexpression_accumulates(self):
         x = ad.tensor([3.0], requires_grad=True)
         y = ad.mul(x, x)
-        ad.backward(ad.sum_all(y))
+        ad.backward(ad.mean_all(y))
         assert np.allclose(x.grad, [6.0])
 
     def test_diamond_graph(self):
         x = ad.tensor([2.0], requires_grad=True)
         a = ad.scale(x, 3.0)
         b = ad.square(x)
-        ad.backward(ad.sum_all(ad.add(a, b)))
+        ad.backward(ad.mean_all(ad.add(a, b)))
         assert np.allclose(x.grad, [3.0 + 4.0])
 
     def test_untouched_leaf_keeps_no_gradient(self):
         x = ad.tensor([1.0], requires_grad=True)
         unused = ad.tensor([1.0], requires_grad=True)
-        ad.backward(ad.sum_all(ad.square(x)))
+        ad.backward(ad.mean_all(ad.square(x)))
         assert unused.grad is None
 
     def test_two_backwards_accumulate_until_zeroed(self):
         x = ad.tensor([1.0, 2.0], requires_grad=True)
-        ad.backward(ad.sum_all(ad.square(x)))
+        ad.backward(ad.mean_all(ad.square(x)))
         first = x.grad.copy()
-        ad.backward(ad.sum_all(ad.square(x)))
+        ad.backward(ad.mean_all(ad.square(x)))
         assert np.allclose(x.grad, 2.0 * first)
         ad.zero_grads([x])
         assert x.grad is None
@@ -461,7 +462,7 @@ class TestNoGrad:
 
     def test_skips_the_nonfinite_scan(self):
         with ad.no_grad(), np.errstate(invalid="ignore"):
-            out = ad.log(ad.tensor([-1.0], requires_grad=True))
+            out = ad.sqrt(ad.tensor([-1.0], requires_grad=True))
         assert np.isnan(out.data).all()
 
     def test_tape_is_restored_when_nested_and_after_an_exception(self):
@@ -474,8 +475,8 @@ class TestNoGrad:
         with pytest.raises(ZeroDivisionError), ad.no_grad():
             1 / 0
         assert ad.square(x).requires_grad
-        with np.errstate(invalid="ignore"), pytest.raises(ad.AutodiffError, match="log"):
-            ad.log(ad.tensor([-1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(ad.AutodiffError, match="sqrt"):
+            ad.sqrt(ad.tensor([-1.0]))
 
     def test_predict_between_forward_and_backward_leaves_gradients_alone(self):
         from racelab import nets
@@ -501,8 +502,8 @@ class TestNoGrad:
 class TestErrorBehavior:
     def test_nonfinite_output_names_the_op(self):
         x = ad.tensor([-1.0])
-        with np.errstate(invalid="ignore"), pytest.raises(ad.AutodiffError, match="log"):
-            ad.log(x)
+        with np.errstate(invalid="ignore"), pytest.raises(ad.AutodiffError, match="sqrt"):
+            ad.sqrt(x)
 
     def test_rank_limit_enforced(self):
         with pytest.raises(ad.AutodiffError, match="rank"):
@@ -512,3 +513,24 @@ class TestErrorBehavior:
         x = ad.tensor([1000.0])
         with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="exp"):
             ad.exp(x)
+
+
+def test_every_public_name_is_reached_outside_autodiff():
+    """Another module of the package, or the benchmark, reaches each name of
+    __all__ as ad.<name> or by import, so a dead op cannot stay. precision
+    is the float64 mode of the finite-difference oracles above."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "racelab").glob("*.py")) if p.name != "autodiff.py"]
+    files += sorted((root / "bench").glob("*.py"))
+    reached = set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "racelab.autodiff"):
+                reached.update(a.name for a in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                aliases.update(a.asname or a.name for a in node.names if a.name.endswith("autodiff"))
+        reached.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    assert sorted(set(ad.__all__) - reached - {"precision"}) == []

@@ -56,7 +56,7 @@ def test_config_rejects_inconsistent_shapes():
 
 def test_causal_softmax_rows_are_distributions():
     scores = RNG(0).standard_normal((2, 5, 5)).astype(np.float32)
-    w = ad.causal_softmax_last(ad.Tensor(scores)).data
+    w = ad._causal_softmax(scores)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
     for i in range(5):
         assert np.all(w[:, i, i + 1 :] == 0.0)  # no attention to the future

@@ -129,11 +129,12 @@ def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
 def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
-    for old in ("racelab-bundle-v1", "racelab-bundle-v2", "racelab-bundle-v3"):
+    for old in ("racelab-bundle-v1", "racelab-bundle-v2", "racelab-bundle-v3",
+                "racelab-bundle-v4"):
         (bundle / "manifest.json").write_text(json.dumps({"format": old}))
         assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == \
-            f"error: not a racelab-bundle-v4 checkpoint bundle: {bundle}\n"
+            f"error: not a racelab-bundle-v5 checkpoint bundle: {bundle}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,7 @@ def test_eval_of_a_bare_base_writes_beside_it(run_copy, tmp_path, monkeypatch):
                      "--cars", "2", "--max-steps", "20"]) == cli.EXIT_OK
     assert list(empty.iterdir()) == []
     assert json.loads((run_copy / "eval-bet" / "summary.json").read_text())["mode"] == "bet"
+
 
 
 def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_path):

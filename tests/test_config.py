@@ -64,6 +64,16 @@ def test_unknown_top_level_key():
         build_config(minimal(learning_rate=1e-3))
 
 
+def _put(doc, path, value):
+    """doc with value at a dotted path, making the tables on the way."""
+    *tables, key = path.split(".")
+    table = doc
+    for name in tables:
+        table = table.setdefault(name, {})
+    table[key] = value
+    return doc
+
+
 # Keys that no code read, that took one value only, or that repeated what
 # the episode fixes; each with the value it used to default to.
 REMOVED_KEYS = {
@@ -72,6 +82,8 @@ REMOVED_KEYS = {
     "episode.n_cars": 20,
     "episode.progress_weight": 0.01,
     "train.progress_weight": 0.01,
+    "train.sac.auto_entropy": False,
+    "train.sac.entropy_lr": 3e-4,
     "bet.nonlinearity": "relu",
     "bet.loss_positions": "all",
     "bet.obs_dim": 50,
@@ -81,8 +93,7 @@ REMOVED_KEYS = {
 
 @pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
 def test_removed_key_is_rejected_by_path(path, tmp_path, capsys):
-    table, key = path.split(".")
-    doc = {table: {key: REMOVED_KEYS[path]}}
+    doc = _put({}, path, REMOVED_KEYS[path])
     with pytest.raises(ConfigError, match=f"unknown config key '{path}'"):
         build_config(minimal(**doc))
     cfg = tmp_path / "config.json"
@@ -113,12 +124,7 @@ BAD_VALUES = [
 @pytest.mark.parametrize("path, value, message", BAD_VALUES,
                          ids=[f"{path}={value!r}" for path, value, _ in BAD_VALUES])
 def test_bad_value_is_rejected_by_path(path, value, message, tmp_path, capsys):
-    doc = minimal(mode="betail", alpha=0.1)
-    *tables, key = path.split(".")
-    table = doc
-    for name in tables:
-        table = table.setdefault(name, {})
-    table[key] = value
+    doc = _put(minimal(mode="betail", alpha=0.1), path, value)
     with pytest.raises(ConfigError) as info:
         build_config(doc)
     assert str(info.value).startswith(message)
@@ -269,7 +275,7 @@ def test_settable_value_count_is_pinned():
     def leaves(tree):
         return sum(leaves(v) if isinstance(v, dict) else 1 for v in tree.values())
 
-    assert leaves(_base_defaults()) == 76
+    assert leaves(_base_defaults()) == 74
 
 
 def test_pretrain_tracks_default_to_finetune_track():

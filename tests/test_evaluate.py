@@ -1,7 +1,6 @@
 """Tests for the lap-evaluation protocol and report files."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from racelab.evaluate import (
     EvalReport,
     emit_report,
     evaluate,
-    load_summary,
     steering_change,
     track_id,
 )
@@ -37,7 +35,7 @@ def world():
 
 def test_steering_change_single_sequence_oracle():
     # |diffs| of [0, 0.1, -0.1, 0.2] -> [0.1, 0.2, 0.3]: mean 0.2
-    mean, std = steering_change([0.0, 0.1, -0.1, 0.2])
+    mean, std = steering_change([[0.0, 0.1, -0.1, 0.2]])
     assert mean == pytest.approx(0.2)
     assert std == pytest.approx(np.std([0.1, 0.2, 0.3]))
 
@@ -49,7 +47,7 @@ def test_steering_change_pools_across_cars():
 
 
 def test_steering_change_constant_sequence_is_zero():
-    mean, std = steering_change([0.3, 0.3, 0.3, 0.3])
+    mean, std = steering_change([[0.3, 0.3, 0.3, 0.3]])
     assert mean == 0.0 and std == 0.0
 
 
@@ -231,7 +229,8 @@ def test_summary_holds_report_curve_and_meta(tmp_path):
               "lap_time_mean": 30.0, "steering_change_mean": 0.001}]
     _, _, summary_path = emit_report(rep, curve, str(tmp_path),
                                      meta={"config_hash": "cafe", "seed": 7})
-    doc = load_summary(summary_path)
+    with open(summary_path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["report"]["success_rate"] == pytest.approx(1.0 / 3.0)
     assert doc["training_curve"] == curve
     assert doc["config_hash"] == "cafe"

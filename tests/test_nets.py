@@ -102,20 +102,6 @@ class TestInputGradient:
                     fd = (mlp.predict(xp)[r, 0] - mlp.predict(xm)[r, 0]) / (2 * h)
                     assert abs(float(grad.data[r, c]) - fd) <= 1e-6 * max(1.0, abs(fd))
 
-    def test_sigmoid_activation_supported(self):
-        rng = np.random.default_rng(6)
-        with ad.precision("float64"):
-            mlp = nets.MLP([3, 6, 1], ["sigmoid", "identity"], rng)
-            x = rng.standard_normal((2, 3))
-            _, grad = nets.mlp_input_gradient(mlp, ad.tensor(x))
-            h = 1e-6
-            xp = x.copy()
-            xp[0, 1] += h
-            xm = x.copy()
-            xm[0, 1] -= h
-            fd = (mlp.predict(xp)[0, 0] - mlp.predict(xm)[0, 0]) / (2 * h)
-            assert abs(float(grad.data[0, 1]) - fd) <= 1e-6 * max(1.0, abs(fd))
-
     def test_relu_rejected_by_name(self):
         rng = np.random.default_rng(7)
         mlp = nets.MLP([3, 6, 1], ["relu", "identity"], rng)

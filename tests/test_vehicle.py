@@ -1,5 +1,7 @@
 """Closed-form dynamics oracles for the kinematic bicycle."""
 
+import copy
+
 import numpy as np
 
 from racelab.track import gen_track
@@ -114,7 +116,7 @@ class TestDeterminismAndClipping:
         params = VehicleParams()
         rng = np.random.default_rng(0)
         state_a = initial_state(rng.normal(0, 5, (8, 2)), rng.normal(0, 1, 8), rng.uniform(0, 30, 8))
-        state_b = state_a.copy()
+        state_b = copy.deepcopy(state_a)
         act = rng.uniform(-1, 1, (8, 2))
         out_a = step(state_a, act, params, 0.1)
         out_b = step(state_b, act, params, 0.1)
