@@ -20,7 +20,7 @@ from racelab.track import save_track
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
-    "summary.json": "3fbf03c6b7f6c0cc9ffdf05757e61f961dc2ba15b45248470537b7851252f7ed",
+    "summary.json": "31745a4d726ad79662b5872256b1cd4111cdccc9ac9049083f706e589aa11b10",
     "bet.ckpt": "98160e768bdd87c601a4405159fe6bf29a5f5b72f83dc36af856c91d627f699b",
     "bundle/residual.ckpt": "964298cf3624977ef784b45ba9010b30a9bbeaef5c81212649eeb9aad52e80ef",
 }
