@@ -207,6 +207,8 @@ class SACConfig:
     def __post_init__(self):
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.gradient_steps < 0:
+            raise ValueError(f"gradient_steps must be >= 0, got {self.gradient_steps}")
 
 
 def _make_q(in_dim, hidden, rng, name):
@@ -319,9 +321,11 @@ class TrainConfig:
                 self.sac = SACConfig(**self.sac)
             except ValueError as exc:
                 raise ValueError(f"sac.{exc}") from None
-        for name in ("n_cars", "rollout_steps", "disc_updates", "demo_batch", "eval_cars"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("n_cars", 1), ("rollout_steps", 1), ("disc_updates", 1),
+                          ("demo_batch", 1), ("eval_cars", 1), ("eval_max_steps", 2),
+                          ("iterations", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.replay_capacity < self.sac.batch:
             raise ValueError(f"replay_capacity must be >= sac.batch ({self.sac.batch}), "
                              f"got {self.replay_capacity}")

@@ -484,6 +484,10 @@ def cmd_pipeline(args):
 
 
 def cmd_eval(args):
+    # The bounds of train.eval_cars and train.eval_max_steps.
+    for flag, value, low in (("--cars", args.cars, 1), ("--max-steps", args.max_steps, 2)):
+        if value is not None and value < low:
+            raise ConfigError(f"eval {flag} must be >= {low}, got {value}")
     if args.bundle is not None:
         manifest, cfg = _run_record(args.bundle)
         stack = ail.load_stack(args.bundle, manifest)

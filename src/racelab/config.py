@@ -239,7 +239,7 @@ def build_config(user):
 
     Raises ConfigError on unknown keys, bad profile or challenge names,
     missing mode/track, a residual mode without alpha, an alpha outside
-    (0, 1], or a training size the trainer cannot run.
+    (0, 1], or a size that a stage cannot run with.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -277,6 +277,12 @@ def build_config(user):
     demos = resolved["demos"]
     if demos["laps_pretrain"] is None:
         demos["laps_pretrain"] = demos["laps"]
+    for table, key in (("demos", "laps"), ("demos", "laps_pretrain"), ("bc", "updates"),
+                       ("bc", "batch")):
+        value = resolved[table][key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"config field '{table}.{key}' must be an integer >= 1, "
+                              f"got {value!r}")
 
     episode = _typed(EpisodeConfig, resolved["episode"], "episode")
     bet_d = {**resolved["bet"], "obs_dim": obs_dim(episode), "act_dim": 2}

@@ -352,6 +352,15 @@ def test_eval_of_a_bare_base_writes_beside_it(run_copy, tmp_path, monkeypatch):
     assert json.loads((run_copy / "eval-bet" / "summary.json").read_text())["mode"] == "bet"
 
 
+@pytest.mark.parametrize("flag, value, low", [("--cars", "0", 1), ("--max-steps", "1", 2)])
+def test_eval_size_below_its_bound_is_refused_before_anything_is_written(
+        run_copy, tmp_path, capsys, flag, value, low):
+    before = _tree(tmp_path)
+    assert cli.main(["eval", "--bundle", str(run_copy / "bundle"), flag, value]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: eval {flag} must be >= {low}, got {value}\n"
+    assert _tree(tmp_path) == before
+
 
 def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_path):
     for name in ("replay.ckpt", "optim.ckpt", "q1.ckpt", "q2.ckpt", "disc.ckpt"):

@@ -115,6 +115,17 @@ BAD_VALUES = [
     ("train.eval_cars", 0, "invalid 'train' config: eval_cars must be >= 1"),
     ("train.sac.batch", 0, "invalid 'train' config: sac.batch must be >= 1"),
     ("train.replay_capacity", 10, "invalid 'train' config: replay_capacity must be >= sac.batch"),
+    ("train.eval_max_steps", 1, "invalid 'train' config: eval_max_steps must be >= 2"),
+    ("train.iterations", -1, "invalid 'train' config: iterations must be >= 0"),
+    ("train.sac.gradient_steps", -1, "invalid 'train' config: sac.gradient_steps must be >= 0"),
+    ("bet.updates", 0, "invalid 'bet' config: updates must be >= 1"),
+    ("bet.batch_size", 0, "invalid 'bet' config: batch_size must be >= 1"),
+    ("bet.eval_context", 0, "invalid 'bet' config: eval_context must be >= 1"),
+    ("bet.dropout", 1.0, "invalid 'bet' config: dropout must be in [0, 1)"),
+    ("demos.laps", 0, "config field 'demos.laps' must be an integer >= 1"),
+    ("demos.laps_pretrain", 0, "config field 'demos.laps_pretrain' must be an integer >= 1"),
+    ("bc.updates", 0, "config field 'bc.updates' must be an integer >= 1"),
+    ("bc.batch", 0, "config field 'bc.batch' must be an integer >= 1"),
     ("alpha", 2.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", 0.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", "0.1", "config field 'alpha' must be a number in (0, 1]"),
