@@ -77,13 +77,13 @@ class BeTConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
+        for name in ("n_heads", "updates", "batch_size", "eval_context"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads:
             raise ValueError("embed_dim must divide evenly into heads")
         if self.eval_context > self.context:
             raise ValueError("eval_context cannot exceed the training context")
-        for name in ("updates", "batch_size", "eval_context"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
