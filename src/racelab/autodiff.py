@@ -498,10 +498,10 @@ def causal_attention(q, k, v, n_heads, p, rng, train):
     Heads are laid out head-major, (H*B, T, d), so the whole layer is a
     few batched rank-3 matmuls: scaled scores, a row softmax that gives
     every future position exactly zero weight, inverted dropout on the
-    weights and the value product. Row h*B + b is head h of window b, which makes one
-    dropout draw of shape (H*B, T, T) equal, value for value, to H
-    successive per-head draws of shape (B, T, T). Returns the heads side
-    by side, (B, T, H*d).
+    weights and the value product. Row h*B + b is head h of window b,
+    which makes one dropout draw of shape (H*B, T, T) equal, value for
+    value, to H successive per-head draws of shape (B, T, T). Returns the
+    heads side by side, (B, T, H*d).
     """
     if q.data.ndim != 3 or not (q.data.shape == k.data.shape == v.data.shape):
         raise AutodiffError("causal_attention expects equal (B, T, width) operands")
