@@ -358,16 +358,22 @@ def relu(a):
     return _unary("relu", a, lambda x: np.maximum(x, 0.0), lambda _out, x: (x > 0).astype(x.dtype))
 
 
-def sigmoid(a):
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    return _unary("sigmoid", a, fwd, lambda out, _x: out * (1.0 - out))
+
+def _softplus(x):
+    # log(1 + e^x), evaluated as max(x, 0) + log1p(e^-|x|) for stability.
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def sigmoid(a):
+    return _unary("sigmoid", a, _sigmoid, lambda out, _x: out * (1.0 - out))
 
 
 def exp(a):
@@ -383,19 +389,7 @@ def square(a):
 
 
 def softplus(a):
-    # log(1 + e^x), evaluated as max(x, 0) + log1p(e^-|x|) for stability.
-    def fwd(x):
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def dfdx(_out, x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    return _unary("softplus", a, fwd, dfdx)
+    return _unary("softplus", a, _softplus, lambda _out, x: _sigmoid(x))
 
 
 def clip(a, lo, hi):
@@ -592,7 +586,7 @@ def bce_with_logits(logits, targets):
     """
     x = logits.data
     y = targets.data
-    sp = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    sp = _softplus(x)
     n = x.size
 
     def vjp(g):

@@ -77,7 +77,8 @@ class BeTConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
-        for name in ("n_heads", "updates", "batch_size", "eval_context"):
+        for name in ("embed_dim", "n_layers", "n_heads", "mlp_ratio", "updates", "batch_size",
+                     "eval_context"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads:

@@ -37,7 +37,11 @@ resumes the same run directory in either layout, and a budget below the
 bundle's iteration is refused. Any mismatch exits 2
 before anything is written, naming the file, the first differing key and
 both values. The experiment directory's ``.lock`` is held while stages
-are built, and the run directory's while training.
+are built, and the run directory's while training. Each is a kernel lock
+(``flock``), which the kernel releases when the process ends, however it
+ends, so the CLI runs on POSIX systems only. Stage products and checkpoint
+files are written to a temporary name and then renamed into place, so a
+run killed while writing leaves the old file or none.
 
 ``eval --bundle`` and ``report`` take the run's config from its bundle,
 not from ``--config`` or ``--seed``, and stamp summary.json as the run's
@@ -63,6 +67,7 @@ override the config's course, so they change the stage key as well.
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import glob
 import json
 import os
@@ -171,7 +176,7 @@ def _load_cfg(args, need_mode):
         doc["track"] = {"path": args.track}
     if not need_mode and "mode" not in doc:
         # Course and demo generation do not depend on the mode; any
-        # non-residual placeholder keeps the schema satisfied.
+        # placeholder keeps the schema satisfied, and "ail" needs no alpha.
         doc["mode"] = "ail"
     return build_config(doc)
 
@@ -185,63 +190,39 @@ def _dirs(cfg):
     return exp_dir, os.path.join(exp_dir, f"{cfg.mode}-{cfg.run_hash[:8]}")
 
 
-def _claim(lock):
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"{os.getpid()}\n")
-    return True
-
-
-def _lock_pid(lock):
-    """The pid a lock file records, or None when it records none."""
-    try:
-        with open(lock, "r", encoding="utf-8") as fh:
-            pid = int(fh.read().strip())
-    except (OSError, ValueError):
-        return None
-    return pid if pid > 0 else None
-
-
-def _pid_alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # alive, owned by another user
-        pass
-    return True
-
-
 @contextlib.contextmanager
 def _locked(out_dir):
-    """Hold ``out_dir/.lock``, which records this process's pid.
+    """Hold ``out_dir/.lock``, a kernel lock (``flock``) on a file that
+    records this process's pid.
 
-    A lock whose pid is no longer alive was left by a run that was killed;
-    it is reclaimed. A lock held by a live process, or one whose pid cannot
-    be read (its owner may not have written it yet), refuses the run.
+    The kernel releases the lock when the process ends, however it ends, so
+    a killed run leaves nothing to reclaim. A lock held by another process
+    refuses the run, naming that process's pid. The holder removes the file
+    before it lets go, so a run that opened the old file refuses too.
     """
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".lock")
-    if not _claim(lock):
-        holder = _lock_pid(lock)
-        if holder is None or _pid_alive(holder):
-            owner = "another run" if holder is None else f"the run with pid {holder}"
-            raise RuntimeError(
-                f"output directory {out_dir} is locked by {owner} "
-                f"(remove {lock} if that run is gone)"
-            )
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock)
-        if not _claim(lock):
+    with open(lock, "a+", encoding="utf-8") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.seek(0)
+            pid = fh.read().strip()
+            owner = f"the run with pid {pid}" if pid else "another run"
+            raise RuntimeError(f"output directory {out_dir} is locked by {owner}") from None
+        try:
+            held = os.path.samestat(os.fstat(fh.fileno()), os.stat(lock))
+        except FileNotFoundError:
+            held = False
+        if not held:
             raise RuntimeError(f"output directory {out_dir} was claimed by another run")
-    try:
-        yield
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock)
+        fh.truncate(0)
+        print(os.getpid(), file=fh, flush=True)
+        try:
+            yield
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(lock)
 
 
 def _trace(cfg, stage=False):
@@ -278,8 +259,10 @@ def _write_config_snapshot(cfg, out_dir):
 def _check_stage_keys(cfg, exp_dir):
     """Refuse an experiment directory holding a stage product of another stage key."""
     names = ["track.json", "demos.ckpt", "bet.ckpt"]
-    for path in ([os.path.join(exp_dir, name) for name in names]
-                 + sorted(glob.glob(os.path.join(exp_dir, "pretrain", "*")))):
+    # Only products: a temporary file that a killed write left is not one.
+    pretrain = sorted(glob.glob(os.path.join(exp_dir, "pretrain", "*.json"))
+                      + glob.glob(os.path.join(exp_dir, "pretrain", "*.ckpt")))
+    for path in [os.path.join(exp_dir, name) for name in names] + pretrain:
         if os.path.exists(path):
             meta = load_track(path).meta if path.endswith(".json") else nets.load_meta(path)
             if meta.get("config_hash") != cfg.stage_hash:
@@ -352,11 +335,10 @@ def _ensure_base(cfg, exp_dir):
     if os.path.exists(bet_path):
         print(f"reusing {bet_path}")
         return bet_path
-    demosets = [_ensure_course(cfg, exp_dir, os.path.join("pretrain", f"track_{i}.json"),
-                               os.path.join("pretrain", f"demos_{i}.ckpt"), spec,
-                               cfg.demo_laps_pretrain)[1]
-                for i, spec in enumerate(cfg.pretrain_track_specs)]
-    merged = demosets[0] if len(demosets) == 1 else DemoSet.merge(demosets)
+    merged = DemoSet.merge([
+        _ensure_course(cfg, exp_dir, os.path.join("pretrain", f"track_{i}.json"),
+                       os.path.join("pretrain", f"demos_{i}.ckpt"), spec, cfg.demo_laps_pretrain)[1]
+        for i, spec in enumerate(cfg.pretrain_track_specs)])
     model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
 
     def progress(update, loss, ema):
@@ -364,11 +346,12 @@ def _ensure_base(cfg, exp_dir):
 
     history = bet_mod.pretrain(model, merged, cfg.seed, progress=progress)
     trace = _trace(cfg, stage=True)
-    bet_mod.save_bet(bet_path, model, merged.normalizer,
-                     extra={**trace, "updates_run": len(history), "final_loss": history[-1]})
+    # bet.ckpt marks the stage as done, so it is written last.
     with open(os.path.join(exp_dir, "bet_pretrain.json"), "w", encoding="utf-8") as fh:
         json.dump({"loss_history": history, **trace}, fh, sort_keys=True)
         fh.write("\n")
+    bet_mod.save_bet(bet_path, model, merged.normalizer,
+                     extra={**trace, "updates_run": len(history), "final_loss": history[-1]})
     print(f"sequence base: {len(history)} updates, final loss {history[-1]:.5f} -> {bet_path}")
     return bet_path
 

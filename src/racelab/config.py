@@ -180,7 +180,6 @@ class ExperimentConfig:
     mode: str
     profile: str
     seed: int
-    challenge: str
     alpha: float
     out: str
     track_spec: dict
@@ -291,7 +290,6 @@ def build_config(user):
         mode=mode,
         profile=profile,
         seed=int(resolved["seed"]),
-        challenge=challenge,
         alpha=alpha,
         out=resolved["out"],
         track_spec=resolved["track"],

@@ -122,6 +122,11 @@ class SpeedLookup:
         return np.where(d_lo <= d_hi, self.v[lo], self.v[hi])
 
 
+def _whitener(laps):
+    """The observation whitener of a set of laps, fitted over every recorded row."""
+    return Normalizer.fit(np.concatenate([lap["obs"] for lap in laps], axis=0))
+
+
 class DemoSet:
     """Recorded demonstration laps plus the fitted observation whitener.
 
@@ -178,10 +183,7 @@ class DemoSet:
     def merge(demosets):
         """Pool laps from several sets; refit the whitener over the pool."""
         laps = [lap for ds in demosets for lap in ds.laps]
-        obs = np.concatenate([lap["obs"][:-1] for lap in laps], axis=0)
-        normalizer = Normalizer.fit(obs)
-        meta = {"merged": [ds.meta for ds in demosets]}
-        return DemoSet(laps, normalizer, meta)
+        return DemoSet(laps, _whitener(laps), {"merged": [ds.meta for ds in demosets]})
 
     def save(self, path):
         arrays = {}
@@ -257,8 +259,6 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     # laps do not hold the whole batch alive.
     laps = [{key: val[i, : end + (key != "actions")].copy() for key, val in stacked.items()}
             for i, end in enumerate(done_at.tolist())]
-    all_obs = np.concatenate([lap["obs"] for lap in laps], axis=0)
-    normalizer = Normalizer.fit(all_obs)
     meta = {
         "seed": int(seed),
         "track": track.meta,
@@ -267,7 +267,7 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
         "episode": dataclasses.asdict(ecfg),
         "obs_dim": int(obs_dim(ecfg)),
     }
-    return DemoSet(laps, normalizer, meta)
+    return DemoSet(laps, _whitener(laps), meta)
 
 
 def replay_lap(demoset, lap_idx, track, vparams, ecfg):

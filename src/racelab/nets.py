@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -81,7 +82,7 @@ _ACT_TAPED = {
 class MLP:
     """Fully connected stack with one activation name per layer."""
 
-    def __init__(self, dims, acts, rng, name="mlp", final_zero=False, w_std=None):
+    def __init__(self, dims, acts, rng, name="mlp", final_zero=False):
         if len(acts) != len(dims) - 1:
             raise ValueError("need one activation per layer")
         self.dims = list(dims)
@@ -90,7 +91,7 @@ class MLP:
         self.layers = []
         for i in range(len(dims) - 1):
             zero = final_zero and i == len(dims) - 2
-            self.layers.append(Affine(dims[i], dims[i + 1], rng, w_std=w_std, zero=zero))
+            self.layers.append(Affine(dims[i], dims[i + 1], rng, zero=zero))
 
     def params(self):
         out = OrderedDict()
@@ -161,7 +162,8 @@ def save_params(path, named_arrays, meta):
     recorded in the header. The byte stream is a pure function of the
     inputs, so identical params produce identical files. Each buffer is
     written as it stands when it is already contiguous and little-endian,
-    so a save holds no copy of it.
+    so a save holds no copy of it. The file is written beside path and
+    then renamed onto it, so a stopped save leaves no partial checkpoint.
     """
     entries = []
     buffers = []
@@ -172,11 +174,13 @@ def save_params(path, named_arrays, meta):
         entries.append({"name": name, "shape": list(arr.shape), "dtype": code})
         buffers.append(np.ascontiguousarray(arr, dtype=code))
     header = {"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries}
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for buf in buffers:
             fh.write(memoryview(buf))
+    os.replace(tmp, path)
 
 
 def _read_header(fh, path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 
@@ -424,16 +425,20 @@ def _oval_dense(radius, straight):
 
 
 def save_track(track, path):
-    """Write a track as deterministic JSON (sorted keys, full precision)."""
+    """Write a track as deterministic JSON (sorted keys, full precision),
+    beside path and then renamed onto it, so a stopped save leaves no
+    partial file."""
     doc = {
         "format": TRACK_FORMAT,
         "half_width": track.half_width,
         "meta": track.meta,
         "points": [[float(x), float(y)] for x, y in track.points],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def load_track(path):

@@ -85,13 +85,69 @@ def test_lock_of_a_dead_process_is_reclaimed(tmp_path):
     assert not (out / ".lock").exists()
 
 
+# A child process that holds the lock of sys.argv[1] until it is killed.
+HOLDER = """
+import sys, time
+from racelab import cli
+with cli._locked(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(600)
+"""
+
+
 def test_lock_of_a_live_process_refuses_the_run(tmp_path, capsys):
     out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    holder = subprocess.Popen([sys.executable, "-c", HOLDER, str(out)], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        before = _tree(out)
+        assert _gen_track(out) == cli.EXIT_RUNTIME
+        assert f"locked by the run with pid {holder.pid}" in capsys.readouterr().err
+        assert _tree(out) == before
+        # The kernel releases the lock of a killed holder; its file is left.
+        holder.kill()
+        holder.wait(timeout=10)
+        assert (out / ".lock").exists()
+        assert _gen_track(out) == cli.EXIT_OK
+        assert (out / "track.json").exists()
+        assert not (out / ".lock").exists()
+    finally:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdout.close()
+
+
+@pytest.mark.parametrize("content", ["", f"{os.getpid()}\n"], ids=["empty", "live-pid"])
+def test_lock_file_that_no_process_holds_does_not_block(content, tmp_path):
+    # Left by a run killed before it wrote its pid, or naming a live pid
+    # that does not hold the lock.
+    out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text(f"{os.getpid()}\n")
+    (out / ".lock").write_text(content)
+    assert _gen_track(out) == cli.EXIT_OK
+    assert (out / "track.json").exists()
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("replaced", [False, True], ids=["removed", "replaced"])
+def test_lock_on_a_file_its_holder_removed_refuses_the_run(replaced, tmp_path, monkeypatch,
+                                                           capsys):
+    # The run opened .lock just before its holder removed it and let go.
+    out = tmp_path / "run"
+    flock = cli.fcntl.flock
+
+    def flock_after_the_holder(fh, op):
+        flock(fh, op)
+        os.unlink(out / ".lock")
+        if replaced:  # and a third run has made a new one
+            (out / ".lock").write_text("")
+
+    monkeypatch.setattr(cli.fcntl, "flock", flock_after_the_holder)
     assert _gen_track(out) == cli.EXIT_RUNTIME
-    assert f"pid {os.getpid()}" in capsys.readouterr().err
-    assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+    assert f"output directory {out} was claimed by another run" in capsys.readouterr().err
     assert not (out / "track.json").exists()
 
 
@@ -212,6 +268,25 @@ def test_stages_one_by_one_equal_one_run_and_share_the_base(betail_run, tmp_path
     assert _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]} == stages
     (other,) = set(exp.glob("betail-*")) - {run}
     assert json.loads((other / "summary.json").read_text())["alpha"] == 0.1
+
+
+def test_interrupted_stage_write_leaves_no_product(betail_run, tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path / "config.json", TINY)
+    out = tmp_path / "run"
+
+    def interrupt(_buf):  # the first buffer of demos.ckpt, after its header
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(nets, "memoryview", interrupt, raising=False)
+    assert cli.main(["gen-demos", "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "interrupted\n"
+    assert (out / "track.json").exists()
+    assert not (out / "demos.ckpt").exists() and not (out / ".lock").exists()
+
+    monkeypatch.delattr(nets, "memoryview")
+    assert cli.main(["gen-demos", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert f"reusing {out / 'demos.ckpt'}" not in capsys.readouterr().out
+    assert (out / "demos.ckpt").read_bytes() == (betail_run / "demos.ckpt").read_bytes()
 
 
 def test_interrupted_run_resumes_bit_identically(betail_run, tmp_path, monkeypatch, capsys):

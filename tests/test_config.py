@@ -118,7 +118,12 @@ BAD_VALUES = [
     ("train.eval_max_steps", 1, "invalid 'train' config: eval_max_steps must be >= 2"),
     ("train.iterations", -1, "invalid 'train' config: iterations must be >= 0"),
     ("train.sac.gradient_steps", -1, "invalid 'train' config: sac.gradient_steps must be >= 0"),
+    ("bet.embed_dim", 0, "invalid 'bet' config: embed_dim must be >= 1"),
+    ("bet.embed_dim", -4, "invalid 'bet' config: embed_dim must be >= 1"),
+    ("bet.n_layers", -1, "invalid 'bet' config: n_layers must be >= 1"),
     ("bet.n_heads", 0, "invalid 'bet' config: n_heads must be >= 1"),
+    ("bet.mlp_ratio", 0, "invalid 'bet' config: mlp_ratio must be >= 1"),
+    ("bet.mlp_ratio", -1, "invalid 'bet' config: mlp_ratio must be >= 1"),
     ("bet.updates", 0, "invalid 'bet' config: updates must be >= 1"),
     ("bet.batch_size", 0, "invalid 'bet' config: batch_size must be >= 1"),
     ("bet.eval_context", 0, "invalid 'bet' config: eval_context must be >= 1"),

@@ -146,12 +146,20 @@ def test_merge_pools_laps_and_refits_whitener(circle_world):
     merged = DemoSet.merge([demos, other])
     assert len(merged.laps) == 5
     assert "merged" in merged.meta
-    obs = np.concatenate([lap["obs"][:-1] for lap in merged.laps], axis=0)
+    obs = np.concatenate([lap["obs"] for lap in merged.laps], axis=0)
     from racelab.env import Normalizer
 
     want = Normalizer.fit(obs)
     np.testing.assert_array_equal(merged.normalizer.mean, want.mean)
     np.testing.assert_array_equal(merged.normalizer.std, want.std)
+
+
+def test_merge_of_one_set_keeps_its_whitener_bitwise(circle_world):
+    # One whitening rule: a merged set is whitened as a generated one is.
+    _, _, _, demos = circle_world
+    merged = DemoSet.merge([demos])
+    np.testing.assert_array_equal(merged.normalizer.mean, demos.normalizer.mean)
+    np.testing.assert_array_equal(merged.normalizer.std, demos.normalizer.std)
 
 
 # ---------------------------------------------------------------------------
