@@ -5,13 +5,16 @@ demonstration laps (``gen-demos``), the sequence base fitted on the
 pretraining courses (``pretrain-bet``), and one fine-tuning mode
 (``train``). Each of these commands runs the chain up to its own stage and
 builds a product only when it is missing. ``run`` is ``train`` with the
-mode taken from the config. ``eval`` and ``report`` regenerate evaluation
-artifacts from a checkpoint bundle, and ``bet-info`` prints a base
-checkpoint's metadata.
+mode taken from the config. The supervised-only modes ``bet`` (the
+sequence base alone) and ``bc`` train no correction head: they evaluate
+their base once on the target course and report. ``eval`` and ``report``
+regenerate evaluation artifacts from a checkpoint bundle, and
+``bet-info`` prints a base checkpoint's metadata.
 
-Every subcommand accepts ``--config`` (a JSON document; the single source
-of truth for a run), ``--seed`` and ``--out``. Exit codes: 0 success, 1
-configuration error, 2 runtime failure.
+The pipeline commands accept ``--config`` (a JSON document; the single
+source of truth for a run), ``--seed`` and ``--out``; ``eval`` and
+``report`` take the config from the bundle and accept ``--out``. Exit
+codes: 0 success, 1 configuration error, 2 runtime failure.
 
 Layouts. By default, outputs go under the RACELAB_OUT root (``./runs``
 when unset), in an experiment directory and one run directory per mode:
@@ -41,13 +44,15 @@ are built, and the run directory's while training. Each is a kernel lock
 (``flock``), which the kernel releases when the process ends, however it
 ends, so the CLI runs on POSIX systems only. Stage products and checkpoint
 files are written to a temporary name and then renamed into place, so a
-run killed while writing leaves the old file or none.
+run killed while writing leaves the old file or none, and a write stopped
+by an exception removes its temporary file.
 
-``eval --bundle`` and ``report`` take the run's config from its bundle,
-not from ``--config`` or ``--seed``, and stamp summary.json as the run's
-own: report's equals it byte for byte, and so does eval's at the default
+``eval --bundle`` and ``report`` take the run's config from its bundle;
+eval reads the course and demo files that the bundle's manifest names,
+relative to the bundle. Both stamp summary.json as the run's own:
+report's equals it byte for byte, and so does eval's at the default
 cars, steps and tag. Without ``--out`` they write eval/ and report/
-beside the bundle; ``eval --bet`` writes eval-bet/ beside its checkpoint.
+beside the bundle.
 
 Stage by stage, with smoke.json holding
 ``{"profile": "smoke", "challenge": "maggiore-like"}``:
@@ -57,11 +62,13 @@ Stage by stage, with smoke.json holding
   racelab pretrain-bet --config smoke.json
   racelab train        --config smoke.json --mode betail
   racelab train        --config smoke.json --mode betail --alpha 0.1
+  racelab train        --config smoke.json --mode bet
 
 The first betail run's summary.json, bet.ckpt and bundle/residual.ckpt
 equal those of one ``run`` of the config with ``"mode": "betail"``, and
-the run at alpha 0.1 reuses the same bet.ckpt. gen-track's course flags
-override the config's course, so they change the stage key as well.
+the run at alpha 0.1 and the bet run reuse the same bet.ckpt. gen-track's
+course flags override the config's course, so they change the stage key
+as well.
 """
 
 import argparse
@@ -83,7 +90,7 @@ from . import nets
 from .config import CONTENT_VERSION, ConfigError, build_config
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
-from .policies import MODE_SPECS, TRAIN_MODES, build_policy_stack, train_bc
+from .policies import MODE_SPECS, build_policy_stack, train_bc
 from .seeding import stream
 from .track import gen_track, load_track, save_track
 
@@ -105,10 +112,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, help_text):
+    def add(name, help_text, config=True):
+        """A subcommand with --out; one that reads a config adds --config and --seed."""
         sp = sub.add_parser(name, help=help_text, description=help_text)
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="override the run seed")
+        if config:
+            sp.add_argument("--config", help="JSON config file")
+            sp.add_argument("--seed", type=int, default=None, help="override the run seed")
         sp.add_argument("--out", default=None, help="output directory")
         return sp
 
@@ -122,25 +131,24 @@ def _build_parser():
 
     add("pretrain-bet", "fit the sequence base on the pretraining course demos")
 
-    sp = add("train", "fine-tune a policy stack, building any missing stage first (resumable)")
-    sp.add_argument("--mode", choices=list(TRAIN_MODES), default=None)
+    sp = add("train", "fine-tune a policy stack, or evaluate a supervised-only one, "
+             "building any missing stage first (resumable)")
+    sp.add_argument("--mode", choices=list(MODE_SPECS), default=None)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--bet", default=None, help="sequence-base checkpoint path")
 
-    sp = add("eval", "evaluate a checkpoint with the lap protocol")
+    sp = add("eval", "evaluate a checkpoint bundle with the lap protocol", config=False)
     sp.add_argument("--bundle", default=None, help="checkpoint bundle directory")
-    sp.add_argument("--bet", default=None, help="evaluate a bare sequence base")
-    sp.add_argument("--track", default=None, help="course file (bare-base eval)")
-    sp.add_argument("--demos", default=None, help="demo file (bare-base eval)")
     sp.add_argument("--cars", type=int, default=None)
     sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--tag", type=int, default=None, help="evaluation stream tag")
 
-    sp = add("report", "re-emit report files from a bundle without recomputation")
+    sp = add("report", "re-emit report files from a bundle without recomputation", config=False)
     sp.add_argument("--bundle", default=None, help="checkpoint bundle directory")
 
-    sp = add("bet-info", "print a sequence-base checkpoint's metadata")
-    sp.add_argument("--bet", default=None, help="checkpoint path", required=False)
+    help_text = "print a sequence-base checkpoint's metadata"
+    sp = sub.add_parser("bet-info", help=help_text, description=help_text)
+    sp.add_argument("--bet", default=None, help="checkpoint path")
 
     add("run", "train the config's mode, building any missing stage first (resumable)")
     return parser
@@ -172,8 +180,6 @@ def _load_cfg(args, need_mode):
         doc.setdefault("track", {})["half_width"] = args.half_width
     if getattr(args, "laps", None) is not None:
         doc.setdefault("demos", {})["laps"] = args.laps
-    if getattr(args, "track", None) is not None:  # eval --bet's course file
-        doc["track"] = {"path": args.track}
     if not need_mode and "mode" not in doc:
         # Course and demo generation do not depend on the mode; any
         # placeholder keeps the schema satisfied, and "ail" needs no alpha.
@@ -398,7 +404,8 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
             curve = [{"iteration": 0, "env_steps": 0, "success_rate": report.success_rate,
                       "lap_time_mean": report.lap_time_mean,
                       "steering_change_mean": report.steering_change_mean}]
-            _emit(cfg, run_dir, report, curve, {"mode": cfg.mode})
+            _emit(cfg, run_dir, report, curve,
+                  {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0})
             return
         trainer = ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
 
@@ -471,37 +478,26 @@ def cmd_eval(args):
     for flag, value, low in (("--cars", args.cars, 1), ("--max-steps", args.max_steps, 2)):
         if value is not None and value < low:
             raise ConfigError(f"eval {flag} must be >= {low}, got {value}")
-    if args.bundle is not None:
-        manifest, cfg = _run_record(args.bundle)
-        stack = ail.load_stack(args.bundle, manifest)
-        # A bundle records its course and demo files relative to itself.
-        track_path = args.track or os.path.join(args.bundle, manifest["track"])
-        demos_path = args.demos or os.path.join(args.bundle, manifest["demos"])
-        tag, curve, meta = manifest["iteration"], manifest["curve"], _bundle_meta(manifest)
-        out_dir = os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "eval")
-    elif args.bet is not None:
-        if args.track is None or args.demos is None:
-            raise ConfigError("eval --bet needs --track and --demos")
-        cfg = _load_cfg(args, need_mode=False)
-        _require(args.bet, "sequence-base checkpoint", "pass --bet")
-        track_path, demos_path = args.track, args.demos
-        tag, curve, meta = 0, [], {"mode": "bet", "alpha": None}
-        out_dir = os.path.join(os.path.dirname(os.path.abspath(args.bet)), "eval-bet")
-    else:
-        raise ConfigError("eval needs --bundle or --bet")
-    _require(track_path, "course file", "pass --track")
-    _require(demos_path, "demonstration file", "pass --demos")
-    track, demos = load_track(track_path), DemoSet.load(demos_path)
     if args.bundle is None:
-        model, bet_norm, _ = bet_mod.load_bet(args.bet)
-        stack = build_policy_stack("bet", demos.normalizer, demos.obs_dim, None, bet=model,
-                                   bet_normalizer=bet_norm)
+        raise ConfigError("eval needs --bundle")
+    manifest, cfg = _run_record(args.bundle)
+    # A bundle records its course and demo files relative to itself, as
+    # os.path.relpath wrote them.
+    track_path, demos_path = (os.path.normpath(os.path.join(args.bundle, manifest[key]))
+                              for key in ("track", "demos"))
+    hint = f"named by {args.bundle}/manifest.json"
+    _require(track_path, "course file", hint)
+    _require(demos_path, "demonstration file", hint)
+    track, demos = load_track(track_path), DemoSet.load(demos_path)
+    stack = ail.load_stack(args.bundle, manifest)
     report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
                                n_cars=cfg.train.eval_cars if args.cars is None else args.cars,
                                max_steps=(cfg.train.eval_max_steps if args.max_steps is None
                                           else args.max_steps),
-                               seed=cfg.seed, tag=tag if args.tag is None else args.tag)
-    _emit(cfg, args.out or out_dir, report, curve, meta)
+                               seed=cfg.seed,
+                               tag=manifest["iteration"] if args.tag is None else args.tag)
+    out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "eval")
+    _emit(cfg, out_dir, report, manifest["curve"], _bundle_meta(manifest))
     return EXIT_OK
 
 

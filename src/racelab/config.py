@@ -27,7 +27,7 @@ from .ail import TrainConfig
 from .bet import BeTConfig
 from .env import EpisodeConfig, obs_dim
 from .expert import ExpertParams
-from .policies import MODE_SPECS, TRAIN_MODES
+from .policies import MODE_SPECS
 from .vehicle import VehicleParams
 
 CONTENT_VERSION = 1
@@ -260,8 +260,8 @@ def build_config(user):
     mode = resolved["mode"]
     if mode is None:
         raise ConfigError("config field 'mode' is required")
-    if mode not in TRAIN_MODES:
-        raise ConfigError(f"unknown mode '{mode}' (choose from {'/'.join(TRAIN_MODES)})")
+    if mode not in MODE_SPECS:
+        raise ConfigError(f"unknown mode '{mode}' (choose from {'/'.join(MODE_SPECS)})")
     if resolved["track"] is None:
         raise ConfigError("config field 'track' is required (or pick a challenge)")
     spec = MODE_SPECS[mode]

@@ -15,6 +15,7 @@ engine.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -31,6 +32,7 @@ __all__ = [
     "mlp_input_gradient",
     "gradient_penalty",
     "CheckpointError",
+    "replacing",
     "save_params",
     "load_meta",
     "load_params",
@@ -155,6 +157,23 @@ def gradient_penalty(mlp, x_hat, target, eps=1e-12):
     return ad.mse(norm, want)
 
 
+@contextlib.contextmanager
+def replacing(path, mode):
+    """Yield ``<path>.tmp`` open in mode, and rename it onto path when the
+    block ends. A block stopped by any exception, an interrupt included,
+    removes the temporary file and re-raises, so path keeps its old bytes
+    or stays absent, and nothing is left beside it."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_params(path, named_arrays, meta):
     """Write named arrays as a JSON header line plus raw buffers.
 
@@ -174,13 +193,11 @@ def save_params(path, named_arrays, meta):
         entries.append({"name": name, "shape": list(arr.shape), "dtype": code})
         buffers.append(np.ascontiguousarray(arr, dtype=code))
     header = {"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries}
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for buf in buffers:
             fh.write(memoryview(buf))
-    os.replace(tmp, path)
 
 
 def _read_header(fh, path):

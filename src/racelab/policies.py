@@ -48,11 +48,10 @@ MODE_SPECS = {
     "ail": {"base": None, "residual": True},
     "bc": {"base": "bc", "residual": False},
     "bcail": {"base": "bc", "residual": True},
-    # Frozen sequence-model base acting alone; evaluation only.
+    # The frozen sequence base acting alone, evaluated once as bc is: the
+    # base-only arm that betail is compared against.
     "bet": {"base": "bet", "residual": False},
 }
-
-TRAIN_MODES = ("betail", "ail", "bc", "bcail")
 
 
 def _f32(x):

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 
-from .nets import CheckpointError
+from .nets import CheckpointError, replacing
 from .seeding import stream
 
 __all__ = [
@@ -434,11 +433,9 @@ def save_track(track, path):
         "meta": track.meta,
         "points": [[float(x), float(y)] for x, y in track.points],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_track(path):

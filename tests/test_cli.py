@@ -15,7 +15,10 @@ import pytest
 from racelab import ail, bet, cli, nets
 from racelab.config import CHALLENGES, build_config
 from racelab.env import Normalizer
-from racelab.track import save_track
+from racelab.evaluate import evaluate
+from racelab.expert import DemoSet
+from racelab.policies import build_policy_stack
+from racelab.track import load_track, save_track
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
@@ -68,6 +71,28 @@ def test_course_files_keep_their_bytes(name, tmp_path):
     path = tmp_path / "track.json"
     save_track(cli._track_from_spec(spec), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == COURSE_FILES[name]
+
+
+# The option strings of each subcommand. A new flag is a deliberate edit
+# here, and so a line in the change log.
+OPTIONS = {
+    "gen-track": {"--config", "--seed", "--out", "--preset", "--track-seed", "--half-width"},
+    "gen-demos": {"--config", "--seed", "--out", "--laps"},
+    "pretrain-bet": {"--config", "--seed", "--out"},
+    "train": {"--config", "--seed", "--out", "--mode", "--alpha", "--bet"},
+    "run": {"--config", "--seed", "--out"},
+    "eval": {"--out", "--bundle", "--cars", "--max-steps", "--tag"},
+    "report": {"--out", "--bundle"},
+    "bet-info": {"--bet"},
+}
+
+
+def test_each_command_takes_its_pinned_options():
+    (sub,) = [action for action in cli._build_parser()._actions if action.choices]
+    got = {name: {flag for action in parser._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, parser in sub.choices.items()}
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 30
 
 
 def _gen_track(out):
@@ -282,6 +307,7 @@ def test_interrupted_stage_write_leaves_no_product(betail_run, tmp_path, monkeyp
     assert capsys.readouterr().err == "interrupted\n"
     assert (out / "track.json").exists()
     assert not (out / "demos.ckpt").exists() and not (out / ".lock").exists()
+    assert not (out / "demos.ckpt.tmp").exists()
 
     monkeypatch.delattr(nets, "memoryview")
     assert cli.main(["gen-demos", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
@@ -415,16 +441,45 @@ def test_a_bundle_without_a_recorded_config_is_refused(run_copy, tmp_path, capsy
     assert _tree(tmp_path) == before
 
 
-def test_eval_of_a_bare_base_writes_beside_it(run_copy, tmp_path, monkeypatch):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    monkeypatch.chdir(empty)
-    assert cli.main(["eval", "--bet", str(run_copy / "bet.ckpt"),
-                     "--track", str(run_copy / "track.json"),
-                     "--demos", str(run_copy / "demos.ckpt"),
-                     "--cars", "2", "--max-steps", "20"]) == cli.EXIT_OK
-    assert list(empty.iterdir()) == []
-    assert json.loads((run_copy / "eval-bet" / "summary.json").read_text())["mode"] == "bet"
+def test_train_mode_bet_evaluates_the_experiments_base(tmp_path, monkeypatch, capsys):
+    # The base-only arm of the transfer comparison: the base that
+    # pretrain-bet fitted on another course, alone on the target course.
+    doc = {**TINY, "challenge": "dragontail-like"}
+    cfg = _write(tmp_path / "config.json", doc)
+    assert cli.main(["pretrain-bet", "--config", cfg]) == cli.EXIT_OK
+    (exp,) = (tmp_path / "runs").iterdir()
+
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("the base was pretrained again")
+
+    monkeypatch.setattr(bet, "pretrain", no_pretrain)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--mode", "bet"]) == cli.EXIT_OK
+    assert f"reusing {exp / 'bet.ckpt'}" in capsys.readouterr().out
+    run_cfg = build_config({**doc, "mode": "bet"})
+    summary = json.loads((exp / f"bet-{run_cfg.run_hash[:8]}" / "summary.json").read_text())
+    assert (summary["mode"], summary["config_hash"]) == ("bet", run_cfg.hash)
+
+    # The same evaluation, built by hand from the experiment's products.
+    demos = DemoSet.load(str(exp / "demos.ckpt"))
+    model, bet_normalizer, _ = bet.load_bet(str(exp / "bet.ckpt"))
+    stack = build_policy_stack("bet", demos.normalizer, demos.obs_dim, None, bet=model,
+                               bet_normalizer=bet_normalizer)
+    report = evaluate(stack, load_track(str(exp / "track.json")), run_cfg.vehicle,
+                      run_cfg.episode, demos, n_cars=run_cfg.train.eval_cars,
+                      max_steps=run_cfg.train.eval_max_steps, seed=run_cfg.seed, tag=0)
+    assert summary["report"] == json.loads(json.dumps(report.to_dict()))
+
+
+def test_every_mode_writes_one_summary_shape(betail_run, tmp_path):
+    keys = {"betail": json.loads((betail_run / "summary.json").read_text()).keys()}
+    for mode in ("bc", "bet"):
+        cfg = _write(tmp_path / f"{mode}.json", {**TINY, "mode": mode})
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / mode)]) == cli.EXIT_OK
+        summary = json.loads((tmp_path / mode / "summary.json").read_text())
+        assert (summary["alpha"], summary["env_steps"], summary["iterations"]) == (None, 0, 0)
+        keys[mode] = summary.keys()
+    assert keys["bc"] == keys["bet"] == keys["betail"]
 
 
 @pytest.mark.parametrize("flag, value, low", [("--cars", "0", 1), ("--max-steps", "1", 2)])
@@ -457,6 +512,11 @@ def test_a_bundle_that_a_stopped_save_moved_aside_is_put_back(run_copy):
     assert sorted(p.name for p in run_copy.glob("bundle*")) == ["bundle"]
 
 
+MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.ckpt"),
+            "demos-bet": ("demos", "X/bet.ckpt"), "track-config": ("track", "X/config.json"),
+            "track-demos": ("track", "X/demos.ckpt")}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["gen-track", "--config", "bad.json"], 1, "is not valid JSON"),
     (["gen-track", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
@@ -469,28 +529,34 @@ def test_a_bundle_that_a_stopped_save_moved_aside_is_put_back(run_copy):
      "missing sequence-base checkpoint: nope.ckpt (check --bet)"),
     (["run", "--config", "unknown.json"], 1, "unknown config key 'trian'"),
     (["run", "--seed", "5", "--config", "betail.json", "--out", "X"], 2, "stage key"),
-    (["eval"], 1, "eval needs --bundle or --bet"),
+    (["eval"], 1, "eval needs --bundle"),
     (["eval", "--bundle", "nope"], 2, "missing bundle manifest: nope/manifest.json"),
-    (["eval", "--bet", "X/bet.ckpt", "--track", "nope.json", "--demos", "X/demos.ckpt"], 2,
-     "missing course file: nope.json (pass --track)"),
-    (["eval", "--bet", "X/bet.ckpt", "--track", "X/track.json", "--demos", "nope.ckpt"], 2,
-     "missing demonstration file: nope.ckpt (pass --demos)"),
+    (["eval", "--bundle", "track-nope/bundle"], 2,
+     "missing course file: nope.json (named by track-nope/bundle/manifest.json)"),
+    (["eval", "--bundle", "demos-nope/bundle"], 2,
+     "missing demonstration file: nope.ckpt (named by demos-nope/bundle/manifest.json)"),
     (["report"], 1, "report needs --bundle"),
     (["report", "--bundle", "nope"], 2, "missing bundle manifest: nope/manifest.json"),
     (["bet-info"], 1, "bet-info needs --bet"),
     (["bet-info", "--bet", "nope.ckpt"], 2, "missing sequence-base checkpoint: nope.ckpt"),
-    (["eval", "--bet", "X/bet.ckpt", "--track", "X/track.json", "--demos", "X/bet.ckpt"], 2,
-     "not a demonstration file: X/bet.ckpt"),
-    (["eval", "--bet", "X/bet.ckpt", "--track", "X/config.json", "--demos", "X/demos.ckpt"], 2,
+    (["eval", "--bundle", "demos-bet/bundle"], 2, "not a demonstration file: X/bet.ckpt"),
+    (["eval", "--bundle", "track-config/bundle"], 2,
      "unrecognized track format in X/config.json"),
-    (["eval", "--bet", "X/bet.ckpt", "--track", "X/demos.ckpt", "--demos", "X/demos.ckpt"], 2,
-     "unreadable track file X/demos.ckpt"),
+    (["eval", "--bundle", "track-demos/bundle"], 2, "unreadable track file X/demos.ckpt"),
 ])
 def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, message):
     _write(tmp_path / "bad.json", "{not json")
     _write(tmp_path / "unknown.json", {**TINY, "trian": {}})
     _write(tmp_path / "tiny.json", TINY)
     _write(tmp_path / "betail.json", {**TINY, "mode": "betail"})
+    # Copies of X's manifest that name a missing or foreign course or demo
+    # file in place of X's own; eval reads those files before the nets.
+    manifest = json.loads((run_copy / "bundle" / "manifest.json").read_text())
+    for name, (key, target) in MISNAMED.items():
+        files = {"track": "X/track.json", "demos": "X/demos.ckpt", key: target}
+        (tmp_path / name / "bundle").mkdir(parents=True)
+        _write(tmp_path / name / "bundle" / "manifest.json", {**manifest, **{
+            k: os.path.relpath(path, os.path.join(name, "bundle")) for k, path in files.items()}})
     before = _tree(tmp_path)
     assert cli.main(argv) == code
     err = capsys.readouterr().err

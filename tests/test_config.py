@@ -14,7 +14,7 @@ from racelab.config import (
     config_hash,
 )
 from racelab.env import obs_dim
-from racelab.policies import TRAIN_MODES
+from racelab.policies import MODE_SPECS
 
 
 def minimal(**extra):
@@ -255,10 +255,10 @@ def test_baseless_modes_need_no_alpha():
         assert cfg.alpha is None
 
 
-@pytest.mark.parametrize("mode", ["bet", "sac", "betsac"])
-def test_eval_only_base_mode_is_not_trainable(mode, tmp_path, capsys):
-    # bet only evaluates a frozen base; sac and betsac would train on an
-    # environment reward, which imitation does not have.
+@pytest.mark.parametrize("mode", ["sac", "betsac"])
+def test_environment_reward_mode_is_not_a_mode(mode, tmp_path, capsys):
+    # sac and betsac would train on an environment reward, which imitation
+    # does not have.
     with pytest.raises(ConfigError, match=f"unknown mode '{mode}'"):
         build_config(minimal(mode=mode))
     cfg = tmp_path / "config.json"
@@ -279,6 +279,7 @@ def test_typed_records_share_no_list_with_the_resolved_config():
 
 def test_needs_bet():
     assert build_config(minimal(mode="betail", alpha=0.1)).needs_bet()
+    assert build_config(minimal(mode="bet")).needs_bet()
     assert not build_config(minimal(mode="ail")).needs_bet()
     assert not build_config(minimal(mode="bcail", alpha=0.1)).needs_bet()
 
@@ -364,12 +365,12 @@ def test_build_does_not_mutate_user_dict():
 
 
 def _every_config():
-    """Every profile x challenge (or a plain course) x train mode, with and without out."""
+    """Every profile x challenge (or a plain course) x mode, with and without out."""
     for profile in PROFILES:
         for challenge in [*sorted(CHALLENGES), None]:
             course = {"challenge": challenge} if challenge else {
                 "track": {"preset": "oval"}, "alpha": 0.3}
-            for mode in TRAIN_MODES:
+            for mode in MODE_SPECS:
                 for out in (None, "somewhere"):
                     yield {"profile": profile, "mode": mode, "out": out, **course}
 
