@@ -254,8 +254,7 @@ class SACTrainer:
         """One gradient step on both critics and the actor."""
         cfg = self.cfg
         temp = cfg.entropy_temp
-        s, a, s2 = batch["aug"], batch["res"], batch["aug_next"]
-        r = batch["reward"]
+        s, a, s2, r = batch["aug"], batch["res"], batch["aug_next"], batch["reward"]
 
         a2, logp2 = self.policy.sample_np(s2, rng)
         x2 = np.concatenate([s2, a2], axis=1)
@@ -273,12 +272,14 @@ class SACTrainer:
 
         eps = rng.standard_normal((len(s), self.policy.act_dim), dtype=np.float32)
         ad.zero_grads(self.policy.params().values())
-        s_t = ad.tensor(s)
-        a_t, logp_t = self.policy.sample_taped(s_t, eps)
-        x_t = ad.concat([s_t, a_t], axis=-1)
-        min_q = ad.minimum(self.q1(x_t), self.q2(x_t))
-        actor_loss = ad.mean_all(ad.sub(ad.scale(logp_t, temp), min_q))
-        ad.backward(actor_loss)
+        # The actor loss holds the critics fixed: no critic weight gradient.
+        with nets.frozen([*self.q1.params().values(), *self.q2.params().values()]):
+            s_t = ad.tensor(s)
+            a_t, logp_t = self.policy.sample_taped(s_t, eps)
+            x_t = ad.concat([s_t, a_t], axis=-1)
+            min_q = ad.minimum(self.q1(x_t), self.q2(x_t))
+            actor_loss = ad.mean_all(ad.sub(ad.scale(logp_t, temp), min_q))
+            ad.backward(actor_loss)
         self.opt_pi.step()
 
         polyak_update(self.q1_t.params(), self.q1.params(), cfg.tau)
@@ -435,13 +436,7 @@ class Trainer:
             if due:
                 report = self.evaluate_now()
                 self.last_eval = report.to_dict()
-                self.curve.append({
-                    "iteration": it + 1,
-                    "env_steps": self.env_steps,
-                    "success_rate": report.success_rate,
-                    "lap_time_mean": report.lap_time_mean,
-                    "steering_change_mean": report.steering_change_mean,
-                })
+                self.curve.append(report.curve_point(it + 1, self.env_steps))
                 metrics["eval_success_rate"] = report.success_rate
                 if out_dir is not None:
                     save_bundle(os.path.join(out_dir, "bundle"), self, extra_manifest)

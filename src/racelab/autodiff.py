@@ -10,9 +10,10 @@ a zero gradient rather than a missing one.
 The ops are the ones the package's networks and losses call, and no
 more; a test checks that each public name has a caller. Most are
 elementwise or shape primitives. Three are fused, one tape node each
-with an analytic backward, because the transformer runs them many times
-per step: :func:`affine` (matrix product plus bias), :func:`layer_norm`
-and :func:`causal_attention` (multi-head causal self-attention).
+with an analytic backward, because the networks run them many times per
+step: :func:`affine` (matrix product plus bias, and the relu after it
+when asked), :func:`layer_norm` and :func:`causal_attention` (multi-head
+causal self-attention).
 
 Inside :func:`no_grad` the same ops serve gradient-free forwards
 (rollouts, bootstrap targets, rewards, evaluation): outputs are constants
@@ -59,7 +60,6 @@ __all__ = [
     "concat",
     "narrow",
     "tanh",
-    "relu",
     "sigmoid",
     "exp",
     "sqrt",
@@ -264,15 +264,21 @@ def matmul(a, b):
     return _node("matmul", data, (a, b), vjp)
 
 
-def affine(x, w, b):
-    """x @ w + b for x of shape (N, in) or (B, T, in) and w of (in, out).
+def affine(x, w, b, relu=False):
+    """x @ w + b for x of shape (N, in) or (B, T, in) and w of (in, out);
+    with relu=True, max(x @ w + b, 0).
 
-    One tape node. A rank-3 x is evaluated as one flattened 2D product.
-    The flattened rows are zero-padded to a multiple of 4 and the result
-    is sliced back: OpenBLAS picks its kernel by row count (one row goes
-    through gemv), and some kernels change a row's bits at counts that are
-    not a multiple of 4. Padded, each row's result is the same at every
-    row count, which the exact-prefix property of the transformer and its
+    One tape node, relu included: the relu runs in place on the product,
+    and its backward zeroes the upstream gradient where the output is not
+    positive (subgradient 0 at exactly 0) before the affine backward. The
+    finite scan reads the product before the relu, which would hide -inf.
+
+    A rank-3 x is evaluated as one flattened 2D product. The flattened
+    rows are zero-padded to a multiple of 4 and the result is sliced
+    back: OpenBLAS picks its kernel by row count (one row goes through
+    gemv), and some kernels change a row's bits at counts that are not a
+    multiple of 4. Padded, each row's result is the same at every row
+    count, which the exact-prefix property of the transformer and its
     last-position inference rely on. Row counts that are already a
     multiple of 4 take no copy.
     """
@@ -290,6 +296,9 @@ def affine(x, w, b):
     out = flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
 
     def vjp(g):
+        if relu:
+            # g is the node's own gradient buffer, dropped after this call.
+            g *= out > 0
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
             x._accumulate((g2 @ w.data.T).reshape(x.data.shape), owned=True)
@@ -298,7 +307,10 @@ def affine(x, w, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _node("affine", out, (x, w, b), vjp)
+    node = _node("affine", out, (x, w, b), vjp)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return node
 
 
 def transpose_last2(a):
@@ -351,11 +363,6 @@ def _unary(op_name, a, fwd, dfdx_from_out):
 
 def tanh(a):
     return _unary("tanh", a, np.tanh, lambda out, _x: 1.0 - out * out)
-
-
-def relu(a):
-    # Subgradient 0 at exactly 0.
-    return _unary("relu", a, lambda x: np.maximum(x, 0.0), lambda _out, x: (x > 0).astype(x.dtype))
 
 
 def _sigmoid(x):

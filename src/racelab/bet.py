@@ -179,7 +179,7 @@ class BeT:
                 h, att = ad.narrow(h, t - 1, 1, axis=1), ad.narrow(att, t - 1, 1, axis=1)
             h = ad.add(h, ad.dropout(blk.wo(att), cfg.dropout, rng, train))
             m = ad.layer_norm(h, blk.ln2_gain, blk.ln2_bias)
-            m = blk.w2(ad.relu(blk.w1(m)))
+            m = blk.w2(blk.w1(m, relu=True))
             h = ad.add(h, ad.dropout(m, cfg.dropout, rng, train))
         h = ad.layer_norm(h, self.lnf_gain, self.lnf_bias)
         return ad.tanh(self.head(h))

@@ -28,7 +28,9 @@ when unset), in an experiment directory and one run directory per mode:
 alpha, train and bc, which no stage product reads. So every mode trained
 on one course shares its demonstrations and its sequence base. <run8>
 starts the run key, the hash of the config without its stopping rules
-(train.iterations and train.eval_every). ``--out DIR`` writes all of it
+(train.iterations and train.eval_every). A supervised-only mode's run key
+also leaves out alpha and every train field but eval_cars and
+eval_max_steps, which it does not read. ``--out DIR`` writes all of it
 flat into DIR instead.
 
 Reuse and resume. Each stage product records the stage key it was built
@@ -37,7 +39,9 @@ records the current one. A run's bundle records the whole config the run
 was trained under, and is resumed only by a config that differs from it
 at most in the stopping rules and ``--out``: a longer iteration budget
 resumes the same run directory in either layout, and a budget below the
-bundle's iteration is refused. Any mismatch exits 2
+bundle's iteration is refused. A finished supervised-only run is reused
+from its summary.json, under the same rule against its config.json, and
+nothing is computed or written again. Any mismatch exits 2
 before anything is written, naming the file, the first differing key and
 both values. The experiment directory's ``.lock`` is held while stages
 are built, and the run directory's while training. Each is a kernel lock
@@ -288,22 +292,35 @@ def _run_record(bundle):
     return manifest, build_config(manifest["resolved"])
 
 
-def _check_bundle(cfg, run_dir):
+def _check_run(cfg, run_dir):
     """Refuse to resume a bundle that a run of another config wrote, or one
-    that has trained past the config's iteration budget."""
-    bundle = os.path.join(run_dir, "bundle")
-    if not ail.has_bundle(bundle):
-        return
-    manifest = _run_record(bundle)[0]
-    mismatch = cfg.run_difference(manifest["resolved"])
+    that has trained past the config's iteration budget. A finished
+    supervised-only run is reused as it stands, under the same rule against
+    its config.json; returns whether it was."""
+    bundle, summary = (os.path.join(run_dir, name) for name in ("bundle", "summary.json"))
+    if ail.has_bundle(bundle):
+        manifest = _run_record(bundle)[0]
+        _check_record(cfg, f"{bundle}/manifest.json", manifest["resolved"], "the bundle")
+        if manifest["iteration"] > cfg.train.iterations:
+            raise RuntimeError(f"{bundle}/manifest.json records iteration {manifest['iteration']}, "
+                               f"beyond train.iterations {cfg.train.iterations} "
+                               "(a shorter budget cannot resume it; use another --out)")
+        return False
+    if MODE_SPECS[cfg.mode]["residual"] or not os.path.exists(summary):
+        return False
+    with open(os.path.join(run_dir, "config.json"), "r", encoding="utf-8") as fh:
+        _check_record(cfg, fh.name, json.load(fh)["resolved"], "the run")
+    print(f"reusing {summary}")
+    return True
+
+
+def _check_record(cfg, record, resolved, what):
+    """Refuse a record of a run of another config."""
+    mismatch = cfg.run_difference(resolved)
     if mismatch:
         key, recorded, value = mismatch
-        raise RuntimeError(f"{bundle}/manifest.json records {key} {recorded!r}, "
-                           f"not {value!r} (use another --out, or remove the bundle)")
-    if manifest["iteration"] > cfg.train.iterations:
-        raise RuntimeError(f"{bundle}/manifest.json records iteration {manifest['iteration']}, "
-                           f"beyond train.iterations {cfg.train.iterations} "
-                           "(a shorter budget cannot resume it; use another --out)")
+        raise RuntimeError(f"{record} records {key} {recorded!r}, "
+                           f"not {value!r} (use another --out, or remove {what})")
 
 
 def _bundle_meta(manifest):
@@ -401,10 +418,7 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
                                        n_cars=cfg.train.eval_cars,
                                        max_steps=cfg.train.eval_max_steps,
                                        seed=cfg.seed, tag=0)
-            curve = [{"iteration": 0, "env_steps": 0, "success_rate": report.success_rate,
-                      "lap_time_mean": report.lap_time_mean,
-                      "steering_change_mean": report.steering_change_mean}]
-            _emit(cfg, run_dir, report, curve,
+            _emit(cfg, run_dir, report, [report.curve_point(0, 0)],
                   {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0})
             return
         trainer = ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
@@ -452,8 +466,8 @@ def cmd_pipeline(args):
         _require(bet_path, "sequence-base checkpoint", "check --bet")
     with _locked(exp_dir):
         _check_stage_keys(cfg, exp_dir)
-        if stage == "train":
-            _check_bundle(cfg, run_dir)
+        if stage == "train" and _check_run(cfg, run_dir):
+            return EXIT_OK
         track, demos = _ensure_course(cfg, exp_dir, "track.json",
                                       None if stage == "track" else "demos.ckpt",
                                       cfg.track_spec, cfg.demo_laps)

@@ -161,14 +161,23 @@ _TRAINING_ONLY = ("mode", "alpha", "train", "bc")
 _RESUMABLE = ("out", "train.iterations", "train.eval_every")
 
 
+# What a supervised-only mode (no correction head) reads of alpha and the
+# training fields: the size of its one evaluation.
+_SUPERVISED_READS = ("train.eval_cars", "train.eval_max_steps")
+
+
 def _run_fields(tree, prefix=""):
-    """Dotted key -> value of every config leaf that a resumed run keeps."""
+    """Dotted key -> value of every config leaf that a resumed run keeps.
+    A supervised-only mode keeps no alpha and, of train, only what it reads."""
     fields = {}
     for key, value in tree.items():
         if isinstance(value, dict):
             fields.update(_run_fields(value, f"{prefix}{key}."))
         elif prefix + key not in _RESUMABLE:
             fields[prefix + key] = value
+    if not prefix and not MODE_SPECS.get(tree["mode"], {"residual": True})["residual"]:
+        fields = {key: value for key, value in fields.items()
+                  if key in _SUPERVISED_READS or not key.startswith(("alpha", "train."))}
     return fields
 
 
@@ -206,16 +215,19 @@ class ExperimentConfig:
 
     @property
     def run_hash(self):
-        """Hash of what a run's bundle depends on: the config without its
-        output location and stopping rules, so a longer budget keeps it."""
+        """Hash of what a run's products depend on: the config without its
+        output location and stopping rules, so a longer budget keeps it,
+        and for a supervised-only mode without what it does not read."""
         return config_hash(_run_fields(self.resolved))
 
     def run_difference(self, recorded):
-        """(dotted key, recorded value, own value) at the first key, in
-        sorted order, where a recorded resolved config differs from this
-        one outside what a resume may change; None when it may resume."""
+        """(dotted key, recorded value, own value) at the first key, the
+        mode first and then in sorted order, where a recorded resolved
+        config differs from this one outside what a resume may change;
+        None when it may resume."""
         own, was = _run_fields(self.resolved), _run_fields(recorded)
-        return next(((key, was.get(key), own.get(key)) for key in sorted(own.keys() | was.keys())
+        keys = sorted(own.keys() | was.keys(), key=lambda key: (key != "mode", key))
+        return next(((key, was.get(key), own.get(key)) for key in keys
                      if own.get(key) != was.get(key)), None)
 
     def needs_bet(self):

@@ -53,6 +53,13 @@ class EvalReport:
     def from_dict(d):
         return EvalReport(**d)
 
+    def curve_point(self, iteration, env_steps):
+        """This evaluation as a record of the training curve, taken after
+        the given iteration count and env steps."""
+        return {"iteration": iteration, "env_steps": env_steps,
+                "success_rate": self.success_rate, "lap_time_mean": self.lap_time_mean,
+                "steering_change_mean": self.steering_change_mean}
+
 
 def steering_change(seqs):
     """Pooled (mean, std) of |delta_t - delta_{t-1}| in radians.

@@ -29,6 +29,7 @@ __all__ = [
     "trunc_normal",
     "Affine",
     "MLP",
+    "frozen",
     "mlp_input_gradient",
     "gradient_penalty",
     "CheckpointError",
@@ -70,23 +71,17 @@ class Affine:
         self.W = ad.Tensor(w, requires_grad=True)
         self.b = ad.Tensor(np.zeros(fan_out, dtype=ad.default_dtype()), requires_grad=True)
 
-    def __call__(self, x):
-        return ad.affine(x, self.W, self.b)
-
-
-_ACT_TAPED = {
-    "tanh": ad.tanh,
-    "relu": ad.relu,
-    "identity": lambda t: t,
-}
+    def __call__(self, x, relu=False):
+        return ad.affine(x, self.W, self.b, relu=relu)
 
 
 class MLP:
-    """Fully connected stack with one activation name per layer."""
+    """Fully connected stack with one activation per layer: relu (fused
+    into the layer's affine node), tanh or identity."""
 
     def __init__(self, dims, acts, rng, name="mlp", final_zero=False):
-        if len(acts) != len(dims) - 1:
-            raise ValueError("need one activation per layer")
+        if len(acts) != len(dims) - 1 or not set(acts) <= {"relu", "tanh", "identity"}:
+            raise ValueError("need one activation per layer: relu, tanh or identity")
         self.dims = list(dims)
         self.acts = list(acts)
         self.name = name
@@ -103,15 +98,38 @@ class MLP:
         return out
 
     def __call__(self, x):
-        h = x
+        return self.outputs(x)[-1]
+
+    def outputs(self, x):
+        """Every layer's output, after its activation, in layer order."""
+        out = [x]
         for layer, act in zip(self.layers, self.acts):
-            h = _ACT_TAPED[act](layer(h))
-        return h
+            h = layer(out[-1], relu=act == "relu")
+            out.append(ad.tanh(h) if act == "tanh" else h)
+        return out[1:]
 
     def predict(self, x):
         """Gradient-free forward of an array, which is not cast."""
         with ad.no_grad():
             return self(ad.Tensor(np.asarray(x))).data
+
+
+@contextlib.contextmanager
+def frozen(params):
+    """Hold parameter tensors fixed for the block.
+
+    Their requires_grad is cleared, so a backward through them computes
+    no gradient for them and leaves their .grad as it was, and restored
+    when the block ends, however it ends.
+    """
+    prior = [(p, p.requires_grad) for p in params]
+    for p, _ in prior:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in prior:
+            p.requires_grad = flag
 
 
 def mlp_input_gradient(mlp, x):
@@ -120,29 +138,22 @@ def mlp_input_gradient(mlp, x):
     Returns (output, input_grad) as tensors of shapes (B, 1) and (B, in).
     The backward pass is spelled out with primitive ops, so backward()
     through input_grad produces exact second-order parameter gradients.
-    Supported activations: tanh and identity; anything else (relu has no
-    usable second derivative) raises naming the op.
+    Supported activations: tanh and identity, the discriminator's. Any
+    other activation, relu included, raises naming it: this backward
+    pass is written for those two only.
     """
     if mlp.dims[-1] != 1:
         raise ad.AutodiffError("input gradient requires a scalar-output net")
     for act in mlp.acts:
         if act not in ("tanh", "identity"):
-            raise ad.AutodiffError(f"input gradient does not support op '{act}'")
-    h = x
-    post = []
-    for layer, act in zip(mlp.layers, mlp.acts):
-        h = _ACT_TAPED[act](layer(h))
-        post.append(h)
-    out = post[-1]
-    batch = x.data.shape[0]
-    g = ad.tensor(np.ones((batch, 1)))
-    for i in reversed(range(len(mlp.layers))):
-        act = mlp.acts[i]
-        hi = post[i]
+            raise ad.AutodiffError(f"input gradient does not support activation '{act}'")
+    post = mlp.outputs(x)
+    g = ad.tensor(np.ones((x.data.shape[0], 1)))
+    for layer, act, h in reversed(list(zip(mlp.layers, mlp.acts, post))):
         if act == "tanh":
-            g = ad.mul(g, ad.shift(ad.neg(ad.square(hi)), 1.0))
-        g = ad.matmul(g, ad.transpose_last2(mlp.layers[i].W))
-    return out, g
+            g = ad.mul(g, ad.shift(ad.neg(ad.square(h)), 1.0))
+        g = ad.matmul(g, ad.transpose_last2(layer.W))
+    return post[-1], g
 
 
 def gradient_penalty(mlp, x_hat, target, eps=1e-12):

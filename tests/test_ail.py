@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from racelab import ail, nets
+from racelab import autodiff as ad
 from racelab.ail import (
     ReplayBuffer,
     SACConfig,
@@ -305,6 +306,122 @@ def test_actor_step_reduces_actor_loss_on_fixed_batch():
     batch = _batch()
     losses = [sac.update(batch, RNG(27))["actor_loss"] for _ in range(60)]
     assert losses[-1] < losses[0]
+
+
+def _capture_critic_grads(sac, monkeypatch):
+    """Record each critic's gradients as its optimizer step reads them."""
+    seen = {}
+    for name, q, opt in (("q1", sac.q1, sac.opt_q1), ("q2", sac.q2, sac.opt_q2)):
+        def step(name=name, q=q, inner=opt.step):
+            seen[name] = [p.grad.copy() for p in q.params().values()]
+            inner()
+
+        monkeypatch.setattr(opt, "step", step)
+    return seen
+
+
+def test_actor_step_writes_no_critic_gradient(monkeypatch):
+    """After an update each critic's .grad is bitwise the gradient of its own
+    loss: the actor step holds both critics fixed and adds nothing to them,
+    and hands their requires_grad back."""
+    sac = _sac(temp=0.01)
+    seen = _capture_critic_grads(sac, monkeypatch)
+    for k in range(2):
+        sac.update(_batch(seed=40 + k), RNG(41 + k))
+        for name, q in (("q1", sac.q1), ("q2", sac.q2)):
+            for (pname, p), grad in zip(q.params().items(), seen[name]):
+                assert p.requires_grad, pname
+                assert np.array_equal(p.grad, grad), pname
+        assert all(p.grad is not None for p in sac.policy.params().values())
+
+
+def test_a_failed_actor_step_hands_the_critics_back(monkeypatch):
+    """An actor loss that turns NaN raises inside the freeze; every critic
+    parameter still requires a gradient afterwards."""
+    sac = _sac()
+    monkeypatch.setattr(ad, "minimum", lambda a, b: ad.scale(a, float("nan")))
+    with pytest.raises(ad.AutodiffError, match="scale"):
+        sac.update(_batch(), RNG(42))
+    for q in (sac.q1, sac.q2):
+        assert all(p.requires_grad for p in q.params().values())
+
+
+def _separate_relu(a):
+    """relu as the tape node of its own that it was before affine took it in."""
+    return ad._unary("relu", a, lambda x: np.maximum(x, 0.0),
+                     lambda _out, x: (x > 0).astype(x.dtype))
+
+
+def _unfused_mlp_call(self, x):
+    acts = {"relu": _separate_relu, "tanh": ad.tanh, "identity": lambda t: t}
+    h = x
+    for layer, act in zip(self.layers, self.acts):
+        h = acts[act](ad.affine(h, layer.W, layer.b))
+    return h
+
+
+def _reference_update(sac, batch, rng):
+    """SACTrainer.update with the critics left trainable in the actor step."""
+    cfg = sac.cfg
+    temp = cfg.entropy_temp
+    s, a, s2, r = batch["aug"], batch["res"], batch["aug_next"], batch["reward"]
+    a2, logp2 = sac.policy.sample_np(s2, rng)
+    x2 = np.concatenate([s2, a2], axis=1)
+    q_next = np.minimum(sac.q1_t.predict(x2)[:, 0], sac.q2_t.predict(x2)[:, 0])
+    y = (r + cfg.gamma * (q_next - temp * logp2)).astype(np.float32)[:, None]
+    x = np.concatenate([s, a], axis=1)
+    q_losses = []
+    for q, opt in ((sac.q1, sac.opt_q1), (sac.q2, sac.opt_q2)):
+        ad.zero_grads(q.params().values())
+        loss = ad.mse(q(ad.tensor(x)), ad.tensor(y))
+        ad.backward(loss)
+        opt.step()
+        q_losses.append(float(loss.data))
+    eps = rng.standard_normal((len(s), sac.policy.act_dim), dtype=np.float32)
+    ad.zero_grads(sac.policy.params().values())
+    s_t = ad.tensor(s)
+    a_t, logp_t = sac.policy.sample_taped(s_t, eps)
+    x_t = ad.concat([s_t, a_t], axis=-1)
+    min_q = ad.minimum(sac.q1(x_t), sac.q2(x_t))
+    actor_loss = ad.mean_all(ad.sub(ad.scale(logp_t, temp), min_q))
+    ad.backward(actor_loss)
+    sac.opt_pi.step()
+    polyak_update(sac.q1_t.params(), sac.q1.params(), cfg.tau)
+    polyak_update(sac.q2_t.params(), sac.q2.params(), cfg.tau)
+    return {"q1_loss": q_losses[0], "q2_loss": q_losses[1],
+            "actor_loss": float(actor_loss.data), "mean_logp": float(np.mean(logp_t.data)),
+            "mean_reward": float(np.mean(r))}
+
+
+def _sac_state(sac):
+    nets_ = {"pi": sac.policy, "q1": sac.q1, "q2": sac.q2, "q1t": sac.q1_t, "q2t": sac.q2_t}
+    state = {f"{net}.{name}": p.data.tobytes() for net, n in nets_.items()
+             for name, p in n.params().items()}
+    for group, opt in (("pi", sac.opt_pi), ("q1", sac.opt_q1), ("q2", sac.opt_q2)):
+        for moment in ("m", "v"):
+            state.update({f"{group}.{moment}.{k}": a.tobytes()
+                          for k, a in getattr(opt, moment).items()})
+    return state
+
+
+def test_update_equals_the_unfrozen_unfused_update_bitwise(monkeypatch):
+    """Freezing the critics in the actor step and fusing relu into affine
+    change no bit of the nets, the targets or the optimizer moments."""
+    def make():
+        pol = GaussianPolicy(5, 2, (12, 12), 0.3, RNG(60))
+        cfg = SACConfig(hidden=(16, 16), lr=3e-3, batch=30, tau=0.05, gamma=0.9,
+                        entropy_temp=0.05)
+        return SACTrainer(pol, 5, cfg, RNG(61))
+
+    now, ref = make(), make()
+    for k in range(4):
+        batch = _batch(aug_dim=5, n=30, seed=70 + k)
+        got = now.update(batch, RNG(80 + k))
+        with monkeypatch.context() as patch:
+            patch.setattr(nets.MLP, "__call__", _unfused_mlp_call)
+            want = _reference_update(ref, batch, RNG(80 + k))
+        assert got == want, k
+        assert _sac_state(now) == _sac_state(ref), k
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,10 @@ class TestElementwiseOps:
 
 class TestSubgradientConventions:
     def test_relu_gradient_is_zero_at_zero(self):
+        # relu lives in affine; an identity weight passes x through unchanged.
         x = ad.tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        ad.backward(ad.mean_all(ad.relu(x)))
+        out = ad.affine(x, ad.tensor(np.eye(3)), ad.tensor(np.zeros(3)), relu=True)
+        ad.backward(ad.mean_all(out))
         assert np.array_equal(x.grad, np.float32([[0.0, 0.0, 1.0 / 3.0]]))
 
     def test_clip_gradient_is_zero_at_boundary(self):
@@ -250,6 +252,61 @@ class TestFusedOps:
         full = ad.affine(ad.Tensor(x), w, b).data
         for rows in (*range(1, 10), 255, 256, 257, 1279):
             assert np.array_equal(ad.affine(ad.Tensor(x[:rows]), w, b).data, full[:rows]), rows
+
+    def test_affine_relu_matches_finite_differences_at_rank_2_and_3(self):
+        rng = np.random.default_rng(34)
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        for shape in ((6, 4), (2, 3, 4)):
+            x = rng.standard_normal(shape)
+            probe = rng.standard_normal(shape[:-1] + (3,))
+            check_grads(lambda a, W, c: probe_loss(ad.affine(a, W, c, relu=True), probe),
+                        [x, w, b], rng)
+
+    def test_affine_relu_equals_the_relu_of_the_product_bitwise(self):
+        rng = np.random.default_rng(35)
+        w = ad.Tensor(rng.standard_normal((16, 8)).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(8).astype(np.float32))
+        for rows in (16, 15):
+            x = ad.Tensor(rng.standard_normal((rows, 16)).astype(np.float32))
+            fused = ad.affine(x, w, b, relu=True).data
+            assert np.array_equal(fused, np.maximum(ad.affine(x, w, b).data, 0)), rows
+            if rows == 16:  # no padding: numpy's own expression
+                assert np.array_equal(fused, np.maximum(x.data @ w.data + b.data, 0))
+            with ad.no_grad():
+                assert np.array_equal(ad.affine(x, w, b, relu=True).data, fused), rows
+
+    def test_affine_relu_subgradient_is_zero_at_exactly_zero(self):
+        """A unit whose pre-activation is exactly 0 passes no gradient to x,
+        w or b; the positive units pass all of theirs."""
+        x = ad.tensor([[1.0, 2.0], [3.0, -1.0]], requires_grad=True)
+        w = ad.tensor([[1.0, 1.0, -1.0], [0.0, -0.5, 1.0]], requires_grad=True)
+        b = ad.tensor([-1.0, 0.0, 0.0], requires_grad=True)
+        out = ad.affine(x, w, b, relu=True)
+        # Pre-activations [[0, 0, 1], [2, 3.5, -4]].
+        assert np.array_equal(out.data, np.float32([[0.0, 0.0, 1.0], [2.0, 3.5, 0.0]]))
+        ad.backward(ad.mean_all(out))
+        mask = np.float32([[0, 0, 1], [1, 1, 0]]) / 6
+        assert np.array_equal(b.grad, mask.sum(axis=0))
+        assert np.array_equal(w.grad, x.data.T @ mask)
+        assert np.array_equal(x.grad, mask @ w.data.T)
+
+    @pytest.mark.parametrize("fan_in,fan_out", [(64, 256), (54, 256), (256, 256)])
+    def test_affine_relu_rows_do_not_depend_on_the_row_count(self, fan_in, fan_out):
+        """At the relu layers' shapes (the BeT block MLP, the critics) each
+        row equals the same row of a 1280-row product, taped or not."""
+        rng = np.random.default_rng(fan_in * 1000 + fan_out + 1)
+        w = ad.Tensor((0.1 * rng.standard_normal((fan_in, fan_out))).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(fan_out).astype(np.float32))
+        x = rng.standard_normal((1280, fan_in)).astype(np.float32)
+        full = ad.affine(ad.Tensor(x), w, b, relu=True).data
+        assert (full == 0).any() and (full > 0).any()
+        for rows in (*range(1, 10), 255, 256, 257, 1279):
+            assert np.array_equal(ad.affine(ad.Tensor(x[:rows]), w, b, relu=True).data,
+                                  full[:rows]), rows
+            with ad.no_grad():
+                assert np.array_equal(ad.affine(ad.Tensor(x[:rows]), w, b, relu=True).data,
+                                      full[:rows]), rows
 
     @pytest.mark.parametrize("batch,t", [(1, 1), (3, 5), (20, 5), (64, 20), (256, 5)])
     def test_contiguous_keys_give_the_strided_score_product_bitwise(self, batch, t):

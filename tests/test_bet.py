@@ -264,10 +264,11 @@ def test_train_step_gradient_matches_finite_difference():
 
 def test_train_step_tape_size():
     """Tensors built by one update: input and target, then per forward 4 for
-    the embedding, 14 per block (layer norms, attention and affines are one
-    node each) and 3 for the head, plus the loss. A per-head loop or a layer
-    norm built from primitive ops would add dozens. The inputs arrive
-    saturated (``Normalizer.transform``), so the forward adds no clip node."""
+    the embedding, 13 per block (layer norms, attention and affines are one
+    node each, and the MLP's relu is part of its first affine) and 3 for
+    the head, plus the loss. A per-head loop or a layer norm built from
+    primitive ops would add dozens. The inputs arrive saturated
+    (``Normalizer.transform``), so the forward adds no clip node."""
     cfg = _tiny_cfg(n_layers=3, n_heads=4)
     model = BeT(cfg, RNG(43))
     obs = RNG(44).standard_normal((2, 8, 6)).astype(np.float32)
@@ -276,7 +277,7 @@ def test_train_step_tape_size():
     before = ad.Tensor(0.0)._serial
     train_step(model, obs, act, opt, RNG(45))
     built = ad.Tensor(0.0)._serial - before - 1
-    assert built == 2 + 4 + 14 * cfg.n_layers + 3 + 1
+    assert built == 2 + 4 + 13 * cfg.n_layers + 3 + 1
 
 
 def test_training_fits_a_tiny_mapping():

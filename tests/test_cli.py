@@ -482,6 +482,39 @@ def test_every_mode_writes_one_summary_shape(betail_run, tmp_path):
     assert keys["bc"] == keys["bet"] == keys["betail"]
 
 
+@pytest.mark.parametrize("mode, again", [("bc", []), ("bet", ["--alpha", "0.3"])])
+def test_a_finished_supervised_run_is_reused_as_it_stands(tmp_path, monkeypatch, capsys,
+                                                          mode, again):
+    # A bet run reads no alpha, so --alpha 0.3 names the same run.
+    cfg = _write(tmp_path / "c.json", TINY)
+    assert cli.main(["train", "--config", cfg, "--mode", mode]) == cli.EXIT_OK
+    (exp,) = (tmp_path / "runs").iterdir()
+    (run,) = exp.glob(f"{mode}-*")
+    before = _tree(tmp_path / "runs")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run was done again")
+
+    for owner, name in ((cli, "train_bc"), (cli.eval_mod, "evaluate"), (bet, "pretrain")):
+        monkeypatch.setattr(owner, name, no_work)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--mode", mode, *again]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"reusing {run / 'summary.json'}\n"
+    assert _tree(tmp_path / "runs") == before
+
+
+def test_a_supervised_run_of_another_config_is_refused(tmp_path, capsys):
+    cfg, out = _write(tmp_path / "c.json", TINY), tmp_path / "X"
+    assert cli.main(["train", "--config", cfg, "--mode", "bc", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    before = _tree(out)
+    assert cli.main(["train", "--config", cfg, "--mode", "bet", "--out", str(out)]) == \
+        cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (f"error: {out / 'config.json'} records mode 'bc', "
+                                       "not 'bet' (use another --out, or remove the run)\n")
+    assert _tree(out) == before
+
+
 @pytest.mark.parametrize("flag, value, low", [("--cars", "0", 1), ("--max-steps", "1", 2)])
 def test_eval_size_below_its_bound_is_refused_before_anything_is_written(
         run_copy, tmp_path, capsys, flag, value, low):

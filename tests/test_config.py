@@ -395,3 +395,26 @@ def test_run_key_ignores_only_the_stopping_rules():
     assert base.run_difference(lr.resolved) == ("train.sac.lr", 0.5, base.train.sac.lr)
     assert base.run_difference(build_config(minimal(seed=4, mode="bc")).resolved) == \
         ("mode", "bc", "ail")
+
+
+@pytest.mark.parametrize("mode", ["bet", "bc"])
+def test_supervised_run_key_leaves_out_what_the_mode_does_not_read(mode):
+    # A supervised-only mode reads no alpha and, of train, only the size of
+    # its one evaluation.
+    base = build_config(minimal(mode=mode))
+    unread = build_config(minimal(mode=mode, alpha=0.3, train={
+        "sac": {"lr": 0.5}, "policy_hidden": [8], "n_cars": 3}))
+    assert unread.run_hash == base.run_hash and unread.hash != base.hash
+    assert base.run_difference(unread.resolved) is None
+    read = [({"train": {"eval_cars": 3}}, "train.eval_cars"),
+            ({"train": {"eval_max_steps": 9}}, "train.eval_max_steps")]
+    if mode == "bc":
+        read.append(({"bc": {"lr": 0.5}}, "bc.lr"))
+    for change, key in read:
+        other = build_config(minimal(mode=mode, **change))
+        assert other.run_hash != base.run_hash, key
+        assert base.run_difference(other.resolved)[0] == key
+    # A trained mode reads them all; the mode is named first.
+    betail = build_config(minimal(mode="betail", alpha=0.3))
+    assert betail.run_hash != build_config(minimal(mode="betail", alpha=0.2)).run_hash
+    assert base.run_difference(betail.resolved) == ("mode", "betail", mode)

@@ -77,6 +77,10 @@ class TestMLP:
         x = rng.standard_normal((3, 4)).astype(np.float32)
         assert np.array_equal(mlp.predict(x), np.zeros((3, 2), dtype=np.float32))
 
+    def test_unknown_activation_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="relu, tanh or identity"):
+            nets.MLP([3, 4, 1], ["sigmoid", "identity"], np.random.default_rng(11))
+
     def test_trunc_normal_bounded_by_two_sigma(self):
         rng = np.random.default_rng(4)
         sample = nets.trunc_normal((2000,), 0.5, rng)
@@ -261,3 +265,26 @@ class TestCheckpointFormat:
         finally:
             tracemalloc.stop()
         assert peak < ring.nbytes // 8
+
+
+class TestFrozen:
+    def test_frozen_params_get_no_gradient_and_are_handed_back(self):
+        rng = np.random.default_rng(9)
+        mlp = nets.MLP([3, 8, 1], ["relu", "identity"], rng)
+        params = list(mlp.params().values())
+        params[-1].requires_grad = False  # a prior False is kept as False
+        x = ad.tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with nets.frozen(params):
+            assert not any(p.requires_grad for p in params)
+            ad.backward(ad.mean_all(mlp(x)))
+        assert all(p.grad is None for p in params)
+        assert x.grad is not None
+        assert [p.requires_grad for p in params] == [True, True, True, False]
+
+    def test_frozen_hands_back_when_the_block_raises(self):
+        mlp = nets.MLP([3, 4, 1], ["tanh", "identity"], np.random.default_rng(10))
+        params = list(mlp.params().values())
+        with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="exp"):
+            with nets.frozen(params):
+                ad.exp(ad.tensor([1000.0]))
+        assert all(p.requires_grad for p in params)
