@@ -41,7 +41,9 @@ at most in the stopping rules and ``--out``: a longer iteration budget
 resumes the same run directory in either layout, and a budget below the
 bundle's iteration is refused. A finished supervised-only run is reused
 from its summary.json, under the same rule against its config.json, and
-nothing is computed or written again. Any mismatch exits 2
+nothing is computed or written again. A base given by ``--bet`` is not
+part of the run key: the summary records its sha256 as ``bet_sha256``, and
+a run is reused only for the base it evaluated. Any mismatch exits 2
 before anything is written, naming the file, the first differing key and
 both values. The experiment directory's ``.lock`` is held while stages
 are built, and the run directory's while training. Each is a kernel lock
@@ -80,6 +82,7 @@ import contextlib
 import dataclasses
 import fcntl
 import glob
+import hashlib
 import json
 import os
 import sys
@@ -292,11 +295,19 @@ def _run_record(bundle):
     return manifest, build_config(manifest["resolved"])
 
 
-def _check_run(cfg, run_dir):
+def _outside_base(path):
+    """The summary field that names a base given by --bet: its sha256."""
+    if path is None:
+        return {}
+    with open(path, "rb") as fh:
+        return {"bet_sha256": hashlib.sha256(fh.read()).hexdigest()}
+
+
+def _check_run(cfg, run_dir, outside):
     """Refuse to resume a bundle that a run of another config wrote, or one
     that has trained past the config's iteration budget. A finished
     supervised-only run is reused as it stands, under the same rule against
-    its config.json; returns whether it was."""
+    its config.json, if it evaluated the same base; returns whether it was."""
     bundle, summary = (os.path.join(run_dir, name) for name in ("bundle", "summary.json"))
     if ail.has_bundle(bundle):
         manifest = _run_record(bundle)[0]
@@ -310,6 +321,9 @@ def _check_run(cfg, run_dir):
         return False
     with open(os.path.join(run_dir, "config.json"), "r", encoding="utf-8") as fh:
         _check_record(cfg, fh.name, json.load(fh)["resolved"], "the run")
+    with open(summary, "r", encoding="utf-8") as fh:
+        if json.load(fh).get("bet_sha256") != outside.get("bet_sha256"):
+            return False
     print(f"reusing {summary}")
     return True
 
@@ -398,7 +412,7 @@ def _emit(cfg, out_dir, report, curve, extra_meta=None):
           f"steering change {report.steering_change_mean:.4f} rad -> {paths[2]}")
 
 
-def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
+def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path, outside):
     """Train the configured mode in run_dir, resuming its bundle, and report."""
     bundle_dir = os.path.join(run_dir, "bundle")
     if ail.has_bundle(bundle_dir):
@@ -419,7 +433,8 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path):
                                        max_steps=cfg.train.eval_max_steps,
                                        seed=cfg.seed, tag=0)
             _emit(cfg, run_dir, report, [report.curve_point(0, 0)],
-                  {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0})
+                  {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0,
+                   **outside})
             return
         trainer = ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
 
@@ -464,9 +479,10 @@ def cmd_pipeline(args):
     bet_path = getattr(args, "bet", None)
     if bet_path is not None:
         _require(bet_path, "sequence-base checkpoint", "check --bet")
+    outside = _outside_base(bet_path if cfg.needs_bet() else None)
     with _locked(exp_dir):
         _check_stage_keys(cfg, exp_dir)
-        if stage == "train" and _check_run(cfg, run_dir):
+        if stage == "train" and _check_run(cfg, run_dir, outside):
             return EXIT_OK
         track, demos = _ensure_course(cfg, exp_dir, "track.json",
                                       None if stage == "track" else "demos.ckpt",
@@ -483,7 +499,7 @@ def cmd_pipeline(args):
     elif stage == "train":
         with _locked(run_dir):
             _write_config_snapshot(cfg, run_dir)
-            _run_training(cfg, exp_dir, run_dir, track, demos, bet_path)
+            _run_training(cfg, exp_dir, run_dir, track, demos, bet_path, outside)
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .env import RaceEnv
-from .nets import params_checksum
+from .nets import params_checksum, replacing
 from .seeding import stream
 
 
@@ -180,7 +180,8 @@ def emit_report(report, training_curve, out_dir, meta=None):
         "training_curve": training_curve or [],
         **(meta or {}),
     }
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    # Written last and by replace: a run whose summary.json exists is finished.
+    with replacing(summary_path, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return cars_path, curve_path, summary_path

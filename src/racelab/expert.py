@@ -293,3 +293,30 @@ def _lap_state(env):
     st = env.state
     return [np.array(x, dtype=np.float32) for x in (st.position, st.yaw, st.v_x, st.v_y, env.s)]
 
+
+class ExpertAdapter:
+    """Evaluation-protocol wrapper around the scripted controller.
+
+    Exposes the reset()/eval_policy(env)/params() surface the evaluator
+    drives.
+    The controller is privileged: it reads the true vehicle state from
+    the environment and ignores the observation vector.
+    """
+
+    def __init__(self, track, vparams, xparams, n_cars):
+        ones = np.ones(n_cars, dtype=np.float64)
+        self.controller = ExpertController(track, vparams, xparams, ones, ones.copy())
+
+    def reset(self):
+        self.controller.reset()
+
+    def params(self):
+        """The scripted controller has no parameters."""
+        return {}
+
+    def eval_policy(self, env):
+        def policy(obs):
+            actions = self.controller.act(env.state, env.s)
+            return actions.astype(np.float32), {}
+
+        return policy

@@ -8,6 +8,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -501,6 +502,51 @@ def test_a_finished_supervised_run_is_reused_as_it_stands(tmp_path, monkeypatch,
     assert cli.main(["train", "--config", cfg, "--mode", mode, *again]) == cli.EXIT_OK
     assert capsys.readouterr().out == f"reusing {run / 'summary.json'}\n"
     assert _tree(tmp_path / "runs") == before
+
+
+def test_a_supervised_run_is_reused_only_for_the_base_it_evaluated(tmp_path, monkeypatch,
+                                                                    capsys):
+    # --bet is not part of the run key, so the summary names the base.
+    cfg = _write(tmp_path / "c.json", TINY)
+    assert cli.main(["train", "--config", cfg, "--mode", "bet"]) == cli.EXIT_OK
+    (exp,) = (tmp_path / "runs").iterdir()
+    (run,) = exp.glob("bet-*")
+    first = (run / "summary.json").read_bytes()
+    assert "bet_sha256" not in json.loads(first)
+    model, normalizer, _ = bet.load_bet(str(exp / "bet.ckpt"))
+    model.head.W.data *= 0.5
+    other = tmp_path / "other.ckpt"
+    bet.save_bet(str(other), model, normalizer)
+    sha = hashlib.sha256(other.read_bytes()).hexdigest()
+
+    reused = f"reusing {run / 'summary.json'}"
+    for argv, again in ((["--bet", str(other)], True), (["--bet", str(other)], False),
+                        ([], True)):
+        capsys.readouterr()
+        assert cli.main(["train", "--config", cfg, "--mode", "bet", *argv]) == cli.EXIT_OK
+        assert (reused not in capsys.readouterr().out) == again, (argv, again)
+        assert json.loads((run / "summary.json").read_text()).get("bet_sha256") == \
+            (sha if argv else None)
+    assert (run / "summary.json").read_bytes() == first
+
+
+def test_interrupted_summary_write_leaves_the_run_unfinished(tmp_path, monkeypatch, capsys):
+    cfg, out = _write(tmp_path / "c.json", TINY), tmp_path / "X"
+
+    def torn(doc, fh, **kwargs):
+        fh.write("{")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.eval_mod, "json", types.SimpleNamespace(dump=torn))
+    assert cli.main(["train", "--config", cfg, "--mode", "bc", "--out", str(out)]) == \
+        cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (out / "summary.json").exists() and not (out / "summary.json.tmp").exists()
+
+    monkeypatch.setattr(cli.eval_mod, "json", json)
+    assert cli.main(["train", "--config", cfg, "--mode", "bc", "--out", str(out)]) == cli.EXIT_OK
+    assert "cloned base" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["mode"] == "bc"
 
 
 def test_a_supervised_run_of_another_config_is_refused(tmp_path, capsys):

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from expert_adapter import ExpertAdapter
 
 from racelab.env import EpisodeConfig, RolloutError
 from racelab.evaluate import (
@@ -14,7 +13,7 @@ from racelab.evaluate import (
     steering_change,
     track_id,
 )
-from racelab.expert import ExpertParams, generate_demos
+from racelab.expert import ExpertAdapter, ExpertParams, generate_demos
 from racelab.policies import build_policy_stack
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from expert_adapter import ExpertAdapter
 
 from racelab.env import EpisodeConfig, RaceEnv
 from racelab.expert import (
     DemoSet,
+    ExpertAdapter,
     ExpertController,
     ExpertParams,
     SpeedLookup,
