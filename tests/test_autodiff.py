@@ -218,6 +218,30 @@ class TestReductionsAndLosses:
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         assert np.allclose(out.std(axis=-1), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("width", [64, 50, 7])
+    def test_layer_norm_row_mean_is_numpy_mean_bitwise(self, dtype, width):
+        """layer_norm's row means, an add.reduce divided by the width, give
+        the bits of x.mean(axis=-1, keepdims=True), forward and backward."""
+        rng = np.random.default_rng(width)
+        with ad.precision(dtype):
+            x = ad.tensor(3.0 * rng.standard_normal((20, 5, width)) + 1.0, requires_grad=True)
+            gain = ad.tensor(1.0 + 0.1 * rng.standard_normal(width))
+            bias = ad.tensor(0.1 * rng.standard_normal(width))
+            probe = rng.standard_normal(x.shape).astype(ad.default_dtype())
+            out = ad.layer_norm(x, gain, bias)
+            ad.backward(ad.mean_all(ad.mul(out, ad.tensor(probe))))
+        assert x.data.dtype == np.dtype(dtype)
+        for a in (x.data, probe):
+            assert np.array_equal(ad._row_mean(a), a.mean(axis=-1, keepdims=True))
+        xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+        std = np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat /= std
+        assert np.array_equal(out.data, xhat * gain.data + bias.data)
+        gx = np.full_like(probe, 1.0 / probe.size) * probe * gain.data
+        gx = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        assert np.array_equal(x.grad, gx / std)
+
 
 class TestFusedOps:
     def test_affine_matches_finite_differences_at_rank_2_and_3(self):
