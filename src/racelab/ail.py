@@ -256,10 +256,12 @@ class SACTrainer:
         temp = cfg.entropy_temp
         s, a, s2, r = batch["aug"], batch["res"], batch["aug_next"], batch["reward"]
 
-        a2, logp2 = self.policy.sample_np(s2, rng)
-        x2 = np.concatenate([s2, a2], axis=1)
+        eps2 = rng.standard_normal((len(s2), self.policy.act_dim), dtype=np.float32)
+        with ad.no_grad():
+            a2, logp2 = self.policy.sample_taped(ad.tensor(s2), eps2)
+        x2 = np.concatenate([s2, a2.data], axis=1)
         q_next = np.minimum(self.q1_t.predict(x2)[:, 0], self.q2_t.predict(x2)[:, 0])
-        y = (r + cfg.gamma * (q_next - temp * logp2)).astype(np.float32)[:, None]
+        y = (r + cfg.gamma * (q_next - temp * logp2.data[:, 0])).astype(np.float32)[:, None]
 
         x = np.concatenate([s, a], axis=1)
         q_losses = []

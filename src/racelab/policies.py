@@ -22,9 +22,10 @@ Conventions
   evaluation emit the same composition, clip(base + correction, -1, 1).
 * Sampled log-densities include both the tanh change of variables and
   the alpha scaling, so they are densities of the emitted action.
-* The sampler and its density are written once, on the tape
-  (``sample_taped``); rollouts and bootstrap targets run it under
-  ``autodiff.no_grad()`` (``sample_np``).
+* The sampling rule is written once, on the tape; rollouts run it under
+  ``autodiff.no_grad()`` (``sample_np``) and compute no density. The
+  density has one owner, ``sample_taped``, which the actor loss runs on
+  the tape and the bootstrap target under ``no_grad``.
 * All boundary values (actions, observations, log-probs) are float32.
 """
 
@@ -85,17 +86,22 @@ class GaussianPolicy:
         return np.float32(self.alpha) * np.tanh(self.net.predict(_f32(x))[:, : self.act_dim])
 
     def sample_np(self, x, rng):
-        """Draw (action, logp) arrays without a tape.
-
-        Draws eps of shape (B, act_dim) from rng, then runs
-        :meth:`sample_taped` under ``no_grad``: action is the scaled
-        correction alpha * tanh(z), (B, act_dim); logp is (B,).
-        """
+        """Draw a scaled correction alpha * tanh(z), (B, act_dim), without a
+        tape. Draws eps of shape (B, act_dim) from rng, as the SAC target
+        does before :meth:`sample_taped`, and computes no density."""
         x = _f32(x)
         eps = rng.standard_normal((len(x), self.act_dim), dtype=np.float32)
         with ad.no_grad():
-            action, logp = self.sample_taped(ad.Tensor(x), eps)
-        return action.data, logp.data[:, 0]
+            return self._sample(ad.Tensor(x), eps)[0].data
+
+    def _sample(self, x, eps):
+        """The sampling rule: (alpha * tanh(z), z, log_std) tensors with
+        z = mean + std * eps."""
+        out = self.net(x)
+        mean = ad.narrow(out, 0, self.act_dim)
+        log_std = ad.clip(ad.narrow(out, self.act_dim, self.act_dim), LOG_STD_MIN, LOG_STD_MAX)
+        z = ad.add(mean, ad.mul(ad.exp(log_std), ad.tensor(_f32(eps))))
+        return ad.scale(ad.tanh(z), self.alpha), z, log_std
 
     def sample_taped(self, x, eps):
         """Reparameterized taped sample: (scaled action, logp) tensors.
@@ -106,11 +112,7 @@ class GaussianPolicy:
         log N(z) - log|d(alpha tanh z)/dz| summed over the action, with
         log(1 - tanh(z)^2) = 2 (log 2 - z - softplus(-2z)).
         """
-        out = self.net(x)
-        mean = ad.narrow(out, 0, self.act_dim)
-        log_std = ad.clip(ad.narrow(out, self.act_dim, self.act_dim), LOG_STD_MIN, LOG_STD_MAX)
-        z = ad.add(mean, ad.mul(ad.exp(log_std), ad.tensor(_f32(eps))))
-        action = ad.scale(ad.tanh(z), self.alpha)
+        action, z, log_std = self._sample(x, eps)
         const = _f32(-0.5 * eps**2 - _HALF_LOG_2PI - 2.0 * np.log(2.0) - np.log(self.alpha))
         terms = ad.add(ad.neg(log_std), ad.scale(z, 2.0))
         terms = ad.add(terms, ad.scale(ad.softplus(ad.scale(z, -2.0)), 2.0))
@@ -226,7 +228,7 @@ class PolicyStack:
 
         def policy(obs):
             base, aug = self._inputs(obs)
-            res, _ = self.residual.sample_np(aug, rng)
+            res = self.residual.sample_np(aug, rng)
             return np.clip(base + res, -1.0, 1.0), {"res": res, "aug": aug}
 
         return policy

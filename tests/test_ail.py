@@ -365,10 +365,12 @@ def _reference_update(sac, batch, rng):
     cfg = sac.cfg
     temp = cfg.entropy_temp
     s, a, s2, r = batch["aug"], batch["res"], batch["aug_next"], batch["reward"]
-    a2, logp2 = sac.policy.sample_np(s2, rng)
-    x2 = np.concatenate([s2, a2], axis=1)
+    eps2 = rng.standard_normal((len(s2), sac.policy.act_dim), dtype=np.float32)
+    with ad.no_grad():
+        a2, logp2 = sac.policy.sample_taped(ad.tensor(s2), eps2)
+    x2 = np.concatenate([s2, a2.data], axis=1)
     q_next = np.minimum(sac.q1_t.predict(x2)[:, 0], sac.q2_t.predict(x2)[:, 0])
-    y = (r + cfg.gamma * (q_next - temp * logp2)).astype(np.float32)[:, None]
+    y = (r + cfg.gamma * (q_next - temp * logp2.data[:, 0])).astype(np.float32)[:, None]
     x = np.concatenate([s, a], axis=1)
     q_losses = []
     for q, opt in ((sac.q1, sac.opt_q1), (sac.q2, sac.opt_q2)):

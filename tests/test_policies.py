@@ -105,14 +105,19 @@ def test_sample_matches_numpy_reference():
     pol = GaussianPolicy(5, 2, (16,), 0.4, RNG(0))
     _perturb(pol)
     x = RNG(4).standard_normal((7, 5)).astype(np.float32)
-    act, logp = pol.sample_np(x, RNG(5))
+    act = pol.sample_np(x, RNG(5))
     eps = RNG(5).standard_normal((7, 2), dtype=np.float32)
     (w0, b0), (w1, b1) = ((layer.W.data, layer.b.data) for layer in pol.net.layers)
     out = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
     z = out[:, :2] + np.exp(np.clip(out[:, 2:], -20.0, 2.0)) * eps
     np.testing.assert_array_equal(act, np.float32(0.4) * np.tanh(z))
-    assert act.dtype == logp.dtype == np.float32
-    assert logp.shape == (7,)
+    assert act.dtype == np.float32
+    # The taped sampler emits the same action for the same eps.
+    with ad.no_grad():
+        taped, logp = pol.sample_taped(ad.tensor(x), eps)
+    np.testing.assert_array_equal(taped.data, act)
+    assert logp.data.dtype == np.float32
+    assert logp.shape == (7, 1)
 
 
 def test_logp_matches_change_of_variables_oracle():
@@ -127,11 +132,9 @@ def test_logp_matches_change_of_variables_oracle():
     x = RNG(6).standard_normal((5, 3)).astype(np.float32)
     eps = RNG(7).standard_normal((5, 2)).astype(np.float32)
 
-    class FixedEps:
-        def standard_normal(self, shape, dtype=np.float32):
-            return eps
-
-    act, logp = pol.sample_np(x, FixedEps())
+    with ad.no_grad():
+        act, logp = (t.data for t in pol.sample_taped(ad.tensor(x), eps))
+    logp = logp[:, 0]
     out = pol.net.predict(x).astype(np.float64)
     mean, log_std = out[:, :2], np.clip(out[:, 2:], -5.0, 2.0)
     z64 = mean + np.exp(log_std) * eps.astype(np.float64)
