@@ -454,7 +454,17 @@ def _softmax_vjp(out, g):
 
 
 def _dropout_keep(shape, p, rng, dtype):
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+    # Inverted-dropout mask from 16-bit integers u, four to each 64-bit
+    # word of the generator's raw stream: an element is kept when
+    # u >= thr = round(p * 2^16), and a kept one scaled by
+    # 2^16 / (2^16 - thr). So the rate is p rounded to a multiple of 2^-16.
+    thr = round(p * 65536)
+    if not 0 <= thr < 65536:
+        raise AutodiffError(f"dropout rate {p} is not in [0, 1) at 16-bit resolution")
+    n = int(np.prod(shape))
+    u = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
+    keep = (u >= thr).astype(dtype)
+    return np.multiply(keep, 65536 / (65536 - thr), out=keep).reshape(shape)
 
 
 def _split_heads(x, n_heads):
@@ -483,9 +493,10 @@ def _inv_sqrt(d):
     return float(1.0 / np.sqrt(d))
 
 
-def _attention(q, k, v, n_heads, keep):
-    qh, vh = _split_heads(q, n_heads), _split_heads(v, n_heads)
-    scores = qh @ _split_heads_transposed(k, n_heads)
+def _attention(qkv, n_heads, keep):
+    width = qkv.shape[-1] // 3
+    qh, vh = _split_heads(qkv[..., :width], n_heads), _split_heads(qkv[..., 2 * width :], n_heads)
+    scores = qh @ _split_heads_transposed(qkv[..., width : 2 * width], n_heads)
     scores *= _inv_sqrt(qh.shape[-1])
     _checked(scores, "causal_attention")
     w = _causal_softmax(scores)
@@ -493,50 +504,56 @@ def _attention(q, k, v, n_heads, keep):
     return _merge_heads(wd @ vh, n_heads), (qh, vh, w, wd)
 
 
-def causal_attention(q, k, v, n_heads, p, rng, train):
-    """Multi-head causal self-attention over (B, T, H*d) projections.
+def _attention_vjp(g, qkv, n_heads, keep, qh, vh, w, wd):
+    # The query, key and value gradients, each (H*B, T, d), written into
+    # one (3*H*B, T, d) buffer. The keys are split again here rather than
+    # held on the tape, and the temporaries are gone before the caller
+    # merges the heads.
+    grads = np.empty((3,) + qh.shape, dtype=qh.dtype)
+    gh = _split_heads(g, n_heads)
+    np.matmul(np.swapaxes(wd, -1, -2), gh, out=grads[2])
+    gw = gh @ np.swapaxes(vh, -1, -2)
+    if keep is not None:
+        gw *= keep
+    gs = _softmax_vjp(w, gw)
+    gs *= _inv_sqrt(qh.shape[-1])
+    np.matmul(gs, _split_heads(np.split(qkv, 3, axis=-1)[1], n_heads), out=grads[0])
+    np.matmul(np.swapaxes(gs, -1, -2), qh, out=grads[1])
+    return grads.reshape((-1,) + qh.shape[1:])
+
+
+def causal_attention(qkv, n_heads, p, rng, train):
+    """Multi-head causal self-attention over a packed (B, T, 3*H*d)
+    projection: the queries, keys and values side by side, each (H*d)
+    wide with its heads in order.
 
     Heads are laid out head-major, (H*B, T, d), so the whole layer is a
     few batched rank-3 matmuls: scaled scores, a row softmax that gives
     every future position exactly zero weight, inverted dropout on the
-    weights and the value product. Row h*B + b is head h of window b,
-    which makes one dropout draw of shape (H*B, T, T) equal, value for
-    value, to H successive per-head draws of shape (B, T, T). Returns the
-    heads side by side, (B, T, H*d).
+    weights and the value product. Row h*B + b is head h of window b.
+    A dropout draw takes four mask values from each 64-bit word, so one
+    draw of shape (H*B, T, T) equals, value for value, H successive
+    per-head draws of shape (B, T, T) when each head's B*T*T is a
+    multiple of 4. Returns the heads side by side, (B, T, H*d). The
+    backward writes the query, key and value gradients into one buffer
+    and merges its heads once.
     """
-    if q.data.ndim != 3 or not (q.data.shape == k.data.shape == v.data.shape):
-        raise AutodiffError("causal_attention expects equal (B, T, width) operands")
-    if q.data.shape[-1] % n_heads:
-        raise AutodiffError("causal_attention width must divide evenly into heads")
-    p = float(p)
-    keep = None
-    if train and p != 0.0:
-        b, t, _ = q.data.shape
-        keep = _dropout_keep((n_heads * b, t, t), p, rng, q.data.dtype)
-    out, (qh, vh, w, wd) = _attention(q.data, k.data, v.data, n_heads, keep)
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
+        raise AutodiffError("causal_attention expects a (B, T, 3*H*d) packed projection")
+    b, t, _ = qkv.data.shape
+    keep = _dropout_keep((n_heads * b, t, t), p, rng, qkv.data.dtype) if train and p else None
+    out, (qh, vh, w, wd) = _attention(qkv.data, n_heads, keep)
 
     def vjp(g):
-        gh = _split_heads(g, n_heads)
-        if v.requires_grad:
-            v._accumulate(_merge_heads(np.swapaxes(wd, -1, -2) @ gh, n_heads), owned=True)
-        if not (q.requires_grad or k.requires_grad):
-            return
-        gw = gh @ np.swapaxes(vh, -1, -2)
-        if keep is not None:
-            gw *= keep
-        gs = _softmax_vjp(w, gw)
-        gs *= _inv_sqrt(qh.shape[-1])
-        if q.requires_grad:
-            q._accumulate(_merge_heads(gs @ _split_heads(k.data, n_heads), n_heads), owned=True)
-        if k.requires_grad:
-            gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-            k._accumulate(_merge_heads(gk, n_heads), owned=True)
+        grads = _attention_vjp(g, qkv.data, n_heads, keep, qh, vh, w, wd)
+        qkv._accumulate(_merge_heads(grads, 3 * n_heads), owned=True)
 
-    return _node("causal_attention", out, (q, k, v), vjp)
+    return _node("causal_attention", out, (qkv,), vjp)
 
 
 def dropout(a, p, rng, train):
-    """Inverted dropout: zero with probability p and rescale by 1/(1-p).
+    """Inverted dropout: zero with probability p and rescale by 1/(1-p),
+    with p rounded to a multiple of 2^-16 (the mask draws 16-bit integers).
 
     Outside training (or at p = 0) it is the identity and returns ``a``
     itself, adding nothing to the tape.

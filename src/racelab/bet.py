@@ -14,12 +14,23 @@ only its newest position: ``predict_last`` runs the final block's output
 projection, MLP, the final layer norm and the head on that position
 alone, with bitwise the result of the full forward.
 
-Each block runs its heads together. The (B, T, H*d) query, key and value
-projections are laid out head-major as (H*B, T, d), row h*B + b holding
-head h of window b, so attention is a few batched rank-3 products
+The base reads observations only. The paper's BeT models a sequence of
+states and actions; this one never sees the actions taken, so it cannot
+learn to copy its previous action (causal confusion) and needs no
+executed action at control time. Whether the actions would help is not
+yet tested.
+
+Each block runs its heads together. One packed projection,
+``blk{i}.qkv``, gives the queries, keys and values side by side,
+(B, T, 3*H*d) with W of shape (d, 3d), as GPT-2's ``c_attn`` does. Each
+third is laid out head-major as (H*B, T, d), row h*B + b holding head h
+of window b, so attention is a few batched rank-3 products
 (``autodiff.causal_attention``) rather than a loop over heads. In that
 order one dropout draw over all heads' weights takes the same random
-numbers, in the same places, as a draw per head in head order.
+numbers, in the same places, as a draw per head in head order, whenever
+each head's draw is a multiple of 4 values. Dropout draws 16-bit
+integers, so the dropout rate in effect is ``dropout`` rounded to a
+multiple of 2^-16.
 
 The model is trained once and then frozen: downstream trainers hold it
 without any optimizer, and evaluation checksums its parameters
@@ -95,9 +106,11 @@ class _Block:
         dtype = ad.default_dtype()
         self.ln1_gain = ad.Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         self.ln1_bias = ad.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        self.wq = nets.Affine(d, d, rng, w_std=cfg.w_std)
-        self.wk = nets.Affine(d, d, rng, w_std=cfg.w_std)
-        self.wv = nets.Affine(d, d, rng, w_std=cfg.w_std)
+        # The query, key and value weights, drawn one after another and
+        # packed side by side.
+        self.qkv = nets.Affine(d, 3 * d, rng, zero=True)
+        self.qkv.W.data[...] = np.concatenate(
+            [nets.trunc_normal((d, d), cfg.w_std, rng) for _ in range(3)], axis=1)
         self.wo = nets.Affine(d, d, rng, w_std=cfg.w_std)
         self.ln2_gain = ad.Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         self.ln2_bias = ad.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
@@ -108,12 +121,8 @@ class _Block:
         return {
             f"{prefix}.ln1.gain": self.ln1_gain,
             f"{prefix}.ln1.bias": self.ln1_bias,
-            f"{prefix}.q.W": self.wq.W,
-            f"{prefix}.q.b": self.wq.b,
-            f"{prefix}.k.W": self.wk.W,
-            f"{prefix}.k.b": self.wk.b,
-            f"{prefix}.v.W": self.wv.W,
-            f"{prefix}.v.b": self.wv.b,
+            f"{prefix}.qkv.W": self.qkv.W,
+            f"{prefix}.qkv.b": self.qkv.b,
             f"{prefix}.o.W": self.wo.W,
             f"{prefix}.o.b": self.wo.b,
             f"{prefix}.ln2.gain": self.ln2_gain,
@@ -173,8 +182,7 @@ class BeT:
         h = ad.dropout(h, cfg.dropout, rng, train)
         for i, blk in enumerate(self.blocks):
             a = ad.layer_norm(h, blk.ln1_gain, blk.ln1_bias)
-            att = ad.causal_attention(blk.wq(a), blk.wk(a), blk.wv(a), cfg.n_heads,
-                                      cfg.dropout, rng, train)
+            att = ad.causal_attention(blk.qkv(a), cfg.n_heads, cfg.dropout, rng, train)
             if last and i == len(self.blocks) - 1:
                 h, att = ad.narrow(h, t - 1, 1, axis=1), ad.narrow(att, t - 1, 1, axis=1)
             h = ad.add(h, ad.dropout(blk.wo(att), cfg.dropout, rng, train))

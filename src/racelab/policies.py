@@ -89,10 +89,9 @@ class GaussianPolicy:
         """Draw a scaled correction alpha * tanh(z), (B, act_dim), without a
         tape. Draws eps of shape (B, act_dim) from rng, as the SAC target
         does before :meth:`sample_taped`, and computes no density."""
-        x = _f32(x)
         eps = rng.standard_normal((len(x), self.act_dim), dtype=np.float32)
         with ad.no_grad():
-            return self._sample(ad.Tensor(x), eps)[0].data
+            return self._sample(ad.Tensor(_f32(x)), eps)[0].data
 
     def _sample(self, x, eps):
         """The sampling rule: (alpha * tanh(z), z, log_std) tensors with

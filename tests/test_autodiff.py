@@ -59,10 +59,10 @@ def _row_max_causal_softmax(x):
     return w
 
 
-def _strided_key_attention(q, k, v, n_heads, keep):
+def _strided_key_attention(qkv, n_heads, keep):
     """ad._attention as it was before the contiguous key layout: scores
     against a transposed view of the head-split keys, softmax by row max."""
-    qh, kh, vh = (ad._split_heads(x, n_heads) for x in (q, k, v))
+    qh, kh, vh = (ad._split_heads(x, n_heads) for x in np.split(qkv, 3, axis=-1))
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= ad._inv_sqrt(qh.shape[-1])
     w = _row_max_causal_softmax(scores)
@@ -372,23 +372,24 @@ class TestFusedOps:
 
     def test_attention_with_dropout_matches_finite_differences(self):
         rng = np.random.default_rng(32)
-        q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
+        qkv = rng.standard_normal((2, 5, 18))
         probe = rng.standard_normal((2, 5, 6))
 
-        def build(a, b, c):
+        def build(a):
             # A fresh generator per evaluation: every call drops the same weights.
-            out = ad.causal_attention(a, b, c, 3, 0.3, np.random.default_rng(7), train=True)
+            out = ad.causal_attention(a, 3, 0.3, np.random.default_rng(7), train=True)
             return probe_loss(out, probe)
 
-        check_grads(build, [q, k, v], rng)
+        check_grads(build, [qkv], rng)
 
     def test_attention_equals_per_head_primitive_ops_bitwise(self):
-        """One head-major dropout draw equals per-head draws in head order."""
+        """One head-major dropout draw equals per-head draws in head order
+        (each head's 3 * 6 * 6 mask values are a multiple of 4)."""
         rng = np.random.default_rng(33)
         n_heads, d = 4, 8
-        q, k, v = (ad.Tensor(rng.standard_normal((3, 6, n_heads * d)).astype(np.float32))
-                   for _ in range(3))
-        fused = ad.causal_attention(q, k, v, n_heads, 0.1, np.random.default_rng(8), train=True)
+        qkv = ad.Tensor(rng.standard_normal((3, 6, 3 * n_heads * d)).astype(np.float32))
+        q, k, v = (ad.narrow(qkv, j * n_heads * d, n_heads * d) for j in range(3))
+        fused = ad.causal_attention(qkv, n_heads, 0.1, np.random.default_rng(8), train=True)
         draws = np.random.default_rng(8)
         heads = []
         for i in range(n_heads):
@@ -398,7 +399,7 @@ class TestFusedOps:
             heads.append(ad.matmul(w, vh))
         assert np.array_equal(fused.data, ad.concat(heads).data)
         # Without dropout, against the same arithmetic in plain numpy.
-        no_drop = ad.causal_attention(q, k, v, n_heads, 0.1, None, train=False)
+        no_drop = ad.causal_attention(qkv, n_heads, 0.1, None, train=False)
         allowed = np.tril(np.ones((6, 6), dtype=bool))
         ref = []
         for i in range(n_heads):
@@ -417,12 +418,12 @@ class TestFusedOps:
             ad.layer_norm(x, g, b)
 
     def test_overflowing_scores_name_causal_attention(self):
-        q = ad.tensor(np.full((1, 3, 4), 1e20))
-        k = ad.tensor(np.full((1, 3, 4), -1e20))
+        qkv = ad.tensor(np.concatenate([np.full((1, 3, 4), 1e20), np.full((1, 3, 4), -1e20),
+                                        np.full((1, 3, 4), 1e20)], axis=-1))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ad.AutodiffError, match="causal_attention"
         ):
-            ad.causal_attention(q, k, q, 2, 0.0, None, train=False)
+            ad.causal_attention(qkv, 2, 0.0, None, train=False)
 
 
 class TestCausalSoftmax:
@@ -488,6 +489,38 @@ class TestDropout:
         out = ad.dropout(x, 0.5, np.random.default_rng(6), train=True)
         ad.backward(ad.mean_all(out))
         assert np.array_equal(x.grad != 0.0, out.data != 0.0)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.3])
+    def test_mask_values_are_zero_or_the_scale(self, p):
+        thr = round(p * 65536)
+        for dtype in (np.float32, np.float64):
+            keep = ad._dropout_keep((7, 9, 11), p, np.random.default_rng(20), dtype)
+            scale = dtype(65536 / (65536 - thr))
+            assert keep.dtype == dtype and keep.shape == (7, 9, 11)
+            assert np.all((keep == 0) | (keep == scale))
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_kept_fraction_is_the_rounded_rate(self, p):
+        """Over about 10^6 draws the kept fraction lies within 5 sigma of
+        1 - thr / 2^16."""
+        n = 1 << 20
+        kept = np.count_nonzero(ad._dropout_keep((n,), p, np.random.default_rng(21), np.float32))
+        want = 1.0 - round(p * 65536) / 65536
+        assert abs(kept / n - want) <= 5.0 * np.sqrt(want * (1.0 - want) / n)
+
+    def test_fixed_generator_gives_a_fixed_mask(self):
+        """Four 16-bit values per raw 64-bit word, lowest bits first."""
+        keep = ad._dropout_keep((2, 8), 0.5, np.random.default_rng(0), np.float32)
+        words = np.random.default_rng(0).bit_generator.random_raw(4)
+        u = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
+        assert np.array_equal(keep.ravel(), np.float32([2.0 * (v >= 32768) for v in u]))
+        assert "".join("1" if v else "0" for v in keep.ravel()) == "1111111010001000"
+        again = ad._dropout_keep((2, 8), 0.5, np.random.default_rng(0), np.float32)
+        assert np.array_equal(keep, again)
+
+    def test_a_rate_that_rounds_to_one_is_refused(self):
+        with pytest.raises(ad.AutodiffError, match="16-bit"):
+            ad._dropout_keep((4,), 1.0 - 2.0**-18, np.random.default_rng(0), np.float32)
 
 
 class TestTapeSemantics:

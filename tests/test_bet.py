@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from racelab import autodiff as ad
+from racelab import nets
 from racelab.bet import (
     BeT,
     BeTConfig,
@@ -49,6 +50,28 @@ def test_config_rejects_inconsistent_shapes():
         _tiny_cfg(embed_dim=15)  # not divisible by heads
     with pytest.raises(ValueError):
         _tiny_cfg(eval_context=9)  # larger than the training context
+
+
+# ---------------------------------------------------------------------------
+# Initialisation
+
+def test_packed_projection_takes_the_query_key_value_draws_in_order():
+    """Each block's qkv.W is three (d, d) draws side by side, q, k, v, as
+    three separate projections drew them; the draws after it go on."""
+    cfg = _tiny_cfg()
+    model = BeT(cfg, RNG(4))
+    draws = RNG(4)
+    d = cfg.embed_dim
+    nets.trunc_normal((cfg.obs_dim, d), cfg.w_std, draws)
+    nets.trunc_normal((cfg.context, d), cfg.w_std, draws)
+    for blk in model.blocks:
+        want = [nets.trunc_normal((d, d), cfg.w_std, draws) for _ in range(3)]
+        assert np.array_equal(blk.qkv.W.data, np.concatenate(want, axis=1))
+        assert not blk.qkv.b.data.any()
+        assert np.array_equal(blk.wo.W.data, nets.trunc_normal((d, d), cfg.w_std, draws))
+        nets.trunc_normal((d, cfg.mlp_ratio * d), cfg.w_std, draws)
+        nets.trunc_normal((cfg.mlp_ratio * d, d), cfg.w_std, draws)
+    assert np.array_equal(model.head.W.data, nets.trunc_normal((d, cfg.act_dim), cfg.w_std, draws))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +148,7 @@ def _per_head_predict(model, x):
     inv = np.float32(1.0 / np.sqrt(hd))
     for blk in model.blocks:
         a = layer_norm(h, blk.ln1_gain, blk.ln1_bias)
-        q, k, v = affine(a, blk.wq), affine(a, blk.wk), affine(a, blk.wv)
+        q, k, v = np.split(affine(a, blk.qkv), 3, axis=-1)
         heads = []
         for i in range(cfg.n_heads):
             cols = slice(i * hd, (i + 1) * hd)
@@ -244,7 +267,7 @@ def test_train_step_gradient_matches_finite_difference():
 
     rng = RNG(9)
     checked = 0
-    for name in ("in.W", "blk0.q.W", "blk0.m1.W", "head.W", "pos.emb"):
+    for name in ("in.W", "blk0.qkv.W", "blk0.m1.W", "head.W", "pos.emb"):
         p = params[name]
         flat = p.data.reshape(-1)
         for idx in rng.choice(flat.size, size=2, replace=False):
@@ -264,8 +287,9 @@ def test_train_step_gradient_matches_finite_difference():
 
 def test_train_step_tape_size():
     """Tensors built by one update: input and target, then per forward 4 for
-    the embedding, 13 per block (layer norms, attention and affines are one
-    node each, and the MLP's relu is part of its first affine) and 3 for
+    the embedding, 11 per block (layer norms, attention and affines are one
+    node each, the query, key and value projections are one packed affine,
+    and the MLP's relu is part of its first affine) and 3 for
     the head, plus the loss. A per-head loop or a layer norm built from
     primitive ops would add dozens. The inputs arrive saturated
     (``Normalizer.transform``), so the forward adds no clip node."""
@@ -277,7 +301,7 @@ def test_train_step_tape_size():
     before = ad.Tensor(0.0)._serial
     train_step(model, obs, act, opt, RNG(45))
     built = ad.Tensor(0.0)._serial - before - 1
-    assert built == 2 + 4 + 13 * cfg.n_layers + 3 + 1
+    assert built == 2 + 4 + 11 * cfg.n_layers + 3 + 1
 
 
 def test_training_fits_a_tiny_mapping():

@@ -24,9 +24,9 @@ from racelab.track import load_track, save_track
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
-    "summary.json": "31745a4d726ad79662b5872256b1cd4111cdccc9ac9049083f706e589aa11b10",
-    "bet.ckpt": "98160e768bdd87c601a4405159fe6bf29a5f5b72f83dc36af856c91d627f699b",
-    "bundle/residual.ckpt": "964298cf3624977ef784b45ba9010b30a9bbeaef5c81212649eeb9aad52e80ef",
+    "summary.json": "01c4311985a2d0c57cfc46a2f32cf2853e4070b059e5ab6eeeddd2ade7a5359b",
+    "bet.ckpt": "81df3d76af071cd68676710c9be44996d29531759b847d44b15aa21a5cd8babf",
+    "bundle/residual.ckpt": "50b0a59a9f20cd47ce79716d96254075796cfc3f12bfd209c6ce69138ff08028",
 }
 
 
@@ -205,6 +205,23 @@ def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "stale keys ['loss_positions', 'nonlinearity'], missing keys ['w_std']" in err
+
+
+def test_a_base_with_separate_query_key_value_weights_is_refused(tmp_path, capsys):
+    # A base written before the packed projection stores blk0.q, .k and .v.
+    model = _small_bet()
+    arrays = {name: p.data for name, p in model.params().items()}
+    for part, cols in (("W", arrays.pop("blk0.qkv.W")), ("b", arrays.pop("blk0.qkv.b"))):
+        for name, third in zip("qkv", np.split(cols, 3, axis=-1)):
+            arrays[f"blk0.{name}.{part}"] = third
+    path = tmp_path / "bet.ckpt"
+    nets.save_params(str(path), arrays, {"kind": "bet", "config": dataclasses.asdict(model.cfg),
+                                         "normalizer": Normalizer.identity(6).to_dict()})
+    with pytest.raises(nets.CheckpointError, match="missing parameter blk0.qkv.W"):
+        bet.load_bet(str(path))
+    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint missing parameter blk0.qkv.W\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "report"])
