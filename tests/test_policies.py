@@ -120,6 +120,21 @@ def test_sample_matches_numpy_reference():
     assert logp.shape == (7, 1)
 
 
+def test_sample_np_builds_no_density():
+    """A rollout draw builds the action's tensors only: the input, two
+    affine layers, two narrows, clip, exp, eps, mul, add, tanh and scale.
+    The density's ten more belong to sample_taped."""
+    pol = GaussianPolicy(5, 2, (16,), 0.4, RNG(0))
+    x = RNG(1).standard_normal((3, 5)).astype(np.float32)
+    before = ad.Tensor(0.0)._serial
+    pol.sample_np(x, RNG(2))
+    assert ad.Tensor(0.0)._serial - before - 1 == 12
+    before = ad.Tensor(0.0)._serial
+    with ad.no_grad():
+        pol.sample_taped(ad.Tensor(x), RNG(2).standard_normal((3, 2), dtype=np.float32))
+    assert ad.Tensor(0.0)._serial - before - 1 == 22
+
+
 def test_logp_matches_change_of_variables_oracle():
     """Density of a = alpha*tanh(mu + sigma*eps) via the analytic Jacobian.
 
