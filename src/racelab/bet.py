@@ -96,8 +96,8 @@ class BeTConfig:
             raise ValueError("embed_dim must divide evenly into heads")
         if self.eval_context > self.context:
             raise ValueError("eval_context cannot exceed the training context")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not (0.0 <= self.dropout and round(self.dropout * 65536) < 65536):
+            raise ValueError(f"dropout must be in [0, 1) at 16-bit resolution, got {self.dropout}")
 
 
 class _Block:

@@ -128,6 +128,7 @@ BAD_VALUES = [
     ("bet.batch_size", 0, "invalid 'bet' config: batch_size must be >= 1"),
     ("bet.eval_context", 0, "invalid 'bet' config: eval_context must be >= 1"),
     ("bet.dropout", 1.0, "invalid 'bet' config: dropout must be in [0, 1)"),
+    ("bet.dropout", 0.999999, "invalid 'bet' config: dropout must be in [0, 1) at 16-bit"),
     ("demos.laps", 0, "config field 'demos.laps' must be an integer >= 1"),
     ("demos.laps_pretrain", 0, "config field 'demos.laps_pretrain' must be an integer >= 1"),
     ("bc.updates", 0, "config field 'bc.updates' must be an integer >= 1"),
