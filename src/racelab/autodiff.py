@@ -9,11 +9,15 @@ a zero gradient rather than a missing one.
 
 The ops are the ones the package's networks and losses call, and no
 more; a test checks that each public name has a caller. Most are
-elementwise or shape primitives. Three are fused, one tape node each
+elementwise or shape primitives. Four are fused, one tape node each
 with an analytic backward, because the networks run them many times per
 step: :func:`affine` (matrix product plus bias, and the relu after it
-when asked), :func:`layer_norm` and :func:`causal_attention` (multi-head
-causal self-attention).
+when asked), :func:`residual_affine` (a transformer block's residual
+branch: its last affine, its dropout and the residual sum),
+:func:`layer_norm` and :func:`causal_attention` (multi-head causal
+self-attention). A fused node keeps only what its backward reads, so its
+intermediates are never tape tensors, and a dropout mask is kept as
+booleans.
 
 Inside :func:`no_grad` the same ops serve gradient-free forwards
 (rollouts, bootstrap targets, rewards, evaluation): outputs are constants
@@ -56,6 +60,7 @@ __all__ = [
     "shift",
     "matmul",
     "affine",
+    "residual_affine",
     "transpose_last2",
     "concat",
     "narrow",
@@ -282,8 +287,23 @@ def affine(x, w, b, relu=False):
     last-position inference rely on. Row counts that are already a
     multiple of 4 take no copy.
     """
+    out = _affine(x, w, b, "affine")
+
+    def vjp(g):
+        if relu:
+            # g is the node's own gradient buffer, dropped after this call.
+            g *= out > 0
+        _affine_vjp(g, x, w, b)
+
+    node = _node("affine", out, (x, w, b), vjp)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return node
+
+
+def _affine(x, w, b, op_name):
     if x.data.ndim not in (2, 3) or w.data.ndim != 2:
-        raise AutodiffError("affine expects a rank-2 or rank-3 input and a rank-2 weight")
+        raise AutodiffError(f"{op_name} expects a rank-2 or rank-3 input and a rank-2 weight")
     flat = x.data.reshape(-1, x.data.shape[-1])
     rows = flat.shape[0]
     if rows % 4:
@@ -293,24 +313,43 @@ def affine(x, w, b, relu=False):
     else:
         flat = flat @ w.data
     flat += b.data
-    out = flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
+    return flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
+
+
+def _affine_vjp(g, x, w, b):
+    g2 = g.reshape(-1, g.shape[-1])
+    if x.requires_grad:
+        x._accumulate((g2 @ w.data.T).reshape(x.data.shape), owned=True)
+    if w.requires_grad:
+        w._accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g2, owned=True)
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
+
+
+def residual_affine(h, x, w, b, p, rng, train):
+    """h + dropout(x @ w + b, p): a residual branch's last projection, its
+    dropout and the residual sum as one tape node.
+
+    The product and its dropped copy are never tape tensors; the node
+    keeps only the boolean mask. The output and every gradient have the
+    bits of ``add(h, dropout(affine(x, w, b), p, rng, train))``: addition
+    commutes exactly, and the mask draws the same numbers from rng. h must
+    have the shape of the product.
+    """
+    out = _affine(x, w, b, "residual_affine")
+    if h.data.shape != out.shape:
+        raise AutodiffError("residual_affine expects h to have the shape of x @ w")
+    keep, scale = _dropout_keep(out.shape, p, rng) if train and p else (None, None)
+    if keep is not None:
+        _dropped(out, keep, scale, out=out)
+    out += h.data
 
     def vjp(g):
-        if relu:
-            # g is the node's own gradient buffer, dropped after this call.
-            g *= out > 0
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), owned=True)
-        if w.requires_grad:
-            w._accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g2, owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        _affine_vjp(g if keep is None else _dropped(g, keep, scale), x, w, b)
+        if h.requires_grad:
+            h._accumulate(g, owned=True)
 
-    node = _node("affine", out, (x, w, b), vjp)
-    if relu:
-        np.maximum(out, 0, out=out)
-    return node
+    return _node("residual_affine", out, (h, x, w, b), vjp)
 
 
 def transpose_last2(a):
@@ -453,73 +492,44 @@ def _softmax_vjp(out, g):
     return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
-def _dropout_keep(shape, p, rng, dtype):
+def _dropout_keep(shape, p, rng):
     # Inverted-dropout mask from 16-bit integers u, four to each 64-bit
     # word of the generator's raw stream: an element is kept when
     # u >= thr = round(p * 2^16), and a kept one scaled by
     # 2^16 / (2^16 - thr). So the rate is p rounded to a multiple of 2^-16.
+    # Returns the boolean mask and the scale, which _dropped applies.
     thr = round(p * 65536)
     if not 0 <= thr < 65536:
         raise AutodiffError(f"dropout rate {p} is not in [0, 1) at 16-bit resolution")
     n = int(np.prod(shape))
     u = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
-    keep = (u >= thr).astype(dtype)
-    return np.multiply(keep, 65536 / (65536 - thr), out=keep).reshape(shape)
+    return (u >= thr).reshape(shape), 65536 / (65536 - thr)
 
 
-def _split_heads(x, n_heads):
-    # (B, T, H*d) -> (H*B, T, d), head-major.
+def _dropped(x, keep, scale, out=None):
+    # x * keep, then * scale: the bits of x * (keep * scale), since
+    # multiplying by 1 or 0 is exact, with a one-byte mask.
+    out = np.multiply(x, keep, out=out)
+    out *= scale
+    return out
+
+
+def _heads(x, n):
+    # (B, T, n*d) -> (n, B, T, d) as a view: [i, b] is column block i of
+    # window b.
     b, t, width = x.shape
-    d = width // n_heads
-    return x.reshape(b, t, n_heads, d).transpose(2, 0, 1, 3).reshape(n_heads * b, t, d)
+    return x.reshape(b, t, n, width // n).transpose(2, 0, 1, 3)
 
 
-def _merge_heads(x, n_heads):
-    # (H*B, T, d) -> (B, T, H*d): heads side by side in head order.
-    hb, t, d = x.shape
-    b = hb // n_heads
-    return x.reshape(n_heads, b, t, d).transpose(1, 2, 0, 3).reshape(b, t, n_heads * d)
-
-
-def _split_heads_transposed(x, n_heads):
-    # (B, T, H*d) -> (H*B, d, T): the keys of _split_heads, laid out
-    # contiguously for the score product.
-    b, t, width = x.shape
-    d = width // n_heads
-    return x.reshape(b, t, n_heads, d).transpose(2, 0, 3, 1).reshape(n_heads * b, d, t)
+def _qkv_heads(qkv, n_heads):
+    # The queries, keys and values of a packed (B, T, 3*H*d) array, each
+    # an (H, B, T, d) view of it.
+    heads = _heads(qkv, 3 * n_heads)
+    return heads[:n_heads], heads[n_heads : 2 * n_heads], heads[2 * n_heads :]
 
 
 def _inv_sqrt(d):
     return float(1.0 / np.sqrt(d))
-
-
-def _attention(qkv, n_heads, keep):
-    width = qkv.shape[-1] // 3
-    qh, vh = _split_heads(qkv[..., :width], n_heads), _split_heads(qkv[..., 2 * width :], n_heads)
-    scores = qh @ _split_heads_transposed(qkv[..., width : 2 * width], n_heads)
-    scores *= _inv_sqrt(qh.shape[-1])
-    _checked(scores, "causal_attention")
-    w = _causal_softmax(scores)
-    wd = w if keep is None else w * keep
-    return _merge_heads(wd @ vh, n_heads), (qh, vh, w, wd)
-
-
-def _attention_vjp(g, qkv, n_heads, keep, qh, vh, w, wd):
-    # The query, key and value gradients, each (H*B, T, d), written into
-    # one (3*H*B, T, d) buffer. The keys are split again here rather than
-    # held on the tape, and the temporaries are gone before the caller
-    # merges the heads.
-    grads = np.empty((3,) + qh.shape, dtype=qh.dtype)
-    gh = _split_heads(g, n_heads)
-    np.matmul(np.swapaxes(wd, -1, -2), gh, out=grads[2])
-    gw = gh @ np.swapaxes(vh, -1, -2)
-    if keep is not None:
-        gw *= keep
-    gs = _softmax_vjp(w, gw)
-    gs *= _inv_sqrt(qh.shape[-1])
-    np.matmul(gs, _split_heads(np.split(qkv, 3, axis=-1)[1], n_heads), out=grads[0])
-    np.matmul(np.swapaxes(gs, -1, -2), qh, out=grads[1])
-    return grads.reshape((-1,) + qh.shape[1:])
 
 
 def causal_attention(qkv, n_heads, p, rng, train):
@@ -527,26 +537,51 @@ def causal_attention(qkv, n_heads, p, rng, train):
     projection: the queries, keys and values side by side, each (H*d)
     wide with its heads in order.
 
-    Heads are laid out head-major, (H*B, T, d), so the whole layer is a
-    few batched rank-3 matmuls: scaled scores, a row softmax that gives
-    every future position exactly zero weight, inverted dropout on the
-    weights and the value product. Row h*B + b is head h of window b.
+    Every head of every window runs in a few batched matmuls over
+    head-major (H, B, T, d) strided views of the packed projection,
+    [h, b] holding head h of window b: scaled scores, a row softmax that
+    gives every future position exactly zero weight, inverted dropout on
+    the weights and the value product, written through a view into the
+    (B, T, H*d) output, heads side by side. Only the transposed keys are
+    copied, for the score product, and the copy is not kept.
     A dropout draw takes four mask values from each 64-bit word, so one
-    draw of shape (H*B, T, T) equals, value for value, H successive
-    per-head draws of shape (B, T, T) when each head's B*T*T is a
-    multiple of 4. Returns the heads side by side, (B, T, H*d). The
-    backward writes the query, key and value gradients into one buffer
-    and merges its heads once.
+    draw of shape (H, B, T, T) equals, value for value, H successive
+    per-head draws of shape (B, T, T) when each head's B*T*T is a multiple
+    of 4. The node keeps the softmax weights and the boolean mask; the
+    backward masks the weights again and writes the query, key and value
+    gradients through views into one packed buffer.
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
         raise AutodiffError("causal_attention expects a (B, T, 3*H*d) packed projection")
-    b, t, _ = qkv.data.shape
-    keep = _dropout_keep((n_heads * b, t, t), p, rng, qkv.data.dtype) if train and p else None
-    out, (qh, vh, w, wd) = _attention(qkv.data, n_heads, keep)
+    b, t, width = qkv.data.shape
+    q, k, v = _qkv_heads(qkv.data, n_heads)
+    inv_sqrt = _inv_sqrt(width // (3 * n_heads))
+    # The keys are transposed into a contiguous copy: a product against a
+    # transposed view gives the same bits, but OpenBLAS runs it about
+    # three times slower at these small sizes.
+    scores = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scores *= inv_sqrt
+    _checked(scores, "causal_attention")
+    w = _causal_softmax(scores)
+    keep, scale = _dropout_keep(w.shape, p, rng) if train and p else (None, None)
+    out = np.empty((b, t, width // 3), dtype=qkv.data.dtype)
+    np.matmul(w if keep is None else _dropped(w, keep, scale), v, out=_heads(out, n_heads))
 
     def vjp(g):
-        grads = _attention_vjp(g, qkv.data, n_heads, keep, qh, vh, w, wd)
-        qkv._accumulate(_merge_heads(grads, 3 * n_heads), owned=True)
+        q, k, v = _qkv_heads(qkv.data, n_heads)
+        grads = np.empty(qkv.data.shape, dtype=qkv.data.dtype)
+        gq, gk, gv = _qkv_heads(grads, n_heads)
+        gh = _heads(g, n_heads)
+        wd = w if keep is None else _dropped(w, keep, scale)
+        np.matmul(np.swapaxes(wd, -1, -2), gh, out=gv)
+        gw = gh @ np.swapaxes(v, -1, -2)
+        if keep is not None:
+            _dropped(gw, keep, scale, out=gw)
+        gs = _softmax_vjp(w, gw)
+        gs *= inv_sqrt
+        np.matmul(gs, k, out=gq)
+        np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+        qkv._accumulate(grads, owned=True)
 
     return _node("causal_attention", out, (qkv,), vjp)
 
@@ -554,6 +589,8 @@ def causal_attention(qkv, n_heads, p, rng, train):
 def dropout(a, p, rng, train):
     """Inverted dropout: zero with probability p and rescale by 1/(1-p),
     with p rounded to a multiple of 2^-16 (the mask draws 16-bit integers).
+    The node keeps a boolean mask and applies it, then the scale, which
+    gives the bits of one multiply by a mask of zeros and scales.
 
     Outside training (or at p = 0) it is the identity and returns ``a``
     itself, adding nothing to the tape.
@@ -561,12 +598,13 @@ def dropout(a, p, rng, train):
     p = float(p)
     if not train or p == 0.0:
         return a
-    keep = _dropout_keep(a.data.shape, p, rng, a.data.dtype)
+    keep, scale = _dropout_keep(a.data.shape, p, rng)
 
     def vjp(g):
-        a._accumulate(g * keep, owned=True)
+        # g is the node's own gradient buffer, dropped after this call.
+        a._accumulate(_dropped(g, keep, scale, out=g), owned=True)
 
-    return _node("dropout", a.data * keep, (a,), vjp)
+    return _node("dropout", _dropped(a.data, keep, scale), (a,), vjp)
 
 
 def mean_all(a):

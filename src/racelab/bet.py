@@ -22,15 +22,17 @@ yet tested.
 
 Each block runs its heads together. One packed projection,
 ``blk{i}.qkv``, gives the queries, keys and values side by side,
-(B, T, 3*H*d) with W of shape (d, 3d), as GPT-2's ``c_attn`` does. Each
-third is laid out head-major as (H*B, T, d), row h*B + b holding head h
-of window b, so attention is a few batched rank-3 products
-(``autodiff.causal_attention``) rather than a loop over heads. In that
-order one dropout draw over all heads' weights takes the same random
-numbers, in the same places, as a draw per head in head order, whenever
-each head's draw is a multiple of 4 values. Dropout draws 16-bit
-integers, so the dropout rate in effect is ``dropout`` rounded to a
-multiple of 2^-16.
+(B, T, 3*H*d) with W of shape (d, 3d), as GPT-2's ``c_attn`` does.
+Attention (``autodiff.causal_attention``) reads each third as a
+head-major (H, B, T, d) strided view of it, [h, b] holding head h of
+window b, so it is a few batched products rather than a loop over heads,
+and no head is copied. In that order one dropout draw over all heads'
+weights takes the same random numbers, in the same places, as a draw per
+head in head order, whenever each head's draw is a multiple of 4 values.
+Dropout draws 16-bit integers, so the dropout rate in effect is
+``dropout`` rounded to a multiple of 2^-16. Each residual branch ends in
+one ``autodiff.residual_affine`` node, its output projection, dropout
+and residual sum together, so a block puts 7 tensors on the tape.
 
 The model is trained once and then frozen: downstream trainers hold it
 without any optimizer, and evaluation checksums its parameters
@@ -185,10 +187,10 @@ class BeT:
             att = ad.causal_attention(blk.qkv(a), cfg.n_heads, cfg.dropout, rng, train)
             if last and i == len(self.blocks) - 1:
                 h, att = ad.narrow(h, t - 1, 1, axis=1), ad.narrow(att, t - 1, 1, axis=1)
-            h = ad.add(h, ad.dropout(blk.wo(att), cfg.dropout, rng, train))
+            h = ad.residual_affine(h, att, blk.wo.W, blk.wo.b, cfg.dropout, rng, train)
             m = ad.layer_norm(h, blk.ln2_gain, blk.ln2_bias)
-            m = blk.w2(blk.w1(m, relu=True))
-            h = ad.add(h, ad.dropout(m, cfg.dropout, rng, train))
+            h = ad.residual_affine(h, blk.w1(m, relu=True), blk.w2.W, blk.w2.b, cfg.dropout,
+                                   rng, train)
         h = ad.layer_norm(h, self.lnf_gain, self.lnf_bias)
         return ad.tanh(self.head(h))
 

@@ -59,15 +59,82 @@ def _row_max_causal_softmax(x):
     return w
 
 
-def _strided_key_attention(qkv, n_heads, keep):
-    """ad._attention as it was before the contiguous key layout: scores
-    against a transposed view of the head-split keys, softmax by row max."""
-    qh, kh, vh = (ad._split_heads(x, n_heads) for x in np.split(qkv, 3, axis=-1))
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike array_equal, -0.0 != 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _split_heads(x, n_heads):
+    # (B, T, H*d) -> (H*B, T, d), head-major, as a contiguous copy.
+    b, t, width = x.shape
+    d = width // n_heads
+    return x.reshape(b, t, n_heads, d).transpose(2, 0, 1, 3).reshape(n_heads * b, t, d)
+
+
+def _merge_heads(x, n_heads):
+    # (H*B, T, d) -> (B, T, H*d): heads side by side in head order.
+    hb, t, d = x.shape
+    b = hb // n_heads
+    return x.reshape(n_heads, b, t, d).transpose(1, 2, 0, 3).reshape(b, t, n_heads * d)
+
+
+def _split_heads_transposed(x, n_heads):
+    # (B, T, H*d) -> (H*B, d, T): the keys of _split_heads, contiguous.
+    b, t, width = x.shape
+    d = width // n_heads
+    return x.reshape(b, t, n_heads, d).transpose(2, 0, 3, 1).reshape(n_heads * b, d, t)
+
+
+def _float_keep(shape, p, rng, dtype):
+    """The dropout mask as one array of zeros and scales."""
+    keep, scale = ad._dropout_keep(shape, p, rng)
+    return np.multiply(keep.astype(dtype), scale, dtype=dtype)
+
+
+def _float_mask_dropout(a, p, rng, train):
+    """ad.dropout as it held a float mask of zeros and scales."""
+    if not train or p == 0.0:
+        return a
+    keep = _float_keep(a.data.shape, p, rng, a.data.dtype)
+
+    def vjp(g):
+        a._accumulate(g * keep, owned=True)
+
+    return ad._node("dropout", a.data * keep, (a,), vjp)
+
+
+def _unfused_residual(h, x, w, b, p, rng, train):
+    """ad.residual_affine as the three nodes it fuses."""
+    return ad.add(h, ad.dropout(ad.affine(x, w, b), p, rng, train))
+
+
+def _copy_attention(qkv, n_heads, p, rng, train):
+    """ad.causal_attention as it was before the strided views: head-split
+    copies of q, k and v, scores against a transposed view of the copied
+    keys, the row-max softmax, a float mask, the dropped weights held for
+    the backward and the gradients merged from head-major copies."""
+    qh, kh, vh = (_split_heads(x, n_heads) for x in np.split(qkv.data, 3, axis=-1))
+    t = qh.shape[1]
+    keep = _float_keep((len(qh), t, t), p, rng, qh.dtype) if train and p else None
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= ad._inv_sqrt(qh.shape[-1])
     w = _row_max_causal_softmax(scores)
     wd = w if keep is None else w * keep
-    return ad._merge_heads(wd @ vh, n_heads), (qh, vh, w, wd)
+
+    def vjp(g):
+        grads = np.empty((3,) + qh.shape, dtype=qh.dtype)
+        gh = _split_heads(g, n_heads)
+        np.matmul(np.swapaxes(wd, -1, -2), gh, out=grads[2])
+        gw = gh @ np.swapaxes(vh, -1, -2)
+        if keep is not None:
+            gw *= keep
+        gs = ad._softmax_vjp(w, gw)
+        gs *= ad._inv_sqrt(qh.shape[-1])
+        np.matmul(gs, kh, out=grads[0])
+        np.matmul(np.swapaxes(gs, -1, -2), qh, out=grads[1])
+        qkv._accumulate(_merge_heads(grads.reshape((-1,) + qh.shape[1:]), 3 * n_heads), owned=True)
+
+    return ad._node("causal_attention", _merge_heads(wd @ vh, n_heads), (qkv,), vjp)
 
 
 def _two_temporary_layer_norm(x, gain, bias, eps):
@@ -334,18 +401,48 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("batch,t", [(1, 1), (3, 5), (20, 5), (64, 20), (256, 5)])
     def test_contiguous_keys_give_the_strided_score_product_bitwise(self, batch, t):
+        """Scores against contiguous transposed keys have the bits of scores
+        against a transposed view of the keys, for head-split copies of the
+        queries and for the packed projection's strided query views."""
         rng = np.random.default_rng(batch * 100 + t)
-        q, k = (rng.standard_normal((batch, t, 64)).astype(np.float32) for _ in range(2))
-        qh, kh = ad._split_heads(q, 4), ad._split_heads(k, 4)
-        kt = ad._split_heads_transposed(k, 4)
+        qkv = rng.standard_normal((batch, t, 3 * 64)).astype(np.float32)
+        q, k, _ = np.split(qkv, 3, axis=-1)
+        qh, kh = _split_heads(q, 4), _split_heads(k, 4)
+        kt = _split_heads_transposed(k, 4)
         assert kt.flags.c_contiguous
         assert np.array_equal(kt, np.swapaxes(kh, -1, -2))
-        assert np.array_equal(qh @ kt, qh @ np.swapaxes(kh, -1, -2))
+        contiguous = qh @ kt
+        assert _same_bits(contiguous, qh @ np.swapaxes(kh, -1, -2))
+        qv, kv, _ = ad._qkv_heads(qkv, 4)
+        assert np.shares_memory(qv, qkv) and np.shares_memory(kv, qkv)
+        want = contiguous.reshape(4, batch, t, t)
+        assert _same_bits(qv @ np.ascontiguousarray(np.swapaxes(kv, -1, -2)), want)
+        assert _same_bits(qv @ np.swapaxes(kv, -1, -2), want)
+
+    @pytest.mark.parametrize("batch,t", [(1, 1), (4, 1), (3, 5), (20, 5), (64, 20), (256, 5)])
+    def test_attention_views_equal_the_head_split_copies_bitwise(self, batch, t):
+        """The view kernel gives the bits of the copy kernel, output and
+        packed gradient, with dropout under a fixed generator and without."""
+        rng = np.random.default_rng(batch * 10 + t)
+        qkv = rng.standard_normal((batch, t, 3 * 64)).astype(np.float32)
+        probe = rng.standard_normal((batch, t, 64)).astype(np.float32)
+        for p, train in ((0.1, True), (0.0, True), (0.1, False)):
+            got = []
+            for attention in (ad.causal_attention, _copy_attention):
+                x = ad.Tensor(qkv.copy(), requires_grad=True)
+                out = attention(x, 4, p, np.random.default_rng(9), train)
+                ad.backward(ad.mean_all(ad.mul(out, ad.Tensor(probe))))
+                got.append((out.data, x.grad))
+            (out, grad), (ref_out, ref_grad) = got
+            assert _same_bits(out, ref_out), (p, train)
+            assert _same_bits(grad, ref_grad), (p, train)
 
     def test_bet_gradients_equal_those_of_the_former_kernels(self, monkeypatch):
         """A taped training forward and backward of the desk BeT at (64, 20),
-        with dropout, gives bitwise the parameter gradients of the strided-key
-        attention, the row-max softmax and the one-expression layer norm."""
+        with dropout, gives bitwise the parameter gradients of the former
+        kernels: the head-split copy attention with strided keys and the
+        row-max softmax, float dropout masks, unfused residual branches and
+        the one-expression layer norm."""
         from racelab.bet import BeT, BeTConfig
 
         cfg = BeTConfig()
@@ -363,12 +460,14 @@ class TestFusedOps:
             return {name: p.grad.copy() for name, p in model.params().items()}
 
         now = gradients()
-        monkeypatch.setattr(ad, "_attention", _strided_key_attention)
+        monkeypatch.setattr(ad, "causal_attention", _copy_attention)
+        monkeypatch.setattr(ad, "residual_affine", _unfused_residual)
+        monkeypatch.setattr(ad, "dropout", _float_mask_dropout)
         monkeypatch.setattr(ad, "_layer_norm", _two_temporary_layer_norm)
         former = gradients()
         assert now.keys() == former.keys()
         for name in now:
-            assert np.array_equal(now[name], former[name]), name
+            assert _same_bits(now[name], former[name]), name
 
     def test_attention_with_dropout_matches_finite_differences(self):
         rng = np.random.default_rng(32)
@@ -493,34 +592,108 @@ class TestDropout:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.3])
     def test_mask_values_are_zero_or_the_scale(self, p):
         thr = round(p * 65536)
+        keep, scale = ad._dropout_keep((7, 9, 11), p, np.random.default_rng(20))
+        assert keep.dtype == np.bool_ and keep.shape == (7, 9, 11)
+        assert scale == 65536 / (65536 - thr)
         for dtype in (np.float32, np.float64):
-            keep = ad._dropout_keep((7, 9, 11), p, np.random.default_rng(20), dtype)
-            scale = dtype(65536 / (65536 - thr))
-            assert keep.dtype == dtype and keep.shape == (7, 9, 11)
-            assert np.all((keep == 0) | (keep == scale))
+            dropped = ad._dropped(np.ones(keep.shape, dtype=dtype), keep, scale)
+            assert dropped.dtype == dtype
+            assert np.all((dropped == 0) | (dropped == dtype(scale)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_boolean_mask_then_scale_equals_one_float_multiply_bitwise(self, dtype):
+        """x * keep * scale has the bits of x * (keep * scale), signed zeros
+        included, in place or not."""
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((64, 20, 64)).astype(dtype)
+        keep, scale = ad._dropout_keep(x.shape, 0.1, np.random.default_rng(23))
+        want = x * np.multiply(keep.astype(dtype), scale, dtype=dtype)
+        assert _same_bits(ad._dropped(x, keep, scale), want)
+        assert _same_bits(ad._dropped(x, keep, scale, out=x.copy()), want)
 
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_kept_fraction_is_the_rounded_rate(self, p):
         """Over about 10^6 draws the kept fraction lies within 5 sigma of
         1 - thr / 2^16."""
         n = 1 << 20
-        kept = np.count_nonzero(ad._dropout_keep((n,), p, np.random.default_rng(21), np.float32))
+        kept = np.count_nonzero(ad._dropout_keep((n,), p, np.random.default_rng(21))[0])
         want = 1.0 - round(p * 65536) / 65536
         assert abs(kept / n - want) <= 5.0 * np.sqrt(want * (1.0 - want) / n)
 
     def test_fixed_generator_gives_a_fixed_mask(self):
         """Four 16-bit values per raw 64-bit word, lowest bits first."""
-        keep = ad._dropout_keep((2, 8), 0.5, np.random.default_rng(0), np.float32)
+        keep, scale = ad._dropout_keep((2, 8), 0.5, np.random.default_rng(0))
         words = np.random.default_rng(0).bit_generator.random_raw(4)
         u = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
-        assert np.array_equal(keep.ravel(), np.float32([2.0 * (v >= 32768) for v in u]))
+        assert scale == 2.0
+        assert np.array_equal(keep.ravel(), [v >= 32768 for v in u])
         assert "".join("1" if v else "0" for v in keep.ravel()) == "1111111010001000"
-        again = ad._dropout_keep((2, 8), 0.5, np.random.default_rng(0), np.float32)
+        again, _ = ad._dropout_keep((2, 8), 0.5, np.random.default_rng(0))
         assert np.array_equal(keep, again)
 
     def test_a_rate_that_rounds_to_one_is_refused(self):
         with pytest.raises(ad.AutodiffError, match="16-bit"):
-            ad._dropout_keep((4,), 1.0 - 2.0**-18, np.random.default_rng(0), np.float32)
+            ad._dropout_keep((4,), 1.0 - 2.0**-18, np.random.default_rng(0))
+
+
+class TestResidualAffine:
+    """residual_affine, one node for h + dropout(x @ w + b)."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.0])
+    @pytest.mark.parametrize("x_shape,fan_out", [
+        ((64, 20, 64), 64),    # the desk BeT's attention output projection
+        ((64, 20, 256), 64),   # and its MLP's second layer
+        ((1280, 64), 64),      # rank 2
+        ((3, 5, 64), 64),      # 15 rows, not a multiple of 4
+        ((7, 256), 64),
+    ])
+    def test_equals_the_unfused_branch_bitwise(self, p, x_shape, fan_out):
+        """Output and the gradients of h, x, w and b, float32, with a fixed
+        generator for the mask."""
+        rng = np.random.default_rng(sum(x_shape) + fan_out)
+        data = [rng.standard_normal(x_shape[:-1] + (fan_out,)),
+                rng.standard_normal(x_shape),
+                0.1 * rng.standard_normal((x_shape[-1], fan_out)),
+                rng.standard_normal(fan_out)]
+        probe = ad.Tensor(rng.standard_normal(x_shape[:-1] + (fan_out,)).astype(np.float32))
+        got = []
+        for branch in (ad.residual_affine, _unfused_residual):
+            leaves = [ad.Tensor(a.astype(np.float32), requires_grad=True) for a in data]
+            out = branch(*leaves, p, np.random.default_rng(24), True)
+            ad.backward(ad.mean_all(ad.mul(out, probe)))
+            got.append([out.data] + [leaf.grad for leaf in leaves])
+        for name, fused, ref in zip(("out", "h", "x", "w", "b"), *got):
+            assert _same_bits(fused, ref), name
+
+    def test_eval_mode_equals_the_sum_bitwise(self):
+        rng = np.random.default_rng(25)
+        h, x = (ad.Tensor(rng.standard_normal((5, 4, 64)).astype(np.float32)) for _ in range(2))
+        w = ad.Tensor((0.1 * rng.standard_normal((64, 64))).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(64).astype(np.float32))
+        want = ad.add(h, ad.affine(x, w, b)).data
+        with ad.no_grad():
+            assert _same_bits(ad.residual_affine(h, x, w, b, 0.1, None, False).data, want)
+
+    def test_matches_finite_differences_at_rank_2_and_3(self):
+        rng = np.random.default_rng(26)
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        for shape in ((6, 4), (2, 3, 4)):
+            h = rng.standard_normal(shape[:-1] + (3,))
+            x = rng.standard_normal(shape)
+            probe = rng.standard_normal(shape[:-1] + (3,))
+
+            def build(hh, a, W, c):
+                # A fresh generator per evaluation: every call drops the same units.
+                out = ad.residual_affine(hh, a, W, c, 0.3, np.random.default_rng(27), True)
+                return probe_loss(out, probe)
+
+            check_grads(build, [h, x, w, b], rng)
+
+    def test_a_stream_of_another_shape_is_refused(self):
+        x, w, b = ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((4, 3))), ad.tensor(np.zeros(3))
+        with pytest.raises(ad.AutodiffError, match="residual_affine"):
+            ad.residual_affine(ad.tensor(np.ones(3)), x, w, b, 0.0, None, False)
 
 
 class TestTapeSemantics:

@@ -287,12 +287,13 @@ def test_train_step_gradient_matches_finite_difference():
 
 def test_train_step_tape_size():
     """Tensors built by one update: input and target, then per forward 4 for
-    the embedding, 11 per block (layer norms, attention and affines are one
-    node each, the query, key and value projections are one packed affine,
-    and the MLP's relu is part of its first affine) and 3 for
-    the head, plus the loss. A per-head loop or a layer norm built from
-    primitive ops would add dozens. The inputs arrive saturated
-    (``Normalizer.transform``), so the forward adds no clip node."""
+    the embedding, 7 per block and 3 for the head, plus the loss. A block
+    is two layer norms, the packed query, key and value affine, attention,
+    the MLP's first affine with its relu, and two residual branches of one
+    node each (last affine, dropout and sum). A per-head loop or a layer
+    norm built from primitive ops would add dozens. The inputs arrive
+    saturated (``Normalizer.transform``), so the forward adds no clip
+    node."""
     cfg = _tiny_cfg(n_layers=3, n_heads=4)
     model = BeT(cfg, RNG(43))
     obs = RNG(44).standard_normal((2, 8, 6)).astype(np.float32)
@@ -301,7 +302,71 @@ def test_train_step_tape_size():
     before = ad.Tensor(0.0)._serial
     train_step(model, obs, act, opt, RNG(45))
     built = ad.Tensor(0.0)._serial - before - 1
-    assert built == 2 + 4 + 11 * cfg.n_layers + 3 + 1
+    assert built == 2 + 4 + 7 * cfg.n_layers + 3 + 1
+
+
+def _retained_bytes(root, excluded):
+    """Bytes of the distinct buffers that the tape under root holds: the
+    data of every reachable tensor and the arrays in its backward closure.
+    Views count once, as their base; buffers in excluded do not count."""
+    owners, seen, stack = {}, set(), [root]
+
+    def hold(value):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            if id(value) not in excluded:
+                owners[id(value)] = value.nbytes
+        elif isinstance(value, ad.Tensor):
+            stack.append(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                hold(item)
+        elif callable(value):
+            for cell in getattr(value, "__closure__", None) or ():
+                hold(cell.cell_contents)
+
+    while stack:
+        node = stack.pop()
+        for value in (node.data, node._vjp, node._parents):
+            hold(value)
+    return sum(owners.values())
+
+
+def test_train_step_tape_retains_only_what_the_backward_reads(monkeypatch):
+    """The bytes that one update's tape holds when its backward starts,
+    parameters excluded: the input and target, each node's output, and what
+    the fused backwards read. Dropout masks are one byte per element; the
+    residual branches' products and the attention's dropped weights and
+    head-split copies are not held."""
+    cfg = _tiny_cfg(n_layers=3, n_heads=4)
+    model = BeT(cfg, RNG(43))
+    obs = RNG(44).standard_normal((2, 8, 6)).astype(np.float32)
+    act = np.zeros((2, 8, 2), dtype=np.float32)
+    params = {id(p.data) for p in model.params().values()}
+    held = []
+    backward = ad.backward
+
+    def measured(root):
+        held.append(_retained_bytes(root, params))
+        backward(root)
+
+    monkeypatch.setattr(ad, "backward", measured)
+    train_step(model, obs, act, Lamb(model.params(), LambConfig()), RNG(45))
+    n, d, f = 2 * 8, cfg.embed_dim, 4          # positions, width, bytes of a float32
+    weights = cfg.n_heads * 2 * 8 * 8           # attention weights of one block
+    layer_norm = 2 * n * d * f + n * f          # output, normalized input, std
+    branch = n * d * f + n * d                  # residual output and its mask
+    block = (layer_norm + 3 * n * d * f                  # packed query, key and value
+             + n * d * f + weights * f + weights         # attention: output, weights, mask
+             + branch + layer_norm + cfg.mlp_ratio * n * d * f + branch)
+    embed = n * cfg.obs_dim * f + 3 * n * d * f + n * d  # input, affine, sum, dropout, mask
+    head = layer_norm + 2 * n * cfg.act_dim * f          # head affine and tanh
+    loss = 2 * n * cfg.act_dim * f + f                   # target, difference, value
+    assert held == [embed + cfg.n_layers * block + head + loss]
 
 
 def test_training_fits_a_tiny_mapping():
