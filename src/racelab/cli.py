@@ -27,25 +27,26 @@ when unset), in an experiment directory and one run directory per mode:
 <stage8> starts the stage key, the hash of the config without mode,
 alpha, train and bc, which no stage product reads. So every mode trained
 on one course shares its demonstrations and its sequence base. <run8>
-starts the run key, the hash of the config without its stopping rules
-(train.iterations and train.eval_every). A supervised-only mode's run key
-also leaves out alpha and every train field but eval_cars and
-eval_max_steps, which it does not read. ``--out DIR`` writes all of it
-flat into DIR instead.
+starts the run key, the hash of the config fields that the mode reads,
+without its stopping rules (train.iterations and train.eval_every). Every
+mode reads every field, except that only a mode with a bc base reads the
+bc table, only a mode with both a base and a correction head reads
+alpha, and a supervised-only mode reads only eval_cars and
+eval_max_steps of train. ``--out DIR`` writes all of it flat into DIR
+instead.
 
 Reuse and resume. Each stage product records the stage key it was built
 under, and is reused only while every product in the experiment directory
-records the current one. A run's bundle records the whole config the run
-was trained under, and is resumed only by a config that differs from it
-at most in the stopping rules and ``--out``: a longer iteration budget
-resumes the same run directory in either layout, and a budget below the
-bundle's iteration is refused. A finished supervised-only run is reused
-from its summary.json, under the same rule against its config.json, and
-nothing is computed or written again. A base given by ``--bet`` is not
-part of the run key: the summary records its sha256 as ``bet_sha256``, and
-a run is reused only for the base it evaluated. Any mismatch exits 2
-before anything is written, naming the file, the first differing key and
-both values. The experiment directory's ``.lock`` is held while stages
+records the current one. A run directory's config.json records the whole
+config its run was started under, and its bundle the config it was
+trained under. For every mode, each record that exists must differ from
+the config at most in the fields the mode does not read, the stopping
+rules and ``--out``: a longer iteration budget resumes the same run
+directory in either layout, and a budget below the bundle's iteration is
+refused. A finished supervised-only run is reused from its summary.json,
+and nothing is computed or written again. Any mismatch exits 2 before
+anything is written, naming the file, the first differing key and both
+values. The experiment directory's ``.lock`` is held while stages
 are built, and the run directory's while training. Each is a kernel lock
 (``flock``), which the kernel releases when the process ends, however it
 ends, so the CLI runs on POSIX systems only. Stage products and checkpoint
@@ -82,7 +83,6 @@ import contextlib
 import dataclasses
 import fcntl
 import glob
-import hashlib
 import json
 import os
 import sys
@@ -142,7 +142,6 @@ def _build_parser():
              "building any missing stage first (resumable)")
     sp.add_argument("--mode", choices=list(MODE_SPECS), default=None)
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--bet", default=None, help="sequence-base checkpoint path")
 
     sp = add("eval", "evaluate a checkpoint bundle with the lap protocol", config=False)
     sp.add_argument("--bundle", default=None, help="checkpoint bundle directory")
@@ -262,10 +261,9 @@ def _require(path, what, hint):
 
 
 def _write_config_snapshot(cfg, out_dir):
-    path = os.path.join(out_dir, "config.json")
-    snapshot = {"resolved": cfg.resolved, **_trace(cfg)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True, indent=1)
+    """Record the run's config, by replace: each run is checked against it."""
+    with nets.replacing(os.path.join(out_dir, "config.json"), "w") as fh:
+        json.dump({"resolved": cfg.resolved, **_trace(cfg)}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -295,20 +293,13 @@ def _run_record(bundle):
     return manifest, build_config(manifest["resolved"])
 
 
-def _outside_base(path):
-    """The summary field that names a base given by --bet: its sha256."""
-    if path is None:
-        return {}
-    with open(path, "rb") as fh:
-        return {"bet_sha256": hashlib.sha256(fh.read()).hexdigest()}
-
-
-def _check_run(cfg, run_dir, outside):
-    """Refuse to resume a bundle that a run of another config wrote, or one
-    that has trained past the config's iteration budget. A finished
-    supervised-only run is reused as it stands, under the same rule against
-    its config.json, if it evaluated the same base; returns whether it was."""
-    bundle, summary = (os.path.join(run_dir, name) for name in ("bundle", "summary.json"))
+def _check_run(cfg, run_dir):
+    """Refuse a run directory whose bundle or config.json records a run of
+    another config, or whose bundle has trained past the config's iteration
+    budget. A finished supervised-only run is reused as it stands; returns
+    whether it was."""
+    bundle, config, summary = (os.path.join(run_dir, name)
+                               for name in ("bundle", "config.json", "summary.json"))
     if ail.has_bundle(bundle):
         manifest = _run_record(bundle)[0]
         _check_record(cfg, f"{bundle}/manifest.json", manifest["resolved"], "the bundle")
@@ -316,14 +307,11 @@ def _check_run(cfg, run_dir, outside):
             raise RuntimeError(f"{bundle}/manifest.json records iteration {manifest['iteration']}, "
                                f"beyond train.iterations {cfg.train.iterations} "
                                "(a shorter budget cannot resume it; use another --out)")
-        return False
+    if os.path.exists(config):
+        with open(config, "r", encoding="utf-8") as fh:
+            _check_record(cfg, config, json.load(fh)["resolved"], "the run")
     if MODE_SPECS[cfg.mode]["residual"] or not os.path.exists(summary):
         return False
-    with open(os.path.join(run_dir, "config.json"), "r", encoding="utf-8") as fh:
-        _check_record(cfg, fh.name, json.load(fh)["resolved"], "the run")
-    with open(summary, "r", encoding="utf-8") as fh:
-        if json.load(fh).get("bet_sha256") != outside.get("bet_sha256"):
-            return False
     print(f"reusing {summary}")
     return True
 
@@ -367,11 +355,11 @@ def _ensure_course(cfg, exp_dir, track_file, demos_file, spec, laps):
 
 
 def _ensure_base(cfg, exp_dir):
-    """Fit the sequence base on the pretraining course(s) unless it exists; returns its path."""
+    """Fit the sequence base on the pretraining course(s) unless it exists."""
     bet_path = os.path.join(exp_dir, "bet.ckpt")
     if os.path.exists(bet_path):
         print(f"reusing {bet_path}")
-        return bet_path
+        return
     merged = DemoSet.merge([
         _ensure_course(cfg, exp_dir, os.path.join("pretrain", f"track_{i}.json"),
                        os.path.join("pretrain", f"demos_{i}.ckpt"), spec, cfg.demo_laps_pretrain)[1]
@@ -390,7 +378,6 @@ def _ensure_base(cfg, exp_dir):
     bet_mod.save_bet(bet_path, model, merged.normalizer,
                      extra={**trace, "updates_run": len(history), "final_loss": history[-1]})
     print(f"sequence base: {len(history)} updates, final loss {history[-1]:.5f} -> {bet_path}")
-    return bet_path
 
 
 def _train_bc_base(cfg, demos, out_dir):
@@ -412,7 +399,7 @@ def _emit(cfg, out_dir, report, curve, extra_meta=None):
           f"steering change {report.steering_change_mean:.4f} rad -> {paths[2]}")
 
 
-def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path, outside):
+def _run_training(cfg, exp_dir, run_dir, track, demos):
     """Train the configured mode in run_dir, resuming its bundle, and report."""
     bundle_dir = os.path.join(run_dir, "bundle")
     if ail.has_bundle(bundle_dir):
@@ -420,7 +407,8 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path, outside):
         print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
     else:
         spec = MODE_SPECS[cfg.mode]
-        bet, bet_normalizer, _ = bet_mod.load_bet(bet_path) if spec["base"] == "bet" else [None] * 3
+        bet, bet_normalizer, _ = (bet_mod.load_bet(os.path.join(exp_dir, "bet.ckpt"))
+                                  if spec["base"] == "bet" else [None] * 3)
         bc = _train_bc_base(cfg, demos, run_dir) if spec["base"] == "bc" else None
         stack = build_policy_stack(cfg.mode, demos.normalizer, demos.obs_dim,
                                    stream(cfg.seed, "init", 0), alpha=cfg.alpha, bet=bet,
@@ -433,8 +421,7 @@ def _run_training(cfg, exp_dir, run_dir, track, demos, bet_path, outside):
                                        max_steps=cfg.train.eval_max_steps,
                                        seed=cfg.seed, tag=0)
             _emit(cfg, run_dir, report, [report.curve_point(0, 0)],
-                  {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0,
-                   **outside})
+                  {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0})
             return
         trainer = ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
 
@@ -470,25 +457,21 @@ _STAGE = {"gen-track": "track", "gen-demos": "demos", "pretrain-bet": "bet",
 def cmd_pipeline(args):
     """Build the stages up to the command's own, each only when it is missing.
 
-    Every stage product in the experiment directory, and the run's bundle,
-    is checked before anything is written.
+    Every stage product in the experiment directory, and the run's bundle
+    and config.json, are checked before anything is written.
     """
     stage = _STAGE[args.command]
     cfg = _load_cfg(args, need_mode=stage == "train")
     exp_dir, run_dir = _dirs(cfg)
-    bet_path = getattr(args, "bet", None)
-    if bet_path is not None:
-        _require(bet_path, "sequence-base checkpoint", "check --bet")
-    outside = _outside_base(bet_path if cfg.needs_bet() else None)
     with _locked(exp_dir):
         _check_stage_keys(cfg, exp_dir)
-        if stage == "train" and _check_run(cfg, run_dir, outside):
+        if stage == "train" and _check_run(cfg, run_dir):
             return EXIT_OK
         track, demos = _ensure_course(cfg, exp_dir, "track.json",
                                       None if stage == "track" else "demos.ckpt",
                                       cfg.track_spec, cfg.demo_laps)
-        if stage == "bet" or (stage == "train" and cfg.needs_bet() and bet_path is None):
-            bet_path = _ensure_base(cfg, exp_dir)
+        if stage == "bet" or (stage == "train" and cfg.needs_bet()):
+            _ensure_base(cfg, exp_dir)
     if stage == "track":
         print(f"track {eval_mod.track_id(track)}: length {track.length:.1f} m, "
               f"half width {track.half_width:.1f} m -> {os.path.join(exp_dir, 'track.json')}")
@@ -499,7 +482,7 @@ def cmd_pipeline(args):
     elif stage == "train":
         with _locked(run_dir):
             _write_config_snapshot(cfg, run_dir)
-            _run_training(cfg, exp_dir, run_dir, track, demos, bet_path, outside)
+            _run_training(cfg, exp_dir, run_dir, track, demos)
     return EXIT_OK
 
 

@@ -153,7 +153,8 @@ def config_hash(resolved):
 
 
 # Fields no stage product reads, so runs that differ only in them share
-# one course, one demonstration set and one sequence base.
+# one course, one demonstration set and one sequence base. A run's key
+# takes each of them only when its mode reads it (_reads).
 _TRAINING_ONLY = ("mode", "alpha", "train", "bc")
 
 # What a resumed run may change: its output location, and the training
@@ -161,23 +162,32 @@ _TRAINING_ONLY = ("mode", "alpha", "train", "bc")
 _RESUMABLE = ("out", "train.iterations", "train.eval_every")
 
 
-# What a supervised-only mode (no correction head) reads of alpha and the
-# training fields: the size of its one evaluation.
-_SUPERVISED_READS = ("train.eval_cars", "train.eval_max_steps")
+def _reads(spec, key):
+    """Whether a run of the mode that MODE_SPECS row spec describes reads
+    the config leaf at a dotted key, outside its stopping rules: the bc
+    table only with a bc base, alpha only with a base and a correction
+    head, and of train, without a correction head, only the size of its
+    one evaluation."""
+    if key in _RESUMABLE:
+        return False
+    if key.startswith("bc."):
+        return spec["base"] == "bc"
+    if key == "alpha":
+        return spec["base"] is not None and spec["residual"]
+    if key.startswith("train."):
+        return spec["residual"] or key in ("train.eval_cars", "train.eval_max_steps")
+    return True
 
 
-def _run_fields(tree, prefix=""):
-    """Dotted key -> value of every config leaf that a resumed run keeps.
-    A supervised-only mode keeps no alpha and, of train, only what it reads."""
+def _run_fields(tree, spec, prefix=""):
+    """Dotted key -> value of every config leaf that a run of the mode
+    that spec describes reads and a resumed run keeps."""
     fields = {}
     for key, value in tree.items():
         if isinstance(value, dict):
-            fields.update(_run_fields(value, f"{prefix}{key}."))
-        elif prefix + key not in _RESUMABLE:
+            fields.update(_run_fields(value, spec, f"{prefix}{key}."))
+        elif _reads(spec, prefix + key):
             fields[prefix + key] = value
-    if not prefix and not MODE_SPECS.get(tree["mode"], {"residual": True})["residual"]:
-        fields = {key: value for key, value in fields.items()
-                  if key in _SUPERVISED_READS or not key.startswith(("alpha", "train."))}
     return fields
 
 
@@ -215,17 +225,19 @@ class ExperimentConfig:
 
     @property
     def run_hash(self):
-        """Hash of what a run's products depend on: the config without its
-        output location and stopping rules, so a longer budget keeps it,
-        and for a supervised-only mode without what it does not read."""
-        return config_hash(_run_fields(self.resolved))
+        """Hash of what a run's products depend on: the config fields that
+        its mode reads, without its output location and stopping rules, so
+        a longer budget keeps it."""
+        return config_hash(_run_fields(self.resolved, MODE_SPECS[self.mode]))
 
     def run_difference(self, recorded):
         """(dotted key, recorded value, own value) at the first key, the
         mode first and then in sorted order, where a recorded resolved
-        config differs from this one outside what a resume may change;
-        None when it may resume."""
-        own, was = _run_fields(self.resolved), _run_fields(recorded)
+        config differs from this one in a field that this config's mode
+        reads; None when it may resume. A recorded run of another mode
+        differs at the mode."""
+        spec = MODE_SPECS[self.mode]
+        own, was = _run_fields(self.resolved, spec), _run_fields(recorded, spec)
         keys = sorted(own.keys() | was.keys(), key=lambda key: (key != "mode", key))
         return next(((key, was.get(key), own.get(key)) for key in keys
                      if own.get(key) != was.get(key)), None)

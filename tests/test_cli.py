@@ -80,7 +80,7 @@ OPTIONS = {
     "gen-track": {"--config", "--seed", "--out", "--preset", "--track-seed", "--half-width"},
     "gen-demos": {"--config", "--seed", "--out", "--laps"},
     "pretrain-bet": {"--config", "--seed", "--out"},
-    "train": {"--config", "--seed", "--out", "--mode", "--alpha", "--bet"},
+    "train": {"--config", "--seed", "--out", "--mode", "--alpha"},
     "run": {"--config", "--seed", "--out"},
     "eval": {"--out", "--bundle", "--cars", "--max-steps", "--tag"},
     "report": {"--out", "--bundle"},
@@ -93,7 +93,7 @@ def test_each_command_takes_its_pinned_options():
     got = {name: {flag for action in parser._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, parser in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 30
+    assert sum(map(len, got.values())) == 29
 
 
 def _gen_track(out):
@@ -521,32 +521,6 @@ def test_a_finished_supervised_run_is_reused_as_it_stands(tmp_path, monkeypatch,
     assert _tree(tmp_path / "runs") == before
 
 
-def test_a_supervised_run_is_reused_only_for_the_base_it_evaluated(tmp_path, monkeypatch,
-                                                                    capsys):
-    # --bet is not part of the run key, so the summary names the base.
-    cfg = _write(tmp_path / "c.json", TINY)
-    assert cli.main(["train", "--config", cfg, "--mode", "bet"]) == cli.EXIT_OK
-    (exp,) = (tmp_path / "runs").iterdir()
-    (run,) = exp.glob("bet-*")
-    first = (run / "summary.json").read_bytes()
-    assert "bet_sha256" not in json.loads(first)
-    model, normalizer, _ = bet.load_bet(str(exp / "bet.ckpt"))
-    model.head.W.data *= 0.5
-    other = tmp_path / "other.ckpt"
-    bet.save_bet(str(other), model, normalizer)
-    sha = hashlib.sha256(other.read_bytes()).hexdigest()
-
-    reused = f"reusing {run / 'summary.json'}"
-    for argv, again in ((["--bet", str(other)], True), (["--bet", str(other)], False),
-                        ([], True)):
-        capsys.readouterr()
-        assert cli.main(["train", "--config", cfg, "--mode", "bet", *argv]) == cli.EXIT_OK
-        assert (reused not in capsys.readouterr().out) == again, (argv, again)
-        assert json.loads((run / "summary.json").read_text()).get("bet_sha256") == \
-            (sha if argv else None)
-    assert (run / "summary.json").read_bytes() == first
-
-
 def test_interrupted_summary_write_leaves_the_run_unfinished(tmp_path, monkeypatch, capsys):
     cfg, out = _write(tmp_path / "c.json", TINY), tmp_path / "X"
 
@@ -571,11 +545,32 @@ def test_a_supervised_run_of_another_config_is_refused(tmp_path, capsys):
     assert cli.main(["train", "--config", cfg, "--mode", "bc", "--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     before = _tree(out)
-    assert cli.main(["train", "--config", cfg, "--mode", "bet", "--out", str(out)]) == \
+    # A trained mode is checked against config.json too, without a bundle.
+    for mode in ("bet", "ail"):
+        assert cli.main(["train", "--config", cfg, "--mode", mode, "--out", str(out)]) == \
+            cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (f"error: {out / 'config.json'} records mode 'bc', "
+                                           f"not '{mode}' (use another --out, or remove the run)\n")
+        assert _tree(out) == before
+
+
+def test_interrupted_config_write_leaves_no_record(tmp_path, monkeypatch, capsys):
+    cfg, out = _write(tmp_path / "c.json", TINY), tmp_path / "X"
+
+    def torn(doc, fh, **kwargs):
+        fh.write("{")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(load=json.load, dump=torn))
+    assert cli.main(["train", "--config", cfg, "--mode", "ail", "--out", str(out)]) == \
         cli.EXIT_RUNTIME
-    assert capsys.readouterr().err == (f"error: {out / 'config.json'} records mode 'bc', "
-                                       "not 'bet' (use another --out, or remove the run)\n")
-    assert _tree(out) == before
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (out / "config.json").exists() and not (out / "config.json.tmp").exists()
+
+    # A torn config.json would stop the next run at its check.
+    monkeypatch.setattr(cli, "json", json)
+    assert cli.main(["train", "--config", cfg, "--mode", "ail", "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "config.json").read_text())["resolved"]["mode"] == "ail"
 
 
 @pytest.mark.parametrize("flag, value, low", [("--cars", "0", 1), ("--max-steps", "1", 2)])
@@ -621,8 +616,8 @@ MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.
     (["pretrain-bet", "--config", "bad.json"], 1, "is not valid JSON"),
     (["pretrain-bet", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
     (["train", "--config", "tiny.json"], 1, "config field 'mode' is required"),
-    (["train", "--mode", "betail", "--bet", "nope.ckpt", "--config", "tiny.json"], 2,
-     "missing sequence-base checkpoint: nope.ckpt (check --bet)"),
+    (["train", "--mode", "betail", "--bet", "x.ckpt", "--config", "tiny.json"], 1,
+     "unrecognized arguments: --bet x.ckpt"),
     (["run", "--config", "unknown.json"], 1, "unknown config key 'trian'"),
     (["run", "--seed", "5", "--config", "betail.json", "--out", "X"], 2, "stage key"),
     (["eval"], 1, "eval needs --bundle"),

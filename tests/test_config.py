@@ -398,24 +398,33 @@ def test_run_key_ignores_only_the_stopping_rules():
         ("mode", "bc", "ail")
 
 
-@pytest.mark.parametrize("mode", ["bet", "bc"])
-def test_supervised_run_key_leaves_out_what_the_mode_does_not_read(mode):
-    # A supervised-only mode reads no alpha and, of train, only the size of
-    # its one evaluation.
-    base = build_config(minimal(mode=mode))
-    unread = build_config(minimal(mode=mode, alpha=0.3, train={
-        "sac": {"lr": 0.5}, "policy_hidden": [8], "n_cars": 3}))
-    assert unread.run_hash == base.run_hash and unread.hash != base.hash
-    assert base.run_difference(unread.resolved) is None
-    read = [({"train": {"eval_cars": 3}}, "train.eval_cars"),
-            ({"train": {"eval_max_steps": 9}}, "train.eval_max_steps")]
-    if mode == "bc":
-        read.append(({"bc": {"lr": 0.5}}, "bc.lr"))
-    for change, key in read:
-        other = build_config(minimal(mode=mode, **change))
-        assert other.run_hash != base.run_hash, key
-        assert base.run_difference(other.resolved)[0] == key
-    # A trained mode reads them all; the mode is named first.
-    betail = build_config(minimal(mode="betail", alpha=0.3))
-    assert betail.run_hash != build_config(minimal(mode="betail", alpha=0.2)).run_hash
-    assert base.run_difference(betail.resolved) == ("mode", "betail", mode)
+# One config field changed against minimal(), and the modes that read it:
+# exactly those whose run key the change moves. Every mode reads
+# train.eval_cars, so a new mode fails the test below until it is added.
+RUN_KEY_READERS = [
+    ("bc.lr", {"bc": {"lr": 0.5}}, {"bc", "bcail"}),
+    ("alpha", {"alpha": 0.3}, {"betail", "bcail"}),
+    ("train.sac.lr", {"train": {"sac": {"lr": 0.5}}}, {"betail", "ail", "bcail"}),
+    ("train.n_cars", {"train": {"n_cars": 3}}, {"betail", "ail", "bcail"}),
+    ("train.policy_hidden", {"train": {"policy_hidden": [8]}}, {"betail", "ail", "bcail"}),
+    ("train.eval_cars", {"train": {"eval_cars": 3}}, {"betail", "ail", "bc", "bcail", "bet"}),
+    ("train.eval_max_steps", {"train": {"eval_max_steps": 9}},
+     {"betail", "ail", "bc", "bcail", "bet"}),
+]
+
+
+@pytest.mark.parametrize("mode", list(MODE_SPECS))
+def test_run_key_leaves_out_what_the_mode_does_not_read(mode):
+    base = build_config(minimal(mode=mode, alpha=0.2))
+    for key, change, readers in RUN_KEY_READERS:
+        other = build_config(minimal(mode=mode, **{"alpha": 0.2, **change}))
+        assert other.hash != base.hash, key
+        difference = base.run_difference(other.resolved)
+        if mode in readers:
+            assert other.run_hash != base.run_hash and difference[0] == key, key
+        else:
+            assert other.run_hash == base.run_hash and difference is None, key
+    # A run of another mode differs first at the mode.
+    for other in MODE_SPECS.keys() - {mode}:
+        recorded = build_config(minimal(mode=other, alpha=0.2)).resolved
+        assert base.run_difference(recorded) == ("mode", other, mode)
