@@ -326,7 +326,7 @@ class TrainConfig:
                 raise ValueError(f"sac.{exc}") from None
         for name, low in (("n_cars", 1), ("rollout_steps", 1), ("disc_updates", 1),
                           ("demo_batch", 1), ("eval_cars", 1), ("eval_max_steps", 2),
-                          ("iterations", 0)):
+                          ("iterations", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.replay_capacity < self.sac.batch:
@@ -415,46 +415,29 @@ class Trainer:
         self.iteration_count = it + 1
         return metrics
 
-    def evaluate_now(self):
-        return eval_mod.evaluate(
-            self.stack, self.track, self.env.params, self.env.cfg, self.demos,
-            n_cars=self.cfg.eval_cars, max_steps=self.cfg.eval_max_steps,
-            seed=self.seed, tag=self.iteration_count,
-        )
+    def run(self, out_dir, on_metrics=None, extra_manifest=None):
+        """Train to the configured iteration budget.
 
-    def run(self, out_dir=None, on_metrics=None, extra_manifest=None):
-        """Train to the configured iteration budget with periodic checks.
-
-        Evaluates (and, when out_dir is set, writes a resumable bundle)
-        every eval_every iterations and at the end. Returns the summary:
-        counters, the training curve, and the final evaluation.
+        Evaluates and writes a resumable bundle to ``out_dir/bundle`` every
+        eval_every iterations and at the last one, so a finished run's
+        record is its final bundle: counters, the training curve and the
+        last evaluation.
         """
         cfg = self.cfg
-        report = None
         while self.iteration_count < cfg.iterations:
             it = self.iteration_count
             metrics = self.iteration(it)
-            due = (cfg.eval_every and (it + 1) % cfg.eval_every == 0) or it + 1 == cfg.iterations
-            if due:
-                report = self.evaluate_now()
+            if (cfg.eval_every and (it + 1) % cfg.eval_every == 0) or it + 1 == cfg.iterations:
+                report = eval_mod.evaluate(
+                    self.stack, self.track, self.env.params, self.env.cfg, self.demos,
+                    n_cars=cfg.eval_cars, max_steps=cfg.eval_max_steps,
+                    seed=self.seed, tag=self.iteration_count)
                 self.last_eval = report.to_dict()
                 self.curve.append(report.curve_point(it + 1, self.env_steps))
                 metrics["eval_success_rate"] = report.success_rate
-                if out_dir is not None:
-                    save_bundle(os.path.join(out_dir, "bundle"), self, extra_manifest)
+                save_bundle(os.path.join(out_dir, "bundle"), self, extra_manifest)
             if on_metrics is not None:
                 on_metrics(metrics)
-        if report is None:
-            report = self.evaluate_now()
-        return {
-            "mode": self.stack.mode,
-            "alpha": self.stack.residual.alpha,
-            "seed": self.seed,
-            "iterations": self.iteration_count,
-            "env_steps": self.env_steps,
-            "curve": self.curve,
-            "final_eval": report.to_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------

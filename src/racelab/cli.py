@@ -38,21 +38,25 @@ instead.
 Reuse and resume. Each stage product records the stage key it was built
 under, and is reused only while every product in the experiment directory
 records the current one. A run directory's config.json records the whole
-config its run was started under, and its bundle the config it was
-trained under. For every mode, each record that exists must differ from
-the config at most in the fields the mode does not read, the stopping
-rules and ``--out``: a longer iteration budget resumes the same run
-directory in either layout, and a budget below the bundle's iteration is
-refused. A finished supervised-only run is reused from its summary.json,
-and nothing is computed or written again. Any mismatch exits 2 before
-anything is written, naming the file, the first differing key and both
-values. The experiment directory's ``.lock`` is held while stages
-are built, and the run directory's while training. Each is a kernel lock
-(``flock``), which the kernel releases when the process ends, however it
-ends, so the CLI runs on POSIX systems only. Stage products and checkpoint
-files are written to a temporary name and then renamed into place, so a
-run killed while writing leaves the old file or none, and a write stopped
-by an exception removes its temporary file.
+config its run was started under, and its bundle the config it was trained
+under. For every mode, each record that exists must differ from the config
+at most in the fields the mode does not read, the stopping rules and
+``--out``: a longer iteration budget resumes the same run directory in
+either layout, and a budget below the bundle's iteration is refused. A
+finished run of any mode, one whose summary.json records the iteration the
+run ends at (0 for a supervised-only mode, train.iterations otherwise), is
+reused as it stands: nothing is loaded, computed or written again. A
+trained run's summary.json is stamped from its final bundle's record, as
+``report`` stamps it, so a run stopped after its last bundle finishes
+without evaluating again. Any mismatch exits 2 before anything is written,
+naming the file, the first differing key and both values. The experiment
+directory's ``.lock`` is held while stages are built, and the run
+directory's while training. Each is a kernel lock (``flock``), which the
+kernel releases when the process ends, however it ends, so the CLI runs on
+POSIX systems only. Stage products and checkpoint files are written to a
+temporary name and then renamed into place, so a run killed while writing
+leaves the old file or none, and a write stopped by an exception removes
+its temporary file.
 
 ``eval --bundle`` and ``report`` take the run's config from its bundle;
 eval reads the course and demo files that the bundle's manifest names,
@@ -73,9 +77,7 @@ Stage by stage, with smoke.json holding
 
 The first betail run's summary.json, bet.ckpt and bundle/residual.ckpt
 equal those of one ``run`` of the config with ``"mode": "betail"``, and
-the run at alpha 0.1 and the bet run reuse the same bet.ckpt. gen-track's
-course flags override the config's course, so they change the stage key
-as well.
+the run at alpha 0.1 and the bet run reuse the same bet.ckpt.
 """
 
 import argparse
@@ -128,13 +130,8 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="output directory")
         return sp
 
-    sp = add("gen-track", "generate (or copy) the target course file")
-    sp.add_argument("--preset", choices=["circle", "oval", "random"], default=None)
-    sp.add_argument("--track-seed", type=int, default=None)
-    sp.add_argument("--half-width", type=float, default=None)
-
-    sp = add("gen-demos", "record scripted demonstration laps on the target course")
-    sp.add_argument("--laps", type=int, default=None, help="override the lap count")
+    add("gen-track", "generate the target course file")
+    add("gen-demos", "record scripted demonstration laps on the target course")
 
     add("pretrain-bet", "fit the sequence base on the pretraining course demos")
 
@@ -178,14 +175,6 @@ def _load_cfg(args, need_mode):
     for key in ("seed", "out", "mode", "alpha"):
         if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
-    if getattr(args, "preset", None):
-        doc["track"] = {"preset": args.preset}
-    if getattr(args, "track_seed", None) is not None:
-        doc.setdefault("track", {})["seed"] = args.track_seed
-    if getattr(args, "half_width", None) is not None:
-        doc.setdefault("track", {})["half_width"] = args.half_width
-    if getattr(args, "laps", None) is not None:
-        doc.setdefault("demos", {})["laps"] = args.laps
     if not need_mode and "mode" not in doc:
         # Course and demo generation do not depend on the mode; any
         # placeholder keeps the schema satisfied, and "ail" needs no alpha.
@@ -244,15 +233,10 @@ def _trace(cfg, stage=False):
 
 
 def _track_from_spec(spec):
-    """The course a track spec names: a file, or a preset whose other keys
-    go to gen_track, which owns their defaults."""
+    """The course a track spec names: a preset whose other keys go to
+    gen_track, which owns their defaults."""
     spec = dict(spec)
-    if "path" in spec:
-        return load_track(spec["path"])
-    preset = spec.pop("preset", None)
-    if preset is None:
-        raise ConfigError("track spec needs a 'preset' (circle/oval/random) or a 'path'")
-    return gen_track(preset, **spec)
+    return gen_track(spec.pop("preset"), **spec)
 
 
 def _require(path, what, hint):
@@ -296,8 +280,9 @@ def _run_record(bundle):
 def _check_run(cfg, run_dir):
     """Refuse a run directory whose bundle or config.json records a run of
     another config, or whose bundle has trained past the config's iteration
-    budget. A finished supervised-only run is reused as it stands; returns
-    whether it was."""
+    budget. A finished run, one whose summary.json records the iteration
+    the run ends at (0 without a correction head, train.iterations
+    otherwise), is reused as it stands; returns whether it was."""
     bundle, config, summary = (os.path.join(run_dir, name)
                                for name in ("bundle", "config.json", "summary.json"))
     if ail.has_bundle(bundle):
@@ -310,7 +295,11 @@ def _check_run(cfg, run_dir):
     if os.path.exists(config):
         with open(config, "r", encoding="utf-8") as fh:
             _check_record(cfg, config, json.load(fh)["resolved"], "the run")
-    if MODE_SPECS[cfg.mode]["residual"] or not os.path.exists(summary):
+    if not os.path.exists(summary):
+        return False
+    with open(summary, "r", encoding="utf-8") as fh:
+        ended = json.load(fh)["iterations"]
+    if ended != (cfg.train.iterations if MODE_SPECS[cfg.mode]["residual"] else 0):
         return False
     print(f"reusing {summary}")
     return True
@@ -326,9 +315,17 @@ def _check_record(cfg, record, resolved, what):
 
 
 def _bundle_meta(manifest):
-    """The summary fields that a bundle's counters fix, as training stamps them."""
+    """The summary fields that a bundle's counters fix."""
     return {"mode": manifest["mode"], "alpha": manifest["alpha"],
             "env_steps": manifest["env_steps"], "iterations": manifest["iteration"]}
+
+
+def _report_bundle(bundle, out_dir):
+    """Stamp the report files of the run that bundle records into out_dir,
+    from its last evaluation and training curve, recomputing nothing."""
+    manifest, cfg = _run_record(bundle)
+    _emit(cfg, out_dir, EvalReport.from_dict(manifest["last_eval"]), manifest["curve"],
+          _bundle_meta(manifest))
 
 
 def _ensure(cfg, path, load, save, build):
@@ -439,11 +436,8 @@ def _run_training(cfg, exp_dir, run_dir, track, demos):
     # The course and demo files, relative to the bundle, for `eval --bundle`.
     files = {key: os.path.relpath(os.path.join(exp_dir, name), bundle_dir)
              for key, name in (("track", "track.json"), ("demos", "demos.ckpt"))}
-    summary = trainer.run(out_dir=run_dir, on_metrics=on_metrics,
-                          extra_manifest={"resolved": cfg.resolved, **files})
-    report = EvalReport.from_dict(summary["final_eval"])
-    _emit(cfg, run_dir, report, summary["curve"],
-          {key: summary[key] for key in ("mode", "alpha", "env_steps", "iterations")})
+    trainer.run(run_dir, on_metrics=on_metrics, extra_manifest={"resolved": cfg.resolved, **files})
+    _report_bundle(bundle_dir, run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +511,8 @@ def cmd_eval(args):
 def cmd_report(args):
     if args.bundle is None:
         raise ConfigError("report needs --bundle")
-    manifest, cfg = _run_record(args.bundle)
-    out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "report")
-    _emit(cfg, out_dir, EvalReport.from_dict(manifest["last_eval"]), manifest["curve"],
-          _bundle_meta(manifest))
+    _report_bundle(args.bundle,
+                   args.out or os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "report"))
     return EXIT_OK
 
 

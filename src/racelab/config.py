@@ -28,6 +28,7 @@ from .bet import BeTConfig
 from .env import EpisodeConfig, obs_dim
 from .expert import ExpertParams
 from .policies import MODE_SPECS
+from .track import course_meta
 from .vehicle import VehicleParams
 
 CONTENT_VERSION = 1
@@ -123,7 +124,8 @@ CHALLENGES = {
 }
 
 # Subtrees whose keys the schema does not enumerate: course generation
-# parameters vary by preset and are validated by the generator itself.
+# parameters vary by preset, and build_config checks them with the
+# generator's own check.
 _FREE_SUBTREES = ("track", "pretrain_tracks")
 
 
@@ -261,8 +263,9 @@ def build_config(user):
     """Resolve a raw config dict into an ExperimentConfig.
 
     Raises ConfigError on unknown keys, bad profile or challenge names,
-    missing mode/track, a residual mode without alpha, an alpha outside
-    (0, 1], or a size that a stage cannot run with.
+    missing mode/track, a course table that gen_track would refuse, a
+    residual mode without alpha, an alpha outside (0, 1], or a size that a
+    stage cannot run with.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -297,6 +300,17 @@ def build_config(user):
         raise ConfigError(f"config field 'alpha' must be a number in (0, 1], got {alpha!r}")
     if resolved["pretrain_tracks"] is None:
         resolved["pretrain_tracks"] = [copy.deepcopy(resolved["track"])]
+    courses = resolved["pretrain_tracks"]
+    if not isinstance(courses, list) or not courses:
+        raise ConfigError("config field 'pretrain_tracks' must be a non-empty list of tables")
+    for where, spec in [("track", resolved["track"])] + [
+            (f"pretrain_tracks[{i}]", spec) for i, spec in enumerate(courses)]:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"config field '{where}' must be a table")
+        try:
+            course_meta(**spec)
+        except ValueError as exc:
+            raise ConfigError(f"invalid '{where}' config: {exc}") from None
     demos = resolved["demos"]
     if demos["laps_pretrain"] is None:
         demos["laps_pretrain"] = demos["laps"]

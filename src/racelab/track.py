@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .seeding import stream
 __all__ = [
     "Track",
     "gen_track",
+    "course_meta",
     "save_track",
     "load_track",
     "wrap_angle",
@@ -342,6 +344,28 @@ _PRESETS = {
 }
 
 
+def course_meta(preset=None, seed=0, half_width=6.0, spacing=2.5, **params):
+    """The generation record (``Track.meta``) of a course spec, each preset
+    parameter as its default's type (n_control is an int), after the check
+    that gen_track makes before it generates: a known preset, known
+    parameter names, numeric values and half_width >= MIN_HALF_WIDTH.
+    Raises ValueError naming the bad one."""
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown track preset {preset!r} (choose from {'/'.join(_PRESETS)})")
+    unknown = sorted(set(params) - set(_PRESETS[preset]))
+    if unknown:
+        raise ValueError(f"unknown track parameters: {unknown}")
+    for key, value in {"seed": seed, "half_width": half_width, "spacing": spacing,
+                       **params}.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"track parameter '{key}' must be a number, got {value!r}")
+    if half_width < MIN_HALF_WIDTH:
+        raise ValueError(f"half_width must be >= {MIN_HALF_WIDTH}, got {half_width!r}")
+    return {"preset": preset, **{key: type(default)(params.get(key, default))
+                                 for key, default in _PRESETS[preset].items()},
+            "seed": int(seed), "spacing": float(spacing)}
+
+
 def gen_track(preset, seed=0, half_width=6.0, **params):
     """Generate a track from a named preset.
 
@@ -359,28 +383,22 @@ def gen_track(preset, seed=0, half_width=6.0, **params):
     -------
     Track
     """
-    spacing = float(params.pop("spacing", 2.5))
-    if preset not in _PRESETS:
-        raise ValueError(f"unknown track preset '{preset}'")
-    # Each value takes its default's type: n_control is an int.
-    p = {key: type(default)(params.pop(key, default)) for key, default in _PRESETS[preset].items()}
-    if params:
-        raise ValueError(f"unknown track parameters: {sorted(params)}")
-    meta = {"preset": preset, **p, "seed": int(seed), "spacing": spacing}
+    meta = course_meta(preset, seed, half_width, **params)
+    spacing = meta["spacing"]
     if preset == "circle":
-        count = max(MIN_POINTS, int(round(2.0 * np.pi * p["radius"] / spacing)))
+        count = max(MIN_POINTS, int(round(2.0 * np.pi * meta["radius"] / spacing)))
         ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        pts = p["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        pts = meta["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return Track(pts, half_width, meta)
     if preset == "oval":
-        return Track(_resample_closed(_oval_dense(p["radius"], p["straight"]), spacing),
+        return Track(_resample_closed(_oval_dense(meta["radius"], meta["straight"]), spacing),
                      half_width, meta)
-    n_control = p["n_control"]
+    n_control = meta["n_control"]
     rng = stream(seed, "track")
     # Damp the perturbation until the curvature bound is satisfied.
     for attempt in range(20):
         damp = 0.85**attempt
-        rr = p["radius"] * (1.0 + p["roughness"] * damp * rng.uniform(-1.0, 1.0, n_control))
+        rr = meta["radius"] * (1.0 + meta["roughness"] * damp * rng.uniform(-1.0, 1.0, n_control))
         ang = np.linspace(0.0, 2.0 * np.pi, n_control, endpoint=False)
         ang = ang + rng.uniform(-0.25, 0.25, n_control) * (2.0 * np.pi / n_control) * damp
         control = rr[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)

@@ -77,8 +77,8 @@ def test_course_files_keep_their_bytes(name, tmp_path):
 # The option strings of each subcommand. A new flag is a deliberate edit
 # here, and so a line in the change log.
 OPTIONS = {
-    "gen-track": {"--config", "--seed", "--out", "--preset", "--track-seed", "--half-width"},
-    "gen-demos": {"--config", "--seed", "--out", "--laps"},
+    "gen-track": {"--config", "--seed", "--out"},
+    "gen-demos": {"--config", "--seed", "--out"},
     "pretrain-bet": {"--config", "--seed", "--out"},
     "train": {"--config", "--seed", "--out", "--mode", "--alpha"},
     "run": {"--config", "--seed", "--out"},
@@ -93,11 +93,13 @@ def test_each_command_takes_its_pinned_options():
     got = {name: {flag for action in parser._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, parser in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 29
+    assert sum(map(len, got.values())) == 25
 
 
 def _gen_track(out):
-    return cli.main(["gen-track", "--preset", "circle", "--out", str(out)])
+    cfg = out.parent / "circle.json"
+    cfg.write_text(json.dumps({"track": {"preset": "circle"}}))
+    return cli.main(["gen-track", "--config", str(cfg), "--out", str(out)])
 
 
 def test_lock_of_a_dead_process_is_reclaimed(tmp_path):
@@ -500,10 +502,12 @@ def test_every_mode_writes_one_summary_shape(betail_run, tmp_path):
     assert keys["bc"] == keys["bet"] == keys["betail"]
 
 
-@pytest.mark.parametrize("mode, again", [("bc", []), ("bet", ["--alpha", "0.3"])])
-def test_a_finished_supervised_run_is_reused_as_it_stands(tmp_path, monkeypatch, capsys,
-                                                          mode, again):
-    # A bet run reads no alpha, so --alpha 0.3 names the same run.
+@pytest.mark.parametrize("mode, again", [("bc", []), ("bet", ["--alpha", "0.3"]),
+                                         ("betail", []), ("ail", ["--alpha", "0.3"]),
+                                         ("bcail", [])])
+def test_a_finished_run_of_any_mode_is_reused_as_it_stands(tmp_path, monkeypatch, capsys,
+                                                           mode, again):
+    # A bet or ail run reads no alpha, so --alpha 0.3 names the same run.
     cfg = _write(tmp_path / "c.json", TINY)
     assert cli.main(["train", "--config", cfg, "--mode", mode]) == cli.EXIT_OK
     (exp,) = (tmp_path / "runs").iterdir()
@@ -513,12 +517,37 @@ def test_a_finished_supervised_run_is_reused_as_it_stands(tmp_path, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("the run was done again")
 
-    for owner, name in ((cli, "train_bc"), (cli.eval_mod, "evaluate"), (bet, "pretrain")):
+    for owner, name in ((cli, "train_bc"), (cli.eval_mod, "evaluate"), (bet, "pretrain"),
+                        (ail, "load_bundle"), (ail.Trainer, "iteration")):
         monkeypatch.setattr(owner, name, no_work)
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg, "--mode", mode, *again]) == cli.EXIT_OK
     assert capsys.readouterr().out == f"reusing {run / 'summary.json'}\n"
     assert _tree(tmp_path / "runs") == before
+
+
+def test_a_run_stopped_before_its_summary_finishes_from_its_bundle(betail_run, tmp_path,
+                                                                   monkeypatch, capsys):
+    cfg = _write(tmp_path / "config.json", {**TINY, "mode": "betail"})
+    out = tmp_path / "run"
+    emit_report = cli.emit_report
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "emit_report", interrupt)
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "interrupted\n"
+    assert ail.read_manifest(str(out / "bundle"))["iteration"] == 2
+    assert not (out / "summary.json").exists()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run was evaluated again")
+
+    monkeypatch.setattr(cli, "emit_report", emit_report)
+    monkeypatch.setattr(cli.eval_mod, "evaluate", no_work)
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "summary.json").read_bytes() == (betail_run / "summary.json").read_bytes()
 
 
 def test_interrupted_summary_write_leaves_the_run_unfinished(tmp_path, monkeypatch, capsys):
@@ -634,12 +663,23 @@ MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.
     (["eval", "--bundle", "track-config/bundle"], 2,
      "unrecognized track format in X/config.json"),
     (["eval", "--bundle", "track-demos/bundle"], 2, "unreadable track file X/demos.ckpt"),
+    (["gen-track", "--config", "radus.json"], 1,
+     "invalid 'track' config: unknown track parameters: ['radus']"),
+    (["gen-track", "--config", "narrow.json"], 1,
+     "invalid 'track' config: half_width must be >= 3.0, got 1"),
+    (["pretrain-bet", "--config", "pretrain-x.json"], 1,
+     "invalid 'pretrain_tracks[0]' config: track parameter 'radius' must be a number, got 'x'"),
 ])
 def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, message):
     _write(tmp_path / "bad.json", "{not json")
     _write(tmp_path / "unknown.json", {**TINY, "trian": {}})
     _write(tmp_path / "tiny.json", TINY)
     _write(tmp_path / "betail.json", {**TINY, "mode": "betail"})
+    _write(tmp_path / "radus.json", {**TINY, "track": {"preset": "circle", "radus": 100}})
+    _write(tmp_path / "narrow.json", {**TINY, "track": {**CHALLENGES["maggiore-like"]["track"],
+                                                        "half_width": 1}})
+    _write(tmp_path / "pretrain-x.json",
+           {**TINY, "pretrain_tracks": [{"preset": "oval", "radius": "x"}]})
     # Copies of X's manifest that name a missing or foreign course or demo
     # file in place of X's own; eval reads those files before the nets.
     manifest = json.loads((run_copy / "bundle" / "manifest.json").read_text())

@@ -97,9 +97,9 @@ def test_removed_key_is_rejected_by_path(path, tmp_path, capsys):
     with pytest.raises(ConfigError, match=f"unknown config key '{path}'"):
         build_config(minimal(**doc))
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(minimal(**doc)))
     out = tmp_path / "run"
-    argv = ["gen-track", "--config", str(cfg), "--preset", "circle", "--out", str(out)]
+    argv = ["gen-track", "--config", str(cfg), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert f"unknown config key '{path}'" in capsys.readouterr().err
     assert not out.exists()
@@ -116,7 +116,8 @@ BAD_VALUES = [
     ("train.sac.batch", 0, "invalid 'train' config: sac.batch must be >= 1"),
     ("train.replay_capacity", 10, "invalid 'train' config: replay_capacity must be >= sac.batch"),
     ("train.eval_max_steps", 1, "invalid 'train' config: eval_max_steps must be >= 2"),
-    ("train.iterations", -1, "invalid 'train' config: iterations must be >= 0"),
+    ("train.iterations", 0, "invalid 'train' config: iterations must be >= 1"),
+    ("train.iterations", -1, "invalid 'train' config: iterations must be >= 1"),
     ("train.sac.gradient_steps", -1, "invalid 'train' config: sac.gradient_steps must be >= 0"),
     ("bet.embed_dim", 0, "invalid 'bet' config: embed_dim must be >= 1"),
     ("bet.embed_dim", -4, "invalid 'bet' config: embed_dim must be >= 1"),
@@ -167,8 +168,8 @@ def test_typed_subconfig_errors_are_wrapped():
 
 
 def test_track_subtree_is_free_form():
-    # Course generation parameters are preset-specific and pass through
-    # unvalidated here.
+    # Course generation parameters are preset-specific; the schema leaves
+    # them to the generator's own check.
     cfg = build_config(
         minimal(track={"preset": "random", "seed": 5, "roughness": 0.3, "radius": 150})
     )
