@@ -22,6 +22,14 @@ first yaw rate reads 0).
 State and actions are quantized to the float32 grid at every step
 boundary; all trajectory logs store float32, which makes open-loop replay
 of a logged episode bit-exact. Internal dynamics math runs in float64.
+
+Lap record. The environment keeps the one lap rule that evaluation and
+demonstration recording read. A car's lap ends at the first step,
+counted from the last reset, at which its accumulated progress reaches
+the track length: ``lap_step`` holds that step, and 0 while the lap is
+open. ``touched`` says whether the car was in wall contact at any step up
+to and including that one; after it, contact no longer changes the
+record. ``reset`` clears both.
 """
 
 from __future__ import annotations
@@ -128,7 +136,8 @@ class RaceEnv:
 
     reset() or reset_eval() must be called before step(). All public
     outputs (observations, progress, wall flags) are float32-exact; the
-    held state is float32-quantized after every transition.
+    held state is float32-quantized after every transition. lap_step and
+    touched are the per-car lap record of the module docstring.
     """
 
     def __init__(self, track, params, cfg):
@@ -141,6 +150,8 @@ class RaceEnv:
         self.prev_vel = None
         self.prev_yaw = None
         self.cum_progress = None
+        self.lap_step = None
+        self.touched = None
         self.step_idx = 0
 
     def reset(self, positions, yaws, speeds, v_y=None, yaw_rate=None):
@@ -163,6 +174,8 @@ class RaceEnv:
         if yaw_rate is not None:
             self.prev_yaw = self.prev_yaw - np.asarray(yaw_rate, dtype=np.float64) * self.cfg.dt
         self.cum_progress = np.zeros(len(s), dtype=np.float64)
+        self.lap_step = np.zeros(len(s), dtype=np.int64)
+        self.touched = np.zeros(len(s), dtype=bool)
         self.step_idx = 0
         return self._observe()
 
@@ -220,6 +233,9 @@ class RaceEnv:
         self.track_heading = h
         self.cum_progress += progress
         self.step_idx += 1
+        lap_open = self.lap_step == 0
+        self.touched |= lap_open & (state.wall_contact > 0)
+        self.lap_step[lap_open & (self.cum_progress >= self.track.length)] = self.step_idx
         obs = self._observe()
         return obs, progress.astype(np.float32), state.wall_contact.astype(np.float32)
 

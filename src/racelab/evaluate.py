@@ -2,15 +2,16 @@
 
 A fixed batch of cars is placed evenly around the lap at a seeded
 offset, seeded with the demonstrators' local speeds, and driven by the
-deterministic policy for a step budget; the caller sets both sizes. A car crosses when its
-accumulated progress first reaches the lap length; its lap time is that
-step count times the control period. A lap only counts as a success
-when the car never touched a wall before crossing — contact invalidates
-the lap, as on a real circuit, so bouncing down the barriers at speed
-cannot score. Lap-time statistics cover valid laps only. Steering
-smoothness is the pooled statistic of per-step changes in the physical
-road-wheel angle, each car contributing its steps up to lap completion
-(all steps if unfinished).
+deterministic policy for a step budget; the caller sets both sizes. The
+environment's lap record (``RaceEnv.lap_step`` and ``touched``) decides
+each car's outcome: a car finishes at its lap step, and its lap time is
+that step count times the control period. A lap only counts as a
+success when the car touched no wall up to and including that step —
+contact invalidates the lap, as on a real circuit, so bouncing down the
+barriers at speed cannot score. Lap-time statistics cover valid laps
+only. Steering smoothness is the pooled statistic of per-step changes
+in the physical road-wheel angle, each car contributing its steps up to
+lap completion (all steps if unfinished).
 
 Reports serialize byte-stably: identical inputs give identical files.
 """
@@ -90,9 +91,11 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
     controller with no parameters. The training config owns both sizes
     (``eval_cars``, ``eval_max_steps``). The demo set demos supplies
     the placement speeds. Placement uses the (seed, tag) evaluation
-    stream, so a given checkpoint re-evaluates identically. Policy
-    parameters are checksummed before and after; evaluation must not
-    change them.
+    stream, so a given checkpoint re-evaluates identically. Finished and
+    clean flags, lap times and each car's steering horizon are read from
+    the environment's lap record, and the drive stops once every car's
+    lap step is set. Policy parameters are checksummed before and after;
+    evaluation must not change them.
     """
     env = RaceEnv(track, vparams, ecfg)
     obs = env.reset_eval(n_cars, stream(seed, "eval", tag), demos.speed_lookup(track.length))
@@ -101,30 +104,22 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
     named = stack.params()
     before = params_checksum(named) if named else "scripted"
 
-    lap_steps = np.zeros(n_cars, dtype=np.int64)
-    finished = np.zeros(n_cars, dtype=bool)
-    touched = np.zeros(n_cars, dtype=bool)
     steer = np.zeros((n_cars, max_steps), dtype=np.float64)
-    t_used = 0
-    for t in range(1, max_steps + 1):
+    for t in range(max_steps):
         actions, _ = policy(obs)
-        obs, _, wall = env.step(actions)
-        steer[:, t - 1] = np.clip(np.asarray(actions, dtype=np.float64)[:, 0], -1.0, 1.0) * vparams.max_steer
-        touched |= (~finished) & (wall > 0)
-        newly = (~finished) & (env.cum_progress >= track.length)
-        lap_steps[newly] = t
-        finished |= newly
-        t_used = t
-        if finished.all():
+        obs, _, _ = env.step(actions)
+        steer[:, t] = np.clip(np.asarray(actions, dtype=np.float64)[:, 0], -1.0, 1.0) * vparams.max_steer
+        if env.lap_step.all():
             break
     if named and params_checksum(stack.params()) != before:
         raise AssertionError("evaluation mutated policy parameters")
 
-    clean = finished & ~touched
-    lap_times = [round(int(k) * ecfg.dt, 10) if f else None
-                 for f, k in zip(finished.tolist(), lap_steps.tolist())]
+    lap_steps = env.lap_step.tolist()
+    finished = env.lap_step > 0
+    clean = finished & ~env.touched
+    lap_times = [round(k * ecfg.dt, 10) if k else None for k in lap_steps]
     valid_times = [t for t, ok in zip(lap_times, clean.tolist()) if ok]
-    seqs = [steer[i, : (lap_steps[i] if finished[i] else t_used)] for i in range(n_cars)]
+    seqs = [steer[i, : k or env.step_idx] for i, k in enumerate(lap_steps)]
     sc_mean, sc_std = steering_change(seqs)
     return EvalReport(
         finished=finished.tolist(),

@@ -219,8 +219,10 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     """Drive n_laps demonstration laps, one jittered controller per lap.
 
     All laps run as one batch; each car starts at a seeded arclength at
-    its locally appropriate speed and records until it has covered one
-    full lap. Returns the DemoSet with a normalizer fitted on all
+    its locally appropriate speed and records up to its lap step in the
+    environment's lap record (``RaceEnv.lap_step``): the step at which it
+    has covered one full lap. A lap with no lap step after max_steps is a
+    RuntimeError. Returns the DemoSet with a normalizer fitted on all
     recorded observations.
     """
     rngs = [stream(seed, "demo", lap) for lap in range(n_laps)]
@@ -236,29 +238,26 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     # per recorded step: the observation, then the LAP_STATE fields.
     rows = [(env.reset(pos, heading, np.minimum(v_start, xparams.v_max * 0.5)), *_lap_state(env))]
     actions = []
-    done_at = np.full(n_laps, -1, dtype=np.int64)
     # Small command noise makes the recordings cover a tube around the
     # racing line together with the controller's corrective responses.
     noise_rng = stream(seed, "demo", n_laps)
-    for t in range(max_steps):
+    for _ in range(max_steps):
         act = controller.act(env.state, env.s)
         if xparams.action_noise > 0.0:
             act = act + xparams.action_noise * noise_rng.standard_normal(act.shape)
         actions.append(np.clip(act, -1.0, 1.0).astype(np.float32))
         rows.append((env.step(actions[-1])[0], *_lap_state(env)))
-        newly = (done_at < 0) & (env.cum_progress >= track.length)
-        done_at[newly] = t + 1
-        if (done_at > 0).all():
+        if env.lap_step.all():
             break
-    if (done_at < 0).any():
-        bad = int(np.argwhere(done_at < 0)[0][0])
+    if not env.lap_step.all():
+        bad = int(np.argmin(env.lap_step))
         raise RuntimeError(f"demonstration lap {bad} did not finish within {max_steps} steps")
     stacked = {key: np.stack(col, axis=1) for key, col in zip(("obs", *LAP_STATE), zip(*rows))}
     stacked["actions"] = np.stack(actions, axis=1)
     # A lap of T actions keeps T+1 rows of everything else. Copies, so the
     # laps do not hold the whole batch alive.
     laps = [{key: val[i, : end + (key != "actions")].copy() for key, val in stacked.items()}
-            for i, end in enumerate(done_at.tolist())]
+            for i, end in enumerate(env.lap_step.tolist())]
     meta = {
         "seed": int(seed),
         "track": track.meta,

@@ -14,6 +14,7 @@ from racelab.env import (
     rollout,
     save_trajectory_log,
 )
+from racelab.expert import ExpertController, ExpertParams
 from racelab.track import Track, gen_track
 from racelab.vehicle import VehicleParams
 
@@ -140,6 +141,39 @@ def test_wall_contact_flags_and_clamps_the_car(circle_env):
     # clamped cars sit exactly at the boundary
     _, e, _ = circle_env.track.project_many(circle_env.state.position)
     assert np.all(np.abs(e[wall > 0]) <= circle_env.track.half_width + 1e-6)
+
+
+def test_lap_record_equals_one_kept_by_hand():
+    """Car 0 scrapes the wall and then finishes, car 1 finishes clean and
+    then scrapes, car 2 scrapes and stalls; reset clears the record."""
+    track = gen_track("circle", radius=40.0)
+    vparams = VehicleParams()
+    env = RaceEnv(track, vparams, EpisodeConfig())
+    ctrl = ExpertController(track, vparams, ExpertParams(), np.ones(3), np.ones(3))
+    pos, heading, _ = track.frames(np.array([0.0, 80.0, 160.0]))
+    env.reset(pos, heading, np.full(3, 15.0))
+    walls, cum = [], []
+    for t in range(1, 251):
+        act = ctrl.act(env.state, env.s)
+        if t <= 10:
+            act[0] = [-1.0, 0.0]
+        if env.lap_step[1]:
+            act[1] = [-1.0, 1.0]
+        act[2] = [-1.0, 0.0] if t <= 12 else [0.0, -1.0]
+        walls.append(env.step(act.astype(np.float32))[2] > 0)
+        cum.append(env.cum_progress.copy())
+    walls, cum = np.array(walls).T, np.array(cum).T
+    # Step k's flags sit at column k - 1; an open lap counts every step.
+    done = cum >= track.length
+    lap_step = np.where(done.any(axis=1), np.argmax(done, axis=1) + 1, 0)
+    touched = [walls[i, : k or None].any() for i, k in enumerate(lap_step)]
+    np.testing.assert_array_equal(env.lap_step, lap_step)
+    np.testing.assert_array_equal(env.touched, touched)
+    assert env.lap_step[0] > 0 and env.touched[0]
+    assert env.lap_step[1] > 0 and not env.touched[1] and walls[1].any()
+    assert env.lap_step[2] == 0 and env.touched[2]
+    env.reset(pos, heading, np.full(3, 15.0))
+    assert not env.lap_step.any() and not env.touched.any()
 
 
 def _steer_rollout(track, steps=80):
