@@ -14,7 +14,6 @@ resumed run bit-identical to an uninterrupted one.
 
 import dataclasses
 import json
-import logging
 import os
 import shutil
 
@@ -26,10 +25,8 @@ from . import evaluate as eval_mod
 from . import nets
 from .env import Normalizer, RaceEnv, rollout
 from .optim import Adam, AdamConfig
-from .policies import GaussianPolicy, build_policy_stack, make_bc_net
+from .policies import GaussianPolicy, build_policy_stack, load_bc, save_bc
 from .seeding import stream
-
-log = logging.getLogger("racelab.train")
 
 BUNDLE_FORMAT = "racelab-bundle-v5"
 REWARD_EPS = 1e-6
@@ -402,14 +399,14 @@ class Trainer:
                                       cfg.entropy_scale))
         metrics["disc"] = {k: float(np.mean([s[k] for s in dstats])) for k in dstats[0]}
         sstats = []
-        for g in range(cfg.sac.gradient_steps):
-            if len(self.replay) < cfg.sac.batch:
-                log.info("replay %d below batch %d; skipping actor-critic block",
-                         len(self.replay), cfg.sac.batch)
-                break
-            rng_s = stream(self.seed, "sac", it, g)
-            batch = replay_sample_recompute(self.replay, self.disc, cfg.sac.batch, rng_s)
-            sstats.append(self.sac.update(batch, rng_s))
+        if len(self.replay) < cfg.sac.batch:
+            # Too few rows for one batch: the actor-critic block waits.
+            metrics["sac_skipped"] = {"replay": len(self.replay), "batch": cfg.sac.batch}
+        else:
+            for g in range(cfg.sac.gradient_steps):
+                rng_s = stream(self.seed, "sac", it, g)
+                batch = replay_sample_recompute(self.replay, self.disc, cfg.sac.batch, rng_s)
+                sstats.append(self.sac.update(batch, rng_s))
         if sstats:
             metrics["sac"] = {k: float(np.mean([s[k] for s in sstats])) for k in sstats[0]}
         self.iteration_count = it + 1
@@ -508,8 +505,7 @@ def save_bundle(path, trainer, extra_manifest=None):
     if stack.bet is not None:
         bet_mod.save_bet(os.path.join(tmp, "bet.ckpt"), stack.bet, stack.bet_normalizer)
     if stack.bc is not None:
-        nets.save_params(os.path.join(tmp, "bc.ckpt"), stack.bc.params(),
-                         {"kind": "bc", "dims": stack.bc.dims})
+        save_bc(os.path.join(tmp, "bc.ckpt"), stack.bc)
     optim_arrays, optim_steps = {}, {}
     for group, opt in _optimizers(trainer).items():
         state = opt.state_dict()
@@ -556,10 +552,7 @@ def load_stack(path, manifest, hidden=None):
     if os.path.exists(os.path.join(path, "bet.ckpt")):
         bet, bet_normalizer, _ = bet_mod.load_bet(os.path.join(path, "bet.ckpt"))
     if os.path.exists(os.path.join(path, "bc.ckpt")):
-        meta, arrays = nets.load_params(os.path.join(path, "bc.ckpt"))
-        dims = meta["dims"]
-        bc = make_bc_net(dims[0], dims[-1], dims[1:-1], np.random.default_rng(0))
-        nets.assign_params(bc.params(), arrays)
+        bc, _ = load_bc(os.path.join(path, "bc.ckpt"))
 
     res_meta, res_arrays = nets.load_params(os.path.join(path, "residual.ckpt"))
     if hidden is None:

@@ -48,7 +48,8 @@ run ends at (0 for a supervised-only mode, train.iterations otherwise), is
 reused as it stands: nothing is loaded, computed or written again. A
 trained run's summary.json is stamped from its final bundle's record, as
 ``report`` stamps it, so a run stopped after its last bundle finishes
-without evaluating again. Any mismatch exits 2 before anything is written,
+from that bundle's manifest, without loading the bundle or evaluating
+again. Any mismatch exits 2 before anything is written,
 naming the file, the first differing key and both values. The experiment
 directory's ``.lock`` is held while stages are built, and the run
 directory's while training. Each is a kernel lock (``flock``), which the
@@ -99,7 +100,7 @@ from . import nets
 from .config import CONTENT_VERSION, ConfigError, build_config
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
-from .policies import MODE_SPECS, build_policy_stack, train_bc
+from .policies import MODE_SPECS, build_policy_stack, save_bc, train_bc
 from .seeding import stream
 from .track import gen_track, load_track, save_track
 
@@ -382,8 +383,7 @@ def _train_bc_base(cfg, demos, out_dir):
     net, history = train_bc(demos, bc_cfg["hidden"], bc_cfg["updates"], bc_cfg["batch"],
                             bc_cfg["lr"], cfg.seed, stream)
     path = os.path.join(out_dir, "bc.ckpt")
-    nets.save_params(path, net.params(), {"kind": "bc", "dims": net.dims,
-                                          "final_loss": history[-1], **_trace(cfg)})
+    save_bc(path, net, {"final_loss": history[-1], **_trace(cfg)})
     print(f"cloned base: {len(history)} updates, final loss {history[-1]:.5f} -> {path}")
     return net
 
@@ -400,6 +400,10 @@ def _run_training(cfg, exp_dir, run_dir, track, demos):
     """Train the configured mode in run_dir, resuming its bundle, and report."""
     bundle_dir = os.path.join(run_dir, "bundle")
     if ail.has_bundle(bundle_dir):
+        if ail.read_manifest(bundle_dir)["iteration"] == cfg.train.iterations:
+            # Trained to its budget and stopped before its summary.
+            _report_bundle(bundle_dir, run_dir)
+            return
         trainer, _ = ail.load_bundle(bundle_dir, track, cfg.vehicle, cfg.episode, demos, cfg.train)
         print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
     else:
@@ -429,6 +433,9 @@ def _run_training(cfg, exp_dir, run_dir, track, demos):
                 f" D(expert) {m['disc']['d_expert']:.3f} D(agent) {m['disc']['d_agent']:.3f}")
         if "sac" in m:
             line += f" reward {m['sac']['mean_reward']:.3f}"
+        if "sac_skipped" in m:
+            line += (f" actor-critic skipped (replay {m['sac_skipped']['replay']}"
+                     f" below batch {m['sac_skipped']['batch']})")
         if "eval_success_rate" in m:
             line += f" | eval success {m['eval_success_rate']:.2f}"
         print(line, flush=True)

@@ -28,7 +28,7 @@ from .bet import BeTConfig
 from .env import EpisodeConfig, obs_dim
 from .expert import ExpertParams
 from .policies import MODE_SPECS
-from .track import course_meta
+from .track import gen_track
 from .vehicle import VehicleParams
 
 CONTENT_VERSION = 1
@@ -124,8 +124,8 @@ CHALLENGES = {
 }
 
 # Subtrees whose keys the schema does not enumerate: course generation
-# parameters vary by preset, and build_config checks them with the
-# generator's own check.
+# parameters vary by preset, and build_config checks them by generating
+# the course.
 _FREE_SUBTREES = ("track", "pretrain_tracks")
 
 
@@ -144,6 +144,34 @@ def _merge(base, override, path=()):
         else:
             base[key] = copy.deepcopy(value)
     return base
+
+
+# Layer widths, the list values of the schema.
+_WIDTHS = ("bc.hidden", "train.policy_hidden", "train.sac.hidden")
+
+
+def _check_kinds(defaults, tree, prefix=""):
+    """Refuse a value of another kind than its schema default: where the
+    default is a number, a number that is not a bool, an integer where the
+    default is one and >= 0 where it is a float; where it is a table, a
+    table; and for the layer widths, a list of integers >= 1."""
+    for key, default in defaults.items():
+        where, value = prefix + key, tree[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key '{where}' must be a table")
+            _check_kinds(default, value, where + ".")
+        elif where in _WIDTHS:
+            if not isinstance(value, list) or not all(
+                    isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in value):
+                raise ConfigError(f"config field '{where}' must be a list of integers >= 1, "
+                                  f"got {value!r}")
+        elif isinstance(default, int) and not isinstance(default, bool):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"config field '{where}' must be an integer, got {value!r}")
+        elif isinstance(default, float):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+                raise ConfigError(f"config field '{where}' must be a number >= 0, got {value!r}")
 
 
 def config_hash(resolved):
@@ -264,8 +292,8 @@ def build_config(user):
 
     Raises ConfigError on unknown keys, bad profile or challenge names,
     missing mode/track, a course table that gen_track would refuse, a
-    residual mode without alpha, an alpha outside (0, 1], or a size that a
-    stage cannot run with.
+    residual mode without alpha, an alpha outside (0, 1], a value of
+    another kind than its default, or a size that a stage cannot run with.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -308,9 +336,10 @@ def build_config(user):
         if not isinstance(spec, dict):
             raise ConfigError(f"config field '{where}' must be a table")
         try:
-            course_meta(**spec)
+            gen_track(**{"preset": None, **spec})
         except ValueError as exc:
             raise ConfigError(f"invalid '{where}' config: {exc}") from None
+    _check_kinds(_base_defaults(), resolved)
     demos = resolved["demos"]
     if demos["laps_pretrain"] is None:
         demos["laps_pretrain"] = demos["laps"]

@@ -158,6 +158,22 @@ def train_bc(demoset, hidden, updates, batch, lr, seed, stream_fn, progress=None
     return net, history
 
 
+def save_bc(path, net, extra=None):
+    """Write a behavior-cloning net and its layer widths."""
+    nets.save_params(path, net.params(), {"kind": "bc", "dims": net.dims, **(extra or {})})
+
+
+def load_bc(path):
+    """Returns (net, meta) from a checkpoint that save_bc wrote."""
+    meta, arrays = nets.load_params(path)
+    if meta.get("kind") != "bc":
+        raise nets.CheckpointError(f"not a cloned-base checkpoint: {path}")
+    dims = meta["dims"]
+    net = make_bc_net(dims[0], dims[-1], dims[1:-1], np.random.default_rng(0))
+    nets.assign_params(net.params(), arrays)
+    return net, meta
+
+
 class PolicyStack:
     """Runtime composition of an optional frozen base with a correction head.
 

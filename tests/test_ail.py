@@ -506,6 +506,18 @@ def test_load_stack_acts_bitwise_like_the_live_stack(tiny_world, tmp_path, mode)
     assert reports[0] == reports[1]
 
 
+def test_load_stack_refuses_a_cloned_base_file_of_another_kind(tiny_world, tmp_path):
+    track, vparams, ecfg, demos = tiny_world
+    bc = make_bc_net(demos.obs_dim, 2, (8,), RNG(43))
+    live = build_policy_stack("bcail", demos.normalizer, demos.obs_dim, RNG(40), alpha=0.1,
+                              bc=bc, hidden=(32, 32))
+    path = str(tmp_path / "bundle")
+    save_bundle(path, Trainer(live, track, vparams, ecfg, demos, _tiny_cfg(), 0))
+    os.replace(os.path.join(path, "q1.ckpt"), os.path.join(path, "bc.ckpt"))
+    with pytest.raises(nets.CheckpointError, match="not a cloned-base checkpoint"):
+        ail.load_stack(path, ail.read_manifest(path))
+
+
 def test_bundle_roundtrip_bit_exact(tiny_world, tmp_path):
     track, vparams, ecfg, demos = tiny_world
     tr = _tiny_trainer(tiny_world, seed=3)

@@ -542,12 +542,25 @@ def test_a_run_stopped_before_its_summary_finishes_from_its_bundle(betail_run, t
     assert not (out / "summary.json").exists()
 
     def no_work(*args, **kwargs):
-        raise AssertionError("the run was evaluated again")
+        raise AssertionError("the run was loaded or evaluated again")
 
     monkeypatch.setattr(cli, "emit_report", emit_report)
     monkeypatch.setattr(cli.eval_mod, "evaluate", no_work)
+    monkeypatch.setattr(ail, "load_bundle", no_work)
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     assert (out / "summary.json").read_bytes() == (betail_run / "summary.json").read_bytes()
+
+
+def test_a_skipped_actor_critic_block_is_named_in_its_iteration_line(tmp_path, capsys):
+    # The first rollout leaves 4 x 100 = 400 replay rows, below one batch.
+    cfg = _write(tmp_path / "c.json", {
+        "profile": "smoke", "challenge": "maggiore-like", "mode": "ail", "demos": {"laps": 1},
+        "train": {"iterations": 2, "eval_max_steps": 30, "sac": {"batch": 512}}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  iter ")]
+    skipped = "actor-critic skipped (replay 400 below batch 512)"
+    assert [skipped in line for line in lines] == [True, False]
+    assert "reward" in lines[1]
 
 
 def test_interrupted_summary_write_leaves_the_run_unfinished(tmp_path, monkeypatch, capsys):
@@ -669,6 +682,10 @@ MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.
      "invalid 'track' config: half_width must be >= 3.0, got 1"),
     (["pretrain-bet", "--config", "pretrain-x.json"], 1,
      "invalid 'pretrain_tracks[0]' config: track parameter 'radius' must be a number, got 'x'"),
+    (["gen-track", "--config", "tiny-circle.json"], 1,
+     "invalid 'track' config: vertex spacing must lie in [0.5, 10.0]"),
+    (["pretrain-bet", "--config", "inside-out.json"], 1,
+     "invalid 'pretrain_tracks[0]' config: curvature * half_width must stay below 1"),
 ])
 def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, message):
     _write(tmp_path / "bad.json", "{not json")
@@ -680,6 +697,9 @@ def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, m
                                                         "half_width": 1}})
     _write(tmp_path / "pretrain-x.json",
            {**TINY, "pretrain_tracks": [{"preset": "oval", "radius": "x"}]})
+    _write(tmp_path / "tiny-circle.json", {**TINY, "track": {"preset": "circle", "radius": 1}})
+    _write(tmp_path / "inside-out.json",
+           {**TINY, "pretrain_tracks": [{"preset": "oval", "radius": -50}]})
     # Copies of X's manifest that name a missing or foreign course or demo
     # file in place of X's own; eval reads those files before the nets.
     manifest = json.loads((run_copy / "bundle" / "manifest.json").read_text())

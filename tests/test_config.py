@@ -137,6 +137,20 @@ BAD_VALUES = [
     ("alpha", 2.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", 0.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", "0.1", "config field 'alpha' must be a number in (0, 1]"),
+    ("bet.lr", "x", "config field 'bet.lr' must be a number >= 0, got 'x'"),
+    ("bet.weight_decay", "x", "config field 'bet.weight_decay' must be a number >= 0, got 'x'"),
+    ("train.disc_lr", "x", "config field 'train.disc_lr' must be a number >= 0, got 'x'"),
+    ("train.sac.lr", -1, "config field 'train.sac.lr' must be a number >= 0, got -1"),
+    ("train.sac.hidden", "ab",
+     "config field 'train.sac.hidden' must be a list of integers >= 1, got 'ab'"),
+    ("train.policy_hidden", [0],
+     "config field 'train.policy_hidden' must be a list of integers >= 1, got [0]"),
+    ("bc.lr", "x", "config field 'bc.lr' must be a number >= 0, got 'x'"),
+    ("bc.lr", -1, "config field 'bc.lr' must be a number >= 0, got -1"),
+    ("bc.hidden", [0], "config field 'bc.hidden' must be a list of integers >= 1, got [0]"),
+    ("bc.hidden", "ab", "config field 'bc.hidden' must be a list of integers >= 1, got 'ab'"),
+    ("vehicle.wheelbase", "x", "config field 'vehicle.wheelbase' must be a number >= 0, got 'x'"),
+    ("expert.v_max", "x", "config field 'expert.v_max' must be a number >= 0, got 'x'"),
 ]
 
 
