@@ -49,8 +49,8 @@ reused as it stands: nothing is loaded, computed or written again. A
 trained run's summary.json is stamped from its final bundle's record, as
 ``report`` stamps it, so a run stopped after its last bundle finishes
 from that bundle's manifest, without loading the bundle or evaluating
-again. Any mismatch exits 2 before anything is written,
-naming the file, the first differing key and both values. The experiment
+again. Any mismatch exits 2 before anything is written, naming the file,
+the first differing key and both values. The experiment
 directory's ``.lock`` is held while stages are built, and the run
 directory's while training. Each is a kernel lock (``flock``), which the
 kernel releases when the process ends, however it ends, so the CLI runs on

@@ -20,7 +20,6 @@ from .seeding import stream
 __all__ = [
     "Track",
     "gen_track",
-    "course_meta",
     "save_track",
     "load_track",
     "wrap_angle",
@@ -344,7 +343,7 @@ _PRESETS = {
 }
 
 
-def course_meta(preset=None, seed=0, half_width=6.0, spacing=2.5, **params):
+def _course_meta(preset, seed, half_width, spacing=2.5, **params):
     """The generation record (``Track.meta``) of a course spec, each preset
     parameter as its default's type (n_control is an int), after the check
     that gen_track makes before it generates: a known preset, known
@@ -383,7 +382,7 @@ def gen_track(preset, seed=0, half_width=6.0, **params):
     -------
     Track
     """
-    meta = course_meta(preset, seed, half_width, **params)
+    meta = _course_meta(preset, seed, half_width, **params)
     spacing = meta["spacing"]
     if preset == "circle":
         count = max(MIN_POINTS, int(round(2.0 * np.pi * meta["radius"] / spacing)))
