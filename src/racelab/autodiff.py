@@ -12,12 +12,22 @@ more; a test checks that each public name has a caller. Most are
 elementwise or shape primitives. Four are fused, one tape node each
 with an analytic backward, because the networks run them many times per
 step: :func:`affine` (matrix product plus bias, and the relu after it
-when asked), :func:`residual_affine` (a transformer block's residual
-branch: its last affine, its dropout and the residual sum),
-:func:`layer_norm` and :func:`causal_attention` (multi-head causal
-self-attention). A fused node keeps only what its backward reads, so its
-intermediates are never tape tensors, and a dropout mask is kept as
-booleans.
+when asked), :func:`norm_affine` (a layer norm and the affine that reads
+it), :func:`residual_affine` (a transformer block's residual branch: its
+last affine, its dropout and the residual sum) and
+:func:`causal_attention` (multi-head causal self-attention). A fused
+node keeps only what its backward reads, so its intermediates are never
+tape tensors, and a dropout mask is kept as booleans.
+
+A node's output buffer belongs to the node, with one exception: the
+residual stream. No backward reads the stream's values, so when the
+stream ``h`` passed to :func:`residual_affine` is a taped op output, the
+branch is added into ``h``'s buffer and the new node shares it; a
+transformer's whole stream is then one buffer. An op output given to
+``residual_affine`` as ``h`` must therefore feed only ops whose backward
+does not read their input (:func:`norm_affine`, :func:`narrow`, another
+``residual_affine``). A leaf's buffer, and every buffer under
+:func:`no_grad`, is never written.
 
 Inside :func:`no_grad` the same ops serve gradient-free forwards
 (rollouts, bootstrap targets, rewards, evaluation): outputs are constants
@@ -30,7 +40,7 @@ the high-accuracy mode used by finite-difference tests. Every taped op
 checks its output for non-finite values and raises :class:`AutodiffError`
 naming the op, so a NaN is caught where it is produced, not steps later. A
 fused op also checks the intermediates that its output could hide, such as
-a variance that overflows inside ``layer_norm``. Under ``no_grad`` the
+a variance that overflows inside ``norm_affine``. Under ``no_grad`` the
 scan is skipped: those forwards feed no gradient, and scanning would add
 about 5 % to the desk transformer's inference at batch 256 and about 30 %
 at batch 20.
@@ -60,6 +70,7 @@ __all__ = [
     "shift",
     "matmul",
     "affine",
+    "norm_affine",
     "residual_affine",
     "transpose_last2",
     "concat",
@@ -78,7 +89,6 @@ __all__ = [
     "sum_last",
     "mse",
     "bce_with_logits",
-    "layer_norm",
 ]
 
 
@@ -287,13 +297,15 @@ def affine(x, w, b, relu=False):
     last-position inference rely on. Row counts that are already a
     multiple of 4 take no copy.
     """
-    out = _affine(x, w, b, "affine")
+    out = _affine(x.data, w.data, b.data, "affine")
 
     def vjp(g):
         if relu:
             # g is the node's own gradient buffer, dropped after this call.
             g *= out > 0
-        _affine_vjp(g, x, w, b)
+        gx = _affine_vjp(g, x.data, w, b, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx, owned=True)
 
     node = _node("affine", out, (x, w, b), vjp)
     if relu:
@@ -302,28 +314,75 @@ def affine(x, w, b, relu=False):
 
 
 def _affine(x, w, b, op_name):
-    if x.data.ndim not in (2, 3) or w.data.ndim != 2:
+    # The array-level product of affine, on numpy arrays.
+    if x.ndim not in (2, 3) or w.ndim != 2:
         raise AutodiffError(f"{op_name} expects a rank-2 or rank-3 input and a rank-2 weight")
-    flat = x.data.reshape(-1, x.data.shape[-1])
+    flat = x.reshape(-1, x.shape[-1])
     rows = flat.shape[0]
     if rows % 4:
         padded = np.zeros((rows + -rows % 4, flat.shape[1]), dtype=flat.dtype)
         padded[:rows] = flat
-        flat = (padded @ w.data)[:rows]
+        flat = (padded @ w)[:rows]
     else:
-        flat = flat @ w.data
-    flat += b.data
-    return flat.reshape(x.data.shape[:-1] + (w.data.shape[-1],))
+        flat = flat @ w
+    flat += b
+    return flat.reshape(x.shape[:-1] + (w.shape[-1],))
 
 
-def _affine_vjp(g, x, w, b):
+def _affine_vjp(g, x, w, b, input_grad):
+    # Accumulates the gradients of x @ w + b, for the array x, into the
+    # tensors w and b; returns x's gradient when input_grad, else None.
     g2 = g.reshape(-1, g.shape[-1])
-    if x.requires_grad:
-        x._accumulate((g2 @ w.data.T).reshape(x.data.shape), owned=True)
     if w.requires_grad:
-        w._accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g2, owned=True)
+        w._accumulate(x.reshape(-1, x.shape[-1]).T @ g2, owned=True)
     if b.requires_grad:
         b._accumulate(_unbroadcast(g, b.data.shape))
+    return (g2 @ w.data.T).reshape(x.shape) if input_grad else None
+
+
+def norm_affine(a, gain, bias, w, b, relu=False, eps=1e-5):
+    """affine(layer_norm(a), w, b, relu) as one tape node: a layer norm
+    over the last axis (arXiv 1607.06450) with its own gain and bias, and
+    the projection that reads it.
+
+    The normalized output is never a tape tensor. The node keeps the
+    normalized rows xhat = (a - mean) / std and the std, and its backward
+    recomputes xhat * gain + bias, with the forward's own ops, for the
+    weight gradient. With gn the gradient of that normalized output and
+    gx = gn * gain, the input gradient is
+    dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / std over the last axis.
+    The output and every gradient have the bits of the two nodes it
+    replaces, a layer norm and an ``affine``. A standard deviation that
+    overflows raises here, although the normalized output would still be
+    finite.
+    """
+    normed, xhat, std = _layer_norm(a.data, gain.data, bias.data, eps)
+    _checked(std, "norm_affine")
+    out = _affine(normed, w.data, b.data, "norm_affine")
+
+    def vjp(g):
+        if relu:
+            # g is the node's own gradient buffer, dropped after this call.
+            g *= out > 0
+        needs = a.requires_grad or gain.requires_grad or bias.requires_grad
+        gn = _affine_vjp(g, _gained(xhat, gain.data, bias.data), w, b, needs)
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(gn * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(gn, bias.data.shape))
+        if a.requires_grad:
+            gx = gn * gain.data
+            centre = _row_mean(gx)
+            slope = _row_mean(gx * xhat)
+            gx -= centre
+            gx -= xhat * slope
+            gx /= std
+            a._accumulate(gx, owned=True)
+
+    node = _node("norm_affine", out, (a, gain, bias, w, b), vjp)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return node
 
 
 def residual_affine(h, x, w, b, p, rng, train):
@@ -334,18 +393,27 @@ def residual_affine(h, x, w, b, p, rng, train):
     keeps only the boolean mask. The output and every gradient have the
     bits of ``add(h, dropout(affine(x, w, b), p, rng, train))``: addition
     commutes exactly, and the mask draws the same numbers from rng. h must
-    have the shape of the product.
+    have the shape of the product, which is checked before anything is
+    computed. When h is a taped op output (it has parents), the sum is
+    written into h's buffer, which the output then shares; a leaf h, and
+    any h under no_grad, is left as it was.
     """
-    out = _affine(x, w, b, "residual_affine")
-    if h.data.shape != out.shape:
+    if h.data.shape != x.data.shape[:-1] + w.data.shape[-1:]:
         raise AutodiffError("residual_affine expects h to have the shape of x @ w")
+    out = _affine(x.data, w.data, b.data, "residual_affine")
     keep, scale = _dropout_keep(out.shape, p, rng) if train and p else (None, None)
     if keep is not None:
         _dropped(out, keep, scale, out=out)
-    out += h.data
+    if _TAPE and h._parents:
+        out = np.add(h.data, out, out=h.data)
+    else:
+        out += h.data
 
     def vjp(g):
-        _affine_vjp(g if keep is None else _dropped(g, keep, scale), x, w, b)
+        gx = _affine_vjp(g if keep is None else _dropped(g, keep, scale), x.data, w, b,
+                         x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx, owned=True)
         if h.requires_grad:
             h._accumulate(g, owned=True)
 
@@ -671,38 +739,14 @@ def _layer_norm(x, gain, bias, eps):
     c = x - _row_mean(x)
     std = np.sqrt(_row_mean(np.square(c)) + eps)
     c /= std
-    out = c * gain
+    return _gained(c, gain, bias), c, std
+
+
+def _gained(xhat, gain, bias):
+    # xhat * gain + bias: the layer norm's output from its normalized rows.
+    out = xhat * gain
     out += bias
-    return out, c, std
-
-
-def layer_norm(a, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    One tape node (LayerNorm, arXiv 1607.06450). With xhat = (x - mean) / std
-    and gx = g * gain, the backward is
-    dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / std over the last axis.
-    A standard deviation that overflows raises here, although the
-    normalized output would still be finite.
-    """
-    out, xhat, std = _layer_norm(a.data, gain.data, bias.data, eps)
-    _checked(std, "layer_norm")
-
-    def vjp(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            gx = g * gain.data
-            centre = _row_mean(gx)
-            slope = _row_mean(gx * xhat)
-            gx -= centre
-            gx -= xhat * slope
-            gx /= std
-            a._accumulate(gx, owned=True)
-
-    return _node("layer_norm", out, (a, gain, bias), vjp)
+    return out
 
 
 def backward(root):

@@ -30,9 +30,12 @@ and no head is copied. In that order one dropout draw over all heads'
 weights takes the same random numbers, in the same places, as a draw per
 head in head order, whenever each head's draw is a multiple of 4 values.
 Dropout draws 16-bit integers, so the dropout rate in effect is
-``dropout`` rounded to a multiple of 2^-16. Each residual branch ends in
-one ``autodiff.residual_affine`` node, its output projection, dropout
-and residual sum together, so a block puts 7 tensors on the tape.
+``dropout`` rounded to a multiple of 2^-16. Each layer norm and the
+projection that reads it are one ``autodiff.norm_affine`` node, and each
+residual branch ends in one ``autodiff.residual_affine`` node, its output
+projection, dropout and residual sum together, so a block puts 5 tensors
+on the tape. In a taped forward the residual stream is one buffer, which
+each branch adds into.
 
 The model is trained once and then frozen: downstream trainers hold it
 without any optimizer, and evaluation checksums its parameters
@@ -182,17 +185,19 @@ class BeT:
             raise ValueError(f"window length {t} exceeds context {cfg.context}")
         h = ad.add(self.in_proj(x), ad.narrow(self.pos_emb, 0, t, axis=0))
         h = ad.dropout(h, cfg.dropout, rng, train)
+        # The packed projection and the MLP's hidden layer are not bound to
+        # names: without a tape each is freed as soon as it has been read.
         for i, blk in enumerate(self.blocks):
-            a = ad.layer_norm(h, blk.ln1_gain, blk.ln1_bias)
-            att = ad.causal_attention(blk.qkv(a), cfg.n_heads, cfg.dropout, rng, train)
+            att = ad.causal_attention(
+                ad.norm_affine(h, blk.ln1_gain, blk.ln1_bias, blk.qkv.W, blk.qkv.b),
+                cfg.n_heads, cfg.dropout, rng, train)
             if last and i == len(self.blocks) - 1:
                 h, att = ad.narrow(h, t - 1, 1, axis=1), ad.narrow(att, t - 1, 1, axis=1)
             h = ad.residual_affine(h, att, blk.wo.W, blk.wo.b, cfg.dropout, rng, train)
-            m = ad.layer_norm(h, blk.ln2_gain, blk.ln2_bias)
-            h = ad.residual_affine(h, blk.w1(m, relu=True), blk.w2.W, blk.w2.b, cfg.dropout,
-                                   rng, train)
-        h = ad.layer_norm(h, self.lnf_gain, self.lnf_bias)
-        return ad.tanh(self.head(h))
+            h = ad.residual_affine(
+                h, ad.norm_affine(h, blk.ln2_gain, blk.ln2_bias, blk.w1.W, blk.w1.b, relu=True),
+                blk.w2.W, blk.w2.b, cfg.dropout, rng, train)
+        return ad.tanh(ad.norm_affine(h, self.lnf_gain, self.lnf_bias, self.head.W, self.head.b))
 
     def predict(self, windows):
         """forward(train=False) without a tape, on arrays.

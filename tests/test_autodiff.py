@@ -137,6 +137,31 @@ def _copy_attention(qkv, n_heads, p, rng, train):
     return ad._node("causal_attention", _merge_heads(wd @ vh, n_heads), (qkv,), vjp)
 
 
+def _layer_norm_node(a, gain, bias, eps=1e-5):
+    """The layer norm as its own tape node, as it was before norm_affine
+    fused it with the projection that reads it."""
+    out, xhat, std = ad._layer_norm(a.data, gain.data, bias.data, eps)
+    ad._checked(std, "layer_norm")
+
+    def vjp(g):
+        if gain.requires_grad:
+            gain._accumulate(ad._unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(ad._unbroadcast(g, bias.data.shape))
+        if a.requires_grad:
+            gx = g * gain.data
+            gx = gx - ad._row_mean(gx) - xhat * ad._row_mean(gx * xhat)
+            gx /= std
+            a._accumulate(gx, owned=True)
+
+    return ad._node("layer_norm", out, (a, gain, bias), vjp)
+
+
+def _unfused_norm_affine(a, gain, bias, w, b, relu=False):
+    """ad.norm_affine as the two nodes it fuses."""
+    return ad.affine(_layer_norm_node(a, gain, bias), w, b, relu=relu)
+
+
 def _two_temporary_layer_norm(x, gain, bias, eps):
     """ad._layer_norm as it built its output in one expression."""
     c = x - x.mean(axis=-1, keepdims=True)
@@ -266,46 +291,58 @@ class TestReductionsAndLosses:
         assert abs(val - np.log(2.0)) < 1e-7
 
     def test_layer_norm_matches_finite_differences(self):
+        """norm_affine, the layer norm and the projection that reads it,
+        with and without the relu."""
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 3, 8))
         gain = rng.standard_normal(8) * 0.1 + 1.0
         bias = rng.standard_normal(8) * 0.1
-        w = rng.standard_normal((2, 3, 8))
-        check_grads(
-            lambda a, g, b: probe_loss(ad.layer_norm(a, g, b), w), [x, gain, bias], rng
-        )
+        wt = rng.standard_normal((8, 5))
+        c = rng.standard_normal(5)
+        w = rng.standard_normal((2, 3, 5))
+        for relu in (False, True):
+            check_grads(
+                lambda a, g, b, W, cc, relu=relu: probe_loss(ad.norm_affine(a, g, b, W, cc, relu), w),
+                [x, gain, bias, wt, c], rng
+            )
 
     def test_layer_norm_output_is_normalized(self):
+        """Through an identity projection the rows come out with zero mean
+        and unit variance."""
         rng = np.random.default_rng(11)
         with ad.precision("float64"):
             x = ad.tensor(rng.standard_normal((4, 16)) * 3.0 + 2.0)
             g = ad.tensor(np.ones(16))
             b = ad.tensor(np.zeros(16))
-            out = ad.layer_norm(x, g, b).data
+            out = ad.norm_affine(x, g, b, ad.tensor(np.eye(16)), b).data
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         assert np.allclose(out.std(axis=-1), 1.0, atol=1e-3)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("width", [64, 50, 7])
     def test_layer_norm_row_mean_is_numpy_mean_bitwise(self, dtype, width):
-        """layer_norm's row means, an add.reduce divided by the width, give
-        the bits of x.mean(axis=-1, keepdims=True), forward and backward."""
+        """The layer norm's row means, an add.reduce divided by the width,
+        give the bits of x.mean(axis=-1, keepdims=True), forward and
+        backward."""
         rng = np.random.default_rng(width)
         with ad.precision(dtype):
             x = ad.tensor(3.0 * rng.standard_normal((20, 5, width)) + 1.0, requires_grad=True)
             gain = ad.tensor(1.0 + 0.1 * rng.standard_normal(width))
             bias = ad.tensor(0.1 * rng.standard_normal(width))
-            probe = rng.standard_normal(x.shape).astype(ad.default_dtype())
-            out = ad.layer_norm(x, gain, bias)
+            w = ad.tensor(0.1 * rng.standard_normal((width, 8)))
+            b = ad.tensor(rng.standard_normal(8))
+            probe = rng.standard_normal((20, 5, 8)).astype(ad.default_dtype())
+            out = ad.norm_affine(x, gain, bias, w, b)
             ad.backward(ad.mean_all(ad.mul(out, ad.tensor(probe))))
+            xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+            std = np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
+            xhat /= std
+            assert np.array_equal(out.data, ad.affine(ad.tensor(xhat * gain.data + bias.data), w, b).data)
         assert x.data.dtype == np.dtype(dtype)
         for a in (x.data, probe):
             assert np.array_equal(ad._row_mean(a), a.mean(axis=-1, keepdims=True))
-        xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-        std = np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
-        xhat /= std
-        assert np.array_equal(out.data, xhat * gain.data + bias.data)
-        gx = np.full_like(probe, 1.0 / probe.size) * probe * gain.data
+        gn = ((np.full_like(probe, 1.0 / probe.size) * probe).reshape(-1, 8) @ w.data.T).reshape(x.shape)
+        gx = gn * gain.data
         gx = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         assert np.array_equal(x.grad, gx / std)
 
@@ -437,12 +474,44 @@ class TestFusedOps:
             assert _same_bits(out, ref_out), (p, train)
             assert _same_bits(grad, ref_grad), (p, train)
 
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("shape,fan_out", [
+        ((64, 20, 64), 192),   # the desk BeT's layer norm before its packed projection
+        ((64, 20, 64), 256),   # before its MLP
+        ((64, 20, 64), 2),     # and before its head
+        ((3, 5, 64), 192),     # 15 rows, not a multiple of 4
+        ((7, 50), 64),         # rank 2
+    ])
+    def test_norm_affine_equals_the_layer_norm_and_affine_bitwise(self, shape, fan_out, relu):
+        """Output and the gradients of the input, gain, bias, weight and
+        bias of the projection, float32, taped and without a tape."""
+        rng = np.random.default_rng(sum(shape) + fan_out + relu)
+        d = shape[-1]
+        data = [3.0 * rng.standard_normal(shape) + 1.0,
+                1.0 + 0.1 * rng.standard_normal(d),
+                0.1 * rng.standard_normal(d),
+                0.1 * rng.standard_normal((d, fan_out)),
+                rng.standard_normal(fan_out)]
+        probe = ad.Tensor(rng.standard_normal(shape[:-1] + (fan_out,)).astype(np.float32))
+        got = []
+        for op in (ad.norm_affine, _unfused_norm_affine):
+            leaves = [ad.Tensor(a.astype(np.float32), requires_grad=True) for a in data]
+            out = op(*leaves, relu=relu)
+            ad.backward(ad.mean_all(ad.mul(out, probe)))
+            with ad.no_grad():
+                untaped = op(*leaves, relu=relu).data
+            got.append([out.data, untaped] + [leaf.grad for leaf in leaves])
+        assert (got[0][0] == 0).any() == relu
+        for name, fused, ref in zip(("out", "untaped", "a", "gain", "bias", "w", "b"), *got):
+            assert _same_bits(fused, ref), name
+
     def test_bet_gradients_equal_those_of_the_former_kernels(self, monkeypatch):
         """A taped training forward and backward of the desk BeT at (64, 20),
         with dropout, gives bitwise the parameter gradients of the former
         kernels: the head-split copy attention with strided keys and the
-        row-max softmax, float dropout masks, unfused residual branches and
-        the one-expression layer norm."""
+        row-max softmax, float dropout masks, unfused residual branches
+        whose sums copy the stream, and each layer norm its own node,
+        built in one expression, before the affine that reads it."""
         from racelab.bet import BeT, BeTConfig
 
         cfg = BeTConfig()
@@ -462,6 +531,7 @@ class TestFusedOps:
         now = gradients()
         monkeypatch.setattr(ad, "causal_attention", _copy_attention)
         monkeypatch.setattr(ad, "residual_affine", _unfused_residual)
+        monkeypatch.setattr(ad, "norm_affine", _unfused_norm_affine)
         monkeypatch.setattr(ad, "dropout", _float_mask_dropout)
         monkeypatch.setattr(ad, "_layer_norm", _two_temporary_layer_norm)
         former = gradients()
@@ -510,11 +580,12 @@ class TestFusedOps:
         assert np.array_equal(no_drop.data, np.concatenate(ref, axis=-1))
 
     def test_overflowing_variance_names_layer_norm(self):
-        # The normalized output of this row is finite; its variance is not.
+        """The fused layer norm, norm_affine, names itself. The normalized
+        output of this row is finite; its variance is not."""
         x = ad.tensor(np.array([[1e20, -1e20, 0.0, 0.0]]))
         g, b = ad.tensor(np.ones(4)), ad.tensor(np.zeros(4))
-        with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="layer_norm"):
-            ad.layer_norm(x, g, b)
+        with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="norm_affine"):
+            ad.norm_affine(x, g, b, ad.tensor(np.eye(4)), b)
 
     def test_overflowing_scores_name_causal_attention(self):
         qkv = ad.tensor(np.concatenate([np.full((1, 3, 4), 1e20), np.full((1, 3, 4), -1e20),
@@ -691,9 +762,46 @@ class TestResidualAffine:
             check_grads(build, [h, x, w, b], rng)
 
     def test_a_stream_of_another_shape_is_refused(self):
+        """Refused before anything is written: a leaf stream and a taped
+        interior one, whose buffer the sum would take, keep their values,
+        also where the (2, 3) product would broadcast into them."""
         x, w, b = ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((4, 3))), ad.tensor(np.zeros(3))
-        with pytest.raises(ad.AutodiffError, match="residual_affine"):
-            ad.residual_affine(ad.tensor(np.ones(3)), x, w, b, 0.0, None, False)
+        for shape in ((3,), (1, 3), (2, 2, 3), (3, 2)):
+            values = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+            leaf = ad.Tensor(values.copy(), requires_grad=True)
+            for h in (leaf, ad.scale(leaf, 1.0)):
+                with pytest.raises(ad.AutodiffError, match="residual_affine"):
+                    ad.residual_affine(h, x, w, b, 0.0, None, False)
+                assert _same_bits(h.data, values), (shape, h.is_leaf)
+
+    def test_an_interior_stream_takes_the_sum_in_place(self):
+        """A taped interior h gives its buffer to the output; a leaf h, an h
+        that takes no gradient and any h under no_grad keep theirs. Output
+        and gradients keep the bits of the unfused branch."""
+        rng = np.random.default_rng(28)
+        data = [rng.standard_normal((5, 4, 64)), rng.standard_normal((5, 4, 64)),
+                0.1 * rng.standard_normal((64, 64)), rng.standard_normal(64)]
+        probe = ad.Tensor(rng.standard_normal((5, 4, 64)).astype(np.float32))
+        got = []
+        for branch in (ad.residual_affine, _unfused_residual):
+            leaves = [ad.Tensor(a.astype(np.float32), requires_grad=True) for a in data]
+            h = ad.scale(leaves[0], 1.0)
+            out = branch(h, *leaves[1:], 0.1, np.random.default_rng(29), True)
+            assert np.shares_memory(out.data, h.data) == (branch is ad.residual_affine)
+            ad.backward(ad.mean_all(ad.mul(out, probe)))
+            got.append([out.data] + [leaf.grad for leaf in leaves])
+        for name, fused, ref in zip(("out", "h", "x", "w", "b"), *got):
+            assert _same_bits(fused, ref), name
+        x, w, b = (ad.Tensor(a.astype(np.float32)) for a in data[1:])
+        leaf = ad.Tensor(data[0].astype(np.float32), requires_grad=True)
+        for h in (leaf, ad.scale(ad.Tensor(leaf.data), 1.0)):
+            out = ad.residual_affine(h, x, w, b, 0.0, None, False)
+            assert not np.shares_memory(out.data, h.data)
+        taped = ad.scale(leaf, 1.0)
+        with ad.no_grad():
+            out = ad.residual_affine(taped, x, w, b, 0.0, None, False)
+        assert not np.shares_memory(out.data, taped.data)
+        assert _same_bits(taped.data, leaf.data)
 
 
 class TestTapeSemantics:

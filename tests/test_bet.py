@@ -285,24 +285,30 @@ def test_train_step_gradient_matches_finite_difference():
     assert checked == 10
 
 
+# The tiny config at (2, 8) and the benchmark's desk BeT at (64, 20).
+_TAPE_SHAPES = [(_tiny_cfg(n_layers=3, n_heads=4), 2), (BeTConfig(), 64)]
+
+
 def test_train_step_tape_size():
     """Tensors built by one update: input and target, then per forward 4 for
-    the embedding, 7 per block and 3 for the head, plus the loss. A block
-    is two layer norms, the packed query, key and value affine, attention,
-    the MLP's first affine with its relu, and two residual branches of one
-    node each (last affine, dropout and sum). A per-head loop or a layer
-    norm built from primitive ops would add dozens. The inputs arrive
-    saturated (``Normalizer.transform``), so the forward adds no clip
-    node."""
-    cfg = _tiny_cfg(n_layers=3, n_heads=4)
-    model = BeT(cfg, RNG(43))
-    obs = RNG(44).standard_normal((2, 8, 6)).astype(np.float32)
-    act = np.zeros((2, 8, 2), dtype=np.float32)
-    opt = Lamb(model.params(), LambConfig())
-    before = ad.Tensor(0.0)._serial
-    train_step(model, obs, act, opt, RNG(45))
-    built = ad.Tensor(0.0)._serial - before - 1
-    assert built == 2 + 4 + 7 * cfg.n_layers + 3 + 1
+    the embedding, 5 per block and 2 for the head, plus the loss. A block
+    is two layer norms, each fused with the projection that reads it (the
+    packed query, key and value affine; the MLP's first affine with its
+    relu), attention, and two residual branches of one node each (last
+    affine, dropout and sum); the head is the final layer norm fused with
+    the head affine, and the tanh. A per-head loop or a layer norm built
+    from primitive ops would add dozens. The inputs arrive saturated
+    (``Normalizer.transform``), so the forward adds no clip node. At the
+    desk shape that is 29 tensors."""
+    for cfg, batch in _TAPE_SHAPES:
+        model = BeT(cfg, RNG(43))
+        obs = RNG(44).standard_normal((batch, cfg.context, cfg.obs_dim)).astype(np.float32)
+        act = np.zeros((batch, cfg.context, cfg.act_dim), dtype=np.float32)
+        opt = Lamb(model.params(), LambConfig())
+        before = ad.Tensor(0.0)._serial
+        train_step(model, obs, act, opt, RNG(45))
+        built = ad.Tensor(0.0)._serial - before - 1
+        assert built == 2 + 4 + 5 * cfg.n_layers + 2 + 1, cfg
 
 
 def _retained_bytes(root, excluded):
@@ -340,14 +346,13 @@ def test_train_step_tape_retains_only_what_the_backward_reads(monkeypatch):
     """The bytes that one update's tape holds when its backward starts,
     parameters excluded: the input and target, each node's output, and what
     the fused backwards read. Dropout masks are one byte per element; the
-    residual branches' products and the attention's dropped weights and
-    head-split copies are not held."""
-    cfg = _tiny_cfg(n_layers=3, n_heads=4)
-    model = BeT(cfg, RNG(43))
-    obs = RNG(44).standard_normal((2, 8, 6)).astype(np.float32)
-    act = np.zeros((2, 8, 2), dtype=np.float32)
-    params = {id(p.data) for p in model.params().values()}
-    held = []
+    layer norms' outputs, the residual branches' products and the
+    attention's dropped weights and head-split copies are not held, and the
+    residual stream is one buffer, the embedding's dropout output. Against
+    a layer norm node of its own and a stream copied at every branch that
+    is (4L + 1) * n * d float32 fewer: 13,312 bytes on the tiny config and
+    5,570,560 at the desk shape."""
+    params, held = set(), []
     backward = ad.backward
 
     def measured(root):
@@ -355,18 +360,26 @@ def test_train_step_tape_retains_only_what_the_backward_reads(monkeypatch):
         backward(root)
 
     monkeypatch.setattr(ad, "backward", measured)
-    train_step(model, obs, act, Lamb(model.params(), LambConfig()), RNG(45))
-    n, d, f = 2 * 8, cfg.embed_dim, 4          # positions, width, bytes of a float32
-    weights = cfg.n_heads * 2 * 8 * 8           # attention weights of one block
-    layer_norm = 2 * n * d * f + n * f          # output, normalized input, std
-    branch = n * d * f + n * d                  # residual output and its mask
-    block = (layer_norm + 3 * n * d * f                  # packed query, key and value
-             + n * d * f + weights * f + weights         # attention: output, weights, mask
-             + branch + layer_norm + cfg.mlp_ratio * n * d * f + branch)
-    embed = n * cfg.obs_dim * f + 3 * n * d * f + n * d  # input, affine, sum, dropout, mask
-    head = layer_norm + 2 * n * cfg.act_dim * f          # head affine and tanh
-    loss = 2 * n * cfg.act_dim * f + f                   # target, difference, value
-    assert held == [embed + cfg.n_layers * block + head + loss]
+    want = []
+    for cfg, batch in _TAPE_SHAPES:
+        model = BeT(cfg, RNG(43))
+        obs = RNG(44).standard_normal((batch, cfg.context, cfg.obs_dim)).astype(np.float32)
+        act = np.zeros((batch, cfg.context, cfg.act_dim), dtype=np.float32)
+        params.clear()
+        params.update(id(p.data) for p in model.params().values())
+        train_step(model, obs, act, Lamb(model.params(), LambConfig()), RNG(45))
+        n, d, f = batch * cfg.context, cfg.embed_dim, 4  # positions, width, bytes of a float32
+        weights = cfg.n_heads * batch * cfg.context ** 2  # attention weights of one block
+        norm = n * d * f + n * f                    # normalized input, std
+        branch = n * d                              # residual mask
+        block = (norm + 3 * n * d * f                       # packed query, key and value
+                 + n * d * f + weights * f + weights        # attention: output, weights, mask
+                 + branch + norm + cfg.mlp_ratio * n * d * f + branch)
+        embed = n * cfg.obs_dim * f + 3 * n * d * f + n * d  # input, affine, sum, dropout, mask
+        head = norm + 2 * n * cfg.act_dim * f                # head affine and tanh
+        loss = 2 * n * cfg.act_dim * f + f                   # target, difference, value
+        want.append(embed + cfg.n_layers * block + head + loss)
+    assert held == want
 
 
 def test_training_fits_a_tiny_mapping():
