@@ -340,10 +340,10 @@ def _affine_vjp(g, x, w, b, input_grad):
     return (g2 @ w.data.T).reshape(x.shape) if input_grad else None
 
 
-def norm_affine(a, gain, bias, w, b, relu=False, eps=1e-5):
+def norm_affine(a, gain, bias, w, b, relu=False):
     """affine(layer_norm(a), w, b, relu) as one tape node: a layer norm
-    over the last axis (arXiv 1607.06450) with its own gain and bias, and
-    the projection that reads it.
+    over the last axis (arXiv 1607.06450, eps 1e-5) with its own gain and
+    bias, and the projection that reads it.
 
     The normalized output is never a tape tensor. The node keeps the
     normalized rows xhat = (a - mean) / std and the std, and its backward
@@ -356,7 +356,7 @@ def norm_affine(a, gain, bias, w, b, relu=False, eps=1e-5):
     overflows raises here, although the normalized output would still be
     finite.
     """
-    normed, xhat, std = _layer_norm(a.data, gain.data, bias.data, eps)
+    normed, xhat, std = _layer_norm(a.data, gain.data, bias.data, 1e-5)
     _checked(std, "norm_affine")
     out = _affine(normed, w.data, b.data, "norm_affine")
 
