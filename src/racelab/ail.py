@@ -24,7 +24,7 @@ from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
 from .env import Normalizer, RaceEnv, rollout
-from .optim import Adam, AdamConfig
+from .optim import Adam
 from .policies import GaussianPolicy, build_policy_stack, load_bc, save_bc
 from .seeding import stream
 
@@ -62,13 +62,13 @@ def ail_reward(disc, obs_n, a_env):
     return (-np.log1p(-d)).astype(np.float32)
 
 
-def disc_update(disc, opt, expert_x, agent_x, rng, gp_scale=10.0, gp_target=1.0,
-                entropy_scale=0.001):
+def disc_update(disc, opt, expert_x, agent_x, rng, gp_scale, gp_target, entropy_scale):
     """One classifier step: two-sided cross-entropy, input-gradient norm
     penalty on per-row interpolates, and an output-entropy bonus.
 
     expert_x / agent_x are (N, obs+act) float32 pair batches. Returns the
-    loss terms and mean classifier outputs for both sides.
+    loss terms and mean classifier outputs for both sides. The three
+    scales are TrainConfig's gp_scale, gp_target and entropy_scale.
     """
     if len(expert_x) == 0 or len(agent_x) == 0:
         raise ValueError("empty discriminator batch")
@@ -120,18 +120,17 @@ class ReplayBuffer:
     """FIFO transition ring; it never stores rewards.
 
     Columns per row: augmented input, scaled correction, successor
-    augmented input, env action. The augmented input starts with the
-    whitened observation, which ``obs_of`` reads from there. Rollouts
-    never end an episode, so every transition bootstraps and no mask is
-    stored.
+    augmented input, env action; the two actions are two wide. The
+    augmented input starts with the whitened observation, which
+    ``obs_of`` reads from there. Rollouts never end an episode, so every
+    transition bootstraps and no mask is stored.
     """
 
-    def __init__(self, capacity, aug_dim, obs_dim, act_dim=2):
+    def __init__(self, capacity, aug_dim, obs_dim):
         self.capacity = int(capacity)
         self.aug_dim = int(aug_dim)
         self.obs_dim = int(obs_dim)
-        self.act_dim = int(act_dim)
-        edges = np.cumsum([0, aug_dim, act_dim, aug_dim, act_dim])
+        edges = np.cumsum([0, aug_dim, 2, aug_dim, 2])
         names = ["aug", "res", "aug_next", "a_env"]
         self._cols = {n: slice(int(a), int(b)) for n, a, b in zip(names, edges[:-1], edges[1:])}
         self._data = np.zeros((self.capacity, int(edges[-1])), dtype=np.float32)
@@ -243,9 +242,9 @@ class SACTrainer:
         self.q2 = _make_q(in_dim, cfg.hidden, rng, "q2")
         self.q1_t = _copy_net(self.q1, "q1_t")
         self.q2_t = _copy_net(self.q2, "q2_t")
-        self.opt_q1 = Adam(self.q1.params(), AdamConfig(lr=cfg.lr))
-        self.opt_q2 = Adam(self.q2.params(), AdamConfig(lr=cfg.lr))
-        self.opt_pi = Adam(policy.params(), AdamConfig(lr=cfg.lr))
+        self.opt_q1 = Adam(self.q1.params(), cfg.lr)
+        self.opt_q2 = Adam(self.q2.params(), cfg.lr)
+        self.opt_pi = Adam(policy.params(), cfg.lr)
 
     def update(self, batch, rng):
         """One gradient step on both critics and the actor."""
@@ -355,7 +354,7 @@ class Trainer:
         obs, act = demos.transitions()
         self._demo_x = disc_input(demos.normalizer.transform(obs), act)
         self.disc = make_discriminator(obs_dim, 2, stream(self.seed, "init", 2))
-        self.opt_disc = Adam(self.disc.params(), AdamConfig(lr=cfg.disc_lr))
+        self.opt_disc = Adam(self.disc.params(), cfg.disc_lr)
         self.sac = SACTrainer(stack.residual, stack.aug_dim, cfg.sac, stream(self.seed, "init", 1))
         self.env_steps = 0
         self.iteration_count = 0

@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .env import Normalizer
-from .optim import Lamb, LambConfig
+from .optim import Lamb
 from .seeding import stream
 
 __all__ = [
@@ -142,9 +142,8 @@ class _Block:
 class BeT:
     """The transformer policy; normalized observations in, actions out."""
 
-    def __init__(self, cfg, rng=None):
+    def __init__(self, cfg, rng):
         self.cfg = cfg
-        rng = rng if rng is not None else np.random.default_rng(0)
         dtype = ad.default_dtype()
         self.in_proj = nets.Affine(cfg.obs_dim, cfg.embed_dim, rng, w_std=cfg.w_std)
         self.pos_emb = ad.Tensor(
@@ -243,7 +242,7 @@ def pretrain(model, demoset, seed, progress=None):
     pairs = demoset.window_index(cfg.context)
     if not pairs:
         raise ValueError("demonstrations are shorter than the training context")
-    opt = Lamb(model.params(), LambConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
+    opt = Lamb(model.params(), cfg.lr, cfg.weight_decay)
     history = []
     ema = None
     for update in range(cfg.updates):

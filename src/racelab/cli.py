@@ -233,13 +233,6 @@ def _trace(cfg, stage=False):
             "content_version": CONTENT_VERSION, "seed": cfg.seed}
 
 
-def _track_from_spec(spec):
-    """The course a track spec names: a preset whose other keys go to
-    gen_track, which owns their defaults."""
-    spec = dict(spec)
-    return gen_track(spec.pop("preset"), **spec)
-
-
 def _require(path, what, hint):
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing {what}: {path} ({hint})")
@@ -344,7 +337,7 @@ def _ensure(cfg, path, load, save, build):
 def _ensure_course(cfg, exp_dir, track_file, demos_file, spec, laps):
     """A course and, unless demos_file is None, its demonstrations."""
     track = _ensure(cfg, os.path.join(exp_dir, track_file), load_track, save_track,
-                    lambda: _track_from_spec(spec))
+                    lambda: gen_track(**spec))
     if demos_file is None:
         return track, None
     return track, _ensure(
@@ -381,7 +374,7 @@ def _ensure_base(cfg, exp_dir):
 def _train_bc_base(cfg, demos, out_dir):
     bc_cfg = cfg.bc
     net, history = train_bc(demos, bc_cfg["hidden"], bc_cfg["updates"], bc_cfg["batch"],
-                            bc_cfg["lr"], cfg.seed, stream)
+                            bc_cfg["lr"], cfg.seed)
     path = os.path.join(out_dir, "bc.ckpt")
     save_bc(path, net, {"final_loss": history[-1], **_trace(cfg)})
     print(f"cloned base: {len(history)} updates, final loss {history[-1]:.5f} -> {path}")

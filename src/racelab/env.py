@@ -106,10 +106,10 @@ class Normalizer:
     std: np.ndarray
 
     @staticmethod
-    def fit(data, floor=1e-6):
+    def fit(data):
         data = np.asarray(data, dtype=np.float64)
         mean = data.mean(axis=0)
-        std = np.maximum(data.std(axis=0), floor)
+        std = np.maximum(data.std(axis=0), 1e-6)
         return Normalizer(mean.astype(np.float32), std.astype(np.float32))
 
     @staticmethod

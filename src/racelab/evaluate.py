@@ -87,15 +87,15 @@ def evaluate(stack, track, vparams, ecfg, demos, n_cars, max_steps, seed=0, tag=
     """Run the lap protocol for n_cars cars and at most max_steps steps.
 
     Returns an EvalReport. stack is anything with ``reset()``,
-    ``eval_policy(env)`` and ``params()``: a policy stack, or a scripted
-    controller with no parameters. The training config owns both sizes
-    (``eval_cars``, ``eval_max_steps``). The demo set demos supplies
-    the placement speeds. Placement uses the (seed, tag) evaluation
-    stream, so a given checkpoint re-evaluates identically. Finished and
-    clean flags, lap times and each car's steering horizon are read from
-    the environment's lap record, and the drive stops once every car's
-    lap step is set. Policy parameters are checksummed before and after;
-    evaluation must not change them.
+    ``eval_policy(env)`` and ``params()``: a policy stack, or the scripted
+    ``expert.ExpertController``, which has no parameters. The training
+    config owns both sizes (``eval_cars``, ``eval_max_steps``). The demo
+    set demos supplies the placement speeds. Placement uses the (seed,
+    tag) evaluation stream, so a given checkpoint re-evaluates
+    identically. Finished and clean flags, lap times and each car's
+    steering horizon are read from the environment's lap record, and the
+    drive stops once every car's lap step is set. Policy parameters are
+    checksummed before and after; evaluation must not change them.
     """
     env = RaceEnv(track, vparams, ecfg)
     obs = env.reset_eval(n_cars, stream(seed, "eval", tag), demos.speed_lookup(track.length))

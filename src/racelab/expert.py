@@ -32,6 +32,9 @@ __all__ = [
 
 DEMO_FORMAT = "racelab-demos-v1"
 
+# The steps within which every demonstration lap must finish.
+DEMO_MAX_STEPS = 4000
+
 # The state a demonstration lap records at each of its T+1 steps.
 LAP_STATE = ("position", "yaw", "v_x", "v_y", "s")
 
@@ -55,7 +58,14 @@ class ExpertParams:
 
 
 class ExpertController:
-    """Stateful batched controller (keeps the low-passed steering)."""
+    """Stateful batched controller (keeps the low-passed steering).
+
+    It also drives the evaluator's protocol (``reset()``,
+    ``eval_policy(env)`` and ``params()``), so the scripted expert is
+    scored like any policy stack. The controller is privileged: it reads
+    the true vehicle state from the environment and ignores the
+    observation vector.
+    """
 
     def __init__(self, track, vparams, xparams, speed_mult, pursuit_mult):
         self.track = track
@@ -67,6 +77,16 @@ class ExpertController:
 
     def reset(self):
         self.prev_steer = np.zeros_like(self.speed_mult)
+
+    def params(self):
+        """The scripted controller has no parameters."""
+        return {}
+
+    def eval_policy(self, env):
+        def policy(obs):
+            return self.act(env.state, env.s).astype(np.float32), {}
+
+        return policy
 
     def target_speed(self, s, v_x):
         """Braking-feasible speed from the curvature preview."""
@@ -215,14 +235,14 @@ class DemoSet:
         return DemoSet(laps, norm, extra)
 
 
-def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
+def generate_demos(track, vparams, ecfg, xparams, n_laps, seed):
     """Drive n_laps demonstration laps, one jittered controller per lap.
 
     All laps run as one batch; each car starts at a seeded arclength at
     its locally appropriate speed and records up to its lap step in the
     environment's lap record (``RaceEnv.lap_step``): the step at which it
-    has covered one full lap. A lap with no lap step after max_steps is a
-    RuntimeError. Returns the DemoSet with a normalizer fitted on all
+    has covered one full lap. A lap with no lap step after DEMO_MAX_STEPS
+    is a RuntimeError. Returns the DemoSet with a normalizer fitted on all
     recorded observations.
     """
     rngs = [stream(seed, "demo", lap) for lap in range(n_laps)]
@@ -241,7 +261,7 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
     # Small command noise makes the recordings cover a tube around the
     # racing line together with the controller's corrective responses.
     noise_rng = stream(seed, "demo", n_laps)
-    for _ in range(max_steps):
+    for _ in range(DEMO_MAX_STEPS):
         act = controller.act(env.state, env.s)
         if xparams.action_noise > 0.0:
             act = act + xparams.action_noise * noise_rng.standard_normal(act.shape)
@@ -251,7 +271,7 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed, max_steps=4000):
             break
     if not env.lap_step.all():
         bad = int(np.argmin(env.lap_step))
-        raise RuntimeError(f"demonstration lap {bad} did not finish within {max_steps} steps")
+        raise RuntimeError(f"demonstration lap {bad} did not finish within {DEMO_MAX_STEPS} steps")
     stacked = {key: np.stack(col, axis=1) for key, col in zip(("obs", *LAP_STATE), zip(*rows))}
     stacked["actions"] = np.stack(actions, axis=1)
     # A lap of T actions keeps T+1 rows of everything else. Copies, so the
@@ -292,30 +312,3 @@ def _lap_state(env):
     st = env.state
     return [np.array(x, dtype=np.float32) for x in (st.position, st.yaw, st.v_x, st.v_y, env.s)]
 
-
-class ExpertAdapter:
-    """Evaluation-protocol wrapper around the scripted controller.
-
-    Exposes the reset()/eval_policy(env)/params() surface the evaluator
-    drives.
-    The controller is privileged: it reads the true vehicle state from
-    the environment and ignores the observation vector.
-    """
-
-    def __init__(self, track, vparams, xparams, n_cars):
-        ones = np.ones(n_cars, dtype=np.float64)
-        self.controller = ExpertController(track, vparams, xparams, ones, ones.copy())
-
-    def reset(self):
-        self.controller.reset()
-
-    def params(self):
-        """The scripted controller has no parameters."""
-        return {}
-
-    def eval_policy(self, env):
-        def policy(obs):
-            actions = self.controller.act(env.state, env.s)
-            return actions.astype(np.float32), {}
-
-        return policy

@@ -156,14 +156,14 @@ def mlp_input_gradient(mlp, x):
     return post[-1], g
 
 
-def gradient_penalty(mlp, x_hat, target, eps=1e-12):
+def gradient_penalty(mlp, x_hat, target):
     """Mean squared deviation of the input-gradient norm from target.
 
     x_hat is a constant batch (B, in). Returns the scalar penalty tensor;
     backward() through it updates the net toward unit input gradients.
     """
     _, grad = mlp_input_gradient(mlp, ad.tensor(x_hat))
-    norm = ad.sqrt(ad.shift(ad.sum_last(ad.square(grad)), eps))
+    norm = ad.sqrt(ad.shift(ad.sum_last(ad.square(grad)), 1e-12))
     want = ad.tensor(np.full((x_hat.shape[0], 1), float(target)))
     return ad.mse(norm, want)
 

@@ -35,6 +35,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
+from .optim import Adam
+from .seeding import stream
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -68,12 +70,12 @@ class GaussianPolicy:
     through unchanged) with unit pre-squash spread.
     """
 
-    def __init__(self, in_dim, act_dim, hidden, alpha, rng, name="res"):
+    def __init__(self, in_dim, act_dim, hidden, alpha, rng):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         dims = [in_dim] + list(hidden) + [2 * act_dim]
         acts = ["relu"] * len(hidden) + ["identity"]
-        self.net = nets.MLP(dims, acts, rng, name=name, final_zero=True)
+        self.net = nets.MLP(dims, acts, rng, name="res", final_zero=True)
         self.in_dim = in_dim
         self.act_dim = act_dim
         self.alpha = float(alpha)
@@ -119,31 +121,29 @@ class GaussianPolicy:
         return action, ad.sum_last(terms)
 
 
-def make_bc_net(obs_dim, act_dim, hidden, rng, name="bc"):
+def make_bc_net(obs_dim, act_dim, hidden, rng):
     """Deterministic behavior-cloning net: normalized obs -> bounded action."""
     dims = [obs_dim] + list(hidden) + [act_dim]
     acts = ["relu"] * len(hidden) + ["tanh"]
-    return nets.MLP(dims, acts, rng, name=name)
+    return nets.MLP(dims, acts, rng, name="bc")
 
 
-def train_bc(demoset, hidden, updates, batch, lr, seed, stream_fn, progress=None):
+def train_bc(demoset, hidden, updates, batch, lr, seed):
     """Fit a behavior-cloning net to the demonstrations by action regression.
 
-    stream_fn(seed, phase, *counters) supplies the per-update generators.
-    Returns (net, loss history). Batches larger than the demo set fall
-    back to full-batch updates, which makes tiny-set runs deterministic.
+    The seed's "bc" streams supply the per-update generators. Returns
+    (net, loss history). Batches larger than the demo set fall back to
+    full-batch updates, which makes tiny-set runs deterministic.
     """
-    from .optim import Adam, AdamConfig
-
     obs, act = demoset.transitions()
     obs_n = demoset.normalizer.transform(obs)
-    net = make_bc_net(obs_n.shape[1], act.shape[1], hidden, stream_fn(seed, "bc", 0))
-    opt = Adam(net.params(), AdamConfig(lr=lr))
+    net = make_bc_net(obs_n.shape[1], act.shape[1], hidden, stream(seed, "bc", 0))
+    opt = Adam(net.params(), lr)
     history = []
     m = len(obs_n)
     for update in range(updates):
         if batch < m:
-            rng = stream_fn(seed, "bc", update + 1)
+            rng = stream(seed, "bc", update + 1)
             idx = rng.integers(0, m, size=batch)
             xb, yb = obs_n[idx], act[idx]
         else:
@@ -153,8 +153,6 @@ def train_bc(demoset, hidden, updates, batch, lr, seed, stream_fn, progress=None
         ad.backward(loss)
         opt.step()
         history.append(float(loss.data))
-        if progress is not None and (update + 1) % 200 == 0:
-            progress(update + 1, history[-1])
     return net, history
 
 

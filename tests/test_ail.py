@@ -25,7 +25,7 @@ from racelab.bet import BeT, BeTConfig
 from racelab.env import EpisodeConfig
 from racelab.evaluate import evaluate
 from racelab.expert import ExpertParams, generate_demos
-from racelab.optim import Adam, AdamConfig
+from racelab.optim import Adam
 from racelab.policies import GaussianPolicy, build_policy_stack, make_bc_net
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
@@ -55,9 +55,10 @@ def test_bce_at_maximal_confusion_is_two_log_two():
     """An all-zero classifier outputs D = 1/2: loss = 2 ln 2 exactly."""
     disc = make_discriminator(3, 2, RNG(0))
     _zero_params(disc)
-    opt = Adam(disc.params(), AdamConfig(lr=0.0))
+    opt = Adam(disc.params(), 0.0)
     x = RNG(1).standard_normal((8, 5)).astype(np.float32)
-    stats = disc_update(disc, opt, x, x, RNG(2), gp_scale=0.0, entropy_scale=0.0)
+    stats = disc_update(disc, opt, x, x, RNG(2), gp_scale=0.0, gp_target=1.0,
+                        entropy_scale=0.0)
     assert stats["bce"] == pytest.approx(2.0 * np.log(2.0), rel=1e-6)
     assert stats["d_expert"] == pytest.approx(0.5, abs=1e-7)
     assert stats["d_agent"] == pytest.approx(0.5, abs=1e-7)
@@ -67,7 +68,7 @@ def test_gradient_penalty_linear_logit_closed_form():
     """For logit = w.x the input-gradient norm is |w| at every point, so
     the penalty is (|w| - target)^2 independent of the interpolates."""
     disc = _linear_logit_net([3.0, 4.0, 0.0, 0.0, 0.0])  # |w| = 5
-    opt = Adam(disc.params(), AdamConfig(lr=0.0))
+    opt = Adam(disc.params(), 0.0)
     e = RNG(3).standard_normal((6, 5)).astype(np.float32)
     a = RNG(4).standard_normal((6, 5)).astype(np.float32)
     stats = disc_update(disc, opt, e, a, RNG(5), gp_scale=10.0, gp_target=1.0,
@@ -89,10 +90,10 @@ def test_sixteen_point_toy_problem_separates():
         -0.5 * np.ones((8, 2), dtype=np.float32),
     ], axis=1)
     disc = make_discriminator(3, 2, RNG(7))
-    opt = Adam(disc.params(), AdamConfig(lr=1e-2))
+    opt = Adam(disc.params(), 1e-2)
     for _ in range(300):
         stats = disc_update(disc, opt, expert_x, agent_x, RNG(8),
-                            gp_scale=1.0, entropy_scale=0.0)
+                            gp_scale=1.0, gp_target=1.0, entropy_scale=0.0)
     assert stats["d_expert"] > 0.9
     assert stats["d_agent"] < 0.1
     r_expert = ail_reward(disc, expert_x[:, :3], expert_x[:, 3:])
@@ -123,9 +124,10 @@ def test_entropy_bonus_value_at_half():
     """At D = 1/2 the output entropy is ln 2 per row."""
     disc = make_discriminator(2, 2, RNG(0))
     _zero_params(disc)
-    opt = Adam(disc.params(), AdamConfig(lr=0.0))
+    opt = Adam(disc.params(), 0.0)
     x = RNG(11).standard_normal((4, 4)).astype(np.float32)
-    stats = disc_update(disc, opt, x, x, RNG(12), gp_scale=0.0, entropy_scale=0.5)
+    stats = disc_update(disc, opt, x, x, RNG(12), gp_scale=0.0, gp_target=1.0,
+                        entropy_scale=0.5)
     assert stats["entropy"] == pytest.approx(np.log(2.0), rel=1e-6)
     assert stats["loss"] == pytest.approx(stats["bce"] - 0.5 * np.log(2.0), rel=1e-6)
 

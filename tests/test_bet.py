@@ -16,7 +16,7 @@ from racelab.bet import (
 from racelab.env import EpisodeConfig, Normalizer
 from racelab.expert import ExpertParams, generate_demos
 from racelab.nets import params_checksum
-from racelab.optim import Lamb, LambConfig
+from racelab.optim import Lamb
 from racelab.policies import build_policy_stack
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
@@ -304,7 +304,7 @@ def test_train_step_tape_size():
         model = BeT(cfg, RNG(43))
         obs = RNG(44).standard_normal((batch, cfg.context, cfg.obs_dim)).astype(np.float32)
         act = np.zeros((batch, cfg.context, cfg.act_dim), dtype=np.float32)
-        opt = Lamb(model.params(), LambConfig())
+        opt = Lamb(model.params(), 1e-4, 0.0)
         before = ad.Tensor(0.0)._serial
         train_step(model, obs, act, opt, RNG(45))
         built = ad.Tensor(0.0)._serial - before - 1
@@ -367,7 +367,7 @@ def test_train_step_tape_retains_only_what_the_backward_reads(monkeypatch):
         act = np.zeros((batch, cfg.context, cfg.act_dim), dtype=np.float32)
         params.clear()
         params.update(id(p.data) for p in model.params().values())
-        train_step(model, obs, act, Lamb(model.params(), LambConfig()), RNG(45))
+        train_step(model, obs, act, Lamb(model.params(), 1e-4, 0.0), RNG(45))
         n, d, f = batch * cfg.context, cfg.embed_dim, 4  # positions, width, bytes of a float32
         weights = cfg.n_heads * batch * cfg.context ** 2  # attention weights of one block
         norm = n * d * f + n * f                    # normalized input, std
@@ -388,7 +388,7 @@ def test_training_fits_a_tiny_mapping():
     model = BeT(cfg, RNG(10))
     obs = RNG(11).standard_normal((8, 4, 6)).astype(np.float32)
     act = np.clip(0.5 * RNG(12).standard_normal((8, 4, 2)), -0.9, 0.9).astype(np.float32)
-    opt = Lamb(model.params(), LambConfig(lr=3e-3))
+    opt = Lamb(model.params(), 3e-3, 0.0)
     first = train_step(model, obs, act, opt, RNG(13))
     last = None
     for _ in range(300):

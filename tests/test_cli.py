@@ -19,7 +19,7 @@ from racelab.env import Normalizer
 from racelab.evaluate import evaluate
 from racelab.expert import DemoSet
 from racelab.policies import build_policy_stack
-from racelab.track import load_track, save_track
+from racelab.track import gen_track, load_track, save_track
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
 # any change here is a change of numerics and is re-blessed on purpose.
@@ -55,7 +55,7 @@ def test_run_with_other_feature_counts_sizes_the_base_from_the_episode(tmp_path)
 
 
 # sha256 of track.json for each preset at its defaults and each challenge
-# course, as cli._track_from_spec builds them.
+# course, as the stage pipeline builds them with gen_track(**spec).
 COURSE_FILES = {
     "circle": "fd83bc5cfa6d8f958b5c82bca32a3e29e3e7723938b2a2a13fd3d1530db39c08",
     "oval": "dcb3aaf6e2cf9b5d85071e0d965c1821c87747d25d852c0b62a0a430e6f4876f",
@@ -70,7 +70,7 @@ COURSE_FILES = {
 def test_course_files_keep_their_bytes(name, tmp_path):
     spec = CHALLENGES[name]["track"] if name in CHALLENGES else {"preset": name}
     path = tmp_path / "track.json"
-    save_track(cli._track_from_spec(spec), str(path))
+    save_track(gen_track(**spec), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == COURSE_FILES[name]
 
 

@@ -13,7 +13,7 @@ from racelab.evaluate import (
     steering_change,
     track_id,
 )
-from racelab.expert import ExpertAdapter, ExpertParams, generate_demos
+from racelab.expert import ExpertController, ExpertParams, generate_demos
 from racelab.policies import build_policy_stack
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
@@ -61,21 +61,21 @@ def test_steering_change_rejects_too_short():
 
 def test_expert_scores_perfectly_and_repeatably(world):
     track, vp, ec, demos = world
-    adapter = ExpertAdapter(track, vp, ExpertParams(), 6)
-    rep1 = evaluate(adapter, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
-    adapter2 = ExpertAdapter(track, vp, ExpertParams(), 6)
-    rep2 = evaluate(adapter2, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
+    expert = ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6))
+    rep1 = evaluate(expert, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
+    expert2 = ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6))
+    rep2 = evaluate(expert2, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
     assert rep1.success_rate == 1.0
     assert rep1.to_dict() == rep2.to_dict()  # same seed/tag: identical outcome
-    rep3 = evaluate(ExpertAdapter(track, vp, ExpertParams(), 6), track, vp, ec,
-                    demos, n_cars=6, max_steps=700, seed=3, tag=2)
+    rep3 = evaluate(ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6)),
+                    track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=2)
     assert rep3.to_dict() != rep1.to_dict()  # a new tag moves the grid
 
 
 def test_unfinished_cars_have_no_lap_time(world):
     track, vp, ec, demos = world
-    adapter = ExpertAdapter(track, vp, ExpertParams(), 4)
-    rep = evaluate(adapter, track, vp, ec, demos, n_cars=4, max_steps=40, seed=0, tag=0)
+    expert = ExpertController(track, vp, ExpertParams(), np.ones(4), np.ones(4))
+    rep = evaluate(expert, track, vp, ec, demos, n_cars=4, max_steps=40, seed=0, tag=0)
     assert rep.success_rate == 0.0
     assert all(t is None for t in rep.lap_times)
     assert rep.lap_time_mean is None and rep.lap_time_std is None

@@ -6,7 +6,6 @@ import pytest
 from racelab.env import EpisodeConfig, RaceEnv
 from racelab.expert import (
     DemoSet,
-    ExpertAdapter,
     ExpertController,
     ExpertParams,
     SpeedLookup,
@@ -211,14 +210,14 @@ def test_demo_speed_lookup_tracks_recording(circle_world):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation adapter
+# The evaluator's protocol
 
-def test_adapter_drives_clean_laps(circle_world):
+def test_controller_drives_clean_laps(circle_world):
     from racelab.evaluate import evaluate
 
     track, vp, ec, demos = circle_world
-    adapter = ExpertAdapter(track, vp, ExpertParams(), 4)
-    report = evaluate(adapter, track, vp, ec, demos, n_cars=4, max_steps=600,
+    expert = ExpertController(track, vp, ExpertParams(), np.ones(4), np.ones(4))
+    report = evaluate(expert, track, vp, ec, demos, n_cars=4, max_steps=600,
                       seed=0, tag=0)
     assert report.success_rate == 1.0
     assert all(report.clean)
