@@ -20,6 +20,7 @@ on an unseen one, alpha 0.2).
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -293,7 +294,9 @@ def build_config(user):
     Raises ConfigError on unknown keys, bad profile or challenge names,
     missing mode/track, a course table that gen_track would refuse, a
     residual mode without alpha, an alpha outside (0, 1], a value of
-    another kind than its default, or a size that a stage cannot run with.
+    another kind than its default, or a size or value that a stage cannot
+    run with: a seed below 0, no preview points, or a control period or
+    wheelbase that is not > 0.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -343,12 +346,18 @@ def build_config(user):
     demos = resolved["demos"]
     if demos["laps_pretrain"] is None:
         demos["laps_pretrain"] = demos["laps"]
-    for table, key in (("demos", "laps"), ("demos", "laps_pretrain"), ("bc", "updates"),
-                       ("bc", "batch")):
-        value = resolved[table][key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"config field '{table}.{key}' must be an integer >= 1, "
+    # Values the stages would fail on only after writing their first products.
+    for where, low in (("demos.laps", 1), ("demos.laps_pretrain", 1), ("bc.updates", 1),
+                       ("bc.batch", 1), ("expert.preview_points", 1), ("seed", 0),
+                       ("demos.seed", 0)):
+        value = functools.reduce(dict.__getitem__, where.split("."), resolved)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"config field '{where}' must be an integer >= {low}, "
                               f"got {value!r}")
+    for where in ("episode.dt", "vehicle.wheelbase"):
+        value = functools.reduce(dict.__getitem__, where.split("."), resolved)
+        if not value > 0:
+            raise ConfigError(f"config field '{where}' must be a number > 0, got {value!r}")
 
     episode = _typed(EpisodeConfig, resolved["episode"], "episode")
     bet_d = {**resolved["bet"], "obs_dim": obs_dim(episode), "act_dim": 2}

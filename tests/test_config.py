@@ -134,6 +134,11 @@ BAD_VALUES = [
     ("demos.laps_pretrain", 0, "config field 'demos.laps_pretrain' must be an integer >= 1"),
     ("bc.updates", 0, "config field 'bc.updates' must be an integer >= 1"),
     ("bc.batch", 0, "config field 'bc.batch' must be an integer >= 1"),
+    ("seed", -1, "config field 'seed' must be an integer >= 0, got -1"),
+    ("demos.seed", -1, "config field 'demos.seed' must be an integer >= 0, got -1"),
+    ("expert.preview_points", 0, "config field 'expert.preview_points' must be an integer >= 1"),
+    ("episode.dt", 0, "config field 'episode.dt' must be a number > 0, got 0"),
+    ("vehicle.wheelbase", 0, "config field 'vehicle.wheelbase' must be a number > 0, got 0"),
     ("alpha", 2.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", 0.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", "0.1", "config field 'alpha' must be a number in (0, 1]"),
