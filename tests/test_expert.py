@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from racelab import expert
 from racelab.env import EpisodeConfig, RaceEnv
 from racelab.expert import (
     DemoSet,
@@ -90,6 +91,13 @@ def test_demos_complete_full_laps(circle_world):
         ds = np.diff(lap["s"].astype(np.float64))
         ds = np.mod(ds + track.length / 2, track.length) - track.length / 2
         assert ds.sum() == pytest.approx(track.length, rel=0.02)
+
+
+def test_a_lap_unfinished_within_the_step_limit_is_an_error(circle_world, monkeypatch):
+    track, vp, ec, _ = circle_world
+    monkeypatch.setattr(expert, "DEMO_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match="^demonstration lap 0 did not finish within 5 steps$"):
+        generate_demos(track, vp, ec, ExpertParams(), 2, seed=0)
 
 
 def test_demo_normalizer_is_sane(circle_world):
