@@ -370,6 +370,7 @@ class TestFusedOps:
         assert np.array_equal(ad.affine(x3, w, b).data, fused.reshape(3, 5, 8))
 
     @pytest.mark.parametrize("fan_in,fan_out", [(50, 64), (64, 64), (64, 256), (256, 64), (64, 2)])
+    @pytest.mark.exact_bits
     def test_affine_rows_do_not_depend_on_the_row_count(self, fan_in, fan_out):
         """Each row equals the same row of a 1280-row product, at row counts
         that are and are not multiples of 4 (the BeT's layer shapes)."""
@@ -420,6 +421,7 @@ class TestFusedOps:
         assert np.array_equal(x.grad, mask @ w.data.T)
 
     @pytest.mark.parametrize("fan_in,fan_out", [(64, 256), (54, 256), (256, 256)])
+    @pytest.mark.exact_bits
     def test_affine_relu_rows_do_not_depend_on_the_row_count(self, fan_in, fan_out):
         """At the relu layers' shapes (the BeT block MLP, the critics) each
         row equals the same row of a 1280-row product, taped or not."""
@@ -457,6 +459,7 @@ class TestFusedOps:
         assert _same_bits(qv @ np.swapaxes(kv, -1, -2), want)
 
     @pytest.mark.parametrize("batch,t", [(1, 1), (4, 1), (3, 5), (20, 5), (64, 20), (256, 5)])
+    @pytest.mark.exact_bits
     def test_attention_views_equal_the_head_split_copies_bitwise(self, batch, t):
         """The view kernel gives the bits of the copy kernel, output and
         packed gradient, with dropout under a fixed generator and without."""
@@ -482,6 +485,7 @@ class TestFusedOps:
         ((3, 5, 64), 192),     # 15 rows, not a multiple of 4
         ((7, 50), 64),         # rank 2
     ])
+    @pytest.mark.exact_bits
     def test_norm_affine_equals_the_layer_norm_and_affine_bitwise(self, shape, fan_out, relu):
         """Output and the gradients of the input, gain, bias, weight and
         bias of the projection, float32, taped and without a tape."""
@@ -505,6 +509,7 @@ class TestFusedOps:
         for name, fused, ref in zip(("out", "untaped", "a", "gain", "bias", "w", "b"), *got):
             assert _same_bits(fused, ref), name
 
+    @pytest.mark.exact_bits
     def test_bet_gradients_equal_those_of_the_former_kernels(self, monkeypatch):
         """A taped training forward and backward of the desk BeT at (64, 20),
         with dropout, gives bitwise the parameter gradients of the former
@@ -551,6 +556,7 @@ class TestFusedOps:
 
         check_grads(build, [qkv], rng)
 
+    @pytest.mark.exact_bits
     def test_attention_equals_per_head_primitive_ops_bitwise(self):
         """One head-major dropout draw equals per-head draws in head order
         (each head's 3 * 6 * 6 mask values are a multiple of 4)."""
@@ -718,6 +724,7 @@ class TestResidualAffine:
         ((3, 5, 64), 64),      # 15 rows, not a multiple of 4
         ((7, 256), 64),
     ])
+    @pytest.mark.exact_bits
     def test_equals_the_unfused_branch_bitwise(self, p, x_shape, fan_out):
         """Output and the gradients of h, x, w and b, float32, with a fixed
         generator for the mask."""

@@ -183,6 +183,7 @@ def test_taped_prefixes_are_bit_identical_at_full_context():
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3])
+@pytest.mark.exact_bits
 def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
     """At row counts that are not a multiple of 4 a product can change its
     kernel with the count; affine's padding keeps every prefix exact."""
@@ -195,6 +196,7 @@ def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 20, 256])
+@pytest.mark.exact_bits
 def test_desk_predict_last_is_the_last_position_bitwise(batch):
     """The last-position forward, taped or not, equals the last position of
     the full forward, and a window's action does not depend on the batch."""

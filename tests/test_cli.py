@@ -30,6 +30,7 @@ GOLDEN = {
 }
 
 
+@pytest.mark.exact_bits
 def test_smoke_run_matches_golden_fingerprint(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"profile": "smoke", "challenge": "maggiore-like",
