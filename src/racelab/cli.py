@@ -11,6 +11,14 @@ their base once on the target course and report. ``eval`` and ``report``
 regenerate evaluation artifacts from a checkpoint bundle, and
 ``bet-info`` prints a base checkpoint's metadata.
 
+The two bases learn from different demonstrations. The cloned base of
+``bc`` and ``bcail`` is fitted on the target course's ``demos.ckpt``;
+the sequence base on the demonstrations of the pretraining courses. On a
+transfer challenge (``dragontail-like``, ``panorama-like``) only the
+cloned base has seen the course it is scored on. On ``maggiore-like``,
+whose pretraining course is its target, the two demonstration files are
+byte-identical while ``demos.laps_pretrain`` equals ``demos.laps``.
+
 The pipeline commands accept ``--config`` (a JSON document; the single
 source of truth for a run), ``--seed`` and ``--out``; ``eval`` and
 ``report`` take the config from the bundle and accept ``--out``. Exit

@@ -61,10 +61,10 @@ def test_steering_change_rejects_too_short():
 
 def test_expert_scores_perfectly_and_repeatably(world):
     track, vp, ec, demos = world
-    expert = ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6))
-    rep1 = evaluate(expert, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
-    expert2 = ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6))
-    rep2 = evaluate(expert2, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
+    controller = ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6))
+    rep1 = evaluate(controller, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
+    controller2 = ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6))
+    rep2 = evaluate(controller2, track, vp, ec, demos, n_cars=6, max_steps=700, seed=3, tag=1)
     assert rep1.success_rate == 1.0
     assert rep1.to_dict() == rep2.to_dict()  # same seed/tag: identical outcome
     rep3 = evaluate(ExpertController(track, vp, ExpertParams(), np.ones(6), np.ones(6)),
@@ -74,8 +74,8 @@ def test_expert_scores_perfectly_and_repeatably(world):
 
 def test_unfinished_cars_have_no_lap_time(world):
     track, vp, ec, demos = world
-    expert = ExpertController(track, vp, ExpertParams(), np.ones(4), np.ones(4))
-    rep = evaluate(expert, track, vp, ec, demos, n_cars=4, max_steps=40, seed=0, tag=0)
+    controller = ExpertController(track, vp, ExpertParams(), np.ones(4), np.ones(4))
+    rep = evaluate(controller, track, vp, ec, demos, n_cars=4, max_steps=40, seed=0, tag=0)
     assert rep.success_rate == 0.0
     assert all(t is None for t in rep.lap_times)
     assert rep.lap_time_mean is None and rep.lap_time_std is None

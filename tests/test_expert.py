@@ -224,8 +224,8 @@ def test_controller_drives_clean_laps(circle_world):
     from racelab.evaluate import evaluate
 
     track, vp, ec, demos = circle_world
-    expert = ExpertController(track, vp, ExpertParams(), np.ones(4), np.ones(4))
-    report = evaluate(expert, track, vp, ec, demos, n_cars=4, max_steps=600,
+    controller = ExpertController(track, vp, ExpertParams(), np.ones(4), np.ones(4))
+    report = evaluate(controller, track, vp, ec, demos, n_cars=4, max_steps=600,
                       seed=0, tag=0)
     assert report.success_rate == 1.0
     assert all(report.clean)
