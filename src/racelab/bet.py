@@ -74,6 +74,10 @@ class BeTConfig:
     length; eval_context the sliding window used for control. The blocks
     use relu, and the regression loss covers every causal position, not
     only the last.
+
+    It checks that the heads divide embed_dim, that eval_context does not
+    exceed context, and that dropout is in [0, 1) at 16-bit resolution.
+    The run config checks each size on its own.
     """
 
     obs_dim: int = 50
@@ -93,10 +97,6 @@ class BeTConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
-        for name in ("embed_dim", "n_layers", "n_heads", "mlp_ratio", "updates", "batch_size",
-                     "eval_context"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads:
             raise ValueError("embed_dim must divide evenly into heads")
         if self.eval_context > self.context:

@@ -105,7 +105,7 @@ from . import ail
 from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
-from .config import CONTENT_VERSION, ConfigError, build_config
+from .config import _AT_LEAST, CONTENT_VERSION, ConfigError, build_config
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
 from .policies import MODE_SPECS, build_policy_stack, save_bc, train_bc
@@ -489,8 +489,9 @@ def cmd_pipeline(args):
 
 
 def cmd_eval(args):
-    # The bounds of train.eval_cars and train.eval_max_steps.
-    for flag, value, low in (("--cars", args.cars, 1), ("--max-steps", args.max_steps, 2)):
+    # --cars and --max-steps stand in for train.eval_cars and train.eval_max_steps.
+    for flag, value, low in (("--cars", args.cars, _AT_LEAST["train.eval_cars"]),
+                             ("--max-steps", args.max_steps, _AT_LEAST["train.eval_max_steps"])):
         if value is not None and value < low:
             raise ConfigError(f"eval {flag} must be >= {low}, got {value}")
     if args.bundle is None:

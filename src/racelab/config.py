@@ -5,7 +5,12 @@ three layers — profile defaults, then an optional challenge preset, then
 the user's overrides — and rejects any key the schema does not know,
 naming the offending path. Each value has one owner: the BeT's input
 and output widths follow from the episode's feature counts and are
-derived, not set. The resolved document is canonicalized and hashed so
+derived, not set. So does the bound of each numeric leaf: one walk of
+the schema (_check_kinds) checks every leaf's kind and bound, which is
+>= 0 unless _AT_LEAST or _POSITIVE names the leaf. alpha, which only a
+residual mode needs, is checked against (0, 1] on its own. The typed
+configs check only the relations between their fields and the dropout
+rate's 16-bit resolution. The resolved document is canonicalized and hashed so
 every output artifact can be traced to its exact inputs.
 
 Profiles: ``desk`` (default; minutes-scale budgets), ``paper`` (the
@@ -20,7 +25,6 @@ on an unseen one, alpha 0.2).
 
 import copy
 import dataclasses
-import functools
 import hashlib
 import json
 
@@ -131,17 +135,18 @@ _FREE_SUBTREES = ("track", "pretrain_tracks")
 
 
 def _merge(base, override, path=()):
-    """Deep-merge override into base, rejecting keys absent from base."""
+    """Deep-merge override into base, rejecting keys absent from base and
+    a value that is not a table where base holds one."""
     for key, value in override.items():
         where = ".".join(path + (key,))
         if key not in base:
             raise ConfigError(f"unknown config key '{where}'")
         if key in _FREE_SUBTREES and not path:
             base[key] = copy.deepcopy(value)
-        elif isinstance(base[key], dict) and isinstance(value, dict):
+        elif isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key '{where}' must be a table")
             _merge(base[key], value, path + (key,))
-        elif isinstance(base[key], dict) and value is not None:
-            raise ConfigError(f"config key '{where}' must be a table")
         else:
             base[key] = copy.deepcopy(value)
     return base
@@ -150,29 +155,47 @@ def _merge(base, override, path=()):
 # Layer widths, the list values of the schema.
 _WIDTHS = ("bc.hidden", "train.policy_hidden", "train.sac.hidden")
 
+# The integers whose floor is above 0: sizes that a stage cannot run with
+# at 0, and an evaluation's step limit, which needs two steps to score the
+# steering.
+_AT_LEAST = {**dict.fromkeys((
+    "demos.laps", "demos.laps_pretrain", "expert.preview_points", "bc.updates", "bc.batch",
+    "bet.embed_dim", "bet.n_layers", "bet.n_heads", "bet.eval_context", "bet.mlp_ratio",
+    "bet.batch_size", "bet.updates", "train.n_cars", "train.rollout_steps",
+    "train.iterations", "train.disc_updates", "train.demo_batch", "train.eval_cars",
+    "train.sac.batch"), 1), "train.eval_max_steps": 2}
+
+# The floats that must be > 0: at 0 a demonstration lap never finishes.
+_POSITIVE = ("episode.dt", "vehicle.wheelbase")
+
 
 def _check_kinds(defaults, tree, prefix=""):
-    """Refuse a value of another kind than its schema default: where the
-    default is a number, a number that is not a bool, an integer where the
-    default is one and >= 0 where it is a float; where it is a table, a
-    table; and for the layer widths, a list of integers >= 1."""
+    """Refuse a value of another kind than its schema default, or outside
+    its bound; the one owner of the bounds of the numeric leaves. An
+    integer where the default is one or _AT_LEAST names the field, >= its
+    _AT_LEAST floor or else >= 0; a number that is not a bool where the
+    default is a float, > 0 where _POSITIVE names the field and else >= 0;
+    for the layer widths, a list of integers >= 1."""
     for key, default in defaults.items():
         where, value = prefix + key, tree[key]
         if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{where}' must be a table")
             _check_kinds(default, value, where + ".")
         elif where in _WIDTHS:
             if not isinstance(value, list) or not all(
                     isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in value):
                 raise ConfigError(f"config field '{where}' must be a list of integers >= 1, "
                                   f"got {value!r}")
-        elif isinstance(default, int) and not isinstance(default, bool):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config field '{where}' must be an integer, got {value!r}")
+        elif isinstance(default, int) or where in _AT_LEAST:
+            low = _AT_LEAST.get(where, 0)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"config field '{where}' must be an integer >= {low}, "
+                                  f"got {value!r}")
         elif isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
-                raise ConfigError(f"config field '{where}' must be a number >= 0, got {value!r}")
+            positive = where in _POSITIVE
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+                    value > 0 if positive else value >= 0):
+                raise ConfigError(f"config field '{where}' must be a number "
+                                  f"{'>' if positive else '>='} 0, got {value!r}")
 
 
 def config_hash(resolved):
@@ -294,9 +317,8 @@ def build_config(user):
     Raises ConfigError on unknown keys, bad profile or challenge names,
     missing mode/track, a course table that gen_track would refuse, a
     residual mode without alpha, an alpha outside (0, 1], a value of
-    another kind than its default, or a size or value that a stage cannot
-    run with: a seed below 0, no preview points, or a control period or
-    wheelbase that is not > 0.
+    another kind than its default or outside its bound (_check_kinds), or
+    a relation between fields that a typed config refuses.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -342,22 +364,10 @@ def build_config(user):
             gen_track(**{"preset": None, **spec})
         except ValueError as exc:
             raise ConfigError(f"invalid '{where}' config: {exc}") from None
-    _check_kinds(_base_defaults(), resolved)
     demos = resolved["demos"]
     if demos["laps_pretrain"] is None:
         demos["laps_pretrain"] = demos["laps"]
-    # Values the stages would fail on only after writing their first products.
-    for where, low in (("demos.laps", 1), ("demos.laps_pretrain", 1), ("bc.updates", 1),
-                       ("bc.batch", 1), ("expert.preview_points", 1), ("seed", 0),
-                       ("demos.seed", 0)):
-        value = functools.reduce(dict.__getitem__, where.split("."), resolved)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"config field '{where}' must be an integer >= {low}, "
-                              f"got {value!r}")
-    for where in ("episode.dt", "vehicle.wheelbase"):
-        value = functools.reduce(dict.__getitem__, where.split("."), resolved)
-        if not value > 0:
-            raise ConfigError(f"config field '{where}' must be a number > 0, got {value!r}")
+    _check_kinds(_base_defaults(), resolved)
 
     episode = _typed(EpisodeConfig, resolved["episode"], "episode")
     bet_d = {**resolved["bet"], "obs_dim": obs_dim(episode), "act_dim": 2}

@@ -108,26 +108,28 @@ def test_removed_key_is_rejected_by_path(path, tmp_path, capsys):
 # Values the trainer cannot run with, each named by the error: as
 # (dotted path, value, the start of what the error says about it).
 BAD_VALUES = [
-    ("train.n_cars", 0, "invalid 'train' config: n_cars must be >= 1"),
-    ("train.rollout_steps", 0, "invalid 'train' config: rollout_steps must be >= 1"),
-    ("train.disc_updates", 0, "invalid 'train' config: disc_updates must be >= 1"),
-    ("train.demo_batch", 0, "invalid 'train' config: demo_batch must be >= 1"),
-    ("train.eval_cars", 0, "invalid 'train' config: eval_cars must be >= 1"),
-    ("train.sac.batch", 0, "invalid 'train' config: sac.batch must be >= 1"),
+    ("train.n_cars", 0, "config field 'train.n_cars' must be an integer >= 1, got 0"),
+    ("train.rollout_steps", 0, "config field 'train.rollout_steps' must be an integer >= 1, got 0"),
+    ("train.disc_updates", 0, "config field 'train.disc_updates' must be an integer >= 1, got 0"),
+    ("train.demo_batch", 0, "config field 'train.demo_batch' must be an integer >= 1, got 0"),
+    ("train.eval_cars", 0, "config field 'train.eval_cars' must be an integer >= 1, got 0"),
+    ("train.sac.batch", 0, "config field 'train.sac.batch' must be an integer >= 1, got 0"),
     ("train.replay_capacity", 10, "invalid 'train' config: replay_capacity must be >= sac.batch"),
-    ("train.eval_max_steps", 1, "invalid 'train' config: eval_max_steps must be >= 2"),
-    ("train.iterations", 0, "invalid 'train' config: iterations must be >= 1"),
-    ("train.iterations", -1, "invalid 'train' config: iterations must be >= 1"),
-    ("train.sac.gradient_steps", -1, "invalid 'train' config: sac.gradient_steps must be >= 0"),
-    ("bet.embed_dim", 0, "invalid 'bet' config: embed_dim must be >= 1"),
-    ("bet.embed_dim", -4, "invalid 'bet' config: embed_dim must be >= 1"),
-    ("bet.n_layers", -1, "invalid 'bet' config: n_layers must be >= 1"),
-    ("bet.n_heads", 0, "invalid 'bet' config: n_heads must be >= 1"),
-    ("bet.mlp_ratio", 0, "invalid 'bet' config: mlp_ratio must be >= 1"),
-    ("bet.mlp_ratio", -1, "invalid 'bet' config: mlp_ratio must be >= 1"),
-    ("bet.updates", 0, "invalid 'bet' config: updates must be >= 1"),
-    ("bet.batch_size", 0, "invalid 'bet' config: batch_size must be >= 1"),
-    ("bet.eval_context", 0, "invalid 'bet' config: eval_context must be >= 1"),
+    ("train.eval_max_steps", 1,
+     "config field 'train.eval_max_steps' must be an integer >= 2, got 1"),
+    ("train.iterations", 0, "config field 'train.iterations' must be an integer >= 1, got 0"),
+    ("train.iterations", -1, "config field 'train.iterations' must be an integer >= 1, got -1"),
+    ("train.sac.gradient_steps", -1,
+     "config field 'train.sac.gradient_steps' must be an integer >= 0, got -1"),
+    ("bet.embed_dim", 0, "config field 'bet.embed_dim' must be an integer >= 1, got 0"),
+    ("bet.embed_dim", -4, "config field 'bet.embed_dim' must be an integer >= 1, got -4"),
+    ("bet.n_layers", -1, "config field 'bet.n_layers' must be an integer >= 1, got -1"),
+    ("bet.n_heads", 0, "config field 'bet.n_heads' must be an integer >= 1, got 0"),
+    ("bet.mlp_ratio", 0, "config field 'bet.mlp_ratio' must be an integer >= 1, got 0"),
+    ("bet.mlp_ratio", -1, "config field 'bet.mlp_ratio' must be an integer >= 1, got -1"),
+    ("bet.updates", 0, "config field 'bet.updates' must be an integer >= 1, got 0"),
+    ("bet.batch_size", 0, "config field 'bet.batch_size' must be an integer >= 1, got 0"),
+    ("bet.eval_context", 0, "config field 'bet.eval_context' must be an integer >= 1, got 0"),
     ("bet.dropout", 1.0, "invalid 'bet' config: dropout must be in [0, 1)"),
     ("bet.dropout", 0.999999, "invalid 'bet' config: dropout must be in [0, 1) at 16-bit"),
     ("demos.laps", 0, "config field 'demos.laps' must be an integer >= 1"),
@@ -154,7 +156,7 @@ BAD_VALUES = [
     ("bc.lr", -1, "config field 'bc.lr' must be a number >= 0, got -1"),
     ("bc.hidden", [0], "config field 'bc.hidden' must be a list of integers >= 1, got [0]"),
     ("bc.hidden", "ab", "config field 'bc.hidden' must be a list of integers >= 1, got 'ab'"),
-    ("vehicle.wheelbase", "x", "config field 'vehicle.wheelbase' must be a number >= 0, got 'x'"),
+    ("vehicle.wheelbase", "x", "config field 'vehicle.wheelbase' must be a number > 0, got 'x'"),
     ("expert.v_max", "x", "config field 'expert.v_max' must be a number >= 0, got 'x'"),
 ]
 
