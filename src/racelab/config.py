@@ -165,8 +165,11 @@ _AT_LEAST = {**dict.fromkeys((
     "train.iterations", "train.disc_updates", "train.demo_batch", "train.eval_cars",
     "train.sac.batch"), 1), "train.eval_max_steps": 2}
 
-# The floats that must be > 0: at 0 a demonstration lap never finishes.
-_POSITIVE = ("episode.dt", "vehicle.wheelbase")
+# The floats that must be > 0: at 0 no car moves or steers, and a
+# demonstration lap never finishes.
+_POSITIVE = ("episode.dt", "vehicle.wheelbase", "vehicle.max_steer", "vehicle.a_max",
+             "vehicle.v_cap", "vehicle.grip_limit", "expert.v_max", "expert.speed_scale",
+             "expert.corner_accel", "expert.throttle_gain", "expert.steer_smooth")
 
 
 def _check_kinds(defaults, tree, prefix=""):

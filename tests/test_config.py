@@ -141,6 +141,20 @@ BAD_VALUES = [
     ("expert.preview_points", 0, "config field 'expert.preview_points' must be an integer >= 1"),
     ("episode.dt", 0, "config field 'episode.dt' must be a number > 0, got 0"),
     ("vehicle.wheelbase", 0, "config field 'vehicle.wheelbase' must be a number > 0, got 0"),
+    ("vehicle.max_steer", 0, "config field 'vehicle.max_steer' must be a number > 0, got 0"),
+    ("vehicle.a_max", 0, "config field 'vehicle.a_max' must be a number > 0, got 0"),
+    ("vehicle.v_cap", 0, "config field 'vehicle.v_cap' must be a number > 0, got 0"),
+    ("vehicle.grip_limit", 0, "config field 'vehicle.grip_limit' must be a number > 0, got 0"),
+    ("expert.v_max", 0, "config field 'expert.v_max' must be a number > 0, got 0"),
+    ("expert.speed_scale", 0, "config field 'expert.speed_scale' must be a number > 0, got 0"),
+    ("expert.corner_accel", 0, "config field 'expert.corner_accel' must be a number > 0, got 0"),
+    ("expert.throttle_gain", 0, "config field 'expert.throttle_gain' must be a number > 0, got 0"),
+    ("expert.steer_smooth", 0, "config field 'expert.steer_smooth' must be a number > 0, got 0"),
+    ("episode.curvature_count", -1,
+     "config field 'episode.curvature_count' must be an integer >= 0, got -1"),
+    ("episode.lookahead_count", -1,
+     "config field 'episode.lookahead_count' must be an integer >= 0, got -1"),
+    ("train.eval_every", -1, "config field 'train.eval_every' must be an integer >= 0, got -1"),
     ("alpha", 2.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", 0.0, "config field 'alpha' must be a number in (0, 1]"),
     ("alpha", "0.1", "config field 'alpha' must be a number in (0, 1]"),
@@ -157,7 +171,7 @@ BAD_VALUES = [
     ("bc.hidden", [0], "config field 'bc.hidden' must be a list of integers >= 1, got [0]"),
     ("bc.hidden", "ab", "config field 'bc.hidden' must be a list of integers >= 1, got 'ab'"),
     ("vehicle.wheelbase", "x", "config field 'vehicle.wheelbase' must be a number > 0, got 'x'"),
-    ("expert.v_max", "x", "config field 'expert.v_max' must be a number >= 0, got 'x'"),
+    ("expert.v_max", "x", "config field 'expert.v_max' must be a number > 0, got 'x'"),
 ]
 
 
