@@ -8,6 +8,8 @@ from racelab import cli
 from racelab.config import (
     CHALLENGES,
     PROFILES,
+    _AT_LEAST,
+    _POSITIVE,
     ConfigError,
     _base_defaults,
     build_config,
@@ -188,6 +190,34 @@ def test_bad_value_is_rejected_by_path(path, value, message, tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()
+
+
+def _numeric_leaves(tree, prefix=""):
+    """(dotted path, default) of each numeric leaf of the schema, and of
+    each leaf that _AT_LEAST bounds but that has no default of its own."""
+    for key, value in tree.items():
+        where = prefix + key
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, where + ".")
+        elif isinstance(value, (int, float)) or where in _AT_LEAST:
+            yield where, value
+
+
+NUMERIC_LEAVES = list(_numeric_leaves(_base_defaults()))
+
+
+@pytest.mark.parametrize("path, default", NUMERIC_LEAVES, ids=[p for p, _ in NUMERIC_LEAVES])
+def test_every_numeric_field_is_refused_just_below_its_bound(path, default):
+    # So a field added to the schema is bounded without a row of its own:
+    # an integer just below its floor, a float that must be > 0 at 0, and
+    # any other float at -1.
+    if isinstance(default, float):
+        value = 0.0 if path in _POSITIVE else -1.0
+    else:
+        value = _AT_LEAST.get(path, 0) - 1
+    with pytest.raises(ConfigError) as info:
+        build_config(_put(minimal(mode="betail", alpha=0.1), path, value))
+    assert str(info.value).startswith(f"config field '{path}' must be ")
 
 
 def test_scalar_cannot_replace_table():
