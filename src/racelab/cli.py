@@ -489,9 +489,11 @@ def cmd_pipeline(args):
 
 
 def cmd_eval(args):
-    # --cars and --max-steps stand in for train.eval_cars and train.eval_max_steps.
+    # --cars and --max-steps stand in for train.eval_cars and train.eval_max_steps;
+    # --tag seeds the evaluation stream, and a seed is >= 0.
     for flag, value, low in (("--cars", args.cars, _AT_LEAST["train.eval_cars"]),
-                             ("--max-steps", args.max_steps, _AT_LEAST["train.eval_max_steps"])):
+                             ("--max-steps", args.max_steps, _AT_LEAST["train.eval_max_steps"]),
+                             ("--tag", args.tag, 0)):
         if value is not None and value < low:
             raise ConfigError(f"eval {flag} must be >= {low}, got {value}")
     if args.bundle is None:

@@ -616,7 +616,8 @@ def test_interrupted_config_write_leaves_no_record(tmp_path, monkeypatch, capsys
     assert json.loads((out / "config.json").read_text())["resolved"]["mode"] == "ail"
 
 
-@pytest.mark.parametrize("flag, value, low", [("--cars", "0", 1), ("--max-steps", "1", 2)])
+@pytest.mark.parametrize("flag, value, low",
+                         [("--cars", "0", 1), ("--max-steps", "1", 2), ("--tag", "-1", 0)])
 def test_eval_size_below_its_bound_is_refused_before_anything_is_written(
         run_copy, tmp_path, capsys, flag, value, low):
     before = _tree(tmp_path)
