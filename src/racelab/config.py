@@ -10,8 +10,8 @@ the schema (_check_kinds) checks every leaf's kind and bound, which is
 >= 0 unless _AT_LEAST or _POSITIVE names the leaf. alpha, which only a
 residual mode needs, is checked against (0, 1] on its own. The typed
 configs check only the relations between their fields and the dropout
-rate's 16-bit resolution. The resolved document is canonicalized and hashed so
-every output artifact can be traced to its exact inputs.
+rate's 16-bit resolution. The resolved document is canonicalized and
+hashed so every output artifact can be traced to its exact inputs.
 
 Profiles: ``desk`` (default; minutes-scale budgets), ``paper`` (the
 full-scale hyperparameters), ``smoke`` (seconds-scale end-to-end check).
