@@ -41,6 +41,22 @@ def test_smoke_run_matches_golden_fingerprint(tmp_path):
     assert got == GOLDEN
 
 
+# sha256 of a bcail run of TINY (below), the cloned-base arm, with --out.
+GOLDEN_BCAIL = {
+    "summary.json": "71346d1f4bc446453068fbbd63e1ec451ca4e2e0f2a98376d42e7e13a2ccf4a2",
+    "bundle/residual.ckpt": "83c747b15bacff4810a10a80167b17007d5edea54baae7d8a177ca8fdeac570a",
+}
+
+
+@pytest.mark.exact_bits
+def test_bcail_run_matches_its_fingerprint(tmp_path):
+    cfg = _write(tmp_path / "config.json", {**TINY, "mode": "bcail"})
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    got = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in GOLDEN_BCAIL}
+    assert got == GOLDEN_BCAIL
+
+
 def test_run_with_other_feature_counts_sizes_the_base_from_the_episode(tmp_path):
     # 8 curvature samples give 48 observation features, not the default 50.
     cfg = tmp_path / "config.json"
