@@ -27,7 +27,6 @@ __all__ = [
     "DemoSet",
     "SpeedLookup",
     "generate_demos",
-    "replay_lap",
 ]
 
 DEMO_FORMAT = "racelab-demos-v1"
@@ -287,24 +286,6 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed):
         "obs_dim": int(obs_dim(ecfg)),
     }
     return DemoSet(laps, _whitener(laps), meta)
-
-
-def replay_lap(demoset, lap_idx, track, vparams, ecfg):
-    """Open-loop replay of a stored lap through the environment.
-
-    Returns the max absolute state deviation across the lap; the float32
-    boundary quantization makes this exactly zero for a faithful
-    simulator.
-    """
-    lap = demoset.laps[lap_idx]
-    env = RaceEnv(track, vparams, ecfg)
-    env.reset(lap["position"][0][None, :], lap["yaw"][:1], lap["v_x"][:1])
-    worst = 0.0
-    for t in range(lap["actions"].shape[0]):
-        env.step(lap["actions"][t][None, :])
-        for key, field in zip(LAP_STATE, _lap_state(env)):
-            worst = max(worst, float(np.max(np.abs(field - lap[key][t + 1]))))
-    return worst
 
 
 def _lap_state(env):

@@ -11,7 +11,6 @@ from racelab.expert import (
     ExpertParams,
     SpeedLookup,
     generate_demos,
-    replay_lap,
 )
 from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
@@ -117,6 +116,24 @@ def test_demos_are_reproducible_and_seed_sensitive(circle_world, tmp_path):
             np.testing.assert_array_equal(lap_a[key], lap_b[key])
     other = generate_demos(track, vp, ec, ExpertParams(), 3, seed=1)
     assert not np.array_equal(other.laps[0]["actions"], demos.laps[0]["actions"])
+
+
+def replay_lap(demoset, lap_idx, track, vparams, ecfg):
+    """Open-loop replay of a stored lap through the environment.
+
+    Returns the max absolute state deviation across the lap; the float32
+    boundary quantization makes this exactly zero for a faithful
+    simulator.
+    """
+    lap = demoset.laps[lap_idx]
+    env = RaceEnv(track, vparams, ecfg)
+    env.reset(lap["position"][0][None, :], lap["yaw"][:1], lap["v_x"][:1])
+    worst = 0.0
+    for t in range(lap["actions"].shape[0]):
+        env.step(lap["actions"][t][None, :])
+        for key, field in zip(expert.LAP_STATE, expert._lap_state(env)):
+            worst = max(worst, float(np.max(np.abs(field - lap[key][t + 1]))))
+    return worst
 
 
 def test_demo_lap_replays_exactly(circle_world):
