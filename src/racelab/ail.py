@@ -28,7 +28,7 @@ from .optim import Adam
 from .policies import GaussianPolicy, build_policy_stack, load_bc, save_bc
 from .seeding import stream
 
-BUNDLE_FORMAT = "racelab-bundle-v5"
+BUNDLE_FORMAT = "racelab-bundle-v6"
 REWARD_EPS = 1e-6
 DISC_HIDDEN = (32, 32)
 
@@ -492,9 +492,9 @@ def save_bundle(path, trainer, extra_manifest=None):
     for fname, (kind, net) in _bundle_nets(trainer).items():
         nets.save_params(os.path.join(tmp, fname), net.params(), {"kind": kind})
     if stack.bet is not None:
-        bet_mod.save_bet(os.path.join(tmp, "bet.ckpt"), stack.bet, stack.bet_normalizer)
+        bet_mod.save_bet(os.path.join(tmp, "bet.ckpt"), stack.bet, stack.base_normalizer)
     if stack.bc is not None:
-        save_bc(os.path.join(tmp, "bc.ckpt"), stack.bc)
+        save_bc(os.path.join(tmp, "bc.ckpt"), stack.bc, stack.base_normalizer)
     optim_arrays, optim_steps = {}, {}
     for group, opt in _optimizers(trainer).items():
         state = opt.state_dict()
@@ -529,7 +529,8 @@ def save_bundle(path, trainer, extra_manifest=None):
 
 
 def load_stack(path, manifest, hidden=None):
-    """The policy stack a bundle stores: its base, correction head and whitener.
+    """The policy stack a bundle stores: its base with the whitener the base
+    was fitted with, its correction head and the target course's whitener.
 
     manifest is the bundle's, from read_manifest; hidden, when given,
     replaces the stored correction-head widths, which must match. Nothing
@@ -537,18 +538,18 @@ def load_stack(path, manifest, hidden=None):
     moments or replay.
     """
     normalizer = Normalizer.from_dict(manifest["normalizer"])
-    bet = bc = bet_normalizer = None
+    bet = bc = base_normalizer = None
     if os.path.exists(os.path.join(path, "bet.ckpt")):
-        bet, bet_normalizer, _ = bet_mod.load_bet(os.path.join(path, "bet.ckpt"))
+        bet, base_normalizer, _ = bet_mod.load_bet(os.path.join(path, "bet.ckpt"))
     if os.path.exists(os.path.join(path, "bc.ckpt")):
-        bc, _ = load_bc(os.path.join(path, "bc.ckpt"))
+        bc, base_normalizer, _ = load_bc(os.path.join(path, "bc.ckpt"))
 
     res_meta, res_arrays = nets.load_params(os.path.join(path, "residual.ckpt"))
     if hidden is None:
         hidden = manifest["config"]["policy_hidden"]
     stack = build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
                                np.random.default_rng(0), alpha=res_meta["alpha"], bet=bet,
-                               bc=bc, hidden=hidden, bet_normalizer=bet_normalizer)
+                               bc=bc, hidden=hidden, bet_normalizer=base_normalizer)
     nets.assign_params(stack.residual.params(), res_arrays)
     return stack
 

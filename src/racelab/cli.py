@@ -2,51 +2,63 @@
 
 A run is a chain of stages: the target course (``gen-track``), its
 demonstration laps (``gen-demos``), the sequence base fitted on the
-pretraining courses (``pretrain-bet``), and one fine-tuning mode
-(``train``). Each of these commands runs the chain up to its own stage and
-builds a product only when it is missing. ``run`` is ``train`` with the
-mode taken from the config. The supervised-only modes ``bet`` (the
-sequence base alone) and ``bc`` train no correction head: they evaluate
-their base once on the target course and report. ``eval`` and ``report``
+pretraining courses' demonstrations (``pretrain-bet``), and one
+fine-tuning mode (``train``). Each of these commands builds the stage
+products it reads, each only when it is missing; ``pretrain-bet`` builds
+only what the base reads. ``run`` is ``train`` with the mode taken from
+the config. The supervised-only modes ``bet`` (the sequence base alone)
+and ``bc`` train no correction head: they evaluate their base once on
+the target course and report. ``eval`` and ``report``
 regenerate evaluation artifacts from a checkpoint bundle, and
 ``bet-info`` prints a base checkpoint's metadata.
 
-The two bases learn from different demonstrations. The cloned base of
-``bc`` and ``bcail`` is fitted on the target course's ``demos.ckpt``;
-the sequence base on the demonstrations of the pretraining courses. On a
-transfer challenge (``dragontail-like``, ``panorama-like``) only the
-cloned base has seen the course it is scored on. On ``maggiore-like``,
-whose pretraining course is its target, the two demonstration files are
-byte-identical while ``demos.laps_pretrain`` equals ``demos.laps``.
+Both bases learn from the same data. The sequence base (``bet.ckpt``)
+and the cloned base of ``bc`` and ``bcail`` (``bc.ckpt``) are stage
+products, each fitted on the demonstrations of the pretraining courses
+and stored with their whitener, which the base reads its observations
+through. So on a transfer challenge (``dragontail-like``,
+``panorama-like``) neither base has seen the course it is scored on, and
+the arms differ only in their models. The correction head and the
+discriminator read the target course's demonstrations and whitener.
 
 The pipeline commands accept ``--config`` (a JSON document; the single
 source of truth for a run), ``--seed`` and ``--out``; ``eval`` and
 ``report`` take the config from the bundle and accept ``--out``. Exit
 codes: 0 success, 1 configuration error, 2 runtime failure.
 
-Layouts. By default, outputs go under the RACELAB_OUT root (``./runs``
-when unset), in an experiment directory and one run directory per mode:
+Keys and layouts. Each stage product is keyed by the config fields it
+is built from: a course by its spec; its demonstrations by the course,
+their lap count, demos.seed, vehicle, episode and expert; a base by the
+keys of the pretraining demonstrations, the seed and its own table (bet
+or bc). By default, outputs go under the RACELAB_OUT root (``./runs``
+when unset), each stage product in a directory named by its key, and
+each run in one named by its run key:
 
-  <root>/s<seed>-<stage8>/                 track.json, demos.ckpt, pretrain/,
-                                           bet.ckpt, bet_pretrain.json
-  <root>/s<seed>-<stage8>/<mode>-<run8>/   config.json, bundle/, summary.json,
-                                           eval_cars.csv, training_curve.csv
+  <root>/stages/<key8>/      track.json, demos.ckpt, bc.ckpt, or
+                             bet.ckpt and bet_pretrain.json
+  <root>/<mode>-<run8>/      config.json, bundle/, summary.json,
+                             eval_cars.csv, training_curve.csv
 
-<stage8> starts the stage key, the hash of the config without mode,
-alpha, train and bc, which no stage product reads. So every mode trained
-on one course shares its demonstrations and its sequence base. <run8>
-starts the run key, the hash of the config fields that the mode reads,
-without its stopping rules (train.iterations and train.eval_every). Every
-mode reads every field, except that only a mode with a bc base reads the
-bc table, only a mode with both a base and a correction head reads
-alpha, and a supervised-only mode reads only eval_cars and
-eval_max_steps of train. ``--out DIR`` writes all of it flat into DIR
-instead.
+So a product is built once in a root, whichever run or challenge needs
+it: challenges that share pretraining courses share one base, and every
+mode shares the course and demonstrations it is scored on. <run8> starts
+the run key, the hash of the config fields that the mode reads, without
+its stopping rules (train.iterations and train.eval_every). A run reads
+the target course and its demonstrations; only a mode with a base reads
+pretrain_tracks, demos.laps_pretrain and that base's table (bet or bc);
+only a mode with both a base and a correction head reads alpha; and a
+supervised-only mode reads only eval_cars and eval_max_steps of train.
+``--out DIR`` writes it all into DIR instead: the target's products and
+the base under their names at its top, a pretraining course that is not
+the target under pretrain/<i>/, and the run's files beside them.
 
-Reuse and resume. Each stage product records the stage key it was built
-under, and is reused only while every product in the experiment directory
-records the current one. A run directory's config.json records the whole
-config its run was started under, and its bundle the config it was trained
+Reuse and resume. Each stage product records the key it was built
+under, its stage key. A command lists the products it reads, each once:
+a key already listed is the path listed first, so a pretraining course
+that is the target course is the target's files. Every listed product
+that exists is checked against its key before anything is written, and
+is then reused. A run directory's config.json records the whole config
+its run was started under, and its bundle the config it was trained
 under. For every mode, each record that exists must differ from the config
 at most in the fields the mode does not read, the stopping rules and
 ``--out``: a longer iteration budget resumes the same run directory in
@@ -57,15 +69,15 @@ reused as it stands: nothing is loaded, computed or written again. A
 trained run's summary.json is stamped from its final bundle's record, as
 ``report`` stamps it, so a run stopped after its last bundle finishes
 from that bundle's manifest, without loading the bundle or evaluating
-again. Any mismatch exits 2 before anything is written, naming the file,
-the first differing key and both values. The experiment
-directory's ``.lock`` is held while stages are built, and the run
-directory's while training. Each is a kernel lock (``flock``), which the
-kernel releases when the process ends, however it ends, so the CLI runs on
-POSIX systems only. Stage products and checkpoint files are written to a
-temporary name and then renamed into place, so a run killed while writing
-leaves the old file or none, and a write stopped by an exception removes
-its temporary file.
+again. Any mismatch exits 2 before anything is written, naming the file
+and both keys, or the first differing field and both values. The
+``.lock`` of every directory that holds a listed product is held while
+stage products are built, and the run directory's while training. Each
+is a kernel lock (``flock``), which the kernel releases when the process
+ends, however it ends, so the CLI runs on POSIX systems only. Stage
+products and checkpoint files are written to a temporary name and then
+renamed into place, so a run killed while writing leaves the old file or
+none, and a write stopped by an exception removes its temporary file.
 
 ``eval --bundle`` and ``report`` take the run's config from its bundle;
 eval reads the course and demo files that the bundle's manifest names,
@@ -86,16 +98,18 @@ Stage by stage, with smoke.json holding
 
 The first betail run's summary.json, bet.ckpt and bundle/residual.ckpt
 equal those of one ``run`` of the config with ``"mode": "betail"``, and
-the run at alpha 0.1 and the bet run reuse the same bet.ckpt.
+the run at alpha 0.1 and the bet run reuse the same bet.ckpt. So does a
+``pretrain-bet`` of the config with ``"challenge": "dragontail-like"``,
+whose pretraining course is maggiore-like's.
 """
 
 import argparse
 import contextlib
 import dataclasses
 import fcntl
-import glob
 import json
 import os
+import pathlib
 import sys
 import traceback
 
@@ -108,7 +122,7 @@ from . import nets
 from .config import _AT_LEAST, CONTENT_VERSION, ConfigError, build_config
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
-from .policies import MODE_SPECS, build_policy_stack, save_bc, train_bc
+from .policies import MODE_SPECS, build_policy_stack, load_bc, save_bc, train_bc
 from .seeding import stream
 from .track import gen_track, load_track, save_track
 
@@ -191,54 +205,43 @@ def _load_cfg(args, need_mode):
     return build_config(doc)
 
 
-def _dirs(cfg):
-    """(experiment directory, run directory); --out makes them one."""
-    if cfg.out:
-        return cfg.out, cfg.out
-    exp_dir = os.path.join(os.environ.get("RACELAB_OUT", "runs"),
-                           f"s{cfg.seed}-{cfg.stage_hash[:8]}")
-    return exp_dir, os.path.join(exp_dir, f"{cfg.mode}-{cfg.run_hash[:8]}")
-
-
 @contextlib.contextmanager
-def _locked(out_dir):
-    """Hold ``out_dir/.lock``, a kernel lock (``flock``) on a file that
-    records this process's pid.
+def _locked(*out_dirs):
+    """Hold ``.lock`` in each of out_dirs, a kernel lock (``flock``) on a
+    file that records this process's pid.
 
     The kernel releases the lock when the process ends, however it ends, so
     a killed run leaves nothing to reclaim. A lock held by another process
     refuses the run, naming that process's pid. The holder removes the file
     before it lets go, so a run that opened the old file refuses too.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    lock = os.path.join(out_dir, ".lock")
-    with open(lock, "a+", encoding="utf-8") as fh:
-        try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            fh.seek(0)
-            pid = fh.read().strip()
-            owner = f"the run with pid {pid}" if pid else "another run"
-            raise RuntimeError(f"output directory {out_dir} is locked by {owner}") from None
-        try:
-            held = os.path.samestat(os.fstat(fh.fileno()), os.stat(lock))
-        except FileNotFoundError:
-            held = False
-        if not held:
-            raise RuntimeError(f"output directory {out_dir} was claimed by another run")
-        fh.truncate(0)
-        print(os.getpid(), file=fh, flush=True)
-        try:
-            yield
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(lock)
+    with contextlib.ExitStack() as held:
+        for out_dir in sorted(set(out_dirs)):
+            os.makedirs(out_dir, exist_ok=True)
+            lock = os.path.join(out_dir, ".lock")
+            fh = held.enter_context(open(lock, "a+", encoding="utf-8"))
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                fh.seek(0)
+                pid = fh.read().strip()
+                owner = f"the run with pid {pid}" if pid else "another run"
+                raise RuntimeError(f"output directory {out_dir} is locked by {owner}") from None
+            try:
+                ours = os.path.samestat(os.fstat(fh.fileno()), os.stat(lock))
+            except FileNotFoundError:
+                ours = False
+            if not ours:
+                raise RuntimeError(f"output directory {out_dir} was claimed by another run")
+            fh.truncate(0)
+            print(os.getpid(), file=fh, flush=True)
+            held.callback(pathlib.Path(lock).unlink, missing_ok=True)
+        yield
 
 
-def _trace(cfg, stage=False):
-    """Provenance of an output: stage products record the stage key."""
-    return {"config_hash": cfg.stage_hash if stage else cfg.hash,
-            "content_version": CONTENT_VERSION, "seed": cfg.seed}
+def _trace(cfg, key=None):
+    """Provenance of a run's output, or of a base: the key it was built under."""
+    return {"config_hash": key or cfg.hash, "content_version": CONTENT_VERSION, "seed": cfg.seed}
 
 
 def _require(path, what, hint):
@@ -253,18 +256,106 @@ def _write_config_snapshot(cfg, out_dir):
         fh.write("\n")
 
 
-def _check_stage_keys(cfg, exp_dir):
-    """Refuse an experiment directory holding a stage product of another stage key."""
-    names = ["track.json", "demos.ckpt", "bet.ckpt"]
-    # Only products: a temporary file that a killed write left is not one.
-    pretrain = sorted(glob.glob(os.path.join(exp_dir, "pretrain", "*.json"))
-                      + glob.glob(os.path.join(exp_dir, "pretrain", "*.ckpt")))
-    for path in [os.path.join(exp_dir, name) for name in names] + pretrain:
+# How each kind of stage product is read, by file name; a base as (net,
+# whitener, meta).
+_LOAD = {"track.json": load_track, "demos.ckpt": DemoSet.load, "bet.ckpt": bet_mod.load_bet,
+         "bc.ckpt": load_bc}
+
+# Each kind of base: its name in messages, and how its checkpoint is written.
+_BASES = {"bet": ("sequence", bet_mod.save_bet), "bc": ("cloned", save_bc)}
+
+
+def _plan(cfg, stage, root):
+    """The stage products a command reads, in build order: the target course
+    and its demonstrations, as far as the stage goes, then the pretraining
+    courses and their demonstrations and the base, for pretrain-bet and
+    for a mode with a base.
+
+    A product is (path, key, build): build(path, key, got) makes it from
+    the products before it, which got maps by path, and writes it to path,
+    from where it is read by its file name (_LOAD). ``--out`` places it at
+    its name in DIR, the default layout at root/stages/<key8>/. A
+    key placed before keeps its first path, whether or not the command
+    reads it: a pretraining course that is the target course is the
+    target's files.
+    """
+    paths, plan = {}, []
+
+    def add(name, key, build):
+        if key not in paths:
+            paths[key] = os.path.join(cfg.out, name) if cfg.out else os.path.join(
+                root, "stages", key[:8], os.path.basename(name))
+            plan.append((paths[key], key, build))
+        return paths[key]
+
+    def course(prefix, spec, laps):
+        track = add(prefix + "track.json", cfg.course_key(spec),
+                    lambda path, key, got: _write(path, key, gen_track(**spec), save_track))
+        return [track, add(prefix + "demos.ckpt", cfg.demos_key(spec, laps),
+                           lambda path, key, got: _write(path, key, generate_demos(
+                               got[track], cfg.vehicle, cfg.episode, cfg.expert, laps,
+                               cfg.demo_seed), DemoSet.save))]
+
+    target = course("", cfg.track_spec, cfg.demo_laps)
+    reads = target[:{"track": 1, "demos": 2, "train": 2}.get(stage, 0)]
+    kind = {"bet": "bet", "train": MODE_SPECS[cfg.mode]["base"]}.get(stage)
+    if kind is not None:
+        pretraining = [course(f"pretrain/{i}/", spec, cfg.demo_laps_pretrain)
+                       for i, spec in enumerate(cfg.pretrain_track_specs)]
+        reads += sum(pretraining, []) + [add(
+            f"{kind}.ckpt", cfg.base_key(kind), lambda path, key, got: _fit_base(
+                cfg, kind, path, key, [got[demos] for _, demos in pretraining]))]
+    return [product for product in plan if product[0] in reads]
+
+
+def _check_products(plan):
+    """Refuse a stage product recorded under another key than its own."""
+    for path, key, _ in plan:
         if os.path.exists(path):
             meta = load_track(path).meta if path.endswith(".json") else nets.load_meta(path)
-            if meta.get("config_hash") != cfg.stage_hash:
+            if meta.get("config_hash") != key:
                 raise RuntimeError(f"{path} was built under stage key {meta.get('config_hash')}, "
-                                   f"not {cfg.stage_hash} (use another --out, or remove it)")
+                                   f"not {key} (use another --out, or remove it)")
+
+
+def _obtain(plan):
+    """The products of the plan, in its order, each as read from its path;
+    a missing one is built first, from the products before it."""
+    got = {}
+    for path, key, build in plan:
+        if os.path.exists(path):
+            print(f"reusing {path}")
+        else:
+            build(path, key, got)
+        got[path] = _LOAD[os.path.basename(path)](path)
+    return list(got.values())
+
+
+def _write(path, key, product, save):
+    """Stamp a course or demonstration set with its key and write it to path."""
+    product.meta.update(config_hash=key, content_version=CONTENT_VERSION)
+    save(product, path)
+
+
+def _fit_base(cfg, kind, path, key, demos):
+    """Fit the base of a kind on the pretraining demonstrations and write it
+    to path with their whitener."""
+    merged = DemoSet.merge(demos)
+    trace = _trace(cfg, key)
+    if kind == "bet":
+        model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
+        history = bet_mod.pretrain(model, merged, cfg.seed, progress=lambda update, loss, ema: print(
+            f"  base pretrain update {update}: loss {loss:.5f} (ema {ema:.5f})", flush=True))
+        # bet.ckpt marks the stage as done, so it is written last.
+        with nets.replacing(os.path.join(os.path.dirname(path), "bet_pretrain.json"), "w") as fh:
+            json.dump({"loss_history": history, **trace}, fh, sort_keys=True)
+            fh.write("\n")
+    else:
+        model, history = train_bc(merged, seed=cfg.seed, **cfg.bc)
+    name, save = _BASES[kind]
+    save(path, model, merged.normalizer,
+         {**trace, "updates_run": len(history), "final_loss": history[-1]})
+    print(f"{name} base: {len(history)} updates, final loss {history[-1]:.5f} -> {path}")
 
 
 def _run_record(bundle):
@@ -330,65 +421,6 @@ def _report_bundle(bundle, out_dir):
           _bundle_meta(manifest))
 
 
-def _ensure(cfg, path, load, save, build):
-    """The stage product at path: loaded when present, else built and saved."""
-    if os.path.exists(path):
-        print(f"reusing {path}")
-        return load(path)
-    product = build()
-    product.meta.update(_trace(cfg, stage=True))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    save(product, path)
-    return product
-
-
-def _ensure_course(cfg, exp_dir, track_file, demos_file, spec, laps):
-    """A course and, unless demos_file is None, its demonstrations."""
-    track = _ensure(cfg, os.path.join(exp_dir, track_file), load_track, save_track,
-                    lambda: gen_track(**spec))
-    if demos_file is None:
-        return track, None
-    return track, _ensure(
-        cfg, os.path.join(exp_dir, demos_file), DemoSet.load, DemoSet.save,
-        lambda: generate_demos(track, cfg.vehicle, cfg.episode, cfg.expert, laps, cfg.demo_seed))
-
-
-def _ensure_base(cfg, exp_dir):
-    """Fit the sequence base on the pretraining course(s) unless it exists."""
-    bet_path = os.path.join(exp_dir, "bet.ckpt")
-    if os.path.exists(bet_path):
-        print(f"reusing {bet_path}")
-        return
-    merged = DemoSet.merge([
-        _ensure_course(cfg, exp_dir, os.path.join("pretrain", f"track_{i}.json"),
-                       os.path.join("pretrain", f"demos_{i}.ckpt"), spec, cfg.demo_laps_pretrain)[1]
-        for i, spec in enumerate(cfg.pretrain_track_specs)])
-    model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
-
-    def progress(update, loss, ema):
-        print(f"  base pretrain update {update}: loss {loss:.5f} (ema {ema:.5f})", flush=True)
-
-    history = bet_mod.pretrain(model, merged, cfg.seed, progress=progress)
-    trace = _trace(cfg, stage=True)
-    # bet.ckpt marks the stage as done, so it is written last.
-    with open(os.path.join(exp_dir, "bet_pretrain.json"), "w", encoding="utf-8") as fh:
-        json.dump({"loss_history": history, **trace}, fh, sort_keys=True)
-        fh.write("\n")
-    bet_mod.save_bet(bet_path, model, merged.normalizer,
-                     extra={**trace, "updates_run": len(history), "final_loss": history[-1]})
-    print(f"sequence base: {len(history)} updates, final loss {history[-1]:.5f} -> {bet_path}")
-
-
-def _train_bc_base(cfg, demos, out_dir):
-    bc_cfg = cfg.bc
-    net, history = train_bc(demos, bc_cfg["hidden"], bc_cfg["updates"], bc_cfg["batch"],
-                            bc_cfg["lr"], cfg.seed)
-    path = os.path.join(out_dir, "bc.ckpt")
-    save_bc(path, net, {"final_loss": history[-1], **_trace(cfg)})
-    print(f"cloned base: {len(history)} updates, final loss {history[-1]:.5f} -> {path}")
-    return net
-
-
 def _emit(cfg, out_dir, report, curve, extra_meta=None):
     meta = {**_trace(cfg), **(extra_meta or {})}
     paths = emit_report(report, curve, out_dir, meta=meta)
@@ -397,8 +429,13 @@ def _emit(cfg, out_dir, report, curve, extra_meta=None):
           f"steering change {report.steering_change_mean:.4f} rad -> {paths[2]}")
 
 
-def _run_training(cfg, exp_dir, run_dir, track, demos):
-    """Train the configured mode in run_dir, resuming its bundle, and report."""
+def _run_training(cfg, run_dir, plan, products):
+    """Train the configured mode in run_dir, resuming its bundle, and report.
+
+    products are those of the plan: the target course and demonstrations
+    first and, for a mode with a base, the base with its whitener last.
+    """
+    track, demos = products[:2]
     bundle_dir = os.path.join(run_dir, "bundle")
     if ail.has_bundle(bundle_dir):
         if ail.read_manifest(bundle_dir)["iteration"] == cfg.train.iterations:
@@ -408,14 +445,11 @@ def _run_training(cfg, exp_dir, run_dir, track, demos):
         trainer, _ = ail.load_bundle(bundle_dir, track, cfg.vehicle, cfg.episode, demos, cfg.train)
         print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
     else:
-        spec = MODE_SPECS[cfg.mode]
-        bet, bet_normalizer, _ = (bet_mod.load_bet(os.path.join(exp_dir, "bet.ckpt"))
-                                  if spec["base"] == "bet" else [None] * 3)
-        bc = _train_bc_base(cfg, demos, run_dir) if spec["base"] == "bc" else None
+        # The stack keeps the net as the base of its mode's kind.
+        net, whitener, _ = products[-1] if MODE_SPECS[cfg.mode]["base"] else (None,) * 3
         stack = build_policy_stack(cfg.mode, demos.normalizer, demos.obs_dim,
-                                   stream(cfg.seed, "init", 0), alpha=cfg.alpha, bet=bet,
-                                   bc=bc, hidden=cfg.train.policy_hidden,
-                                   bet_normalizer=bet_normalizer)
+                                   stream(cfg.seed, "init", 0), alpha=cfg.alpha, bet=net, bc=net,
+                                   hidden=cfg.train.policy_hidden, bet_normalizer=whitener)
         if stack.residual is None:
             # Supervised-only mode: evaluate once, report.
             report = eval_mod.evaluate(stack, track, cfg.vehicle, cfg.episode, demos,
@@ -442,8 +476,8 @@ def _run_training(cfg, exp_dir, run_dir, track, demos):
         print(line, flush=True)
 
     # The course and demo files, relative to the bundle, for `eval --bundle`.
-    files = {key: os.path.relpath(os.path.join(exp_dir, name), bundle_dir)
-             for key, name in (("track", "track.json"), ("demos", "demos.ckpt"))}
+    files = {key: os.path.relpath(path, bundle_dir)
+             for key, (path, _, _) in zip(("track", "demos"), plan)}
     trainer.run(run_dir, on_metrics=on_metrics, extra_manifest={"resolved": cfg.resolved, **files})
     _report_bundle(bundle_dir, run_dir)
 
@@ -457,34 +491,32 @@ _STAGE = {"gen-track": "track", "gen-demos": "demos", "pretrain-bet": "bet",
 
 
 def cmd_pipeline(args):
-    """Build the stages up to the command's own, each only when it is missing.
+    """Build the stage products the command reads, each only when it is missing.
 
-    Every stage product in the experiment directory, and the run's bundle
-    and config.json, are checked before anything is written.
+    Every stage product on the command's list, and the run's bundle and
+    config.json, are checked before anything is written.
     """
     stage = _STAGE[args.command]
     cfg = _load_cfg(args, need_mode=stage == "train")
-    exp_dir, run_dir = _dirs(cfg)
-    with _locked(exp_dir):
-        _check_stage_keys(cfg, exp_dir)
+    root = os.environ.get("RACELAB_OUT", "runs")
+    plan = _plan(cfg, stage, root)
+    run_dir = cfg.out or os.path.join(root, f"{cfg.mode}-{cfg.run_hash[:8]}")
+    with _locked(*(os.path.dirname(path) for path, _, _ in plan)):
+        _check_products(plan)
         if stage == "train" and _check_run(cfg, run_dir):
             return EXIT_OK
-        track, demos = _ensure_course(cfg, exp_dir, "track.json",
-                                      None if stage == "track" else "demos.ckpt",
-                                      cfg.track_spec, cfg.demo_laps)
-        if stage == "bet" or (stage == "train" and cfg.needs_bet()):
-            _ensure_base(cfg, exp_dir)
+        products = _obtain(plan)
     if stage == "track":
+        track = products[0]
         print(f"track {eval_mod.track_id(track)}: length {track.length:.1f} m, "
-              f"half width {track.half_width:.1f} m -> {os.path.join(exp_dir, 'track.json')}")
+              f"half width {track.half_width:.1f} m -> {plan[0][0]}")
     elif stage == "demos":
-        times = demos.lap_times(cfg.episode.dt)
-        print(f"{len(times)} demonstration laps, {np.mean(times):.1f} s mean lap -> "
-              f"{os.path.join(exp_dir, 'demos.ckpt')}")
+        times = products[1].lap_times(cfg.episode.dt)
+        print(f"{len(times)} demonstration laps, {np.mean(times):.1f} s mean lap -> {plan[1][0]}")
     elif stage == "train":
         with _locked(run_dir):
             _write_config_snapshot(cfg, run_dir)
-            _run_training(cfg, exp_dir, run_dir, track, demos)
+            _run_training(cfg, run_dir, plan, products)
     return EXIT_OK
 
 

@@ -11,7 +11,9 @@ the schema (_check_kinds) checks every leaf's kind and bound, which is
 residual mode needs, is checked against (0, 1] on its own. The typed
 configs check only the relations between their fields and the dropout
 rate's 16-bit resolution. The resolved document is canonicalized and
-hashed so every output artifact can be traced to its exact inputs.
+hashed so every output artifact can be traced to its exact inputs: a run
+by the fields its mode reads (run_hash), and each stage product by the
+fields it is built from (course_key, demos_key, base_key).
 
 Profiles: ``desk`` (default; minutes-scale budgets), ``paper`` (the
 full-scale hyperparameters), ``smoke`` (seconds-scale end-to-end check).
@@ -202,17 +204,13 @@ def _check_kinds(defaults, tree, prefix=""):
 
 
 def config_hash(resolved):
-    """Content hash of a resolved config; the output location is excluded
-    so the same experiment hashes identically wherever it is written."""
+    """Content hash of a resolved config, or of the part of one that a
+    stage product is built from; the output location is excluded so the
+    same experiment hashes identically wherever it is written."""
     content = {k: v for k, v in resolved.items() if k != "out"}
     canon = json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
-
-# Fields no stage product reads, so runs that differ only in them share
-# one course, one demonstration set and one sequence base. A run's key
-# takes each of them only when its mode reads it (_reads).
-_TRAINING_ONLY = ("mode", "alpha", "train", "bc")
 
 # What a resumed run may change: its output location, and the training
 # fields that decide only when it stops, not what any iteration computes.
@@ -221,14 +219,16 @@ _RESUMABLE = ("out", "train.iterations", "train.eval_every")
 
 def _reads(spec, key):
     """Whether a run of the mode that MODE_SPECS row spec describes reads
-    the config leaf at a dotted key, outside its stopping rules: the bc
-    table only with a bc base, alpha only with a base and a correction
-    head, and of train, without a correction head, only the size of its
-    one evaluation."""
+    the config leaf at a dotted key, outside its stopping rules: the
+    pretraining fields only with a base, the bet and bc tables only with
+    that base, alpha only with a base and a correction head, and of train,
+    without a correction head, only the size of its one evaluation."""
     if key in _RESUMABLE:
         return False
-    if key.startswith("bc."):
-        return spec["base"] == "bc"
+    if key in ("pretrain_tracks", "demos.laps_pretrain"):
+        return spec["base"] is not None
+    if key.startswith(("bet.", "bc.")):
+        return key.startswith(f"{spec['base']}.")
     if key == "alpha":
         return spec["base"] is not None and spec["residual"]
     if key.startswith("train."):
@@ -274,11 +274,21 @@ class ExperimentConfig:
     def hash(self):
         return config_hash(self.resolved)
 
-    @property
-    def stage_hash(self):
-        """Hash of what the course, demonstrations and sequence base depend
-        on: the config without the fields that only training reads."""
-        return config_hash({k: v for k, v in self.resolved.items() if k not in _TRAINING_ONLY})
+    # Key of the course that a track spec builds: the spec.
+    course_key = staticmethod(config_hash)
+
+    def demos_key(self, spec, laps):
+        """Key of the demonstration laps on a course: the course's spec, the
+        lap count and the demonstration seed, vehicle, episode and expert."""
+        return config_hash({"course": spec, "laps": laps, "seed": self.demo_seed,
+                            **{k: self.resolved[k] for k in ("vehicle", "episode", "expert")}})
+
+    def base_key(self, kind):
+        """Key of the base of a kind ("bet" or "bc"): its pretraining
+        demonstrations, the run seed and its own table."""
+        return config_hash({"demos": [self.demos_key(spec, self.demo_laps_pretrain)
+                                      for spec in self.pretrain_track_specs],
+                            "seed": self.seed, kind: self.resolved[kind]})
 
     @property
     def run_hash(self):
@@ -298,9 +308,6 @@ class ExperimentConfig:
         keys = sorted(own.keys() | was.keys(), key=lambda key: (key != "mode", key))
         return next(((key, was.get(key), own.get(key)) for key in keys
                      if own.get(key) != was.get(key)), None)
-
-    def needs_bet(self):
-        return MODE_SPECS[self.mode]["base"] == "bet"
 
 
 def _typed(cls, d, where):

@@ -14,9 +14,12 @@ Conventions
 -----------
 * ``build_policy_stack`` is the one constructor. It checks the mode, the
   base it needs and the base's input width, and sizes the correction head.
-* The correction head consumes the augmented input [whitened obs, base
-  action] when a base is present, else the whitened obs. Whitening is
-  ``Normalizer.transform``, which also saturates outliers.
+* A base reads the observation whitened as it was fitted: with the
+  whitener of its pretraining demonstrations, which the base checkpoint
+  records. The correction head consumes the augmented input [obs whitened
+  for the target course, base action] when a base is present, else that
+  whitened obs. Whitening is ``Normalizer.transform``, which also
+  saturates outliers.
 * Both heads' outputs are scaled corrections: ``sample_np`` draws
   alpha * tanh(z), ``mean_np`` returns alpha * tanh(mean). Training and
   evaluation emit the same composition, clip(base + correction, -1, 1).
@@ -35,6 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
+from .env import Normalizer
 from .optim import Adam
 from .seeding import stream
 
@@ -156,38 +160,45 @@ def train_bc(demoset, hidden, updates, batch, lr, seed):
     return net, history
 
 
-def save_bc(path, net, extra=None):
-    """Write a behavior-cloning net and its layer widths."""
-    nets.save_params(path, net.params(), {"kind": "bc", "dims": net.dims, **(extra or {})})
+def save_bc(path, net, normalizer, extra=None):
+    """Write a behavior-cloning net, its layer widths and the whitener it
+    was fitted with."""
+    nets.save_params(path, net.params(), {"kind": "bc", "dims": net.dims,
+                                          "normalizer": normalizer.to_dict(), **(extra or {})})
 
 
 def load_bc(path):
-    """Returns (net, meta) from a checkpoint that save_bc wrote."""
+    """Returns (net, normalizer, meta) from a checkpoint that save_bc wrote."""
     meta, arrays = nets.load_params(path)
     if meta.get("kind") != "bc":
         raise nets.CheckpointError(f"not a cloned-base checkpoint: {path}")
+    if "normalizer" not in meta:
+        raise nets.CheckpointError(f"cloned-base checkpoint {path} records no whitener "
+                                   "(an older checkpoint; fit the base again)")
     dims = meta["dims"]
     net = make_bc_net(dims[0], dims[-1], dims[1:-1], np.random.default_rng(0))
     nets.assign_params(net.params(), arrays)
-    return net, meta
+    return net, Normalizer.from_dict(meta["normalizer"]), meta
 
 
 class PolicyStack:
     """Runtime composition of an optional frozen base with a correction head.
 
-    Built by :func:`build_policy_stack`. The stack owns the observation
-    whitener and, for sequence-model bases, the short context ring of
-    recent whitened observations. reset() must be called whenever the
-    environment batch resets.
+    Built by :func:`build_policy_stack`. The stack owns two observation
+    whiteners: ``normalizer``, fitted on the target course's demonstrations,
+    for the correction head, and ``base_normalizer``, the one its base
+    (either kind) was fitted with, for the base. On a course the base was
+    not fitted on they differ, so an observation is whitened once for
+    each. For sequence-model bases the stack also owns the short context
+    ring of recent base-whitened observations. reset() must be called
+    whenever the environment batch resets.
     """
 
-    def __init__(self, mode, normalizer, bet, bc, residual, bet_normalizer):
+    def __init__(self, mode, normalizer, bet, bc, residual, base_normalizer):
         self.mode = mode
         self.spec = MODE_SPECS[mode]
         self.normalizer = normalizer
-        # The sequence base keeps the whitening it was trained with; on a
-        # new course that differs from the fine-tuning whitening.
-        self.bet_normalizer = bet_normalizer if bet_normalizer is not None else normalizer
+        self.base_normalizer = base_normalizer if base_normalizer is not None else normalizer
         self.bet = bet
         self.bc = bc
         self.residual = residual
@@ -217,11 +228,11 @@ class PolicyStack:
         if self.bet is not None:
             if self._history is None:
                 raise RuntimeError("stack.reset() must be called before acting")
-            self._history.append(self.bet_normalizer.transform(obs))
+            self._history.append(self.base_normalizer.transform(obs))
             window = np.stack(list(self._history), axis=1)
             return self.bet.predict_last(window).astype(np.float32)
         if self.bc is not None:
-            return self.bc.predict(self.normalizer.transform(obs)).astype(np.float32)
+            return self.bc.predict(self.base_normalizer.transform(obs)).astype(np.float32)
         return np.zeros((len(obs), 2), dtype=np.float32)
 
     def _inputs(self, obs):
@@ -267,21 +278,25 @@ def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,
                        bc=None, hidden=(256, 256), bet_normalizer=None):
     """Construct the stack for a mode, creating the correction head.
 
-    The mode's base (bet or bc) must be given; a base for another mode is
-    not used. alpha is required for modes with a base and a correction
-    head; modes whose correction head is the whole policy ignore it
-    (forced to 1).
+    The mode's base (bet or bc) must be given, and must read obs_dim
+    features; a base for another mode is not used. bet_normalizer is the
+    whitener of whichever base the stack has, the one it was fitted with;
+    without one the base reads the observation as normalizer whitens it.
+    alpha is required for modes with a base and a correction head; modes
+    whose correction head is the whole policy ignore it (forced to 1).
     """
     if mode not in MODE_SPECS:
         raise ValueError(f"unknown mode '{mode}'")
     spec = MODE_SPECS[mode]
-    if spec["base"] == "bet" and bet is None:
-        raise ValueError(f"mode '{mode}' needs a sequence-model base")
-    if spec["base"] == "bc" and bc is None:
-        raise ValueError(f"mode '{mode}' needs a behavior-cloned base")
-    if spec["base"] == "bet" and bet.cfg.obs_dim != obs_dim:
-        raise ValueError(f"the sequence base reads {bet.cfg.obs_dim} observation features, "
-                         f"but the episode emits {obs_dim}")
+    if spec["base"] is not None:
+        base = bet if spec["base"] == "bet" else bc
+        if base is None:
+            kind = {"bet": "sequence-model", "bc": "behavior-cloned"}[spec["base"]]
+            raise ValueError(f"mode '{mode}' needs a {kind} base")
+        width = base.cfg.obs_dim if spec["base"] == "bet" else base.dims[0]
+        if width != obs_dim:
+            raise ValueError(f"the base reads {width} observation features, "
+                             f"but the episode emits {obs_dim}")
     residual = None
     if spec["residual"]:
         if spec["base"] is not None and alpha is None:

@@ -469,7 +469,7 @@ def test_iteration_fills_replay_and_reports_metrics(tiny_world):
 def test_offline_mode_rejected_by_trainer(tiny_world):
     track, vparams, ecfg, demos = tiny_world
     stack = build_policy_stack("bc", demos.normalizer, demos.obs_dim, RNG(41),
-                               bc=ail.make_discriminator(demos.obs_dim, 1, RNG(0)))
+                               bc=make_bc_net(demos.obs_dim, 2, (8,), RNG(0)))
     with pytest.raises(ValueError):
         Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg(), 0)
 

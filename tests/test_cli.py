@@ -248,11 +248,11 @@ def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
     for old in ("racelab-bundle-v1", "racelab-bundle-v2", "racelab-bundle-v3",
-                "racelab-bundle-v4"):
+                "racelab-bundle-v4", "racelab-bundle-v5"):
         (bundle / "manifest.json").write_text(json.dumps({"format": old}))
         assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == \
-            f"error: not a racelab-bundle-v5 checkpoint bundle: {bundle}\n"
+            f"error: not a racelab-bundle-v6 checkpoint bundle: {bundle}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,12 @@ def _outputs_in_tmp(tmp_path, monkeypatch):
 def _write(path, doc):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
+
+
+def _stage(root, kind, key):
+    """The default path of a stage product of a kind under root."""
+    name = "track.json" if kind == "track" else f"{kind}.ckpt"
+    return root / "stages" / key[:8] / name
 
 
 def _tree(root):
@@ -304,31 +310,34 @@ def test_stages_one_by_one_equal_one_run_and_share_the_base(betail_run, tmp_path
     for command in (["gen-track"], ["gen-demos"], ["pretrain-bet"],
                     ["train", "--mode", "betail"]):
         assert cli.main(command + ["--config", cfg]) == cli.EXIT_OK
-    (exp,) = (tmp_path / "runs").iterdir()
-    (run,) = exp.glob("betail-*")
-    assert exp.name.startswith("s0-")
+    root = tmp_path / "runs"
+    # One course, one demonstration set and one base: the pretraining
+    # course of maggiore-like is its target course.
+    assert sorted(p.name for p in (root / "stages").glob("*/*")) == \
+        ["bet.ckpt", "bet_pretrain.json", "demos.ckpt", "track.json"]
+    (base,) = root.glob("stages/*/bet.ckpt")
+    (run,) = root.glob("betail-*")
     for rel in COMPARED:
-        base_dir = exp if rel == "bet.ckpt" else run
-        assert (base_dir / rel).read_bytes() == (betail_run / rel).read_bytes(), rel
+        path = base if rel == "bet.ckpt" else run / rel
+        assert path.read_bytes() == (betail_run / rel).read_bytes(), rel
 
     # The bundle names its course and demo files, so eval finds them here.
     assert cli.main(["eval", "--bundle", str(run / "bundle"), "--out", "e"]) == cli.EXIT_OK
     assert json.loads((tmp_path / "e" / "summary.json").read_text())["report"] == \
         json.loads((run / "summary.json").read_text())["report"]
 
-    # A second run in the same experiment reuses the base: alpha is not part
-    # of the stage key.
+    # A second run reuses the base: alpha is not part of its key.
     def no_pretrain(*args, **kwargs):
         raise AssertionError("the base was pretrained again")
 
     monkeypatch.setattr(bet, "pretrain", no_pretrain)
-    stages = _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]}
+    stages = _tree(root / "stages")
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg, "--mode", "betail", "--alpha", "0.1"]) == \
         cli.EXIT_OK
-    assert f"reusing {exp / 'bet.ckpt'}" in capsys.readouterr().out
-    assert _tree(exp / "pretrain") | {"bet.ckpt": _tree(exp)["bet.ckpt"]} == stages
-    (other,) = set(exp.glob("betail-*")) - {run}
+    assert f"reusing {base}" in capsys.readouterr().out
+    assert _tree(root / "stages") == stages
+    (other,) = set(root.glob("betail-*")) - {run}
     assert json.loads((other / "summary.json").read_text())["alpha"] == 0.1
 
 
@@ -379,7 +388,7 @@ def test_interrupted_run_resumes_bit_identically(betail_run, tmp_path, monkeypat
 @pytest.mark.parametrize("argv, named", [
     (["train", "--mode", "ail"], ["manifest.json", "mode 'betail', not 'ail'"]),
     (["train", "--alpha", "0.1"], ["manifest.json", "alpha 0.05, not 0.1"]),
-    (["run", "--seed", "5"], ["track.json", "stage key"]),
+    (["run", "--seed", "5"], ["bet.ckpt", "stage key"]),
 ])
 def test_a_run_of_another_config_leaves_the_directory_unchanged(run_copy, tmp_path, capsys,
                                                                 argv, named):
@@ -388,9 +397,10 @@ def test_a_run_of_another_config_leaves_the_directory_unchanged(run_copy, tmp_pa
     assert cli.main(argv + ["--config", cfg, "--out", str(run_copy)]) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: ") and all(part in err for part in named)
-    if argv[0] == "run":  # both stage keys
-        track_key = json.loads((run_copy / "track.json").read_text())["meta"]["config_hash"]
-        assert track_key in err and err.count("stage key") == 1
+    if argv[0] == "run":  # both keys of the base
+        recorded = nets.load_meta(str(run_copy / "bet.ckpt"))["config_hash"]
+        wanted = build_config({**TINY, "mode": "betail", "seed": 5}).base_key("bet")
+        assert f"stage key {recorded}, not {wanted}" in err and err.count("stage key") == 1
     assert _tree(run_copy) == before
 
 
@@ -420,8 +430,7 @@ def test_a_longer_budget_resumes_the_default_run_directory(tmp_path, capsys):
     longer = {**short, "train": {**short["train"], "iterations": 2}}
     for doc in (short, longer):
         assert cli.main(["run", "--config", _write(tmp_path / "c.json", doc)]) == cli.EXIT_OK
-    (exp,) = (tmp_path / "runs").iterdir()
-    (run,) = exp.glob("ail-*")
+    (run,) = (tmp_path / "runs").glob("ail-*")
     assert run.name == f"ail-{build_config(short).run_hash[:8]}"
     assert build_config(short).run_hash == build_config(longer).run_hash
     assert f"resuming from {run / 'bundle'} at iteration 1" in capsys.readouterr().out
@@ -484,7 +493,8 @@ def test_train_mode_bet_evaluates_the_experiments_base(tmp_path, monkeypatch, ca
     doc = {**TINY, "challenge": "dragontail-like"}
     cfg = _write(tmp_path / "config.json", doc)
     assert cli.main(["pretrain-bet", "--config", cfg]) == cli.EXIT_OK
-    (exp,) = (tmp_path / "runs").iterdir()
+    root = tmp_path / "runs"
+    (base,) = root.glob("stages/*/bet.ckpt")
 
     def no_pretrain(*args, **kwargs):
         raise AssertionError("the base was pretrained again")
@@ -492,20 +502,70 @@ def test_train_mode_bet_evaluates_the_experiments_base(tmp_path, monkeypatch, ca
     monkeypatch.setattr(bet, "pretrain", no_pretrain)
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg, "--mode", "bet"]) == cli.EXIT_OK
-    assert f"reusing {exp / 'bet.ckpt'}" in capsys.readouterr().out
+    assert f"reusing {base}" in capsys.readouterr().out
     run_cfg = build_config({**doc, "mode": "bet"})
-    summary = json.loads((exp / f"bet-{run_cfg.run_hash[:8]}" / "summary.json").read_text())
+    summary = json.loads((root / f"bet-{run_cfg.run_hash[:8]}" / "summary.json").read_text())
     assert (summary["mode"], summary["config_hash"]) == ("bet", run_cfg.hash)
 
-    # The same evaluation, built by hand from the experiment's products.
-    demos = DemoSet.load(str(exp / "demos.ckpt"))
-    model, bet_normalizer, _ = bet.load_bet(str(exp / "bet.ckpt"))
+    # The same evaluation, built by hand from the products.
+    course, laps = run_cfg.track_spec, run_cfg.demo_laps
+    demos = DemoSet.load(str(_stage(root, "demos", run_cfg.demos_key(course, laps))))
+    model, bet_normalizer, _ = bet.load_bet(str(base))
     stack = build_policy_stack("bet", demos.normalizer, demos.obs_dim, None, bet=model,
                                bet_normalizer=bet_normalizer)
-    report = evaluate(stack, load_track(str(exp / "track.json")), run_cfg.vehicle,
+    track = load_track(str(_stage(root, "track", run_cfg.course_key(course))))
+    report = evaluate(stack, track, run_cfg.vehicle,
                       run_cfg.episode, demos, n_cars=run_cfg.train.eval_cars,
                       max_steps=run_cfg.train.eval_max_steps, seed=run_cfg.seed, tag=0)
     assert summary["report"] == json.loads(json.dumps(report.to_dict()))
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the list of calls."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_challenges_that_share_pretraining_courses_share_one_base(tmp_path, monkeypatch,
+                                                                  capsys):
+    fits = _count_calls(monkeypatch, bet, "pretrain")
+    for challenge in ("maggiore-like", "dragontail-like"):
+        cfg = _write(tmp_path / "c.json", {**TINY, "challenge": challenge})
+        assert cli.main(["pretrain-bet", "--config", cfg]) == cli.EXIT_OK
+    (base,) = tmp_path.glob("runs/stages/*/bet.ckpt")
+    assert f"reusing {base}" in capsys.readouterr().out
+    assert len(fits) == 1
+
+
+def test_bc_and_bcail_share_one_cloned_base_fitted_as_the_sequence_base(tmp_path, monkeypatch):
+    # On a transfer course both bases learn from the pretraining course's
+    # demonstrations, so they record one whitener.
+    fits = _count_calls(monkeypatch, cli, "train_bc")
+    cfg = _write(tmp_path / "c.json", {**TINY, "challenge": "dragontail-like"})
+    for mode in ("bc", "bcail", "bet"):
+        assert cli.main(["train", "--config", cfg, "--mode", mode]) == cli.EXIT_OK
+    assert len(fits) == 1
+    (bc,), (sequence,) = (tmp_path.glob(f"runs/stages/*/{name}") for name in ("bc.ckpt", "bet.ckpt"))
+    assert nets.load_meta(str(bc))["normalizer"] == nets.load_meta(str(sequence))["normalizer"]
+    target = build_config({**TINY, "challenge": "dragontail-like", "mode": "bc"})
+    demos = DemoSet.load(str(_stage(tmp_path / "runs", "demos", target.demos_key(
+        target.track_spec, target.demo_laps))))
+    assert nets.load_meta(str(bc))["normalizer"] != demos.normalizer.to_dict()
+
+
+def test_a_run_on_its_pretraining_course_records_its_demonstrations_once(tmp_path,
+                                                                         monkeypatch):
+    records = _count_calls(monkeypatch, cli, "generate_demos")
+    out = tmp_path / "X"
+    cfg = _write(tmp_path / "c.json", {**TINY, "mode": "betail"})
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert len(records) == 1 and not (out / "pretrain").exists()
 
 
 def test_every_mode_writes_one_summary_shape(betail_run, tmp_path):
@@ -527,8 +587,7 @@ def test_a_finished_run_of_any_mode_is_reused_as_it_stands(tmp_path, monkeypatch
     # A bet or ail run reads no alpha, so --alpha 0.3 names the same run.
     cfg = _write(tmp_path / "c.json", TINY)
     assert cli.main(["train", "--config", cfg, "--mode", mode]) == cli.EXIT_OK
-    (exp,) = (tmp_path / "runs").iterdir()
-    (run,) = exp.glob(f"{mode}-*")
+    (run,) = (tmp_path / "runs").glob(f"{mode}-*")
     before = _tree(tmp_path / "runs")
 
     def no_work(*args, **kwargs):
@@ -595,7 +654,7 @@ def test_interrupted_summary_write_leaves_the_run_unfinished(tmp_path, monkeypat
 
     monkeypatch.setattr(cli.eval_mod, "json", json)
     assert cli.main(["train", "--config", cfg, "--mode", "bc", "--out", str(out)]) == cli.EXIT_OK
-    assert "cloned base" in capsys.readouterr().out
+    assert f"reusing {out / 'bc.ckpt'}" in capsys.readouterr().out
     assert json.loads((out / "summary.json").read_text())["mode"] == "bc"
 
 
@@ -670,9 +729,9 @@ MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.
 
 @pytest.mark.parametrize("argv, code, message", [
     (["gen-track", "--config", "bad.json"], 1, "is not valid JSON"),
-    (["gen-track", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
+    (["gen-track", "--config", "other-course.json", "--out", "X"], 2, "stage key"),
     (["gen-demos", "--config", "unknown.json"], 1, "unknown config key 'trian'"),
-    (["gen-demos", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
+    (["gen-demos", "--config", "other-demos.json", "--out", "X"], 2, "stage key"),
     (["pretrain-bet", "--config", "bad.json"], 1, "is not valid JSON"),
     (["pretrain-bet", "--seed", "5", "--config", "tiny.json", "--out", "X"], 2, "stage key"),
     (["train", "--config", "tiny.json"], 1, "config field 'mode' is required"),
@@ -709,6 +768,9 @@ def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, m
     _write(tmp_path / "bad.json", "{not json")
     _write(tmp_path / "unknown.json", {**TINY, "trian": {}})
     _write(tmp_path / "tiny.json", TINY)
+    _write(tmp_path / "other-course.json",
+           {**TINY, "track": {**CHALLENGES["maggiore-like"]["track"], "seed": 8}})
+    _write(tmp_path / "other-demos.json", {**TINY, "demos": {**TINY["demos"], "seed": 5}})
     _write(tmp_path / "betail.json", {**TINY, "mode": "betail"})
     _write(tmp_path / "radus.json", {**TINY, "track": {"preset": "circle", "radus": 100}})
     _write(tmp_path / "narrow.json", {**TINY, "track": {**CHALLENGES["maggiore-like"]["track"],

@@ -344,13 +344,6 @@ def test_typed_records_share_no_list_with_the_resolved_config():
     assert cfg.hash == before
 
 
-def test_needs_bet():
-    assert build_config(minimal(mode="betail", alpha=0.1)).needs_bet()
-    assert build_config(minimal(mode="bet")).needs_bet()
-    assert not build_config(minimal(mode="ail")).needs_bet()
-    assert not build_config(minimal(mode="bcail", alpha=0.1)).needs_bet()
-
-
 # ------------------------------------------------------------------ defaults
 
 
@@ -442,14 +435,19 @@ def _every_config():
                     yield {"profile": profile, "mode": mode, "out": out, **course}
 
 
+def _keys(cfg):
+    """The config hash, the run key and the key of every stage product."""
+    return (cfg.hash, cfg.run_hash, cfg.course_key(cfg.track_spec),
+            cfg.demos_key(cfg.track_spec, cfg.demo_laps), cfg.base_key("bet"), cfg.base_key("bc"))
+
+
 def test_a_recorded_config_rebuilds_the_same_run():
     # A bundle records cfg.resolved as JSON; eval and report rebuild from it.
     for doc in _every_config():
         cfg = build_config(doc)
         again = build_config(json.loads(json.dumps(cfg.resolved)))
         assert again.resolved == cfg.resolved, doc
-        assert (again.hash, again.stage_hash, again.run_hash) == \
-            (cfg.hash, cfg.stage_hash, cfg.run_hash), doc
+        assert _keys(again) == _keys(cfg), doc
 
 
 def test_run_key_ignores_only_the_stopping_rules():
@@ -469,6 +467,10 @@ def test_run_key_ignores_only_the_stopping_rules():
 # train.eval_cars, so a new mode fails the test below until it is added.
 RUN_KEY_READERS = [
     ("bc.lr", {"bc": {"lr": 0.5}}, {"bc", "bcail"}),
+    ("bet.lr", {"bet": {"lr": 0.5}}, {"betail", "bet"}),
+    ("demos.laps_pretrain", {"demos": {"laps_pretrain": 3}}, {"betail", "bet", "bc", "bcail"}),
+    ("pretrain_tracks", {"pretrain_tracks": [minimal()["track"], {"preset": "oval"}]},
+     {"betail", "bet", "bc", "bcail"}),
     ("alpha", {"alpha": 0.3}, {"betail", "bcail"}),
     ("train.sac.lr", {"train": {"sac": {"lr": 0.5}}}, {"betail", "ail", "bcail"}),
     ("train.n_cars", {"train": {"n_cars": 3}}, {"betail", "ail", "bcail"}),

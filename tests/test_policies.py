@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racelab import autodiff as ad
+from racelab import nets
 from racelab.bet import BeT, BeTConfig
 from racelab.env import OBS_CLIP, Normalizer
-from racelab.policies import GaussianPolicy, build_policy_stack, make_bc_net
+from racelab.policies import GaussianPolicy, build_policy_stack, load_bc, make_bc_net
 
 RNG = np.random.default_rng
 
@@ -207,12 +208,21 @@ def test_stack_mode_validation():
         build_policy_stack("bcail", norm, 4, RNG(0), alpha=0.1)
 
 
-def test_stack_rejects_a_base_of_another_observation_width():
-    # A base pretrained on episodes with other feature counts.
-    bet = BeT(BeTConfig(obs_dim=48, embed_dim=8, n_layers=1, n_heads=2, context=4,
-                        eval_context=2), RNG(0))
-    with pytest.raises(ValueError, match="reads 48 observation features.*emits 50"):
-        build_policy_stack("betail", _normalizer(50), 50, RNG(0), alpha=0.1, bet=bet)
+@pytest.mark.parametrize("kind", ["bet", "bc"])
+def test_stack_rejects_a_base_of_another_observation_width(kind):
+    # A base fitted on episodes with other feature counts.
+    base = make_bc_net(48, 2, (8,), RNG(0)) if kind == "bc" else BeT(
+        BeTConfig(obs_dim=48, embed_dim=8, n_layers=1, n_heads=2, context=4, eval_context=2), RNG(0))
+    with pytest.raises(ValueError, match="^the base reads 48 observation features.*emits 50$"):
+        build_policy_stack(f"{kind}ail", _normalizer(50), 50, RNG(0), alpha=0.1, **{kind: base})
+
+
+def test_a_cloned_base_without_a_whitener_is_refused(tmp_path):
+    bc = make_bc_net(4, 2, (8,), RNG(1))
+    path = str(tmp_path / "bc.ckpt")
+    nets.save_params(path, bc.params(), {"kind": "bc", "dims": bc.dims})
+    with pytest.raises(nets.CheckpointError, match=f"^cloned-base checkpoint {path} records no "):
+        load_bc(path)
 
 
 def test_stack_params_name_every_net_it_acts_with():
@@ -241,13 +251,18 @@ def test_stack_without_base_acts_pure_residual():
 
 def test_stack_bc_base_composition_is_exact():
     """bcail emits clip(base + float32(alpha) * tanh(mean)), written inline in
-    numpy, where the head reads [whitened obs, base]."""
+    numpy, where the base reads the obs as its own whitener whitens it and
+    the head reads [obs whitened for the target course, base]."""
     norm = _normalizer(4)
+    bc_norm = Normalizer.fit(RNG(17).standard_normal((64, 4)).astype(np.float32) * 3.0)
     bc = make_bc_net(4, 2, (8,), RNG(1))
-    stack = build_policy_stack("bcail", norm, 4, RNG(2), alpha=0.2, bc=bc, hidden=(8,))
+    stack = build_policy_stack("bcail", norm, 4, RNG(2), alpha=0.2, bc=bc, hidden=(8,),
+                               bet_normalizer=bc_norm)
     _perturb(stack.residual, scale=0.4, seed=13)
     obs = RNG(14).standard_normal((5, 4)).astype(np.float32)
-    base = stack.base_action(obs)
+    base = bc.predict(bc_norm.transform(obs))
+    np.testing.assert_array_equal(stack.base_action(obs), base)
+    assert not np.array_equal(base, bc.predict(norm.transform(obs)))
     x = np.concatenate([norm.transform(obs), base], axis=1)
     (w0, b0), (w1, b1) = ((layer.W.data, layer.b.data) for layer in stack.residual.net.layers)
     mean = (np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)[:, :2]
