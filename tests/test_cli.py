@@ -25,7 +25,7 @@ from racelab.track import gen_track, load_track, save_track
 # any change here is a change of numerics and is re-blessed on purpose.
 GOLDEN = {
     "summary.json": "01c4311985a2d0c57cfc46a2f32cf2853e4070b059e5ab6eeeddd2ade7a5359b",
-    "bet.ckpt": "81df3d76af071cd68676710c9be44996d29531759b847d44b15aa21a5cd8babf",
+    "bet.ckpt": "3d9e1ffda4e94514f65ff54c10b79492022ebcc9b2c7d01bfe7f63815354bde2",
     "bundle/residual.ckpt": "50b0a59a9f20cd47ce79716d96254075796cfc3f12bfd209c6ce69138ff08028",
 }
 
