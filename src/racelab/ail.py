@@ -443,22 +443,22 @@ def _optimizers(trainer):
     return {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "disc": trainer.opt_disc}
 
 
-def _recover(path):
+def recover_bundle(path):
     """Put back the bundle a save moved aside, when the save stopped before
-    its new bundle took the old one's place."""
+    its new bundle took the old one's place. Only the holder of the run
+    directory, the one that saves there next, may call it: a save in
+    progress has its old bundle at ``path.old`` too."""
     if not os.path.exists(path) and os.path.isdir(path + ".old"):
         os.replace(path + ".old", path)
 
 
 def has_bundle(path):
     """Whether a bundle directory with a manifest is at path."""
-    _recover(path)
     return os.path.exists(os.path.join(path, "manifest.json"))
 
 
 def read_manifest(path):
     """The manifest of the bundle directory at path; other formats are refused."""
-    _recover(path)
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -478,11 +478,11 @@ def save_bundle(path, trainer, extra_manifest=None):
     fresh ``path.tmp`` directory; the old bundle then moves to
     ``path.old``, the new one to path, and ``path.old`` is removed. A save
     that stops at any point leaves the old bundle or the new one at path,
-    or, between the two moves, the old one at ``path.old``, which every
-    reader puts back.
+    or, between the two moves, the old one at ``path.old``, which
+    recover_bundle puts back; the next save does so first.
     """
     tmp, old = path + ".tmp", path + ".old"
-    _recover(path)
+    recover_bundle(path)
     for stale in (tmp, old):
         shutil.rmtree(stale, ignore_errors=True)
     os.makedirs(tmp)
@@ -545,10 +545,14 @@ def load_stack(path, manifest, hidden=None):
         bc, base_normalizer, _ = load_bc(os.path.join(path, "bc.ckpt"))
 
     res_meta, res_arrays = nets.load_params(os.path.join(path, "residual.ckpt"))
+    alpha = res_meta.get("alpha")
+    if not isinstance(alpha, float) or not 0.0 < alpha <= 1.0:
+        raise nets.CheckpointError(f"{path}/residual.ckpt records alpha {alpha!r}, "
+                                   "not a number in (0, 1]")
     if hidden is None:
         hidden = manifest["config"]["policy_hidden"]
     stack = build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
-                               np.random.default_rng(0), alpha=res_meta["alpha"], bet=bet,
+                               np.random.default_rng(0), alpha=alpha, bet=bet,
                                bc=bc, hidden=hidden, bet_normalizer=base_normalizer)
     nets.assign_params(stack.residual.params(), res_arrays)
     return stack

@@ -198,21 +198,14 @@ class BeT:
                 blk.w2.W, blk.w2.b, cfg.dropout, rng, train)
         return ad.tanh(ad.norm_affine(h, self.lnf_gain, self.lnf_bias, self.head.W, self.head.b))
 
-    def predict(self, windows):
-        """forward(train=False) without a tape, on arrays.
-
-        windows is (B, T, obs) normalized observations, cast to float32;
-        returns (B, T, act) float32.
-        """
-        with ad.no_grad():
-            return self.forward(ad.Tensor(np.asarray(windows, dtype=np.float32))).data
-
     def predict_last(self, windows):
         """Action at the latest position only: (B, T, obs) -> (B, act).
 
+        windows holds whitened observations, cast to float32. This is
         forward(last=True) without a tape: the final block's per-position
-        work runs at the newest position only. Bitwise equal to
-        ``predict(windows)[:, -1]`` at every batch size.
+        work runs at the newest position only. Bitwise equal, at every
+        batch size, to the last position of ``forward(windows)`` run under
+        ``autodiff.no_grad()``.
         """
         with ad.no_grad():
             x = ad.Tensor(np.asarray(windows, dtype=np.float32))

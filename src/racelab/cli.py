@@ -70,11 +70,18 @@ trained run's summary.json is stamped from its final bundle's record, as
 ``report`` stamps it, so a run stopped after its last bundle finishes
 from that bundle's manifest, without loading the bundle or evaluating
 again. Any mismatch exits 2 before anything is written, naming the file
-and both keys, or the first differing field and both values. The
-``.lock`` of every directory that holds a listed product is held while
-stage products are built, and the run directory's while training. Each
-is a kernel lock (``flock``), which the kernel releases when the process
-ends, however it ends, so the CLI runs on POSIX systems only. Stage
+and both keys, or the first differing field and both values.
+
+Locks. A training command takes its run directory's ``.lock`` first,
+before it checks anything, and holds it through training. The ``.lock``
+of every other directory that holds a listed product is then held while
+the products are checked and built. Only the holder of a run directory's
+lock puts back a bundle that a stopped save left at ``bundle.old``;
+``eval`` and ``report`` take no lock and rename nothing. A directory made
+to hold a lock is removed on release if it is empty, so a refused
+command leaves the output tree as it found it. Each lock is a kernel
+lock (``flock``), which the kernel releases when the process ends,
+however it ends, so the CLI runs on POSIX systems only. Stage
 products and checkpoint files are written to a temporary name and then
 renamed into place, so a run killed while writing leaves the old file or
 none, and a write stopped by an exception removes its temporary file.
@@ -213,11 +220,19 @@ def _locked(*out_dirs):
     The kernel releases the lock when the process ends, however it ends, so
     a killed run leaves nothing to reclaim. A lock held by another process
     refuses the run, naming that process's pid. The holder removes the file
-    before it lets go, so a run that opened the old file refuses too.
+    before it lets go, so a run that opened the old file refuses too. A
+    directory made to hold a lock is removed on release if it is then
+    empty, so a refused command leaves the output tree as it found it.
     """
     with contextlib.ExitStack() as held:
         for out_dir in sorted(set(out_dirs)):
+            made, parent = [], os.path.abspath(out_dir)
+            while not os.path.isdir(parent):
+                made.append(parent)
+                parent = os.path.dirname(parent)
             os.makedirs(out_dir, exist_ok=True)
+            for path in reversed(made):  # callbacks run last in, first out: deepest first
+                held.callback(_remove_if_empty, path)
             lock = os.path.join(out_dir, ".lock")
             fh = held.enter_context(open(lock, "a+", encoding="utf-8"))
             try:
@@ -237,6 +252,11 @@ def _locked(*out_dirs):
             print(os.getpid(), file=fh, flush=True)
             held.callback(pathlib.Path(lock).unlink, missing_ok=True)
         yield
+
+
+def _remove_if_empty(path):
+    with contextlib.suppress(OSError):
+        os.rmdir(path)
 
 
 def _trace(cfg, key=None):
@@ -359,7 +379,8 @@ def _fit_base(cfg, kind, path, key, demos):
 
 
 def _run_record(bundle):
-    """The manifest of a bundle and the config its run was trained under."""
+    """The manifest of a bundle, which records the config (``resolved``)
+    its run was trained under."""
     if not ail.has_bundle(bundle):
         raise FileNotFoundError(f"missing bundle manifest: {bundle}/manifest.json "
                                 "(point --bundle at a checkpoint bundle directory)")
@@ -367,7 +388,7 @@ def _run_record(bundle):
     if "resolved" not in manifest:
         raise nets.CheckpointError(f"{bundle}/manifest.json records no config "
                                    "(an older bundle; train the run again)")
-    return manifest, build_config(manifest["resolved"])
+    return manifest
 
 
 def _check_run(cfg, run_dir):
@@ -375,11 +396,15 @@ def _check_run(cfg, run_dir):
     another config, or whose bundle has trained past the config's iteration
     budget. A finished run, one whose summary.json records the iteration
     the run ends at (0 without a correction head, train.iterations
-    otherwise), is reused as it stands; returns whether it was."""
+    otherwise), is reused as it stands; returns whether it was.
+
+    The caller holds the run directory's lock, so this first puts back a
+    bundle that a stopped save left moved aside."""
     bundle, config, summary = (os.path.join(run_dir, name)
                                for name in ("bundle", "config.json", "summary.json"))
+    ail.recover_bundle(bundle)
     if ail.has_bundle(bundle):
-        manifest = _run_record(bundle)[0]
+        manifest = _run_record(bundle)
         _check_record(cfg, f"{bundle}/manifest.json", manifest["resolved"], "the bundle")
         if manifest["iteration"] > cfg.train.iterations:
             raise RuntimeError(f"{bundle}/manifest.json records iteration {manifest['iteration']}, "
@@ -416,9 +441,9 @@ def _bundle_meta(manifest):
 def _report_bundle(bundle, out_dir):
     """Stamp the report files of the run that bundle records into out_dir,
     from its last evaluation and training curve, recomputing nothing."""
-    manifest, cfg = _run_record(bundle)
-    _emit(cfg, out_dir, EvalReport.from_dict(manifest["last_eval"]), manifest["curve"],
-          _bundle_meta(manifest))
+    manifest = _run_record(bundle)
+    _emit(build_config(manifest["resolved"]), out_dir,
+          EvalReport.from_dict(manifest["last_eval"]), manifest["curve"], _bundle_meta(manifest))
 
 
 def _emit(cfg, out_dir, report, curve, extra_meta=None):
@@ -493,19 +518,28 @@ _STAGE = {"gen-track": "track", "gen-demos": "demos", "pretrain-bet": "bet",
 def cmd_pipeline(args):
     """Build the stage products the command reads, each only when it is missing.
 
-    Every stage product on the command's list, and the run's bundle and
-    config.json, are checked before anything is written.
+    A training command first takes its run directory's lock, and holds it
+    through training. Every stage product on the command's list, and the
+    run's bundle and config.json, are checked before anything is written.
     """
     stage = _STAGE[args.command]
     cfg = _load_cfg(args, need_mode=stage == "train")
     root = os.environ.get("RACELAB_OUT", "runs")
     plan = _plan(cfg, stage, root)
-    run_dir = cfg.out or os.path.join(root, f"{cfg.mode}-{cfg.run_hash[:8]}")
-    with _locked(*(os.path.dirname(path) for path, _, _ in plan)):
-        _check_products(plan)
-        if stage == "train" and _check_run(cfg, run_dir):
+    run_dir = os.path.normpath(cfg.out or os.path.join(root, f"{cfg.mode}-{cfg.run_hash[:8]}"))
+    runs = [run_dir] if stage == "train" else []
+    # Under --out the run directory also holds the target's products.
+    stage_dirs = {os.path.normpath(os.path.dirname(path)) for path, _, _ in plan} - set(runs)
+    with _locked(*runs):
+        with _locked(*stage_dirs):
+            _check_products(plan)
+            if runs and _check_run(cfg, run_dir):
+                return EXIT_OK
+            products = _obtain(plan)
+        if runs:
+            _write_config_snapshot(cfg, run_dir)
+            _run_training(cfg, run_dir, plan, products)
             return EXIT_OK
-        products = _obtain(plan)
     if stage == "track":
         track = products[0]
         print(f"track {eval_mod.track_id(track)}: length {track.length:.1f} m, "
@@ -513,10 +547,6 @@ def cmd_pipeline(args):
     elif stage == "demos":
         times = products[1].lap_times(cfg.episode.dt)
         print(f"{len(times)} demonstration laps, {np.mean(times):.1f} s mean lap -> {plan[1][0]}")
-    elif stage == "train":
-        with _locked(run_dir):
-            _write_config_snapshot(cfg, run_dir)
-            _run_training(cfg, run_dir, plan, products)
     return EXIT_OK
 
 
@@ -530,7 +560,8 @@ def cmd_eval(args):
             raise ConfigError(f"eval {flag} must be >= {low}, got {value}")
     if args.bundle is None:
         raise ConfigError("eval needs --bundle")
-    manifest, cfg = _run_record(args.bundle)
+    manifest = _run_record(args.bundle)
+    cfg = build_config(manifest["resolved"])
     # A bundle records its course and demo files relative to itself, as
     # os.path.relpath wrote them.
     track_path, demos_path = (os.path.normpath(os.path.join(args.bundle, manifest[key]))

@@ -130,9 +130,9 @@ CHALLENGES = {
     },
 }
 
-# Subtrees whose keys the schema does not enumerate: course generation
-# parameters vary by preset, and build_config checks them by generating
-# the course.
+# Subtrees whose keys the schema does not enumerate: a course spec holds
+# gen_track's arguments, and build_config checks them by generating the
+# course.
 _FREE_SUBTREES = ("track", "pretrain_tracks")
 
 

@@ -112,10 +112,6 @@ class Normalizer:
         std = np.maximum(data.std(axis=0), 1e-6)
         return Normalizer(mean.astype(np.float32), std.astype(np.float32))
 
-    @staticmethod
-    def identity(dim):
-        return Normalizer(np.zeros(dim, dtype=np.float32), np.ones(dim, dtype=np.float32))
-
     def transform(self, x):
         """Whitened x as float32, saturated at +/- OBS_CLIP."""
         z = ((np.asarray(x, dtype=np.float32) - self.mean) / self.std).astype(np.float32)

@@ -71,12 +71,11 @@ class GaussianPolicy:
     The net maps the input to (mean, log-std) of a pre-squash variable z;
     the emitted action is alpha * tanh(z). The final layer starts at zero
     so the initial mean action is exactly zero (the base action passes
-    through unchanged) with unit pre-squash spread.
+    through unchanged) with unit pre-squash spread. alpha lies in (0, 1]:
+    ``build_config`` checks a config's and ``ail.load_stack`` a bundle's.
     """
 
     def __init__(self, in_dim, act_dim, hidden, alpha, rng):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         dims = [in_dim] + list(hidden) + [2 * act_dim]
         acts = ["relu"] * len(hidden) + ["identity"]
         self.net = nets.MLP(dims, acts, rng, name="res", final_zero=True)

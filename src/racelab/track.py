@@ -4,6 +4,11 @@ A track is a closed polyline with uniform-ish vertex spacing, a constant
 half width, and derived per-vertex arclengths, tangent headings, and
 signed curvatures. All arclength arithmetic is modulo the lap length.
 Positive lateral offset is to the left of the direction of travel.
+
+Every course comes from one construction rule, ``gen_track``'s: a smooth
+closed curve through randomly perturbed points around a circle. A course
+spec names the rule as ``"preset": "random"`` and the course records that
+name in its meta.
 """
 
 from __future__ import annotations
@@ -334,24 +339,20 @@ def _catmull_rom_closed(control, samples_per_seg):
     return np.concatenate(out, axis=0)
 
 
-# Each preset's parameters and their defaults, in the order the track
+# The random rule's parameters and their defaults, in the order the track
 # meta records them.
-_PRESETS = {
-    "circle": {"radius": 180.0},
-    "oval": {"radius": 90.0, "straight": 250.0},
-    "random": {"n_control": 12, "roughness": 0.25, "radius": 180.0},
-}
+_PARAMS = {"n_control": 12, "roughness": 0.25, "radius": 180.0}
 
 
 def _course_meta(preset, seed, half_width, spacing=2.5, **params):
-    """The generation record (``Track.meta``) of a course spec, each preset
+    """The generation record (``Track.meta``) of a course spec, each
     parameter as its default's type (n_control is an int), after the check
-    that gen_track makes before it generates: a known preset, known
+    that gen_track makes before it generates: the preset "random", known
     parameter names, numeric values and half_width >= MIN_HALF_WIDTH.
     Raises ValueError naming the bad one."""
-    if preset not in _PRESETS:
-        raise ValueError(f"unknown track preset {preset!r} (choose from {'/'.join(_PRESETS)})")
-    unknown = sorted(set(params) - set(_PRESETS[preset]))
+    if preset != "random":
+        raise ValueError(f"unknown track preset {preset!r} (the one preset is 'random')")
+    unknown = sorted(set(params) - set(_PARAMS))
     if unknown:
         raise ValueError(f"unknown track parameters: {unknown}")
     for key, value in {"seed": seed, "half_width": half_width, "spacing": spacing,
@@ -361,37 +362,36 @@ def _course_meta(preset, seed, half_width, spacing=2.5, **params):
     if half_width < MIN_HALF_WIDTH:
         raise ValueError(f"half_width must be >= {MIN_HALF_WIDTH}, got {half_width!r}")
     return {"preset": preset, **{key: type(default)(params.get(key, default))
-                                 for key, default in _PRESETS[preset].items()},
+                                 for key, default in _PARAMS.items()},
             "seed": int(seed), "spacing": float(spacing)}
 
 
 def gen_track(preset, seed=0, half_width=6.0, **params):
-    """Generate a track from a named preset.
+    """Generate a course by the random rule.
+
+    A periodic Catmull-Rom spline runs through n_control points around a
+    circle of the given radius, each moved in and out by up to roughness
+    times the radius and along the circle by up to a quarter of their
+    angular spacing. The spline is resampled at ``spacing`` meters. While
+    the course fails a check of Track (the curvature bound, mostly), the
+    perturbation is damped and drawn again, up to 20 times.
 
     Parameters
     ----------
-    preset : {"circle", "oval", "random"}
-        circle(radius), oval(radius, straight), and
-        random(n_control, roughness, radius) construction rules.
+    preset : "random"
+        The one construction rule; recorded in the course meta.
     seed : int
-        Master seed; only the random preset draws from it.
+        Master seed of the perturbation's draws.
     half_width : float
         Track half width in meters.
+    **params
+        n_control, roughness, radius and spacing.
 
     Returns
     -------
     Track
     """
     meta = _course_meta(preset, seed, half_width, **params)
-    spacing = meta["spacing"]
-    if preset == "circle":
-        count = max(MIN_POINTS, int(round(2.0 * np.pi * meta["radius"] / spacing)))
-        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        pts = meta["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return Track(pts, half_width, meta)
-    if preset == "oval":
-        return Track(_resample_closed(_oval_dense(meta["radius"], meta["straight"]), spacing),
-                     half_width, meta)
     n_control = meta["n_control"]
     rng = stream(seed, "track")
     # Damp the perturbation until the curvature bound is satisfied.
@@ -402,39 +402,12 @@ def gen_track(preset, seed=0, half_width=6.0, **params):
         ang = ang + rng.uniform(-0.25, 0.25, n_control) * (2.0 * np.pi / n_control) * damp
         control = rr[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         dense = _catmull_rom_closed(control, 512)
-        pts = _resample_closed(dense, spacing)
+        pts = _resample_closed(dense, meta["spacing"])
         try:
             return Track(pts, half_width, meta)
         except ValueError:
             continue
     raise ValueError("could not generate a valid random track; lower roughness")
-
-
-def _oval_dense(radius, straight):
-    half = straight / 2.0
-    n_arc = 720
-    n_str = 720
-    right_arc = np.stack(
-        [
-            half + radius * np.cos(np.linspace(-np.pi / 2, np.pi / 2, n_arc, endpoint=False)),
-            radius * np.sin(np.linspace(-np.pi / 2, np.pi / 2, n_arc, endpoint=False)),
-        ],
-        axis=1,
-    )
-    top = np.stack(
-        [np.linspace(half, -half, n_str, endpoint=False), np.full(n_str, radius)], axis=1
-    )
-    left_arc = np.stack(
-        [
-            -half + radius * np.cos(np.linspace(np.pi / 2, 3 * np.pi / 2, n_arc, endpoint=False)),
-            radius * np.sin(np.linspace(np.pi / 2, 3 * np.pi / 2, n_arc, endpoint=False)),
-        ],
-        axis=1,
-    )
-    bottom = np.stack(
-        [np.linspace(-half, half, n_str, endpoint=False), np.full(n_str, -radius)], axis=1
-    )
-    return np.concatenate([right_arc, top, left_arc, bottom], axis=0)
 
 
 # -- persistence -------------------------------------------------------

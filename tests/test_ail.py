@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import circle_track
 from racelab import ail, nets
 from racelab import autodiff as ad
 from racelab.ail import (
@@ -27,7 +28,6 @@ from racelab.evaluate import evaluate
 from racelab.expert import ExpertParams, generate_demos
 from racelab.optim import Adam
 from racelab.policies import GaussianPolicy, build_policy_stack, make_bc_net
-from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
 
 RNG = np.random.default_rng
@@ -433,7 +433,7 @@ def test_update_equals_the_unfrozen_unfused_update_bitwise(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tiny_world():
-    track = gen_track("circle", radius=60.0)
+    track = circle_track(60.0)
     vparams = VehicleParams()
     ecfg = EpisodeConfig()
     demos = generate_demos(track, vparams, ecfg, ExpertParams(), 2, seed=0)
@@ -619,6 +619,7 @@ def test_a_save_stopped_at_any_step_leaves_the_previous_bundle(tiny_world, tmp_p
     previous = _trainer_state(old)
 
     def loaded():
+        ail.recover_bundle(path)
         return _trainer_state(load_bundle(path, track, vparams, ecfg, demos)[0])
 
     # Stop after each file, and at each of the two moves into place.

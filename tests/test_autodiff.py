@@ -6,9 +6,6 @@ the tape gradient to 1e-6 relative error. Subgradient conventions at
 kinks, the exact causal mask, and error behavior are pinned separately.
 """
 
-import ast
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -915,24 +912,3 @@ class TestErrorBehavior:
         x = ad.tensor([1000.0])
         with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="exp"):
             ad.exp(x)
-
-
-def test_every_public_name_is_reached_outside_autodiff():
-    """Another module of the package, or the benchmark, reaches each name of
-    __all__ as ad.<name> or by import, so a dead op cannot stay. precision
-    is the float64 mode of the finite-difference oracles above."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    files = [p for p in sorted((root / "src" / "racelab").glob("*.py")) if p.name != "autodiff.py"]
-    files += sorted((root / "bench").glob("*.py"))
-    reached = set()
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "racelab.autodiff"):
-                reached.update(a.name for a in node.names)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                aliases.update(a.asname or a.name for a in node.names if a.name.endswith("autodiff"))
-        reached.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                       and isinstance(node.value, ast.Name) and node.value.id in aliases)
-    assert sorted(set(ad.__all__) - reached - {"precision"}) == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import circle_track
 from racelab import autodiff as ad
 from racelab import nets
 from racelab.bet import (
@@ -18,7 +19,6 @@ from racelab.expert import ExpertParams, generate_demos
 from racelab.nets import params_checksum
 from racelab.optim import Lamb
 from racelab.policies import build_policy_stack
-from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
 
 RNG = np.random.default_rng
@@ -30,6 +30,13 @@ def _tiny_cfg(**over):
                 updates=10, stop_loss=0.0)
     base.update(over)
     return BeTConfig(**base)
+
+
+def _forward(model, windows):
+    """forward(train=False) under no_grad, on arrays: (B, T, obs) windows,
+    cast to float32, to (B, T, act). The reference of predict_last."""
+    with ad.no_grad():
+        return model.forward(ad.Tensor(np.asarray(windows, dtype=np.float32))).data
 
 
 def _perturbed_model(cfg, seed=0):
@@ -90,9 +97,9 @@ def test_prefix_predictions_are_bit_identical():
     cfg = _tiny_cfg(dropout=0.0)
     model = _perturbed_model(cfg)
     x = RNG(1).standard_normal((3, 8, 6)).astype(np.float32)
-    full = model.predict(x)
+    full = _forward(model, x)
     for t in (1, 3, 5, 8):
-        prefix = model.predict(x[:, :t])
+        prefix = _forward(model, x[:, :t])
         np.testing.assert_array_equal(prefix, full[:, :t])
 
 
@@ -100,10 +107,10 @@ def test_future_change_leaves_past_outputs_unchanged():
     cfg = _tiny_cfg(dropout=0.0)
     model = _perturbed_model(cfg)
     x = RNG(2).standard_normal((2, 6, 6)).astype(np.float32)
-    base = model.predict(x)
+    base = _forward(model, x)
     x2 = x.copy()
     x2[:, 4:] += 100.0
-    changed = model.predict(x2)
+    changed = _forward(model, x2)
     np.testing.assert_array_equal(changed[:, :4], base[:, :4])
     assert not np.array_equal(changed[:, 4:], base[:, 4:])
 
@@ -167,7 +174,7 @@ def test_desk_forward_paths_agree_bitwise(batch, t):
     cfg = BeTConfig()
     model = BeT(cfg, RNG(40))
     x = 3.0 * RNG(batch * 100 + t).standard_normal((batch, t, cfg.obs_dim)).astype(np.float32)
-    out = model.predict(x)
+    out = _forward(model, x)
     np.testing.assert_array_equal(model.forward(ad.Tensor(x), train=False).data, out)
     np.testing.assert_array_equal(_per_head_predict(model, x), out)
 
@@ -190,9 +197,9 @@ def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
     cfg = BeTConfig()
     model = _perturbed_model(cfg, seed=46)
     x = RNG(47).standard_normal((batch, cfg.context, cfg.obs_dim)).astype(np.float32)
-    full = model.predict(x)
+    full = _forward(model, x)
     for t in range(1, cfg.context):
-        np.testing.assert_array_equal(model.predict(x[:, :t]), full[:, :t])
+        np.testing.assert_array_equal(_forward(model, x[:, :t]), full[:, :t])
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 20, 256])
@@ -206,7 +213,7 @@ def test_desk_predict_last_is_the_last_position_bitwise(batch):
     for t in range(1, cfg.eval_context + 1):
         window = x[:batch, :t]
         last = model.predict_last(window)
-        np.testing.assert_array_equal(last, model.predict(window)[:, -1])
+        np.testing.assert_array_equal(last, _forward(model, window)[:, -1])
         np.testing.assert_array_equal(last, model.forward(ad.Tensor(window), last=True).data[:, 0])
         np.testing.assert_array_equal(last, model.predict_last(x[:, :t])[:batch])
 
@@ -216,7 +223,7 @@ def test_window_longer_than_context_rejected():
     model = BeT(cfg, RNG(0))
     x = np.zeros((1, 9, 6), dtype=np.float32)
     with pytest.raises(ValueError):
-        model.predict(x)
+        _forward(model, x)
     with pytest.raises(ValueError):
         model.forward(ad.Tensor(x))
 
@@ -238,7 +245,7 @@ def test_actions_are_bounded_by_tanh_head():
     cfg = _tiny_cfg(dropout=0.0)
     model = _perturbed_model(cfg)
     x = 5.0 * RNG(4).standard_normal((6, 8, 6)).astype(np.float32)
-    out = model.predict(x)
+    out = _forward(model, x)
     assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
@@ -246,7 +253,7 @@ def test_predict_last_is_final_row():
     cfg = _tiny_cfg(dropout=0.0)
     model = _perturbed_model(cfg)
     x = RNG(5).standard_normal((3, 5, 6)).astype(np.float32)
-    np.testing.assert_array_equal(model.predict_last(x), model.predict(x)[:, -1])
+    np.testing.assert_array_equal(model.predict_last(x), _forward(model, x)[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def test_train_step_gradient_matches_finite_difference():
     params = model.params()
 
     def loss_value():
-        pred = model.predict(obs)
+        pred = _forward(model, obs)
         return float(np.mean((pred.astype(np.float64) - act) ** 2))
 
     ad.zero_grads(params.values())
@@ -399,7 +406,7 @@ def test_training_fits_a_tiny_mapping():
 
 
 def test_pretrain_on_demonstrations_reduces_loss_and_stops_early():
-    track = gen_track("circle", radius=80.0)
+    track = circle_track(80.0)
     vp, ec = VehicleParams(), EpisodeConfig()
     demos = generate_demos(track, vp, ec, ExpertParams(), 2, seed=0)
     cfg = BeTConfig(obs_dim=50, act_dim=2, embed_dim=16, n_layers=1, n_heads=2,
@@ -418,7 +425,7 @@ def test_pretrain_on_demonstrations_reduces_loss_and_stops_early():
 
 
 def test_pretrain_rejects_short_demonstrations():
-    norm = Normalizer.identity(6)
+    norm = Normalizer(np.zeros(6, dtype=np.float32), np.ones(6, dtype=np.float32))
     lap = {"obs": np.zeros((3, 6), np.float32), "actions": np.zeros((2, 2), np.float32)}
     from racelab.expert import DemoSet
 
@@ -443,7 +450,7 @@ def test_checkpoint_roundtrip_preserves_params_and_normalizer(tmp_path):
     assert meta["note"] == "tiny"
     assert meta["config"]["embed_dim"] == 16
     x = RNG(21).standard_normal((2, 4, 6)).astype(np.float32)
-    np.testing.assert_array_equal(back.predict(x), model.predict(x))
+    np.testing.assert_array_equal(_forward(back, x), _forward(model, x))
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

@@ -71,11 +71,9 @@ def test_run_with_other_feature_counts_sizes_the_base_from_the_episode(tmp_path)
     assert model.cfg.obs_dim == len(normalizer.mean) == 48
 
 
-# sha256 of track.json for each preset at its defaults and each challenge
-# course, as the stage pipeline builds them with gen_track(**spec).
+# sha256 of track.json for the random rule at its defaults and each
+# challenge course, as the stage pipeline builds them with gen_track(**spec).
 COURSE_FILES = {
-    "circle": "fd83bc5cfa6d8f958b5c82bca32a3e29e3e7723938b2a2a13fd3d1530db39c08",
-    "oval": "dcb3aaf6e2cf9b5d85071e0d965c1821c87747d25d852c0b62a0a430e6f4876f",
     "random": "4c14d7ceb5253c762a59608e4e3ad096f5ca66234e01af1162943045bb3911b8",
     "maggiore-like": "c035a35e8a6e01e6d7db0913f17cc5a72636f7f93616f170088bc518f909e65c",
     "dragontail-like": "d062570baaf0a4dd4a075ea577d1ce03fc3cd86556eefbfbfbe0e270a51b6e97",
@@ -114,8 +112,8 @@ def test_each_command_takes_its_pinned_options():
 
 
 def _gen_track(out):
-    cfg = out.parent / "circle.json"
-    cfg.write_text(json.dumps({"track": {"preset": "circle"}}))
+    cfg = out.parent / "course.json"
+    cfg.write_text(json.dumps({"track": {"preset": "random"}}))
     return cli.main(["gen-track", "--config", str(cfg), "--out", str(out)])
 
 
@@ -196,6 +194,10 @@ def test_lock_on_a_file_its_holder_removed_refuses_the_run(replaced, tmp_path, m
     assert not (out / "track.json").exists()
 
 
+# The whitener that leaves the six features of _small_bet as they are.
+UNIT = Normalizer(np.zeros(6, dtype=np.float32), np.ones(6, dtype=np.float32))
+
+
 def _small_bet():
     return bet.BeT(bet.BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4,
                                  eval_context=2), np.random.default_rng(3))
@@ -204,7 +206,7 @@ def _small_bet():
 def test_bet_info_prints_the_parameter_checksum(tmp_path, capsys):
     model = _small_bet()
     path = tmp_path / "bet.ckpt"
-    bet.save_bet(str(path), model, Normalizer.identity(6))
+    bet.save_bet(str(path), model, UNIT)
     assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_OK
     info = json.loads(capsys.readouterr().out)
     assert info["checksum"] == nets.params_checksum(model.params())
@@ -219,7 +221,7 @@ def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
     del stale["w_std"]
     path = tmp_path / "bet.ckpt"
     nets.save_params(str(path), model.params(), {
-        "kind": "bet", "config": stale, "normalizer": Normalizer.identity(6).to_dict()})
+        "kind": "bet", "config": stale, "normalizer": UNIT.to_dict()})
     assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -235,7 +237,7 @@ def test_a_base_with_separate_query_key_value_weights_is_refused(tmp_path, capsy
             arrays[f"blk0.{name}.{part}"] = third
     path = tmp_path / "bet.ckpt"
     nets.save_params(str(path), arrays, {"kind": "bet", "config": dataclasses.asdict(model.cfg),
-                                         "normalizer": Normalizer.identity(6).to_dict()})
+                                         "normalizer": UNIT.to_dict()})
     with pytest.raises(nets.CheckpointError, match="missing parameter blk0.qkv.W"):
         bet.load_bet(str(path))
     assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
@@ -284,10 +286,11 @@ def _stage(root, kind, key):
 
 
 def _tree(root):
-    """Relative path -> sha256 of every file under root."""
+    """Relative path -> sha256 of every file under root, and -> None of
+    every directory under it."""
     return {os.path.relpath(os.path.join(d, f), root):
-            hashlib.sha256(pathlib.Path(d, f).read_bytes()).hexdigest()
-            for d, _, files in os.walk(root) for f in files}
+            None if f in dirs else hashlib.sha256(pathlib.Path(d, f).read_bytes()).hexdigest()
+            for d, dirs, files in os.walk(root) for f in dirs + files}
 
 
 @pytest.fixture(scope="module")
@@ -715,11 +718,71 @@ def test_eval_and_report_round_trip_from_the_policy_files_alone(run_copy, tmp_pa
         (run_copy / "eval_cars.csv").read_bytes()
 
 
-def test_a_bundle_that_a_stopped_save_moved_aside_is_put_back(run_copy):
+def test_a_bundle_that_a_stopped_save_moved_aside_is_put_back(run_copy, tmp_path, capsys):
+    # By the next run of its config, which holds the run directory's lock,
+    # and which then resumes from it.
     (run_copy / "bundle").rename(run_copy / "bundle.old")
-    assert cli.main(["report", "--bundle", str(run_copy / "bundle"),
-                     "--out", str(run_copy / "r")]) == cli.EXIT_OK
+    longer = {**TINY, "mode": "betail", "train": {**TINY["train"], "iterations": 3}}
+    cfg = _write(tmp_path / "config.json", longer)
+    assert cli.main(["run", "--config", cfg, "--out", str(run_copy)]) == cli.EXIT_OK
+    assert f"resuming from {run_copy / 'bundle'} at iteration 2" in capsys.readouterr().out
     assert sorted(p.name for p in run_copy.glob("bundle*")) == ["bundle"]
+
+
+def test_only_the_holder_of_a_run_directory_moves_its_bundle(tmp_path, capsys):
+    # A save in progress: the run directory is locked and its old bundle
+    # sits at bundle.old. Another run of the config, eval and report each
+    # leave it there.
+    doc = {**TINY, "mode": "ail", "train": {**TINY["train"], "iterations": 1}}
+    cfg = _write(tmp_path / "c.json", doc)
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_OK
+    run = tmp_path / "runs" / f"ail-{build_config(doc).run_hash[:8]}"
+    (run / "bundle").rename(run / "bundle.old")
+    capsys.readouterr()
+    with cli._locked(str(run)):
+        before = _tree(tmp_path)
+        for argv, message in (
+                (["run", "--config", cfg],
+                 f"output directory {run} is locked by the run with pid {os.getpid()}"),
+                (["eval", "--bundle", str(run / "bundle")], "missing bundle manifest"),
+                (["report", "--bundle", str(run / "bundle")], "missing bundle manifest")):
+            assert cli.main(argv) == cli.EXIT_RUNTIME
+            assert message in capsys.readouterr().err
+            assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("layout", ["out", "default"])
+def test_a_refused_command_leaves_every_file_and_directory_as_it_was(tmp_path, capsys, layout):
+    # The target course's file is of another course, so the products are
+    # refused; the locks had made the directories of the run and of the
+    # other products, three pretraining courses among them.
+    doc = {**TINY, "challenge": "panorama-like"}
+    cfg = _write(tmp_path / "c.json", doc)
+    argv = ["train", "--mode", "betail", "--config", cfg]
+    if layout == "out":
+        argv += ["--out", str(tmp_path / "X")]
+        course = tmp_path / "X" / "track.json"
+    else:
+        resolved = build_config({**doc, "mode": "betail"})
+        course = _stage(tmp_path / "runs", "track", resolved.course_key(resolved.track_spec))
+    course.parent.mkdir(parents=True)
+    save_track(gen_track("random", seed=99), str(course))
+    before = _tree(tmp_path)
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert f"{course} was built under stage key None" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.0, "0.05"])
+def test_a_bundle_that_records_an_alpha_outside_its_range_is_refused(run_copy, capsys, alpha):
+    path = run_copy / "bundle" / "residual.ckpt"
+    meta, arrays = nets.load_params(str(path))
+    nets.save_params(str(path), arrays, {**meta, "alpha": alpha})
+    before = _tree(run_copy.parent)
+    assert cli.main(["eval", "--bundle", str(run_copy / "bundle")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (f"error: {run_copy / 'bundle'}/residual.ckpt records "
+                                       f"alpha {alpha!r}, not a number in (0, 1]\n")
+    assert _tree(run_copy.parent) == before
 
 
 MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.ckpt"),
@@ -759,10 +822,13 @@ MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.
      "invalid 'track' config: half_width must be >= 3.0, got 1"),
     (["pretrain-bet", "--config", "pretrain-x.json"], 1,
      "invalid 'pretrain_tracks[0]' config: track parameter 'radius' must be a number, got 'x'"),
-    (["gen-track", "--config", "tiny-circle.json"], 1,
-     "invalid 'track' config: vertex spacing must lie in [0.5, 10.0]"),
-    (["pretrain-bet", "--config", "inside-out.json"], 1,
-     "invalid 'pretrain_tracks[0]' config: curvature * half_width must stay below 1"),
+    (["gen-track", "--config", "tiny-course.json"], 1,
+     "invalid 'track' config: could not generate a valid random track"),
+    (["pretrain-bet", "--config", "tight-course.json"], 1,
+     "invalid 'pretrain_tracks[0]' config: could not generate a valid random track"),
+    (["gen-track", "--config", "circle.json"], 1,
+     "invalid 'track' config: unknown track preset 'circle' (the one preset is 'random')"),
+    (["run", "--config", "oval.json"], 1, "invalid 'track' config: unknown track preset 'oval'"),
 ])
 def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, message):
     _write(tmp_path / "bad.json", "{not json")
@@ -772,14 +838,16 @@ def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, m
            {**TINY, "track": {**CHALLENGES["maggiore-like"]["track"], "seed": 8}})
     _write(tmp_path / "other-demos.json", {**TINY, "demos": {**TINY["demos"], "seed": 5}})
     _write(tmp_path / "betail.json", {**TINY, "mode": "betail"})
-    _write(tmp_path / "radus.json", {**TINY, "track": {"preset": "circle", "radus": 100}})
+    _write(tmp_path / "radus.json", {**TINY, "track": {"preset": "random", "radus": 100}})
     _write(tmp_path / "narrow.json", {**TINY, "track": {**CHALLENGES["maggiore-like"]["track"],
                                                         "half_width": 1}})
     _write(tmp_path / "pretrain-x.json",
-           {**TINY, "pretrain_tracks": [{"preset": "oval", "radius": "x"}]})
-    _write(tmp_path / "tiny-circle.json", {**TINY, "track": {"preset": "circle", "radius": 1}})
-    _write(tmp_path / "inside-out.json",
-           {**TINY, "pretrain_tracks": [{"preset": "oval", "radius": -50}]})
+           {**TINY, "pretrain_tracks": [{"preset": "random", "radius": "x"}]})
+    _write(tmp_path / "tiny-course.json", {**TINY, "track": {"preset": "random", "radius": 1}})
+    _write(tmp_path / "tight-course.json",
+           {**TINY, "pretrain_tracks": [{"preset": "random", "radius": 6}]})
+    _write(tmp_path / "circle.json", {**TINY, "track": {"preset": "circle"}})
+    _write(tmp_path / "oval.json", {**TINY, "mode": "betail", "track": {"preset": "oval"}})
     # Copies of X's manifest that name a missing or foreign course or demo
     # file in place of X's own; eval reads those files before the nets.
     manifest = json.loads((run_copy / "bundle" / "manifest.json").read_text())

@@ -20,7 +20,7 @@ from racelab.policies import MODE_SPECS
 
 
 def minimal(**extra):
-    d = {"mode": "ail", "track": {"preset": "circle", "radius": 80.0}}
+    d = {"mode": "ail", "track": {"preset": "random", "seed": 3}}
     d.update(extra)
     return d
 
@@ -33,7 +33,7 @@ def test_minimal_config_resolves():
     assert cfg.mode == "ail"
     assert cfg.profile == "desk"
     assert cfg.seed == 0
-    assert cfg.track_spec["preset"] == "circle"
+    assert cfg.track_spec["preset"] == "random"
 
 
 def test_root_must_be_object():
@@ -43,7 +43,7 @@ def test_root_must_be_object():
 
 def test_mode_is_required():
     with pytest.raises(ConfigError, match="'mode' is required"):
-        build_config({"track": {"preset": "circle"}})
+        build_config({"track": {"preset": "random"}})
 
 
 def test_unknown_mode_lists_choices():
@@ -233,8 +233,8 @@ def test_typed_subconfig_errors_are_wrapped():
 
 
 def test_track_subtree_is_free_form():
-    # Course generation parameters are preset-specific; the schema leaves
-    # them to the generator's own check.
+    # Course generation parameters are gen_track's; the schema leaves them
+    # to the generator's own check.
     cfg = build_config(
         minimal(track={"preset": "random", "seed": 5, "roughness": 0.3, "radius": 150})
     )
@@ -429,7 +429,7 @@ def _every_config():
     for profile in PROFILES:
         for challenge in [*sorted(CHALLENGES), None]:
             course = {"challenge": challenge} if challenge else {
-                "track": {"preset": "oval"}, "alpha": 0.3}
+                "track": {"preset": "random", "seed": 4}, "alpha": 0.3}
             for mode in MODE_SPECS:
                 for out in (None, "somewhere"):
                     yield {"profile": profile, "mode": mode, "out": out, **course}
@@ -469,7 +469,7 @@ RUN_KEY_READERS = [
     ("bc.lr", {"bc": {"lr": 0.5}}, {"bc", "bcail"}),
     ("bet.lr", {"bet": {"lr": 0.5}}, {"betail", "bet"}),
     ("demos.laps_pretrain", {"demos": {"laps_pretrain": 3}}, {"betail", "bet", "bc", "bcail"}),
-    ("pretrain_tracks", {"pretrain_tracks": [minimal()["track"], {"preset": "oval"}]},
+    ("pretrain_tracks", {"pretrain_tracks": [minimal()["track"], {"preset": "random", "seed": 5}]},
      {"betail", "bet", "bc", "bcail"}),
     ("alpha", {"alpha": 0.3}, {"betail", "bcail"}),
     ("train.sac.lr", {"train": {"sac": {"lr": 0.5}}}, {"betail", "ail", "bcail"}),

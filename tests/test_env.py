@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import circle_track
 from racelab.env import (
     EpisodeConfig,
     Normalizer,
@@ -23,7 +24,7 @@ RNG = np.random.default_rng
 
 @pytest.fixture(scope="module")
 def circle_env():
-    track = gen_track("circle", radius=100.0)
+    track = circle_track(100.0)
     return RaceEnv(track, VehicleParams(), EpisodeConfig())
 
 
@@ -146,7 +147,7 @@ def test_wall_contact_flags_and_clamps_the_car(circle_env):
 def test_lap_record_equals_one_kept_by_hand():
     """Car 0 scrapes the wall and then finishes, car 1 finishes clean and
     then scrapes, car 2 scrapes and stalls; reset clears the record."""
-    track = gen_track("circle", radius=40.0)
+    track = circle_track(40.0)
     vparams = VehicleParams()
     env = RaceEnv(track, vparams, EpisodeConfig())
     ctrl = ExpertController(track, vparams, ExpertParams(), np.ones(3), np.ones(3))
@@ -318,7 +319,7 @@ def test_normalizer_floors_degenerate_spread():
 
 def test_normalizer_saturates_only_outliers():
     z = np.array([[-1e6, -3.0, 0.0, 3.0, 1e6]], dtype=np.float32)
-    out = Normalizer.identity(5).transform(z)
+    out = Normalizer(np.zeros(5, dtype=np.float32), np.ones(5, dtype=np.float32)).transform(z)
     np.testing.assert_array_equal(out[0], [-OBS_CLIP, -3.0, 0.0, 3.0, OBS_CLIP])
     assert out.dtype == np.float32
 

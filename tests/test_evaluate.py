@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import circle_track
 from racelab.env import EpisodeConfig, RolloutError
 from racelab.evaluate import (
     EvalReport,
@@ -15,7 +16,6 @@ from racelab.evaluate import (
 )
 from racelab.expert import ExpertController, ExpertParams, generate_demos
 from racelab.policies import build_policy_stack
-from racelab.track import gen_track
 from racelab.vehicle import VehicleParams
 
 RNG = np.random.default_rng
@@ -23,7 +23,7 @@ RNG = np.random.default_rng
 
 @pytest.fixture(scope="module")
 def world():
-    track = gen_track("circle", radius=80.0)
+    track = circle_track(80.0)
     vparams = VehicleParams()
     ecfg = EpisodeConfig()
     demos = generate_demos(track, vparams, ecfg, ExpertParams(), 2, seed=0)
@@ -170,7 +170,7 @@ def test_a_non_finite_action_stops_evaluation_naming_step_and_car(world):
 def test_track_id_is_content_addressed(world):
     track, _, _, _ = world
     assert track_id(track).startswith("circle-")
-    other = gen_track("circle", radius=81.0)
+    other = circle_track(81.0)
     assert track_id(other) != track_id(track)
 
 

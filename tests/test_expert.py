@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import circle_track
 from racelab import expert
 from racelab.env import EpisodeConfig, RaceEnv
 from racelab.expert import (
@@ -20,7 +21,7 @@ RNG = np.random.default_rng
 
 @pytest.fixture(scope="module")
 def circle_world():
-    track = gen_track("circle", radius=80.0)
+    track = circle_track(80.0)
     vparams = VehicleParams()
     ecfg = EpisodeConfig()
     demos = generate_demos(track, vparams, ecfg, ExpertParams(), 3, seed=0)
@@ -33,7 +34,7 @@ def circle_world():
 def test_controller_steers_toward_the_corner():
     """On a counter-clockwise circle the pursuit target is to the left,
     so the steering command is positive from the first step."""
-    track = gen_track("circle", radius=80.0)
+    track = circle_track(80.0)
     vp, ec = VehicleParams(), EpisodeConfig()
     env = RaceEnv(track, vp, ec)
     s0 = np.array([0.0])
@@ -50,13 +51,13 @@ def test_target_speed_respects_cornering_and_cap():
     configured maximum."""
     xp = ExpertParams()
     vp, ec = VehicleParams(), EpisodeConfig()
-    tight = gen_track("circle", radius=60.0)
+    tight = circle_track(60.0)
     ctrl = ExpertController(tight, vp, xp, np.ones(1), np.ones(1))
     v_tight = ctrl.target_speed(np.array([0.0]), np.array([20.0]))[0]
     corner_v = np.sqrt(xp.corner_accel * 60.0) * xp.speed_scale
     assert v_tight == pytest.approx(corner_v, rel=0.05)
 
-    wide = gen_track("circle", radius=2000.0)
+    wide = circle_track(2000.0)
     ctrl = ExpertController(wide, vp, xp, np.ones(1), np.ones(1))
     v_wide = ctrl.target_speed(np.array([0.0]), np.array([20.0]))[0]
     assert v_wide == pytest.approx(xp.v_max * xp.speed_scale, rel=0.02)
@@ -165,8 +166,8 @@ def test_demo_file_rejects_foreign_format(tmp_path):
 
 def test_merge_pools_laps_and_refits_whitener(circle_world):
     track, vp, ec, demos = circle_world
-    oval = gen_track("oval", radius=70.0, straight=150.0)
-    other = generate_demos(oval, vp, ec, ExpertParams(), 2, seed=5)
+    course = gen_track("random", seed=5, radius=110.0)
+    other = generate_demos(course, vp, ec, ExpertParams(), 2, seed=5)
     merged = DemoSet.merge([demos, other])
     assert len(merged.laps) == 5
     assert "merged" in merged.meta

@@ -87,13 +87,6 @@ def test_zero_init_mean_passthrough():
     np.testing.assert_array_equal(pol.mean_np(x), np.zeros((9, 2), np.float32))
 
 
-def test_alpha_bounds_rejected():
-    with pytest.raises(ValueError):
-        GaussianPolicy(4, 2, (8,), 0.0, RNG(0))
-    with pytest.raises(ValueError):
-        GaussianPolicy(4, 2, (8,), 1.5, RNG(0))
-
-
 def _perturb(pol, scale=0.5, seed=3):
     rng = RNG(seed)
     for p in pol.params().values():

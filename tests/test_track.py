@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import circle_track
 from racelab.env import EpisodeConfig, RaceEnv
 from racelab import track as track_mod
 from racelab.track import Track, gen_track, load_track, save_track, wrap_angle
@@ -27,19 +28,19 @@ def dense_centerline(track, spacing=0.02):
 class TestCircleGeometry:
     def test_length_matches_inscribed_polygon(self):
         radius = 150.0
-        track = gen_track("circle", radius=radius)
+        track = circle_track(radius)
         n = len(track.points)
         expected = 2.0 * n * radius * np.sin(np.pi / n)
         assert abs(track.length - expected) < 1e-9 * expected
 
     def test_vertex_curvature_is_one_over_radius(self):
         radius = 150.0
-        track = gen_track("circle", radius=radius)
+        track = circle_track(radius)
         # Menger curvature of three points on a circle is exact.
         assert np.allclose(track.curvatures, 1.0 / radius, rtol=1e-9)
 
     def test_headings_are_tangent(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         ang = np.arctan2(track.points[:, 1], track.points[:, 0])
         expected = np.mod(ang + np.pi / 2 + np.pi, 2 * np.pi) - np.pi
         diff = np.mod(track.headings - expected + np.pi, 2 * np.pi) - np.pi
@@ -82,7 +83,7 @@ class TestProjection:
             assert abs(e - e0) < 0.05
 
     def test_sign_convention_left_is_positive(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         # Counterclockwise circle: the center is to the left of travel.
         inner = np.asarray([97.0, 0.0])
         outer = np.asarray([103.0, 0.0])
@@ -92,7 +93,7 @@ class TestProjection:
         assert e_outer < 0
 
     def test_far_point_rejected(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         with pytest.raises(ValueError, match="farther"):
             track.project_many(np.asarray([[500.0, 500.0]]))
 
@@ -177,18 +178,28 @@ class TestBatchedRefinement:
         assert got[0][0] == 126.0  # the bottom side; the right side gives 130
 
 
+def _stadium(radius, straight):
+    """Straights of a length at y = -radius and y = +radius, joined by half
+    circles, with vertices about 2.5 m apart; counterclockwise."""
+    arc = np.linspace(-np.pi / 2, np.pi / 2, 720, endpoint=False)
+    right = np.stack([straight / 2 + radius * np.cos(arc), radius * np.sin(arc)], axis=1)
+    top = np.stack([np.linspace(straight / 2, -straight / 2, 720, endpoint=False),
+                    np.full(720, radius)], axis=1)
+    return Track(track_mod._resample_closed(np.concatenate([right, top, -right, -top]), 2.5), 6.0)
+
+
 @st.composite
 def _courses(draw):
-    """Random-preset courses over seed, roughness and radius, and circles
-    and ovals; small circles put every vertex within 10 * half_width of
-    the center, where all vertices tie."""
-    preset = draw(st.sampled_from(["random", "circle", "oval"]))
-    if preset == "random":
+    """Random courses over seed, roughness and radius, and circles and
+    stadiums; small circles put every vertex within 10 * half_width of the
+    center, where all vertices tie."""
+    shape = draw(st.sampled_from(["random", "circle", "oval"]))
+    if shape == "random":
         return gen_track("random", seed=draw(st.integers(0, 10_000)),
                          roughness=draw(st.floats(0.0, 0.45)), radius=draw(st.floats(60.0, 260.0)))
-    if preset == "circle":
-        return gen_track("circle", radius=draw(st.floats(15.0, 200.0)))
-    return gen_track("oval", radius=draw(st.floats(20.0, 120.0)), straight=draw(st.floats(0.0, 300.0)))
+    if shape == "circle":
+        return circle_track(draw(st.floats(15.0, 200.0)))
+    return _stadium(draw(st.floats(20.0, 120.0)), draw(st.floats(0.0, 300.0)))
 
 
 # One car: arclength as a fraction of the lap (some just either side of
@@ -269,7 +280,7 @@ class TestWindowedProjection:
         # lower one; each hint is on the upper one, whose nearest window
         # vertex is then 22 m away and mid-window, so only the clearance
         # check can reject it.
-        track = gen_track("oval", radius=20.0, straight=200.0)
+        track = _stadium(radius=20.0, straight=200.0)
         x = np.linspace(-50.0, 50.0, 11)
         pts = np.stack([x, np.full(11, -2.0)], axis=1)
         hint, _, _ = track.project_many(np.stack([x, np.full(11, 20.0)], axis=1))
@@ -291,9 +302,12 @@ class TestWindowedProjection:
             np.testing.assert_array_equal(nearest, 0)
             np.testing.assert_array_equal(nearest, track._nearest_dense(pts)[0])
 
-    @pytest.mark.parametrize("preset", ["circle", "oval", "random"])
-    def test_clearance_is_the_nearest_vertex_beyond_the_skip(self, preset):
-        track = gen_track(preset, radius=30.0)
+    @pytest.mark.parametrize("shape", ["circle", "oval", "random"])
+    def test_clearance_is_the_nearest_vertex_beyond_the_skip(self, shape):
+        if shape == "circle":
+            track = circle_track(30.0)
+        else:
+            track = _stadium(30.0, 250.0) if shape == "oval" else gen_track(shape, radius=30.0)
         n = len(track.points)
         gap = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
         far = np.minimum(gap, n - gap) > track_mod.CLEAR_SKIP
@@ -331,13 +345,13 @@ class TestFeatureSamples:
         np.testing.assert_array_equal(curv, np.float32(c_here[0]))
 
     def test_curvature_preview_spacing(self):
-        track = gen_track("circle", radius=120.0)
+        track = circle_track(120.0)
         obs, _, ecfg = _observe_one(track, 0.0, 30.0)
         curv, _ = _preview(obs, ecfg)
         assert np.allclose(curv, 1.0 / 120.0, rtol=1e-6)
 
     def test_lookahead_identity_frame(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         obs, _, ecfg = _observe_one(track, 0.0, 20.0)
         _, pts = _preview(obs, ecfg)
         assert pts.shape == (3, 5, 2)
@@ -388,7 +402,7 @@ class TestProgressDelta:
         st.floats(0.0, 1.0, allow_nan=False, width=64),
     )
     def test_bounded_and_antisymmetric(self, u1, u2):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         a = u1 * track.length
         b = u2 * track.length
         d = track.progress_delta(a, b)
@@ -397,7 +411,7 @@ class TestProgressDelta:
             assert abs(track.progress_delta(b, a) + d) < 1e-9
 
     def test_wraps_across_start_line(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         near_end = track.length - 1.0
         assert abs(track.progress_delta(1.0, near_end) - 2.0) < 1e-9
         assert abs(track.progress_delta(near_end, 1.0) + 2.0) < 1e-9
@@ -447,12 +461,6 @@ class TestGenerationAndPersistence:
             assert len(track.points) >= 64
             assert np.abs(track.curvatures).max() * track.half_width < 1.0
 
-    def test_oval_has_straight_and_curved_sections(self):
-        track = gen_track("oval", radius=80.0, straight=200.0)
-        curv = np.abs(track.curvatures)
-        assert curv.min() < 1e-4
-        assert abs(curv.max() - 1.0 / 80.0) < 2e-3
-
     def test_save_load_roundtrip(self, tmp_path):
         track = gen_track("random", seed=13)
         path = tmp_path / "track.json"
@@ -471,9 +479,11 @@ class TestGenerationAndPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError, match="preset"):
-            gen_track("figure8")
+        # random is the one construction rule; circle and oval are gone.
+        for preset in ("figure8", "circle", "oval"):
+            with pytest.raises(ValueError, match=f"unknown track preset '{preset}'"):
+                gen_track(preset)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown track parameters"):
-            gen_track("circle", radius=100.0, bogus=3)
+            gen_track("random", radius=100.0, bogus=3)

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 
-from racelab.track import gen_track
+from conftest import circle_track
 from racelab.vehicle import VehicleParams, enforce_track_limits, initial_state, step
 
 
@@ -142,7 +142,7 @@ class TestDeterminismAndClipping:
 
 class TestWallContact:
     def test_outside_car_clamped_to_wall(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         params = VehicleParams()
         # Radius 100 circle: a car at radius 92 is 8 m inside (left),
         # beyond the 6 m half width.
@@ -156,7 +156,7 @@ class TestWallContact:
         assert abs(out.v_x[0] - 20.0 * params.wall_speed_loss) < 1e-9
 
     def test_inside_car_untouched(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         params = VehicleParams()
         pos = np.asarray([[99.0, 0.0]])
         state = initial_state(pos, np.asarray([np.pi / 2]), np.asarray([20.0]))
@@ -167,7 +167,7 @@ class TestWallContact:
         assert out.v_x[0] == 20.0
 
     def test_never_terminates_only_flags(self):
-        track = gen_track("circle", radius=100.0)
+        track = circle_track(100.0)
         params = VehicleParams()
         state = initial_state(np.asarray([[110.0, 0.0]]), np.asarray([np.pi / 2]), np.asarray([30.0]))
         out = enforce_track_limits(state, track, params, *track.project_many(state.position))
