@@ -141,13 +141,21 @@ class ReplayBuffer:
         return self._n
 
     def push(self, trans):
-        """Append a batch of transitions (dict of (N, width) float32)."""
+        """Append a batch of transitions (dict of (N, width) arrays).
+
+        Each column block is written in place into at most two row ranges
+        of the ring: from the head to the end, then from the start. Row i
+        of the batch lands at (head + i) % capacity, so of a batch larger
+        than the ring only its last capacity rows are kept.
+        """
         n = len(trans["aug"])
-        rows = np.empty((n, self._data.shape[1]), dtype=np.float32)
+        skip = max(n - self.capacity, 0)
+        start = (self._head + skip) % self.capacity
+        first = min(n - skip, self.capacity - start)
         for name, sl in self._cols.items():
-            rows[:, sl] = trans[name]
-        idx = (self._head + np.arange(n)) % self.capacity
-        self._data[idx] = rows
+            col = trans[name]
+            self._data[start : start + first, sl] = col[skip : skip + first]
+            self._data[: n - skip - first, sl] = col[skip + first :]
         self._head = int((self._head + n) % self.capacity)
         self._n = int(min(self._n + n, self.capacity))
 
@@ -171,12 +179,27 @@ class ReplayBuffer:
     def state_meta(self):
         return {"head": self._head, "n": self._n, "capacity": self.capacity}
 
-    def load_state(self, arrays, meta):
-        n = int(meta["n"])
-        if int(meta["capacity"]) != self.capacity:
-            raise ValueError("replay capacity mismatch")
-        self._data[:n] = arrays["data"]
-        self._n = n
+    def load_state(self, path):
+        """Fill the ring from a replay checkpoint that save_bundle wrote.
+
+        The stored rows are read straight into the ring, in place. A file
+        whose ring capacity, row width or row count does not fit this
+        ring is refused with CheckpointError before any row is read.
+        """
+        def into(meta, shapes):
+            n, head, capacity = (meta.get(key) for key in ("n", "head", "capacity"))
+            stored = shapes.get("data")
+            fits = (stored is not None and all(isinstance(v, int) for v in (n, head, capacity))
+                    and (capacity, *stored[1:]) == self._data.shape and stored[0] == n
+                    and 0 <= n <= capacity and 0 <= head < capacity)
+            if not fits:
+                raise nets.CheckpointError(
+                    f"{path} holds a replay of shape {stored} in a ring of {capacity} rows, "
+                    f"which does not fit this run's ring of shape {self._data.shape}")
+            return {"data": self._data[:n]}
+
+        meta, _ = nets.load_params(path, into)
+        self._n = int(meta["n"])
         self._head = int(meta["head"])
 
 
@@ -212,6 +235,16 @@ def _copy_net(src, name):
     for (_, p_dst), (_, p_src) in zip(dst.params().items(), src.params().items()):
         p_dst.data[...] = p_src.data
     return dst
+
+
+def _critic_step(q, opt, x, y):
+    """One regression step of a critic toward the targets y; returns its
+    loss. The step's tape is dropped on return, before the next step."""
+    ad.zero_grads(q.params().values())
+    loss = ad.mse(q(ad.tensor(x)), ad.tensor(y))
+    ad.backward(loss)
+    opt.step()
+    return float(loss.data)
 
 
 def polyak_update(target_params, online_params, tau):
@@ -254,13 +287,8 @@ class SACTrainer:
         y = (r + cfg.gamma * (q_next - temp * logp2.data[:, 0])).astype(np.float32)[:, None]
 
         x = np.concatenate([s, a], axis=1)
-        q_losses = []
-        for q, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2)):
-            ad.zero_grads(q.params().values())
-            loss = ad.mse(q(ad.tensor(x)), ad.tensor(y))
-            ad.backward(loss)
-            opt.step()
-            q_losses.append(float(loss.data))
+        q_losses = [_critic_step(q, opt, x, y)
+                    for q, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2))]
 
         eps = rng.standard_normal((len(s), self.policy.act_dim), dtype=np.float32)
         ad.zero_grads(self.policy.params().values())
@@ -352,18 +380,24 @@ class Trainer:
         self.last_eval = None
 
     def _transitions(self, roll):
-        b, t = roll["actions"].shape[:2]
-        aug_last = self.stack.final_augmented(roll["obs"][:, -1])
-        aug_full = np.concatenate([roll["aug"], aug_last[:, None]], axis=1)
+        """The rollout's transitions as (B*T, width) column blocks, car by
+        car: views of the log, and one successor block."""
+        aug = roll["aug"]
+        b, t = aug.shape[:2]
+        aug_next = np.empty_like(aug)
+        aug_next[:, :-1] = aug[:, 1:]
+        aug_next[:, -1] = self.stack.final_augmented(roll["obs"][:, -1])
         return {
-            "aug": aug_full[:, :-1].reshape(b * t, -1),
+            "aug": aug.reshape(b * t, -1),
             "res": roll["res"].reshape(b * t, -1),
-            "aug_next": aug_full[:, 1:].reshape(b * t, -1),
+            "aug_next": aug_next.reshape(b * t, -1),
             "a_env": roll["actions"].reshape(b * t, -1),
         }
 
-    def iteration(self, it):
-        """Collect -> classifier block -> actor-critic block; returns metrics."""
+    def _collect(self, it):
+        """Roll the sampling stack out and push its transitions into the
+        replay; returns the rollout's metrics. The log is dropped here,
+        before the update blocks run."""
         cfg = self.cfg
         self.env.reset_eval(cfg.n_cars, stream(self.seed, "rollout", it), self.speed_lookup)
         self.stack.reset()
@@ -371,12 +405,17 @@ class Trainer:
                        cfg.rollout_steps)
         self.replay.push(self._transitions(roll))
         self.env_steps += cfg.n_cars * cfg.rollout_steps
-        metrics = {
+        return {
             "iteration": it,
             "env_steps": self.env_steps,
             "rollout_progress": float(roll["progress"].sum(axis=1).mean()),
             "wall_fraction": float((roll["wall"] > 0).mean()),
         }
+
+    def iteration(self, it):
+        """Collect -> classifier block -> actor-critic block; returns metrics."""
+        cfg = self.cfg
+        metrics = self._collect(it)
         dstats = []
         for j in range(cfg.disc_updates):
             rng_d = stream(self.seed, "disc", it, j)
@@ -580,8 +619,7 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
             "m": {name: optim_arrays[f"{group}.m.{name}"] for name in opt.m},
             "v": {name: optim_arrays[f"{group}.v.{name}"] for name in opt.v},
         })
-    replay_meta, replay_arrays = nets.load_params(os.path.join(path, "replay.ckpt"))
-    trainer.replay.load_state(replay_arrays, replay_meta)
+    trainer.replay.load_state(os.path.join(path, "replay.ckpt"))
     trainer.env_steps = int(manifest["env_steps"])
     trainer.iteration_count = int(manifest["iteration"])
     trainer.curve = list(manifest["curve"])

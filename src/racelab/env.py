@@ -271,37 +271,36 @@ def rollout(env, policy, steps):
     """Drive the batch for a fixed number of steps.
 
     policy(obs) maps the latest float32 observations (B, D) to
-    (actions (B, 2) float32, extras dict of per-car arrays); extras are
-    stacked over time in the returned log. ``RaceEnv.step`` raises
+    (actions (B, 2) float32, extras dict of per-car arrays, the same keys
+    at every step); extras are logged over time. ``RaceEnv.step`` raises
     RolloutError if the policy emits non-finite actions.
 
     The returned dict holds obs (B, T+1, D), actions (B, T, 2), progress
-    and wall (each (B, T)) and the stacked extras.
+    and wall (each (B, T)) and the extras, each (B, T, ...). Every array is
+    allocated once, when its first value is known, and each step writes
+    its values in place.
     """
     obs = env._observe()
     b = len(obs)
-    obs_seq = [obs]
-    act_seq, prog_seq, wall_seq = [], [], []
-    extras_seq = {}
-    for _ in range(steps):
+    log = {"obs": np.empty((b, steps + 1, obs.shape[1]), dtype=np.float32),
+           "actions": np.empty((b, steps, 2), dtype=np.float32),
+           "progress": np.empty((b, steps), dtype=np.float32),
+           "wall": np.empty((b, steps), dtype=np.float32)}
+    log["obs"][:, 0] = obs
+    for t in range(steps):
         actions, extras = policy(obs)
         actions = np.asarray(actions, dtype=np.float32)
         obs, progress, wall = env.step(actions)
-        obs_seq.append(obs)
-        act_seq.append(actions)
-        prog_seq.append(progress)
-        wall_seq.append(wall)
+        log["obs"][:, t + 1] = obs
+        log["actions"][:, t] = actions
+        log["progress"][:, t] = progress
+        log["wall"][:, t] = wall
         for key, val in extras.items():
-            extras_seq.setdefault(key, []).append(np.asarray(val))
-    out = {
-        "obs": np.stack(obs_seq, axis=1),
-        "actions": np.stack(act_seq, axis=1) if act_seq else np.zeros((b, 0, 2), np.float32),
-        "progress": np.stack(prog_seq, axis=1) if prog_seq else np.zeros((b, 0), np.float32),
-        "wall": np.stack(wall_seq, axis=1) if wall_seq else np.zeros((b, 0), np.float32),
-    }
-    for key, vals in extras_seq.items():
-        out[key] = np.stack(vals, axis=1)
-    return out
+            val = np.asarray(val)
+            if t == 0:
+                log[key] = np.empty((b, steps) + val.shape[1:], dtype=val.dtype)
+            log[key][:, t] = val
+    return log
 
 
 def save_trajectory_log(path, log, meta):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from collections import OrderedDict
 
@@ -227,22 +228,41 @@ def load_meta(path):
         return _read_header(fh, path)["meta"]
 
 
-def load_params(path):
-    """Read a checkpoint written by save_params; returns (meta, arrays)."""
+def load_params(path, into=None):
+    """Read a checkpoint written by save_params; returns (meta, arrays).
+
+    The file's size is checked against its header before anything is
+    read, so a truncated or padded file is refused whole. Each tensor's
+    bytes are then read straight into its final array, so a load holds
+    one copy of each. into, when given, is called with the meta and the
+    stored shapes by name, and returns the arrays (C-contiguous, of each
+    tensor's shape and dtype) that the tensors it names are read into in
+    place; it may raise to refuse the file.
+    """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
-        arrays = OrderedDict()
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            dt = np.dtype(entry["dtype"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dt.itemsize)
-            if len(buf) != count * dt.itemsize:
-                raise CheckpointError(f"truncated checkpoint {path} at tensor {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
+        entries = [(e["name"], tuple(e["shape"]), np.dtype(e["dtype"]))
+                   for e in header["tensors"]]
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, shape, dt in entries:
+            left -= math.prod(shape) * dt.itemsize
+            if left < 0:
+                raise CheckpointError(f"truncated checkpoint {path} at tensor {name}")
+        if left:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")
+        dests = {} if into is None else into(header["meta"],
+                                             {name: shape for name, shape, _ in entries})
+        arrays = OrderedDict()
+        for name, shape, dt in entries:
+            arr = dests.get(name)
+            if arr is None:
+                arr = np.empty(shape, dtype=dt)
+            elif arr.shape != shape or arr.dtype != dt or not arr.flags.c_contiguous:
+                raise CheckpointError(f"{path} holds {name} as {shape} {dt}, which does not "
+                                      f"fit its destination {arr.shape} {arr.dtype}")
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"truncated checkpoint {path} at tensor {name}")
+            arrays[name] = arr
     return header["meta"], arrays
 
 
@@ -254,7 +274,7 @@ def assign_params(params, arrays):
         src = arrays[name]
         if tuple(src.shape) != tuple(tensor.data.shape):
             raise CheckpointError(f"shape mismatch for {name}: {src.shape} vs {tensor.data.shape}")
-        tensor.data[...] = src.astype(tensor.data.dtype)
+        tensor.data[...] = src  # cast to the tensor's dtype as it is copied
     return params
 
 

@@ -374,7 +374,8 @@ def gen_track(preset, seed=0, half_width=6.0, **params):
     times the radius and along the circle by up to a quarter of their
     angular spacing. The spline is resampled at ``spacing`` meters. While
     the course fails a check of Track (the curvature bound, mostly), the
-    perturbation is damped and drawn again, up to 20 times.
+    perturbation is damped and drawn again, up to 20 times; then the
+    ValueError names the check the last attempt failed.
 
     Parameters
     ----------
@@ -405,9 +406,9 @@ def gen_track(preset, seed=0, half_width=6.0, **params):
         pts = _resample_closed(dense, meta["spacing"])
         try:
             return Track(pts, half_width, meta)
-        except ValueError:
-            continue
-    raise ValueError("could not generate a valid random track; lower roughness")
+        except ValueError as exc:
+            failed = exc
+    raise ValueError(f"could not generate a valid random track: {failed}")
 
 
 # -- persistence -------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for the adversarial fine-tuning stack: classifier, replay, critics."""
 
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import circle_track
 from racelab import ail, nets
@@ -172,17 +176,88 @@ def test_replay_sample_shapes_and_column_consistency():
     np.testing.assert_array_equal(rows["aug"][:, 0], rows["a_env"][:, 0])
 
 
-def test_replay_state_roundtrip_bit_exact():
+def _save_replay(buf, path):
+    """A replay checkpoint of buf, as save_bundle writes it."""
+    nets.save_params(str(path), buf.state_arrays(), {"kind": "replay", **buf.state_meta()})
+    return str(path)
+
+
+def test_replay_state_roundtrip_bit_exact(tmp_path):
     buf = ReplayBuffer(8, aug_dim=3, obs_dim=2)
     buf.push(_row_batch([0, 1, 2, 3, 4, 5, 6, 7, 8, 9][:7]))
+    path = _save_replay(buf, tmp_path / "replay.ckpt")
     clone = ReplayBuffer(8, aug_dim=3, obs_dim=2)
-    clone.load_state(buf.state_arrays(), buf.state_meta())
+    clone.load_state(path)
+    assert clone.state_meta() == buf.state_meta()
     a = buf.sample(16, RNG(15))
     b = clone.sample(16, RNG(15))
     for key in a:
         np.testing.assert_array_equal(a[key], b[key])
     with pytest.raises(ValueError):
-        ReplayBuffer(9, aug_dim=3, obs_dim=2).load_state(buf.state_arrays(), buf.state_meta())
+        ReplayBuffer(9, aug_dim=3, obs_dim=2).load_state(path)
+
+
+def _fancy_index_push(data, head, n_held, rows):
+    """The ring rule that push keeps: row i of the batch goes to
+    (head + i) % capacity, by one fancy-index assignment, so the last of
+    several rows sent to one slot wins."""
+    capacity = len(data)
+    data[(head + np.arange(len(rows))) % capacity] = rows
+    return (head + len(rows)) % capacity, min(n_held + len(rows), capacity)
+
+
+@given(capacity=st.integers(1, 12), pushes=st.lists(st.integers(0, 30), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_push_writes_the_rows_the_fancy_index_rule_writes(capacity, pushes):
+    buf = ReplayBuffer(capacity, aug_dim=3, obs_dim=2)
+    want, head, n_held = np.zeros_like(buf._data), 0, 0
+    tag = 0
+    for n in pushes:
+        batch = _row_batch(np.arange(tag, tag + n) + 1.0)
+        tag += n
+        rows = np.concatenate([batch[name] for name in ("aug", "res", "aug_next", "a_env")],
+                              axis=1)
+        head, n_held = _fancy_index_push(want, head, n_held, rows)
+        buf.push(batch)
+        np.testing.assert_array_equal(buf._data, want)
+        assert buf.state_meta() == {"head": head, "n": n_held, "capacity": capacity}
+        assert len(buf) == n_held
+
+
+def test_filling_the_ring_from_a_replay_file_holds_no_copy(tmp_path):
+    rows = 1 << 14  # 10 columns of float32: 640 KiB
+    buf = ReplayBuffer(rows, aug_dim=3, obs_dim=2)
+    buf.push(_row_batch(np.arange(rows)))
+    path = _save_replay(buf, tmp_path / "replay.ckpt")
+    clone = ReplayBuffer(rows, aug_dim=3, obs_dim=2)
+    tracemalloc.start()
+    try:
+        clone.load_state(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buf._data.nbytes // 8
+    np.testing.assert_array_equal(clone._data, buf._data)
+
+
+@pytest.mark.parametrize("capacity, aug_dim, meta", [
+    (9, 3, {}),  # another capacity
+    (8, 4, {}),  # another row width
+    (8, 3, {"n": 6}),  # a row count that is not the stored one
+    (8, 3, {"head": 8}),  # a head outside the ring
+])
+def test_a_replay_that_does_not_fit_the_ring_is_refused(tmp_path, capacity, aug_dim, meta):
+    buf = ReplayBuffer(8, aug_dim=3, obs_dim=2)
+    buf.push(_row_batch([0, 1, 2, 3, 4]))
+    path = tmp_path / "replay.ckpt"
+    nets.save_params(str(path), buf.state_arrays(),
+                     {"kind": "replay", **buf.state_meta(), **meta})
+    ring = ReplayBuffer(capacity, aug_dim=aug_dim, obs_dim=2)
+    with pytest.raises(nets.CheckpointError) as info:
+        ring.load_state(str(path))
+    assert str(info.value) == (f"{path} holds a replay of shape (5, 10) in a ring of 8 rows, "
+                               f"which does not fit this run's ring of shape {ring._data.shape}")
+    assert len(ring) == 0 and not ring._data.any()
 
 
 def test_replay_state_is_a_view_of_the_filled_rows():
@@ -635,6 +710,28 @@ def test_a_save_stopped_at_any_step_leaves_the_previous_bundle(tiny_world, tmp_p
         save_bundle(path, new)
         assert loaded() == _trainer_state(new), (name, k)
         assert os.listdir(tmp_path) == ["bundle"]
+
+
+@pytest.mark.parametrize("swap", ["capacity", "width"])
+def test_a_bundle_whose_replay_does_not_fit_the_ring_is_refused(tiny_world, tmp_path, swap):
+    track, vparams, ecfg, demos = tiny_world
+    trainer = _tiny_trainer(tiny_world)
+    trainer.iteration(0)
+    path = str(tmp_path / "bundle")
+    save_bundle(path, trainer)
+    replay = os.path.join(path, "replay.ckpt")
+    cfg, stored, ring = _tiny_cfg(), (120, 104), (2000, 104)
+    if swap == "capacity":
+        cfg = dataclasses.replace(cfg, replay_capacity=3000)
+        ring = (3000, 104)
+    else:  # a replay of rows one column narrower under the same name
+        meta, arrays = nets.load_params(replay)
+        nets.save_params(replay, {"data": arrays["data"][:, 1:]}, meta)
+        stored = (120, 103)
+    with pytest.raises(nets.CheckpointError) as info:
+        load_bundle(path, track, vparams, ecfg, demos, cfg)
+    assert str(info.value) == (f"{replay} holds a replay of shape {stored} in a ring of 2000 "
+                               f"rows, which does not fit this run's ring of shape {ring}")
 
 
 def test_load_bundle_rejects_foreign_directory(tiny_world, tmp_path):

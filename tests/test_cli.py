@@ -785,6 +785,38 @@ def test_a_bundle_that_records_an_alpha_outside_its_range_is_refused(run_copy, c
     assert _tree(run_copy.parent) == before
 
 
+@pytest.mark.parametrize("radius, bound", [
+    (1, "vertex spacing must lie in [0.5, 10.0], got [0.098, 0.0981]"),
+    (6, "curvature * half_width must stay below 1"),
+])
+def test_a_course_that_cannot_be_built_names_the_bound_it_breaks(tmp_path, capsys, radius,
+                                                                  bound):
+    cfg = _write(tmp_path / "course.json",
+                 {"track": {"preset": "random", "radius": radius, "roughness": 0.0}})
+    before = _tree(tmp_path)
+    assert cli.main(["gen-track", "--config", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: invalid 'track' config: could not "
+                                       f"generate a valid random track: {bound}\n")
+    assert _tree(tmp_path) == before
+
+
+def test_resuming_a_bundle_whose_replay_does_not_fit_is_refused(run_copy, tmp_path, capsys):
+    replay = run_copy / "bundle" / "replay.ckpt"
+    meta, arrays = nets.load_params(str(replay))
+    stored = arrays["data"].shape
+    nets.save_params(str(replay), arrays, {**meta, "capacity": meta["capacity"] + 1})
+    longer = {**TINY, "mode": "betail", "train": {**TINY["train"], "iterations": 3}}
+    cfg = _write(tmp_path / "config.json", longer)
+    before = _tree(run_copy / "bundle")
+    argv = ["train", "--mode", "betail", "--config", cfg, "--out", str(run_copy)]
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: {replay} holds a replay of shape {stored} in a ring of "
+        f"{meta['capacity'] + 1} rows, which does not fit this run's ring of shape "
+        f"{(meta['capacity'], stored[1])}\n")
+    assert _tree(run_copy / "bundle") == before
+
+
 MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.ckpt"),
             "demos-bet": ("demos", "X/bet.ckpt"), "track-config": ("track", "X/config.json"),
             "track-demos": ("track", "X/demos.ckpt")}

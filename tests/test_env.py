@@ -349,6 +349,22 @@ def test_rollout_shapes_and_extras(circle_env):
     assert roll["tag"].shape == (2, 7)
 
 
+def test_rollout_of_no_steps_keeps_its_shapes(circle_env):
+    _reset_line(circle_env, n=2, speed=15.0)
+    first = circle_env._observe()
+
+    def policy(obs):
+        raise AssertionError("a rollout of no steps asks for no action")
+
+    roll = rollout(circle_env, policy, 0)
+    assert list(roll) == ["obs", "actions", "progress", "wall"]
+    assert roll["obs"].shape == (2, 1, 50) and roll["obs"].dtype == np.float32
+    np.testing.assert_array_equal(roll["obs"][:, 0], first)
+    assert roll["actions"].shape == (2, 0, 2) and roll["actions"].dtype == np.float32
+    assert roll["progress"].shape == roll["wall"].shape == (2, 0)
+    assert roll["progress"].dtype == roll["wall"].dtype == np.float32
+
+
 def test_rollout_rejects_non_finite_actions(circle_env):
     _reset_line(circle_env, n=2)
 

@@ -205,6 +205,42 @@ class TestCheckpointFormat:
         with pytest.raises(nets.CheckpointError, match="truncated"):
             nets.load_params(path)
 
+    def test_padded_file_rejected(self, tmp_path):
+        arrays = {"x.W": np.ones((4, 4), dtype=np.float32)}
+        path = tmp_path / "ck.bin"
+        nets.save_params(path, arrays, {})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(nets.CheckpointError, match="trailing bytes"):
+            nets.load_params(path)
+
+    def test_scalar_and_empty_tensors_round_trip(self, tmp_path):
+        arrays = {
+            "f4.scalar": np.array(1.5, dtype=np.float32),
+            "f8.scalar": np.array(-2.25),
+            "f4.empty": np.zeros((0, 3), dtype=np.float32),
+            "f8.empty": np.zeros(0),
+            "f4.after": np.arange(3, dtype=np.float32),
+        }
+        path = tmp_path / "ck.bin"
+        nets.save_params(path, arrays, {})
+        _, loaded = nets.load_params(path)
+        assert list(loaded) == sorted(arrays)
+        for name, arr in arrays.items():
+            assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    def test_load_holds_one_copy_of_a_tensor(self, tmp_path):
+        tensor = np.arange(1 << 20, dtype=np.float32)  # 4 MiB
+        nets.save_params(tmp_path / "ck.bin", {"t": tensor}, {})
+        tracemalloc.start()
+        try:
+            _, loaded = nets.load_params(tmp_path / "ck.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.nbytes * 9 // 8
+        assert np.array_equal(loaded["t"], tensor)
+
     @pytest.mark.parametrize("head, match", [
         (b"\x89PNG\r\n", "unreadable checkpoint header"),
         (b"[1, 2]\n", "unrecognized checkpoint format"),
