@@ -482,6 +482,13 @@ def _optimizers(trainer):
     return {"pi": sac.opt_pi, "q1": sac.opt_q1, "q2": sac.opt_q2, "disc": trainer.opt_disc}
 
 
+def _moments(trainer):
+    """Tensor name in optim.ckpt, ``<group>.m.<name>`` or ``<group>.v.<name>``,
+    -> the live moment buffer, which is written from and read into."""
+    return {f"{group}.{moment}.{name}": buf for group, opt in _optimizers(trainer).items()
+            for moment in ("m", "v") for name, buf in opt.state_dict()[moment].items()}
+
+
 def recover_bundle(path):
     """Put back the bundle a save moved aside, when the save stopped before
     its new bundle took the old one's place. Only the holder of the run
@@ -534,15 +541,9 @@ def save_bundle(path, trainer, extra_manifest=None):
         bet_mod.save_bet(os.path.join(tmp, "bet.ckpt"), stack.bet, stack.base_normalizer)
     if stack.bc is not None:
         save_bc(os.path.join(tmp, "bc.ckpt"), stack.bc, stack.base_normalizer)
-    optim_arrays, optim_steps = {}, {}
-    for group, opt in _optimizers(trainer).items():
-        state = opt.state_dict()
-        optim_steps[group] = state["step_count"]
-        for moment in ("m", "v"):
-            optim_arrays.update({f"{group}.{moment}.{name}": arr
-                                 for name, arr in state[moment].items()})
-    nets.save_params(os.path.join(tmp, "optim.ckpt"), optim_arrays,
-                     {"kind": "optim", "steps": optim_steps})
+    steps = {group: opt.step_count for group, opt in _optimizers(trainer).items()}
+    nets.save_params(os.path.join(tmp, "optim.ckpt"), _moments(trainer),
+                     {"kind": "optim", "steps": steps})
     nets.save_params(os.path.join(tmp, "replay.ckpt"), trainer.replay.state_arrays(),
                      {"kind": "replay", **trainer.replay.state_meta()})
     manifest = {
@@ -583,18 +584,22 @@ def load_stack(path, manifest, hidden=None):
     if os.path.exists(os.path.join(path, "bc.ckpt")):
         bc, base_normalizer, _ = load_bc(os.path.join(path, "bc.ckpt"))
 
-    res_meta, res_arrays = nets.load_params(os.path.join(path, "residual.ckpt"))
-    alpha = res_meta.get("alpha")
-    if not isinstance(alpha, float) or not 0.0 < alpha <= 1.0:
-        raise nets.CheckpointError(f"{path}/residual.ckpt records alpha {alpha!r}, "
-                                   "not a number in (0, 1]")
     if hidden is None:
         hidden = manifest["config"]["policy_hidden"]
-    stack = build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
-                               np.random.default_rng(0), alpha=alpha, bet=bet,
-                               bc=bc, hidden=hidden, bet_normalizer=base_normalizer)
-    nets.assign_params(stack.residual.params(), res_arrays)
-    return stack
+    built = []
+
+    def into(meta, shapes):
+        alpha = meta.get("alpha")
+        if not isinstance(alpha, float) or not 0.0 < alpha <= 1.0:
+            raise nets.CheckpointError(f"{path}/residual.ckpt records alpha {alpha!r}, "
+                                       "not a number in (0, 1]")
+        built.append(build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
+                                        np.random.default_rng(0), alpha=alpha, bet=bet, bc=bc,
+                                        hidden=hidden, bet_normalizer=base_normalizer))
+        return built[0].residual.params()
+
+    nets.load_params(os.path.join(path, "residual.ckpt"), into)
+    return built[0]
 
 
 def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
@@ -610,15 +615,11 @@ def load_bundle(path, track, vparams, ecfg, demos, cfg=None):
     stack = load_stack(path, manifest, cfg.policy_hidden)
     trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, manifest["seed"])
     for fname, (_, net) in _bundle_nets(trainer).items():
-        _, arrays = nets.load_params(os.path.join(path, fname))
-        nets.assign_params(net.params(), arrays)
-    optim_meta, optim_arrays = nets.load_params(os.path.join(path, "optim.ckpt"))
+        nets.load_params(os.path.join(path, fname), lambda meta, shapes: net.params())
+    optim_meta, _ = nets.load_params(os.path.join(path, "optim.ckpt"),
+                                     lambda meta, shapes: _moments(trainer))
     for group, opt in _optimizers(trainer).items():
-        opt.load_state_dict({
-            "step_count": optim_meta["steps"][group],
-            "m": {name: optim_arrays[f"{group}.m.{name}"] for name in opt.m},
-            "v": {name: optim_arrays[f"{group}.v.{name}"] for name in opt.v},
-        })
+        opt.step_count = int(optim_meta["steps"][group])
     trainer.replay.load_state(os.path.join(path, "replay.ckpt"))
     trainer.env_steps = int(manifest["env_steps"])
     trainer.iteration_count = int(manifest["iteration"])

@@ -262,17 +262,21 @@ def save_bet(path, model, normalizer, extra=None):
 
 
 def load_bet(path):
-    """Returns (model, normalizer, meta) from a checkpoint."""
-    meta, arrays = nets.load_params(path)
-    if meta.get("kind") != "bet":
-        raise nets.CheckpointError(f"not a base-policy checkpoint: {path}")
-    stored = set(meta.get("config", {}))
-    fields = {f.name for f in dataclasses.fields(BeTConfig)}
-    if stored != fields:
-        raise nets.CheckpointError(
-            f"base-policy checkpoint {path} does not match this version's BeTConfig: "
-            f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
-    cfg = BeTConfig(**meta["config"])
-    model = BeT(cfg, np.random.default_rng(0))
-    nets.assign_params(model.params(), arrays)
-    return model, Normalizer.from_dict(meta["normalizer"]), meta
+    """Returns (model, normalizer, meta) from a checkpoint. The model is
+    built from the header's config and its parameters are read in place."""
+    built = []
+
+    def into(meta, shapes):
+        if meta.get("kind") != "bet":
+            raise nets.CheckpointError(f"not a base-policy checkpoint: {path}")
+        stored = set(meta.get("config", {}))
+        fields = {f.name for f in dataclasses.fields(BeTConfig)}
+        if stored != fields:
+            raise nets.CheckpointError(
+                f"base-policy checkpoint {path} does not match this version's BeTConfig: "
+                f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
+        built.append(BeT(BeTConfig(**meta["config"]), np.random.default_rng(0)))
+        return built[0].params()
+
+    meta, _ = nets.load_params(path, into)
+    return built[0], Normalizer.from_dict(meta["normalizer"]), meta

@@ -126,7 +126,7 @@ from . import ail
 from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
-from .config import _AT_LEAST, CONTENT_VERSION, ConfigError, build_config
+from .config import _AT_LEAST, CONTENT_VERSION, ConfigError, build_config, config_hash
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
 from .policies import MODE_SPECS, build_policy_stack, load_bc, save_bc, train_bc
@@ -259,9 +259,10 @@ def _remove_if_empty(path):
         os.rmdir(path)
 
 
-def _trace(cfg, key=None):
-    """Provenance of a run's output, or of a base: the key it was built under."""
-    return {"config_hash": key or cfg.hash, "content_version": CONTENT_VERSION, "seed": cfg.seed}
+def _trace(key, seed):
+    """Provenance of a run's output or of a base: the key it was built under
+    (a run's is its config hash) and the seed."""
+    return {"config_hash": key, "content_version": CONTENT_VERSION, "seed": seed}
 
 
 def _require(path, what, hint):
@@ -272,7 +273,8 @@ def _require(path, what, hint):
 def _write_config_snapshot(cfg, out_dir):
     """Record the run's config, by replace: each run is checked against it."""
     with nets.replacing(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump({"resolved": cfg.resolved, **_trace(cfg)}, fh, sort_keys=True, indent=1)
+        json.dump({"resolved": cfg.resolved, **_trace(cfg.hash, cfg.seed)}, fh,
+                  sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -361,7 +363,7 @@ def _fit_base(cfg, kind, path, key, demos):
     """Fit the base of a kind on the pretraining demonstrations and write it
     to path with their whitener."""
     merged = DemoSet.merge(demos)
-    trace = _trace(cfg, key)
+    trace = _trace(key, cfg.seed)
     if kind == "bet":
         model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
         history = bet_mod.pretrain(model, merged, cfg.seed, progress=lambda update, loss, ema: print(
@@ -442,12 +444,13 @@ def _report_bundle(bundle, out_dir):
     """Stamp the report files of the run that bundle records into out_dir,
     from its last evaluation and training curve, recomputing nothing."""
     manifest = _run_record(bundle)
-    _emit(build_config(manifest["resolved"]), out_dir,
+    _emit(manifest["resolved"], out_dir,
           EvalReport.from_dict(manifest["last_eval"]), manifest["curve"], _bundle_meta(manifest))
 
 
-def _emit(cfg, out_dir, report, curve, extra_meta=None):
-    meta = {**_trace(cfg), **(extra_meta or {})}
+def _emit(resolved, out_dir, report, curve, extra_meta=None):
+    """Write the report files of a run of the resolved config into out_dir."""
+    meta = {**_trace(config_hash(resolved), resolved["seed"]), **(extra_meta or {})}
     paths = emit_report(report, curve, out_dir, meta=meta)
     print(f"report: success {report.success_rate:.2f}, "
           f"lap {report.lap_time_mean if report.lap_time_mean is not None else 'unfinished'}, "
@@ -462,14 +465,19 @@ def _run_training(cfg, run_dir, plan, products):
     """
     track, demos = products[:2]
     bundle_dir = os.path.join(run_dir, "bundle")
-    if ail.has_bundle(bundle_dir):
-        if ail.read_manifest(bundle_dir)["iteration"] == cfg.train.iterations:
-            # Trained to its budget and stopped before its summary.
-            _report_bundle(bundle_dir, run_dir)
-            return
+    resumed = ail.has_bundle(bundle_dir)
+    if resumed and ail.read_manifest(bundle_dir)["iteration"] == cfg.train.iterations:
+        # Trained to its budget and stopped before its summary.
+        _write_config_snapshot(cfg, run_dir)
+        _report_bundle(bundle_dir, run_dir)
+        return
+    if resumed:
         trainer, _ = ail.load_bundle(bundle_dir, track, cfg.vehicle, cfg.episode, demos, cfg.train)
         print(f"resuming from {bundle_dir} at iteration {trainer.iteration_count}")
-    else:
+    # Written once the bundle is loaded, so a resume that it refuses leaves
+    # the run's config.json as it was.
+    _write_config_snapshot(cfg, run_dir)
+    if not resumed:
         # The stack keeps the net as the base of its mode's kind.
         net, whitener, _ = products[-1] if MODE_SPECS[cfg.mode]["base"] else (None,) * 3
         stack = build_policy_stack(cfg.mode, demos.normalizer, demos.obs_dim,
@@ -481,7 +489,7 @@ def _run_training(cfg, run_dir, plan, products):
                                        n_cars=cfg.train.eval_cars,
                                        max_steps=cfg.train.eval_max_steps,
                                        seed=cfg.seed, tag=0)
-            _emit(cfg, run_dir, report, [report.curve_point(0, 0)],
+            _emit(cfg.resolved, run_dir, report, [report.curve_point(0, 0)],
                   {"mode": cfg.mode, "alpha": None, "env_steps": 0, "iterations": 0})
             return
         trainer = ail.Trainer(stack, track, cfg.vehicle, cfg.episode, demos, cfg.train, cfg.seed)
@@ -537,7 +545,6 @@ def cmd_pipeline(args):
                 return EXIT_OK
             products = _obtain(plan)
         if runs:
-            _write_config_snapshot(cfg, run_dir)
             _run_training(cfg, run_dir, plan, products)
             return EXIT_OK
     if stage == "track":
@@ -578,7 +585,7 @@ def cmd_eval(args):
                                seed=cfg.seed,
                                tag=manifest["iteration"] if args.tag is None else args.tag)
     out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(args.bundle)), "eval")
-    _emit(cfg, out_dir, report, manifest["curve"], _bundle_meta(manifest))
+    _emit(cfg.resolved, out_dir, report, manifest["curve"], _bundle_meta(manifest))
     return EXIT_OK
 
 

@@ -213,19 +213,30 @@ def save_params(path, named_arrays, meta):
 
 
 def _read_header(fh, path):
+    """The header of an open checkpoint, and its tensors as (name, shape,
+    dtype) in file order. A header that is not a dict with a meta dict and
+    a list of tensors, each a string name, a shape of integers >= 0 and a
+    dtype that save_params writes, is refused."""
     try:
         header = json.loads(fh.readline().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unrecognized checkpoint format in {path}")
-    return header
+    tensors = header.get("tensors")
+    if not isinstance(header.get("meta"), dict) or not isinstance(tensors, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"])
+            and e.get("dtype") in ("<f4", "<f8") for e in tensors):
+        raise CheckpointError(f"unreadable checkpoint header in {path}")
+    return header, [(e["name"], tuple(e["shape"]), np.dtype(e["dtype"])) for e in tensors]
 
 
 def load_meta(path):
     """The meta dict of a checkpoint, read from its header alone."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path)["meta"]
+        return _read_header(fh, path)[0]["meta"]
 
 
 def load_params(path, into=None):
@@ -234,15 +245,18 @@ def load_params(path, into=None):
     The file's size is checked against its header before anything is
     read, so a truncated or padded file is refused whole. Each tensor's
     bytes are then read straight into its final array, so a load holds
-    one copy of each. into, when given, is called with the meta and the
-    stored shapes by name, and returns the arrays (C-contiguous, of each
-    tensor's shape and dtype) that the tensors it names are read into in
-    place; it may raise to refuse the file.
+    one copy of each.
+
+    into, when given, is called with the meta and the stored shapes by
+    name, and returns the destinations, arrays or parameter tensors by
+    name, that those tensors are read into in place; it may raise to
+    refuse the file. Every destination must be in the file, as a tensor of
+    its shape and dtype, and C-contiguous; otherwise the file is refused
+    before any byte is read into one. A tensor with no destination is
+    read into a fresh array.
     """
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        entries = [(e["name"], tuple(e["shape"]), np.dtype(e["dtype"]))
-                   for e in header["tensors"]]
+        header, entries = _read_header(fh, path)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         for name, shape, dt in entries:
             left -= math.prod(shape) * dt.itemsize
@@ -250,32 +264,24 @@ def load_params(path, into=None):
                 raise CheckpointError(f"truncated checkpoint {path} at tensor {name}")
         if left:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")
+        stored = {name: (shape, dt) for name, shape, dt in entries}
         dests = {} if into is None else into(header["meta"],
-                                             {name: shape for name, shape, _ in entries})
-        arrays = OrderedDict()
-        for name, shape, dt in entries:
-            arr = dests.get(name)
-            if arr is None:
-                arr = np.empty(shape, dtype=dt)
-            elif arr.shape != shape or arr.dtype != dt or not arr.flags.c_contiguous:
+                                             {name: shape for name, (shape, _) in stored.items()})
+        dests = {name: d.data if isinstance(d, ad.Tensor) else d for name, d in dests.items()}
+        for name, arr in dests.items():
+            if name not in stored:
+                raise CheckpointError(f"checkpoint missing parameter {name}")
+            shape, dt = stored[name]
+            if arr.shape != shape or arr.dtype != dt or not arr.flags.c_contiguous:
                 raise CheckpointError(f"{path} holds {name} as {shape} {dt}, which does not "
                                       f"fit its destination {arr.shape} {arr.dtype}")
+        arrays = OrderedDict()
+        for name, shape, dt in entries:
+            arr = dests[name] if name in dests else np.empty(shape, dtype=dt)
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint {path} at tensor {name}")
             arrays[name] = arr
     return header["meta"], arrays
-
-
-def assign_params(params, arrays):
-    """Copy loaded arrays into live parameter tensors, checking shapes."""
-    for name, tensor in params.items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        src = arrays[name]
-        if tuple(src.shape) != tuple(tensor.data.shape):
-            raise CheckpointError(f"shape mismatch for {name}: {src.shape} vs {tensor.data.shape}")
-        tensor.data[...] = src  # cast to the tensor's dtype as it is copied
-    return params
 
 
 def params_checksum(named):

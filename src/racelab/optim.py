@@ -69,17 +69,10 @@ class Adam:
             p.data -= self.lr * self._ratio(p.data, update) * update
 
     def state_dict(self):
-        return {
-            "step_count": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.step_count = int(state["step_count"])
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]
+        """The step count and the moment buffers by parameter name. The
+        buffers are the live ones, not copies: a checkpoint is written from
+        them and read back into them in place."""
+        return {"step_count": self.step_count, "m": self.m, "v": self.v}
 
 
 class Lamb(Adam):

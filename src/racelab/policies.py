@@ -167,17 +167,22 @@ def save_bc(path, net, normalizer, extra=None):
 
 
 def load_bc(path):
-    """Returns (net, normalizer, meta) from a checkpoint that save_bc wrote."""
-    meta, arrays = nets.load_params(path)
-    if meta.get("kind") != "bc":
-        raise nets.CheckpointError(f"not a cloned-base checkpoint: {path}")
-    if "normalizer" not in meta:
-        raise nets.CheckpointError(f"cloned-base checkpoint {path} records no whitener "
-                                   "(an older checkpoint; fit the base again)")
-    dims = meta["dims"]
-    net = make_bc_net(dims[0], dims[-1], dims[1:-1], np.random.default_rng(0))
-    nets.assign_params(net.params(), arrays)
-    return net, Normalizer.from_dict(meta["normalizer"]), meta
+    """Returns (net, normalizer, meta) from a checkpoint that save_bc wrote.
+    The net is built from the header's widths and read in place."""
+    built = []
+
+    def into(meta, shapes):
+        if meta.get("kind") != "bc":
+            raise nets.CheckpointError(f"not a cloned-base checkpoint: {path}")
+        if "normalizer" not in meta:
+            raise nets.CheckpointError(f"cloned-base checkpoint {path} records no whitener "
+                                       "(an older checkpoint; fit the base again)")
+        dims = meta["dims"]
+        built.append(make_bc_net(dims[0], dims[-1], dims[1:-1], np.random.default_rng(0)))
+        return built[0].params()
+
+    meta, _ = nets.load_params(path, into)
+    return built[0], Normalizer.from_dict(meta["normalizer"]), meta
 
 
 class PolicyStack:

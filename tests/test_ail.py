@@ -623,6 +623,51 @@ def test_bundle_roundtrip_bit_exact(tiny_world, tmp_path):
     assert tr2.env_steps == tr.env_steps
 
 
+def _wide_trainer(tiny_world):
+    """A trainer whose optimizer moments (1.9 MB) outweigh a save's other
+    allocations."""
+    track, vparams, ecfg, demos = tiny_world
+    cfg = dataclasses.replace(_tiny_cfg(), policy_hidden=(256, 256),
+                              sac=SACConfig(hidden=(256, 256), batch=64, gradient_steps=5))
+    stack = build_policy_stack("ail", demos.normalizer, demos.obs_dim, RNG(40),
+                               hidden=(256, 256))
+    trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, 0)
+    moments = sum(buf.nbytes for opt in (trainer.sac.opt_pi, trainer.sac.opt_q1,
+                                         trainer.sac.opt_q2, trainer.opt_disc)
+                  for moment in ("m", "v") for buf in opt.state_dict()[moment].values())
+    return trainer, moments
+
+
+def _traced(fn):
+    """fn's result, and the bytes that tracemalloc saw held when it
+    returned and at its peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_save_bundle_holds_no_copy_of_the_optimizer_moments(tiny_world, tmp_path):
+    trainer, moments = _wide_trainer(tiny_world)
+    _, _, peak = _traced(lambda: save_bundle(str(tmp_path / "bundle"), trainer))
+    assert peak < moments // 8
+
+
+def test_load_bundle_holds_one_copy_of_what_it_loads(tiny_world, tmp_path):
+    track, vparams, ecfg, demos = tiny_world
+    trainer, moments = _wide_trainer(tiny_world)
+    path = str(tmp_path / "bundle")
+    save_bundle(path, trainer)
+    (loaded, _), held, peak = _traced(lambda: load_bundle(path, track, vparams, ecfg, demos))
+    # Every net and moment is read into the trainer's own arrays: beyond the
+    # trainer it returns, the load held no copy of them.
+    assert peak - held < moments // 8
+    assert _trainer_state(loaded) == _trainer_state(trainer)
+
+
 def test_resumed_training_is_bit_identical(tiny_world, tmp_path):
     """Interrupt-and-resume reproduces straight-through training exactly."""
     track, vparams, ecfg, demos = tiny_world

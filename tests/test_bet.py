@@ -1,5 +1,7 @@
 """Tests for the causal-transformer base policy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -451,6 +453,23 @@ def test_checkpoint_roundtrip_preserves_params_and_normalizer(tmp_path):
     assert meta["config"]["embed_dim"] == 16
     x = RNG(21).standard_normal((2, 4, 6)).astype(np.float32)
     np.testing.assert_array_equal(_forward(back, x), _forward(model, x))
+
+
+def test_load_holds_one_copy_of_the_model(tmp_path):
+    model = BeT(_tiny_cfg(embed_dim=64, n_layers=8, n_heads=4), RNG(23))
+    size = sum(p.data.nbytes for p in model.params().values())
+    path = str(tmp_path / "model.ckpt")
+    save_bet(path, model, Normalizer(np.zeros(6, np.float32), np.ones(6, np.float32)))
+    tracemalloc.start()
+    try:
+        back, _, _ = load_bet(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The parameters are read into the model's own arrays; what the load
+    # held beyond the model it returns is its initialization's scratch.
+    assert peak - held < size // 2
+    assert params_checksum(back.params()) == params_checksum(model.params())
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

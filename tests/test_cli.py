@@ -245,6 +245,23 @@ def test_a_base_with_separate_query_key_value_weights_is_refused(tmp_path, capsy
     assert err == "error: checkpoint missing parameter blk0.qkv.W\n"
 
 
+@pytest.mark.parametrize("case", ["an entry without a dtype", "no tensor list", "an int dtype"])
+def test_bet_info_on_a_malformed_header_is_refused_without_a_traceback(tmp_path, capsys, case):
+    path = tmp_path / "bet.ckpt"
+    bet.save_bet(str(path), _small_bet(), UNIT)
+    line, buffers = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    if case == "an entry without a dtype":
+        del header["tensors"][0]["dtype"]
+    elif case == "no tensor list":
+        del header["tensors"]
+    else:
+        header["tensors"][0]["dtype"] = "<i4"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + buffers)
+    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: unreadable checkpoint header in {path}\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_old_bundle_is_refused_without_a_traceback(tmp_path, capsys, command):
     bundle = tmp_path / "bundle"
@@ -472,6 +489,16 @@ def test_eval_and_report_of_a_bundle_rewrite_the_runs_summary(seed5_run, tmp_pat
     for command in ("eval", "report"):
         assert cli.main([command, "--bundle", str(run / "bundle")]) == cli.EXIT_OK
         assert (run / command / "summary.json").read_bytes() == want, command
+
+
+def test_report_generates_no_course(run_copy, monkeypatch):
+    from racelab import config, track
+
+    calls = [_count_calls(monkeypatch, owner, "gen_track") for owner in (track, config, cli)]
+    want = (run_copy / "summary.json").read_bytes()
+    assert cli.main(["report", "--bundle", str(run_copy / "bundle")]) == cli.EXIT_OK
+    assert calls == [[], [], []]
+    assert (run_copy / "report" / "summary.json").read_bytes() == want
 
 
 @pytest.mark.parametrize("argv", [["run", "--config", "betail.json", "--out", "X"],
@@ -815,6 +842,19 @@ def test_resuming_a_bundle_whose_replay_does_not_fit_is_refused(run_copy, tmp_pa
         f"{meta['capacity'] + 1} rows, which does not fit this run's ring of shape "
         f"{(meta['capacity'], stored[1])}\n")
     assert _tree(run_copy / "bundle") == before
+
+
+def test_a_resume_that_the_bundle_refuses_leaves_the_runs_config(run_copy, tmp_path, capsys):
+    replay = run_copy / "bundle" / "replay.ckpt"
+    meta, arrays = nets.load_params(str(replay))
+    nets.save_params(str(replay), arrays, {**meta, "capacity": meta["capacity"] + 1})
+    before = (run_copy / "config.json").read_bytes()
+    longer = {**TINY, "mode": "betail", "train": {**TINY["train"], "iterations": 3}}
+    cfg = _write(tmp_path / "config.json", longer)
+    argv = ["train", "--mode", "betail", "--config", cfg, "--out", str(run_copy)]
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert f"error: {replay} holds a replay" in capsys.readouterr().err
+    assert (run_copy / "config.json").read_bytes() == before
 
 
 MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.ckpt"),

@@ -1,6 +1,7 @@
 """Tests for the lap-evaluation protocol and report files."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -208,18 +209,18 @@ def test_emitted_files_are_byte_stable(tmp_path):
     paths1 = emit_report(rep, curve, d1, meta={"config_hash": "deadbeef"})
     paths2 = emit_report(rep, curve, d2, meta={"config_hash": "deadbeef"})
     for p1, p2 in zip(paths1, paths2):
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
 
 def test_emitted_csv_layout(tmp_path):
     rep = _tiny_report()
     cars_path, curve_path, summary_path = emit_report(rep, [], str(tmp_path))
-    lines = open(cars_path).read().splitlines()
+    lines = pathlib.Path(cars_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "car,finished,clean,lap_time_s"
     assert lines[1] == "0,1,1,30.5"
     assert lines[2] == "1,1,0,31.0"
     assert lines[3] == "2,0,0,"
-    curve_lines = open(curve_path).read().splitlines()
+    curve_lines = pathlib.Path(curve_path).read_text(encoding="utf-8").splitlines()
     assert curve_lines[0].startswith("iteration,env_steps,success_rate")
 
 

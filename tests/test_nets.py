@@ -252,15 +252,55 @@ class TestCheckpointFormat:
         with pytest.raises(nets.CheckpointError, match=match):
             nets.load_params(path)
 
-    def test_shape_mismatch_on_assign_rejected(self, tmp_path):
-        rng = np.random.default_rng(13)
-        mlp = nets.MLP([3, 4, 1], ["tanh", "identity"], rng, name="d")
+    def test_load_into_fills_parameter_tensors_in_place(self, tmp_path):
+        saved = nets.MLP([3, 4, 1], ["tanh", "identity"], np.random.default_rng(11), name="d")
+        live = nets.MLP([3, 4, 1], ["tanh", "identity"], np.random.default_rng(12), name="d")
+        nets.save_params(tmp_path / "ck.bin", saved.params(), {"kind": "test"})
+        meta, loaded = nets.load_params(tmp_path / "ck.bin", lambda meta, shapes: live.params())
+        assert meta == {"kind": "test"}
+        for name, p in live.params().items():
+            assert loaded[name] is p.data
+            assert p.data.tobytes() == saved.params()[name].data.tobytes()
+
+    @pytest.mark.parametrize("stored", [(2, 2), "float64"], ids=["shape", "dtype"])
+    def test_shape_mismatch_on_load_into_rejected(self, tmp_path, stored):
+        mlp = nets.MLP([3, 4, 1], ["tanh", "identity"], np.random.default_rng(13), name="d")
+        before = {name: p.data.copy() for name, p in mlp.params().items()}
+        wrong = {name: np.zeros((2, 2), dtype=np.float32) if stored == (2, 2)
+                 else p.data.astype(stored) for name, p in mlp.params().items()}
+        nets.save_params(tmp_path / "ck.bin", wrong, {})
+        with pytest.raises(nets.CheckpointError, match="does not fit its destination"):
+            nets.load_params(tmp_path / "ck.bin", lambda meta, shapes: mlp.params())
+        # Refused before any byte reached a destination.
+        for name, p in mlp.params().items():
+            assert p.data.tobytes() == before[name].tobytes()
+
+    def test_a_destination_absent_from_the_file_is_refused_by_name(self, tmp_path):
+        mlp = nets.MLP([3, 4, 1], ["tanh", "identity"], np.random.default_rng(15), name="d")
+        params = mlp.params()
+        nets.save_params(tmp_path / "ck.bin",
+                         {name: p for name, p in params.items() if name != "d.1.b"}, {})
+        with pytest.raises(nets.CheckpointError) as info:
+            nets.load_params(tmp_path / "ck.bin", lambda meta, shapes: params)
+        assert str(info.value) == "checkpoint missing parameter d.1.b"
+
+    @pytest.mark.parametrize("tensors", [
+        [{"name": "t", "shape": [2]}],
+        [{"name": "t", "shape": [2], "dtype": "<i4"}],
+        [{"name": "t", "shape": [2.0], "dtype": "<f4"}],
+        [{"name": "t", "shape": [-1], "dtype": "<f4"}],
+        [{"name": 3, "shape": [2], "dtype": "<f4"}],
+        ["t"],
+        None,
+    ])
+    def test_a_malformed_tensor_list_is_an_unreadable_header(self, tmp_path, tensors):
+        header = {"format": nets.CHECKPOINT_FORMAT, "meta": {}}
+        if tensors is not None:
+            header["tensors"] = tensors
         path = tmp_path / "ck.bin"
-        wrong = {name: np.zeros((2, 2), dtype=np.float32) for name in mlp.params()}
-        nets.save_params(path, wrong, {})
-        _, loaded = nets.load_params(path)
-        with pytest.raises(nets.CheckpointError, match="shape mismatch"):
-            nets.assign_params(mlp.params(), loaded)
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(8))
+        with pytest.raises(nets.CheckpointError, match="unreadable checkpoint header"):
+            nets.load_params(path)
 
     def test_streamed_buffers_equal_the_copying_writer(self, tmp_path):
         # The writer before buffers were streamed: a tobytes() copy of every

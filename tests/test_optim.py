@@ -3,12 +3,27 @@
 import numpy as np
 
 import racelab.autodiff as ad
+from racelab import nets
 from racelab.optim import BETA1, BETA2, Adam, Lamb
 
 
 def make_param(values):
     t = ad.Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
     return t
+
+
+def moments(opt):
+    return {f"{moment}.{name}": buf for moment in ("m", "v")
+            for name, buf in opt.state_dict()[moment].items()}
+
+
+def resume(opt, fresh, path):
+    """Write opt's moments with save_params and read them into fresh's live
+    buffers in place, as a checkpoint bundle does."""
+    nets.save_params(path, moments(opt), {"steps": opt.state_dict()["step_count"]})
+    meta, _ = nets.load_params(path, lambda meta, shapes: moments(fresh))
+    fresh.step_count = meta["steps"]
+    return fresh
 
 
 class TestAdam:
@@ -42,26 +57,22 @@ class TestAdam:
             opt.step()
         assert abs(float(p.data[0]) - theta_ref) < 1e-12
 
-    def test_state_roundtrip_resumes_identically(self):
+    def test_state_roundtrip_resumes_identically(self, tmp_path):
         rng = np.random.default_rng(0)
         p1 = make_param(rng.standard_normal(4))
-        p2 = make_param(p1.data.copy())
         o1 = Adam({"x.W": p1}, 0.05)
-        o2 = Adam({"x.W": p2}, 0.05)
         gseq = [rng.standard_normal(4) for _ in range(5)]
         for g in gseq[:2]:
             p1.grad = g.copy()
             o1.step()
-            p2.grad = g.copy()
-            o2.step()
-        state = o1.state_dict()
-        o3 = Adam({"x.W": p2}, 0.05)
-        o3.load_state_dict(state)
+        p2 = make_param(p1.data.copy())
+        o2 = resume(o1, Adam({"x.W": p2}, 0.05), tmp_path / "optim.ckpt")
+        assert o2.step_count == 2
         for g in gseq[2:]:
             p1.grad = g.copy()
             o1.step()
             p2.grad = g.copy()
-            o3.step()
+            o2.step()
         assert np.array_equal(p1.data, p2.data)
 
 
@@ -114,20 +125,16 @@ class TestLamb:
         # Without the clip the ratio would be ~7e5.
         assert moved <= 10.0 * np.sqrt(2.0) + 1e-6
 
-    def test_state_roundtrip_resumes_identically(self):
+    def test_state_roundtrip_resumes_identically(self, tmp_path):
         rng = np.random.default_rng(1)
         p1 = make_param(rng.standard_normal(3))
-        p2 = make_param(p1.data.copy())
         o1 = Lamb({"x.W": p1}, 0.05, 0.0)
         gseq = [rng.standard_normal(3) for _ in range(4)]
         for g in gseq[:2]:
             p1.grad = g.copy()
             o1.step()
-        o2 = Lamb({"x.W": p2}, 0.05, 0.0)
-        for g in gseq[:2]:
-            p2.grad = g.copy()
-            o2.step()
-        o2.load_state_dict(o1.state_dict())
+        p2 = make_param(p1.data.copy())
+        o2 = resume(o1, Lamb({"x.W": p2}, 0.05, 0.0), tmp_path / "optim.ckpt")
         for g in gseq[2:]:
             p1.grad = g.copy()
             o1.step()
