@@ -632,10 +632,7 @@ def _wide_trainer(tiny_world):
     stack = build_policy_stack("ail", demos.normalizer, demos.obs_dim, RNG(40),
                                hidden=(256, 256))
     trainer = Trainer(stack, track, vparams, ecfg, demos, cfg, 0)
-    moments = sum(buf.nbytes for opt in (trainer.sac.opt_pi, trainer.sac.opt_q1,
-                                         trainer.sac.opt_q2, trainer.opt_disc)
-                  for moment in ("m", "v") for buf in opt.state_dict()[moment].values())
-    return trainer, moments
+    return trainer, sum(buf.nbytes for buf in ail._moments(trainer).values())
 
 
 def _traced(fn):

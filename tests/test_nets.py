@@ -292,7 +292,8 @@ class TestCheckpointFormat:
         [{"name": 3, "shape": [2], "dtype": "<f4"}],
         ["t"],
         None,
-    ])
+    ], ids=["no-dtype", "int-dtype", "float-dim", "negative-dim", "int-name", "not-a-dict",
+            "no-list"])
     def test_a_malformed_tensor_list_is_an_unreadable_header(self, tmp_path, tensors):
         header = {"format": nets.CHECKPOINT_FORMAT, "meta": {}}
         if tensors is not None:
