@@ -17,7 +17,9 @@ it), :func:`residual_affine` (a transformer block's residual branch: its
 last affine, its dropout and the residual sum) and
 :func:`causal_attention` (multi-head causal self-attention). A fused
 node keeps only what its backward reads, so its intermediates are never
-tape tensors, and a dropout mask is kept as booleans.
+tape tensors, and a dropout mask is kept as booleans. One op has no
+backward: :func:`newest_query_attention`, causal attention for the last
+position alone, which inference reads; it refuses to be taped.
 
 A node's output buffer belongs to the node, with one exception: the
 residual stream. No backward reads the stream's values, so when the
@@ -49,6 +51,7 @@ at batch 20.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 
 import numpy as np
@@ -84,6 +87,7 @@ __all__ = [
     "clip",
     "minimum",
     "causal_attention",
+    "newest_query_attention",
     "dropout",
     "mean_all",
     "sum_last",
@@ -337,7 +341,18 @@ def _affine_vjp(g, x, w, b, input_grad):
         w._accumulate(x.reshape(-1, x.shape[-1]).T @ g2, owned=True)
     if b.requires_grad:
         b._accumulate(_unbroadcast(g, b.data.shape))
-    return (g2 @ w.data.T).reshape(x.shape) if input_grad else None
+    if not input_grad:
+        return None
+    if w.data.shape[1] > 1:
+        return (g2 @ w.data.T).reshape(x.shape)
+    # A one-column weight (a critic's or the discriminator's output layer)
+    # makes x's gradient an outer product, which OpenBLAS runs as a K = 1
+    # matrix product at about 1 GFLOP/s. The broadcast product has its
+    # bits once +0.0 is added: that turns each -0.0 product into the +0.0
+    # that the matrix product's zeroed accumulator gives.
+    gx = g2 * w.data.T
+    gx += 0.0
+    return gx.reshape(x.shape)
 
 
 def norm_affine(a, gain, bias, w, b, relu=False):
@@ -531,19 +546,30 @@ def minimum(a, b):
     return _node("minimum", np.minimum(a.data, b.data), (a, b), vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_mask(rows, t, dtype):
+    # The additive mask of the last `rows` of t positions: -inf on every
+    # column after a row's own position, 0 elsewhere. Read-only, as it is
+    # shared by every call.
+    mask = np.triu(np.full((t, t), -np.inf, dtype=dtype), 1)[t - rows :]
+    mask.flags.writeable = False
+    return mask
+
+
 def _causal_softmax(x):
-    # Row softmax of (..., T, T) scores under a strict causal mask. An
-    # additive -inf mask gives future columns exp(-inf) = 0 exactly, and
-    # their gradients in _softmax_vjp are exactly zero too, so position t
-    # depends only on columns <= t.
+    # Row softmax of (..., Q, T) scores of the last Q of T positions under
+    # a strict causal mask. An additive -inf mask gives future columns
+    # exp(-inf) = 0 exactly, and their gradients in _softmax_vjp are
+    # exactly zero too, so position t depends only on columns <= t.
     # Row totals are summed column by column: appending masked (zero)
     # columns must not change earlier rows' normalization bits, which a
     # pairwise sum would. The row max is taken column by column too: over
     # these short rows that is cheaper than a reduction once there are a
     # few dozen heads x windows (the desk BeT at B >= 20), and max being
-    # exact, it gives the same bits.
+    # exact, it gives the same bits. Each row's bits do not depend on how
+    # many of the rows before it are computed.
     t = x.shape[-1]
-    w = x + np.triu(np.full((t, t), -np.inf, dtype=x.dtype), 1)
+    w = x + _causal_mask(x.shape[-2], t, x.dtype)
     top = w[..., :1].copy()
     for j in range(1, t):
         np.maximum(top, w[..., j : j + 1], out=top)
@@ -624,13 +650,7 @@ def causal_attention(qkv, n_heads, p, rng, train):
     b, t, width = qkv.data.shape
     q, k, v = _qkv_heads(qkv.data, n_heads)
     inv_sqrt = _inv_sqrt(width // (3 * n_heads))
-    # The keys are transposed into a contiguous copy: a product against a
-    # transposed view gives the same bits, but OpenBLAS runs it about
-    # three times slower at these small sizes.
-    scores = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
-    scores *= inv_sqrt
-    _checked(scores, "causal_attention")
-    w = _causal_softmax(scores)
+    w = _attention_weights(q, k, inv_sqrt, "causal_attention")
     keep, scale = _dropout_keep(w.shape, p, rng) if train and p else (None, None)
     out = np.empty((b, t, width // 3), dtype=qkv.data.dtype)
     np.matmul(w if keep is None else _dropped(w, keep, scale), v, out=_heads(out, n_heads))
@@ -642,7 +662,8 @@ def causal_attention(qkv, n_heads, p, rng, train):
         gh = _heads(g, n_heads)
         wd = w if keep is None else _dropped(w, keep, scale)
         np.matmul(np.swapaxes(wd, -1, -2), gh, out=gv)
-        gw = gh @ np.swapaxes(v, -1, -2)
+        # A contiguous copy of the transposed values, as for the keys.
+        gw = gh @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
         if keep is not None:
             _dropped(gw, keep, scale, out=gw)
         gs = _softmax_vjp(w, gw)
@@ -652,6 +673,41 @@ def causal_attention(qkv, n_heads, p, rng, train):
         qkv._accumulate(grads, owned=True)
 
     return _node("causal_attention", out, (qkv,), vjp)
+
+
+def newest_query_attention(qkv, n_heads):
+    """The last position of ``causal_attention(qkv, n_heads, p, rng,
+    train=False)``, (B, 1, H*d), with its bits: only the newest query is
+    scored, against every key. It has no backward, so it raises
+    AutodiffError where a tape would record it (qkv requires a gradient
+    outside ``no_grad``).
+
+    Its score and value products have one query row where the full op's
+    have T; OpenBLAS gives each row the same bits at both row counts,
+    which the tests check at the BeT's shapes with one and two BLAS
+    threads."""
+    if _TAPE and qkv.requires_grad:
+        raise AutodiffError("newest_query_attention has no backward; run it under no_grad()")
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
+        raise AutodiffError("newest_query_attention expects a (B, T, 3*H*d) packed projection")
+    b, t, width = qkv.data.shape
+    q, k, v = _qkv_heads(qkv.data, n_heads)
+    w = _attention_weights(q[:, :, t - 1 :], k, _inv_sqrt(width // (3 * n_heads)),
+                           "newest_query_attention")
+    out = np.empty((b, 1, width // 3), dtype=qkv.data.dtype)
+    np.matmul(w, v, out=_heads(out, n_heads))
+    return Tensor(out)
+
+
+def _attention_weights(q, k, inv_sqrt, op_name):
+    # Causal softmax weights of (H, B, Q, d) queries, the last Q positions,
+    # against (H, B, T, d) keys. The keys are transposed into a contiguous
+    # copy: a product against a transposed view gives the same bits, but
+    # OpenBLAS runs it about three times slower at these small sizes.
+    scores = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scores *= inv_sqrt
+    _checked(scores, op_name)
+    return _causal_softmax(scores)
 
 
 def dropout(a, p, rng, train):

@@ -172,11 +172,12 @@ class BeT:
         """Taped forward over a window batch: (B, T, obs) -> (B, T, act).
 
         With last=True only the newest position is read out, (B, 1, act):
-        the final block attends over every position, whose keys and values
-        it needs, then narrows to the last one before its output
-        projection, and the rest of the network runs on that position
-        only. Outside training its bits equal the last position of the
-        full forward.
+        the final block projects every position, whose keys and values it
+        needs, scores only the newest query
+        (``autodiff.newest_query_attention``), and the rest of the network
+        runs on that position only. That path has no backward and runs
+        under ``autodiff.no_grad()``, as ``predict_last`` runs it; its bits
+        equal the last position of the full forward.
         """
         cfg = self.cfg
         t = x.shape[1]
@@ -184,14 +185,17 @@ class BeT:
             raise ValueError(f"window length {t} exceeds context {cfg.context}")
         h = ad.add(self.in_proj(x), ad.narrow(self.pos_emb, 0, t, axis=0))
         h = ad.dropout(h, cfg.dropout, rng, train)
-        # The packed projection and the MLP's hidden layer are not bound to
-        # names: without a tape each is freed as soon as it has been read.
+        # Without a tape the packed projection and the MLP's hidden layer
+        # are freed as soon as they have been read: the projection is
+        # dropped before the hidden layer is made, and the hidden layer is
+        # not bound to a name.
         for i, blk in enumerate(self.blocks):
-            att = ad.causal_attention(
-                ad.norm_affine(h, blk.ln1_gain, blk.ln1_bias, blk.qkv.W, blk.qkv.b),
-                cfg.n_heads, cfg.dropout, rng, train)
+            qkv = ad.norm_affine(h, blk.ln1_gain, blk.ln1_bias, blk.qkv.W, blk.qkv.b)
             if last and i == len(self.blocks) - 1:
-                h, att = ad.narrow(h, t - 1, 1, axis=1), ad.narrow(att, t - 1, 1, axis=1)
+                h, att = ad.narrow(h, t - 1, 1, axis=1), ad.newest_query_attention(qkv, cfg.n_heads)
+            else:
+                att = ad.causal_attention(qkv, cfg.n_heads, cfg.dropout, rng, train)
+            del qkv
             h = ad.residual_affine(h, att, blk.wo.W, blk.wo.b, cfg.dropout, rng, train)
             h = ad.residual_affine(
                 h, ad.norm_affine(h, blk.ln2_gain, blk.ln2_bias, blk.w1.W, blk.w1.b, relu=True),
@@ -202,10 +206,10 @@ class BeT:
         """Action at the latest position only: (B, T, obs) -> (B, act).
 
         windows holds whitened observations, cast to float32. This is
-        forward(last=True) without a tape: the final block's per-position
-        work runs at the newest position only. Bitwise equal, at every
-        batch size, to the last position of ``forward(windows)`` run under
-        ``autodiff.no_grad()``.
+        forward(last=True) without a tape: the final block's attention
+        and per-position work run at the newest position only. Bitwise
+        equal, at every batch size, to the last position of
+        ``forward(windows)`` run under ``autodiff.no_grad()``.
         """
         with ad.no_grad():
             x = ad.Tensor(np.asarray(windows, dtype=np.float32))

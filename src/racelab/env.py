@@ -149,6 +149,11 @@ class RaceEnv:
         self.lap_step = None
         self.touched = None
         self.step_idx = 0
+        # The preview fractions of the speed-scaled horizon: the curvature
+        # samples, then the lookahead points.
+        n_curv, n_look = cfg.curvature_count, cfg.lookahead_count
+        self._preview = np.concatenate((np.arange(1, n_curv + 1) / n_curv,
+                                        np.arange(1, n_look + 1) / n_look))
 
     def reset(self, positions, yaws, speeds, v_y=None, yaw_rate=None):
         """Place cars explicitly, in steady motion.
@@ -161,11 +166,13 @@ class RaceEnv:
         state = veh.initial_state(_quant(positions), _quant(yaws), _quant(speeds))
         if v_y is not None:
             state.v_y = _quant(np.asarray(v_y, dtype=np.float64))
-        s, _, h = self.track.project_many(state.position)
+        s, _, h, _ = self.track.project_many(state.position)
         self.state = state
         self.s = s
         self.track_heading = h
-        self.prev_vel = np.stack([state.v_x, state.v_y], axis=1)
+        self.prev_vel = np.empty((len(s), 2))
+        self.prev_vel[:, 0] = state.v_x
+        self.prev_vel[:, 1] = state.v_y
         self.prev_yaw = state.yaw.copy()
         if yaw_rate is not None:
             self.prev_yaw = self.prev_yaw - np.asarray(yaw_rate, dtype=np.float64) * self.cfg.dt
@@ -203,27 +210,30 @@ class RaceEnv:
         not finite.
         """
         actions = np.asarray(actions, dtype=np.float32)
-        finite = np.isfinite(actions).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
+        if not np.isfinite(actions).all():
+            bad = int(np.argmin(np.isfinite(actions).all(axis=1)))
             raise RolloutError(f"non-finite action from policy at step {self.step_idx} for car {bad}")
-        act = _quant(np.clip(actions, -1.0, 1.0))
-        prev_vel = np.stack([self.state.v_x, self.state.v_y], axis=1)
-        prev_yaw = self.state.yaw.copy()
-        state = veh.step(self.state, act, self.params, self.cfg.dt)
+        # veh.step widens the actions to float64 and clips them there,
+        # which gives the commands a clip in float32 would: the bounds and
+        # every float32 value are exact in float64.
+        prev = self.state
+        state = veh.step(prev, actions, self.params, self.cfg.dt)
         state.position = _quant(state.position)
         state.yaw = _quant(state.yaw)
         state.v_x = _quant(state.v_x)
         state.v_y = _quant(state.v_y)
         # Last step's arclength narrows the nearest-vertex search.
-        s, e, h = self.track.project_many(state.position, s_hint=self.s)
-        state = veh.enforce_track_limits(state, self.track, self.params, s, e, h)
+        s, e, h, center = self.track.project_many(state.position, s_hint=self.s)
+        state = veh.enforce_track_limits(state, self.track, self.params, e, h, center)
         if state.wall_contact.any():
             state.position = _quant(state.position)
             state.v_x = _quant(state.v_x)
         progress = self.track.progress_delta(s, self.s)
-        self.prev_vel = prev_vel
-        self.prev_yaw = prev_yaw
+        # veh.step returns new arrays, so the previous state's are not
+        # written again and need no copy.
+        self.prev_vel[:, 0] = prev.v_x
+        self.prev_vel[:, 1] = prev.v_y
+        self.prev_yaw = prev.yaw
         self.state = state
         self.s = s
         self.track_heading = h
@@ -240,30 +250,30 @@ class RaceEnv:
         state = self.state
         b = len(state.yaw)
         n_curv = cfg.curvature_count
-        n_look = cfg.lookahead_count
+        n_ahead = len(self._preview)
         out = np.zeros((b, obs_dim(cfg)), dtype=np.float64)
-        vel = np.stack([state.v_x, state.v_y], axis=1)
-        out[:, 0:2] = vel
-        out[:, 3:5] = (vel - self.prev_vel) / cfg.dt
+        out[:, 0] = state.v_x
+        out[:, 1] = state.v_y
+        out[:, 3:5] = (out[:, 0:2] - self.prev_vel) / cfg.dt
         out[:, 6] = state.yaw
         out[:, 7] = wrap_angle(state.yaw - self.prev_yaw) / cfg.dt
         # Speed-scaled preview arclengths, one row per car: the curvature
         # samples, then the lookahead points, in one frames pass.
         span = np.maximum(state.v_x, 0.0) * cfg.preview_horizon
-        frac = np.concatenate((np.arange(1, n_curv + 1) / n_curv, np.arange(1, n_look + 1) / n_look))
-        s_ahead = self.s[:, None] + frac[None, :] * span[:, None]
+        s_ahead = self.s[:, None] + self._preview[None, :] * span[:, None]
         centers, hs, curv = self.track.frames(s_ahead.reshape(-1))
-        out[:, 8 : 8 + n_curv] = curv.reshape(b, len(frac))[:, :n_curv]
+        out[:, 8 : 8 + n_curv] = curv.reshape(b, n_ahead)[:, :n_curv]
         psi = wrap_angle(state.yaw - self.track_heading)
         out[:, 8 + n_curv] = np.cos(psi)
         out[:, 9 + n_curv] = np.sin(psi)
-        centers = centers.reshape(b, len(frac), 2)[:, n_curv:]
-        wall = self.track.half_width * left_normal(hs.reshape(b, len(frac))[:, n_curv:])
+        centers = centers.reshape(b, n_ahead, 2)[:, n_curv:]
+        wall = self.track.half_width * left_normal(hs.reshape(b, n_ahead)[:, n_curv:])
         # Left-wall, right-wall and centerline points as one (B, 3n, 2)
-        # block, whose body-frame (x, y) pairs fill the columns in order.
+        # block, whose body-frame (x, y) pairs fill the columns in order:
+        # the reshape of a column block of out is a view of it.
         world = np.concatenate((centers + wall, centers - wall, centers), axis=1)
-        out[:, 10 + n_curv :] = veh.to_body(world - state.position[:, None, :],
-                                            state.yaw[:, None]).reshape(b, -1)
+        veh.to_body(world - state.position[:, None, :], state.yaw[:, None],
+                    out[:, 10 + n_curv :].reshape(b, -1, 2))
         return out.astype(np.float32)
 
 

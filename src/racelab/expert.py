@@ -73,6 +73,8 @@ class ExpertController:
         self.speed_mult = np.asarray(speed_mult, dtype=np.float64)
         self.pursuit_mult = np.asarray(pursuit_mult, dtype=np.float64)
         self.prev_steer = np.zeros_like(self.speed_mult)
+        # The preview's sample points as fractions of its horizon.
+        self._preview = np.arange(xparams.preview_points + 1) / xparams.preview_points
 
     def reset(self):
         self.prev_steer = np.zeros_like(self.speed_mult)
@@ -91,15 +93,12 @@ class ExpertController:
         """Braking-feasible speed from the curvature preview."""
         xp = self.xp
         b_eff = xp.brake_margin * self.vparams.b_max
-        count = xp.preview_points
-        dist = (np.arange(count + 1) / count)[None, :] * (
-            np.maximum(v_x, 5.0) * xp.preview_horizon
-        )[:, None]
+        dist = self._preview[None, :] * (np.maximum(v_x, 5.0) * xp.preview_horizon)[:, None]
         s_samples = np.asarray(s)[:, None] + dist
         _, _, curv = self.track.frames(s_samples.reshape(-1))
         curv = np.abs(curv.reshape(dist.shape))
         v_allow = np.minimum(xp.v_max, np.sqrt(xp.corner_accel / np.maximum(curv, 1e-6)))
-        v_allow = v_allow * (xp.speed_scale * self.speed_mult)[:, None]
+        v_allow *= (xp.speed_scale * self.speed_mult)[:, None]
         feasible = np.sqrt(v_allow**2 + 2.0 * b_eff * dist)
         return feasible.min(axis=1)
 
@@ -109,15 +108,19 @@ class ExpertController:
         v = state.v_x
         look = np.maximum(xp.min_lookahead, v * xp.pursuit_time * self.pursuit_mult)
         goal, _, _ = self.track.frames(np.asarray(s) + look)
-        gx, gy = to_body(goal - state.position, state.yaw).T
+        # The goal in the car's frame, written over its world position.
+        gx, gy = to_body(goal - state.position, state.yaw, goal).T
         d_sq = np.maximum(gx * gx + gy * gy, 1e-6)
         kappa = 2.0 * gy / d_sq
         steer_cmd = np.arctan(self.vparams.wheelbase * kappa) / self.vparams.max_steer
-        steer_cmd = np.clip(steer_cmd, -1.0, 1.0)
+        steer_cmd = np.minimum(np.maximum(-1.0, steer_cmd), 1.0)
         steer = (1.0 - xp.steer_smooth) * self.prev_steer + xp.steer_smooth * steer_cmd
         self.prev_steer = steer
-        throttle = np.clip(xp.throttle_gain * (self.target_speed(s, v) - v), -1.0, 1.0)
-        return np.stack([steer, throttle], axis=1)
+        throttle = xp.throttle_gain * (self.target_speed(s, v) - v)
+        out = np.empty((len(v), 2))
+        out[:, 0] = steer
+        np.minimum(np.maximum(-1.0, throttle), 1.0, out=out[:, 1])
+        return out
 
 
 class SpeedLookup:
@@ -263,8 +266,8 @@ def generate_demos(track, vparams, ecfg, xparams, n_laps, seed):
     for _ in range(DEMO_MAX_STEPS):
         act = controller.act(env.state, env.s)
         if xparams.action_noise > 0.0:
-            act = act + xparams.action_noise * noise_rng.standard_normal(act.shape)
-        actions.append(np.clip(act, -1.0, 1.0).astype(np.float32))
+            act += xparams.action_noise * noise_rng.standard_normal(act.shape)
+        actions.append(np.minimum(np.maximum(-1.0, act), 1.0).astype(np.float32))
         rows.append((env.step(actions[-1])[0], *_lap_state(env)))
         if env.lap_step.all():
             break

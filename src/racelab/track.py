@@ -40,6 +40,18 @@ MIN_HALF_WIDTH = 3.0
 # Segment offsets, from the nearest vertex, that project_many refines over.
 _CANDIDATES = np.arange(-2, 2)
 
+# Columns of ``Track.segments``: row k describes vertex k and the segment
+# from it to vertex k + 1 (around the loop). Each difference is taken
+# once here, with the operands ``frames`` and ``project_many`` would
+# otherwise read per call, so reading it from the table keeps their bits.
+# _AT holds the vertex's position, heading and curvature; _CHANGE the
+# change of each to vertex k + 1, the heading's wrapped; so a point at
+# fraction u of the segment interpolates as _AT + u * _CHANGE.
+_AT, _CHANGE = slice(0, 4), slice(4, 8)
+_XY, _DXY = slice(0, 2), slice(4, 6)
+_S, _DS = 8, 9  # arclength of vertex k; of vertex k + 1 minus it
+_DXY_SQ, _DXY_LEN = 10, 11  # squared length of _DXY; its square root
+
 # Windowed projection (``Track.project_many`` with a hint). A car moves at
 # most v_cap * dt = 4.5 m per control step, under two vertices at the
 # default 2.5 m spacing. CLEAR_SKIP is K: vertices more than K indices
@@ -50,6 +62,7 @@ _CANDIDATES = np.arange(-2, 2)
 # W - K = 4 vertices past the hint's segment before the check gives up.
 CLEAR_SKIP = 6
 WINDOW = 10
+_WINDOW_OFFSETS = np.arange(2 * WINDOW + 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,14 +79,14 @@ class Track:
     meta : dict
         Generation record (preset name, parameters, seed).
 
-    Derived arrays (vertex arclengths, headings, curvatures, clearances)
-    are computed once at construction. ``clearance_sq[k]`` is the squared
-    distance from vertex k to the nearest vertex more than CLEAR_SKIP
-    indices away around the loop; it lets ``project_many`` prove that a
-    windowed nearest-vertex search found the global answer. Construction
-    validates vertex count, spacing, half width, and that
-    ``|curvature| * half_width < 1`` everywhere so wall offsets never
-    self-intersect.
+    Derived arrays (vertex arclengths, headings, curvatures, clearances
+    and the per-segment table ``segments``) are computed once at
+    construction. ``clearance_sq[k]`` is the squared distance from vertex
+    k to the nearest vertex more than CLEAR_SKIP indices away around the
+    loop; it lets ``project_many`` prove that a windowed nearest-vertex
+    search found the global answer. Construction validates vertex count,
+    spacing, half width, and that ``|curvature| * half_width < 1``
+    everywhere so wall offsets never self-intersect.
     """
 
     points: np.ndarray
@@ -83,6 +96,7 @@ class Track:
     headings: np.ndarray = dataclasses.field(init=False, repr=False)
     curvatures: np.ndarray = dataclasses.field(init=False, repr=False)
     clearance_sq: np.ndarray = dataclasses.field(init=False, repr=False)
+    segments: np.ndarray = dataclasses.field(init=False, repr=False)
     length: float = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -112,6 +126,7 @@ class Track:
         object.__setattr__(self, "headings", headings)
         object.__setattr__(self, "curvatures", curv)
         object.__setattr__(self, "clearance_sq", _clearance_sq(pts))
+        object.__setattr__(self, "segments", _segment_table(pts, s, headings, curv))
         object.__setattr__(self, "length", float(s[-1]))
 
     # -- arclength parameterization ------------------------------------
@@ -134,26 +149,15 @@ class Track:
         headings : ndarray, shape (B,)
         curvatures : ndarray, shape (B,)
         """
-        idx, nxt, u = self._locate(s)
-        p = self.points[idx] + u[:, None] * (self.points[nxt] - self.points[idx])
-        h = _slerp_angle(self.headings[idx], self.headings[nxt], u)
-        c = self.curvatures[idx] + u * (self.curvatures[nxt] - self.curvatures[idx])
-        return p, h, c
-
-    def centerline(self, s):
-        """Centerline positions (B, 2) at arclengths s, equal to the
-        positions ``frames`` returns, without headings or curvatures."""
-        idx, nxt, u = self._locate(s)
-        return self.points[idx] + u[:, None] * (self.points[nxt] - self.points[idx])
-
-    def _locate(self, s):
-        """Segment start and end vertex and fraction along it, per arclength."""
         s = self.wrap(np.asarray(s, dtype=np.float64))
-        idx = np.searchsorted(self.s_points, s, side="right") - 1
-        idx = np.clip(idx, 0, len(self.points) - 1)
-        s0 = self.s_points[idx]
-        u = (s - s0) / (self.s_points[idx + 1] - s0)
-        return idx, (idx + 1) % len(self.points), u
+        # The segment of an arclength is the number of segment ends at or
+        # before it. An arclength that wraps to exactly the lap length
+        # lands on the table's last row, a copy of the final segment's.
+        seg = self.segments[self.s_points[1:].searchsorted(s, side="right")]
+        u = (s - seg[:, _S]) / seg[:, _DS]
+        # Position, heading and curvature in one product and one sum.
+        at = seg[:, _AT] + u[:, None] * seg[:, _CHANGE]
+        return at[:, 0:2], wrap_angle(at[:, 2]), at[:, 3]
 
     # -- projection ----------------------------------------------------
 
@@ -164,7 +168,8 @@ class Track:
         point-to-segment projection on the segments adjacent to it.
         Returns, per point, the arclength s of the closest centerline
         point, the signed lateral offset e (positive to the left of
-        travel) and the interpolated centerline heading at s. Raises
+        travel), and the interpolated centerline heading and position
+        (B, 2) at s, the heading and position ``frames(s)`` gives. Raises
         ValueError if a point is farther than 10 * half_width from every
         vertex, where a projection would be meaningless.
 
@@ -182,7 +187,6 @@ class Track:
         bitwise those of the dense search, with or without a hint.
         """
         pts = np.asarray(pts, dtype=np.float64)
-        n = len(self.points)
         if s_hint is None:
             nearest, near_d2 = self._nearest_dense(pts)
         else:
@@ -195,21 +199,20 @@ class Track:
         # Check the two segments touching the nearest vertex, plus one
         # more on each side to be safe near short segments, as one (B, 4)
         # batch. argmin keeps the first of equal distances.
-        i = (nearest[:, None] + _CANDIDATES) % n
-        a = self.points[i]
-        ab = self.points[(i + 1) % n] - a
-        denom = (ab * ab).sum(axis=2)
-        t = np.clip(((pts[:, None] - a) * ab).sum(axis=2) / denom, 0.0, 1.0)
+        seg = self.segments[(nearest[:, None] + _CANDIDATES) % len(self.points)]
+        a, ab = seg[..., _XY], seg[..., _DXY]
+        t = ((pts[:, None] - a) * ab).sum(axis=2) / seg[..., _DXY_SQ]
+        t = np.minimum(np.maximum(0.0, t), 1.0)
         q = a + t[..., None] * ab
         rows = np.arange(len(pts))
         best = ((pts[:, None] - q) ** 2).sum(axis=2).argmin(axis=1)
-        s = self.wrap(self.s_points[i[rows, best]] + t[rows, best] * np.sqrt(denom[rows, best]))
-        best_q = q[rows, best]
-        _, h, _ = self.frames(s)
+        seg = seg[rows, best]
+        s = self.wrap(seg[:, _S] + t[rows, best] * seg[:, _DXY_LEN])
+        d = pts - q[rows, best]
+        center, h, _ = self.frames(s)
         normal = left_normal(h)
-        d = pts - best_q
         e = normal[:, 0] * d[:, 0] + normal[:, 1] * d[:, 1]
-        return s, e, h
+        return s, e, h, center
 
     def _nearest_dense(self, pts):
         """Nearest vertex and its squared distance, over every vertex."""
@@ -221,10 +224,11 @@ class Track:
         """``_nearest_dense`` searching the hint's window where that is exact."""
         n = len(self.points)
         # The hint's segment index, as in frames; taken mod n below.
-        first = np.searchsorted(self.s_points, self.wrap(s_hint), side="right") - (1 + WINDOW)
+        first = self.s_points[1:].searchsorted(self.wrap(s_hint), side="right") - WINDOW
         # Sorted, so that argmin breaks ties on the lowest vertex index
         # also in windows that wrap past vertex 0.
-        win = np.sort((first[:, None] + np.arange(2 * WINDOW + 2)) % n, axis=1)
+        win = (first[:, None] + _WINDOW_OFFSETS) % n
+        win.sort(axis=1)
         d2 = _dist_sq(pts, self.points[win])
         col = d2.argmin(axis=1)
         rows = np.arange(len(pts))
@@ -291,12 +295,27 @@ def wrap_angle(a):
 
 def left_normal(h):
     """Unit normal(s) pointing left of heading(s) h, shape h.shape + (2,)."""
-    return np.stack([-np.sin(h), np.cos(h)], axis=-1)
+    out = np.empty(np.shape(h) + (2,))
+    np.negative(np.sin(h), out=out[..., 0])
+    np.cos(h, out=out[..., 1])
+    return out
 
 
-def _slerp_angle(a, b, u):
-    """Shortest-path interpolation between angles, wrapped to [-pi, pi]."""
-    return wrap_angle(a + u * wrap_angle(b - a))
+def _segment_table(pts, s_points, headings, curvatures):
+    """``Track.segments``: one row per vertex, in the columns named at the
+    top of the module, and a last row that repeats the final segment's."""
+    nxt = np.roll(np.arange(len(pts)), -1)
+    table = np.empty((len(pts) + 1, 12))
+    rows = table[:-1]
+    rows[:, _AT] = np.column_stack([pts, headings, curvatures])
+    rows[:, _CHANGE] = np.column_stack([pts[nxt] - pts, wrap_angle(headings[nxt] - headings),
+                                        curvatures[nxt] - curvatures])
+    rows[:, _S] = s_points[:-1]
+    rows[:, _DS] = s_points[1:] - s_points[:-1]
+    rows[:, _DXY_SQ] = (rows[:, _DXY] * rows[:, _DXY]).sum(axis=1)
+    rows[:, _DXY_LEN] = np.sqrt(rows[:, _DXY_SQ])
+    table[-1] = table[-2]
+    return table
 
 
 # -- generation --------------------------------------------------------

@@ -73,16 +73,19 @@ def slip_and_yaw_rate(delta, v_x, params):
     """Kinematic-bicycle slip angle and yaw rate at road-wheel angle delta
     and longitudinal speed v_x, with the center of mass lr_ratio of the
     wheelbase ahead of the rear axle."""
-    beta = np.arctan(params.lr_ratio * np.tan(delta))
-    return beta, (v_x / params.wheelbase) * np.tan(delta) * np.cos(beta)
+    tan_delta = np.tan(delta)
+    beta = np.arctan(params.lr_ratio * tan_delta)
+    return beta, (v_x / params.wheelbase) * tan_delta * np.cos(beta)
 
 
-def to_body(rel, yaw):
+def to_body(rel, yaw, out):
     """World-frame offsets rel (..., 2) in the frame of a car heading yaw:
-    x forward, y to the left. yaw broadcasts against rel[..., 0]."""
+    x forward, y to the left. yaw broadcasts against rel[..., 0]. The
+    result is written into out, of rel's shape, and returned."""
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
-    return np.stack([rel[..., 0] * cos_y + rel[..., 1] * sin_y,
-                     -rel[..., 0] * sin_y + rel[..., 1] * cos_y], axis=-1)
+    np.add(rel[..., 0] * cos_y, rel[..., 1] * sin_y, out=out[..., 0])
+    np.subtract(rel[..., 1] * cos_y, rel[..., 0] * sin_y, out=out[..., 1])
+    return out
 
 
 def step(state, actions, params, dt):
@@ -91,35 +94,37 @@ def step(state, actions, params, dt):
     actions is (B, 2): column 0 steering, column 1 throttle/brake, both
     in [-1, 1] (clipped here as a final guard).
     """
-    act = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+    act = np.minimum(np.maximum(-1.0, np.asarray(actions, dtype=np.float64)), 1.0)
     accel_cmd = act[:, 1]
     beta, yaw_rate = slip_and_yaw_rate(act[:, 0] * params.max_steer, state.v_x, params)
     # Grip: cap lateral acceleration |v_x * yaw_rate| by rescaling.
     lat = np.abs(state.v_x * yaw_rate)
-    over = lat > params.grip_limit
-    yaw_rate = np.where(over, yaw_rate * params.grip_limit / np.maximum(lat, 1e-12), yaw_rate)
-    accel = np.where(accel_cmd >= 0.0, accel_cmd * params.a_max, accel_cmd * params.b_max)
-    accel = accel - params.c_drag * state.v_x * state.v_x
-    v_x = np.clip(state.v_x + accel * dt, 0.0, params.v_cap)
+    np.divide(yaw_rate * params.grip_limit, lat, out=yaw_rate, where=lat > params.grip_limit)
+    accel = accel_cmd * np.where(accel_cmd >= 0.0, params.a_max, params.b_max)
+    accel -= params.c_drag * state.v_x * state.v_x
+    v_x = np.minimum(np.maximum(0.0, state.v_x + accel * dt), params.v_cap)
     yaw = wrap_angle(state.yaw + yaw_rate * dt)
     v_y = v_x * np.tan(beta)
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
-    vel_world = np.stack([v_x * cos_y - v_y * sin_y, v_x * sin_y + v_y * cos_y], axis=1)
-    position = state.position + vel_world * dt
-    return VehicleState(position, yaw, v_x, v_y, np.zeros_like(v_x))
+    position = np.empty_like(state.position)
+    np.subtract(v_x * cos_y, v_y * sin_y, out=position[:, 0])
+    np.add(v_x * sin_y, v_y * cos_y, out=position[:, 1])
+    position *= dt
+    position += state.position
+    return VehicleState(position, yaw, v_x, v_y, np.zeros(len(v_x)))
 
 
-def enforce_track_limits(state, track, params, s, e, heading):
+def enforce_track_limits(state, track, params, e, heading, center):
     """Clamp off-track cars to the boundary and slow them down.
 
-    s, e and heading are ``track.project_many`` of the positions. Returns
-    the corrected state (the input is modified in place) with
-    wall_contact set for clamped cars.
+    e, heading and center are the lateral offsets, centerline headings
+    and centerline points that ``track.project_many`` gives for the
+    positions. Returns the corrected state (the input is modified in
+    place) with wall_contact set for clamped cars.
     """
     outside = np.abs(e) > track.half_width
     if outside.any():
-        # The projection's heading is the centerline heading at s.
-        clamped = track.centerline(s) + np.sign(e)[:, None] * track.half_width * left_normal(heading)
+        clamped = center + np.sign(e)[:, None] * track.half_width * left_normal(heading)
         state.position = np.where(outside[:, None], clamped, state.position)
         state.v_x = np.where(outside, state.v_x * params.wall_speed_loss, state.v_x)
         state.v_y = np.where(outside, 0.0, state.v_y)

@@ -417,6 +417,33 @@ class TestFusedOps:
         assert np.array_equal(w.grad, x.data.T @ mask)
         assert np.array_equal(x.grad, mask @ w.data.T)
 
+    @pytest.mark.parametrize("rows,fan_in", [(1024, 256), (500, 32), (7, 5), (1, 3), (4, 1)])
+    def test_one_column_input_gradient_equals_the_matrix_product_bitwise(self, rows, fan_in):
+        """With a one-column weight, x's gradient is the broadcast product
+        plus +0.0, whose bits are those of the K = 1 matrix product, signed
+        zeros included; so are the weight's and the bias's."""
+        rng = np.random.default_rng(rows + fan_in)
+        g = rng.standard_normal((rows, 1)).astype(np.float32)
+        w = rng.standard_normal((fan_in, 1)).astype(np.float32)
+        g[::3], g[1::7], w[::4], w[2::5] = 0.0, -0.0, 0.0, -0.0
+        x = rng.standard_normal((rows, fan_in)).astype(np.float32)
+        x[::2, ::3] = -0.0
+        xt, wt, bt = (ad.Tensor(a.copy(), requires_grad=True)
+                      for a in (x, w, rng.standard_normal(1).astype(np.float32)))
+        gx = ad._affine_vjp(g.copy(), x, wt, bt, True)
+        want = g @ w.T
+        assert _same_bits(gx, want)
+        # The broadcast product alone has -0.0 where the matrix product has +0.0.
+        outer = g * w.T
+        assert (np.signbit(outer) & (outer == 0)).any() and not np.signbit(want[want == 0]).any()
+        assert _same_bits(wt.grad, x.T @ g)
+        assert _same_bits(bt.grad, g.sum(axis=0))
+        with ad.precision("float64"):
+            g64, w64 = g.astype(np.float64), w.astype(np.float64)
+            got = ad._affine_vjp(g64, x.astype(np.float64), ad.Tensor(w64), ad.Tensor(np.zeros(1)),
+                                 True)
+            assert _same_bits(got, g64 @ w64.T)
+
     @pytest.mark.parametrize("fan_in,fan_out", [(64, 256), (54, 256), (256, 256)])
     @pytest.mark.exact_bits
     def test_affine_relu_rows_do_not_depend_on_the_row_count(self, fan_in, fan_out):
@@ -581,6 +608,44 @@ class TestFusedOps:
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             ref.append((e / np.cumsum(e, axis=-1)[..., -1:]) @ v.data[..., cols])
         assert np.array_equal(no_drop.data, np.concatenate(ref, axis=-1))
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 20, 64, 256])
+    @pytest.mark.exact_bits
+    def test_newest_query_attention_is_the_last_row_bitwise(self, batch):
+        """One query row scored against every key gives the bits of the last
+        row of the T-row attention, at the desk BeT's heads (4 of width 16)
+        and every window length up to its context. The products have one
+        row where the full op's have T."""
+        rng = np.random.default_rng(batch)
+        qkv = (2.0 * rng.standard_normal((batch, 20, 3 * 64))).astype(np.float32)
+        with ad.no_grad():
+            for t in (*range(1, 6), 20):
+                x = ad.Tensor(qkv[:, :t])
+                full = ad.causal_attention(x, 4, 0.1, None, train=False).data
+                assert _same_bits(ad.newest_query_attention(x, 4).data, full[:, -1:]), t
+
+    def test_newest_query_attention_refuses_a_tape(self):
+        qkv = np.random.default_rng(3).standard_normal((2, 5, 18)).astype(np.float32)
+        with pytest.raises(ad.AutodiffError, match="no backward"):
+            ad.newest_query_attention(ad.Tensor(qkv, requires_grad=True), 3)
+        ad.newest_query_attention(ad.Tensor(qkv), 3)  # nothing to record
+        with ad.no_grad():
+            ad.newest_query_attention(ad.Tensor(qkv, requires_grad=True), 3)
+        with pytest.raises(ad.AutodiffError, match="packed projection"):
+            ad.newest_query_attention(ad.Tensor(qkv[..., :16]), 3)
+
+    @pytest.mark.parametrize("t", [5, 20])
+    def test_causal_mask_is_built_once_per_window_length(self, t):
+        ad._causal_mask.cache_clear()
+        for x in (np.zeros((2, t, t), np.float32), np.ones((3, t, t), np.float32),
+                  np.zeros((4, 1, t), np.float32)):
+            ad._causal_softmax(x)
+        info = ad._causal_mask.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        mask = ad._causal_mask(t, t, np.dtype(np.float32))
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.triu(np.full((t, t), -np.inf, np.float32), 1))
+        assert np.array_equal(ad._causal_mask(1, t, np.dtype(np.float32)), mask[-1:])
 
     def test_overflowing_variance_names_layer_norm(self):
         """The fused layer norm, norm_affine, names itself. The normalized

@@ -207,8 +207,11 @@ def test_desk_prefixes_are_bit_identical_at_small_batch(batch):
 @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 20, 256])
 @pytest.mark.exact_bits
 def test_desk_predict_last_is_the_last_position_bitwise(batch):
-    """The last-position forward, taped or not, equals the last position of
-    the full forward, and a window's action does not depend on the batch."""
+    """The last-position forward equals the last position of the full
+    forward, and a window's action does not depend on the batch. Its final
+    block scores the newest query alone, against the full forward's T
+    query rows, so this compares products of different row counts. The
+    last-position forward has no backward and refuses a tape."""
     cfg = BeTConfig()
     model = _perturbed_model(cfg, seed=48)
     x = 3.0 * RNG(49).standard_normal((256, cfg.eval_context, cfg.obs_dim)).astype(np.float32)
@@ -216,8 +219,11 @@ def test_desk_predict_last_is_the_last_position_bitwise(batch):
         window = x[:batch, :t]
         last = model.predict_last(window)
         np.testing.assert_array_equal(last, _forward(model, window)[:, -1])
-        np.testing.assert_array_equal(last, model.forward(ad.Tensor(window), last=True).data[:, 0])
+        with ad.no_grad():
+            np.testing.assert_array_equal(last, model.forward(ad.Tensor(window), last=True).data[:, 0])
         np.testing.assert_array_equal(last, model.predict_last(x[:, :t])[:batch])
+        with pytest.raises(ad.AutodiffError, match="newest_query_attention"):
+            model.forward(ad.Tensor(window), last=True)
 
 
 def test_window_longer_than_context_rejected():

@@ -140,7 +140,7 @@ def test_wall_contact_flags_and_clamps_the_car(circle_env):
             break
     assert hit, "full lock into the wall never made contact"
     # clamped cars sit exactly at the boundary
-    _, e, _ = circle_env.track.project_many(circle_env.state.position)
+    _, e, _, _ = circle_env.track.project_many(circle_env.state.position)
     assert np.all(np.abs(e[wall > 0]) <= circle_env.track.half_width + 1e-6)
 
 

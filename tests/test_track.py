@@ -58,7 +58,7 @@ class TestProjection:
             frame_pos, h, _ = track.frames(np.asarray([s0]))
             normal = np.asarray([-np.sin(h[0]), np.cos(h[0])])
             point = frame_pos[0] + e0 * normal
-            (s,), (e,), _ = track.project_many(point[None])
+            (s,), (e,), _, _ = track.project_many(point[None])
             d_impl = np.linalg.norm(point - track.frames(np.asarray([s]))[0][0])
             brute = np.linalg.norm(pos_dense - point, axis=1)
             # Exact segment projection can only beat the sampled oracle.
@@ -76,7 +76,7 @@ class TestProjection:
             e0 = rng.uniform(-track.half_width * 0.9, track.half_width * 0.9)
             pos, h, _ = track.frames(np.asarray([s0]))
             normal = np.asarray([-np.sin(h[0]), np.cos(h[0])])
-            (s,), (e,), _ = track.project_many((pos[0] + e0 * normal)[None])
+            (s,), (e,), _, _ = track.project_many((pos[0] + e0 * normal)[None])
             # Frames interpolate vertex headings, so the offset point is
             # not exactly along a polyline normal; allow a small shift.
             assert abs(track.progress_delta(s, s0)) < 0.25
@@ -87,8 +87,8 @@ class TestProjection:
         # Counterclockwise circle: the center is to the left of travel.
         inner = np.asarray([97.0, 0.0])
         outer = np.asarray([103.0, 0.0])
-        _, (e_inner,), _ = track.project_many(inner[None])
-        _, (e_outer,), _ = track.project_many(outer[None])
+        _, (e_inner,), _, _ = track.project_many(inner[None])
+        _, (e_outer,), _, _ = track.project_many(outer[None])
         assert e_inner > 0
         assert e_outer < 0
 
@@ -101,9 +101,9 @@ class TestProjection:
         track = gen_track("random", seed=11)
         rng = np.random.default_rng(2)
         pts = track.points[rng.choice(len(track.points), 10)] + rng.normal(0, 2.0, (10, 2))
-        s_b, e_b, h_b = track.project_many(pts)
+        s_b, e_b, h_b, _ = track.project_many(pts)
         for i, p in enumerate(pts):
-            (s,), (e,), (h,) = track.project_many(p[None])
+            (s,), (e,), (h,), _ = track.project_many(p[None])
             assert s == s_b[i] and e == e_b[i] and h == h_b[i]
 
 
@@ -157,7 +157,7 @@ class TestBatchedRefinement:
         side = rng.choice([-1.0, 1.0], batch) * rng.uniform(1.05, 1.5, batch)
         pts, _ = _place(track, np.stack([s0 / track.length, side, np.zeros(batch)], axis=1))
         car = initial_state(pts, np.zeros(batch), np.full(batch, 20.0))
-        car = enforce_track_limits(car, track, VehicleParams(), *track.project_many(pts))
+        car = enforce_track_limits(car, track, VehicleParams(), *track.project_many(pts)[1:])
         assert car.wall_contact.all()
         got = track.project_many(car.position)
         assert np.abs(np.abs(got[2]) - np.pi).max() < 0.25
@@ -283,7 +283,7 @@ class TestWindowedProjection:
         track = _stadium(radius=20.0, straight=200.0)
         x = np.linspace(-50.0, 50.0, 11)
         pts = np.stack([x, np.full(11, -2.0)], axis=1)
-        hint, _, _ = track.project_many(np.stack([x, np.full(11, 20.0)], axis=1))
+        hint, _, _, _ = track.project_many(np.stack([x, np.full(11, 20.0)], axis=1))
         want = track.project_many(pts)
         assert (track.points[track._nearest_dense(pts)[0], 1] < 0).all()
         _assert_bitwise(track.project_many(pts, s_hint=hint), want)

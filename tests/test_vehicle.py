@@ -147,9 +147,9 @@ class TestWallContact:
         # Radius 100 circle: a car at radius 92 is 8 m inside (left),
         # beyond the 6 m half width.
         state = initial_state(np.asarray([[92.0, 0.0]]), np.asarray([np.pi / 2]), np.asarray([20.0]))
-        out = enforce_track_limits(state, track, params, *track.project_many(state.position))
+        out = enforce_track_limits(state, track, params, *track.project_many(state.position)[1:])
         assert out.wall_contact[0] == 1.0
-        _, (e,), _ = track.project_many(out.position)
+        _, (e,), _, _ = track.project_many(out.position)
         # Reprojection through interpolated frames reintroduces sub-mm
         # error; the clamp itself is exact in its own projection frame.
         assert abs(abs(e) - track.half_width) < 5e-3
@@ -161,7 +161,7 @@ class TestWallContact:
         pos = np.asarray([[99.0, 0.0]])
         state = initial_state(pos, np.asarray([np.pi / 2]), np.asarray([20.0]))
         before = state.position.copy()
-        out = enforce_track_limits(state, track, params, *track.project_many(pos))
+        out = enforce_track_limits(state, track, params, *track.project_many(pos)[1:])
         assert out.wall_contact[0] == 0.0
         assert np.array_equal(out.position, before)
         assert out.v_x[0] == 20.0
@@ -170,7 +170,7 @@ class TestWallContact:
         track = circle_track(100.0)
         params = VehicleParams()
         state = initial_state(np.asarray([[110.0, 0.0]]), np.asarray([np.pi / 2]), np.asarray([30.0]))
-        out = enforce_track_limits(state, track, params, *track.project_many(state.position))
+        out = enforce_track_limits(state, track, params, *track.project_many(state.position)[1:])
         # The car remains usable: another step works fine.
         nxt = step(out, np.asarray([[0.0, 0.5]]), params, 0.1)
         assert np.isfinite(nxt.position).all()
