@@ -231,7 +231,7 @@ def _make_q(in_dim, hidden, rng, name):
 
 
 def _copy_net(src, name):
-    dst = _make_q(src.dims[0], src.dims[1:-1], np.random.default_rng(0), name)
+    dst = _make_q(src.dims[0], src.dims[1:-1], None, name)
     for (_, p_dst), (_, p_src) in zip(dst.params().items(), src.params().items()):
         p_dst.data[...] = p_src.data
     return dst
@@ -594,7 +594,7 @@ def load_stack(path, manifest, hidden=None):
             raise nets.CheckpointError(f"{path}/residual.ckpt records alpha {alpha!r}, "
                                        "not a number in (0, 1]")
         built.append(build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
-                                        np.random.default_rng(0), alpha=alpha, bet=bet, bc=bc,
+                                        None, alpha=alpha, bet=bet, bc=bc,
                                         hidden=hidden, bet_normalizer=base_normalizer))
         return built[0].residual.params()
 

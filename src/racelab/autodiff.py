@@ -9,27 +9,37 @@ a zero gradient rather than a missing one.
 
 The ops are the ones the package's networks and losses call, and no
 more; a test checks that each public name has a caller. Most are
-elementwise or shape primitives. Four are fused, one tape node each
+elementwise or shape primitives. Five are fused, one tape node each
 with an analytic backward, because the networks run them many times per
 step: :func:`affine` (matrix product plus bias, and the relu after it
 when asked), :func:`norm_affine` (a layer norm and the affine that reads
 it), :func:`residual_affine` (a transformer block's residual branch: its
-last affine, its dropout and the residual sum) and
-:func:`causal_attention` (multi-head causal self-attention). A fused
-node keeps only what its backward reads, so its intermediates are never
-tape tensors, and a dropout mask is kept as booleans. One op has no
+last affine, its dropout and the residual sum), :func:`attention_residual`
+(multi-head causal self-attention and the residual branch after it) and
+:func:`embed` (a transformer's input projection, position embedding and
+dropout). A fused node keeps only what its backward reads, so its
+intermediates are never tape tensors; one that is cheap to rebuild, the
+attention output, is recomputed by the backward instead of kept. Dropout
+is inverted: it zeroes an element with probability p, rounded to a
+multiple of 2^-16 since the mask draws 16-bit integers, and rescales the
+rest by 1/(1-p); a node keeps its mask as booleans. One op has no
 backward: :func:`newest_query_attention`, causal attention for the last
 position alone, which inference reads; it refuses to be taped.
 
 A node's output buffer belongs to the node, with one exception: the
 residual stream. No backward reads the stream's values, so when the
-stream ``h`` passed to :func:`residual_affine` is a taped op output, the
-branch is added into ``h``'s buffer and the new node shares it; a
-transformer's whole stream is then one buffer. An op output given to
-``residual_affine`` as ``h`` must therefore feed only ops whose backward
-does not read their input (:func:`norm_affine`, :func:`narrow`, another
-``residual_affine``). A leaf's buffer, and every buffer under
-:func:`no_grad`, is never written.
+stream ``h`` passed to :func:`residual_affine` or
+:func:`attention_residual` is a taped op output, the branch is added
+into ``h``'s buffer and the new node shares it; a transformer's whole
+stream is then one buffer. An op output given to either as ``h`` must
+therefore feed only ops whose backward does not read their input
+(:func:`norm_affine`, :func:`narrow`, another residual op). A leaf's
+buffer, and every buffer under :func:`no_grad`, is never written.
+
+A graph is walked once. :func:`backward` releases each node as soon as
+its backward has run, dropping its closure, its parents and its
+gradient, so the tape shrinks during the walk; a second backward through
+a walked node raises :class:`AutodiffError`. Node values stay readable.
 
 Inside :func:`no_grad` the same ops serve gradient-free forwards
 (rollouts, bootstrap targets, rewards, evaluation): outputs are constants
@@ -86,9 +96,9 @@ __all__ = [
     "softplus",
     "clip",
     "minimum",
-    "causal_attention",
+    "attention_residual",
     "newest_query_attention",
-    "dropout",
+    "embed",
     "mean_all",
     "sum_last",
     "mse",
@@ -104,6 +114,8 @@ _DTYPE = np.float32
 _TAPE = True
 _SERIAL = itertools.count()
 _MAX_RANK = 3
+# The backward closure of a node that backward() has released.
+_WALKED = object()
 
 
 def default_dtype():
@@ -146,8 +158,8 @@ class Tensor:
     """A node in the computation tape.
 
     Leaves are created with :func:`tensor`; interior nodes are produced by
-    ops. ``grad`` is lazily allocated by backward() and accumulates across
-    calls until :func:`zero_grads` resets it.
+    ops. A leaf's ``grad`` is lazily allocated by backward() and
+    accumulates across backwards until :func:`zero_grads` resets it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_serial")
@@ -406,23 +418,17 @@ def residual_affine(h, x, w, b, p, rng, train):
 
     The product and its dropped copy are never tape tensors; the node
     keeps only the boolean mask. The output and every gradient have the
-    bits of ``add(h, dropout(affine(x, w, b), p, rng, train))``: addition
-    commutes exactly, and the mask draws the same numbers from rng. h must
-    have the shape of the product, which is checked before anything is
-    computed. When h is a taped op output (it has parents), the sum is
-    written into h's buffer, which the output then shares; a leaf h, and
-    any h under no_grad, is left as it was.
+    bits of the ``affine``, dropout and ``add`` nodes that this op
+    replaces: addition commutes exactly, and the mask draws the same
+    numbers from rng. h must have the shape of the product, which is
+    checked before anything is computed. When h is a taped op output (it
+    has parents), the sum is written into h's buffer, which the output
+    then shares; a leaf h, and any h under no_grad, is left as it was.
     """
     if h.data.shape != x.data.shape[:-1] + w.data.shape[-1:]:
         raise AutodiffError("residual_affine expects h to have the shape of x @ w")
-    out = _affine(x.data, w.data, b.data, "residual_affine")
-    keep, scale = _dropout_keep(out.shape, p, rng) if train and p else (None, None)
-    if keep is not None:
-        _dropped(out, keep, scale, out=out)
-    if _TAPE and h._parents:
-        out = np.add(h.data, out, out=h.data)
-    else:
-        out += h.data
+    out, keep, scale = _residual_sum(h, _affine(x.data, w.data, b.data, "residual_affine"),
+                                     p, rng, train)
 
     def vjp(g):
         gx = _affine_vjp(g if keep is None else _dropped(g, keep, scale), x.data, w, b,
@@ -433,6 +439,17 @@ def residual_affine(h, x, w, b, p, rng, train):
             h._accumulate(g, owned=True)
 
     return _node("residual_affine", out, (h, x, w, b), vjp)
+
+
+def _residual_sum(h, branch, p, rng, train):
+    # h + dropout(branch, p) for the array branch, which is dropped in
+    # place: into h's buffer when h is a taped op output. Returns the sum
+    # and the mask and scale of _drop.
+    keep, scale = _drop(branch, p, rng, train)
+    if _TAPE and h._parents:
+        return np.add(h.data, branch, out=h.data), keep, scale
+    branch += h.data
+    return branch, keep, scale
 
 
 def transpose_last2(a):
@@ -600,6 +617,16 @@ def _dropout_keep(shape, p, rng):
     return (u >= thr).reshape(shape), 65536 / (65536 - thr)
 
 
+def _drop(x, p, rng, train):
+    # Inverted dropout of the array x in place, in training at p > 0;
+    # returns the mask and the scale, else None and None.
+    if not (train and p):
+        return None, None
+    keep, scale = _dropout_keep(x.shape, p, rng)
+    _dropped(x, keep, scale, out=x)
+    return keep, scale
+
+
 def _dropped(x, keep, scale, out=None):
     # x * keep, then * scale: the bits of x * (keep * scale), since
     # multiplying by 1 or 0 is exact, with a one-byte mask.
@@ -626,59 +653,90 @@ def _inv_sqrt(d):
     return float(1.0 / np.sqrt(d))
 
 
-def causal_attention(qkv, n_heads, p, rng, train):
-    """Multi-head causal self-attention over a packed (B, T, 3*H*d)
-    projection: the queries, keys and values side by side, each (H*d)
-    wide with its heads in order.
+def attention_residual(h, qkv, n_heads, w, b, p, rng, train):
+    """h + dropout(attend(qkv) @ w + b, p): a transformer block's attention
+    sublayer after its packed projection, multi-head causal self-attention,
+    its output projection, dropout and the residual sum, as one tape node.
 
-    Every head of every window runs in a few batched matmuls over
-    head-major (H, B, T, d) strided views of the packed projection,
-    [h, b] holding head h of window b: scaled scores, a row softmax that
-    gives every future position exactly zero weight, inverted dropout on
-    the weights and the value product, written through a view into the
-    (B, T, H*d) output, heads side by side. Only the transposed keys are
-    copied, for the score product, and the copy is not kept.
-    A dropout draw takes four mask values from each 64-bit word, so one
-    draw of shape (H, B, T, T) equals, value for value, H successive
-    per-head draws of shape (B, T, T) when each head's B*T*T is a multiple
-    of 4. The node keeps the softmax weights and the boolean mask; the
-    backward masks the weights again and writes the query, key and value
-    gradients through views into one packed buffer.
+    qkv is a packed (B, T, 3*H*d) projection: the queries, keys and values
+    side by side, each (H*d) wide with its heads in order. Every head of
+    every window runs in a few batched matmuls over head-major
+    (H, B, T, d) strided views of it, [h, b] holding head h of window b:
+    scaled scores, a row softmax that gives every future position exactly
+    zero weight, inverted dropout on the weights and the value product,
+    written through a view into the (B, T, H*d) attention output, heads
+    side by side. Only the transposed keys are copied, for the score
+    product, and the copy is not kept. The output projection, its dropout
+    and the sum then follow :func:`residual_affine`: h must have the shape
+    of the projection, and a taped interior h takes the sum in its buffer.
+
+    The weights' mask is drawn before the projection's. A draw takes four
+    mask values from each 64-bit word, so one draw of shape (H, B, T, T)
+    equals, value for value, H successive per-head draws of shape
+    (B, T, T) when each head's B*T*T is a multiple of 4.
+
+    The node keeps the softmax weights and both boolean masks, not the
+    attention output: its backward forms the dropped weights once and
+    rebuilds the output from them with the forward's own batched product,
+    for the weight gradient, then writes the query, key and value
+    gradients through views into one packed buffer. The output and every
+    gradient have the bits of the attention, ``affine``, dropout and
+    ``add`` nodes that this op replaces.
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
-        raise AutodiffError("causal_attention expects a (B, T, 3*H*d) packed projection")
-    b, t, width = qkv.data.shape
+        raise AutodiffError("attention_residual expects a (B, T, 3*H*d) packed projection")
+    batch, t, width = qkv.data.shape
+    if h.data.shape != (batch, t) + w.data.shape[-1:]:
+        raise AutodiffError("attention_residual expects h to have the shape of the projection")
     q, k, v = _qkv_heads(qkv.data, n_heads)
     inv_sqrt = _inv_sqrt(width // (3 * n_heads))
-    w = _attention_weights(q, k, inv_sqrt, "causal_attention")
-    keep, scale = _dropout_keep(w.shape, p, rng) if train and p else (None, None)
-    out = np.empty((b, t, width // 3), dtype=qkv.data.dtype)
-    np.matmul(w if keep is None else _dropped(w, keep, scale), v, out=_heads(out, n_heads))
+    weights = _attention_weights(q, k, inv_sqrt, "attention_residual")
+    keep, scale = _dropout_keep(weights.shape, p, rng) if train and p else (None, None)
+    att = _attend(weights if keep is None else _dropped(weights, keep, scale), v, n_heads)
+    out, out_keep, out_scale = _residual_sum(
+        h, _affine(att, w.data, b.data, "attention_residual"), p, rng, train)
+    del att  # not kept: the backward rebuilds it
 
     def vjp(g):
+        wd = weights if keep is None else _dropped(weights, keep, scale)
         q, k, v = _qkv_heads(qkv.data, n_heads)
-        grads = np.empty(qkv.data.shape, dtype=qkv.data.dtype)
-        gq, gk, gv = _qkv_heads(grads, n_heads)
-        gh = _heads(g, n_heads)
-        wd = w if keep is None else _dropped(w, keep, scale)
-        np.matmul(np.swapaxes(wd, -1, -2), gh, out=gv)
-        # A contiguous copy of the transposed values, as for the keys.
-        gw = gh @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        if keep is not None:
-            _dropped(gw, keep, scale, out=gw)
-        gs = _softmax_vjp(w, gw)
-        gs *= inv_sqrt
-        np.matmul(gs, k, out=gq)
-        np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
-        qkv._accumulate(grads, owned=True)
+        gh = _affine_vjp(g if out_keep is None else _dropped(g, out_keep, out_scale),
+                         _attend(wd, v, n_heads), w, b, qkv.requires_grad)
+        if gh is not None:
+            grads = np.empty(qkv.data.shape, dtype=qkv.data.dtype)
+            gq, gk, gv = _qkv_heads(grads, n_heads)
+            gh = _heads(gh, n_heads)
+            np.matmul(np.swapaxes(wd, -1, -2), gh, out=gv)
+            # A contiguous copy of the transposed values, as for the keys.
+            gw = gh @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
+            if keep is not None:
+                _dropped(gw, keep, scale, out=gw)
+            gs = _softmax_vjp(weights, gw)
+            gs *= inv_sqrt
+            np.matmul(gs, k, out=gq)
+            np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+            qkv._accumulate(grads, owned=True)
+        if h.requires_grad:
+            h._accumulate(g, owned=True)
 
-    return _node("causal_attention", out, (qkv,), vjp)
+    return _node("attention_residual", out, (h, qkv, w, b), vjp)
+
+
+def _attend(weights, v, n_heads):
+    # The (B, T, H*d) attention output of (H, B, Q, T) weights, dropped or
+    # not, and (H, B, T, d) values: one batched product, written through a
+    # head-major view.
+    _, batch, rows, _ = weights.shape
+    out = np.empty((batch, rows, n_heads * v.shape[-1]), dtype=v.dtype)
+    np.matmul(weights, v, out=_heads(out, n_heads))
+    return out
 
 
 def newest_query_attention(qkv, n_heads):
-    """The last position of ``causal_attention(qkv, n_heads, p, rng,
-    train=False)``, (B, 1, H*d), with its bits: only the newest query is
-    scored, against every key. It has no backward, so it raises
+    """The last position of the attention output that
+    :func:`attention_residual` computes from qkv outside training,
+    (B, 1, H*d), with its bits: only the newest query is scored, against
+    every key. It has no backward, so it raises
     AutodiffError where a tape would record it (qkv requires a gradient
     outside ``no_grad``).
 
@@ -690,13 +748,11 @@ def newest_query_attention(qkv, n_heads):
         raise AutodiffError("newest_query_attention has no backward; run it under no_grad()")
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
         raise AutodiffError("newest_query_attention expects a (B, T, 3*H*d) packed projection")
-    b, t, width = qkv.data.shape
+    t, width = qkv.data.shape[1:]
     q, k, v = _qkv_heads(qkv.data, n_heads)
     w = _attention_weights(q[:, :, t - 1 :], k, _inv_sqrt(width // (3 * n_heads)),
                            "newest_query_attention")
-    out = np.empty((b, 1, width // 3), dtype=qkv.data.dtype)
-    np.matmul(w, v, out=_heads(out, n_heads))
-    return Tensor(out)
+    return Tensor(_attend(w, v, n_heads))
 
 
 def _attention_weights(q, k, inv_sqrt, op_name):
@@ -710,25 +766,39 @@ def _attention_weights(q, k, inv_sqrt, op_name):
     return _causal_softmax(scores)
 
 
-def dropout(a, p, rng, train):
-    """Inverted dropout: zero with probability p and rescale by 1/(1-p),
-    with p rounded to a multiple of 2^-16 (the mask draws 16-bit integers).
-    The node keeps a boolean mask and applies it, then the scale, which
-    gives the bits of one multiply by a mask of zeros and scales.
+def embed(x, w, b, pos, p, rng, train):
+    """dropout(x @ w + b + pos[:T], p) for windows x of shape (B, T, in):
+    a transformer's input projection, its position embedding (the first T
+    rows of the table pos) and the dropout after their sum, as one tape
+    node.
 
-    Outside training (or at p = 0) it is the identity and returns ``a``
-    itself, adding nothing to the tape.
+    The node keeps only the boolean mask, which it applies, then the
+    scale: the bits of one multiply by a mask of zeros and scales. Outside
+    training, or at p = 0, nothing is drawn. The output and every gradient
+    have the bits of the ``affine``, ``narrow``, ``add`` and dropout nodes
+    that this op replaces; pos's gradient is the batch sum of the dropped
+    gradient, in the first T rows of zeros.
     """
-    p = float(p)
-    if not train or p == 0.0:
-        return a
-    keep, scale = _dropout_keep(a.data.shape, p, rng)
+    if x.data.ndim != 3 or x.data.shape[1] > pos.data.shape[0]:
+        raise AutodiffError("embed expects (B, T, in) windows no longer than the position table")
+    t = x.data.shape[1]
+    out = _affine(x.data, w.data, b.data, "embed")
+    out += pos.data[:t]
+    keep, scale = _drop(out, p, rng, train)
 
     def vjp(g):
         # g is the node's own gradient buffer, dropped after this call.
-        a._accumulate(_dropped(g, keep, scale, out=g), owned=True)
+        if keep is not None:
+            _dropped(g, keep, scale, out=g)
+        if pos.requires_grad:
+            full = np.zeros_like(pos.data)
+            full[:t] = g.sum(axis=0)
+            pos._accumulate(full, owned=True)
+        gx = _affine_vjp(g, x.data, w, b, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx, owned=True)
 
-    return _node("dropout", _dropped(a.data, keep, scale), (a,), vjp)
+    return _node("embed", out, (x, w, b, pos), vjp)
 
 
 def mean_all(a):
@@ -808,8 +878,12 @@ def _gained(xhat, gain, bias):
 def backward(root):
     """Accumulate gradients of a scalar root into every reachable leaf.
 
-    Nodes are visited exactly once, in reverse tape append order. Calling
-    twice without zero_grads() sums the two gradient fields.
+    Nodes are visited exactly once, in reverse tape append order, and
+    each is released once its backward has run: its closure, parents and
+    gradient are dropped, so what only the walk still holds is freed as
+    it goes. A graph is therefore walked once; a backward that reaches a
+    released node raises AutodiffError. Leaf gradients add up across the
+    backwards of fresh graphs until zero_grads().
     """
     if root.data.size != 1:
         raise AutodiffError("backward requires a scalar root")
@@ -820,16 +894,21 @@ def backward(root):
         node = stack.pop()
         if id(node) in seen:
             continue
+        if node._vjp is _WALKED:
+            raise AutodiffError("backward reached a node that an earlier backward walked; "
+                                "build the loss again")
         seen.add(id(node))
         nodes.append(node)
         stack.extend(node._parents)
     nodes.sort(key=lambda n: n._serial)
     root._accumulate(np.ones_like(root.data))
-    for node in reversed(nodes):
-        if node._vjp is not None and node.grad is not None:
+    while nodes:
+        node = nodes.pop()
+        if node.is_leaf:
+            continue
+        if node.grad is not None:
             node._vjp(node.grad)
-        if not node.is_leaf:
-            node.grad = None
+        node._vjp, node._parents, node.grad = _WALKED, (), None
 
 
 def zero_grads(tensors):

@@ -23,19 +23,23 @@ yet tested.
 Each block runs its heads together. One packed projection,
 ``blk{i}.qkv``, gives the queries, keys and values side by side,
 (B, T, 3*H*d) with W of shape (d, 3d), as GPT-2's ``c_attn`` does.
-Attention (``autodiff.causal_attention``) reads each third as a
-head-major (H, B, T, d) strided view of it, [h, b] holding head h of
-window b, so it is a few batched products rather than a loop over heads,
-and no head is copied. In that order one dropout draw over all heads'
-weights takes the same random numbers, in the same places, as a draw per
-head in head order, whenever each head's draw is a multiple of 4 values.
-Dropout draws 16-bit integers, so the dropout rate in effect is
-``dropout`` rounded to a multiple of 2^-16. Each layer norm and the
-projection that reads it are one ``autodiff.norm_affine`` node, and each
-residual branch ends in one ``autodiff.residual_affine`` node, its output
-projection, dropout and residual sum together, so a block puts 5 tensors
-on the tape. In a taped forward the residual stream is one buffer, which
-each branch adds into.
+Attention reads each third as a head-major (H, B, T, d) strided view of
+it, [h, b] holding head h of window b, so it is a few batched products
+rather than a loop over heads, and no head is copied. In that order one
+dropout draw over all heads' weights takes the same random numbers, in
+the same places, as a draw per head in head order, whenever each head's
+draw is a multiple of 4 values. Dropout draws 16-bit integers, so the
+dropout rate in effect is ``dropout`` rounded to a multiple of 2^-16.
+
+The tape holds few nodes. The input projection, position embedding and
+dropout are one ``autodiff.embed`` node. Each layer norm and the
+projection that reads it are one ``autodiff.norm_affine`` node. The
+attention and the residual branch after it (output projection, dropout
+and residual sum) are one ``autodiff.attention_residual`` node, which
+rebuilds the attention output in its backward rather than keeping it,
+and the MLP's branch ends in one ``autodiff.residual_affine`` node. So a
+block puts 4 tensors on the tape. In a taped forward the residual stream
+is one buffer, which each branch adds into.
 
 The model is trained once and then frozen: downstream trainers hold it
 without any optimizer, and evaluation checksums its parameters
@@ -113,9 +117,10 @@ class _Block:
         self.ln1_bias = ad.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
         # The query, key and value weights, drawn one after another and
         # packed side by side.
-        self.qkv = nets.Affine(d, 3 * d, rng, zero=True)
-        self.qkv.W.data[...] = np.concatenate(
-            [nets.trunc_normal((d, d), cfg.w_std, rng) for _ in range(3)], axis=1)
+        self.qkv = nets.Affine(d, 3 * d, None)
+        if rng is not None:
+            self.qkv.W.data[...] = np.concatenate(
+                [nets.trunc_normal((d, d), cfg.w_std, rng) for _ in range(3)], axis=1)
         self.wo = nets.Affine(d, d, rng, w_std=cfg.w_std)
         self.ln2_gain = ad.Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         self.ln2_bias = ad.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
@@ -140,15 +145,18 @@ class _Block:
 
 
 class BeT:
-    """The transformer policy; normalized observations in, actions out."""
+    """The transformer policy; normalized observations in, actions out.
+
+    Its weights are drawn from rng; with rng None every parameter is zero
+    or one, for a model that a checkpoint is read into."""
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
         dtype = ad.default_dtype()
         self.in_proj = nets.Affine(cfg.obs_dim, cfg.embed_dim, rng, w_std=cfg.w_std)
-        self.pos_emb = ad.Tensor(
-            nets.trunc_normal((cfg.context, cfg.embed_dim), cfg.w_std, rng), requires_grad=True
-        )
+        shape = (cfg.context, cfg.embed_dim)
+        self.pos_emb = ad.Tensor(np.zeros(shape, dtype=dtype) if rng is None
+                                 else nets.trunc_normal(shape, cfg.w_std, rng), requires_grad=True)
         self.blocks = [_Block(cfg, rng) for _ in range(cfg.n_layers)]
         self.lnf_gain = ad.Tensor(np.ones(cfg.embed_dim, dtype=dtype), requires_grad=True)
         self.lnf_bias = ad.Tensor(np.zeros(cfg.embed_dim, dtype=dtype), requires_grad=True)
@@ -183,8 +191,7 @@ class BeT:
         t = x.shape[1]
         if t > cfg.context:
             raise ValueError(f"window length {t} exceeds context {cfg.context}")
-        h = ad.add(self.in_proj(x), ad.narrow(self.pos_emb, 0, t, axis=0))
-        h = ad.dropout(h, cfg.dropout, rng, train)
+        h = ad.embed(x, self.in_proj.W, self.in_proj.b, self.pos_emb, cfg.dropout, rng, train)
         # Without a tape the packed projection and the MLP's hidden layer
         # are freed as soon as they have been read: the projection is
         # dropped before the hidden layer is made, and the hidden layer is
@@ -192,11 +199,13 @@ class BeT:
         for i, blk in enumerate(self.blocks):
             qkv = ad.norm_affine(h, blk.ln1_gain, blk.ln1_bias, blk.qkv.W, blk.qkv.b)
             if last and i == len(self.blocks) - 1:
-                h, att = ad.narrow(h, t - 1, 1, axis=1), ad.newest_query_attention(qkv, cfg.n_heads)
+                h = ad.residual_affine(ad.narrow(h, t - 1, 1, axis=1),
+                                       ad.newest_query_attention(qkv, cfg.n_heads),
+                                       blk.wo.W, blk.wo.b, cfg.dropout, rng, train)
             else:
-                att = ad.causal_attention(qkv, cfg.n_heads, cfg.dropout, rng, train)
+                h = ad.attention_residual(h, qkv, cfg.n_heads, blk.wo.W, blk.wo.b,
+                                          cfg.dropout, rng, train)
             del qkv
-            h = ad.residual_affine(h, att, blk.wo.W, blk.wo.b, cfg.dropout, rng, train)
             h = ad.residual_affine(
                 h, ad.norm_affine(h, blk.ln2_gain, blk.ln2_bias, blk.w1.W, blk.w1.b, relu=True),
                 blk.w2.W, blk.w2.b, cfg.dropout, rng, train)
@@ -267,7 +276,8 @@ def save_bet(path, model, normalizer, extra=None):
 
 def load_bet(path):
     """Returns (model, normalizer, meta) from a checkpoint. The model is
-    built from the header's config and its parameters are read in place."""
+    built from the header's config, with nothing drawn, and its parameters
+    are read in place."""
     built = []
 
     def into(meta, shapes):
@@ -279,7 +289,7 @@ def load_bet(path):
             raise nets.CheckpointError(
                 f"base-policy checkpoint {path} does not match this version's BeTConfig: "
                 f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
-        built.append(BeT(BeTConfig(**meta["config"]), np.random.default_rng(0)))
+        built.append(BeT(BeTConfig(**meta["config"]), None))
         return built[0].params()
 
     meta, _ = nets.load_params(path, into)

@@ -61,10 +61,12 @@ def trunc_normal(shape, std, rng):
 
 
 class Affine:
-    """x @ W + b with W of shape (fan_in, fan_out)."""
+    """x @ W + b with W of shape (fan_in, fan_out). W is drawn from rng,
+    and is zero with zero=True or with no rng: a net that a loader reads
+    into draws nothing."""
 
     def __init__(self, fan_in, fan_out, rng, w_std=None, zero=False):
-        if zero:
+        if zero or rng is None:
             w = np.zeros((fan_in, fan_out), dtype=ad.default_dtype())
         else:
             std = w_std if w_std is not None else 1.0 / np.sqrt(fan_in)

@@ -168,7 +168,8 @@ def save_bc(path, net, normalizer, extra=None):
 
 def load_bc(path):
     """Returns (net, normalizer, meta) from a checkpoint that save_bc wrote.
-    The net is built from the header's widths and read in place."""
+    The net is built from the header's widths, with nothing drawn, and
+    read in place."""
     built = []
 
     def into(meta, shapes):
@@ -178,7 +179,7 @@ def load_bc(path):
             raise nets.CheckpointError(f"cloned-base checkpoint {path} records no whitener "
                                        "(an older checkpoint; fit the base again)")
         dims = meta["dims"]
-        built.append(make_bc_net(dims[0], dims[-1], dims[1:-1], np.random.default_rng(0)))
+        built.append(make_bc_net(dims[0], dims[-1], dims[1:-1], None))
         return built[0].params()
 
     meta, _ = nets.load_params(path, into)
@@ -287,7 +288,9 @@ def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,
     whitener of whichever base the stack has, the one it was fitted with;
     without one the base reads the observation as normalizer whitens it.
     alpha is required for modes with a base and a correction head; modes
-    whose correction head is the whole policy ignore it (forced to 1).
+    whose correction head is the whole policy ignore it (forced to 1). rng
+    draws the correction head's weights; with rng None they are zero, for
+    a head that a checkpoint is read into.
     """
     if mode not in MODE_SPECS:
         raise ValueError(f"unknown mode '{mode}'")

@@ -583,6 +583,32 @@ def test_load_stack_acts_bitwise_like_the_live_stack(tiny_world, tmp_path, mode)
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("mode", ["betail", "bcail"])
+def test_loaders_draw_no_initialization(tiny_world, tmp_path, monkeypatch, mode):
+    """load_stack, with load_bet or load_bc under it, and the critics'
+    target copies build their nets with nothing drawn: they work while
+    nets.trunc_normal raises, and give back the saved parameters."""
+    track, vparams, ecfg, demos = tiny_world
+    bet = BeT(BeTConfig(obs_dim=demos.obs_dim, embed_dim=8, n_layers=1, n_heads=2,
+                        context=4, eval_context=2), RNG(45))
+    live = build_policy_stack(mode, demos.normalizer, demos.obs_dim, RNG(40), alpha=0.1, bet=bet,
+                              bc=make_bc_net(demos.obs_dim, 2, (8,), RNG(46)), hidden=(32, 32))
+    trainer = Trainer(live, track, vparams, ecfg, demos, _tiny_cfg(), 0)
+    path = str(tmp_path / "bundle")
+    save_bundle(path, trainer)
+
+    def drawn(*args):
+        raise AssertionError("a loader drew a random initialization")
+
+    monkeypatch.setattr(nets, "trunc_normal", drawn)
+    loaded = ail.load_stack(path, ail.read_manifest(path))
+    assert loaded.params().keys() == live.params().keys()
+    assert nets.params_checksum(loaded.params()) == nets.params_checksum(live.params())
+    copy = ail._copy_net(trainer.sac.q1, "q1_t")
+    assert [p.data.tobytes() for p in copy.params().values()] == \
+        [p.data.tobytes() for p in trainer.sac.q1.params().values()]
+
+
 def test_load_stack_refuses_a_cloned_base_file_of_another_kind(tiny_world, tmp_path):
     track, vparams, ecfg, demos = tiny_world
     bc = make_bc_net(demos.obs_dim, 2, (8,), RNG(43))

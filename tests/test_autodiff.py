@@ -6,6 +6,9 @@ the tape gradient to 1e-6 relative error. Subgradient conventions at
 kinks, the exact causal mask, and error behavior are pinned separately.
 """
 
+import functools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -89,7 +92,7 @@ def _float_keep(shape, p, rng, dtype):
 
 
 def _float_mask_dropout(a, p, rng, train):
-    """ad.dropout as it held a float mask of zeros and scales."""
+    """_dropout as it was when it held a float mask of zeros and scales."""
     if not train or p == 0.0:
         return a
     keep = _float_keep(a.data.shape, p, rng, a.data.dtype)
@@ -100,13 +103,72 @@ def _float_mask_dropout(a, p, rng, train):
     return ad._node("dropout", a.data * keep, (a,), vjp)
 
 
-def _unfused_residual(h, x, w, b, p, rng, train):
+def _dropout(a, p, rng, train):
+    """Dropout as its own tape node, as the package had it before the ops
+    that drop their outputs took it in: the identity outside training,
+    else a boolean mask applied, then the scale."""
+    p = float(p)
+    if not train or p == 0.0:
+        return a
+    keep, scale = ad._dropout_keep(a.data.shape, p, rng)
+
+    def vjp(g):
+        a._accumulate(ad._dropped(g, keep, scale, out=g), owned=True)
+
+    return ad._node("dropout", ad._dropped(a.data, keep, scale), (a,), vjp)
+
+
+def _causal_attention(qkv, n_heads, p, rng, train):
+    """Multi-head causal self-attention as its own tape node, as the
+    package had it before attention_residual: strided head-major views,
+    the output and the softmax weights held for the backward."""
+    b, t, width = qkv.data.shape
+    q, k, v = ad._qkv_heads(qkv.data, n_heads)
+    inv_sqrt = ad._inv_sqrt(width // (3 * n_heads))
+    w = ad._attention_weights(q, k, inv_sqrt, "causal_attention")
+    keep, scale = ad._dropout_keep(w.shape, p, rng) if train and p else (None, None)
+    out = np.empty((b, t, width // 3), dtype=qkv.data.dtype)
+    np.matmul(w if keep is None else ad._dropped(w, keep, scale), v, out=ad._heads(out, n_heads))
+
+    def vjp(g):
+        q, k, v = ad._qkv_heads(qkv.data, n_heads)
+        grads = np.empty(qkv.data.shape, dtype=qkv.data.dtype)
+        gq, gk, gv = ad._qkv_heads(grads, n_heads)
+        gh = ad._heads(g, n_heads)
+        wd = w if keep is None else ad._dropped(w, keep, scale)
+        np.matmul(np.swapaxes(wd, -1, -2), gh, out=gv)
+        gw = gh @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
+        if keep is not None:
+            ad._dropped(gw, keep, scale, out=gw)
+        gs = ad._softmax_vjp(w, gw)
+        gs *= inv_sqrt
+        np.matmul(gs, k, out=gq)
+        np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+        qkv._accumulate(grads, owned=True)
+
+    return ad._node("causal_attention", out, (qkv,), vjp)
+
+
+def _unfused_residual(h, x, w, b, p, rng, train, drop=_dropout):
     """ad.residual_affine as the three nodes it fuses."""
-    return ad.add(h, ad.dropout(ad.affine(x, w, b), p, rng, train))
+    return ad.add(h, drop(ad.affine(x, w, b), p, rng, train))
+
+
+def _unfused_attention_residual(h, qkv, n_heads, w, b, p, rng, train,
+                                attend=_causal_attention, drop=_dropout):
+    """ad.attention_residual as the four nodes it fuses: attention, and an
+    affine, dropout and add after it. The weights' mask is drawn first."""
+    return _unfused_residual(h, attend(qkv, n_heads, p, rng, train), w, b, p, rng, train, drop)
+
+
+def _unfused_embed(x, w, b, pos, p, rng, train, drop=_dropout):
+    """ad.embed as the four nodes it fuses."""
+    return drop(ad.add(ad.affine(x, w, b), ad.narrow(pos, 0, x.data.shape[1], axis=0)),
+                p, rng, train)
 
 
 def _copy_attention(qkv, n_heads, p, rng, train):
-    """ad.causal_attention as it was before the strided views: head-split
+    """_causal_attention as it was before the strided views: head-split
     copies of q, k and v, scores against a transposed view of the copied
     keys, the row-max softmax, a float mask, the dropped weights held for
     the backward and the gradients merged from head-major copies."""
@@ -485,21 +547,42 @@ class TestFusedOps:
     @pytest.mark.parametrize("batch,t", [(1, 1), (4, 1), (3, 5), (20, 5), (64, 20), (256, 5)])
     @pytest.mark.exact_bits
     def test_attention_views_equal_the_head_split_copies_bitwise(self, batch, t):
-        """The view kernel gives the bits of the copy kernel, output and
-        packed gradient, with dropout under a fixed generator and without."""
+        """attention_residual, which reads strided views, gives the bits of
+        the nodes it replaced: the attention node, as it was and as the
+        copy kernel before it, and the affine, dropout and add after it.
+        Output, also without a tape, and the gradients of the stream,
+        packed projection, weight and bias, with dropout under a fixed
+        generator and without. The stream is a taped interior node, whose
+        buffer the fused op takes."""
         rng = np.random.default_rng(batch * 10 + t)
-        qkv = rng.standard_normal((batch, t, 3 * 64)).astype(np.float32)
-        probe = rng.standard_normal((batch, t, 64)).astype(np.float32)
+        data = [rng.standard_normal((batch, t, 64)),
+                rng.standard_normal((batch, t, 3 * 64)),
+                0.1 * rng.standard_normal((64, 64)),
+                rng.standard_normal(64)]
+        probe = ad.Tensor(rng.standard_normal((batch, t, 64)).astype(np.float32))
+        copies = functools.partial(_unfused_attention_residual, attend=_copy_attention)
         for p, train in ((0.1, True), (0.0, True), (0.1, False)):
             got = []
-            for attention in (ad.causal_attention, _copy_attention):
-                x = ad.Tensor(qkv.copy(), requires_grad=True)
-                out = attention(x, 4, p, np.random.default_rng(9), train)
-                ad.backward(ad.mean_all(ad.mul(out, ad.Tensor(probe))))
-                got.append((out.data, x.grad))
-            (out, grad), (ref_out, ref_grad) = got
-            assert _same_bits(out, ref_out), (p, train)
-            assert _same_bits(grad, ref_grad), (p, train)
+            for op in (ad.attention_residual, _unfused_attention_residual, copies):
+                leaves = [ad.Tensor(a.astype(np.float32), requires_grad=True) for a in data]
+                with ad.no_grad():
+                    untaped = op(leaves[0], leaves[1], 4, *leaves[2:], p, None, False).data
+                h = ad.scale(leaves[0], 1.0)
+                out = op(h, leaves[1], 4, *leaves[2:], p, np.random.default_rng(9), train)
+                assert np.shares_memory(out.data, h.data) == (op is ad.attention_residual)
+                ad.backward(ad.mean_all(ad.mul(out, probe)))
+                got.append([out.data, untaped] + [leaf.grad for leaf in leaves])
+            for name, fused, *refs in zip(("out", "untaped", "h", "qkv", "w", "b"), *got):
+                assert all(_same_bits(fused, ref) for ref in refs), (name, p, train)
+
+    def test_attention_residual_refuses_mismatched_shapes(self):
+        qkv = ad.tensor(np.ones((2, 5, 18)))
+        w, b = ad.tensor(np.ones((6, 6))), ad.tensor(np.zeros(6))
+        with pytest.raises(ad.AutodiffError, match="packed projection"):
+            ad.attention_residual(ad.tensor(np.ones((2, 5, 6))), qkv, 4, w, b, 0.0, None, False)
+        for shape in ((2, 5, 5), (2, 4, 6), (5, 6)):
+            with pytest.raises(ad.AutodiffError, match="shape of the projection"):
+                ad.attention_residual(ad.tensor(np.ones(shape)), qkv, 3, w, b, 0.0, None, False)
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("shape,fan_out", [
@@ -537,10 +620,11 @@ class TestFusedOps:
     def test_bet_gradients_equal_those_of_the_former_kernels(self, monkeypatch):
         """A taped training forward and backward of the desk BeT at (64, 20),
         with dropout, gives bitwise the parameter gradients of the former
-        kernels: the head-split copy attention with strided keys and the
-        row-max softmax, float dropout masks, unfused residual branches
-        whose sums copy the stream, and each layer norm its own node,
-        built in one expression, before the affine that reads it."""
+        kernels: an embedding of four nodes, the head-split copy attention
+        with strided keys and the row-max softmax as its own node, float
+        dropout masks, unfused residual branches whose sums copy the
+        stream, and each layer norm its own node, built in one expression,
+        before the affine that reads it."""
         from racelab.bet import BeT, BeTConfig
 
         cfg = BeTConfig()
@@ -558,10 +642,12 @@ class TestFusedOps:
             return {name: p.grad.copy() for name, p in model.params().items()}
 
         now = gradients()
-        monkeypatch.setattr(ad, "causal_attention", _copy_attention)
-        monkeypatch.setattr(ad, "residual_affine", _unfused_residual)
+        monkeypatch.setattr(ad, "embed", functools.partial(_unfused_embed, drop=_float_mask_dropout))
+        monkeypatch.setattr(ad, "attention_residual", functools.partial(
+            _unfused_attention_residual, attend=_copy_attention, drop=_float_mask_dropout))
+        monkeypatch.setattr(ad, "residual_affine",
+                            functools.partial(_unfused_residual, drop=_float_mask_dropout))
         monkeypatch.setattr(ad, "norm_affine", _unfused_norm_affine)
-        monkeypatch.setattr(ad, "dropout", _float_mask_dropout)
         monkeypatch.setattr(ad, "_layer_norm", _two_temporary_layer_norm)
         former = gradients()
         assert now.keys() == former.keys()
@@ -569,36 +655,46 @@ class TestFusedOps:
             assert _same_bits(now[name], former[name]), name
 
     def test_attention_with_dropout_matches_finite_differences(self):
+        """attention_residual's gradients of the stream, the packed
+        projection, the weight and the bias, with both masks drawn."""
         rng = np.random.default_rng(32)
+        h = rng.standard_normal((2, 5, 4))
         qkv = rng.standard_normal((2, 5, 18))
-        probe = rng.standard_normal((2, 5, 6))
+        w = rng.standard_normal((6, 4))
+        b = rng.standard_normal(4)
+        probe = rng.standard_normal((2, 5, 4))
 
-        def build(a):
-            # A fresh generator per evaluation: every call drops the same weights.
-            out = ad.causal_attention(a, 3, 0.3, np.random.default_rng(7), train=True)
+        def build(hh, a, W, c):
+            # A fresh generator per evaluation: every call drops the same units.
+            out = ad.attention_residual(hh, a, 3, W, c, 0.3, np.random.default_rng(7), True)
             return probe_loss(out, probe)
 
-        check_grads(build, [qkv], rng)
+        check_grads(build, [h, qkv, w, b], rng)
 
     @pytest.mark.exact_bits
     def test_attention_equals_per_head_primitive_ops_bitwise(self):
         """One head-major dropout draw equals per-head draws in head order
-        (each head's 3 * 6 * 6 mask values are a multiple of 4)."""
+        (each head's 3 * 6 * 6 mask values are a multiple of 4), and the
+        output projection's mask is drawn after them."""
         rng = np.random.default_rng(33)
         n_heads, d = 4, 8
         qkv = ad.Tensor(rng.standard_normal((3, 6, 3 * n_heads * d)).astype(np.float32))
+        h = ad.Tensor(rng.standard_normal((3, 6, n_heads * d)).astype(np.float32))
+        wo = ad.Tensor((0.1 * rng.standard_normal((n_heads * d, n_heads * d))).astype(np.float32))
+        bo = ad.Tensor(rng.standard_normal(n_heads * d).astype(np.float32))
         q, k, v = (ad.narrow(qkv, j * n_heads * d, n_heads * d) for j in range(3))
-        fused = ad.causal_attention(qkv, n_heads, 0.1, np.random.default_rng(8), train=True)
+        fused = ad.attention_residual(h, qkv, n_heads, wo, bo, 0.1, np.random.default_rng(8), True)
         draws = np.random.default_rng(8)
         heads = []
         for i in range(n_heads):
             qh, kh, vh = (ad.narrow(x, i * d, d) for x in (q, k, v))
             scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(d))
-            w = ad.dropout(ad.Tensor(ad._causal_softmax(scores.data)), 0.1, draws, train=True)
+            w = _dropout(ad.Tensor(ad._causal_softmax(scores.data)), 0.1, draws, train=True)
             heads.append(ad.matmul(w, vh))
-        assert np.array_equal(fused.data, ad.concat(heads).data)
+        want = _unfused_residual(h, ad.concat(heads), wo, bo, 0.1, draws, True)
+        assert np.array_equal(fused.data, want.data)
         # Without dropout, against the same arithmetic in plain numpy.
-        no_drop = ad.causal_attention(qkv, n_heads, 0.1, None, train=False)
+        no_drop = ad.attention_residual(h, qkv, n_heads, wo, bo, 0.1, None, False)
         allowed = np.tril(np.ones((6, 6), dtype=bool))
         ref = []
         for i in range(n_heads):
@@ -607,7 +703,8 @@ class TestFusedOps:
             scores = np.where(allowed, scores * np.float32(1.0 / np.sqrt(d)), -np.inf)
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             ref.append((e / np.cumsum(e, axis=-1)[..., -1:]) @ v.data[..., cols])
-        assert np.array_equal(no_drop.data, np.concatenate(ref, axis=-1))
+        want = ad.add(h, ad.affine(ad.Tensor(np.concatenate(ref, axis=-1)), wo, bo))
+        assert np.array_equal(no_drop.data, want.data)
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 20, 64, 256])
     @pytest.mark.exact_bits
@@ -615,14 +712,24 @@ class TestFusedOps:
         """One query row scored against every key gives the bits of the last
         row of the T-row attention, at the desk BeT's heads (4 of width 16)
         and every window length up to its context. The products have one
-        row where the full op's have T."""
+        row where the full op's have T. The residual branch that the BeT's
+        last-position forward runs after it gives the last row of
+        attention_residual."""
         rng = np.random.default_rng(batch)
         qkv = (2.0 * rng.standard_normal((batch, 20, 3 * 64))).astype(np.float32)
+        h = rng.standard_normal((batch, 20, 64)).astype(np.float32)
+        w = ad.Tensor((0.1 * rng.standard_normal((64, 64))).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(64).astype(np.float32))
         with ad.no_grad():
             for t in (*range(1, 6), 20):
-                x = ad.Tensor(qkv[:, :t])
-                full = ad.causal_attention(x, 4, 0.1, None, train=False).data
-                assert _same_bits(ad.newest_query_attention(x, 4).data, full[:, -1:]), t
+                x, ht = ad.Tensor(qkv[:, :t]), ad.Tensor(h[:, :t])
+                newest = ad.newest_query_attention(x, 4)
+                full = _causal_attention(x, 4, 0.1, None, train=False).data
+                assert _same_bits(newest.data, full[:, -1:]), t
+                last = ad.residual_affine(ad.narrow(ht, t - 1, 1, axis=1), newest, w, b,
+                                          0.1, None, False)
+                full = ad.attention_residual(ht, x, 4, w, b, 0.1, None, False).data
+                assert _same_bits(last.data, full[:, -1:]), t
 
     def test_newest_query_attention_refuses_a_tape(self):
         qkv = np.random.default_rng(3).standard_normal((2, 5, 18)).astype(np.float32)
@@ -655,17 +762,18 @@ class TestFusedOps:
         with np.errstate(over="ignore"), pytest.raises(ad.AutodiffError, match="norm_affine"):
             ad.norm_affine(x, g, b, ad.tensor(np.eye(4)), b)
 
-    def test_overflowing_scores_name_causal_attention(self):
+    def test_overflowing_scores_name_attention_residual(self):
         qkv = ad.tensor(np.concatenate([np.full((1, 3, 4), 1e20), np.full((1, 3, 4), -1e20),
                                         np.full((1, 3, 4), 1e20)], axis=-1))
+        h, w, b = ad.tensor(np.zeros((1, 3, 4))), ad.tensor(np.eye(4)), ad.tensor(np.zeros(4))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ad.AutodiffError, match="causal_attention"
+            ad.AutodiffError, match="attention_residual"
         ):
-            ad.causal_attention(qkv, 2, 0.0, None, train=False)
+            ad.attention_residual(h, qkv, 2, w, b, 0.0, None, False)
 
 
 class TestCausalSoftmax:
-    """The softmax and its backward inside causal_attention."""
+    """The softmax and its backward inside attention_residual."""
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -707,26 +815,47 @@ class TestCausalSoftmax:
             assert np.all(grad[0, t, t + 1 :] == 0.0)
 
 
+def _position_only_embed(pos, p, rng, train):
+    """ad.embed of one window whose projection is zero: the window's
+    output is the position table, dropped."""
+    t, d = pos.data.shape
+    x, w, b = ad.tensor(np.ones((1, t, 3))), ad.tensor(np.zeros((3, d))), ad.tensor(np.zeros(d))
+    return ad.embed(x, w, b, pos, p, rng, train)
+
+
 class TestDropout:
+    """The dropout that embed, attention_residual and residual_affine apply."""
+
     def test_eval_mode_is_identity(self):
-        x = ad.tensor(np.random.default_rng(16).standard_normal((3, 4)))
-        out = ad.dropout(x, 0.5, None, train=False)
-        assert out is x  # no copy and no tape node
+        """Outside training, or at p = 0, the fused ops draw nothing (they
+        are given no generator) and drop nothing."""
+        rng = np.random.default_rng(16)
+        h, x = (ad.tensor(rng.standard_normal((3, 4, 8))) for _ in range(2))
+        qkv, pos = ad.tensor(rng.standard_normal((3, 4, 24))), ad.tensor(rng.standard_normal((6, 8)))
+        w, b = ad.tensor(rng.standard_normal((8, 8))), ad.tensor(rng.standard_normal(8))
+        for p, train in ((0.5, False), (0.0, True)):
+            assert _same_bits(ad.embed(x, w, b, pos, p, None, train).data,
+                              ad.add(ad.affine(x, w, b), ad.narrow(pos, 0, 4, axis=0)).data)
+            assert _same_bits(ad.residual_affine(h, x, w, b, p, None, train).data,
+                              ad.add(h, ad.affine(x, w, b)).data)
+            assert _same_bits(ad.attention_residual(h, qkv, 2, w, b, p, None, train).data,
+                              ad.add(h, ad.affine(_causal_attention(qkv, 2, p, None, False),
+                                                  w, b)).data)
 
     def test_train_mode_scales_survivors(self):
         rng_data = np.random.default_rng(17)
-        x = ad.tensor(np.abs(rng_data.standard_normal((100, 100))) + 1.0)
-        out = ad.dropout(x, 0.25, np.random.default_rng(5), train=True).data
+        pos = ad.tensor(np.abs(rng_data.standard_normal((100, 100))) + 1.0)
+        out = _position_only_embed(pos, 0.25, np.random.default_rng(5), True).data[0]
         kept = out != 0.0
         assert abs(kept.mean() - 0.75) < 0.02
-        ratio = out[kept] / x.data[kept]
+        ratio = out[kept] / pos.data[kept]
         assert np.allclose(ratio, 1.0 / 0.75, atol=1e-6)
 
     def test_gradient_uses_same_mask(self):
-        x = ad.tensor(np.ones((50, 50)), requires_grad=True)
-        out = ad.dropout(x, 0.5, np.random.default_rng(6), train=True)
+        pos = ad.tensor(np.ones((50, 50)), requires_grad=True)
+        out = _position_only_embed(pos, 0.5, np.random.default_rng(6), True)
         ad.backward(ad.mean_all(out))
-        assert np.array_equal(x.grad != 0.0, out.data != 0.0)
+        assert np.array_equal(pos.grad != 0.0, out.data[0] != 0.0)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.3])
     def test_mask_values_are_zero_or_the_scale(self, p):
@@ -773,6 +902,55 @@ class TestDropout:
     def test_a_rate_that_rounds_to_one_is_refused(self):
         with pytest.raises(ad.AutodiffError, match="16-bit"):
             ad._dropout_keep((4,), 1.0 - 2.0**-18, np.random.default_rng(0))
+
+
+class TestEmbed:
+    """embed, one node for dropout(x @ w + b + pos[:T])."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.0])
+    @pytest.mark.parametrize("x_shape,context,fan_out", [
+        ((64, 20, 50), 20, 64),   # the desk BeT's training windows
+        ((256, 5, 50), 20, 64),   # its control windows, shorter than the table
+        ((3, 5, 7), 8, 16),       # 15 rows, not a multiple of 4
+    ])
+    @pytest.mark.exact_bits
+    def test_equals_the_unfused_nodes_bitwise(self, p, x_shape, context, fan_out):
+        """Output, taped and without a tape, and the gradients of x, w, b
+        and the position table, float32, with a fixed generator for the
+        mask."""
+        rng = np.random.default_rng(sum(x_shape) + fan_out)
+        data = [rng.standard_normal(x_shape),
+                0.1 * rng.standard_normal((x_shape[-1], fan_out)),
+                rng.standard_normal(fan_out),
+                rng.standard_normal((context, fan_out))]
+        probe = ad.Tensor(rng.standard_normal(x_shape[:-1] + (fan_out,)).astype(np.float32))
+        got = []
+        for op in (ad.embed, _unfused_embed):
+            leaves = [ad.Tensor(a.astype(np.float32), requires_grad=True) for a in data]
+            with ad.no_grad():
+                untaped = op(*leaves, p, None, False).data
+            out = op(*leaves, p, np.random.default_rng(31), True)
+            ad.backward(ad.mean_all(ad.mul(out, probe)))
+            got.append([out.data, untaped] + [leaf.grad for leaf in leaves])
+        for name, fused, ref in zip(("out", "untaped", "x", "w", "b", "pos"), *got):
+            assert _same_bits(fused, ref), name
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(34)
+        x, w, b, pos = (rng.standard_normal(s) for s in ((2, 3, 4), (4, 5), (5,), (6, 5)))
+        probe = rng.standard_normal((2, 3, 5))
+
+        def build(a, W, c, table):
+            # A fresh generator per evaluation: every call drops the same units.
+            return probe_loss(ad.embed(a, W, c, table, 0.3, np.random.default_rng(35), True), probe)
+
+        check_grads(build, [x, w, b, pos], rng)
+
+    def test_a_window_longer_than_the_table_is_refused(self):
+        w, b, pos = ad.tensor(np.ones((4, 5))), ad.tensor(np.zeros(5)), ad.tensor(np.zeros((3, 5)))
+        for shape in ((2, 4, 4), (3, 4)):
+            with pytest.raises(ad.AutodiffError, match="embed"):
+                ad.embed(ad.tensor(np.ones(shape)), w, b, pos, 0.0, None, False)
 
 
 class TestResidualAffine:
@@ -901,6 +1079,41 @@ class TestTapeSemantics:
         assert np.allclose(x.grad, 2.0 * first)
         ad.zero_grads([x])
         assert x.grad is None
+
+    def test_a_second_backward_through_a_walked_graph_raises(self):
+        """Through the same root, or through a new loss built on a walked
+        node; the refused call adds no gradient."""
+        x = ad.tensor([1.0, 2.0], requires_grad=True)
+        y = ad.square(x)
+        loss = ad.mean_all(y)
+        ad.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ad.AutodiffError, match="earlier backward"):
+            ad.backward(loss)
+        with pytest.raises(ad.AutodiffError, match="earlier backward"):
+            ad.backward(ad.add(ad.mean_all(ad.square(x)), ad.mean_all(y)))
+        assert _same_bits(x.grad, first)
+        assert float(loss.data) == 2.5 and _same_bits(y.data, np.array([1.0, 4.0], np.float32))
+
+    def test_backward_frees_what_the_tape_saved(self):
+        """Once the walk has passed a node, what its backward read is gone,
+        while the loss and the node themselves are still referenced."""
+        rng = np.random.default_rng(36)
+        h, qkv = (ad.tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 8), (2, 5, 24)))
+        w, b = ad.tensor(rng.standard_normal((8, 8)), requires_grad=True), ad.tensor(np.zeros(8))
+        out = ad.attention_residual(h, qkv, 2, w, b, 0.1, np.random.default_rng(37), True)
+        loss = ad.mean_all(out)
+        saved = [cell.cell_contents for cell in out._vjp.__closure__]
+        weights = [weakref.ref(v) for v in saved
+                   if isinstance(v, np.ndarray) and v.shape == (2, 2, 5, 5) and v.dtype != bool]
+        masks = [weakref.ref(v) for v in saved if isinstance(v, np.ndarray) and v.dtype == bool]
+        del saved
+        assert len(weights) == 1 and len(masks) == 2
+        assert all(ref() is not None for ref in weights + masks)
+        ad.backward(loss)
+        assert all(ref() is None for ref in weights + masks)
+        assert out.is_leaf and out.grad is None and np.isfinite(float(loss.data))
+        assert qkv.grad is not None and w.grad is not None
 
     def test_serials_follow_construction_order(self):
         x = ad.tensor([1.0])
