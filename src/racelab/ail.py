@@ -20,12 +20,11 @@ import shutil
 import numpy as np
 
 from . import autodiff as ad
-from . import bet as bet_mod
 from . import evaluate as eval_mod
 from . import nets
 from .env import Normalizer, RaceEnv, rollout
 from .optim import Adam
-from .policies import GaussianPolicy, build_policy_stack, load_bc, save_bc
+from .policies import BASES, MODE_SPECS, GaussianPolicy, build_policy_stack, load_base, save_base
 from .seeding import stream
 
 BUNDLE_FORMAT = "racelab-bundle-v6"
@@ -504,7 +503,8 @@ def has_bundle(path):
 
 
 def read_manifest(path):
-    """The manifest of the bundle directory at path; other formats are refused."""
+    """The manifest of the bundle directory at path; other formats, and a
+    mode that this version does not know, are refused."""
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -512,6 +512,9 @@ def read_manifest(path):
             raise nets.CheckpointError(f"unreadable bundle manifest in {path}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
         raise nets.CheckpointError(f"not a {BUNDLE_FORMAT} checkpoint bundle: {path}")
+    if manifest.get("mode") not in MODE_SPECS:
+        raise nets.CheckpointError(f"{path}/manifest.json records mode {manifest.get('mode')!r}, "
+                                   f"not one of {sorted(MODE_SPECS)}")
     return manifest
 
 
@@ -537,10 +540,10 @@ def save_bundle(path, trainer, extra_manifest=None):
                      {"kind": "residual", "alpha": stack.residual.alpha})
     for fname, (kind, net) in _bundle_nets(trainer).items():
         nets.save_params(os.path.join(tmp, fname), net.params(), {"kind": kind})
-    if stack.bet is not None:
-        bet_mod.save_bet(os.path.join(tmp, "bet.ckpt"), stack.bet, stack.base_normalizer)
-    if stack.bc is not None:
-        save_bc(os.path.join(tmp, "bc.ckpt"), stack.bc, stack.base_normalizer)
+    kind = stack.spec["base"]
+    if kind is not None:  # the stack holds its base as the attribute of that name
+        save_base(os.path.join(tmp, BASES[kind]["file"]), kind, getattr(stack, kind),
+                  stack.base_normalizer)
     steps = {group: opt.step_count for group, opt in _optimizers(trainer).items()}
     nets.save_params(os.path.join(tmp, "optim.ckpt"), _moments(trainer),
                      {"kind": "optim", "steps": steps})
@@ -569,8 +572,9 @@ def save_bundle(path, trainer, extra_manifest=None):
 
 
 def load_stack(path, manifest, hidden=None):
-    """The policy stack a bundle stores: its base with the whitener the base
-    was fitted with, its correction head and the target course's whitener.
+    """The policy stack a bundle stores: the base its mode names, read from
+    that kind's file with the whitener the base was fitted with, its
+    correction head and the target course's whitener.
 
     manifest is the bundle's, from read_manifest; hidden, when given,
     replaces the stored correction-head widths, which must match. Nothing
@@ -578,11 +582,9 @@ def load_stack(path, manifest, hidden=None):
     moments or replay.
     """
     normalizer = Normalizer.from_dict(manifest["normalizer"])
-    bet = bc = base_normalizer = None
-    if os.path.exists(os.path.join(path, "bet.ckpt")):
-        bet, base_normalizer, _ = bet_mod.load_bet(os.path.join(path, "bet.ckpt"))
-    if os.path.exists(os.path.join(path, "bc.ckpt")):
-        bc, base_normalizer, _ = load_bc(os.path.join(path, "bc.ckpt"))
+    kind = MODE_SPECS[manifest["mode"]]["base"]
+    net, base_normalizer, _ = (None,) * 3 if kind is None else load_base(
+        os.path.join(path, BASES[kind]["file"]), kind)
 
     if hidden is None:
         hidden = manifest["config"]["policy_hidden"]
@@ -594,8 +596,8 @@ def load_stack(path, manifest, hidden=None):
             raise nets.CheckpointError(f"{path}/residual.ckpt records alpha {alpha!r}, "
                                        "not a number in (0, 1]")
         built.append(build_policy_stack(manifest["mode"], normalizer, len(normalizer.mean),
-                                        None, alpha=alpha, bet=bet, bc=bc,
-                                        hidden=hidden, bet_normalizer=base_normalizer))
+                                        None, hidden, alpha=alpha, bet=net, bc=net,
+                                        bet_normalizer=base_normalizer))
         return built[0].residual.params()
 
     nets.load_params(os.path.join(path, "residual.ckpt"), into)

@@ -54,7 +54,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
-from .env import Normalizer
 from .optim import Lamb
 from .seeding import stream
 
@@ -62,8 +61,6 @@ __all__ = [
     "BeTConfig",
     "BeT",
     "pretrain",
-    "save_bet",
-    "load_bet",
 ]
 
 
@@ -262,35 +259,3 @@ def pretrain(model, demoset, seed, progress=None):
         if cfg.stop_loss and ema is not None and ema <= cfg.stop_loss:
             break
     return history
-
-
-def save_bet(path, model, normalizer, extra=None):
-    meta = {
-        "kind": "bet",
-        "config": dataclasses.asdict(model.cfg),
-        "normalizer": normalizer.to_dict(),
-        **(extra or {}),
-    }
-    nets.save_params(path, model.params(), meta)
-
-
-def load_bet(path):
-    """Returns (model, normalizer, meta) from a checkpoint. The model is
-    built from the header's config, with nothing drawn, and its parameters
-    are read in place."""
-    built = []
-
-    def into(meta, shapes):
-        if meta.get("kind") != "bet":
-            raise nets.CheckpointError(f"not a base-policy checkpoint: {path}")
-        stored = set(meta.get("config", {}))
-        fields = {f.name for f in dataclasses.fields(BeTConfig)}
-        if stored != fields:
-            raise nets.CheckpointError(
-                f"base-policy checkpoint {path} does not match this version's BeTConfig: "
-                f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
-        built.append(BeT(BeTConfig(**meta["config"]), None))
-        return built[0].params()
-
-    meta, _ = nets.load_params(path, into)
-    return built[0], Normalizer.from_dict(meta["normalizer"]), meta

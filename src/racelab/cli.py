@@ -9,8 +9,7 @@ only what the base reads. ``run`` is ``train`` with the mode taken from
 the config. The supervised-only modes ``bet`` (the sequence base alone)
 and ``bc`` train no correction head: they evaluate their base once on
 the target course and report. ``eval`` and ``report``
-regenerate evaluation artifacts from a checkpoint bundle, and
-``bet-info`` prints a base checkpoint's metadata.
+regenerate evaluation artifacts from a checkpoint bundle.
 
 Both bases learn from the same data. The sequence base (``bet.ckpt``)
 and the cloned base of ``bc`` and ``bcail`` (``bc.ckpt``) are stage
@@ -53,11 +52,12 @@ the base under their names at its top, a pretraining course that is not
 the target under pretrain/<i>/, and the run's files beside them.
 
 Reuse and resume. Each stage product records the key it was built
-under, its stage key. A command lists the products it reads, each once:
-a key already listed is the path listed first, so a pretraining course
-that is the target course is the target's files. Every listed product
-that exists is checked against its key before anything is written, and
-is then reused. A run directory's config.json records the whole config
+under, its stage key, and the content version. A command lists the
+products it reads, each once: a key already listed is the path listed
+first, so a pretraining course that is the target course is the target's
+files. Every listed product that exists is checked against its key and
+this version's ``CONTENT_VERSION`` before anything is written, and is
+then reused. A run directory's config.json records the whole config
 its run was started under, and its bundle the config it was trained
 under. For every mode, each record that exists must differ from the config
 at most in the fields the mode does not read, the stopping rules and
@@ -112,7 +112,6 @@ whose pretraining course is maggiore-like's.
 
 import argparse
 import contextlib
-import dataclasses
 import fcntl
 import json
 import os
@@ -129,7 +128,7 @@ from . import nets
 from .config import _AT_LEAST, CONTENT_VERSION, ConfigError, build_config, config_hash
 from .evaluate import EvalReport, emit_report
 from .expert import DemoSet, generate_demos
-from .policies import MODE_SPECS, build_policy_stack, load_bc, save_bc, train_bc
+from .policies import BASES, MODE_SPECS, build_policy_stack, load_base, save_base, train_bc
 from .seeding import stream
 from .track import gen_track, load_track, save_track
 
@@ -178,10 +177,6 @@ def _build_parser():
 
     sp = add("report", "re-emit report files from a bundle without recomputation", config=False)
     sp.add_argument("--bundle", default=None, help="checkpoint bundle directory")
-
-    help_text = "print a sequence-base checkpoint's metadata"
-    sp = sub.add_parser("bet-info", help=help_text, description=help_text)
-    sp.add_argument("--bet", default=None, help="checkpoint path")
 
     add("run", "train the config's mode, building any missing stage first (resumable)")
     return parser
@@ -280,11 +275,9 @@ def _write_config_snapshot(cfg, out_dir):
 
 # How each kind of stage product is read, by file name; a base as (net,
 # whitener, meta).
-_LOAD = {"track.json": load_track, "demos.ckpt": DemoSet.load, "bet.ckpt": bet_mod.load_bet,
-         "bc.ckpt": load_bc}
-
-# Each kind of base: its name in messages, and how its checkpoint is written.
-_BASES = {"bet": ("sequence", bet_mod.save_bet), "bc": ("cloned", save_bc)}
+_LOAD = {"track.json": load_track, "demos.ckpt": DemoSet.load,
+         **{base["file"]: lambda path, kind=kind: load_base(path, kind)
+            for kind, base in BASES.items()}}
 
 
 def _plan(cfg, stage, root):
@@ -325,19 +318,22 @@ def _plan(cfg, stage, root):
         pretraining = [course(f"pretrain/{i}/", spec, cfg.demo_laps_pretrain)
                        for i, spec in enumerate(cfg.pretrain_track_specs)]
         reads += sum(pretraining, []) + [add(
-            f"{kind}.ckpt", cfg.base_key(kind), lambda path, key, got: _fit_base(
+            BASES[kind]["file"], cfg.base_key(kind), lambda path, key, got: _fit_base(
                 cfg, kind, path, key, [got[demos] for _, demos in pretraining]))]
     return [product for product in plan if product[0] in reads]
 
 
 def _check_products(plan):
-    """Refuse a stage product recorded under another key than its own."""
+    """Refuse a stage product recorded under another key than its own, or
+    under another content version than this one's."""
     for path, key, _ in plan:
         if os.path.exists(path):
             meta = load_track(path).meta if path.endswith(".json") else nets.load_meta(path)
-            if meta.get("config_hash") != key:
-                raise RuntimeError(f"{path} was built under stage key {meta.get('config_hash')}, "
-                                   f"not {key} (use another --out, or remove it)")
+            for field, what, want in (("config_hash", "stage key", key),
+                                      ("content_version", "content version", CONTENT_VERSION)):
+                if meta.get(field) != want:
+                    raise RuntimeError(f"{path} was built under {what} {meta.get(field)}, "
+                                       f"not {want} (use another --out, or remove it)")
 
 
 def _obtain(plan):
@@ -368,16 +364,16 @@ def _fit_base(cfg, kind, path, key, demos):
         model = bet_mod.BeT(cfg.bet, stream(cfg.seed, "init", 3))
         history = bet_mod.pretrain(model, merged, cfg.seed, progress=lambda update, loss, ema: print(
             f"  base pretrain update {update}: loss {loss:.5f} (ema {ema:.5f})", flush=True))
-        # bet.ckpt marks the stage as done, so it is written last.
+        # The base checkpoint marks the stage as done, so it is written last.
         with nets.replacing(os.path.join(os.path.dirname(path), "bet_pretrain.json"), "w") as fh:
             json.dump({"loss_history": history, **trace}, fh, sort_keys=True)
             fh.write("\n")
     else:
         model, history = train_bc(merged, seed=cfg.seed, **cfg.bc)
-    name, save = _BASES[kind]
-    save(path, model, merged.normalizer,
-         {**trace, "updates_run": len(history), "final_loss": history[-1]})
-    print(f"{name} base: {len(history)} updates, final loss {history[-1]:.5f} -> {path}")
+    save_base(path, kind, model, merged.normalizer,
+              {**trace, "updates_run": len(history), "final_loss": history[-1]})
+    print(f"{BASES[kind]['label']} base: {len(history)} updates, "
+          f"final loss {history[-1]:.5f} -> {path}")
 
 
 def _run_record(bundle):
@@ -597,28 +593,10 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def cmd_bet_info(args):
-    if args.bet is None:
-        raise ConfigError("bet-info needs --bet")
-    _require(args.bet, "sequence-base checkpoint", "pass --bet <path>")
-    model, normalizer, meta = bet_mod.load_bet(args.bet)
-    n_params = int(sum(p.data.size for p in model.params().values()))
-    info = {
-        "config": dataclasses.asdict(model.cfg),
-        "n_params": n_params,
-        "checksum": nets.params_checksum(model.params()),
-        "normalizer_dim": len(normalizer.mean),
-        "meta": {k: v for k, v in meta.items() if k not in ("config", "normalizer")},
-    }
-    print(json.dumps(info, sort_keys=True, indent=1))
-    return EXIT_OK
-
-
 _COMMANDS = {
     **{name: cmd_pipeline for name in _STAGE},
     "eval": cmd_eval,
     "report": cmd_report,
-    "bet-info": cmd_bet_info,
 }
 
 

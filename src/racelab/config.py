@@ -38,6 +38,9 @@ from .policies import MODE_SPECS
 from .track import gen_track
 from .vehicle import VehicleParams
 
+# The version of what stage products hold. A product recorded under
+# another is refused, so a change to a product's content that leaves its
+# key as it was bumps this.
 CONTENT_VERSION = 1
 PROFILES = ("desk", "paper", "smoke")
 

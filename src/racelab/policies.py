@@ -8,7 +8,10 @@ the clipped sum. Stacks without a base treat the correction head as the
 whole policy (alpha = 1) and feed it the observation alone.
 
 This module owns every rule of the stack; the trainer, the evaluator and
-the command line only call it.
+the command line only call it. That includes the base checkpoint, the
+hand-off from pretraining to fine-tuning: ``BASES`` says, for each kind
+of base, what its checkpoint is, and ``save_base`` and ``load_base``
+write and read both kinds.
 
 Conventions
 -----------
@@ -32,12 +35,14 @@ Conventions
 * All boundary values (actions, observations, log-probs) are float32.
 """
 
+import dataclasses
 from collections import deque
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nets
+from .bet import BeT, BeTConfig
 from .env import Normalizer
 from .optim import Adam
 from .seeding import stream
@@ -159,27 +164,53 @@ def train_bc(demoset, hidden, updates, batch, lr, seed):
     return net, history
 
 
-def save_bc(path, net, normalizer, extra=None):
-    """Write a behavior-cloning net, its layer widths and the whitener it
-    was fitted with."""
-    nets.save_params(path, net.params(), {"kind": "bc", "dims": net.dims,
-                                          "normalizer": normalizer.to_dict(), **(extra or {})})
+def _bet_from(config, what):
+    """The BeT that a header's config describes, with nothing drawn. A
+    config with other fields than this version's BeTConfig is refused."""
+    stored, fields = set(config or ()), {f.name for f in dataclasses.fields(BeTConfig)}
+    if stored != fields:
+        raise nets.CheckpointError(
+            f"{what} does not match this version's BeTConfig: "
+            f"stale keys {sorted(stored - fields)}, missing keys {sorted(fields - stored)}")
+    return BeT(BeTConfig(**config), None)
 
 
-def load_bc(path):
-    """Returns (net, normalizer, meta) from a checkpoint that save_bc wrote.
-    The net is built from the header's widths, with nothing drawn, and
-    read in place."""
+# What a base checkpoint is, by kind: its file in a run or bundle, its name
+# in messages, the header field that describes its net, how that field is
+# read off a net, and how the net is rebuilt from it with nothing drawn.
+BASES = {
+    "bet": {"file": "bet.ckpt", "label": "sequence", "field": "config",
+            "describe": lambda net: dataclasses.asdict(net.cfg), "build": _bet_from},
+    "bc": {"file": "bc.ckpt", "label": "cloned", "field": "dims",
+           "describe": lambda net: net.dims,
+           "build": lambda dims, _: make_bc_net(dims[0], dims[-1], dims[1:-1], None)},
+}
+
+
+def save_base(path, kind, net, whitener, extra=None):
+    """Write a base of a kind with the header field that describes its net
+    and the whitener it was fitted with."""
+    base = BASES[kind]
+    nets.save_params(path, net.params(), {"kind": kind, base["field"]: base["describe"](net),
+                                          "normalizer": whitener.to_dict(), **(extra or {})})
+
+
+def load_base(path, kind):
+    """Returns (net, whitener, meta) from a checkpoint that save_base wrote
+    for a base of this kind. The net is rebuilt from the header, with
+    nothing drawn, and read in place. A file of another kind, or one that
+    records no whitener, is refused."""
+    base = BASES[kind]
+    what = f"{base['label']}-base checkpoint"
     built = []
 
     def into(meta, shapes):
-        if meta.get("kind") != "bc":
-            raise nets.CheckpointError(f"not a cloned-base checkpoint: {path}")
+        if meta.get("kind") != kind:
+            raise nets.CheckpointError(f"not a {what}: {path}")
         if "normalizer" not in meta:
-            raise nets.CheckpointError(f"cloned-base checkpoint {path} records no whitener "
+            raise nets.CheckpointError(f"{what} {path} records no whitener "
                                        "(an older checkpoint; fit the base again)")
-        dims = meta["dims"]
-        built.append(make_bc_net(dims[0], dims[-1], dims[1:-1], None))
+        built.append(base["build"](meta.get(base["field"]), f"{what} {path}"))
         return built[0].params()
 
     meta, _ = nets.load_params(path, into)
@@ -279,8 +310,8 @@ class PolicyStack:
         return self._inputs(obs)[1]
 
 
-def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,
-                       bc=None, hidden=(256, 256), bet_normalizer=None):
+def build_policy_stack(mode, normalizer, obs_dim, rng, hidden, alpha=None, bet=None,
+                       bc=None, bet_normalizer=None):
     """Construct the stack for a mode, creating the correction head.
 
     The mode's base (bet or bc) must be given, and must read obs_dim
@@ -288,9 +319,10 @@ def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,
     whitener of whichever base the stack has, the one it was fitted with;
     without one the base reads the observation as normalizer whitens it.
     alpha is required for modes with a base and a correction head; modes
-    whose correction head is the whole policy ignore it (forced to 1). rng
-    draws the correction head's weights; with rng None they are zero, for
-    a head that a checkpoint is read into.
+    whose correction head is the whole policy ignore it (forced to 1).
+    hidden gives the correction head's hidden widths (the run config's
+    train.policy_hidden), and rng draws its weights; with rng None they
+    are zero, for a head that a checkpoint is read into.
     """
     if mode not in MODE_SPECS:
         raise ValueError(f"unknown mode '{mode}'")
@@ -298,8 +330,7 @@ def build_policy_stack(mode, normalizer, obs_dim, rng, alpha=None, bet=None,
     if spec["base"] is not None:
         base = bet if spec["base"] == "bet" else bc
         if base is None:
-            kind = {"bet": "sequence-model", "bc": "behavior-cloned"}[spec["base"]]
-            raise ValueError(f"mode '{mode}' needs a {kind} base")
+            raise ValueError(f"mode '{mode}' needs a {BASES[spec['base']]['label']} base")
         width = base.cfg.obs_dim if spec["base"] == "bet" else base.dims[0]
         if width != obs_dim:
             raise ValueError(f"the base reads {width} observation features, "

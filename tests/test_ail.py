@@ -543,7 +543,7 @@ def test_iteration_fills_replay_and_reports_metrics(tiny_world):
 
 def test_offline_mode_rejected_by_trainer(tiny_world):
     track, vparams, ecfg, demos = tiny_world
-    stack = build_policy_stack("bc", demos.normalizer, demos.obs_dim, RNG(41),
+    stack = build_policy_stack("bc", demos.normalizer, demos.obs_dim, RNG(41), hidden=(256, 256),
                                bc=make_bc_net(demos.obs_dim, 2, (8,), RNG(0)))
     with pytest.raises(ValueError):
         Trainer(stack, track, vparams, ecfg, demos, _tiny_cfg(), 0)
@@ -585,7 +585,7 @@ def test_load_stack_acts_bitwise_like_the_live_stack(tiny_world, tmp_path, mode)
 
 @pytest.mark.parametrize("mode", ["betail", "bcail"])
 def test_loaders_draw_no_initialization(tiny_world, tmp_path, monkeypatch, mode):
-    """load_stack, with load_bet or load_bc under it, and the critics'
+    """load_stack, with load_base under it, and the critics'
     target copies build their nets with nothing drawn: they work while
     nets.trunc_normal raises, and give back the saved parameters."""
     track, vparams, ecfg, demos = tiny_world

@@ -8,19 +8,12 @@ import pytest
 from conftest import circle_track
 from racelab import autodiff as ad
 from racelab import nets
-from racelab.bet import (
-    BeT,
-    BeTConfig,
-    load_bet,
-    pretrain,
-    save_bet,
-    train_step,
-)
+from racelab.bet import BeT, BeTConfig, pretrain, train_step
 from racelab.env import EpisodeConfig, Normalizer
 from racelab.expert import ExpertParams, generate_demos
 from racelab.nets import params_checksum
 from racelab.optim import Lamb
-from racelab.policies import build_policy_stack
+from racelab.policies import build_policy_stack, load_base, save_base
 from racelab.vehicle import VehicleParams
 
 RNG = np.random.default_rng
@@ -243,7 +236,8 @@ def test_inputs_are_saturated_before_projection():
     sign = np.array([[1.0], [-1.0]], dtype=np.float32)
     wild, at_bound = 1e8 * sign * np.ones(6, np.float32), 5.0 * sign * np.ones(6, np.float32)
     cfg = BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4, eval_context=2)
-    stacks = [build_policy_stack("bet", norm, 6, None, bet=BeT(cfg, RNG(0))) for _ in range(2)]
+    stacks = [build_policy_stack("bet", norm, 6, None, hidden=(256, 256),
+                                 bet=BeT(cfg, RNG(0))) for _ in range(2)]
     for stack in stacks:
         stack.reset()
     np.testing.assert_array_equal(stacks[0].base_action(wild), stacks[1].base_action(at_bound))
@@ -456,8 +450,8 @@ def test_checkpoint_roundtrip_preserves_params_and_normalizer(tmp_path):
     model = _perturbed_model(cfg, seed=20)
     norm = Normalizer(np.arange(6, dtype=np.float32), np.ones(6, np.float32))
     path = str(tmp_path / "model.ckpt")
-    save_bet(path, model, norm, extra={"note": "tiny"})
-    back, norm2, meta = load_bet(path)
+    save_base(path, "bet", model, norm, extra={"note": "tiny"})
+    back, norm2, meta = load_base(path, "bet")
     assert params_checksum(back.params()) == params_checksum(model.params())
     np.testing.assert_array_equal(norm2.mean, norm.mean)
     assert meta["note"] == "tiny"
@@ -470,10 +464,10 @@ def test_load_holds_one_copy_of_the_model(tmp_path):
     model = BeT(_tiny_cfg(embed_dim=64, n_layers=8, n_heads=4), RNG(23))
     size = sum(p.data.nbytes for p in model.params().values())
     path = str(tmp_path / "model.ckpt")
-    save_bet(path, model, Normalizer(np.zeros(6, np.float32), np.ones(6, np.float32)))
+    save_base(path, "bet", model, Normalizer(np.zeros(6, np.float32), np.ones(6, np.float32)))
     tracemalloc.start()
     try:
-        back, _, _ = load_bet(path)
+        back, _, _ = load_base(path, "bet")
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -489,7 +483,7 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = str(tmp_path / "foreign.ckpt")
     save_params(path, {"a": np.zeros(1, np.float32)}, {"kind": "other"})
     with pytest.raises(ValueError):
-        load_bet(path)
+        load_base(path, "bet")
 
 
 def test_param_checksum_changes_with_any_weight():

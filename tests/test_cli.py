@@ -1,6 +1,5 @@
 """End-to-end tests of the command line."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -14,11 +13,10 @@ import numpy as np
 import pytest
 
 from racelab import ail, bet, cli, nets
-from racelab.config import CHALLENGES, build_config
-from racelab.env import Normalizer
+from racelab.config import CHALLENGES, CONTENT_VERSION, build_config
 from racelab.evaluate import evaluate
 from racelab.expert import DemoSet
-from racelab.policies import build_policy_stack
+from racelab.policies import build_policy_stack, load_base
 from racelab.track import gen_track, load_track, save_track
 
 # sha256 of the smoke run's outputs. The pipeline is bit-deterministic, so
@@ -67,7 +65,7 @@ def test_run_with_other_feature_counts_sizes_the_base_from_the_episode(tmp_path)
                   "disc_updates": 2, "sac": {"batch": 64, "gradient_steps": 2}}}))
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-    model, normalizer, _ = bet.load_bet(str(out / "bet.ckpt"))
+    model, normalizer, _ = load_base(str(out / "bet.ckpt"), "bet")
     assert model.cfg.obs_dim == len(normalizer.mean) == 48
 
 
@@ -99,7 +97,6 @@ OPTIONS = {
     "run": {"--config", "--seed", "--out"},
     "eval": {"--out", "--bundle", "--cars", "--max-steps", "--tag"},
     "report": {"--out", "--bundle"},
-    "bet-info": {"--bet"},
 }
 
 
@@ -108,7 +105,7 @@ def test_each_command_takes_its_pinned_options():
     got = {name: {flag for action in parser._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, parser in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 25
+    assert sum(map(len, got.values())) == 24
 
 
 def _gen_track(out):
@@ -192,74 +189,6 @@ def test_lock_on_a_file_its_holder_removed_refuses_the_run(replaced, tmp_path, m
     assert _gen_track(out) == cli.EXIT_RUNTIME
     assert f"output directory {out} was claimed by another run" in capsys.readouterr().err
     assert not (out / "track.json").exists()
-
-
-# The whitener that leaves the six features of _small_bet as they are.
-UNIT = Normalizer(np.zeros(6, dtype=np.float32), np.ones(6, dtype=np.float32))
-
-
-def _small_bet():
-    return bet.BeT(bet.BeTConfig(obs_dim=6, embed_dim=8, n_layers=1, n_heads=2, context=4,
-                                 eval_context=2), np.random.default_rng(3))
-
-
-def test_bet_info_prints_the_parameter_checksum(tmp_path, capsys):
-    model = _small_bet()
-    path = tmp_path / "bet.ckpt"
-    bet.save_bet(str(path), model, UNIT)
-    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_OK
-    info = json.loads(capsys.readouterr().out)
-    assert info["checksum"] == nets.params_checksum(model.params())
-    assert info["n_params"] == sum(p.data.size for p in model.params().values())
-
-
-def test_bet_info_on_a_stale_checkpoint_names_the_keys(tmp_path, capsys):
-    # A base written before the BeTConfig trim carries two keys it lost;
-    # dropping w_std shows a missing key as well.
-    model = _small_bet()
-    stale = {**dataclasses.asdict(model.cfg), "nonlinearity": "relu", "loss_positions": "all"}
-    del stale["w_std"]
-    path = tmp_path / "bet.ckpt"
-    nets.save_params(str(path), model.params(), {
-        "kind": "bet", "config": stale, "normalizer": UNIT.to_dict()})
-    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "stale keys ['loss_positions', 'nonlinearity'], missing keys ['w_std']" in err
-
-
-def test_a_base_with_separate_query_key_value_weights_is_refused(tmp_path, capsys):
-    # A base written before the packed projection stores blk0.q, .k and .v.
-    model = _small_bet()
-    arrays = {name: p.data for name, p in model.params().items()}
-    for part, cols in (("W", arrays.pop("blk0.qkv.W")), ("b", arrays.pop("blk0.qkv.b"))):
-        for name, third in zip("qkv", np.split(cols, 3, axis=-1)):
-            arrays[f"blk0.{name}.{part}"] = third
-    path = tmp_path / "bet.ckpt"
-    nets.save_params(str(path), arrays, {"kind": "bet", "config": dataclasses.asdict(model.cfg),
-                                         "normalizer": UNIT.to_dict()})
-    with pytest.raises(nets.CheckpointError, match="missing parameter blk0.qkv.W"):
-        bet.load_bet(str(path))
-    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err == "error: checkpoint missing parameter blk0.qkv.W\n"
-
-
-@pytest.mark.parametrize("case", ["an entry without a dtype", "no tensor list", "an int dtype"])
-def test_bet_info_on_a_malformed_header_is_refused_without_a_traceback(tmp_path, capsys, case):
-    path = tmp_path / "bet.ckpt"
-    bet.save_bet(str(path), _small_bet(), UNIT)
-    line, buffers = path.read_bytes().split(b"\n", 1)
-    header = json.loads(line)
-    if case == "an entry without a dtype":
-        del header["tensors"][0]["dtype"]
-    elif case == "no tensor list":
-        del header["tensors"]
-    else:
-        header["tensors"][0]["dtype"] = "<i4"
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + buffers)
-    assert cli.main(["bet-info", "--bet", str(path)]) == cli.EXIT_RUNTIME
-    assert capsys.readouterr().err == f"error: unreadable checkpoint header in {path}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "report"])
@@ -540,9 +469,9 @@ def test_train_mode_bet_evaluates_the_experiments_base(tmp_path, monkeypatch, ca
     # The same evaluation, built by hand from the products.
     course, laps = run_cfg.track_spec, run_cfg.demo_laps
     demos = DemoSet.load(str(_stage(root, "demos", run_cfg.demos_key(course, laps))))
-    model, bet_normalizer, _ = bet.load_bet(str(base))
-    stack = build_policy_stack("bet", demos.normalizer, demos.obs_dim, None, bet=model,
-                               bet_normalizer=bet_normalizer)
+    model, bet_normalizer, _ = load_base(str(base), "bet")
+    stack = build_policy_stack("bet", demos.normalizer, demos.obs_dim, None, hidden=(256, 256),
+                               bet=model, bet_normalizer=bet_normalizer)
     track = load_track(str(_stage(root, "track", run_cfg.course_key(course))))
     report = evaluate(stack, track, run_cfg.vehicle,
                       run_cfg.episode, demos, n_cars=run_cfg.train.eval_cars,
@@ -812,6 +741,65 @@ def test_a_bundle_that_records_an_alpha_outside_its_range_is_refused(run_copy, c
     assert _tree(run_copy.parent) == before
 
 
+def test_a_stale_base_in_a_bundle_names_the_keys(run_copy, capsys):
+    # A base written before the BeTConfig trim carries two keys it lost;
+    # dropping w_std shows a missing key as well.
+    path = run_copy / "bundle" / "bet.ckpt"
+    meta, arrays = nets.load_params(str(path))
+    stale = {**meta["config"], "nonlinearity": "relu", "loss_positions": "all"}
+    del stale["w_std"]
+    nets.save_params(str(path), arrays, {**meta, "config": stale})
+    assert cli.main(["eval", "--bundle", str(run_copy / "bundle")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: sequence-base checkpoint {path} does not match this version's BeTConfig: "
+        "stale keys ['loss_positions', 'nonlinearity'], missing keys ['w_std']\n")
+
+
+def test_a_base_with_separate_query_key_value_weights_is_refused(run_copy, capsys):
+    # A base written before the packed projection stores blk0.q, .k and .v.
+    path = run_copy / "bundle" / "bet.ckpt"
+    meta, arrays = nets.load_params(str(path))
+    for part, cols in (("W", arrays.pop("blk0.qkv.W")), ("b", arrays.pop("blk0.qkv.b"))):
+        for name, third in zip("qkv", np.split(cols, 3, axis=-1)):
+            arrays[f"blk0.{name}.{part}"] = third
+    nets.save_params(str(path), arrays, meta)
+    with pytest.raises(nets.CheckpointError, match="missing parameter blk0.qkv.W"):
+        load_base(str(path), "bet")
+    assert cli.main(["eval", "--bundle", str(run_copy / "bundle")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: checkpoint missing parameter blk0.qkv.W\n"
+
+
+@pytest.mark.parametrize("case", ["an entry without a dtype", "no tensor list", "an int dtype"])
+def test_a_malformed_base_header_is_refused_by_eval(run_copy, capsys, case):
+    path = run_copy / "bundle" / "bet.ckpt"
+    line, buffers = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    if case == "an entry without a dtype":
+        del header["tensors"][0]["dtype"]
+    elif case == "no tensor list":
+        del header["tensors"]
+    else:
+        header["tensors"][0]["dtype"] = "<i4"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + buffers)
+    assert cli.main(["eval", "--bundle", str(run_copy / "bundle")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: unreadable checkpoint header in {path}\n"
+
+
+def test_a_product_of_another_content_version_is_refused(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert _gen_track(out) == cli.EXIT_OK
+    course = load_track(str(out / "track.json"))
+    course.meta["content_version"] = 0
+    save_track(course, str(out / "track.json"))
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    assert _gen_track(out) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: {out / 'track.json'} was built under content version 0, "
+        f"not {CONTENT_VERSION} (use another --out, or remove it)\n")
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("radius, bound", [
     (1, "vertex spacing must lie in [0.5, 10.0], got [0.098, 0.0981]"),
     (6, "curvature * half_width must stay below 1"),
@@ -857,9 +845,13 @@ def test_a_resume_that_the_bundle_refuses_leaves_the_runs_config(run_copy, tmp_p
     assert (run_copy / "config.json").read_bytes() == before
 
 
-MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.ckpt"),
-            "demos-bet": ("demos", "X/bet.ckpt"), "track-config": ("track", "X/config.json"),
-            "track-demos": ("track", "X/demos.ckpt")}
+# Bundles that hold nothing but a copy of X's manifest, so no base, edited
+# to name a missing or foreign course or demo file in place of X's own, or
+# another mode.
+MANIFESTS = {"track-nope": {"track": "nope.json"}, "demos-nope": {"demos": "nope.ckpt"},
+             "demos-bet": {"demos": "X/bet.ckpt"}, "track-config": {"track": "X/config.json"},
+             "track-demos": {"track": "X/demos.ckpt"}, "base-nope": {},
+             "mode-nope": {"mode": "nosuch"}}
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -882,8 +874,10 @@ MISNAMED = {"track-nope": ("track", "nope.json"), "demos-nope": ("demos", "nope.
      "missing demonstration file: nope.ckpt (named by demos-nope/bundle/manifest.json)"),
     (["report"], 1, "report needs --bundle"),
     (["report", "--bundle", "nope"], 2, "missing bundle manifest: nope/manifest.json"),
-    (["bet-info"], 1, "bet-info needs --bet"),
-    (["bet-info", "--bet", "nope.ckpt"], 2, "missing sequence-base checkpoint: nope.ckpt"),
+    (["eval", "--bundle", "base-nope/bundle"], 2,
+     "No such file or directory: 'base-nope/bundle/bet.ckpt'"),
+    (["eval", "--bundle", "mode-nope/bundle"], 2, "mode-nope/bundle/manifest.json records mode "
+     "'nosuch', not one of ['ail', 'bc', 'bcail', 'bet', 'betail']"),
     (["eval", "--bundle", "demos-bet/bundle"], 2, "not a demonstration file: X/bet.ckpt"),
     (["eval", "--bundle", "track-config/bundle"], 2,
      "unrecognized track format in X/config.json"),
@@ -920,14 +914,14 @@ def test_exit_codes_name_the_bad_value(run_copy, tmp_path, capsys, argv, code, m
            {**TINY, "pretrain_tracks": [{"preset": "random", "radius": 6}]})
     _write(tmp_path / "circle.json", {**TINY, "track": {"preset": "circle"}})
     _write(tmp_path / "oval.json", {**TINY, "mode": "betail", "track": {"preset": "oval"}})
-    # Copies of X's manifest that name a missing or foreign course or demo
-    # file in place of X's own; eval reads those files before the nets.
+    # Eval reads the course and demo files before the nets.
     manifest = json.loads((run_copy / "bundle" / "manifest.json").read_text())
-    for name, (key, target) in MISNAMED.items():
-        files = {"track": "X/track.json", "demos": "X/demos.ckpt", key: target}
+    for name, edit in MANIFESTS.items():
+        doc = {**manifest, "track": "X/track.json", "demos": "X/demos.ckpt", **edit}
+        for key in ("track", "demos"):
+            doc[key] = os.path.relpath(doc[key], os.path.join(name, "bundle"))
         (tmp_path / name / "bundle").mkdir(parents=True)
-        _write(tmp_path / name / "bundle" / "manifest.json", {**manifest, **{
-            k: os.path.relpath(path, os.path.join(name, "bundle")) for k, path in files.items()}})
+        _write(tmp_path / name / "bundle" / "manifest.json", doc)
     before = _tree(tmp_path)
     assert cli.main(argv) == code
     err = capsys.readouterr().err

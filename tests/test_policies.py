@@ -1,5 +1,7 @@
 """Tests for action composition and the correction-head policy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from racelab import autodiff as ad
 from racelab import nets
 from racelab.bet import BeT, BeTConfig
 from racelab.env import OBS_CLIP, Normalizer
-from racelab.policies import GaussianPolicy, build_policy_stack, load_bc, make_bc_net
+from racelab.policies import GaussianPolicy, build_policy_stack, load_base, make_bc_net
 
 RNG = np.random.default_rng
 
@@ -192,13 +194,13 @@ def test_actor_gradient_matches_finite_difference():
 def test_stack_mode_validation():
     norm = _normalizer(4)
     with pytest.raises(ValueError, match="unknown mode 'nosuch'"):
-        build_policy_stack("nosuch", norm, 4, RNG(0))
-    with pytest.raises(ValueError, match="needs a sequence-model base"):
-        build_policy_stack("betail", norm, 4, RNG(0), alpha=0.1)
-    with pytest.raises(ValueError, match="needs a sequence-model base"):
-        build_policy_stack("bet", norm, 4, RNG(0))
-    with pytest.raises(ValueError, match="needs a behavior-cloned base"):
-        build_policy_stack("bcail", norm, 4, RNG(0), alpha=0.1)
+        build_policy_stack("nosuch", norm, 4, RNG(0), hidden=(256, 256))
+    with pytest.raises(ValueError, match="needs a sequence base"):
+        build_policy_stack("betail", norm, 4, RNG(0), hidden=(256, 256), alpha=0.1)
+    with pytest.raises(ValueError, match="needs a sequence base"):
+        build_policy_stack("bet", norm, 4, RNG(0), hidden=(256, 256))
+    with pytest.raises(ValueError, match="needs a cloned base"):
+        build_policy_stack("bcail", norm, 4, RNG(0), hidden=(256, 256), alpha=0.1)
 
 
 @pytest.mark.parametrize("kind", ["bet", "bc"])
@@ -207,7 +209,8 @@ def test_stack_rejects_a_base_of_another_observation_width(kind):
     base = make_bc_net(48, 2, (8,), RNG(0)) if kind == "bc" else BeT(
         BeTConfig(obs_dim=48, embed_dim=8, n_layers=1, n_heads=2, context=4, eval_context=2), RNG(0))
     with pytest.raises(ValueError, match="^the base reads 48 observation features.*emits 50$"):
-        build_policy_stack(f"{kind}ail", _normalizer(50), 50, RNG(0), alpha=0.1, **{kind: base})
+        build_policy_stack(f"{kind}ail", _normalizer(50), 50, RNG(0), hidden=(256, 256),
+                           alpha=0.1, **{kind: base})
 
 
 def test_a_cloned_base_without_a_whitener_is_refused(tmp_path):
@@ -215,7 +218,16 @@ def test_a_cloned_base_without_a_whitener_is_refused(tmp_path):
     path = str(tmp_path / "bc.ckpt")
     nets.save_params(path, bc.params(), {"kind": "bc", "dims": bc.dims})
     with pytest.raises(nets.CheckpointError, match=f"^cloned-base checkpoint {path} records no "):
-        load_bc(path)
+        load_base(path, "bc")
+
+
+def test_a_sequence_base_without_a_whitener_is_refused(tmp_path):
+    bet = BeT(BeTConfig(obs_dim=4, embed_dim=8, n_layers=1, n_heads=2, context=4,
+                        eval_context=2), RNG(0))
+    path = str(tmp_path / "bet.ckpt")
+    nets.save_params(path, bet.params(), {"kind": "bet", "config": dataclasses.asdict(bet.cfg)})
+    with pytest.raises(nets.CheckpointError, match=f"^sequence-base checkpoint {path} records no "):
+        load_base(path, "bet")
 
 
 def test_stack_params_name_every_net_it_acts_with():
@@ -227,7 +239,8 @@ def test_stack_params_name_every_net_it_acts_with():
                               **{f"res.{k}": p for k, p in stack.residual.params().items()}}
     bc = make_bc_net(4, 2, (8,), RNG(1))
     assert stack.aug_dim == stack.residual.in_dim == 6
-    assert build_policy_stack("bc", _normalizer(4), 4, RNG(1), bc=bc).params() == {
+    assert build_policy_stack("bc", _normalizer(4), 4, RNG(1), hidden=(256, 256),
+                              bc=bc).params() == {
         f"bc.{k}": p for k, p in bc.params().items()}
 
 
@@ -291,9 +304,9 @@ def test_build_policy_stack_requires_alpha_for_based_modes():
     norm = _normalizer(4)
     bc = make_bc_net(4, 2, (8,), RNG(1))
     with pytest.raises(ValueError):
-        build_policy_stack("bcail", norm, 4, RNG(0), alpha=None, bc=bc)
-    stack = build_policy_stack("bcail", norm, 4, RNG(0), alpha=0.3, bc=bc)
+        build_policy_stack("bcail", norm, 4, RNG(0), hidden=(256, 256), alpha=None, bc=bc)
+    stack = build_policy_stack("bcail", norm, 4, RNG(0), hidden=(256, 256), alpha=0.3, bc=bc)
     assert stack.residual.alpha == 0.3
     # pure correction modes force full authority regardless of alpha
-    stack = build_policy_stack("ail", norm, 4, RNG(0))
+    stack = build_policy_stack("ail", norm, 4, RNG(0), hidden=(256, 256))
     assert stack.residual.alpha == 1.0
